@@ -35,6 +35,7 @@ from .functional import (
     min_pencil_eigenvalue,
 )
 from .gform import (
+    THRESHOLD_BBAR,
     Direction,
     RicciEigs,
     classify_bbar,
@@ -73,7 +74,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 COMMANDS = ("integrals", "gform", "scan", "counterexample", "small-sphere", "certify")
 
-THRESHOLD = 1.0 / 90.0
 BRACKET_TARGET = 1.0 / 450.0
 
 
@@ -119,13 +119,8 @@ class RunConfig:
     witness: str | None = None
 
 
-_FLOAT_TUPLES = {"lam", "a", "bbar_list", "r_list", "bracket"}
-_INT_FIELDS = {"n_theta", "n_phi", "ltrunc", "seed", "directions"}
-_BOOL_FIELDS = {"timings", "synthetic"}
-_FLOAT_FIELDS = {
-    "bbar", "r", "bisect_r", "curv_r", "ric_sq", "lap_r", "b", "eps",
-    "beta", "lambda1", "alpha",
-}
+# field name -> annotation string ("int", "float | None", ...)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 class ConfigError(Exception):
@@ -133,19 +128,23 @@ class ConfigError(Exception):
 
 
 def _parse_value(key: str, raw: str):
+    """Parse a raw string by the annotation of RunConfig field ``key``."""
     raw = raw.strip()
-    if key in _FLOAT_TUPLES:
+    kind = _FIELD_TYPES[key]
+    if kind == "tuple":
         return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
-    if key in _INT_FIELDS:
+    if kind == "int":
         return int(raw)
-    if key in _BOOL_FIELDS:
+    if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"cannot parse boolean {key}={raw!r}")
-    if key in _FLOAT_FIELDS:
-        return None if raw.lower() == "none" else float(raw)
+    if kind == "float | None" and raw.lower() == "none":
+        return None
+    if kind.startswith("float"):
+        return float(raw)
     return raw
 
 
@@ -258,6 +257,8 @@ def _directions_for(config: RunConfig) -> list[np.ndarray]:
     nrm = np.linalg.norm(base)
     if nrm == 0:
         raise ConfigError("direction a must be nonzero")
+    if config.directions < 1:
+        raise ConfigError(f"directions must be >= 1, got {config.directions}")
     dirs = [base / nrm]
     if config.directions > 1:
         rng = np.random.default_rng(config.seed)
@@ -311,14 +312,14 @@ def cmd_gform(config: RunConfig) -> dict:
     summary = {
         "lam": list(config.lam),
         "sum_lam_sq": eigs.sum_sq,
-        "threshold_bbar": THRESHOLD,
+        "threshold_bbar": THRESHOLD_BBAR,
         "classification_consistent_across_directions": consistent,
     }
     return _report(config, rows, summary, "PASS" if ok and consistent else "FAIL")
 
 
-def _min_eig_for(basis, eigs: RicciEigs, bbar: float, r: float):
-    H = h_family(eigs, bbar, r, basis.grid)
+def _min_eigs(basis, H) -> tuple[float, float]:
+    """Pencil minima over degrees l >= 1 and over l >= 2."""
     pencil = assemble_pencil(basis, H)
     unres, _ = min_pencil_eigenvalue(pencil)
     res, _ = min_pencil_eigenvalue(pencil, restrict=True)
@@ -335,19 +336,13 @@ def cmd_scan(config: RunConfig) -> dict:
     rows = []
     for bbar in config.bbar_list:
         for r in config.r_list:
-            if r > rmax:
-                rows.append(
-                    {
-                        "bbar": bbar,
-                        "r": r,
-                        "skipped": True,
-                        "notice": f"r exceeds positivity radius {rmax:.6f}",
-                    }
-                )
+            try:
+                H = h_family(eigs, bbar, r, grid)
+            except ValueError as exc:  # r out of range, or H not positive
+                rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(exc)})
                 continue
-            unres, res = _min_eig_for(basis, eigs, bbar, r)
+            unres, res = _min_eigs(basis, H)
             deficit = deficit_closed_form(eigs, bbar, r)
-            H = h_family(eigs, bbar, r, grid)
             deficit_quad = integrate(grid, -H.h)
             rows.append(
                 {
@@ -364,15 +359,17 @@ def cmd_scan(config: RunConfig) -> dict:
 
     # bisection on the sign of the unrestricted minimum eigenvalue at fixed r
     r_b = config.bisect_r
+
+    def unrestricted_min(bbar: float) -> float:
+        pencil = assemble_pencil(basis, h_family(eigs, bbar, r_b, grid))
+        return min_pencil_eigenvalue(pencil)[0]
+
     lo, hi = config.bracket
-    flo, _ = _min_eig_for(basis, eigs, lo, r_b)
-    fhi, _ = _min_eig_for(basis, eigs, hi, r_b)
     bisection = None
-    if flo > 0 > fhi:
+    if unrestricted_min(lo) > 0 > unrestricted_min(hi):
         while hi - lo > BRACKET_TARGET / 2.0:
             mid = 0.5 * (lo + hi)
-            fmid, _ = _min_eig_for(basis, eigs, mid, r_b)
-            if fmid > 0:
+            if unrestricted_min(mid) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -384,7 +381,7 @@ def cmd_scan(config: RunConfig) -> dict:
             "bracket_lo": lo - guard,
             "bracket_hi": hi + guard,
             "width": (hi - lo) + 2 * guard,
-            "contains_threshold": lo - guard <= THRESHOLD <= hi + guard,
+            "contains_threshold": lo - guard <= THRESHOLD_BBAR <= hi + guard,
         }
     deficits_ok = all(
         row["deficit_closed"] > 0
@@ -399,7 +396,7 @@ def cmd_scan(config: RunConfig) -> dict:
     )
     summary = {
         "positivity_radius": rmax,
-        "threshold_bbar": THRESHOLD,
+        "threshold_bbar": THRESHOLD_BBAR,
         "bisection": bisection,
         "deficits_positive_below_1_30": deficits_ok,
     }
@@ -427,7 +424,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     direction = Direction(avec / nrm)
 
     nd = negative_direction(basis, eigs, config.bbar, config.r, direction)
-    predicted = config.r**4 * 4.0 * math.pi * (THRESHOLD - config.bbar) * eigs.sum_sq
+    predicted = config.r**4 * 4.0 * math.pi * (THRESHOLD_BBAR - config.bbar) * eigs.sum_sq
     rel_dev = abs(nd.f_value - predicted) / abs(predicted) if predicted != 0 else None
 
     witness = {
@@ -530,9 +527,7 @@ def cmd_certify(config: RunConfig) -> dict:
     cert_neg = negative_part_certificate(config.beta, config.lambda1, alpha, 2.0, 2.0)
     report = check_deficit_conditions(H, cert_ratio)
 
-    pencil = assemble_pencil(basis, H)
-    unres, _ = min_pencil_eigenvalue(pencil)
-    res, _ = min_pencil_eigenvalue(pencil, restrict=True)
+    unres, res = _min_eigs(basis, H)
 
     sound = (not report.passed) or unres > 0
     results = [

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .harmonics import FieldCoeffs, HarmonicBasis, gradient_dot, index_of, laplacian, synthesize
+from .harmonics import FieldCoeffs, HarmonicBasis, index_of, weighted_form
 from .quad import SphereGrid, integrate
 
 __all__ = [
@@ -162,7 +162,7 @@ class KernelDecomposition:
 
 
 def _check_field(basis: HarmonicBasis, H: MeanCurvatureField) -> None:
-    if H.grid is not basis.grid and H.grid.n_nodes != basis.grid.n_nodes:
+    if (H.grid.n_theta, H.grid.n_phi) != (basis.grid.n_theta, basis.grid.n_phi):
         raise ValueError("mean curvature field and basis use different grids")
 
 
@@ -189,12 +189,8 @@ def eval_Q(
     int h [ Lap eta1 Lap eta2 / (2H) + <grad eta1, grad eta2> ].
     """
     _check_field(basis, H)
-    lap1 = synthesize(basis, laplacian(basis, eta1))
-    lap2 = lap1 if eta2 is eta1 else synthesize(basis, laplacian(basis, eta2))
-    grad12 = gradient_dot(basis, eta1, eta2)
-    round_part = float(_round_diagonal(basis) @ (eta1.c * eta2.c))
-    deficit_part = H.h * (lap1 * lap2 / (2.0 * H.samples) + grad12)
-    return round_part - integrate(basis.grid, deficit_part)
+    deficit_part = weighted_form(basis, H.h / (2.0 * H.samples), H.h, eta1, eta2)
+    return float(_round_diagonal(basis) @ (eta1.c * eta2.c)) - deficit_part
 
 
 def kernel_closed_form(H: MeanCurvatureField, a0: float, a: NDArray[np.float64]) -> float:
@@ -219,29 +215,15 @@ def kernel_closed_form(H: MeanCurvatureField, a0: float, a: NDArray[np.float64])
 def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPencil:
     """Assemble the dense pencil (M, K) over degrees l >= 1.
 
-    M is built in deficit form from the same derivative tables eval_Q
-    uses: the exact round diagonal mu^2/2 - mu plus three congruence
-    products weighted by -w h / (2H) (Laplacian) and -w h (gradients),
-    then symmetrized; the recorded asymmetry must stay below 1e-12 of
-    the norm.
+    M is built in deficit form, like eval_Q: the exact round diagonal
+    mu^2/2 - mu plus the weighted Gram matrix of the degree l >= 1 block
+    with weights -h / (2H) (Laplacian) and -h (gradients), then
+    symmetrized; the recorded asymmetry must stay below 1e-12 of the
+    norm.
     """
     _check_field(basis, H)
-    grid = basis.grid
-    sel = basis.degrees >= 1
-    vals = basis.values[sel]
-    dth = basis.dtheta[sel]
-    dph = basis.dphi[sel]
-    mu = basis.eigenvalues[sel]
-
-    w_grad = -grid.weights * H.h
-    w_lap = w_grad / (2.0 * H.samples)
-    inv_s2 = 1.0 / grid.sin_theta**2
-
-    lap_tab = vals * mu[:, None]
-    M = (lap_tab * w_lap) @ lap_tab.T
-    M += (dth * w_grad) @ dth.T
-    M += (dph * (w_grad * inv_s2)) @ dph.T
-    M[np.diag_indices_from(M)] += _round_diagonal(basis)[sel]
+    M = weighted_form(basis, -H.h / (2.0 * H.samples), -H.h, 1, 1)
+    M[np.diag_indices_from(M)] += _round_diagonal(basis)[1:]
 
     asym = np.abs(M - M.T).max()
     scale = np.abs(M).max()
@@ -249,14 +231,12 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
         raise AssertionError(f"pencil assembly asymmetry {asym} exceeds tolerance")
     M = 0.5 * (M + M.T)
 
-    degrees = basis.degrees[sel]
-    kdiag = (degrees * (degrees + 1)) ** 2
     return HessianPencil(
         L=basis.L,
         M=M,
-        kdiag=kdiag.astype(np.float64),
-        degrees=degrees,
-        orders=basis.orders[sel],
+        kdiag=basis.eigenvalues[1:] ** 2,
+        degrees=basis.degrees[1:],
+        orders=basis.orders[1:],
     )
 
 
@@ -279,6 +259,8 @@ def min_pencil_eigenvalue(
         sign (largest-magnitude coefficient positive).  The witness is
         returned as full coefficients with the l = 0 slot zero.
     """
+    if restrict and pencil.L < 2:
+        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
     keep = pencil.degrees >= 2 if restrict else slice(None)
     M = pencil.M[keep][:, keep] if restrict else pencil.M
     k = pencil.kdiag[keep] if restrict else pencil.kdiag

@@ -37,11 +37,10 @@ from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
     analyze,
-    gradient_dot,
     index_of,
-    laplacian,
     project,
     synthesize,
+    weighted_form,
 )
 from .quad import SphereGrid, integrate
 
@@ -85,9 +84,13 @@ class RicciEigs:
         if lam.shape != (3,):
             raise ValueError(f"lam has shape {lam.shape}, expected (3,)")
         object.__setattr__(self, "lam", lam)
+        if not np.all(np.isfinite(lam)):
+            raise ValueError(f"lam must be finite, got {lam}")
         tol = 1e-14 * max(1.0, float(np.abs(lam).sum()))
         if abs(float(lam.sum())) > tol:
             raise ValueError(f"lam must sum to zero, got sum = {lam.sum()}")
+        if not self.sum_sq >= np.finfo(np.float64).tiny:
+            raise ValueError(f"lam must be a nonzero triple, got sum lam_i^2 = {self.sum_sq}")
 
     @property
     def sum_sq(self) -> float:
@@ -196,6 +199,28 @@ def _require_complement(eta2: FieldCoeffs) -> None:
         )
 
 
+def _g_constant(
+    basis: HarmonicBasis, eigs: RicciEigs, direction: Direction, bbar: float
+) -> float:
+    """The eta2-free part of G: 4 pi (1/30 - bbar) sum lam_i^2 + A / 2."""
+    eta1 = synthesize(basis, eta1_coeffs(direction, basis.L))
+    phi = phi_field(eigs, basis.grid)
+    const = 4.0 * math.pi * (1.0 / 30.0 - bbar) * eigs.sum_sq
+    return const + 0.5 * integrate(basis.grid, eta1 * eta1 * phi * phi)
+
+
+def _g_cross(
+    basis: HarmonicBasis, eigs: RicciEigs, direction: Direction, eta2: FieldCoeffs | int
+):
+    """int phi [Lap(eta1) Lap(eta2) / 4 + <grad eta1, grad eta2>] dv.
+
+    ``eta2`` is a field, or an int l0 for the vector over every basis
+    function of degree >= l0.
+    """
+    phi = phi_field(eigs, basis.grid)
+    return weighted_form(basis, phi / 4.0, phi, eta1_coeffs(direction, basis.L), eta2)
+
+
 def eval_G(
     basis: HarmonicBasis,
     eigs: RicciEigs,
@@ -205,20 +230,9 @@ def eval_G(
 ) -> float:
     """Evaluate G(eta2) by quadrature on the basis grid."""
     _require_complement(eta2)
-    grid = basis.grid
-    phi = phi_field(eigs, grid)
-    e1 = eta1_coeffs(direction, basis.L)
-    eta1 = synthesize(basis, e1)
-
-    const = 4.0 * math.pi * (1.0 / 30.0 - bbar) * eigs.sum_sq
-    quart = 0.5 * integrate(grid, eta1 * eta1 * phi * phi)
-
-    lap2 = synthesize(basis, laplacian(basis, eta2))
-    cross_density = phi * (-2.0 * eta1 * lap2 / 4.0 + gradient_dot(basis, e1, eta2))
-    cross = -2.0 * integrate(grid, cross_density)
-
-    quad = integrate(grid, 0.5 * lap2 * lap2 - gradient_dot(basis, eta2, eta2))
-    return const + quart + cross + quad
+    cross = -2.0 * _g_cross(basis, eigs, direction, eta2)
+    quad = weighted_form(basis, 0.5, -1.0, eta2, eta2)
+    return _g_constant(basis, eigs, direction, bbar) + cross + quad
 
 
 def eval_B(
@@ -235,13 +249,10 @@ def eval_B(
     orthogonal to the kernel.
     """
     _require_complement(eta2)
-    grid = basis.grid
-    phi = phi_field(eigs, grid)
-    e1 = eta1_coeffs(direction, basis.L)
-    eta1 = synthesize(basis, e1)
-    lap2 = synthesize(basis, laplacian(basis, eta2))
-    lhs = integrate(grid, phi * (-2.0 * eta1 * lap2 / 4.0 + gradient_dot(basis, e1, eta2)))
-    rhs = 10.0 * integrate(grid, phi * eta1 * synthesize(basis, eta2))
+    lhs = _g_cross(basis, eigs, direction, eta2)
+    eta1 = synthesize(basis, eta1_coeffs(direction, basis.L))
+    phi = phi_field(eigs, basis.grid)
+    rhs = 10.0 * integrate(basis.grid, phi * eta1 * synthesize(basis, eta2))
     return lhs, rhs
 
 
@@ -272,52 +283,23 @@ def minimize_G(
     This is an independent route to the minimum: the quadratic part of G
     is assembled as a dense Gram matrix by quadrature (not through the
     spectral diagonal), the linear part from the cross-term integrand,
-    and the symmetric positive definite system is solved directly.  A
-    Tikhonov shift of 1e-12 is applied only if the factorization fails.
+    and the system is solved directly.  The Gram matrix is symmetric
+    positive definite: on degrees l >= 2 it equals diag(mu (mu/2 - 1))
+    >= 12, mu = l(l+1), up to quadrature roundoff.
 
     Returns the minimum value and the minimizing coefficients.
     """
-    grid = basis.grid
-    phi = phi_field(eigs, grid)
-    e1 = eta1_coeffs(direction, basis.L)
-    eta1 = synthesize(basis, e1)
-
-    sel = basis.degrees >= 2
-    vals = basis.values[sel]
-    dth = basis.dtheta[sel]
-    dph = basis.dphi[sel]
-    mu = basis.eigenvalues[sel]
-
-    w = grid.weights
-    inv_s2 = 1.0 / grid.sin_theta**2
-    lap_tab = vals * mu[:, None]
-
     # quadratic part: int [Lap(u) Lap(v) / 2 - <grad u, grad v>] dv
-    Q2 = 0.5 * (lap_tab * w) @ lap_tab.T
-    Q2 -= (dth * w) @ dth.T
-    Q2 -= (dph * (w * inv_s2)) @ dph.T
+    Q2 = weighted_form(basis, 0.5, -1.0, 2, 2)
     Q2 = 0.5 * (Q2 + Q2.T)
-
     # linear part: G contains -2 * b . v with
     # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
-    eta1_t = basis.dtheta.T @ e1.c
-    eta1_p = basis.dphi.T @ e1.c
-    dens = phi * w
-    b = (vals * (-mu[:, None])) @ (dens * (-2.0 * eta1) / 4.0)
-    b += dth @ (dens * eta1_t) + dph @ (dens * eta1_p * inv_s2)
-
-    try:
-        v = np.linalg.solve(Q2, b)
-    except np.linalg.LinAlgError:
-        shift = 1e-12 * np.abs(np.diag(Q2)).max()
-        v = np.linalg.solve(Q2 + shift * np.eye(Q2.shape[0]), b)
-
-    const = 4.0 * math.pi * (1.0 / 30.0 - bbar) * eigs.sum_sq
-    quart = 0.5 * integrate(grid, eta1 * eta1 * phi * phi)
-    value = const + quart - float(b @ v)
+    b = _g_cross(basis, eigs, direction, 2)
+    v = np.linalg.solve(Q2, b)
+    value = _g_constant(basis, eigs, direction, bbar) - float(b @ v)
 
     c = np.zeros((basis.L + 1) ** 2)
-    c[sel] = v
+    c[4:] = v
     return value, FieldCoeffs(basis.L, c)
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "laplacian",
     "project",
     "gradient_dot",
+    "weighted_form",
 ]
 
 
@@ -278,6 +279,55 @@ def gradient_dot(
     vp = basis.dphi.T @ coeffs_v.c
     inv_s2 = 1.0 / basis.grid.sin_theta**2
     return ut * vt + up * vp * inv_s2
+
+
+def weighted_form(
+    basis: HarmonicBasis,
+    w_lap,
+    w_grad,
+    u: Union[FieldCoeffs, int],
+    v: Union[FieldCoeffs, int],
+):
+    """Quadrature of int [w_lap Lap u Lap v + w_grad <grad u, grad v>] dv.
+
+    The weights are scalars or nodal samples.  Each of u and v is either
+    a field or an int l0 standing for every basis function of degree
+    >= l0 (rows l0^2 onward, taken as slice views of the tables).  Two
+    fields give a scalar, a field and a block give the vector of the
+    form against each basis function of the block, and two blocks give
+    the Gram matrix with rows from u and columns from v.  When v is u
+    the samples are computed once.
+    """
+    if isinstance(v, FieldCoeffs) and not isinstance(u, FieldCoeffs):
+        u, v = v, u  # the form is symmetric; weight the field, not a table
+    su = _form_samples(basis, u)
+    sv = su if v is u else _form_samples(basis, v)
+    w = basis.grid.weights
+    inv_s2 = 1.0 / basis.grid.sin_theta**2
+    if su[0].ndim == sv[0].ndim == 1:
+        # two fields: sum the pointwise integrand once.  Near H = 2 the
+        # three terms' separate sums are O(h) while the form is O(h^2),
+        # so summing them apart loses several more digits
+        grad = su[1] * sv[1] + su[2] * sv[2] * inv_s2
+        return float(w @ (w_lap * (su[0] * sv[0]) + w_grad * grad))
+    wg = w * w_grad
+    out = (su[0] * (w * w_lap)) @ sv[0].T
+    out += (su[1] * wg) @ sv[1].T
+    out += (su[2] * (wg * inv_s2)) @ sv[2].T
+    return out
+
+
+def _form_samples(basis: HarmonicBasis, x: Union[FieldCoeffs, int]):
+    """(Lap, d/dtheta, d/dphi) nodal samples of a field or of a degree block."""
+    if isinstance(x, FieldCoeffs):
+        _check_match(basis, x)
+        lap = basis.values.T @ (-basis.eigenvalues * x.c)
+        return lap, basis.dtheta.T @ x.c, basis.dphi.T @ x.c
+    if not 0 <= x <= basis.L:
+        raise ValueError(f"degree block l >= {x} outside 0..{basis.L}")
+    k = x * x
+    lap = basis.values[k:] * -basis.eigenvalues[k:, None]
+    return lap, basis.dtheta[k:], basis.dphi[k:]
 
 
 def _check_match(basis: HarmonicBasis, coeffs: FieldCoeffs) -> None:

@@ -34,7 +34,7 @@ from .functional import (
     eval_F,
     mean_curvature_from_h,
 )
-from .gform import Direction, RicciEigs, eta1_coeffs, optimal_eta2, phi_field
+from .gform import THRESHOLD_BBAR, Direction, RicciEigs, eta1_coeffs, optimal_eta2, phi_field
 from .harmonics import FieldCoeffs, HarmonicBasis
 from .quad import SphereGrid, integrate
 
@@ -140,6 +140,8 @@ def h_family(
     """
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
+    if not r**4 >= np.finfo(np.float64).tiny:
+        raise ValueError(f"r = {r} is too small: the r^4 term underflows")
     rmax = positivity_radius(eigs)
     if r > rmax:
         raise ValueError(
@@ -153,30 +155,16 @@ def h_family(
 def positivity_radius(eigs: RicciEigs) -> float:
     """Largest radius with a positive uniform lower bound for the family.
 
-    Bisects ``g(r) = 2 - r^2 sum |lam_i| - (1/45) r^4 sum lam_i^2`` down
-    to margin 1e-6; g is strictly decreasing, so the returned radius is
-    the unique solution of g(r) = margin.
+    Solves ``g(r) = 2 - r^2 sum |lam_i| - (1/45) r^4 sum lam_i^2 = 1e-6``,
+    a quadratic in s = r^2 with one positive root, written in the form
+    that does not cancel: s = 2K / (B + sqrt(B^2 + 4 (S2/45) K)) with
+    B = sum |lam_i|, S2 = sum lam_i^2 and K = 2 - 1e-6.  The bound does
+    not depend on bbar, so one radius serves every bbar.
     """
-    if not eigs.sum_sq > 0:
-        raise ValueError("positivity radius needs a nonzero eigenvalue triple")
-    abs_sum = float(np.abs(eigs.lam).sum())
-    sq_sum = eigs.sum_sq
-    margin = 1e-6
-
-    def g(r: float) -> float:
-        return 2.0 - r * r * abs_sum - (1.0 / 45.0) * r**4 * sq_sum
-
-    hi = 1.0
-    while g(hi) > margin:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > margin:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    B = float(np.abs(eigs.lam).sum())
+    K = 2.0 - 1e-6
+    s = 2.0 * K / (B + math.sqrt(B * B + 4.0 * (eigs.sum_sq / 45.0) * K))
+    return math.sqrt(s)
 
 
 def deficit_closed_form(eigs: RicciEigs, bbar: float, r: float) -> float:
@@ -380,8 +368,7 @@ def negative_direction(
     eta = FieldCoeffs(basis.L, e1.c + r * r * e2.c)
     f_value = eval_F(basis, H, eta)
 
-    threshold = 1.0 / 90.0
-    if bbar <= threshold:
+    if bbar <= THRESHOLD_BBAR:
         return NegativeDirection(
             eta=eta,
             f_value=f_value,

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wy_stability.cli import (
     ConfigError,
@@ -105,6 +112,25 @@ def test_exit_codes(tmp_path):
     assert main(["integrals", "--grid", "nope"]) == 2
     assert main(["gform", "--set", "bogus=1"]) == 2
     assert main(["certify", "--set", "eps=3.0"]) == 2
+    assert main(["gform", "--set", "lam=0,0,0"]) == 2
+    assert main(["gform", "--set", "directions=0"]) == 2
+    assert main(["gform", "--set", "directions=-3"]) == 2
+
+
+PARSED_FIELDS = [
+    f.name
+    for f in fields(RunConfig)
+    if f.type in ("int", "float", "float | None", "bool", "tuple")
+]
+
+
+@pytest.mark.parametrize("name", PARSED_FIELDS)
+def test_set_default_reproduces_default(name):
+    default = getattr(RunConfig(), name)
+    raw = ",".join(map(repr, default)) if isinstance(default, tuple) else repr(default)
+    value = getattr(parse_args(["gform", "--set", f"{name}={raw}"]), name)
+    assert value == default
+    assert type(value) is type(default)
 
 
 def test_report_shape_and_schema(tmp_path):
@@ -162,6 +188,17 @@ def test_scan_report_contents(tmp_path):
         if row["bbar"] < 1.0 / 30.0:
             assert row["deficit_closed"] > 0.0
         assert abs(row["deficit_closed"] - row["deficit_quadrature"]) < 1e-10
+
+
+def test_scan_skips_row_where_h_is_not_positive(tmp_path):
+    # H = 2 + r^2 phi - (1/30 + 200) r^4 sum lam^2 dips below zero at r = 0.5
+    out = tmp_path / "skip.json"
+    args = ["scan", "--ltrunc", "4", "--set", "bbar_list=-200", "--set", "r_list=0.5"]
+    assert main(args + ["--out", str(out)]) == 0
+    report = read_report(out)
+    [row] = report["results"]
+    assert row["skipped"] is True
+    assert "mean curvature must be positive" in row["notice"]
 
 
 def test_counterexample_witness_roundtrip(tmp_path):
@@ -289,3 +326,60 @@ def test_stdout_output_parses(capsys):
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, SCHEMA)
     assert report["command"] == "small-sphere"
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _csv(values) -> str:
+    return ",".join(repr(float(x)) for x in values)
+
+
+def _mostly(usual, anything):
+    # half the draws from the usual range, so most runs get past validation
+    return st.one_of(usual, anything)
+
+
+TRACELESS = st.tuples(_floats(-3, 3), _floats(-3, 3)).map(lambda p: (p[0], p[1], -(p[0] + p[1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["gform", "scan", "counterexample"]),
+    lam=_mostly(TRACELESS, st.tuples(_floats(-3, 3), _floats(-3, 3), _floats(-3, 3))),
+    a=st.tuples(_floats(-2, 2), _floats(-2, 2), _floats(-2, 2)),
+    bbar=_mostly(_floats(-0.1, 0.1), _floats(-300, 1)),
+    r=_mostly(_floats(1e-4, 0.3), _floats(-0.1, 1.5)),
+    directions=_mostly(st.integers(1, 3), st.integers(-3, 3)),
+    n_theta=_mostly(st.integers(5, 12), st.integers(1, 12)),
+    n_phi=_mostly(st.integers(9, 24), st.integers(1, 24)),
+    ltrunc=_mostly(st.integers(1, 4), st.integers(0, 4)),
+)
+def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions, n_theta, n_phi, ltrunc):
+    # every run ends in a schema-valid report with exit 0 (PASS) or 1
+    # (FAIL), or in exit 2 with an error message; it never raises
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        args = [
+            command,
+            "--grid", f"{n_theta}x{n_phi}",
+            "--ltrunc", str(ltrunc),
+            "--out", str(out),
+            "--set", f"lam={_csv(lam)}",
+            "--set", f"a={_csv(a)}",
+            "--set", f"bbar={bbar!r}",
+            "--set", f"bbar_list={bbar!r}",
+            "--set", f"r={r!r}",
+            "--set", f"r_list={r!r}",
+            "--set", f"directions={directions}",
+            "--set", f"witness={tmp}/witness.json",
+        ]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            rc = main(args)
+        if rc == 2:
+            assert printed.getvalue().startswith("error: ")
+        else:
+            report = read_report(out)
+            assert rc == (0 if report["verdict"] == "PASS" else 1)

@@ -77,6 +77,16 @@ def test_mean_curvature_from_h_keeps_h():
     assert abs(f - 3e-18) < 1e-12 * 3e-18
 
 
+def test_field_on_a_different_grid_is_rejected():
+    # 16x32 and 32x16 have the same node count but different nodes
+    basis = build_basis(build_grid(32, 16), 4)
+    H = constant_field(build_grid(16, 32), 1.5)
+    with pytest.raises(ValueError):
+        eval_F(basis, H, FieldCoeffs(4, np.ones(25)))
+    with pytest.raises(ValueError):
+        assemble_pencil(basis, H)
+
+
 def test_constant_field_extrema():
     assert ROUND.inf_h == 2.0
     assert ROUND.sup_h == 2.0

@@ -16,6 +16,7 @@ from wy_stability.harmonics import (
     laplacian,
     project,
     synthesize,
+    weighted_form,
 )
 from wy_stability.quad import build_grid, integrate
 
@@ -171,3 +172,30 @@ def test_mismatched_truncation_raises():
 def test_field_coeffs_shape_check():
     with pytest.raises(ValueError):
         FieldCoeffs(8, np.zeros(80))
+
+
+def test_weighted_form_round_identity():
+    # int [ Lap u Lap v / 2 - <grad u, grad v> ] is diag(mu (mu/2 - 1)) on l >= 2
+    gram = weighted_form(BASIS, 0.5, -1.0, 2, 2)
+    mu = BASIS.eigenvalues[4:]
+    expected = np.diag(mu * (0.5 * mu - 1.0))
+    assert np.max(np.abs(gram - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_weighted_form_scalar_vector_and_gram_agree():
+    rng = np.random.default_rng(59)
+    w_lap = 1.0 + rng.random(GRID.n_nodes)
+    w_grad = rng.normal(size=GRID.n_nodes)
+    gram = weighted_form(BASIS, w_lap, w_grad, 1, 1)
+    for _ in range(3):
+        u = FieldCoeffs(8, rng.normal(size=NMODES))
+        v = FieldCoeffs(8, rng.normal(size=NMODES))
+        scale = np.abs(gram).max() * np.abs(u.c).sum() * np.abs(v.c).sum()
+        scalar = weighted_form(BASIS, w_lap, w_grad, u, v)
+        assert abs(scalar - u.c[1:] @ gram @ v.c[1:]) < 1e-13 * scale
+        gv = gram @ v.c[1:]
+        vec_scale = np.abs(gram).max() * np.abs(v.c).sum()
+        assert np.max(np.abs(weighted_form(BASIS, w_lap, w_grad, 1, v) - gv)) < 1e-13 * vec_scale
+        assert np.max(np.abs(weighted_form(BASIS, w_lap, w_grad, v, 1) - gv)) < 1e-13 * vec_scale
+    with pytest.raises(ValueError):
+        weighted_form(BASIS, 1.0, 1.0, 9, 9)
