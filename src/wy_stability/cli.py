@@ -252,14 +252,24 @@ def cmd_integrals(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if all_pass else "FAIL")
 
 
-def _directions_for(config: RunConfig) -> list[np.ndarray]:
-    base = np.asarray(config.a, dtype=np.float64)
-    nrm = np.linalg.norm(base)
-    if nrm == 0:
+def _unit_direction(a) -> np.ndarray:
+    """a / |a|, dividing by max|a_i| first so that |a|^2 cannot underflow."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (3,):
+        raise ConfigError(f"direction a needs 3 components, got {a.size}")
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"direction a must be finite, got {a.tolist()}")
+    big = np.abs(a).max()
+    if big == 0:
         raise ConfigError("direction a must be nonzero")
+    a = a / big
+    return a / np.linalg.norm(a)
+
+
+def _directions_for(config: RunConfig) -> list[np.ndarray]:
     if config.directions < 1:
         raise ConfigError(f"directions must be >= 1, got {config.directions}")
-    dirs = [base / nrm]
+    dirs = [_unit_direction(config.a)]
     if config.directions > 1:
         rng = np.random.default_rng(config.seed)
         for _ in range(config.directions - 1):
@@ -417,11 +427,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     grid = build_grid(config.n_theta, config.n_phi)
     basis = build_basis(grid, config.ltrunc)
     eigs = RicciEigs(np.asarray(config.lam, dtype=np.float64))
-    avec = np.asarray(config.a, dtype=np.float64)
-    nrm = np.linalg.norm(avec)
-    if nrm == 0:
-        raise ConfigError("direction a must be nonzero")
-    direction = Direction(avec / nrm)
+    direction = Direction(_unit_direction(config.a))
 
     nd = negative_direction(basis, eigs, config.bbar, config.r, direction)
     predicted = config.r**4 * 4.0 * math.pi * (THRESHOLD_BBAR - config.bbar) * eigs.sum_sq

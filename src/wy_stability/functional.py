@@ -29,6 +29,13 @@ matrix pencil M v = lambda K v, where M is the Gram matrix of Q_H over
 the harmonics of degree l >= 1 and K = diag(l^2 (l+1)^2) is the Gram
 matrix of int (Lap eta)^2.  Constants are excluded: both forms vanish
 on them identically.
+
+When H is even under the three coordinate reflections, as the quartic
+family is, Q_H couples only harmonics of the same reflection parity, so
+the pencil splits into 8 independent blocks.  Each block is then
+integrated over one representative node per reflection orbit and solved
+on its own; the cross-block entries are exact zeros instead of roundoff,
+which keeps an O(r^4) eigenvalue from drowning in the O(1) spectrum.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .harmonics import FieldCoeffs, HarmonicBasis, index_of, weighted_form
-from .quad import SphereGrid, integrate
+from .harmonics import FieldCoeffs, HarmonicBasis, index_of, parity_blocks, weighted_form
+from .quad import SphereGrid, fold, integrate, reflections
 
 __all__ = [
     "MeanCurvatureField",
@@ -137,12 +144,15 @@ def constant_field(grid: SphereGrid, value: float) -> MeanCurvatureField:
 
 @dataclass(frozen=True)
 class HessianPencil:
-    """Dense symmetric pencil (M, K) over harmonics of degree >= 1.
+    """Symmetric pencil (M, K) over harmonics of degree >= 1.
 
     ``M[i, j]`` is the polarized form Q_H on basis pair (i, j); ``kdiag``
     holds the exact diagonal l^2 (l+1)^2 of the comparison form
     int (Lap eta)^2.  Row index order follows the basis with the l=0
-    entry removed.
+    entry removed.  ``blocks`` partitions the rows into independent
+    diagonal blocks of M, in a fixed order: the nonempty reflection
+    parity classes when H is reflection-even, else one block of every
+    row.  M is zero outside the blocks.
     """
 
     L: int
@@ -150,6 +160,7 @@ class HessianPencil:
     kdiag: NDArray[np.float64]
     degrees: NDArray[np.int64]
     orders: NDArray[np.int64]
+    blocks: tuple[NDArray[np.int64], ...]
 
 
 @dataclass(frozen=True)
@@ -212,24 +223,47 @@ def kernel_closed_form(H: MeanCurvatureField, a0: float, a: NDArray[np.float64])
     return norm_term + weighted
 
 
+def _pencil_blocks(basis: HarmonicBasis, H: MeanCurvatureField) -> list[NDArray[np.int64]]:
+    """Row blocks of the pencil: the parity classes if h is reflection-even, else one."""
+    h = H.h
+    tol = 1e-13 * np.abs(h).max()
+    perms = reflections(basis.grid)
+    if perms and all(np.abs(h[p] - h).max() <= tol for p in perms):
+        return [b for b in parity_blocks(basis.degrees[1:], basis.orders[1:]) if b.size]
+    return [np.arange(basis.n_basis - 1)]
+
+
 def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPencil:
-    """Assemble the dense pencil (M, K) over degrees l >= 1.
+    """Assemble the pencil (M, K) over degrees l >= 1, one block at a time.
 
     M is built in deficit form, like eval_Q: the exact round diagonal
-    mu^2/2 - mu plus the weighted Gram matrix of the degree l >= 1 block
-    with weights -h / (2H) (Laplacian) and -h (gradients), then
-    symmetrized; the recorded asymmetry must stay below 1e-12 of the
-    norm.
+    mu^2/2 - mu plus the weighted Gram matrix of the block's rows with
+    weights -h / (2H) (Laplacian) and -h (gradients), then symmetrized;
+    the recorded asymmetry must stay below 1e-12 of the norm.  When h
+    matches its reflections to 1e-13 of max|h| on a grid that has them,
+    the blocks are the 8 parity classes, each integrated over the folded
+    grid; otherwise one block holds every row, integrated on all nodes.
     """
     _check_field(basis, H)
-    M = weighted_form(basis, -H.h / (2.0 * H.samples), -H.h, 1, 1)
-    M[np.diag_indices_from(M)] += _round_diagonal(basis)[1:]
+    blocks = _pencil_blocks(basis, H)
+    nodes = fold(basis.grid) if len(blocks) > 1 else None
+    w_lap, w_grad = -H.h / (2.0 * H.samples), -H.h
+    diag = _round_diagonal(basis)[1:]
+    parts = []
+    for rows in blocks:
+        sel = 1 if nodes is None else rows + 1  # the one block is rows l >= 1
+        B = weighted_form(basis, w_lap, w_grad, sel, sel, nodes)
+        B[np.diag_indices_from(B)] += diag[rows]
+        parts.append(B)
 
-    asym = np.abs(M - M.T).max()
-    scale = np.abs(M).max()
+    asym = max(np.abs(B - B.T).max() for B in parts)
+    scale = max(np.abs(B).max() for B in parts)
     if asym > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"pencil assembly asymmetry {asym} exceeds tolerance")
-    M = 0.5 * (M + M.T)
+    n = basis.n_basis - 1
+    M = np.zeros((n, n))
+    for rows, B in zip(blocks, parts):
+        M[np.ix_(rows, rows)] = 0.5 * (B + B.T)
 
     return HessianPencil(
         L=basis.L,
@@ -237,6 +271,7 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
         kdiag=basis.eigenvalues[1:] ** 2,
         degrees=basis.degrees[1:],
         orders=basis.orders[1:],
+        blocks=tuple(blocks),
     )
 
 
@@ -244,6 +279,10 @@ def min_pencil_eigenvalue(
     pencil: HessianPencil, restrict: bool = False
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
+
+    Each block of the pencil is solved on its own; the minimum is the
+    smallest block minimum, the first block in ``pencil.blocks`` order
+    on a tie.
 
     Parameters
     ----------
@@ -261,23 +300,24 @@ def min_pencil_eigenvalue(
     """
     if restrict and pencil.L < 2:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
-    keep = pencil.degrees >= 2 if restrict else slice(None)
-    M = pencil.M[keep][:, keep] if restrict else pencil.M
-    k = pencil.kdiag[keep] if restrict else pencil.kdiag
+    best = None
+    for rows in pencil.blocks:
+        if restrict:
+            rows = rows[pencil.degrees[rows] >= 2]
+        if rows.size == 0:
+            continue
+        inv_sqrt_k = 1.0 / np.sqrt(pencil.kdiag[rows])
+        Mt = pencil.M[np.ix_(rows, rows)] * np.outer(inv_sqrt_k, inv_sqrt_k)
+        try:
+            evals, evecs = np.linalg.eigh(Mt)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+            raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
+        if best is None or evals[0] < best[0]:
+            best = (float(evals[0]), rows, evecs[:, 0] * inv_sqrt_k)
+    value, rows, v = best
 
-    inv_sqrt_k = 1.0 / np.sqrt(k)
-    Mt = M * np.outer(inv_sqrt_k, inv_sqrt_k)
-    try:
-        evals, evecs = np.linalg.eigh(Mt)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
-    value = float(evals[0])
-    v = evecs[:, 0] * inv_sqrt_k
-
-    n_full = (pencil.L + 1) ** 2
-    c = np.zeros(n_full)
-    rows = np.arange(1, n_full)
-    c[rows[keep] if restrict else rows] = v
+    c = np.zeros((pencil.L + 1) ** 2)
+    c[rows + 1] = v
     nrm = np.linalg.norm(c)
     c /= nrm
     imax = np.argmax(np.abs(c))

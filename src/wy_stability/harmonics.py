@@ -22,6 +22,15 @@ Theta derivatives are evaluated through the analytic recurrence
 
 which is stable on the grid because Gauss-Legendre nodes never touch the
 poles.  No finite differences are used anywhere.
+
+Each basis function is even or odd under each coordinate reflection,
+by (l, m) alone:
+
+    x1 -> -x1:  (-1)^m for cos terms, -(-1)^m for sin terms
+    x2 -> -x2:  cos terms even, sin terms odd
+    x3 -> -x3:  (-1)^(l+m)
+
+so the basis splits into 8 parity classes (``parity_blocks``).
 """
 
 from __future__ import annotations
@@ -33,13 +42,14 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .quad import SphereGrid
+from .quad import GridFold, SphereGrid
 
 __all__ = [
     "FieldCoeffs",
     "HarmonicBasis",
     "build_basis",
     "index_of",
+    "parity_blocks",
     "analyze",
     "synthesize",
     "laplacian",
@@ -54,6 +64,24 @@ def index_of(l: int, m: int) -> int:
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid (l, m) = {(l, m)}")
     return l * l + l + m
+
+
+def parity_blocks(
+    degrees: NDArray[np.int64], orders: NDArray[np.int64]
+) -> list[NDArray[np.int64]]:
+    """Partition rows with the given (l, m) into the 8 reflection parity classes.
+
+    Row k is odd under x_i -> -x_i when p_i = 1, with p1 = |m| mod 2 for
+    cos terms (m >= 0) and (|m| + 1) mod 2 for sin terms (m < 0),
+    p2 = [m < 0] and p3 = (l + |m|) mod 2.  Block b = p1 + 2 p2 + 4 p3
+    holds the increasing row indices of that class; a block may be empty.
+    """
+    am = np.abs(orders)
+    sin = orders < 0
+    p1 = (am + sin) % 2
+    p3 = (degrees + am) % 2
+    code = p1 + 2 * sin + 4 * p3
+    return [np.flatnonzero(code == b) for b in range(8)]
 
 
 @dataclass(frozen=True)
@@ -285,25 +313,34 @@ def weighted_form(
     basis: HarmonicBasis,
     w_lap,
     w_grad,
-    u: Union[FieldCoeffs, int],
-    v: Union[FieldCoeffs, int],
+    u: Union[FieldCoeffs, int, NDArray[np.int64]],
+    v: Union[FieldCoeffs, int, NDArray[np.int64]],
+    fold: GridFold | None = None,
 ):
     """Quadrature of int [w_lap Lap u Lap v + w_grad <grad u, grad v>] dv.
 
     The weights are scalars or nodal samples.  Each of u and v is either
-    a field or an int l0 standing for every basis function of degree
-    >= l0 (rows l0^2 onward, taken as slice views of the tables).  Two
-    fields give a scalar, a field and a block give the vector of the
-    form against each basis function of the block, and two blocks give
-    the Gram matrix with rows from u and columns from v.  When v is u
-    the samples are computed once.
+    a field, an int l0 standing for every basis function of degree
+    >= l0 (rows l0^2 onward, taken as slice views of the tables), or an
+    array of basis row indices.  Two fields give a scalar, a field and a
+    set of rows give the vector of the form against each of those basis
+    functions, and two sets of rows give the Gram matrix with rows from
+    u and columns from v.  When v is u the samples are computed once.
+
+    With a ``fold`` the sum runs over its representative nodes with its
+    orbit weights, reading nodal weights there.  That equals the full
+    quadrature only when the integrand is even under every reflection,
+    for example for rows of one parity block and reflection-even weights.
     """
     if isinstance(v, FieldCoeffs) and not isinstance(u, FieldCoeffs):
         u, v = v, u  # the form is symmetric; weight the field, not a table
-    su = _form_samples(basis, u)
-    sv = su if v is u else _form_samples(basis, v)
+    su = _form_samples(basis, u, fold)
+    sv = su if v is u else _form_samples(basis, v, fold)
     w = basis.grid.weights
     inv_s2 = 1.0 / basis.grid.sin_theta**2
+    if fold is not None:
+        w, inv_s2 = fold.weights, inv_s2[fold.nodes]
+        w_lap, w_grad = (x[fold.nodes] if np.ndim(x) else x for x in (w_lap, w_grad))
     if su[0].ndim == sv[0].ndim == 1:
         # two fields: sum the pointwise integrand once.  Near H = 2 the
         # three terms' separate sums are O(h) while the form is O(h^2),
@@ -317,17 +354,30 @@ def weighted_form(
     return out
 
 
-def _form_samples(basis: HarmonicBasis, x: Union[FieldCoeffs, int]):
-    """(Lap, d/dtheta, d/dphi) nodal samples of a field or of a degree block."""
+def _form_samples(
+    basis: HarmonicBasis,
+    x: Union[FieldCoeffs, int, NDArray[np.int64]],
+    fold: GridFold | None,
+):
+    """(Lap, d/dtheta, d/dphi) samples of a field or of basis rows, on all
+    nodes or on the representative nodes of a fold."""
+    cols = slice(None) if fold is None else fold.nodes
     if isinstance(x, FieldCoeffs):
         _check_match(basis, x)
         lap = basis.values.T @ (-basis.eigenvalues * x.c)
-        return lap, basis.dtheta.T @ x.c, basis.dphi.T @ x.c
-    if not 0 <= x <= basis.L:
+        return lap[cols], (basis.dtheta.T @ x.c)[cols], (basis.dphi.T @ x.c)[cols]
+    if isinstance(x, np.ndarray):
+        rows = x
+    elif not 0 <= x <= basis.L:
         raise ValueError(f"degree block l >= {x} outside 0..{basis.L}")
-    k = x * x
-    lap = basis.values[k:] * -basis.eigenvalues[k:, None]
-    return lap, basis.dtheta[k:], basis.dphi[k:]
+    else:
+        rows = slice(x * x, None)
+    if fold is None:
+        at = rows
+    else:
+        at = np.ix_(np.arange(basis.n_basis)[rows], fold.nodes)
+    lap = basis.values[at] * -basis.eigenvalues[rows, None]
+    return lap, basis.dtheta[at], basis.dphi[at]
 
 
 def _check_match(basis: HarmonicBasis, coeffs: FieldCoeffs) -> None:

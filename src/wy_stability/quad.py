@@ -13,6 +13,11 @@ Exact reference values for monomial integrals come from the closed form
 
 and zero whenever any exponent is odd.  The rational factor is kept exact
 so that quadrature accuracy can be measured against it.
+
+With an even ``n_phi`` the node set is closed under the three coordinate
+reflections x_i -> -x_i, which act on the nodes as permutations.  A
+field even under all three is integrated from one node per orbit of the
+reflection group (``fold``), about one octant of the grid.
 """
 
 from __future__ import annotations
@@ -25,11 +30,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
+    "GridFold",
     "SphereGrid",
     "build_grid",
+    "fold",
     "integrate",
     "monomial_integral",
     "poly_integral",
+    "reflections",
 ]
 
 FOUR_PI = 4.0 * math.pi
@@ -114,6 +122,65 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
         weights=weights,
         xyz=xyz,
     )
+
+
+def reflections(grid: SphereGrid) -> tuple[NDArray[np.int64], ...]:
+    """The reflections x1 -> -x1, x2 -> -x2, x3 -> -x3 as node permutations.
+
+    Entry k of each permutation is the node that node k maps to.  In
+    theta-major order (node k = i * n_phi + j) they are j -> n_phi/2 - j,
+    j -> -j (mod n_phi) and i -> n_theta - 1 - i; the Gauss-Legendre
+    nodes are symmetric about the equator.  An odd n_phi has no node at
+    phi = pi - phi_j, so the result is then empty.
+    """
+    nt, nphi = grid.n_theta, grid.n_phi
+    if nphi % 2:
+        return ()
+    i = np.arange(nt)[:, None]
+    j = np.arange(nphi)[None, :]
+    x1 = i * nphi + (nphi // 2 - j) % nphi
+    x2 = i * nphi + (-j) % nphi
+    x3 = (nt - 1 - i) * nphi + j
+    return tuple(np.ravel(p) for p in (x1, x2, x3))
+
+
+@dataclass(frozen=True)
+class GridFold:
+    """One representative node per orbit of the reflection group.
+
+    Attributes
+    ----------
+    nodes : ndarray of int
+        The smallest node index of each orbit, increasing.
+    weights : ndarray
+        The summed quadrature weights of each orbit.  Nodes on a mirror
+        plane lie in smaller orbits and carry fewer weights.
+    """
+
+    nodes: NDArray[np.int64]
+    weights: NDArray[np.float64]
+
+
+def fold(grid: SphereGrid) -> GridFold | None:
+    """Fold the grid onto the orbits of its reflections; None if it has none.
+
+    For samples f even under every reflection,
+    ``fold.weights @ f[fold.nodes]`` equals ``integrate(grid, f)`` up to
+    roundoff.
+    """
+    perms = reflections(grid)
+    if not perms:
+        return None
+    # the orbit of k is {g(k)} over the 8 products g of the reflections
+    orbit = np.arange(grid.n_nodes)[None, :]
+    for p in perms:
+        orbit = np.concatenate([orbit, p[orbit]])
+    # each node adds its own weight to its orbit's smallest node, so a
+    # node on a mirror plane, which its orbit lists twice, counts once
+    nodes, owner = np.unique(orbit.min(axis=0), return_inverse=True)
+    weights = np.zeros(nodes.size)
+    np.add.at(weights, owner, grid.weights)
+    return GridFold(nodes=nodes, weights=weights)
 
 
 def integrate(grid: SphereGrid, samples: NDArray[np.float64]) -> float:

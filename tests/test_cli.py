@@ -115,6 +115,13 @@ def test_exit_codes(tmp_path):
     assert main(["gform", "--set", "lam=0,0,0"]) == 2
     assert main(["gform", "--set", "directions=0"]) == 2
     assert main(["gform", "--set", "directions=-3"]) == 2
+    # a nonzero direction with tiny components is a direction like any other
+    assert main(["gform", "--set", "a=1e-160,1e-160,0", "--out", str(out)]) in (0, 1)
+    cex = ["counterexample", "--out", str(out)]
+    assert main(cex + ["--set", "a=1e-170,1e-170,0"]) in (0, 1)
+    assert main(cex + ["--set", "a=0,0,0"]) == 2
+    assert main(cex + ["--set", "a=nan,0,1"]) == 2
+    assert main(["gform", "--set", "a=inf,0,0"]) == 2
 
 
 PARSED_FIELDS = [

@@ -18,7 +18,10 @@ from wy_stability.functional import (
     mean_curvature_from_h,
     min_pencil_eigenvalue,
 )
-from wy_stability.harmonics import FieldCoeffs, build_basis, index_of, synthesize
+from wy_stability.cli import RunConfig
+from wy_stability.gform import RicciEigs
+from wy_stability.harmonics import FieldCoeffs, build_basis, index_of, synthesize, weighted_form
+from wy_stability.models import h_family
 from wy_stability.quad import build_grid
 
 GRID = build_grid(32, 64)
@@ -223,3 +226,87 @@ def test_grid_mismatch_raises():
     H = constant_field(other, 2.0)
     with pytest.raises(ValueError):
         eval_F(BASIS, H, unit_coeffs(2, 0))
+
+
+# the benchmark grids and the default grid
+BLOCK_GRIDS = [(25, 50), (32, 64), (49, 98)]
+
+
+def one_block_M(basis, H):
+    # the pencil without blocking: every l >= 1 row on every node
+    M = weighted_form(basis, -H.h / (2.0 * H.samples), -H.h, 1, 1)
+    mu = basis.eigenvalues[1:]
+    M[np.diag_indices_from(M)] += mu * (0.5 * mu - 1.0)
+    return 0.5 * (M + M.T)
+
+
+def dense_min(M, kdiag, keep):
+    s = 1.0 / np.sqrt(kdiag[keep])
+    return np.linalg.eigvalsh(M[np.ix_(keep, keep)] * np.outer(s, s))[0]
+
+
+@pytest.mark.parametrize("shape", BLOCK_GRIDS)
+@pytest.mark.parametrize("lam, bbar", [((1.0, 1.0, -2.0), 1.0 / 30.0), ((0.7, 0.5, -1.2), 0.0)])
+def test_blocked_pencil_matches_one_block(shape, lam, bbar):
+    grid = build_grid(*shape)
+    basis = build_basis(grid, 12)
+    eigs = RicciEigs(np.array(lam))
+    for r in (0.3, 1e-2):
+        H = h_family(eigs, bbar, r, grid)
+        pencil = assemble_pencil(basis, H)
+        dense = one_block_M(basis, H)
+        scale = np.abs(dense).max()
+        inside = np.zeros(dense.shape, dtype=bool)
+        for rows in pencil.blocks:
+            inside[np.ix_(rows, rows)] = True
+        assert np.abs(dense[~inside]).max() <= 1e-13 * scale
+        assert np.all(pencil.M[~inside] == 0.0)
+        assert np.abs(pencil.M - dense)[inside].max() <= 1e-12 * scale
+
+        rows = np.arange(dense.shape[0])
+        ref = dense_min(dense, pencil.kdiag, rows[pencil.degrees >= 2])
+        val, _ = min_pencil_eigenvalue(pencil, restrict=True)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+        if r == 0.3:
+            ref = dense_min(dense, pencil.kdiag, rows)
+            val, _ = min_pencil_eigenvalue(pencil)
+            assert abs(val - ref) <= 1e-9 * abs(ref)
+
+
+def test_asymmetric_field_or_odd_n_phi_gives_one_block():
+    pencil = assemble_pencil(BASIS, random_positive_field(np.random.default_rng(61)))
+    assert len(pencil.blocks) == 1
+    grid = build_grid(25, 51)  # no node at phi = pi - phi_j
+    H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.1, grid)
+    pencil = assemble_pencil(build_basis(grid, 8), H)
+    assert len(pencil.blocks) == 1
+    np.testing.assert_array_equal(pencil.blocks[0], np.arange(pencil.M.shape[0]))
+
+
+@pytest.mark.parametrize("shape", BLOCK_GRIDS)
+def test_family_takes_the_blocked_path(shape):
+    # scan's speed rests on h_family passing the reflection check: a change
+    # in how h is rounded would silently send it back to one dense block
+    grid = build_grid(*shape)
+    basis = build_basis(grid, 4)
+    config = RunConfig()
+    eigs = RicciEigs(np.array(config.lam))
+    for bbar in config.bbar_list + config.bracket:
+        for r in config.r_list + (config.bisect_r,):
+            assert len(assemble_pencil(basis, h_family(eigs, bbar, r, grid)).blocks) == 8
+
+
+@pytest.mark.parametrize("L, shape", [(8, (32, 64)), (24, (25, 50))])
+@pytest.mark.parametrize("lam", [(1.0, 1.0, -2.0), (0.7, 0.5, -1.2)])
+def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
+    # min/r^4 tends to a constant as r -> 0; a solve of the dense matrix
+    # lost it below r = 1e-3 (at L = 24, r = 1e-4 it read -6.6 for -0.1)
+    grid = build_grid(*shape)
+    basis = build_basis(grid, L)
+    eigs = RicciEigs(np.array(lam))
+    v3, v4 = (
+        min_pencil_eigenvalue(assemble_pencil(basis, h_family(eigs, 1.0 / 30.0, r, grid)))[0]
+        / r**4
+        for r in (1e-3, 1e-4)
+    )
+    assert abs(v4 - v3) < 1e-4 * abs(v3)

@@ -14,11 +14,12 @@ from wy_stability.harmonics import (
     gradient_dot,
     index_of,
     laplacian,
+    parity_blocks,
     project,
     synthesize,
     weighted_form,
 )
-from wy_stability.quad import build_grid, integrate
+from wy_stability.quad import build_grid, integrate, reflections
 
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
@@ -199,3 +200,14 @@ def test_weighted_form_scalar_vector_and_gram_agree():
         assert np.max(np.abs(weighted_form(BASIS, w_lap, w_grad, v, 1) - gv)) < 1e-13 * vec_scale
     with pytest.raises(ValueError):
         weighted_form(BASIS, 1.0, 1.0, 9, 9)
+
+
+def test_parity_blocks_agree_with_the_tables():
+    # row k maps to +-itself under each reflection, odd where its block says
+    blocks = parity_blocks(BASIS.degrees, BASIS.orders)
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(NMODES))
+    for code, rows in enumerate(blocks):
+        vals = BASIS.values[rows]
+        for bit, perm in enumerate(reflections(GRID)):
+            sign = -1.0 if code >> bit & 1 else 1.0
+            assert np.max(np.abs(vals[:, perm] - sign * vals)) < 1e-12

@@ -11,9 +11,11 @@ import pytest
 from wy_stability.quad import (
     FOUR_PI,
     build_grid,
+    fold,
     integrate,
     monomial_integral,
     poly_integral,
+    reflections,
 )
 
 GRID = build_grid(32, 64)
@@ -118,3 +120,29 @@ def test_coarse_grid_fails_high_degree():
 def test_integrate_rejects_wrong_shape():
     with pytest.raises(ValueError):
         integrate(GRID, np.ones(GRID.n_nodes - 1))
+
+
+def test_reflections_map_nodes_to_mirror_images():
+    for perm, sign in zip(reflections(GRID), 1.0 - 2.0 * np.eye(3)):
+        assert np.max(np.abs(GRID.xyz[perm] - GRID.xyz * sign)) < 4e-15
+    assert reflections(build_grid(25, 51)) == ()
+    assert fold(build_grid(25, 51)) is None
+
+
+@pytest.mark.parametrize("shape", [(5, 12), (25, 50), (32, 64), (49, 98)])
+def test_fold_integrates_even_fields(shape):
+    grid = build_grid(*shape)
+    folded = fold(grid)
+    assert math.isclose(folded.weights.sum(), FOUR_PI, rel_tol=1e-14)
+    # the orbits of the representatives under the 8 group elements
+    # partition the nodes
+    group = [np.arange(grid.n_nodes)]
+    for perm in reflections(grid):
+        group += [perm[g] for g in group]
+    orbits = [np.unique(col) for col in np.stack(group)[:, folded.nodes].T]
+    assert sum(o.size for o in orbits) == grid.n_nodes
+    assert np.array_equal(np.unique(np.concatenate(orbits)), np.arange(grid.n_nodes))
+    x1, x2, x3 = grid.xyz.T
+    samples = x1**2 * x2**2 * x3**4
+    full = integrate(grid, samples)
+    assert abs(folded.weights @ samples[folded.nodes] - full) < 1e-14 * full
