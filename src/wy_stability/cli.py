@@ -39,6 +39,7 @@ from .gform import (
     Direction,
     RicciEigs,
     classify_bbar,
+    g_gram,
     g_quadratic,
     minimize_G,
 )
@@ -280,9 +281,14 @@ def _directions_for(config: RunConfig) -> list[np.ndarray]:
 
 def cmd_gform(config: RunConfig) -> dict:
     """Quartic-energy coefficients and minima per (a, lam, bbar)."""
+    if config.ltrunc < 2:
+        raise ConfigError(
+            f"gform minimizes over degrees l >= 2: ltrunc must be >= 2, got {config.ltrunc}"
+        )
     grid = build_grid(config.n_theta, config.n_phi)
     basis = build_basis(grid, config.ltrunc)
     eigs = RicciEigs(np.asarray(config.lam, dtype=np.float64))
+    gram = g_gram(basis)
     tol_closed = 1e-6
     rows = []
     ok = True
@@ -291,7 +297,7 @@ def cmd_gform(config: RunConfig) -> dict:
         for bbar in config.bbar_list:
             q = g_quadratic(eigs, direction, bbar)
             closed = q.min_value
-            numeric, _ = minimize_G(basis, eigs, direction, bbar)
+            numeric, _ = minimize_G(basis, eigs, direction, bbar, gram)
             ident = -(1.0 / 54.0 - (5.0 / 3.0) * bbar) * math.pi * eigs.sum_sq
             # absolute scale guards the exact-threshold point where closed = 0
             scale = max(abs(closed), eigs.sum_sq)

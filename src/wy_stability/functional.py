@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .harmonics import FieldCoeffs, HarmonicBasis, index_of, parity_blocks, weighted_form
-from .quad import SphereGrid, fold, integrate, reflections
+from .harmonics import FieldCoeffs, HarmonicBasis, form_blocks, index_of, weighted_form
+from .quad import SphereGrid, integrate
 
 __all__ = [
     "MeanCurvatureField",
@@ -223,16 +223,6 @@ def kernel_closed_form(H: MeanCurvatureField, a0: float, a: NDArray[np.float64])
     return norm_term + weighted
 
 
-def _pencil_blocks(basis: HarmonicBasis, H: MeanCurvatureField) -> list[NDArray[np.int64]]:
-    """Row blocks of the pencil: the parity classes if h is reflection-even, else one."""
-    h = H.h
-    tol = 1e-13 * np.abs(h).max()
-    perms = reflections(basis.grid)
-    if perms and all(np.abs(h[p] - h).max() <= tol for p in perms):
-        return [b for b in parity_blocks(basis.degrees[1:], basis.orders[1:]) if b.size]
-    return [np.arange(basis.n_basis - 1)]
-
-
 def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPencil:
     """Assemble the pencil (M, K) over degrees l >= 1, one block at a time.
 
@@ -245,8 +235,7 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     grid; otherwise one block holds every row, integrated on all nodes.
     """
     _check_field(basis, H)
-    blocks = _pencil_blocks(basis, H)
-    nodes = fold(basis.grid) if len(blocks) > 1 else None
+    blocks, nodes = form_blocks(basis, 1, (H.h,))
     w_lap, w_grad = -H.h / (2.0 * H.samples), -H.h
     diag = _round_diagonal(basis)[1:]
     parts = []

@@ -37,6 +37,7 @@ from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
     analyze,
+    form_blocks,
     index_of,
     project,
     synthesize,
@@ -56,6 +57,7 @@ __all__ = [
     "eval_G",
     "eval_B",
     "optimal_eta2",
+    "g_gram",
     "minimize_G",
     "classify_bbar",
     "POSITIVE",
@@ -272,30 +274,54 @@ def optimal_eta2(
     return project(basis, analyze(basis, samples), 3)
 
 
+def g_gram(basis: HarmonicBasis) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
+    """The quadratic part of G over degrees l >= 2, as (rows, block) pairs.
+
+    Each block is the symmetrized Gram matrix of
+    int [Lap(u) Lap(v) / 2 - <grad u, grad v>] dv over its rows, counted
+    from the first degree-2 row.  The weights are constant, so on a grid
+    with reflections the blocks are the parity classes, each integrated
+    over the folded grid; otherwise one block holds every row.
+    """
+    if basis.L < 2:
+        raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
+    blocks, nodes = form_blocks(basis, 2)
+    gram = []
+    for rows in blocks:
+        sel = 2 if nodes is None else rows + 4  # the one block is rows l >= 2
+        B = weighted_form(basis, 0.5, -1.0, sel, sel, nodes)
+        gram.append((rows, 0.5 * (B + B.T)))
+    return tuple(gram)
+
+
 def minimize_G(
     basis: HarmonicBasis,
     eigs: RicciEigs,
     direction: Direction,
     bbar: float,
+    gram=None,
 ) -> tuple[float, FieldCoeffs]:
     """Minimize G over all degree >= 2 fields by a stationarity solve.
 
     This is an independent route to the minimum: the quadratic part of G
-    is assembled as a dense Gram matrix by quadrature (not through the
-    spectral diagonal), the linear part from the cross-term integrand,
-    and the system is solved directly.  The Gram matrix is symmetric
-    positive definite: on degrees l >= 2 it equals diag(mu (mu/2 - 1))
-    >= 12, mu = l(l+1), up to quadrature roundoff.
+    is the Gram matrix ``g_gram`` assembles by quadrature (not the
+    spectral diagonal), the linear part comes from the cross-term
+    integrand, and each block of the system is solved directly.  The
+    Gram matrix is symmetric positive definite: on degrees l >= 2 it
+    equals diag(mu (mu/2 - 1)) >= 12, mu = l(l+1), up to quadrature
+    roundoff.  It depends only on the basis; pass ``gram`` to reuse one
+    across directions and bbar values.
 
     Returns the minimum value and the minimizing coefficients.
     """
-    # quadratic part: int [Lap(u) Lap(v) / 2 - <grad u, grad v>] dv
-    Q2 = weighted_form(basis, 0.5, -1.0, 2, 2)
-    Q2 = 0.5 * (Q2 + Q2.T)
+    if gram is None:
+        gram = g_gram(basis)
     # linear part: G contains -2 * b . v with
     # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
     b = _g_cross(basis, eigs, direction, 2)
-    v = np.linalg.solve(Q2, b)
+    v = np.zeros_like(b)
+    for rows, block in gram:
+        v[rows] = np.linalg.solve(block, b[rows])
     value = _g_constant(basis, eigs, direction, bbar) - float(b @ v)
 
     c = np.zeros((basis.L + 1) ** 2)

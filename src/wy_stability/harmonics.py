@@ -30,7 +30,10 @@ by (l, m) alone:
     x2 -> -x2:  cos terms even, sin terms odd
     x3 -> -x3:  (-1)^(l+m)
 
-so the basis splits into 8 parity classes (``parity_blocks``).
+so the basis splits into 8 parity classes (``parity_blocks``).  A form
+whose weights are even under every reflection couples only rows of one
+class, and ``form_blocks`` gives the classes and the folded grid to
+integrate each on.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .quad import GridFold, SphereGrid
+from .quad import GridFold, SphereGrid, fold, reflections
 
 __all__ = [
     "FieldCoeffs",
@@ -50,6 +53,7 @@ __all__ = [
     "build_basis",
     "index_of",
     "parity_blocks",
+    "form_blocks",
     "analyze",
     "synthesize",
     "laplacian",
@@ -82,6 +86,29 @@ def parity_blocks(
     p3 = (degrees + am) % 2
     code = p1 + 2 * sin + 4 * p3
     return [np.flatnonzero(code == b) for b in range(8)]
+
+
+def form_blocks(
+    basis: HarmonicBasis, l0: int, samples: tuple[NDArray[np.float64], ...] = ()
+) -> tuple[list[NDArray[np.int64]], GridFold | None]:
+    """Row blocks of a weighted form over the basis functions of degree >= l0.
+
+    Block entries count from row l0^2.  When the grid has reflections and
+    each nodal array in ``samples`` (those the form's weights are built
+    from; constant weights need none) matches each reflection of itself
+    to 1e-13 of its max, the form couples only rows of equal parity: the
+    result is the non-empty parity classes and the grid's fold, to
+    integrate each block over.  Otherwise it is one block of every row
+    and None, to integrate on all nodes.
+    """
+    n0 = l0 * l0
+    perms = reflections(basis.grid)
+    if perms and all(
+        np.abs(x[p] - x).max() <= 1e-13 * np.abs(x).max() for x in samples for p in perms
+    ):
+        blocks = parity_blocks(basis.degrees[n0:], basis.orders[n0:])
+        return [b for b in blocks if b.size], fold(basis.grid)
+    return [np.arange(basis.n_basis - n0)], None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from importlib import resources
@@ -16,6 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wy_stability
+import wy_stability.cli as cli_module
+import wy_stability.gform as gform_module
 from wy_stability.cli import (
     ConfigError,
     RunConfig,
@@ -122,6 +128,48 @@ def test_exit_codes(tmp_path):
     assert main(cex + ["--set", "a=0,0,0"]) == 2
     assert main(cex + ["--set", "a=nan,0,1"]) == 2
     assert main(["gform", "--set", "a=inf,0,0"]) == 2
+    assert main(["gform", "--ltrunc", "1", "--grid", "4x8"]) == 2
+
+
+def test_gform_needs_degree_two(tmp_path, capsys):
+    assert main(["gform", "--ltrunc", "1", "--grid", "4x8"]) == 2
+    assert "ltrunc" in capsys.readouterr().out
+    # at L = 2 the degree-3 minimizer is truncated away: a FAIL, not bad input
+    out = tmp_path / "r.json"
+    assert main(["gform", "--ltrunc", "2", "--grid", "8x16", "--out", str(out)]) == 1
+
+
+def test_gform_builds_the_gram_once_per_report(tmp_path, monkeypatch):
+    # the Gram depends only on the basis; rebuilding it per (direction,
+    # bbar) pair made a report about 15x slower at L = 24
+    calls = []
+
+    def counted(basis):
+        calls.append(basis.L)
+        return real(basis)
+
+    real = gform_module.g_gram
+    monkeypatch.setattr(gform_module, "g_gram", counted)
+    monkeypatch.setattr(cli_module, "g_gram", counted)
+    out = tmp_path / "r.json"
+    assert main(["gform", "--ltrunc", "8", "--set", "directions=8", "--out", str(out)]) == 0
+    assert len(read_report(out)["results"]) == 24
+    assert calls == [8]
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.linalg alone costs several times the set-up of a gform report
+    src = str(Path(wy_stability.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, wy_stability.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 PARSED_FIELDS = [

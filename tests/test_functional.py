@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,9 +20,16 @@ from wy_stability.functional import (
     min_pencil_eigenvalue,
 )
 from wy_stability.cli import RunConfig
-from wy_stability.gform import RicciEigs
-from wy_stability.harmonics import FieldCoeffs, build_basis, index_of, synthesize, weighted_form
-from wy_stability.models import h_family
+from wy_stability.gform import Direction, RicciEigs
+from wy_stability.harmonics import (
+    FieldCoeffs,
+    _form_samples,
+    build_basis,
+    index_of,
+    synthesize,
+    weighted_form,
+)
+from wy_stability.models import h_family, negative_direction
 from wy_stability.quad import build_grid
 
 GRID = build_grid(32, 64)
@@ -310,3 +318,30 @@ def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
         for r in (1e-3, 1e-4)
     )
     assert abs(v4 - v3) < 1e-4 * abs(v3)
+
+
+def extended_F(basis, H, eta):
+    # F in deficit form from the same float64 samples, summed at 40 digits
+    lap, dtheta, dphi = _form_samples(basis, eta, None)
+    mpf = mpmath.mpf
+    with mpmath.workdps(40):
+        mu = [mpf(x) for x in basis.eigenvalues]
+        round_part = mpmath.fsum(mpf(c) ** 2 * m * (m / 2 - 1) for c, m in zip(eta.c, mu))
+        nodes = zip(basis.grid.weights, H.h, H.samples, lap, dtheta, dphi, basis.grid.sin_theta)
+        deficit = mpmath.fsum(
+            mpf(w) * mpf(h) * (mpf(u) ** 2 / (2 * mpf(hs)) + mpf(t) ** 2 + (mpf(f) / mpf(s)) ** 2)
+            for w, h, hs, u, t, f, s in nodes
+        )
+        return round_part - deficit
+
+
+def test_eval_F_matches_extended_precision_sum():
+    # the acceptance grid and the canonical negative direction; the bound
+    # grows as the O(r^4) value cancels further out of O(r^2) terms
+    eigs = RicciEigs(np.array([1.0, 1.0, -2.0]))
+    a = Direction(np.array([0.0, 0.0, 1.0]))
+    for r, bound in ((1e-2, 1e-10), (1e-3, 1e-8), (1e-4, 1e-6)):
+        H = h_family(eigs, 1.0 / 30.0, r, GRID)
+        eta = negative_direction(BASIS, eigs, 1.0 / 30.0, r, a).eta
+        ref = extended_F(BASIS, H, eta)
+        assert abs((eval_F(BASIS, H, eta) - ref) / ref) < bound

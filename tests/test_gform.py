@@ -21,6 +21,7 @@ from wy_stability.gform import (
     eta1_coeffs,
     eval_B,
     eval_G,
+    g_gram,
     g_quadratic,
     minimize_G,
     optimal_eta2,
@@ -33,6 +34,7 @@ from wy_stability.harmonics import (
     laplacian,
     project,
     synthesize,
+    weighted_form,
 )
 from wy_stability.quad import build_grid, integrate
 
@@ -213,6 +215,65 @@ def test_minimize_G_matches_closed_form():
             np.linalg.norm(minimizer.c) * np.linalg.norm(opt.c)
         )
         assert cos > 1.0 - 1e-8
+
+
+# the benchmark grids and the default grid
+BLOCK_GRIDS = [(25, 50), (32, 64), (49, 98)]
+
+
+def dense_minimize_G(basis, eigs, d, bbar):
+    # the stationarity solve without blocking: every l >= 2 row on every node
+    Q = weighted_form(basis, 0.5, -1.0, 2, 2)
+    Q = 0.5 * (Q + Q.T)
+    phi = phi_field(eigs, basis.grid)
+    b = weighted_form(basis, phi / 4.0, phi, eta1_coeffs(d, basis.L), 2)
+    v = np.linalg.solve(Q, b)
+    zero = FieldCoeffs(basis.L, np.zeros(basis.n_basis))
+    return eval_G(basis, eigs, d, bbar, zero) - float(b @ v), v
+
+
+@pytest.mark.parametrize("shape", BLOCK_GRIDS)
+def test_blocked_gram_matches_dense(shape):
+    basis = build_basis(build_grid(*shape), 12)
+    dense = weighted_form(basis, 0.5, -1.0, 2, 2)
+    scale = np.abs(dense).max()
+    gram = g_gram(basis)
+    assert len(gram) == 8
+    inside = np.zeros(dense.shape, dtype=bool)
+    for rows, block in gram:
+        inside[np.ix_(rows, rows)] = True
+        assert np.abs(block - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
+    assert inside.sum() == sum(rows.size**2 for rows, _ in gram)
+    assert np.abs(dense[~inside]).max() <= 1e-13 * scale
+
+    rng = np.random.default_rng(46)
+    for _ in range(5):
+        eigs, d = random_eigs(rng), random_direction(rng)
+        bbar = float(rng.uniform(-0.02, 0.05))
+        ref, v_ref = dense_minimize_G(basis, eigs, d, bbar)
+        value, minimizer = minimize_G(basis, eigs, d, bbar, gram)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+        assert np.abs(minimizer.c[4:] - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+    # without a gram, minimize_G builds the same one
+    again, minimizer_again = minimize_G(basis, eigs, d, bbar)
+    assert again == value
+    np.testing.assert_array_equal(minimizer_again.c, minimizer.c)
+
+
+def test_odd_n_phi_gram_is_one_block():
+    # no node at phi = pi - phi_j, so the grid has no x1 reflection to fold by
+    basis = build_basis(build_grid(25, 51), 12)
+    gram = g_gram(basis)
+    assert len(gram) == 1
+    np.testing.assert_array_equal(gram[0][0], np.arange(basis.n_basis - 4))
+    value, _ = minimize_G(basis, CANON_EIGS, CANON_DIR, 1.0 / 30.0, gram)
+    closed = g_quadratic(CANON_EIGS, CANON_DIR, 1.0 / 30.0).min_value
+    assert abs(value - closed) < 1e-6 * max(abs(closed), CANON_EIGS.sum_sq)
+
+
+def test_g_gram_needs_degree_two():
+    with pytest.raises(ValueError):
+        g_gram(build_basis(GRID, 1))
 
 
 def test_cross_term_identity():
