@@ -441,10 +441,10 @@ def cmd_counterexample(config: RunConfig) -> dict:
 
     witness = {
         "L": basis.L,
+        # (l, m, c) in basis index order: l ascending, then m from -l to l
         "coeffs": [
-            [int(l), int(m), float(nd.eta.c[index_of(l, m)])]
-            for l in range(basis.L + 1)
-            for m in range(-l, l + 1)
+            list(t)
+            for t in zip(basis.degrees.tolist(), basis.orders.tolist(), nd.eta.c.tolist())
         ],
         "config_echo": _config_dict(config),
     }

@@ -23,6 +23,20 @@ Theta derivatives are evaluated through the analytic recurrence
 which is stable on the grid because Gauss-Legendre nodes never touch the
 poles.  No finite differences are used anywhere.
 
+The basis is stored as separable factors, never as tables over the
+nodes.  On the product grid every function is a theta factor times a
+phi factor: the Legendre factors ``rad`` (sqrt(2) folded in for m > 0)
+and their theta derivatives, (L+1)^2 n_theta entries each, and the
+factors cos(m phi), sin(m phi) and their phi derivatives, 2 (L+1) n_phi
+each.  That is O(L^3) memory where tables of every function at every
+node take O(L^4).  Fields are transformed one order at a time, as in
+Driscoll & Healy (1994) and Schaeffer (2013): synthesis is one Legendre
+sum over l per order m, then one matrix product in phi; analysis, and
+the form of a field against basis functions, run the transpose of both
+steps.  Each costs O(L^3).  The samples of basis functions that Gram
+matrices need are formed on demand at the requested nodes as the
+product of the two factors, the same products the tables would hold.
+
 Each basis function is even or odd under each coordinate reflection,
 by (l, m) alone:
 
@@ -139,27 +153,43 @@ class FieldCoeffs:
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Tabulated orthonormal basis and its angular derivatives.
+    """Orthonormal basis as separable theta and phi factors.
+
+    The basis function of degree l and order m, with a = |m| and s = 1
+    for a sin term (m < 0), else 0, takes at node (theta_i, phi_j) the
+    value ``rad[a, l, i] * ang[a, s, j]``, the theta derivative
+    ``drad[a, l, i] * ang[a, s, j]`` and the phi derivative
+    ``rad[a, l, i] * dang[a, s, j]``.  Transforms work order by order
+    on these factors; see the module docstring.
 
     Attributes
     ----------
     L : int
         Maximum degree.
     grid : SphereGrid
-        Quadrature grid the tables are sampled on.
-    values, dtheta, dphi : ndarray, shape (n_basis, n_nodes)
-        Basis values and analytic theta/phi derivatives at the nodes.
+        Quadrature grid the factors are sampled on.
+    rad, drad : ndarray, shape (L+1, L+1, n_theta)
+        Pbar_l^a(cos theta_i) and its theta derivative, indexed [a, l, i],
+        times sqrt(2) for a > 0; zero where l < a.
+    ang, dang : ndarray, shape (L+1, 2, n_phi)
+        cos(a phi_j) at [a, 0] and sin(a phi_j) at [a, 1], and their phi
+        derivatives -a sin(a phi_j) and a cos(a phi_j).
     degrees, orders : ndarray, shape (n_basis,)
         Degree l and order m per basis index.
     eigenvalues : ndarray, shape (n_basis,)
         Laplace-Beltrami eigenvalues l(l+1) per basis index.
+
+    The full tables ``values``, ``dtheta`` and ``dphi``, shape
+    (n_basis, n_nodes), are assembled from the factors on every read;
+    they are for inspection, and take 92 MB each at L = 48.
     """
 
     L: int
     grid: SphereGrid
-    values: NDArray[np.float64]
-    dtheta: NDArray[np.float64]
-    dphi: NDArray[np.float64]
+    rad: NDArray[np.float64]
+    drad: NDArray[np.float64]
+    ang: NDArray[np.float64]
+    dang: NDArray[np.float64]
     degrees: NDArray[np.int64]
     orders: NDArray[np.int64]
     eigenvalues: NDArray[np.float64]
@@ -168,12 +198,25 @@ class HarmonicBasis:
     def n_basis(self) -> int:
         return (self.L + 1) ** 2
 
+    @property
+    def values(self) -> NDArray[np.float64]:
+        return _row_samples(self, slice(None), None, self.rad, self.ang)
+
+    @property
+    def dtheta(self) -> NDArray[np.float64]:
+        return _row_samples(self, slice(None), None, self.drad, self.ang)
+
+    @property
+    def dphi(self) -> NDArray[np.float64]:
+        return _row_samples(self, slice(None), None, self.rad, self.dang)
+
 
 def _legendre_tables(L: int, x: NDArray[np.float64]) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormalized associated Legendre values and theta derivatives.
 
     Returns arrays ``p`` and ``dp`` of shape (L+1, L+1, len(x)) indexed
-    [l, m]; entries with m > l are zero.
+    [m, l]; entries with l < m are zero.  Past the sectoral seeds each
+    step in l runs for every order m at once.
     """
     n = x.shape[0]
     s = np.sqrt(1.0 - x * x)
@@ -183,29 +226,27 @@ def _legendre_tables(L: int, x: NDArray[np.float64]) -> tuple[np.ndarray, np.nda
     p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for m in range(1, L + 1):
         p[m, m] = s * math.sqrt((2 * m + 1) / (2.0 * m)) * p[m - 1, m - 1]
-    for m in range(0, L):
-        p[m + 1, m] = math.sqrt(2 * m + 3.0) * x * p[m, m]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                ((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)
-            )
-            p[l, m] = a * (x * p[l - 1, m] - b * p[l - 2, m])
+    m = np.arange(L)
+    p[m, m + 1] = np.sqrt(2 * m + 3.0)[:, None] * x * p[m, m]
+    for l in range(2, L + 1):
+        m = np.arange(l - 1)[:, None]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        p[: l - 1, l] = a * (x * p[: l - 1, l - 1] - b * p[: l - 1, l - 2])
 
-    for m in range(0, L + 1):
-        for l in range(m, L + 1):
-            cl = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > 0 else 0.0
-            prev = p[l - 1, m] if l - 1 >= m else 0.0
-            dp[l, m] = (l * x * p[l, m] - cl * prev) / s
+    for l in range(L + 1):
+        m = np.arange(l + 1)[:, None]
+        cl = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l else 0.0
+        prev = p[: l + 1, l - 1] if l else 0.0  # zero at m = l, where l - 1 < m
+        dp[: l + 1, l] = (l * x * p[: l + 1, l] - cl * prev) / s
     return p, dp
 
 
 def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
-    """Tabulate the orthonormal basis up to degree L on the grid.
+    """Sample the separable factors of the basis up to degree L on the grid.
 
     The grid must integrate polynomials of total degree 2L exactly, so
-    that the tabulated Gram matrix is the identity up to roundoff.
+    that the quadrature Gram matrix is the identity up to roundoff.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -217,52 +258,78 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
 
     theta_1d = grid.theta[:: grid.n_phi]
     phi_1d = grid.phi[: grid.n_phi]
-    x = np.cos(theta_1d)
-    p, dp = _legendre_tables(L, x)
-
-    mm = np.arange(L + 1)[:, None] * phi_1d[None, :]
-    cos_m = np.cos(mm)
-    sin_m = np.sin(mm)
-
-    nb = (L + 1) ** 2
-    nn = grid.n_nodes
-    values = np.empty((nb, nn))
-    dtheta = np.empty((nb, nn))
-    dphi = np.empty((nb, nn))
-    degrees = np.empty(nb, dtype=np.int64)
-    orders = np.empty(nb, dtype=np.int64)
-
+    rad, drad = _legendre_tables(L, np.cos(theta_1d))
     rt2 = math.sqrt(2.0)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            k = index_of(l, m)
-            degrees[k] = l
-            orders[k] = m
-            am = abs(m)
-            if m == 0:
-                ang, dang = np.ones_like(phi_1d), np.zeros_like(phi_1d)
-                rad, drad = p[l, 0], dp[l, 0]
-            elif m > 0:
-                ang, dang = cos_m[am], -am * sin_m[am]
-                rad, drad = rt2 * p[l, am], rt2 * dp[l, am]
-            else:
-                ang, dang = sin_m[am], am * cos_m[am]
-                rad, drad = rt2 * p[l, am], rt2 * dp[l, am]
-            values[k] = np.outer(rad, ang).ravel()
-            dtheta[k] = np.outer(drad, ang).ravel()
-            dphi[k] = np.outer(rad, dang).ravel()
+    rad[1:] *= rt2
+    drad[1:] *= rt2
 
+    m = np.arange(L + 1)[:, None]
+    cos_m = np.cos(m * phi_1d[None, :])
+    sin_m = np.sin(m * phi_1d[None, :])
+    ang = np.stack([cos_m, sin_m], axis=1)
+    dang = np.stack([-m * sin_m, m * cos_m], axis=1)
+
+    l = np.arange(L + 1)
+    degrees = np.repeat(l, 2 * l + 1)
+    orders = np.arange((L + 1) ** 2) - degrees * (degrees + 1)
     eigenvalues = (degrees * (degrees + 1)).astype(np.float64)
     return HarmonicBasis(
         L=L,
         grid=grid,
-        values=values,
-        dtheta=dtheta,
-        dphi=dphi,
+        rad=rad,
+        drad=drad,
+        ang=ang,
+        dang=dang,
         degrees=degrees,
         orders=orders,
         eigenvalues=eigenvalues,
     )
+
+
+def _slots(basis: HarmonicBasis) -> NDArray[np.int64]:
+    """Position of each row in the flattened [a, s, l] coefficient grid."""
+    return (2 * np.abs(basis.orders) + (basis.orders < 0)) * (basis.L + 1) + basis.degrees
+
+
+def _synthesis(basis: HarmonicBasis, c, rad, ang) -> NDArray[np.float64]:
+    """sum_k c_k rad_k(theta) ang_k(phi) at every node, in O(L^3).
+
+    One Legendre sum over l per order (the cos and sin terms of an order
+    share its theta factor), then one matrix product in phi.
+    """
+    L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
+    spec = np.zeros(2 * (L + 1) ** 2)
+    spec[_slots(basis)] = c
+    g = np.matmul(spec.reshape(L + 1, 2, L + 1), rad)  # [a, s, i]
+    return (g.reshape(-1, nt).T @ ang.reshape(-1, nphi)).ravel()
+
+
+def _analysis(basis: HarmonicBasis, q, rad, ang) -> NDArray[np.float64]:
+    """sum over nodes of q rad_k(theta) ang_k(phi) for every row k.
+
+    The transpose of ``_synthesis``: one matrix product in phi, then one
+    Legendre sum over theta per order, in O(L^3).
+    """
+    L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
+    g = (ang.reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(L + 1, 2, nt)
+    return np.matmul(g, rad.transpose(0, 2, 1)).ravel()[_slots(basis)]
+
+
+def _row_samples(basis: HarmonicBasis, rows, nodes, rad, ang) -> NDArray[np.float64]:
+    """rad_k(theta) ang_k(phi) for basis rows k at the given nodes, or all.
+
+    Each entry is one product of the row's two factors, so the result
+    matches a tabulated outer product bit for bit.  It is C-ordered like
+    a slice of such a table: the matrix products of a Gram matrix round
+    differently on other layouts.
+    """
+    orders = basis.orders[rows]
+    a, s = np.abs(orders), (orders < 0).astype(np.intp)
+    r, g = rad[a, basis.degrees[rows]], ang[a, s]
+    if nodes is None:
+        return (r[:, :, None] * g[:, None, :]).reshape(len(a), -1)
+    i, j = np.divmod(nodes, basis.grid.n_phi)
+    return np.multiply(r[:, i], g[:, j], order="C")
 
 
 def analyze(basis: HarmonicBasis, samples: NDArray[np.float64]) -> FieldCoeffs:
@@ -276,13 +343,14 @@ def analyze(basis: HarmonicBasis, samples: NDArray[np.float64]) -> FieldCoeffs:
         raise ValueError(
             f"samples has shape {samples.shape}, expected ({basis.grid.n_nodes},)"
         )
-    return FieldCoeffs(basis.L, basis.values @ (basis.grid.weights * samples))
+    q = basis.grid.weights * samples
+    return FieldCoeffs(basis.L, _analysis(basis, q, basis.rad, basis.ang))
 
 
 def synthesize(basis: HarmonicBasis, coeffs: FieldCoeffs) -> NDArray[np.float64]:
     """Evaluate the spectral field at the grid nodes."""
     _check_match(basis, coeffs)
-    return basis.values.T @ coeffs.c
+    return _synthesis(basis, coeffs.c, basis.rad, basis.ang)
 
 
 def laplacian(basis: HarmonicBasis, coeffs: FieldCoeffs) -> FieldCoeffs:
@@ -324,14 +392,14 @@ def gradient_dot(
 
     Uses the round-metric formula
     ``du/dtheta dv/dtheta + (du/dphi dv/dphi) / sin(theta)^2``
-    with the analytic derivative tables.
+    with the analytic derivative factors.
     """
     _check_match(basis, coeffs_u)
     _check_match(basis, coeffs_v)
-    ut = basis.dtheta.T @ coeffs_u.c
-    vt = basis.dtheta.T @ coeffs_v.c
-    up = basis.dphi.T @ coeffs_u.c
-    vp = basis.dphi.T @ coeffs_v.c
+    ut = _synthesis(basis, coeffs_u.c, basis.drad, basis.ang)
+    vt = _synthesis(basis, coeffs_v.c, basis.drad, basis.ang)
+    up = _synthesis(basis, coeffs_u.c, basis.rad, basis.dang)
+    vp = _synthesis(basis, coeffs_v.c, basis.rad, basis.dang)
     inv_s2 = 1.0 / basis.grid.sin_theta**2
     return ut * vt + up * vp * inv_s2
 
@@ -348,11 +416,12 @@ def weighted_form(
 
     The weights are scalars or nodal samples.  Each of u and v is either
     a field, an int l0 standing for every basis function of degree
-    >= l0 (rows l0^2 onward, taken as slice views of the tables), or an
-    array of basis row indices.  Two fields give a scalar, a field and a
-    set of rows give the vector of the form against each of those basis
-    functions, and two sets of rows give the Gram matrix with rows from
-    u and columns from v.  When v is u the samples are computed once.
+    >= l0 (rows l0^2 onward), or an array of basis row indices.  Two
+    fields give a scalar; a field and a set of rows give the vector of
+    the form against each of those basis functions, by three analysis
+    transforms of the field's weighted samples; two sets of rows give
+    the Gram matrix with rows from u and columns from v, from the rows'
+    samples.  When v is u the samples are computed once.
 
     With a ``fold`` the sum runs over its representative nodes with its
     orbit weights, reading nodal weights there.  That equals the full
@@ -360,25 +429,51 @@ def weighted_form(
     for example for rows of one parity block and reflection-even weights.
     """
     if isinstance(v, FieldCoeffs) and not isinstance(u, FieldCoeffs):
-        u, v = v, u  # the form is symmetric; weight the field, not a table
+        u, v = v, u  # the form is symmetric; put the field first
     su = _form_samples(basis, u, fold)
-    sv = su if v is u else _form_samples(basis, v, fold)
     w = basis.grid.weights
     inv_s2 = 1.0 / basis.grid.sin_theta**2
     if fold is not None:
         w, inv_s2 = fold.weights, inv_s2[fold.nodes]
         w_lap, w_grad = (x[fold.nodes] if np.ndim(x) else x for x in (w_lap, w_grad))
-    if su[0].ndim == sv[0].ndim == 1:
+    if isinstance(v, FieldCoeffs):
         # two fields: sum the pointwise integrand once.  Near H = 2 the
         # three terms' separate sums are O(h) while the form is O(h^2),
         # so summing them apart loses several more digits
+        sv = su if v is u else _form_samples(basis, v, fold)
         grad = su[1] * sv[1] + su[2] * sv[2] * inv_s2
         return float(w @ (w_lap * (su[0] * sv[0]) + w_grad * grad))
     wg = w * w_grad
-    out = (su[0] * (w * w_lap)) @ sv[0].T
-    out += (su[1] * wg) @ sv[1].T
-    out += (su[2] * (wg * inv_s2)) @ sv[2].T
+    weighted = (su[0] * (w * w_lap), su[1] * wg, su[2] * (wg * inv_s2))
+    if isinstance(u, FieldCoeffs):
+        return _field_against_rows(basis, weighted, _rows(basis, v), fold)
+    sv = su if v is u else _form_samples(basis, v, fold)
+    out = weighted[0] @ sv[0].T
+    out += weighted[1] @ sv[1].T
+    out += weighted[2] @ sv[2].T
     return out
+
+
+def _field_against_rows(basis: HarmonicBasis, weighted, rows, fold: GridFold | None):
+    """The form of a field against basis rows, from the field's weighted
+    (Lap, d/dtheta, d/dphi) samples: the analysis transforms of each
+    against the value, theta-derivative and phi-derivative factors.
+    With a fold the samples are zero off its representative nodes."""
+    q = np.zeros((3, basis.grid.n_nodes))
+    q[:, slice(None) if fold is None else fold.nodes] = weighted
+    out = -basis.eigenvalues * _analysis(basis, q[0], basis.rad, basis.ang)
+    out += _analysis(basis, q[1], basis.drad, basis.ang)
+    out += _analysis(basis, q[2], basis.rad, basis.dang)
+    return out[rows]
+
+
+def _rows(basis: HarmonicBasis, x: Union[int, NDArray[np.int64]]):
+    """Row indices: an index array as given, or an int l0 as rows l0^2 onward."""
+    if isinstance(x, np.ndarray):
+        return x
+    if not 0 <= x <= basis.L:
+        raise ValueError(f"degree block l >= {x} outside 0..{basis.L}")
+    return slice(x * x, None)
 
 
 def _form_samples(
@@ -388,23 +483,19 @@ def _form_samples(
 ):
     """(Lap, d/dtheta, d/dphi) samples of a field or of basis rows, on all
     nodes or on the representative nodes of a fold."""
-    cols = slice(None) if fold is None else fold.nodes
     if isinstance(x, FieldCoeffs):
         _check_match(basis, x)
-        lap = basis.values.T @ (-basis.eigenvalues * x.c)
-        return lap[cols], (basis.dtheta.T @ x.c)[cols], (basis.dphi.T @ x.c)[cols]
-    if isinstance(x, np.ndarray):
-        rows = x
-    elif not 0 <= x <= basis.L:
-        raise ValueError(f"degree block l >= {x} outside 0..{basis.L}")
-    else:
-        rows = slice(x * x, None)
-    if fold is None:
-        at = rows
-    else:
-        at = np.ix_(np.arange(basis.n_basis)[rows], fold.nodes)
-    lap = basis.values[at] * -basis.eigenvalues[rows, None]
-    return lap, basis.dtheta[at], basis.dphi[at]
+        cols = slice(None) if fold is None else fold.nodes
+        lap = _synthesis(basis, -basis.eigenvalues * x.c, basis.rad, basis.ang)
+        dt = _synthesis(basis, x.c, basis.drad, basis.ang)
+        dp = _synthesis(basis, x.c, basis.rad, basis.dang)
+        return lap[cols], dt[cols], dp[cols]
+    rows = _rows(basis, x)
+    nodes = None if fold is None else fold.nodes
+    lap = _row_samples(basis, rows, nodes, basis.rad, basis.ang) * -basis.eigenvalues[rows, None]
+    dt = _row_samples(basis, rows, nodes, basis.drad, basis.ang)
+    dp = _row_samples(basis, rows, nodes, basis.rad, basis.dang)
+    return lap, dt, dp
 
 
 def _check_match(basis: HarmonicBasis, coeffs: FieldCoeffs) -> None:

@@ -7,9 +7,11 @@ import io
 import json
 import os
 import subprocess
+import math
 import sys
 import tempfile
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from wy_stability.cli import (
 )
 from wy_stability.functional import eval_F
 from wy_stability.gform import Direction, RicciEigs
-from wy_stability.harmonics import build_basis
+from wy_stability.harmonics import HarmonicBasis, build_basis
 from wy_stability.models import h_family, negative_direction
 from wy_stability.quad import build_grid
 
@@ -170,6 +172,66 @@ def test_cli_import_leaves_scipy_out():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_commands_never_build_full_tables(tmp_path, monkeypatch):
+    # every computation works on the separable factors; the
+    # (L+1)^2 x n_nodes tables exist only to be inspected
+    def refuse(self):
+        raise AssertionError("a full basis table was assembled")
+
+    for name in ("values", "dtheta", "dphi"):
+        monkeypatch.setattr(HarmonicBasis, name, property(refuse))
+    grid = build_grid(25, 50)
+    tracemalloc.start()
+    try:
+        build_basis(grid, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25**2 * grid.n_nodes * 8  # one table would take 6.25 MB
+
+    # an even n_phi folds the pencil and the G Gram, an odd one does not
+    for n_theta, n_phi in ((8, 16), (9, 19)):
+        base = RunConfig(n_theta=n_theta, n_phi=n_phi, ltrunc=4, witness=str(tmp_path / "w.json"))
+        for command, extra in (
+            ("counterexample", {}),
+            ("scan", {}),
+            ("gform", {"directions": 2}),
+            ("certify", {}),
+            ("certify", {"family": "quartic"}),
+        ):
+            report, _ = run(replace(base, command=command, **extra))
+            assert report["verdict"] in ("PASS", "FAIL")
+
+
+def test_counterexample_at_degree_96(tmp_path, monkeypatch):
+    # the full tables would take 4.2 GB at this degree cap
+    built = []
+
+    def keep(grid, L):
+        built.append(real(grid, L))
+        return built[-1]
+
+    real = cli_module.build_basis
+    monkeypatch.setattr(cli_module, "build_basis", keep)
+    bbar = 1.0 / 30.0
+    config = RunConfig(
+        command="counterexample",
+        n_theta=97,
+        n_phi=194,
+        ltrunc=96,
+        bbar=bbar,
+        r=1e-3,
+        witness=str(tmp_path / "w.json"),
+    )
+    report, _ = run(config)
+    assert report["verdict"] == "PASS"
+    target = 4.0 * math.pi * (1.0 / 90.0 - bbar) * 6.0  # sum lam^2 = 6
+    assert abs(report["results"][0]["F_over_r4"] - target) <= 0.005 * abs(target)
+    (basis,) = built
+    arrays = [getattr(basis, f.name) for f in fields(basis)]
+    assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < 64e6
 
 
 PARSED_FIELDS = [

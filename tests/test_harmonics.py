@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
+import wy_stability.harmonics as harmonics_module
+from wy_stability.functional import assemble_pencil, mean_curvature_from_h
+from wy_stability.gform import g_gram
 from wy_stability.harmonics import (
     FieldCoeffs,
+    _form_samples,
     analyze,
     build_basis,
     gradient_dot,
@@ -19,7 +23,7 @@ from wy_stability.harmonics import (
     synthesize,
     weighted_form,
 )
-from wy_stability.quad import build_grid, integrate, reflections
+from wy_stability.quad import build_grid, fold, integrate, reflections
 
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
@@ -211,3 +215,127 @@ def test_parity_blocks_agree_with_the_tables():
         for bit, perm in enumerate(reflections(GRID)):
             sign = -1.0 if code >> bit & 1 else 1.0
             assert np.max(np.abs(vals[:, perm] - sign * vals)) < 1e-12
+
+
+def loop_legendre(L, x):
+    # the recurrences one (l, m) at a time, indexed [l, m]
+    s = np.sqrt(1.0 - x * x)
+    p = np.zeros((L + 1, L + 1, x.size))
+    dp = np.zeros((L + 1, L + 1, x.size))
+    p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, L + 1):
+        p[m, m] = s * math.sqrt((2 * m + 1) / (2.0 * m)) * p[m - 1, m - 1]
+    for m in range(0, L):
+        p[m + 1, m] = math.sqrt(2 * m + 3.0) * x * p[m, m]
+    for m in range(0, L + 1):
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            p[l, m] = a * (x * p[l - 1, m] - b * p[l - 2, m])
+    for m in range(0, L + 1):
+        for l in range(m, L + 1):
+            cl = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > 0 else 0.0
+            prev = p[l - 1, m] if l - 1 >= m else 0.0
+            dp[l, m] = (l * x * p[l, m] - cl * prev) / s
+    return p, dp
+
+
+def reference_tables(basis):
+    # every basis function at every node, one outer product per row, as
+    # the basis was tabulated before it kept only separable factors
+    grid, L = basis.grid, basis.L
+    p, dp = loop_legendre(L, np.cos(grid.theta[:: grid.n_phi]))
+    mm = np.arange(L + 1)[:, None] * grid.phi[: grid.n_phi][None, :]
+    cos_m, sin_m = np.cos(mm), np.sin(mm)
+    rt2 = math.sqrt(2.0)
+    tables = np.empty((3, basis.n_basis, grid.n_nodes))
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            am = abs(m)
+            if m == 0:
+                ang, dang = np.ones(grid.n_phi), np.zeros(grid.n_phi)
+                rad, drad = p[l, 0], dp[l, 0]
+            elif m > 0:
+                ang, dang = cos_m[am], -am * sin_m[am]
+                rad, drad = rt2 * p[l, am], rt2 * dp[l, am]
+            else:
+                ang, dang = sin_m[am], am * cos_m[am]
+                rad, drad = rt2 * p[l, am], rt2 * dp[l, am]
+            k = index_of(l, m)
+            for t, (r, a) in enumerate(((rad, ang), (drad, ang), (rad, dang))):
+                tables[t, k] = np.outer(r, a).ravel()
+    return tables
+
+
+def close(got, ref, tol=1e-13):
+    return np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(13, 26), (25, 51), (32, 64)])
+def test_separable_transforms_match_tables(shape, monkeypatch):
+    grid = build_grid(*shape)
+    basis = build_basis(grid, 12)
+    values, dtheta, dphi = tables = reference_tables(basis)
+    # the recurrences, run for all orders at once, keep every bit
+    np.testing.assert_array_equal(basis.values, values)
+    np.testing.assert_array_equal(basis.dtheta, dtheta)
+    np.testing.assert_array_equal(basis.dphi, dphi)
+    mu = basis.eigenvalues
+    inv_s2 = 1.0 / grid.sin_theta**2
+    rng = np.random.default_rng(61)
+    u = FieldCoeffs(12, rng.normal(size=basis.n_basis))
+    v = FieldCoeffs(12, rng.normal(size=basis.n_basis))
+    f = rng.normal(size=grid.n_nodes)
+
+    # field transforms, against table products
+    assert close(synthesize(basis, u), values.T @ u.c)
+    assert close(analyze(basis, f).c, values @ (grid.weights * f))
+    ut, up = dtheta.T @ u.c, dphi.T @ u.c
+    ref_grad = ut * (dtheta.T @ v.c) + up * (dphi.T @ v.c) * inv_s2
+    assert close(gradient_dot(basis, u, v), ref_grad)
+    ref_samples = (values.T @ (-mu * u.c), ut, up)
+    folded = fold(grid)
+    for nodes in [None] + ([folded] if folded else []):
+        cols = slice(None) if nodes is None else nodes.nodes
+        for got, ref in zip(_form_samples(basis, u, nodes), ref_samples):
+            assert close(got, ref[cols])
+
+    # a field against rows: three analysis transforms, no row samples
+    w_lap, w_grad = 1.0 + rng.random(grid.n_nodes), rng.normal(size=grid.n_nodes)
+    wl, wg = grid.weights * w_lap, grid.weights * w_grad
+    ref_form = -mu * (values @ (ref_samples[0] * wl))
+    ref_form += dtheta @ (ut * wg) + dphi @ (up * wg * inv_s2)
+    assert close(weighted_form(basis, w_lap, w_grad, u, 2), ref_form[4:])
+    rows = rng.choice(basis.n_basis, size=40, replace=False)
+    assert close(weighted_form(basis, w_lap, w_grad, rows, u), ref_form[rows])
+
+    # row samples: the table entries, bit for bit, at fold nodes and all nodes
+    for nodes in [None] + ([folded] if folded else []):
+        cols = slice(None) if nodes is None else nodes.nodes
+        lap, dt, dp = _form_samples(basis, rows, nodes)
+        np.testing.assert_array_equal(lap, values[rows][:, cols] * -mu[rows, None])
+        np.testing.assert_array_equal(dt, dtheta[rows][:, cols])
+        np.testing.assert_array_equal(dp, dphi[rows][:, cols])
+
+    # the pencil and the G Gram, bit for bit against the same code reading the tables
+    x1, x2, x3 = grid.xyz.T
+    fields = [
+        mean_curvature_from_h(grid, 0.01 * (x1**2 - 2.0 * x3**4)),  # reflection-even
+        mean_curvature_from_h(grid, 0.01 * (x1 * x2**2 + x3)),  # odd: one block
+    ]
+    on_demand = [assemble_pencil(basis, H).M for H in fields], g_gram(basis)
+
+    def read_tables(basis_, rows_, nodes_, rad, ang):
+        table = tables[(rad is basis_.drad) + 2 * (ang is basis_.dang)]
+        if nodes_ is None:
+            return table[rows_]
+        return table[np.ix_(np.arange(basis_.n_basis)[rows_], nodes_)]
+
+    monkeypatch.setattr(harmonics_module, "_row_samples", read_tables)
+    from_tables = [assemble_pencil(basis, H).M for H in fields], g_gram(basis)
+    for a, b in zip(on_demand[0], from_tables[0]):
+        np.testing.assert_array_equal(a, b)
+    assert len(on_demand[1]) == len(from_tables[1])
+    for (rows_a, a), (rows_b, b) in zip(on_demand[1], from_tables[1]):
+        np.testing.assert_array_equal(rows_a, rows_b)
+        np.testing.assert_array_equal(a, b)
