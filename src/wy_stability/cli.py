@@ -129,11 +129,9 @@ class ConfigError(Exception):
 
 
 def _parse_value(key: str, raw: str):
-    """Parse a raw string by the annotation of RunConfig field ``key``."""
+    """Parse a raw string by the annotation of RunConfig field ``key``; floats must be finite."""
     raw = raw.strip()
     kind = _FIELD_TYPES[key]
-    if kind == "tuple":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
     if kind == "int":
         return int(raw)
     if kind == "bool":
@@ -144,14 +142,19 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"cannot parse boolean {key}={raw!r}")
     if kind == "float | None" and raw.lower() == "none":
         return None
-    if kind.startswith("float"):
-        return float(raw)
-    return raw
+    if kind == "tuple":
+        value = tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
+    elif kind.startswith("float"):
+        value = float(raw)
+    else:
+        return raw
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def load_config_file(path: str) -> dict:
     """Parse a key=value config file; '#' starts a comment line."""
-    names = {f.name for f in fields(RunConfig)}
     out: dict = {}
     try:
         text = Path(path).read_text()
@@ -165,7 +168,7 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in names or key == "command":
+        if key not in _FIELD_TYPES or key == "command":
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             out[key] = _parse_value(key, raw)
@@ -287,7 +290,7 @@ def cmd_gform(config: RunConfig) -> dict:
         )
     grid = build_grid(config.n_theta, config.n_phi)
     basis = build_basis(grid, config.ltrunc)
-    eigs = RicciEigs(np.asarray(config.lam, dtype=np.float64))
+    eigs = RicciEigs(config.lam)
     gram = g_gram(basis)
     tol_closed = 1e-6
     rows = []
@@ -344,9 +347,11 @@ def _min_eigs(basis, H) -> tuple[float, float]:
 
 def cmd_scan(config: RunConfig) -> dict:
     """Pencil eigenvalue scan over (bbar, r) plus threshold bisection."""
+    if len(config.bracket) != 2:
+        raise ConfigError(f"bracket needs 2 values (lo, hi), got {len(config.bracket)}")
     grid = build_grid(config.n_theta, config.n_phi)
     basis = build_basis(grid, config.ltrunc)
-    eigs = RicciEigs(np.asarray(config.lam, dtype=np.float64))
+    eigs = RicciEigs(config.lam)
     rmax = positivity_radius(eigs)
 
     rows = []
@@ -432,7 +437,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     """Explicit negative direction for the quartic family, with witness file."""
     grid = build_grid(config.n_theta, config.n_phi)
     basis = build_basis(grid, config.ltrunc)
-    eigs = RicciEigs(np.asarray(config.lam, dtype=np.float64))
+    eigs = RicciEigs(config.lam)
     direction = Direction(_unit_direction(config.a))
 
     nd = negative_direction(basis, eigs, config.bbar, config.r, direction)
@@ -523,7 +528,7 @@ def _certify_field(config: RunConfig, grid):
             raise ConfigError(f"eps must lie in [0, 2), got {config.eps}")
         return constant_field(grid, 2.0 - config.eps)
     if config.family == "quartic":
-        eigs = RicciEigs(np.asarray(config.lam, dtype=np.float64))
+        eigs = RicciEigs(config.lam)
         return h_family(eigs, config.bbar, config.r, grid)
     raise ConfigError(f"unknown H family {config.family!r}; use const or quartic")
 
@@ -660,11 +665,10 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
-    names = {f.name for f in fields(RunConfig)}
     for item in args.set:
         key, sep, raw = item.partition("=")
         key = key.strip().replace("-", "_")
-        if not sep or key not in names or key == "command":
+        if not sep or key not in _FIELD_TYPES or key == "command":
             raise ConfigError(f"cannot apply override {item!r}")
         overrides[key] = _parse_value(key, raw)
     return replace(RunConfig(command=args.command), **overrides)
@@ -674,10 +678,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_args(argv)
         report, text = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2
     if config.out:

@@ -36,6 +36,7 @@ the pencil splits into 8 independent blocks.  Each block is then
 integrated over one representative node per reflection orbit and solved
 on its own; the cross-block entries are exact zeros instead of roundoff,
 which keeps an O(r^4) eigenvalue from drowning in the O(1) spectrum.
+The pencil stores only the blocks; the dense M is built when read.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .harmonics import FieldCoeffs, HarmonicBasis, form_blocks, index_of, weighted_form
+from .harmonics import FieldCoeffs, HarmonicBasis, gram_blocks, index_of, weighted_form
 from .quad import SphereGrid, integrate
 
 __all__ = [
@@ -149,18 +150,25 @@ class HessianPencil:
     ``M[i, j]`` is the polarized form Q_H on basis pair (i, j); ``kdiag``
     holds the exact diagonal l^2 (l+1)^2 of the comparison form
     int (Lap eta)^2.  Row index order follows the basis with the l=0
-    entry removed.  ``blocks`` partitions the rows into independent
-    diagonal blocks of M, in a fixed order: the nonempty reflection
-    parity classes when H is reflection-even, else one block of every
-    row.  M is zero outside the blocks.
+    entry removed.  M is stored as ``blocks``, (rows, block) pairs of
+    its independent diagonal blocks in a fixed order: the nonempty
+    reflection parity classes when H is reflection-even, else one block
+    of every row.  M is zero outside them; reading ``M`` assembles the
+    dense matrix (46 MB at L = 48) for inspection.
     """
 
     L: int
-    M: NDArray[np.float64]
     kdiag: NDArray[np.float64]
     degrees: NDArray[np.int64]
     orders: NDArray[np.int64]
-    blocks: tuple[NDArray[np.int64], ...]
+    blocks: tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]
+
+    @property
+    def M(self) -> NDArray[np.float64]:
+        M = np.zeros((self.kdiag.size, self.kdiag.size))
+        for rows, B in self.blocks:
+            M[np.ix_(rows, rows)] = B
+        return M
 
 
 @dataclass(frozen=True)
@@ -224,43 +232,26 @@ def kernel_closed_form(H: MeanCurvatureField, a0: float, a: NDArray[np.float64])
 
 
 def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPencil:
-    """Assemble the pencil (M, K) over degrees l >= 1, one block at a time.
+    """Assemble the pencil (M, K) over degrees l >= 1, as blocks of M.
 
-    M is built in deficit form, like eval_Q: the exact round diagonal
-    mu^2/2 - mu plus the weighted Gram matrix of the block's rows with
-    weights -h / (2H) (Laplacian) and -h (gradients), then symmetrized;
-    the recorded asymmetry must stay below 1e-12 of the norm.  When h
+    M is built in deficit form, like eval_Q: the symmetrized Gram blocks
+    of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
+    (gradients), plus the exact round diagonal mu^2/2 - mu.  When h
     matches its reflections to 1e-13 of max|h| on a grid that has them,
     the blocks are the 8 parity classes, each integrated over the folded
     grid; otherwise one block holds every row, integrated on all nodes.
     """
     _check_field(basis, H)
-    blocks, nodes = form_blocks(basis, 1, (H.h,))
-    w_lap, w_grad = -H.h / (2.0 * H.samples), -H.h
+    blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h, 1, (H.h,))
     diag = _round_diagonal(basis)[1:]
-    parts = []
-    for rows in blocks:
-        sel = 1 if nodes is None else rows + 1  # the one block is rows l >= 1
-        B = weighted_form(basis, w_lap, w_grad, sel, sel, nodes)
+    for rows, B in blocks:
         B[np.diag_indices_from(B)] += diag[rows]
-        parts.append(B)
-
-    asym = max(np.abs(B - B.T).max() for B in parts)
-    scale = max(np.abs(B).max() for B in parts)
-    if asym > 1e-12 * max(scale, 1.0):
-        raise AssertionError(f"pencil assembly asymmetry {asym} exceeds tolerance")
-    n = basis.n_basis - 1
-    M = np.zeros((n, n))
-    for rows, B in zip(blocks, parts):
-        M[np.ix_(rows, rows)] = 0.5 * (B + B.T)
-
     return HessianPencil(
         L=basis.L,
-        M=M,
         kdiag=basis.eigenvalues[1:] ** 2,
         degrees=basis.degrees[1:],
         orders=basis.orders[1:],
-        blocks=tuple(blocks),
+        blocks=blocks,
     )
 
 
@@ -290,13 +281,14 @@ def min_pencil_eigenvalue(
     if restrict and pencil.L < 2:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
     best = None
-    for rows in pencil.blocks:
+    for rows, B in pencil.blocks:
         if restrict:
-            rows = rows[pencil.degrees[rows] >= 2]
+            keep = pencil.degrees[rows] >= 2
+            rows, B = rows[keep], B[np.ix_(keep, keep)]
         if rows.size == 0:
             continue
         inv_sqrt_k = 1.0 / np.sqrt(pencil.kdiag[rows])
-        Mt = pencil.M[np.ix_(rows, rows)] * np.outer(inv_sqrt_k, inv_sqrt_k)
+        Mt = B * np.outer(inv_sqrt_k, inv_sqrt_k)
         try:
             evals, evecs = np.linalg.eigh(Mt)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path

@@ -37,7 +37,7 @@ from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
     analyze,
-    form_blocks,
+    gram_blocks,
     index_of,
     project,
     synthesize,
@@ -285,13 +285,7 @@ def g_gram(basis: HarmonicBasis) -> tuple[tuple[NDArray[np.int64], NDArray[np.fl
     """
     if basis.L < 2:
         raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
-    blocks, nodes = form_blocks(basis, 2)
-    gram = []
-    for rows in blocks:
-        sel = 2 if nodes is None else rows + 4  # the one block is rows l >= 2
-        B = weighted_form(basis, 0.5, -1.0, sel, sel, nodes)
-        gram.append((rows, 0.5 * (B + B.T)))
-    return tuple(gram)
+    return gram_blocks(basis, 0.5, -1.0, 2)
 
 
 def minimize_G(

@@ -46,8 +46,8 @@ by (l, m) alone:
 
 so the basis splits into 8 parity classes (``parity_blocks``).  A form
 whose weights are even under every reflection couples only rows of one
-class, and ``form_blocks`` gives the classes and the folded grid to
-integrate each on.
+class; ``gram_blocks`` builds the Gram matrices of the pencil and G as
+one block per class, each integrated on the folded grid.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ __all__ = [
     "build_basis",
     "index_of",
     "parity_blocks",
-    "form_blocks",
+    "gram_blocks",
     "analyze",
     "synthesize",
     "laplacian",
@@ -100,29 +100,6 @@ def parity_blocks(
     p3 = (degrees + am) % 2
     code = p1 + 2 * sin + 4 * p3
     return [np.flatnonzero(code == b) for b in range(8)]
-
-
-def form_blocks(
-    basis: HarmonicBasis, l0: int, samples: tuple[NDArray[np.float64], ...] = ()
-) -> tuple[list[NDArray[np.int64]], GridFold | None]:
-    """Row blocks of a weighted form over the basis functions of degree >= l0.
-
-    Block entries count from row l0^2.  When the grid has reflections and
-    each nodal array in ``samples`` (those the form's weights are built
-    from; constant weights need none) matches each reflection of itself
-    to 1e-13 of its max, the form couples only rows of equal parity: the
-    result is the non-empty parity classes and the grid's fold, to
-    integrate each block over.  Otherwise it is one block of every row
-    and None, to integrate on all nodes.
-    """
-    n0 = l0 * l0
-    perms = reflections(basis.grid)
-    if perms and all(
-        np.abs(x[p] - x).max() <= 1e-13 * np.abs(x).max() for x in samples for p in perms
-    ):
-        blocks = parity_blocks(basis.degrees[n0:], basis.orders[n0:])
-        return [b for b in blocks if b.size], fold(basis.grid)
-    return [np.arange(basis.n_basis - n0)], None
 
 
 @dataclass(frozen=True)
@@ -452,6 +429,38 @@ def weighted_form(
     out += weighted[1] @ sv[1].T
     out += weighted[2] @ sv[2].T
     return out
+
+
+def gram_blocks(
+    basis: HarmonicBasis, w_lap, w_grad, l0: int, samples: tuple[NDArray[np.float64], ...] = ()
+) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
+    """Gram matrix of ``weighted_form`` over degrees >= l0, as (rows, block) pairs.
+
+    Rows count from row l0^2; the matrix is zero outside the blocks.
+    When the grid has reflections and each nodal array in ``samples``
+    (those the weights are built from; constant weights need none)
+    matches each reflection of itself to 1e-13 of its max, the blocks
+    are the non-empty parity classes, each integrated over the grid's
+    fold.  Otherwise one block holds every row, integrated on all nodes.
+    The blocks are symmetrized once their asymmetry is checked against
+    1e-12 of the largest entry over all blocks (or of 1).
+    """
+    n0 = l0 * l0
+    perms = reflections(basis.grid)
+    if perms and all(
+        np.abs(x[p] - x).max() <= 1e-13 * np.abs(x).max() for x in samples for p in perms
+    ):
+        blocks = [b for b in parity_blocks(basis.degrees[n0:], basis.orders[n0:]) if b.size]
+        nodes = fold(basis.grid)
+    else:
+        blocks, nodes = [np.arange(basis.n_basis - n0)], None
+    # one array as u and v, so that the rows' samples are formed once
+    forms = [weighted_form(basis, w_lap, w_grad, s, s, nodes) for s in [b + n0 for b in blocks]]
+    asym = max(np.abs(B - B.T).max() for B in forms)
+    scale = max(np.abs(B).max() for B in forms)
+    if asym > 1e-12 * max(scale, 1.0):
+        raise AssertionError(f"Gram matrix asymmetry {asym} exceeds tolerance")
+    return tuple((rows, 0.5 * (B + B.T)) for rows, B in zip(blocks, forms))
 
 
 def _field_against_rows(basis: HarmonicBasis, weighted, rows, fold: GridFold | None):

@@ -33,7 +33,12 @@ from wy_stability.cli import (
     parse_args,
     run,
 )
-from wy_stability.functional import eval_F
+from wy_stability.functional import (
+    HessianPencil,
+    assemble_pencil,
+    eval_F,
+    min_pencil_eigenvalue,
+)
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import HarmonicBasis, build_basis
 from wy_stability.models import h_family, negative_direction
@@ -76,6 +81,9 @@ def test_parse_args_rejects_garbage():
         parse_args(["gform", "--set", "unknown_key=1"])
     with pytest.raises(ConfigError):
         parse_args(["gform", "--set", "command=scan"])
+    assert parse_args(["certify", "--set", "alpha=none"]).alpha is None
+    with pytest.raises(ConfigError, match="alpha"):
+        parse_args(["certify", "--set", "alpha=-inf"])
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -112,7 +120,7 @@ def test_config_file_errors(tmp_path):
         load_config_file(str(tmp_path / "missing.cfg"))
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["integrals", "--out", str(out)]) == 0
     # a coarse grid cannot integrate degree 10 and the verdict flips
@@ -131,6 +139,17 @@ def test_exit_codes(tmp_path):
     assert main(cex + ["--set", "a=nan,0,1"]) == 2
     assert main(["gform", "--set", "a=inf,0,0"]) == 2
     assert main(["gform", "--ltrunc", "1", "--grid", "4x8"]) == 2
+    # a non-finite value, or a bracket of the wrong length, is refused
+    # before any work, by a message that names the key
+    for argv, message in (
+        (cex + ["--set", "r=nan"], "r must be finite"),
+        (cex + ["--set", "bbar=inf"], "bbar must be finite"),
+        (["gform", "--set", "bbar_list=nan"], "bbar_list must be finite"),
+        (["scan", "--set", "bracket=0.01"], "bracket needs 2 values"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith(f"error: {message}")
 
 
 def test_gform_needs_degree_two(tmp_path, capsys):
@@ -175,13 +194,15 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_commands_never_build_full_tables(tmp_path, monkeypatch):
-    # every computation works on the separable factors; the
-    # (L+1)^2 x n_nodes tables exist only to be inspected
+    # every computation works on the separable factors and the pencil's
+    # blocks; the (L+1)^2 x n_nodes tables and the dense M exist only to
+    # be inspected
     def refuse(self):
-        raise AssertionError("a full basis table was assembled")
+        raise AssertionError("a full basis table or the dense M was assembled")
 
     for name in ("values", "dtheta", "dphi"):
         monkeypatch.setattr(HarmonicBasis, name, property(refuse))
+    monkeypatch.setattr(HessianPencil, "M", property(refuse))
     grid = build_grid(25, 50)
     tracemalloc.start()
     try:
@@ -203,6 +224,23 @@ def test_commands_never_build_full_tables(tmp_path, monkeypatch):
         ):
             report, _ = run(replace(base, command=command, **extra))
             assert report["verdict"] in ("PASS", "FAIL")
+
+
+def test_pencil_stays_below_one_dense_M():
+    # the pencil keeps its parity blocks, about 1/8 of the dense M
+    grid = build_grid(25, 50)
+    basis = build_basis(grid, 24)
+    H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 1e-2, grid)
+    tracemalloc.start()
+    try:
+        pencil = assemble_pencil(basis, H)
+        min_pencil_eigenvalue(pencil)
+        min_pencil_eigenvalue(pencil, restrict=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pencil.blocks) == 8
+    assert peak < (25**2 - 1) ** 2 * 8  # one dense M would take 3.12 MB
 
 
 def test_counterexample_at_degree_96(tmp_path, monkeypatch):

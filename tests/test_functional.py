@@ -265,7 +265,7 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
         dense = one_block_M(basis, H)
         scale = np.abs(dense).max()
         inside = np.zeros(dense.shape, dtype=bool)
-        for rows in pencil.blocks:
+        for rows, _ in pencil.blocks:
             inside[np.ix_(rows, rows)] = True
         assert np.abs(dense[~inside]).max() <= 1e-13 * scale
         assert np.all(pencil.M[~inside] == 0.0)
@@ -288,7 +288,7 @@ def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.1, grid)
     pencil = assemble_pencil(build_basis(grid, 8), H)
     assert len(pencil.blocks) == 1
-    np.testing.assert_array_equal(pencil.blocks[0], np.arange(pencil.M.shape[0]))
+    np.testing.assert_array_equal(pencil.blocks[0][0], np.arange(pencil.M.shape[0]))
 
 
 @pytest.mark.parametrize("shape", BLOCK_GRIDS)
