@@ -36,6 +36,7 @@ from .functional import (
 )
 from .gform import (
     THRESHOLD_BBAR,
+    ZERO_DEFICIT_BBAR,
     Direction,
     RicciEigs,
     classify_bbar,
@@ -129,11 +130,9 @@ class ConfigError(Exception):
 
 
 def _parse_value(key: str, raw: str):
-    """Parse a raw string by the annotation of RunConfig field ``key``; floats must be finite."""
+    """Parse ``raw`` by the RunConfig annotation of ``key``; floats finite, tuples nonempty."""
     raw = raw.strip()
     kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return int(raw)
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -142,12 +141,20 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"cannot parse boolean {key}={raw!r}")
     if kind == "float | None" and raw.lower() == "none":
         return None
-    if kind == "tuple":
-        value = tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
-    elif kind.startswith("float"):
-        value = float(raw)
-    else:
-        return raw
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "tuple":
+            value = tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
+        elif kind.startswith("float"):
+            value = float(raw)
+        else:
+            return raw
+    except ValueError as exc:
+        what = {"int": "an integer", "tuple": "a list of numbers"}.get(kind, "a number")
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from exc
+    if kind == "tuple" and not value:
+        raise ConfigError(f"{key} needs at least one value")
     if not np.all(np.isfinite(value)):
         raise ConfigError(f"{key} must be finite, got {raw!r}")
     return value
@@ -407,7 +414,7 @@ def cmd_scan(config: RunConfig) -> dict:
     deficits_ok = all(
         row["deficit_closed"] > 0
         for row in rows
-        if not row["skipped"] and row["bbar"] < 1.0 / 30.0
+        if not row["skipped"] and row["bbar"] < ZERO_DEFICIT_BBAR
     )
     ok = (
         bisection is not None
@@ -454,7 +461,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
         "config_echo": _config_dict(config),
     }
     wpath = _witness_path(config)
-    wpath.write_text(json.dumps(witness, indent=2, sort_keys=True) + "\n")
+    wpath.write_text(json.dumps(witness, sort_keys=True) + "\n")
 
     results = [
         {
@@ -616,6 +623,8 @@ def run(config: RunConfig) -> tuple[dict, str]:
     """Execute a command; returns (report, rendered output)."""
     if config.command not in _DISPATCH:
         raise ConfigError(f"unknown command {config.command!r}")
+    if config.format not in ("json", "csv"):
+        raise ConfigError(f"format must be json or csv, got {config.format!r}")
     t0 = time.perf_counter()
     report = _DISPATCH[config.command](config)
     if config.timings:

@@ -160,7 +160,6 @@ class HessianPencil:
     L: int
     kdiag: NDArray[np.float64]
     degrees: NDArray[np.int64]
-    orders: NDArray[np.int64]
     blocks: tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]
 
     @property
@@ -250,7 +249,6 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
         L=basis.L,
         kdiag=basis.eigenvalues[1:] ** 2,
         degrees=basis.degrees[1:],
-        orders=basis.orders[1:],
         blocks=blocks,
     )
 

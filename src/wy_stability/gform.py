@@ -64,6 +64,7 @@ __all__ = [
     "INDEFINITE",
     "BORDERLINE",
     "THRESHOLD_BBAR",
+    "ZERO_DEFICIT_BBAR",
 ]
 
 POSITIVE = "POSITIVE"
@@ -71,6 +72,8 @@ INDEFINITE = "INDEFINITE"
 BORDERLINE = "BORDERLINE"
 
 THRESHOLD_BBAR = 1.0 / 90.0
+# the bbar at which the family's total deficit int (2 - H) dv vanishes
+ZERO_DEFICIT_BBAR = 1.0 / 30.0
 
 GAMMA_COEF = 5.0 / 12.0
 
@@ -180,7 +183,7 @@ def g_quadratic(eigs: RicciEigs, direction: Direction, bbar: float) -> GQuadrati
     """Scalar quadratic alpha - 2 beta t + gamma t^2 controlling min G."""
     A = compute_A(eigs, direction)
     D = A - (16.0 * math.pi / 75.0) * float((direction.a**2) @ (eigs.lam**2))
-    alpha = 4.0 * math.pi * (1.0 / 30.0 - bbar) * eigs.sum_sq + 0.5 * A
+    alpha = 4.0 * math.pi * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq + 0.5 * A
     beta = (5.0 / 6.0) * math.sqrt(D)
     return GQuadratic(
         A=A,
@@ -207,17 +210,17 @@ def _g_constant(
     """The eta2-free part of G: 4 pi (1/30 - bbar) sum lam_i^2 + A / 2."""
     eta1 = synthesize(basis, eta1_coeffs(direction, basis.L))
     phi = phi_field(eigs, basis.grid)
-    const = 4.0 * math.pi * (1.0 / 30.0 - bbar) * eigs.sum_sq
+    const = 4.0 * math.pi * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
     return const + 0.5 * integrate(basis.grid, eta1 * eta1 * phi * phi)
 
 
 def _g_cross(
-    basis: HarmonicBasis, eigs: RicciEigs, direction: Direction, eta2: FieldCoeffs | int
+    basis: HarmonicBasis, eigs: RicciEigs, direction: Direction, eta2: FieldCoeffs | None = None
 ):
     """int phi [Lap(eta1) Lap(eta2) / 4 + <grad eta1, grad eta2>] dv.
 
-    ``eta2`` is a field, or an int l0 for the vector over every basis
-    function of degree >= l0.
+    With ``eta2`` omitted, the vector of the form against every basis
+    function.
     """
     phi = phi_field(eigs, basis.grid)
     return weighted_form(basis, phi / 4.0, phi, eta1_coeffs(direction, basis.L), eta2)
@@ -312,7 +315,7 @@ def minimize_G(
         gram = g_gram(basis)
     # linear part: G contains -2 * b . v with
     # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
-    b = _g_cross(basis, eigs, direction, 2)
+    b = _g_cross(basis, eigs, direction)[4:]
     v = np.zeros_like(b)
     for rows, block in gram:
         v[rows] = np.linalg.solve(block, b[rows])

@@ -32,10 +32,10 @@ each.  That is O(L^3) memory where tables of every function at every
 node take O(L^4).  Fields are transformed one order at a time, as in
 Driscoll & Healy (1994) and Schaeffer (2013): synthesis is one Legendre
 sum over l per order m, then one matrix product in phi; analysis, and
-the form of a field against basis functions, run the transpose of both
-steps.  Each costs O(L^3).  The samples of basis functions that Gram
-matrices need are formed on demand at the requested nodes as the
-product of the two factors, the same products the tables would hold.
+``weighted_form`` of a field against every basis function, run the
+transpose of both steps.  Each costs O(L^3).  The basis samples that
+``weighted_gram`` needs are formed on demand at the requested nodes as
+the product of the two factors, the same products the tables would hold.
 
 Each basis function is even or odd under each coordinate reflection,
 by (l, m) alone:
@@ -47,7 +47,7 @@ by (l, m) alone:
 so the basis splits into 8 parity classes (``parity_blocks``).  A form
 whose weights are even under every reflection couples only rows of one
 class; ``gram_blocks`` builds the Gram matrices of the pencil and G as
-one block per class, each integrated on the folded grid.
+one ``weighted_gram`` per class, each integrated on the folded grid.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ __all__ = [
     "project",
     "gradient_dot",
     "weighted_form",
+    "weighted_gram",
 ]
 
 
@@ -123,9 +124,6 @@ class FieldCoeffs:
             raise ValueError(
                 f"coefficient array has shape {self.c.shape}, expected ({n},)"
             )
-
-    def copy(self) -> "FieldCoeffs":
-        return FieldCoeffs(self.L, self.c.copy())
 
 
 @dataclass(frozen=True)
@@ -382,52 +380,57 @@ def gradient_dot(
 
 
 def weighted_form(
-    basis: HarmonicBasis,
-    w_lap,
-    w_grad,
-    u: Union[FieldCoeffs, int, NDArray[np.int64]],
-    v: Union[FieldCoeffs, int, NDArray[np.int64]],
-    fold: GridFold | None = None,
+    basis: HarmonicBasis, w_lap, w_grad, u: FieldCoeffs, v: FieldCoeffs | None = None
 ):
     """Quadrature of int [w_lap Lap u Lap v + w_grad <grad u, grad v>] dv.
 
-    The weights are scalars or nodal samples.  Each of u and v is either
-    a field, an int l0 standing for every basis function of degree
-    >= l0 (rows l0^2 onward), or an array of basis row indices.  Two
-    fields give a scalar; a field and a set of rows give the vector of
-    the form against each of those basis functions, by three analysis
-    transforms of the field's weighted samples; two sets of rows give
-    the Gram matrix with rows from u and columns from v, from the rows'
-    samples.  When v is u the samples are computed once.
-
-    With a ``fold`` the sum runs over its representative nodes with its
-    orbit weights, reading nodal weights there.  That equals the full
-    quadrature only when the integrand is even under every reflection,
-    for example for rows of one parity block and reflection-even weights.
+    The weights are scalars or nodal samples.  Two fields give a scalar.
+    With v omitted, the result is the vector of the form of u against
+    every basis function, by three analysis transforms of the weighted
+    (Lap, d/dtheta, d/dphi) samples of u against the value,
+    theta-derivative and phi-derivative factors.
     """
-    if isinstance(v, FieldCoeffs) and not isinstance(u, FieldCoeffs):
-        u, v = v, u  # the form is symmetric; put the field first
-    su = _form_samples(basis, u, fold)
+    su = _field_samples(basis, u)
     w = basis.grid.weights
     inv_s2 = 1.0 / basis.grid.sin_theta**2
-    if fold is not None:
-        w, inv_s2 = fold.weights, inv_s2[fold.nodes]
-        w_lap, w_grad = (x[fold.nodes] if np.ndim(x) else x for x in (w_lap, w_grad))
-    if isinstance(v, FieldCoeffs):
-        # two fields: sum the pointwise integrand once.  Near H = 2 the
-        # three terms' separate sums are O(h) while the form is O(h^2),
-        # so summing them apart loses several more digits
-        sv = su if v is u else _form_samples(basis, v, fold)
+    if v is not None:
+        # sum the pointwise integrand once.  Near H = 2 the three terms'
+        # separate sums are O(h) while the form is O(h^2), so summing
+        # them apart loses several more digits
+        sv = su if v is u else _field_samples(basis, v)
         grad = su[1] * sv[1] + su[2] * sv[2] * inv_s2
         return float(w @ (w_lap * (su[0] * sv[0]) + w_grad * grad))
     wg = w * w_grad
-    weighted = (su[0] * (w * w_lap), su[1] * wg, su[2] * (wg * inv_s2))
-    if isinstance(u, FieldCoeffs):
-        return _field_against_rows(basis, weighted, _rows(basis, v), fold)
-    sv = su if v is u else _form_samples(basis, v, fold)
-    out = weighted[0] @ sv[0].T
-    out += weighted[1] @ sv[1].T
-    out += weighted[2] @ sv[2].T
+    out = -basis.eigenvalues * _analysis(basis, su[0] * (w * w_lap), basis.rad, basis.ang)
+    out += _analysis(basis, su[1] * wg, basis.drad, basis.ang)
+    out += _analysis(basis, su[2] * (wg * inv_s2), basis.rad, basis.dang)
+    return out
+
+
+def weighted_gram(
+    basis: HarmonicBasis, w_lap, w_grad, rows: NDArray[np.int64], fold: GridFold | None = None
+) -> NDArray[np.float64]:
+    """Gram matrix of ``weighted_form`` over the basis rows ``rows``.
+
+    Built from the rows' (Lap, d/dtheta, d/dphi) samples.  With a
+    ``fold`` the sum runs over its representative nodes with its orbit
+    weights, reading nodal weights there.  That equals the full
+    quadrature only when the integrand is even under every reflection,
+    for example for rows of one parity block and reflection-even weights.
+    """
+    nodes = None if fold is None else fold.nodes
+    w = basis.grid.weights
+    inv_s2 = 1.0 / basis.grid.sin_theta**2
+    if fold is not None:
+        w, inv_s2 = fold.weights, inv_s2[nodes]
+        w_lap, w_grad = (x[nodes] if np.ndim(x) else x for x in (w_lap, w_grad))
+    lap = _row_samples(basis, rows, nodes, basis.rad, basis.ang) * -basis.eigenvalues[rows, None]
+    dt = _row_samples(basis, rows, nodes, basis.drad, basis.ang)
+    dp = _row_samples(basis, rows, nodes, basis.rad, basis.dang)
+    wg = w * w_grad
+    out = (lap * (w * w_lap)) @ lap.T
+    out += (dt * wg) @ dt.T
+    out += (dp * (wg * inv_s2)) @ dp.T
     return out
 
 
@@ -440,10 +443,10 @@ def gram_blocks(
     When the grid has reflections and each nodal array in ``samples``
     (those the weights are built from; constant weights need none)
     matches each reflection of itself to 1e-13 of its max, the blocks
-    are the non-empty parity classes, each integrated over the grid's
-    fold.  Otherwise one block holds every row, integrated on all nodes.
-    The blocks are symmetrized once their asymmetry is checked against
-    1e-12 of the largest entry over all blocks (or of 1).
+    are the non-empty parity classes, each a ``weighted_gram`` on the
+    grid's fold.  Otherwise one ``weighted_gram`` on all nodes holds every
+    row.  The blocks are symmetrized once their asymmetry is checked
+    against 1e-12 of the largest entry over all blocks (or of 1).
     """
     n0 = l0 * l0
     perms = reflections(basis.grid)
@@ -454,8 +457,7 @@ def gram_blocks(
         nodes = fold(basis.grid)
     else:
         blocks, nodes = [np.arange(basis.n_basis - n0)], None
-    # one array as u and v, so that the rows' samples are formed once
-    forms = [weighted_form(basis, w_lap, w_grad, s, s, nodes) for s in [b + n0 for b in blocks]]
+    forms = [weighted_gram(basis, w_lap, w_grad, b + n0, nodes) for b in blocks]
     asym = max(np.abs(B - B.T).max() for B in forms)
     scale = max(np.abs(B).max() for B in forms)
     if asym > 1e-12 * max(scale, 1.0):
@@ -463,47 +465,12 @@ def gram_blocks(
     return tuple((rows, 0.5 * (B + B.T)) for rows, B in zip(blocks, forms))
 
 
-def _field_against_rows(basis: HarmonicBasis, weighted, rows, fold: GridFold | None):
-    """The form of a field against basis rows, from the field's weighted
-    (Lap, d/dtheta, d/dphi) samples: the analysis transforms of each
-    against the value, theta-derivative and phi-derivative factors.
-    With a fold the samples are zero off its representative nodes."""
-    q = np.zeros((3, basis.grid.n_nodes))
-    q[:, slice(None) if fold is None else fold.nodes] = weighted
-    out = -basis.eigenvalues * _analysis(basis, q[0], basis.rad, basis.ang)
-    out += _analysis(basis, q[1], basis.drad, basis.ang)
-    out += _analysis(basis, q[2], basis.rad, basis.dang)
-    return out[rows]
-
-
-def _rows(basis: HarmonicBasis, x: Union[int, NDArray[np.int64]]):
-    """Row indices: an index array as given, or an int l0 as rows l0^2 onward."""
-    if isinstance(x, np.ndarray):
-        return x
-    if not 0 <= x <= basis.L:
-        raise ValueError(f"degree block l >= {x} outside 0..{basis.L}")
-    return slice(x * x, None)
-
-
-def _form_samples(
-    basis: HarmonicBasis,
-    x: Union[FieldCoeffs, int, NDArray[np.int64]],
-    fold: GridFold | None,
-):
-    """(Lap, d/dtheta, d/dphi) samples of a field or of basis rows, on all
-    nodes or on the representative nodes of a fold."""
-    if isinstance(x, FieldCoeffs):
-        _check_match(basis, x)
-        cols = slice(None) if fold is None else fold.nodes
-        lap = _synthesis(basis, -basis.eigenvalues * x.c, basis.rad, basis.ang)
-        dt = _synthesis(basis, x.c, basis.drad, basis.ang)
-        dp = _synthesis(basis, x.c, basis.rad, basis.dang)
-        return lap[cols], dt[cols], dp[cols]
-    rows = _rows(basis, x)
-    nodes = None if fold is None else fold.nodes
-    lap = _row_samples(basis, rows, nodes, basis.rad, basis.ang) * -basis.eigenvalues[rows, None]
-    dt = _row_samples(basis, rows, nodes, basis.drad, basis.ang)
-    dp = _row_samples(basis, rows, nodes, basis.rad, basis.dang)
+def _field_samples(basis: HarmonicBasis, u: FieldCoeffs):
+    """(Lap, d/dtheta, d/dphi) samples of a field at every node."""
+    _check_match(basis, u)
+    lap = _synthesis(basis, -basis.eigenvalues * u.c, basis.rad, basis.ang)
+    dt = _synthesis(basis, u.c, basis.drad, basis.ang)
+    dp = _synthesis(basis, u.c, basis.rad, basis.dang)
     return lap, dt, dp
 
 

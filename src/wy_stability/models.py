@@ -34,7 +34,9 @@ from .functional import (
     eval_F,
     mean_curvature_from_h,
 )
-from .gform import THRESHOLD_BBAR, Direction, RicciEigs, eta1_coeffs, optimal_eta2, phi_field
+from .gform import (
+    THRESHOLD_BBAR, ZERO_DEFICIT_BBAR, Direction, RicciEigs, eta1_coeffs, optimal_eta2, phi_field
+)
 from .harmonics import FieldCoeffs, HarmonicBasis
 from .quad import SphereGrid, integrate
 
@@ -147,7 +149,7 @@ def h_family(
         raise ValueError(
             f"r = {r} exceeds the positivity radius {rmax:.6f} for this family"
         )
-    h = r * r * phi_field(eigs, grid) - (1.0 / 30.0 - bbar) * r**4 * eigs.sum_sq
+    h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
     tag = f"h_family(lam={tuple(eigs.lam)!r}, bbar={bbar!r}, r={r!r})"
     return mean_curvature_from_h(grid, h, tag=tag)
 
@@ -169,7 +171,7 @@ def positivity_radius(eigs: RicciEigs) -> float:
 
 def deficit_closed_form(eigs: RicciEigs, bbar: float, r: float) -> float:
     """Closed form of the total deficit int (2 - H) dv for the family."""
-    return 4.0 * math.pi * r**4 * (1.0 / 30.0 - bbar) * eigs.sum_sq
+    return 4.0 * math.pi * r**4 * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
 
 
 def small_sphere_mass(cd: CurvatureData, r: float) -> float:

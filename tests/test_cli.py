@@ -146,6 +146,13 @@ def test_exit_codes(tmp_path, capsys):
         (cex + ["--set", "bbar=inf"], "bbar must be finite"),
         (["gform", "--set", "bbar_list=nan"], "bbar_list must be finite"),
         (["scan", "--set", "bracket=0.01"], "bracket needs 2 values"),
+        # an unknown format, an empty list, or a value that does not parse
+        (["integrals", "--set", "format=xml"], "format must be json or csv"),
+        (["integrals", "--set", "format=CSV"], "format must be json or csv"),
+        (["gform", "--set", "bbar_list="], "bbar_list needs at least one value"),
+        (["small-sphere", "--set", "r_list="], "r_list needs at least one value"),
+        (["gform", "--set", "ltrunc=8.0"], "ltrunc must be an integer"),
+        (cex + ["--set", "r=abc"], "r must be a number"),
     ):
         capsys.readouterr()
         assert main(argv) == 2

@@ -23,11 +23,11 @@ from wy_stability.cli import RunConfig
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import (
     FieldCoeffs,
-    _form_samples,
+    _field_samples,
     build_basis,
     index_of,
     synthesize,
-    weighted_form,
+    weighted_gram,
 )
 from wy_stability.models import h_family, negative_direction
 from wy_stability.quad import build_grid
@@ -242,7 +242,7 @@ BLOCK_GRIDS = [(25, 50), (32, 64), (49, 98)]
 
 def one_block_M(basis, H):
     # the pencil without blocking: every l >= 1 row on every node
-    M = weighted_form(basis, -H.h / (2.0 * H.samples), -H.h, 1, 1)
+    M = weighted_gram(basis, -H.h / (2.0 * H.samples), -H.h, np.arange(1, basis.n_basis))
     mu = basis.eigenvalues[1:]
     M[np.diag_indices_from(M)] += mu * (0.5 * mu - 1.0)
     return 0.5 * (M + M.T)
@@ -322,7 +322,7 @@ def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
 
 def extended_F(basis, H, eta):
     # F in deficit form from the same float64 samples, summed at 40 digits
-    lap, dtheta, dphi = _form_samples(basis, eta, None)
+    lap, dtheta, dphi = _field_samples(basis, eta)
     mpf = mpmath.mpf
     with mpmath.workdps(40):
         mu = [mpf(x) for x in basis.eigenvalues]

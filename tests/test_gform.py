@@ -35,6 +35,7 @@ from wy_stability.harmonics import (
     project,
     synthesize,
     weighted_form,
+    weighted_gram,
 )
 from wy_stability.quad import build_grid, integrate
 
@@ -223,10 +224,10 @@ BLOCK_GRIDS = [(25, 50), (32, 64), (49, 98)]
 
 def dense_minimize_G(basis, eigs, d, bbar):
     # the stationarity solve without blocking: every l >= 2 row on every node
-    Q = weighted_form(basis, 0.5, -1.0, 2, 2)
+    Q = weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
     Q = 0.5 * (Q + Q.T)
     phi = phi_field(eigs, basis.grid)
-    b = weighted_form(basis, phi / 4.0, phi, eta1_coeffs(d, basis.L), 2)
+    b = weighted_form(basis, phi / 4.0, phi, eta1_coeffs(d, basis.L))[4:]
     v = np.linalg.solve(Q, b)
     zero = FieldCoeffs(basis.L, np.zeros(basis.n_basis))
     return eval_G(basis, eigs, d, bbar, zero) - float(b @ v), v
@@ -235,7 +236,7 @@ def dense_minimize_G(basis, eigs, d, bbar):
 @pytest.mark.parametrize("shape", BLOCK_GRIDS)
 def test_blocked_gram_matches_dense(shape):
     basis = build_basis(build_grid(*shape), 12)
-    dense = weighted_form(basis, 0.5, -1.0, 2, 2)
+    dense = weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
     scale = np.abs(dense).max()
     gram = g_gram(basis)
     assert len(gram) == 8

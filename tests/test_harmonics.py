@@ -12,7 +12,8 @@ from wy_stability.functional import assemble_pencil, mean_curvature_from_h
 from wy_stability.gform import g_gram
 from wy_stability.harmonics import (
     FieldCoeffs,
-    _form_samples,
+    _field_samples,
+    _row_samples,
     analyze,
     build_basis,
     gradient_dot,
@@ -22,6 +23,7 @@ from wy_stability.harmonics import (
     project,
     synthesize,
     weighted_form,
+    weighted_gram,
 )
 from wy_stability.quad import build_grid, fold, integrate, reflections
 
@@ -181,7 +183,7 @@ def test_field_coeffs_shape_check():
 
 def test_weighted_form_round_identity():
     # int [ Lap u Lap v / 2 - <grad u, grad v> ] is diag(mu (mu/2 - 1)) on l >= 2
-    gram = weighted_form(BASIS, 0.5, -1.0, 2, 2)
+    gram = weighted_gram(BASIS, 0.5, -1.0, np.arange(4, NMODES))
     mu = BASIS.eigenvalues[4:]
     expected = np.diag(mu * (0.5 * mu - 1.0))
     assert np.max(np.abs(gram - expected)) < 1e-12 * np.max(np.abs(expected))
@@ -191,7 +193,7 @@ def test_weighted_form_scalar_vector_and_gram_agree():
     rng = np.random.default_rng(59)
     w_lap = 1.0 + rng.random(GRID.n_nodes)
     w_grad = rng.normal(size=GRID.n_nodes)
-    gram = weighted_form(BASIS, w_lap, w_grad, 1, 1)
+    gram = weighted_gram(BASIS, w_lap, w_grad, np.arange(1, NMODES))
     for _ in range(3):
         u = FieldCoeffs(8, rng.normal(size=NMODES))
         v = FieldCoeffs(8, rng.normal(size=NMODES))
@@ -200,10 +202,7 @@ def test_weighted_form_scalar_vector_and_gram_agree():
         assert abs(scalar - u.c[1:] @ gram @ v.c[1:]) < 1e-13 * scale
         gv = gram @ v.c[1:]
         vec_scale = np.abs(gram).max() * np.abs(v.c).sum()
-        assert np.max(np.abs(weighted_form(BASIS, w_lap, w_grad, 1, v) - gv)) < 1e-13 * vec_scale
-        assert np.max(np.abs(weighted_form(BASIS, w_lap, w_grad, v, 1) - gv)) < 1e-13 * vec_scale
-    with pytest.raises(ValueError):
-        weighted_form(BASIS, 1.0, 1.0, 9, 9)
+        assert np.max(np.abs(weighted_form(BASIS, w_lap, w_grad, v)[1:] - gv)) < 1e-13 * vec_scale
 
 
 def test_parity_blocks_agree_with_the_tables():
@@ -294,25 +293,25 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     ref_grad = ut * (dtheta.T @ v.c) + up * (dphi.T @ v.c) * inv_s2
     assert close(gradient_dot(basis, u, v), ref_grad)
     ref_samples = (values.T @ (-mu * u.c), ut, up)
-    folded = fold(grid)
-    for nodes in [None] + ([folded] if folded else []):
-        cols = slice(None) if nodes is None else nodes.nodes
-        for got, ref in zip(_form_samples(basis, u, nodes), ref_samples):
-            assert close(got, ref[cols])
+    for got, ref in zip(_field_samples(basis, u), ref_samples):
+        assert close(got, ref)
 
     # a field against rows: three analysis transforms, no row samples
     w_lap, w_grad = 1.0 + rng.random(grid.n_nodes), rng.normal(size=grid.n_nodes)
     wl, wg = grid.weights * w_lap, grid.weights * w_grad
     ref_form = -mu * (values @ (ref_samples[0] * wl))
     ref_form += dtheta @ (ut * wg) + dphi @ (up * wg * inv_s2)
-    assert close(weighted_form(basis, w_lap, w_grad, u, 2), ref_form[4:])
+    assert close(weighted_form(basis, w_lap, w_grad, u)[4:], ref_form[4:])
     rows = rng.choice(basis.n_basis, size=40, replace=False)
-    assert close(weighted_form(basis, w_lap, w_grad, rows, u), ref_form[rows])
+    assert close(weighted_form(basis, w_lap, w_grad, u)[rows], ref_form[rows])
 
     # row samples: the table entries, bit for bit, at fold nodes and all nodes
-    for nodes in [None] + ([folded] if folded else []):
-        cols = slice(None) if nodes is None else nodes.nodes
-        lap, dt, dp = _form_samples(basis, rows, nodes)
+    folded = fold(grid)
+    for nodes in [None] + ([folded.nodes] if folded else []):
+        cols = slice(None) if nodes is None else nodes
+        lap = _row_samples(basis, rows, nodes, basis.rad, basis.ang) * -mu[rows, None]
+        dt = _row_samples(basis, rows, nodes, basis.drad, basis.ang)
+        dp = _row_samples(basis, rows, nodes, basis.rad, basis.dang)
         np.testing.assert_array_equal(lap, values[rows][:, cols] * -mu[rows, None])
         np.testing.assert_array_equal(dt, dtheta[rows][:, cols])
         np.testing.assert_array_equal(dp, dphi[rows][:, cols])
