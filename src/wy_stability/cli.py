@@ -33,6 +33,7 @@ from .functional import (
     assemble_pencil,
     constant_field,
     min_pencil_eigenvalue,
+    pencil_minima,
 )
 from .gform import (
     THRESHOLD_BBAR,
@@ -346,20 +347,26 @@ def cmd_gform(config: RunConfig) -> dict:
 
 def _min_eigs(basis, H) -> tuple[float, float]:
     """Pencil minima over degrees l >= 1 and over l >= 2."""
-    pencil = assemble_pencil(basis, H)
-    unres, _ = min_pencil_eigenvalue(pencil)
-    res, _ = min_pencil_eigenvalue(pencil, restrict=True)
-    return unres, res
+    return pencil_minima(assemble_pencil(basis, H))
 
 
 def cmd_scan(config: RunConfig) -> dict:
     """Pencil eigenvalue scan over (bbar, r) plus threshold bisection."""
     if len(config.bracket) != 2:
         raise ConfigError(f"bracket needs 2 values (lo, hi), got {len(config.bracket)}")
-    grid = build_grid(config.n_theta, config.n_phi)
-    basis = build_basis(grid, config.ltrunc)
+    if not config.bracket[0] < config.bracket[1]:
+        raise ConfigError(f"bracket needs lo < hi, got {list(config.bracket)}")
     eigs = RicciEigs(config.lam)
     rmax = positivity_radius(eigs)
+    if not 0 < config.bisect_r <= rmax:
+        raise ConfigError(
+            f"bisect_r must lie in (0, {rmax:.6f}], the positivity radius, "
+            f"got {config.bisect_r}"
+        )
+    if not config.bisect_r**4 >= np.finfo(np.float64).tiny:
+        raise ConfigError(f"bisect_r = {config.bisect_r} is too small: the r^4 term underflows")
+    grid = build_grid(config.n_theta, config.n_phi)
+    basis = build_basis(grid, config.ltrunc)
 
     rows = []
     for bbar in config.bbar_list:
@@ -680,6 +687,9 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         if not sep or key not in _FIELD_TYPES or key == "command":
             raise ConfigError(f"cannot apply override {item!r}")
         overrides[key] = _parse_value(key, raw)
+    for key in ("out", "witness"):
+        if overrides.get(key) == "":
+            raise ConfigError(f"{key} must name a file, got an empty path")
     return replace(RunConfig(command=args.command), **overrides)
 
 

@@ -30,13 +30,18 @@ the harmonics of degree l >= 1 and K = diag(l^2 (l+1)^2) is the Gram
 matrix of int (Lap eta)^2.  Constants are excluded: both forms vanish
 on them identically.
 
-When H is even under the three coordinate reflections, as the quartic
-family is, Q_H couples only harmonics of the same reflection parity, so
-the pencil splits into 8 independent blocks.  Each block is then
-integrated over one representative node per reflection orbit and solved
-on its own; the cross-block entries are exact zeros instead of roundoff,
-which keeps an O(r^4) eigenvalue from drowning in the O(1) spectrum.
-The pencil stores only the blocks; the dense M is built when read.
+The pencil splits into independent blocks whenever h has a symmetry
+the grid can see, and each block is solved on its own; the cross-block
+entries are exact zeros instead of roundoff, which keeps an O(r^4)
+eigenvalue from drowning in the O(1) spectrum.  When h does not depend
+on phi, as for the quartic family with lam1 = lam2, Q_H couples only
+harmonics of one azimuthal order and trig type: one block per order,
+built from theta sums alone, shared by its cos and sin rows.  Otherwise,
+when h is even under the three coordinate reflections, as the quartic
+family always is, the pencil splits into the 8 reflection parity
+classes, each integrated over one representative node per reflection
+orbit.  The pencil stores only the blocks; the dense M is built when
+read.
 """
 
 from __future__ import annotations
@@ -47,7 +52,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .harmonics import FieldCoeffs, HarmonicBasis, gram_blocks, index_of, weighted_form
+from .harmonics import (
+    FieldCoeffs,
+    HarmonicBasis,
+    gram_blocks,
+    index_of,
+    shared_blocks,
+    weighted_form,
+)
 from .quad import SphereGrid, integrate
 
 __all__ = [
@@ -61,6 +73,7 @@ __all__ = [
     "kernel_closed_form",
     "assemble_pencil",
     "min_pencil_eigenvalue",
+    "pencil_minima",
     "decompose_kernel",
 ]
 
@@ -151,10 +164,13 @@ class HessianPencil:
     holds the exact diagonal l^2 (l+1)^2 of the comparison form
     int (Lap eta)^2.  Row index order follows the basis with the l=0
     entry removed.  M is stored as ``blocks``, (rows, block) pairs of
-    its independent diagonal blocks in a fixed order: the nonempty
-    reflection parity classes when H is reflection-even, else one block
-    of every row.  M is zero outside them; reading ``M`` assembles the
-    dense matrix (46 MB at L = 48) for inspection.
+    its independent diagonal blocks in a fixed order, as ``gram_blocks``
+    chooses them: one block per azimuthal order and trig type when h is
+    constant on every theta ring, where the cos and sin rows of an order
+    share one matrix object; else the nonempty reflection parity classes
+    when h is reflection-even; else one block of every row.  M is zero
+    outside them; reading ``M`` assembles the dense matrix (46 MB at
+    L = 48) for inspection.
     """
 
     L: int
@@ -235,15 +251,18 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
 
     M is built in deficit form, like eval_Q: the symmetrized Gram blocks
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
-    (gradients), plus the exact round diagonal mu^2/2 - mu.  When h
-    matches its reflections to 1e-13 of max|h| on a grid that has them,
-    the blocks are the 8 parity classes, each integrated over the folded
-    grid; otherwise one block holds every row, integrated on all nodes.
+    (gradients), plus the exact round diagonal mu^2/2 - mu, added once
+    to each distinct block.  The blocks are the 2L + 1 (order, trig type)
+    classes when h is constant on every theta ring to 1e-13 of max|h|,
+    built by theta sums alone; else the 8 parity classes, each
+    integrated over the folded grid, when h matches its reflections to
+    1e-13 of max|h| on a grid that has them; otherwise one block holds
+    every row, integrated on all nodes.
     """
     _check_field(basis, H)
     blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h, 1, (H.h,))
     diag = _round_diagonal(basis)[1:]
-    for rows, B in blocks:
+    for (rows, *_), B in shared_blocks(blocks):
         B[np.diag_indices_from(B)] += diag[rows]
     return HessianPencil(
         L=basis.L,
@@ -253,14 +272,29 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     )
 
 
+def _lowest_pair(kdiag, rows, B) -> tuple[float, NDArray[np.float64]]:
+    """Smallest eigenvalue of the block pencil (B, diag(kdiag[rows])) and its vector."""
+    inv_sqrt_k = 1.0 / np.sqrt(kdiag[rows])
+    try:
+        evals, evecs = np.linalg.eigh(B * np.outer(inv_sqrt_k, inv_sqrt_k))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
+    return float(evals[0]), evecs[:, 0] * inv_sqrt_k
+
+
+def _check_restrict(pencil: HessianPencil) -> None:
+    if pencil.L < 2:
+        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
+
+
 def min_pencil_eigenvalue(
     pencil: HessianPencil, restrict: bool = False
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
 
-    Each block of the pencil is solved on its own; the minimum is the
-    smallest block minimum, the first block in ``pencil.blocks`` order
-    on a tie.
+    Each distinct block of the pencil is solved once, on its own; the
+    minimum is the smallest block minimum, the first block in
+    ``pencil.blocks`` order on a tie.
 
     Parameters
     ----------
@@ -276,23 +310,18 @@ def min_pencil_eigenvalue(
         sign (largest-magnitude coefficient positive).  The witness is
         returned as full coefficients with the l = 0 slot zero.
     """
-    if restrict and pencil.L < 2:
-        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
+    if restrict:
+        _check_restrict(pencil)
     best = None
-    for rows, B in pencil.blocks:
+    for (rows, *_), B in shared_blocks(pencil.blocks):
         if restrict:
             keep = pencil.degrees[rows] >= 2
             rows, B = rows[keep], B[np.ix_(keep, keep)]
         if rows.size == 0:
             continue
-        inv_sqrt_k = 1.0 / np.sqrt(pencil.kdiag[rows])
-        Mt = B * np.outer(inv_sqrt_k, inv_sqrt_k)
-        try:
-            evals, evecs = np.linalg.eigh(Mt)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-            raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
-        if best is None or evals[0] < best[0]:
-            best = (float(evals[0]), rows, evecs[:, 0] * inv_sqrt_k)
+        value, v = _lowest_pair(pencil.kdiag, rows, B)
+        if best is None or value < best[0]:
+            best = (value, rows, v)
     value, rows, v = best
 
     c = np.zeros((pencil.L + 1) ** 2)
@@ -303,6 +332,27 @@ def min_pencil_eigenvalue(
     if c[imax] < 0:
         c = -c
     return value, FieldCoeffs(pencil.L, c)
+
+
+def pencil_minima(pencil: HessianPencil) -> tuple[float, float]:
+    """The values of ``min_pencil_eigenvalue`` over l >= 1 and over l >= 2, from one pass.
+
+    Each distinct block is solved once for both minima; only a block
+    with an l = 1 row is solved again without that row for the
+    restricted one.
+    """
+    _check_restrict(pencil)
+    unres = res = math.inf
+    for (rows, *_), B in shared_blocks(pencil.blocks):
+        low = _lowest_pair(pencil.kdiag, rows, B)[0]
+        unres = min(unres, low)
+        keep = pencil.degrees[rows] >= 2
+        if not keep.all():
+            if not keep.any():
+                continue
+            low = _lowest_pair(pencil.kdiag, rows[keep], B[np.ix_(keep, keep)])[0]
+        res = min(res, low)
+    return unres, res
 
 
 def decompose_kernel(basis: HarmonicBasis, coeffs: FieldCoeffs) -> KernelDecomposition:

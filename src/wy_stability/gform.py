@@ -40,6 +40,7 @@ from .harmonics import (
     gram_blocks,
     index_of,
     project,
+    shared_blocks,
     synthesize,
     weighted_form,
 )
@@ -282,9 +283,10 @@ def g_gram(basis: HarmonicBasis) -> tuple[tuple[NDArray[np.int64], NDArray[np.fl
 
     Each block is the symmetrized Gram matrix of
     int [Lap(u) Lap(v) / 2 - <grad u, grad v>] dv over its rows, counted
-    from the first degree-2 row.  The weights are constant, so on a grid
-    with reflections the blocks are the parity classes, each integrated
-    over the folded grid; otherwise one block holds every row.
+    from the first degree-2 row.  The weights are constant, so on any
+    grid the blocks are the 2L + 1 (order, trig type) classes of
+    ``gram_blocks``, built by theta sums alone; the cos and sin rows of
+    an order share one matrix object.
     """
     if basis.L < 2:
         raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
@@ -303,7 +305,8 @@ def minimize_G(
     This is an independent route to the minimum: the quadratic part of G
     is the Gram matrix ``g_gram`` assembles by quadrature (not the
     spectral diagonal), the linear part comes from the cross-term
-    integrand, and each block of the system is solved directly.  The
+    integrand, and each distinct block of the system is solved directly,
+    once for all the row sets that share it.  The
     Gram matrix is symmetric positive definite: on degrees l >= 2 it
     equals diag(mu (mu/2 - 1)) >= 12, mu = l(l+1), up to quadrature
     roundoff.  It depends only on the basis; pass ``gram`` to reuse one
@@ -317,8 +320,10 @@ def minimize_G(
     # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
     b = _g_cross(basis, eigs, direction)[4:]
     v = np.zeros_like(b)
-    for rows, block in gram:
-        v[rows] = np.linalg.solve(block, b[rows])
+    for row_sets, block in shared_blocks(gram):
+        x = np.linalg.solve(block, np.stack([b[rows] for rows in row_sets], axis=1))
+        for rows, col in zip(row_sets, x.T):
+            v[rows] = col
     value = _g_constant(basis, eigs, direction, bbar) - float(b @ v)
 
     c = np.zeros((basis.L + 1) ** 2)

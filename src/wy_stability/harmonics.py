@@ -46,8 +46,13 @@ by (l, m) alone:
 
 so the basis splits into 8 parity classes (``parity_blocks``).  A form
 whose weights are even under every reflection couples only rows of one
-class; ``gram_blocks`` builds the Gram matrices of the pencil and G as
-one ``weighted_gram`` per class, each integrated on the folded grid.
+class.  A form whose weights do not depend on phi couples only rows of
+one order |m| and one trig type, because the discrete cos and sin
+factors are orthogonal on the uniform phi nodes.  ``gram_blocks``, the
+one builder of the Gram matrices of the pencil and G, takes the finest
+of these splittings that the weights allow: per order from theta sums
+alone (``_order_grams``), per parity class as one ``weighted_gram`` on
+the folded grid, or one block of every row.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
     "index_of",
     "parity_blocks",
     "gram_blocks",
+    "shared_blocks",
     "analyze",
     "synthesize",
     "laplacian",
@@ -440,29 +446,106 @@ def gram_blocks(
     """Gram matrix of ``weighted_form`` over degrees >= l0, as (rows, block) pairs.
 
     Rows count from row l0^2; the matrix is zero outside the blocks.
-    When the grid has reflections and each nodal array in ``samples``
-    (those the weights are built from; constant weights need none)
-    matches each reflection of itself to 1e-13 of its max, the blocks
-    are the non-empty parity classes, each a ``weighted_gram`` on the
-    grid's fold.  Otherwise one ``weighted_gram`` on all nodes holds every
-    row.  The blocks are symmetrized once their asymmetry is checked
+    ``samples`` are the nodal arrays the weights are built from
+    (constant weights need none).  The blocks are the first that apply:
+
+    - per azimuthal order, when each array in ``samples`` is constant on
+      every theta ring to 1e-13 of its max.  The form then couples only
+      rows of one order a = |m| and one trig type, and the cos and sin
+      rows of an order share one matrix object (``_order_grams``);
+    - per reflection parity class, when the grid has reflections and each
+      array matches each reflection of itself to 1e-13 of its max: one
+      ``weighted_gram`` per non-empty class, on the grid's fold;
+    - otherwise one ``weighted_gram`` of every row on all nodes.
+
+    Each distinct block is symmetrized once its asymmetry is checked
     against 1e-12 of the largest entry over all blocks (or of 1).
     """
     n0 = l0 * l0
-    perms = reflections(basis.grid)
-    if perms and all(
-        np.abs(x[p] - x).max() <= 1e-13 * np.abs(x).max() for x in samples for p in perms
+    nphi = basis.grid.n_phi
+
+    def close(x, y) -> bool:
+        return np.abs(x - y).max() <= 1e-13 * np.abs(x).max()
+
+    if all(close(x.reshape(-1, nphi), x[::nphi, None]) for x in samples):
+        blocks, forms = _order_grams(basis, w_lap, w_grad, l0)
+    elif (perms := reflections(basis.grid)) and all(
+        close(x, x[p]) for x in samples for p in perms
     ):
-        blocks = [b for b in parity_blocks(basis.degrees[n0:], basis.orders[n0:]) if b.size]
+        classes = [b for b in parity_blocks(basis.degrees[n0:], basis.orders[n0:]) if b.size]
         nodes = fold(basis.grid)
+        blocks = [(b, k) for k, b in enumerate(classes)]
+        forms = [weighted_gram(basis, w_lap, w_grad, b + n0, nodes) for b in classes]
     else:
-        blocks, nodes = [np.arange(basis.n_basis - n0)], None
-    forms = [weighted_gram(basis, w_lap, w_grad, b + n0, nodes) for b in blocks]
+        blocks = [(np.arange(basis.n_basis - n0), 0)]
+        forms = [weighted_gram(basis, w_lap, w_grad, np.arange(n0, basis.n_basis))]
     asym = max(np.abs(B - B.T).max() for B in forms)
     scale = max(np.abs(B).max() for B in forms)
     if asym > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"Gram matrix asymmetry {asym} exceeds tolerance")
-    return tuple((rows, 0.5 * (B + B.T)) for rows, B in zip(blocks, forms))
+    forms = [0.5 * (B + B.T) for B in forms]
+    return tuple((rows, forms[k]) for rows, k in blocks)
+
+
+def shared_blocks(
+    blocks: tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...],
+) -> list[tuple[list[NDArray[np.int64]], NDArray[np.float64]]]:
+    """Group the (rows, block) pairs of ``gram_blocks`` by block object.
+
+    Returns one (row sets, block) pair per distinct matrix, in the order
+    each first appears, so that a matrix shared by the cos and sin rows
+    of one order is shifted and solved once.  Row sets that share a
+    matrix have the same degrees in the same order, so the first one
+    serves for anything that depends on degrees alone.
+    """
+    groups: dict[int, tuple[list, NDArray[np.float64]]] = {}
+    for rows, B in blocks:
+        groups.setdefault(id(B), ([], B))[0].append(rows)
+    return list(groups.values())
+
+
+def _order_grams(
+    basis: HarmonicBasis, w_lap, w_grad, l0: int
+) -> tuple[list[tuple[NDArray[np.int64], int]], list[NDArray[np.float64]]]:
+    """Gram matrices of ``weighted_form`` per azimuthal order, for weights constant in phi.
+
+    Returns ``(blocks, forms)``: ``forms[a]`` is the Gram matrix over
+    degrees l >= max(a, l0) of order a, and ``blocks`` lists the pairs
+    (rows, a) of the cos rows of every order and the sin rows of every
+    order a > 0, rows counted from row l0^2.  The weights are read on
+    the first node of each theta ring.
+
+    On the product grid the phi sums are done exactly: for a, a' <= L
+    and 2L < n_phi, sum_j cos(a phi_j) cos(a' phi_j) is n_phi/2 when
+    a = a' > 0 and zero when a != a', and likewise for sin, while
+    cos and sin never couple.  So every entry is a theta sum of the
+    Legendre factors against ring weights, and the three terms of the
+    form are three matrix products batched over all orders, O(L^3 n_theta)
+    in all.  Driscoll & Healy (1994) and Schaeffer (2013) use the same
+    orthogonality of the discrete Fourier factors.
+    """
+    L, nphi = basis.L, basis.grid.n_phi
+    a = np.arange(L + 1)
+    # ring sums of the nodal weights; cos^2 and sin^2 average 1/2 on a ring
+    ring = np.where(a > 0, 0.5, 1.0)[:, None] * basis.grid.weights[::nphi] * nphi
+    inv_s2 = 1.0 / basis.grid.sin_theta[::nphi] ** 2
+    w_lap, w_grad = (x[::nphi] if np.ndim(x) else x for x in (w_lap, w_grad))
+    rad, drad = basis.rad, basis.drad
+    mu = a * (a + 1.0)  # l(l+1), l = 0..L
+    lap = rad * -mu[None, :, None]
+    G = (lap * (ring * w_lap)[:, None]) @ lap.transpose(0, 2, 1)
+    G += (drad * (ring * w_grad)[:, None]) @ drad.transpose(0, 2, 1)
+    G += (rad * (ring * w_grad * inv_s2 * (a * a)[:, None])[:, None]) @ rad.transpose(0, 2, 1)
+
+    n0 = l0 * l0
+    blocks, forms = [], []
+    for m in a:
+        l = np.arange(max(m, l0), L + 1)
+        forms.append(G[m, l[0]:, l[0]:])
+        blocks.append((l * l + l + m - n0, m))
+        if m:
+            blocks.append((l * l + l - m - n0, m))
+    return blocks, forms
 
 
 def _field_samples(basis: HarmonicBasis, u: FieldCoeffs):

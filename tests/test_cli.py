@@ -120,7 +120,7 @@ def test_config_file_errors(tmp_path):
         load_config_file(str(tmp_path / "missing.cfg"))
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.json"
     assert main(["integrals", "--out", str(out)]) == 0
     # a coarse grid cannot integrate degree 10 and the verdict flips
@@ -139,13 +139,22 @@ def test_exit_codes(tmp_path, capsys):
     assert main(cex + ["--set", "a=nan,0,1"]) == 2
     assert main(["gform", "--set", "a=inf,0,0"]) == 2
     assert main(["gform", "--ltrunc", "1", "--grid", "4x8"]) == 2
-    # a non-finite value, or a bracket of the wrong length, is refused
-    # before any work, by a message that names the key
+    # a non-finite value, a bad bracket or bisection radius, or an empty
+    # output path is refused before any work, by a message that names the key
+    def refuse(grid, L):
+        raise AssertionError("a bad input reached the basis build")
+
+    monkeypatch.setattr(cli_module, "build_basis", refuse)
     for argv, message in (
         (cex + ["--set", "r=nan"], "r must be finite"),
         (cex + ["--set", "bbar=inf"], "bbar must be finite"),
         (["gform", "--set", "bbar_list=nan"], "bbar_list must be finite"),
         (["scan", "--set", "bracket=0.01"], "bracket needs 2 values"),
+        (["scan", "--set", "bracket=0.02,0.01"], "bracket needs lo < hi"),
+        (["scan", "--set", "bisect_r=5"], "bisect_r must lie in (0, "),
+        (["scan", "--set", "bisect_r=0"], "bisect_r must lie in (0, "),
+        (["counterexample", "--set", "out="], "out must name a file"),
+        (["counterexample", "--set", "witness="], "witness must name a file"),
         # an unknown format, an empty list, or a value that does not parse
         (["integrals", "--set", "format=xml"], "format must be json or csv"),
         (["integrals", "--set", "format=CSV"], "format must be json or csv"),
@@ -234,7 +243,9 @@ def test_commands_never_build_full_tables(tmp_path, monkeypatch):
 
 
 def test_pencil_stays_below_one_dense_M():
-    # the pencil keeps its parity blocks, about 1/8 of the dense M
+    # the family at lam = (1, 1, -2) does not depend on phi: the pencil
+    # keeps one block per (order, trig type), 2L + 1 of them, and the cos
+    # and sin blocks of an order share one matrix, L + 1 matrices in all
     grid = build_grid(25, 50)
     basis = build_basis(grid, 24)
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 1e-2, grid)
@@ -246,7 +257,8 @@ def test_pencil_stays_below_one_dense_M():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pencil.blocks) == 8
+    assert len(pencil.blocks) == 2 * 24 + 1
+    assert len({id(block) for _, block in pencil.blocks}) == 24 + 1
     assert peak < (25**2 - 1) ** 2 * 8  # one dense M would take 3.12 MB
 
 

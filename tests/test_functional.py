@@ -18,6 +18,7 @@ from wy_stability.functional import (
     mean_curvature_field,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
+    pencil_minima,
 )
 from wy_stability.cli import RunConfig
 from wy_stability.gform import Direction, RicciEigs
@@ -284,24 +285,95 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
 def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     pencil = assemble_pencil(BASIS, random_positive_field(np.random.default_rng(61)))
     assert len(pencil.blocks) == 1
-    grid = build_grid(25, 51)  # no node at phi = pi - phi_j
-    H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.1, grid)
+    # three distinct lam: h depends on phi, and the grid has no node at
+    # phi = pi - phi_j to fold by
+    grid = build_grid(25, 51)
+    H = h_family(RicciEigs(np.array([0.7, 0.5, -1.2])), 1.0 / 30.0, 0.1, grid)
     pencil = assemble_pencil(build_basis(grid, 8), H)
     assert len(pencil.blocks) == 1
     np.testing.assert_array_equal(pencil.blocks[0][0], np.arange(pencil.M.shape[0]))
 
 
+def order_rows(L, l0):
+    # the (order, trig type) classes in gram_blocks order, counted from row l0^2
+    out = []
+    for a in range(L + 1):
+        l = np.arange(max(a, l0), L + 1)
+        out += [l * l + l + m - l0 * l0 for m in ((a, -a) if a else (0,))]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(25, 50), (25, 51)])
+def test_axisymmetric_family_takes_order_blocks(shape):
+    # lam1 = lam2 makes h independent of phi, so the pencil splits by
+    # order |m| and trig type even where n_phi is odd and nothing folds
+    grid = build_grid(*shape)
+    basis = build_basis(grid, 12)
+    H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.3, grid)
+    pencil = assemble_pencil(basis, H)
+    expected = order_rows(12, 1)
+    assert len(pencil.blocks) == len(expected) == 2 * 12 + 1
+    for (rows, block), want in zip(pencil.blocks, expected):
+        np.testing.assert_array_equal(rows, want)
+    # the cos and sin rows of an order share their matrix
+    for (_, cos), (_, sin) in zip(pencil.blocks[1::2], pencil.blocks[2::2]):
+        assert cos is sin
+
+    dense = one_block_M(basis, H)
+    scale = np.abs(dense).max()
+    inside = np.zeros(dense.shape, dtype=bool)
+    for rows, _ in pencil.blocks:
+        inside[np.ix_(rows, rows)] = True
+    assert np.abs(dense[~inside]).max() <= 1e-13 * scale
+    assert np.abs(pencil.M - dense)[inside].max() <= 1e-12 * scale
+    rows = np.arange(dense.shape[0])
+    for restrict, keep in ((False, rows), (True, rows[pencil.degrees >= 2])):
+        ref = dense_min(dense, pencil.kdiag, keep)
+        val, _ = min_pencil_eigenvalue(pencil, restrict=restrict)
+        assert abs(val - ref) <= 1e-9 * abs(ref)
+        assert pencil_minima(pencil)[restrict] == val
+
+
+def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
+    # min/r^4 at r = 1e-4 used to read -3.92 on 25x51 and -2.22 on 49x99,
+    # where one block of every row drowned the O(r^4) eigenvalue; per-order
+    # blocks need no fold, so odd n_phi now matches the even grid
+    eigs, r = RicciEigs(np.array([1.0, 1.0, -2.0])), 1e-4
+
+    def min_over_r4(shape, L):
+        grid = build_grid(*shape)
+        pencil = assemble_pencil(build_basis(grid, L), h_family(eigs, 1.0 / 30.0, r, grid))
+        assert len(pencil.blocks) == 2 * L + 1
+        return min_pencil_eigenvalue(pencil)[0] / r**4
+
+    ref = min_over_r4((25, 50), 24)
+    assert abs(ref - -0.1000002) < 1e-6
+    for shape, L in (((25, 51), 24), ((49, 99), 48)):
+        assert abs(min_over_r4(shape, L) - ref) < 1e-5
+
+
+def test_family_axisymmetric_about_x1_keeps_parity_or_one_block():
+    # lam = (2, -1, -1) is axisymmetric about x1, not x3: h depends on phi,
+    # so the pencil folds into parity blocks or, on odd n_phi, stays whole
+    eigs = RicciEigs(np.array([2.0, -1.0, -1.0]))
+    for shape, count in (((25, 50), 8), ((25, 51), 1)):
+        grid = build_grid(*shape)
+        H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
+        assert len(assemble_pencil(build_basis(grid, 8), H).blocks) == count
+
+
 @pytest.mark.parametrize("shape", BLOCK_GRIDS)
 def test_family_takes_the_blocked_path(shape):
-    # scan's speed rests on h_family passing the reflection check: a change
-    # in how h is rounded would silently send it back to one dense block
+    # scan's speed rests on h_family at the default lam passing the ring
+    # check: a change in how h is rounded would silently send it back to
+    # the parity blocks, or to one dense block
     grid = build_grid(*shape)
     basis = build_basis(grid, 4)
     config = RunConfig()
     eigs = RicciEigs(np.array(config.lam))
     for bbar in config.bbar_list + config.bracket:
         for r in config.r_list + (config.bisect_r,):
-            assert len(assemble_pencil(basis, h_family(eigs, bbar, r, grid)).blocks) == 8
+            assert len(assemble_pencil(basis, h_family(eigs, bbar, r, grid)).blocks) == 2 * 4 + 1
 
 
 @pytest.mark.parametrize("L, shape", [(8, (32, 64)), (24, (25, 50))])

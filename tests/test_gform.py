@@ -239,7 +239,10 @@ def test_blocked_gram_matches_dense(shape):
     dense = weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
     scale = np.abs(dense).max()
     gram = g_gram(basis)
-    assert len(gram) == 8
+    # one block per (order, trig type); the cos and sin rows of an order
+    # share one matrix
+    assert len(gram) == 2 * 12 + 1
+    assert len({id(block) for _, block in gram}) == 12 + 1
     inside = np.zeros(dense.shape, dtype=bool)
     for rows, block in gram:
         inside[np.ix_(rows, rows)] = True
@@ -261,12 +264,23 @@ def test_blocked_gram_matches_dense(shape):
     np.testing.assert_array_equal(minimizer_again.c, minimizer.c)
 
 
-def test_odd_n_phi_gram_is_one_block():
-    # no node at phi = pi - phi_j, so the grid has no x1 reflection to fold by
+def test_odd_n_phi_gram_takes_order_blocks():
+    # no node at phi = pi - phi_j, so the grid has no x1 reflection to fold
+    # by; the weights are constant, so the Gram still splits by order
     basis = build_basis(build_grid(25, 51), 12)
     gram = g_gram(basis)
-    assert len(gram) == 1
-    np.testing.assert_array_equal(gram[0][0], np.arange(basis.n_basis - 4))
+    orders = [0] + [m for a in range(1, 13) for m in (a, -a)]
+    assert len(gram) == len(orders) == 2 * 12 + 1
+    for m, (rows, _) in zip(orders, gram):
+        l = np.arange(max(abs(m), 2), 13)
+        np.testing.assert_array_equal(rows, l * l + l + m - 4)
+    dense = weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
+    scale = np.abs(dense).max()
+    inside = np.zeros(dense.shape, dtype=bool)
+    for rows, block in gram:
+        inside[np.ix_(rows, rows)] = True
+        assert np.abs(block - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
+    assert np.abs(dense[~inside]).max() <= 1e-13 * scale
     value, _ = minimize_G(basis, CANON_EIGS, CANON_DIR, 1.0 / 30.0, gram)
     closed = g_quadratic(CANON_EIGS, CANON_DIR, 1.0 / 30.0).min_value
     assert abs(value - closed) < 1e-6 * max(abs(closed), CANON_EIGS.sum_sq)
