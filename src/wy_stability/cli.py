@@ -13,12 +13,17 @@ Reports are JSON by default (CSV export flattens the per-point results);
 identical configurations produce byte-identical reports.  Wall-clock
 timings are volatile, so they are only embedded when requested with
 ``--timings``; the default report keeps the determinism guarantee.
+
+The quadrature grid and harmonic basis of the last size used are kept
+(``_grid_basis``), so reports run one after another at one size, as in
+a sweep over (bbar, r), build them once.  Their arrays are read-only.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -214,6 +219,19 @@ def _report(config: RunConfig, results, summary, verdict: str, timings=None) -> 
 # commands
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_basis(n_theta: int, n_phi: int, L: int):
+    """The grid and the degree-L basis on it, kept for the last size asked for.
+
+    A grid and basis depend on (n_theta, n_phi, L) alone and their arrays
+    are read-only, so later reports at the same size share them.  One
+    size is kept: a sweep runs at one size, and each kept basis holds
+    O(L^3) memory.
+    """
+    grid = build_grid(n_theta, n_phi)
+    return grid, build_basis(grid, L)
+
+
 def cmd_integrals(config: RunConfig) -> dict:
     """Monomial oracle vs quadrature over all even triples of degree <= 10."""
     grid = build_grid(config.n_theta, config.n_phi)
@@ -296,8 +314,7 @@ def cmd_gform(config: RunConfig) -> dict:
         raise ConfigError(
             f"gform minimizes over degrees l >= 2: ltrunc must be >= 2, got {config.ltrunc}"
         )
-    grid = build_grid(config.n_theta, config.n_phi)
-    basis = build_basis(grid, config.ltrunc)
+    _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     eigs = RicciEigs(config.lam)
     gram = g_gram(basis)
     tol_closed = 1e-6
@@ -365,8 +382,7 @@ def cmd_scan(config: RunConfig) -> dict:
         )
     if not config.bisect_r**4 >= np.finfo(np.float64).tiny:
         raise ConfigError(f"bisect_r = {config.bisect_r} is too small: the r^4 term underflows")
-    grid = build_grid(config.n_theta, config.n_phi)
-    basis = build_basis(grid, config.ltrunc)
+    grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
     rows = []
     for bbar in config.bbar_list:
@@ -438,19 +454,30 @@ def cmd_scan(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if ok else "FAIL")
 
 
+def _check_file_path(key: str, path: Path) -> Path:
+    """Refuse an output path that is a directory or lies in a missing one."""
+    if path.is_dir():
+        raise ConfigError(f"{key} path {str(path)!r} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{key} directory {str(path.parent)!r} does not exist")
+    return path
+
+
 def _witness_path(config: RunConfig) -> Path:
     if config.witness is not None:
-        return Path(config.witness)
-    if config.out is not None:
+        path = Path(config.witness)
+    elif config.out is not None:
         out = Path(config.out)
-        return out.with_name(out.stem + "_witness.json")
-    return Path("witness.json")
+        path = out.with_name(out.stem + "_witness.json")
+    else:
+        path = Path("witness.json")
+    return _check_file_path("witness", path)
 
 
 def cmd_counterexample(config: RunConfig) -> dict:
     """Explicit negative direction for the quartic family, with witness file."""
-    grid = build_grid(config.n_theta, config.n_phi)
-    basis = build_basis(grid, config.ltrunc)
+    wpath = _witness_path(config)
+    _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     eigs = RicciEigs(config.lam)
     direction = Direction(_unit_direction(config.a))
 
@@ -467,7 +494,6 @@ def cmd_counterexample(config: RunConfig) -> dict:
         ],
         "config_echo": _config_dict(config),
     }
-    wpath = _witness_path(config)
     wpath.write_text(json.dumps(witness, sort_keys=True) + "\n")
 
     results = [
@@ -549,8 +575,7 @@ def _certify_field(config: RunConfig, grid):
 
 def cmd_certify(config: RunConfig) -> dict:
     """Certificate thresholds, condition checks, and the pencil cross-check."""
-    grid = build_grid(config.n_theta, config.n_phi)
-    basis = build_basis(grid, config.ltrunc)
+    grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     H = _certify_field(config, grid)
     alpha = config.alpha if config.alpha is not None else H.inf_h
 
@@ -696,6 +721,8 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_args(argv)
+        if config.out:
+            _check_file_path("out", Path(config.out))
         report, text = run(config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}")

@@ -263,7 +263,7 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h, 1, (H.h,))
     diag = _round_diagonal(basis)[1:]
     for (rows, *_), B in shared_blocks(blocks):
-        B[np.diag_indices_from(B)] += diag[rows]
+        B.flat[:: len(B) + 1] += diag[rows]
     return HessianPencil(
         L=basis.L,
         kdiag=basis.eigenvalues[1:] ** 2,

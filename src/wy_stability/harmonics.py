@@ -64,7 +64,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .quad import GridFold, SphereGrid, fold, reflections
+from .quad import GridFold, SphereGrid, _read_only
 
 __all__ = [
     "FieldCoeffs",
@@ -159,6 +159,11 @@ class HarmonicBasis:
         Degree l and order m per basis index.
     eigenvalues : ndarray, shape (n_basis,)
         Laplace-Beltrami eigenvalues l(l+1) per basis index.
+    slots : ndarray, shape (n_basis,)
+        Position of each row in the flattened [a, s, l] coefficient grid
+        that the transforms work on.
+
+    Every array is read-only, so one basis can be shared by many callers.
 
     The full tables ``values``, ``dtheta`` and ``dphi``, shape
     (n_basis, n_nodes), are assembled from the factors on every read;
@@ -174,6 +179,7 @@ class HarmonicBasis:
     degrees: NDArray[np.int64]
     orders: NDArray[np.int64]
     eigenvalues: NDArray[np.float64]
+    slots: NDArray[np.int64]
 
     @property
     def n_basis(self) -> int:
@@ -228,6 +234,7 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
 
     The grid must integrate polynomials of total degree 2L exactly, so
     that the quadrature Gram matrix is the identity up to roundoff.
+    Each call builds a new basis; its arrays are read-only.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -254,6 +261,8 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
     degrees = np.repeat(l, 2 * l + 1)
     orders = np.arange((L + 1) ** 2) - degrees * (degrees + 1)
     eigenvalues = (degrees * (degrees + 1)).astype(np.float64)
+    slots = (2 * np.abs(orders) + (orders < 0)) * (L + 1) + degrees
+    _read_only(rad, drad, ang, dang, degrees, orders, eigenvalues, slots)
     return HarmonicBasis(
         L=L,
         grid=grid,
@@ -264,12 +273,8 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
         degrees=degrees,
         orders=orders,
         eigenvalues=eigenvalues,
+        slots=slots,
     )
-
-
-def _slots(basis: HarmonicBasis) -> NDArray[np.int64]:
-    """Position of each row in the flattened [a, s, l] coefficient grid."""
-    return (2 * np.abs(basis.orders) + (basis.orders < 0)) * (basis.L + 1) + basis.degrees
 
 
 def _synthesis(basis: HarmonicBasis, c, rad, ang) -> NDArray[np.float64]:
@@ -280,7 +285,7 @@ def _synthesis(basis: HarmonicBasis, c, rad, ang) -> NDArray[np.float64]:
     """
     L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
     spec = np.zeros(2 * (L + 1) ** 2)
-    spec[_slots(basis)] = c
+    spec[basis.slots] = c
     g = np.matmul(spec.reshape(L + 1, 2, L + 1), rad)  # [a, s, i]
     return (g.reshape(-1, nt).T @ ang.reshape(-1, nphi)).ravel()
 
@@ -293,7 +298,7 @@ def _analysis(basis: HarmonicBasis, q, rad, ang) -> NDArray[np.float64]:
     """
     L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
     g = (ang.reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(L + 1, 2, nt)
-    return np.matmul(g, rad.transpose(0, 2, 1)).ravel()[_slots(basis)]
+    return np.matmul(g, rad.transpose(0, 2, 1)).ravel()[basis.slots]
 
 
 def _row_samples(basis: HarmonicBasis, rows, nodes, rad, ang) -> NDArray[np.float64]:
@@ -469,11 +474,11 @@ def gram_blocks(
 
     if all(close(x.reshape(-1, nphi), x[::nphi, None]) for x in samples):
         blocks, forms = _order_grams(basis, w_lap, w_grad, l0)
-    elif (perms := reflections(basis.grid)) and all(
+    elif (perms := basis.grid.mirrors) and all(
         close(x, x[p]) for x in samples for p in perms
     ):
         classes = [b for b in parity_blocks(basis.degrees[n0:], basis.orders[n0:]) if b.size]
-        nodes = fold(basis.grid)
+        nodes = basis.grid.folded
         blocks = [(b, k) for k, b in enumerate(classes)]
         forms = [weighted_gram(basis, w_lap, w_grad, b + n0, nodes) for b in classes]
     else:

@@ -18,12 +18,17 @@ With an even ``n_phi`` the node set is closed under the three coordinate
 reflections x_i -> -x_i, which act on the nodes as permutations.  A
 field even under all three is integrated from one node per orbit of the
 reflection group (``fold``), about one octant of the grid.
+
+Every array of a grid, and of a fold, is read-only, so that one grid
+can be shared by many callers.  A grid computes its reflections and its
+fold once, on first use (``SphereGrid.mirrors``, ``SphereGrid.folded``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +62,8 @@ class SphereGrid:
         Positive quadrature weights summing to 4*pi.
     xyz : ndarray, shape (n_nodes, 3)
         Unit Cartesian coordinates of the nodes.
+    sin_theta : ndarray, shape (n_nodes,)
+        sin(theta) at each node.
     """
 
     n_theta: int
@@ -65,6 +72,7 @@ class SphereGrid:
     phi: NDArray[np.float64]
     weights: NDArray[np.float64]
     xyz: NDArray[np.float64]
+    sin_theta: NDArray[np.float64]
 
     @property
     def n_nodes(self) -> int:
@@ -75,9 +83,22 @@ class SphereGrid:
         """Largest polynomial total degree integrated exactly."""
         return min(2 * self.n_theta - 1, self.n_phi - 1)
 
-    @property
-    def sin_theta(self) -> NDArray[np.float64]:
-        return np.sin(self.theta)
+    @cached_property
+    def mirrors(self) -> tuple[NDArray[np.int64], ...]:
+        """``reflections(self)``, computed on first use."""
+        return reflections(self)
+
+    @cached_property
+    def folded(self) -> GridFold | None:
+        """``fold(self)``, computed on first use."""
+        return fold(self)
+
+
+def _read_only(*arrays: NDArray) -> tuple[NDArray, ...]:
+    """Mark each array read-only in place and return them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
@@ -93,6 +114,7 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
     Returns
     -------
     SphereGrid
+        With every array read-only.
     """
     if n_theta < 2:
         raise ValueError(f"n_theta must be >= 2, got {n_theta}")
@@ -114,6 +136,7 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
     xyz = np.stack(
         [sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1
     )
+    _read_only(theta, phi, weights, xyz, sin_t)
     return SphereGrid(
         n_theta=n_theta,
         n_phi=n_phi,
@@ -121,6 +144,7 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
         phi=phi,
         weights=weights,
         xyz=xyz,
+        sin_theta=sin_t,
     )
 
 
@@ -131,7 +155,8 @@ def reflections(grid: SphereGrid) -> tuple[NDArray[np.int64], ...]:
     theta-major order (node k = i * n_phi + j) they are j -> n_phi/2 - j,
     j -> -j (mod n_phi) and i -> n_theta - 1 - i; the Gauss-Legendre
     nodes are symmetric about the equator.  An odd n_phi has no node at
-    phi = pi - phi_j, so the result is then empty.
+    phi = pi - phi_j, so the result is then empty.  The permutations
+    are read-only.
     """
     nt, nphi = grid.n_theta, grid.n_phi
     if nphi % 2:
@@ -141,7 +166,7 @@ def reflections(grid: SphereGrid) -> tuple[NDArray[np.int64], ...]:
     x1 = i * nphi + (nphi // 2 - j) % nphi
     x2 = i * nphi + (-j) % nphi
     x3 = (nt - 1 - i) * nphi + j
-    return tuple(np.ravel(p) for p in (x1, x2, x3))
+    return _read_only(*(np.ravel(p) for p in (x1, x2, x3)))
 
 
 @dataclass(frozen=True)
@@ -166,9 +191,9 @@ def fold(grid: SphereGrid) -> GridFold | None:
 
     For samples f even under every reflection,
     ``fold.weights @ f[fold.nodes]`` equals ``integrate(grid, f)`` up to
-    roundoff.
+    roundoff.  The fold's arrays are read-only.
     """
-    perms = reflections(grid)
+    perms = grid.mirrors
     if not perms:
         return None
     # the orbit of k is {g(k)} over the 8 products g of the reflections
@@ -180,7 +205,7 @@ def fold(grid: SphereGrid) -> GridFold | None:
     nodes, owner = np.unique(orbit.min(axis=0), return_inverse=True)
     weights = np.zeros(nodes.size)
     np.add.at(weights, owner, grid.weights)
-    return GridFold(nodes=nodes, weights=weights)
+    return GridFold(*_read_only(nodes, weights))
 
 
 def integrate(grid: SphereGrid, samples: NDArray[np.float64]) -> float:

@@ -140,10 +140,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["gform", "--set", "a=inf,0,0"]) == 2
     assert main(["gform", "--ltrunc", "1", "--grid", "4x8"]) == 2
     # a non-finite value, a bad bracket or bisection radius, or an empty
-    # output path is refused before any work, by a message that names the key
+    # or unwritable output path is refused before any work, by a message
+    # that names the key; no basis is kept, so any work would build one
     def refuse(grid, L):
         raise AssertionError("a bad input reached the basis build")
 
+    cli_module._grid_basis.cache_clear()
     monkeypatch.setattr(cli_module, "build_basis", refuse)
     for argv, message in (
         (cex + ["--set", "r=nan"], "r must be finite"),
@@ -155,6 +157,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["scan", "--set", "bisect_r=0"], "bisect_r must lie in (0, "),
         (["counterexample", "--set", "out="], "out must name a file"),
         (["counterexample", "--set", "witness="], "witness must name a file"),
+        (["counterexample", "--set", f"witness={tmp_path}"], "witness path"),
+        (
+            ["counterexample", "--set", f"witness={tmp_path / 'missing' / 'w.json'}"],
+            "witness directory",
+        ),
+        (["integrals", "--out", str(tmp_path)], "out path"),
+        (["integrals", "--out", str(tmp_path / "missing" / "r.json")], "out directory"),
         # an unknown format, an empty list, or a value that does not parse
         (["integrals", "--set", "format=xml"], "format must be json or csv"),
         (["integrals", "--set", "format=CSV"], "format must be json or csv"),
@@ -192,6 +201,64 @@ def test_gform_builds_the_gram_once_per_report(tmp_path, monkeypatch):
     assert main(["gform", "--ltrunc", "8", "--set", "directions=8", "--out", str(out)]) == 0
     assert len(read_report(out)["results"]) == 24
     assert calls == [8]
+
+
+def cex_sweep(L: int, witness_dir) -> list[RunConfig]:
+    """The counterexample sweep over (bbar, r) of the cex_l48 benchmark, at degree cap L."""
+    return [
+        RunConfig(
+            command="counterexample",
+            n_theta=L + 1,
+            n_phi=2 * L + 2,
+            ltrunc=L,
+            bbar=bbar,
+            r=r,
+            witness=str(Path(witness_dir) / f"w{i}.json"),
+        )
+        for i, (bbar, r) in enumerate(
+            (bbar, r) for bbar in (0.02, 1.0 / 30.0) for r in (1e-1, 1e-2, 1e-3, 1e-4)
+        )
+    ]
+
+
+def test_reports_at_one_size_build_grid_and_basis_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(name, real):
+        def build(*args):
+            built.append(name)
+            return real(*args)
+
+        return build
+
+    for name in ("build_grid", "build_basis"):
+        monkeypatch.setattr(cli_module, name, counted(name, getattr(cli_module, name)))
+    sizes = []
+    for config in cex_sweep(8, tmp_path):
+        run(config)
+        sizes.append(cli_module._grid_basis.cache_info().currsize)
+    assert built == ["build_grid", "build_basis"]
+    # another size rebuilds and replaces the kept pair; the first size then rebuilds too
+    for config in (replace(config, ltrunc=6), config):
+        run(config)
+        sizes.append(cli_module._grid_basis.cache_info().currsize)
+    assert built == ["build_grid", "build_basis"] * 3
+    assert sizes == [1] * 10
+
+
+@pytest.mark.parametrize("command", cli_module.COMMANDS)
+def test_warm_report_matches_cold_report(command, tmp_path):
+    # the second report reads the grid and basis the first one kept, and
+    # its report and witness are byte-identical to the first's
+    config = RunConfig(command=command, witness=str(tmp_path / "w.json"))
+    outputs = []
+    for _ in range(2):
+        text = run(config)[1]
+        witness = (tmp_path / "w.json").read_bytes() if command == "counterexample" else None
+        outputs.append((text, witness))
+    assert outputs[0] == outputs[1]
+    uses_basis = command not in ("integrals", "small-sphere")
+    assert cli_module._grid_basis.cache_info().hits == uses_basis
 
 
 def test_cli_import_leaves_scipy_out():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -338,3 +339,14 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     for (rows_a, a), (rows_b, b) in zip(on_demand[1], from_tables[1]):
         np.testing.assert_array_equal(rows_a, rows_b)
         np.testing.assert_array_equal(a, b)
+
+
+def test_basis_arrays_are_read_only():
+    arrays = [getattr(BASIS, f.name) for f in fields(BASIS)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 8
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
+    # every call builds a new basis
+    assert build_basis(GRID, 8) is not build_basis(GRID, 8)

@@ -146,3 +146,20 @@ def test_fold_integrates_even_fields(shape):
     samples = x1**2 * x2**2 * x3**4
     full = integrate(grid, samples)
     assert abs(folded.weights @ samples[folded.nodes] - full) < 1e-14 * full
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (8, 17)])
+def test_grid_and_fold_are_read_only_and_computed_once(shape):
+    grid = build_grid(*shape)
+    folded = grid.folded
+    arrays = [grid.theta, grid.phi, grid.weights, grid.xyz, grid.sin_theta, *grid.mirrors]
+    if folded is not None:
+        arrays += [folded.nodes, folded.weights]
+        assert np.array_equal(folded.nodes, fold(grid).nodes)
+        assert np.array_equal(folded.weights, fold(grid).weights)
+    assert len(arrays) == (10 if shape[1] % 2 == 0 else 5)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert grid.folded is folded and grid.mirrors is grid.mirrors
+    assert np.array_equal(grid.sin_theta, np.sin(grid.theta))
