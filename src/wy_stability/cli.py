@@ -15,8 +15,10 @@ timings are volatile, so they are only embedded when requested with
 ``--timings``; the default report keeps the determinism guarantee.
 
 The quadrature grid and harmonic basis of the last size used are kept
-(``_grid_basis``), so reports run one after another at one size, as in
-a sweep over (bbar, r), build them once.  Their arrays are read-only.
+(``_grid_basis``), so reports run one after another in one process at
+one size, as when ``run`` is called in a loop over (bbar, r), build
+them once.  A command-line invocation runs one report, so it always
+builds them.  Their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -224,9 +226,10 @@ def _grid_basis(n_theta: int, n_phi: int, L: int):
     """The grid and the degree-L basis on it, kept for the last size asked for.
 
     A grid and basis depend on (n_theta, n_phi, L) alone and their arrays
-    are read-only, so later reports at the same size share them.  One
-    size is kept: a sweep runs at one size, and each kept basis holds
-    O(L^3) memory.
+    are read-only, so later reports in this process at the same size
+    share them; only callers of ``run`` that make several reports gain.
+    One size is kept: a sweep runs at one size, and each kept basis
+    holds O(L^3) memory.
     """
     grid = build_grid(n_theta, n_phi)
     return grid, build_basis(grid, L)

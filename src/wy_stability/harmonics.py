@@ -474,11 +474,11 @@ def gram_blocks(
 
     if all(close(x.reshape(-1, nphi), x[::nphi, None]) for x in samples):
         blocks, forms = _order_grams(basis, w_lap, w_grad, l0)
-    elif (perms := basis.grid.mirrors) and all(
+    elif (perms := basis.grid.reflections) and all(
         close(x, x[p]) for x in samples for p in perms
     ):
         classes = [b for b in parity_blocks(basis.degrees[n0:], basis.orders[n0:]) if b.size]
-        nodes = basis.grid.folded
+        nodes = basis.grid.fold
         blocks = [(b, k) for k, b in enumerate(classes)]
         forms = [weighted_gram(basis, w_lap, w_grad, b + n0, nodes) for b in classes]
     else:

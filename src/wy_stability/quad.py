@@ -17,11 +17,11 @@ so that quadrature accuracy can be measured against it.
 With an even ``n_phi`` the node set is closed under the three coordinate
 reflections x_i -> -x_i, which act on the nodes as permutations.  A
 field even under all three is integrated from one node per orbit of the
-reflection group (``fold``), about one octant of the grid.
+reflection group (``SphereGrid.fold``), about one octant of the grid.
 
 Every array of a grid, and of a fold, is read-only, so that one grid
 can be shared by many callers.  A grid computes its reflections and its
-fold once, on first use (``SphereGrid.mirrors``, ``SphereGrid.folded``).
+fold once, on first use.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ __all__ = [
     "GridFold",
     "SphereGrid",
     "build_grid",
-    "fold",
     "integrate",
     "monomial_integral",
     "poly_integral",
-    "reflections",
 ]
 
 FOUR_PI = 4.0 * math.pi
@@ -84,14 +82,47 @@ class SphereGrid:
         return min(2 * self.n_theta - 1, self.n_phi - 1)
 
     @cached_property
-    def mirrors(self) -> tuple[NDArray[np.int64], ...]:
-        """``reflections(self)``, computed on first use."""
-        return reflections(self)
+    def reflections(self) -> tuple[NDArray[np.int64], ...]:
+        """The reflections x1 -> -x1, x2 -> -x2, x3 -> -x3 as node permutations.
+
+        Entry k of each permutation is the node that node k maps to.  In
+        theta-major order (node k = i * n_phi + j) they are j -> n_phi/2 - j,
+        j -> -j (mod n_phi) and i -> n_theta - 1 - i; the Gauss-Legendre
+        nodes are symmetric about the equator.  An odd n_phi has no node at
+        phi = pi - phi_j, so the result is then empty.  Computed on first
+        use; the permutations are read-only.
+        """
+        nt, nphi = self.n_theta, self.n_phi
+        if nphi % 2:
+            return ()
+        i = np.arange(nt)[:, None]
+        j = np.arange(nphi)[None, :]
+        x1 = i * nphi + (nphi // 2 - j) % nphi
+        x2 = i * nphi + (-j) % nphi
+        x3 = (nt - 1 - i) * nphi + j
+        return _read_only(*(np.ravel(p) for p in (x1, x2, x3)))
 
     @cached_property
-    def folded(self) -> GridFold | None:
-        """``fold(self)``, computed on first use."""
-        return fold(self)
+    def fold(self) -> GridFold | None:
+        """The grid folded onto the orbits of its reflections; None if it has none.
+
+        For samples f even under every reflection,
+        ``fold.weights @ f[fold.nodes]`` equals ``integrate(grid, f)`` up to
+        roundoff.  Computed on first use; the fold's arrays are read-only.
+        """
+        perms = self.reflections
+        if not perms:
+            return None
+        # the orbit of k is {g(k)} over the 8 products g of the reflections
+        orbit = np.arange(self.n_nodes)[None, :]
+        for p in perms:
+            orbit = np.concatenate([orbit, p[orbit]])
+        # each node adds its own weight to its orbit's smallest node, so a
+        # node on a mirror plane, which its orbit lists twice, counts once
+        nodes, owner = np.unique(orbit.min(axis=0), return_inverse=True)
+        weights = np.zeros(nodes.size)
+        np.add.at(weights, owner, self.weights)
+        return GridFold(*_read_only(nodes, weights))
 
 
 def _read_only(*arrays: NDArray) -> tuple[NDArray, ...]:
@@ -148,27 +179,6 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
     )
 
 
-def reflections(grid: SphereGrid) -> tuple[NDArray[np.int64], ...]:
-    """The reflections x1 -> -x1, x2 -> -x2, x3 -> -x3 as node permutations.
-
-    Entry k of each permutation is the node that node k maps to.  In
-    theta-major order (node k = i * n_phi + j) they are j -> n_phi/2 - j,
-    j -> -j (mod n_phi) and i -> n_theta - 1 - i; the Gauss-Legendre
-    nodes are symmetric about the equator.  An odd n_phi has no node at
-    phi = pi - phi_j, so the result is then empty.  The permutations
-    are read-only.
-    """
-    nt, nphi = grid.n_theta, grid.n_phi
-    if nphi % 2:
-        return ()
-    i = np.arange(nt)[:, None]
-    j = np.arange(nphi)[None, :]
-    x1 = i * nphi + (nphi // 2 - j) % nphi
-    x2 = i * nphi + (-j) % nphi
-    x3 = (nt - 1 - i) * nphi + j
-    return _read_only(*(np.ravel(p) for p in (x1, x2, x3)))
-
-
 @dataclass(frozen=True)
 class GridFold:
     """One representative node per orbit of the reflection group.
@@ -184,28 +194,6 @@ class GridFold:
 
     nodes: NDArray[np.int64]
     weights: NDArray[np.float64]
-
-
-def fold(grid: SphereGrid) -> GridFold | None:
-    """Fold the grid onto the orbits of its reflections; None if it has none.
-
-    For samples f even under every reflection,
-    ``fold.weights @ f[fold.nodes]`` equals ``integrate(grid, f)`` up to
-    roundoff.  The fold's arrays are read-only.
-    """
-    perms = grid.mirrors
-    if not perms:
-        return None
-    # the orbit of k is {g(k)} over the 8 products g of the reflections
-    orbit = np.arange(grid.n_nodes)[None, :]
-    for p in perms:
-        orbit = np.concatenate([orbit, p[orbit]])
-    # each node adds its own weight to its orbit's smallest node, so a
-    # node on a mirror plane, which its orbit lists twice, counts once
-    nodes, owner = np.unique(orbit.min(axis=0), return_inverse=True)
-    weights = np.zeros(nodes.size)
-    np.add.at(weights, owner, grid.weights)
-    return GridFold(*_read_only(nodes, weights))
 
 
 def integrate(grid: SphereGrid, samples: NDArray[np.float64]) -> float:

@@ -26,7 +26,7 @@ from wy_stability.harmonics import (
     weighted_form,
     weighted_gram,
 )
-from wy_stability.quad import build_grid, fold, integrate, reflections
+from wy_stability.quad import build_grid, integrate
 
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
@@ -212,7 +212,7 @@ def test_parity_blocks_agree_with_the_tables():
     assert sorted(np.concatenate(blocks).tolist()) == list(range(NMODES))
     for code, rows in enumerate(blocks):
         vals = BASIS.values[rows]
-        for bit, perm in enumerate(reflections(GRID)):
+        for bit, perm in enumerate(GRID.reflections):
             sign = -1.0 if code >> bit & 1 else 1.0
             assert np.max(np.abs(vals[:, perm] - sign * vals)) < 1e-12
 
@@ -307,7 +307,7 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     assert close(weighted_form(basis, w_lap, w_grad, u)[rows], ref_form[rows])
 
     # row samples: the table entries, bit for bit, at fold nodes and all nodes
-    folded = fold(grid)
+    folded = grid.fold
     for nodes in [None] + ([folded.nodes] if folded else []):
         cols = slice(None) if nodes is None else nodes
         lap = _row_samples(basis, rows, nodes, basis.rad, basis.ang) * -mu[rows, None]

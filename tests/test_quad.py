@@ -11,11 +11,9 @@ import pytest
 from wy_stability.quad import (
     FOUR_PI,
     build_grid,
-    fold,
     integrate,
     monomial_integral,
     poly_integral,
-    reflections,
 )
 
 GRID = build_grid(32, 64)
@@ -123,21 +121,21 @@ def test_integrate_rejects_wrong_shape():
 
 
 def test_reflections_map_nodes_to_mirror_images():
-    for perm, sign in zip(reflections(GRID), 1.0 - 2.0 * np.eye(3)):
+    for perm, sign in zip(GRID.reflections, 1.0 - 2.0 * np.eye(3)):
         assert np.max(np.abs(GRID.xyz[perm] - GRID.xyz * sign)) < 4e-15
-    assert reflections(build_grid(25, 51)) == ()
-    assert fold(build_grid(25, 51)) is None
+    assert build_grid(25, 51).reflections == ()
+    assert build_grid(25, 51).fold is None
 
 
 @pytest.mark.parametrize("shape", [(5, 12), (25, 50), (32, 64), (49, 98)])
 def test_fold_integrates_even_fields(shape):
     grid = build_grid(*shape)
-    folded = fold(grid)
+    folded = grid.fold
     assert math.isclose(folded.weights.sum(), FOUR_PI, rel_tol=1e-14)
     # the orbits of the representatives under the 8 group elements
     # partition the nodes
     group = [np.arange(grid.n_nodes)]
-    for perm in reflections(grid):
+    for perm in grid.reflections:
         group += [perm[g] for g in group]
     orbits = [np.unique(col) for col in np.stack(group)[:, folded.nodes].T]
     assert sum(o.size for o in orbits) == grid.n_nodes
@@ -151,15 +149,13 @@ def test_fold_integrates_even_fields(shape):
 @pytest.mark.parametrize("shape", [(8, 16), (8, 17)])
 def test_grid_and_fold_are_read_only_and_computed_once(shape):
     grid = build_grid(*shape)
-    folded = grid.folded
-    arrays = [grid.theta, grid.phi, grid.weights, grid.xyz, grid.sin_theta, *grid.mirrors]
+    folded = grid.fold
+    arrays = [grid.theta, grid.phi, grid.weights, grid.xyz, grid.sin_theta, *grid.reflections]
     if folded is not None:
         arrays += [folded.nodes, folded.weights]
-        assert np.array_equal(folded.nodes, fold(grid).nodes)
-        assert np.array_equal(folded.weights, fold(grid).weights)
     assert len(arrays) == (10 if shape[1] % 2 == 0 else 5)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
-    assert grid.folded is folded and grid.mirrors is grid.mirrors
+    assert grid.fold is folded and grid.reflections is grid.reflections
     assert np.array_equal(grid.sin_theta, np.sin(grid.theta))
