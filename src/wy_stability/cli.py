@@ -67,7 +67,7 @@ from .models import (
     positivity_radius,
     small_sphere_mass,
 )
-from .quad import build_grid, integrate, monomial_integral
+from .quad import FOUR_PI, build_grid, integrate, monomial_integral
 
 __all__ = [
     "RunConfig",
@@ -106,9 +106,9 @@ class RunConfig:
     # family / direction parameters
     lam: tuple = (1.0, 1.0, -2.0)
     a: tuple = (0.0, 0.0, 1.0)
-    bbar: float = 1.0 / 30.0
+    bbar: float = ZERO_DEFICIT_BBAR
     r: float = 1e-2
-    bbar_list: tuple = (0.0, 1.0 / 90.0, 1.0 / 30.0)
+    bbar_list: tuple = (0.0, THRESHOLD_BBAR, ZERO_DEFICIT_BBAR)
     r_list: tuple = (1e-1, 1e-2, 1e-3)
     directions: int = 1
     # scan bisection
@@ -245,7 +245,7 @@ def cmd_integrals(config: RunConfig) -> dict:
         for q in range(0, 11 - p, 2):
             for r in range(0, 11 - p - q, 2):
                 frac = monomial_integral(p, q, r)
-                exact = 4.0 * math.pi * frac.numerator / frac.denominator
+                exact = FOUR_PI * frac.numerator / frac.denominator
                 got = integrate(
                     grid,
                     grid.xyz[:, 0] ** p * grid.xyz[:, 1] ** q * grid.xyz[:, 2] ** r,

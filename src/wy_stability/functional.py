@@ -36,12 +36,12 @@ entries are exact zeros instead of roundoff, which keeps an O(r^4)
 eigenvalue from drowning in the O(1) spectrum.  When h does not depend
 on phi, as for the quartic family with lam1 = lam2, Q_H couples only
 harmonics of one azimuthal order and trig type: one block per order,
-built from theta sums alone, shared by its cos and sin rows.  Otherwise,
-when h is even under the three coordinate reflections, as the quartic
-family always is, the pencil splits into the 8 reflection parity
-classes, each integrated over one representative node per reflection
-orbit.  The pencil stores only the blocks; the dense M is built when
-read.
+shared by its cos and sin rows.  Otherwise the pencil splits by the
+parity classes of the coordinate reflections that h is even under: the
+quartic family is even under all three, 8 classes on an even n_phi and
+4 on an odd one, which has no x1 reflection.  Every block is built from
+theta sums (``gram_blocks``).  The pencil stores only the blocks; the
+dense M is built when read.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .harmonics import (
     shared_blocks,
     weighted_form,
 )
-from .quad import SphereGrid, integrate
+from .quad import FOUR_PI, SphereGrid, integrate
 
 __all__ = [
     "MeanCurvatureField",
@@ -164,13 +164,13 @@ class HessianPencil:
     holds the exact diagonal l^2 (l+1)^2 of the comparison form
     int (Lap eta)^2.  Row index order follows the basis with the l=0
     entry removed.  M is stored as ``blocks``, (rows, block) pairs of
-    its independent diagonal blocks in a fixed order, as ``gram_blocks``
-    chooses them: one block per azimuthal order and trig type when h is
-    constant on every theta ring, where the cos and sin rows of an order
-    share one matrix object; else the nonempty reflection parity classes
-    when h is reflection-even; else one block of every row.  M is zero
-    outside them; reading ``M`` assembles the dense matrix (46 MB at
-    L = 48) for inspection.
+    its independent diagonal blocks in the order ``gram_blocks`` gives
+    them: one block per azimuthal order and trig type when h is constant
+    on every theta ring, where the cos and sin rows of an order share
+    one matrix object; else one block per parity class of the
+    reflections h is even under, one block of every row when there are
+    none.  M is zero outside them; reading ``M`` assembles the dense
+    matrix (46 MB at L = 48) for inspection.
     """
 
     L: int
@@ -252,12 +252,10 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     M is built in deficit form, like eval_Q: the symmetrized Gram blocks
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
     (gradients), plus the exact round diagonal mu^2/2 - mu, added once
-    to each distinct block.  The blocks are the 2L + 1 (order, trig type)
-    classes when h is constant on every theta ring to 1e-13 of max|h|,
-    built by theta sums alone; else the 8 parity classes, each
-    integrated over the folded grid, when h matches its reflections to
-    1e-13 of max|h| on a grid that has them; otherwise one block holds
-    every row, integrated on all nodes.
+    to each distinct block.  h decides the blocks, each symmetry to
+    1e-13 of max|h|: the 2L + 1 (order, trig type) classes when h is
+    constant on every theta ring; else the parity classes of the
+    reflections h is even under.  Every entry is a theta sum.
     """
     _check_field(basis, H)
     blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h, 1, (H.h,))
@@ -366,8 +364,8 @@ def decompose_kernel(basis: HarmonicBasis, coeffs: FieldCoeffs) -> KernelDecompo
             f"coefficients truncated at L={coeffs.L}, basis built for L={basis.L}"
         )
     c = coeffs.c
-    a0 = float(c[0] / math.sqrt(4.0 * math.pi))
-    scale = math.sqrt(3.0 / (4.0 * math.pi))
+    a0 = float(c[0] / math.sqrt(FOUR_PI))
+    scale = math.sqrt(3.0 / FOUR_PI)
     a = np.array(
         [
             scale * c[index_of(1, 1)],

@@ -44,7 +44,7 @@ from .harmonics import (
     synthesize,
     weighted_form,
 )
-from .quad import SphereGrid, integrate
+from .quad import FOUR_PI, SphereGrid, integrate
 
 __all__ = [
     "RicciEigs",
@@ -151,7 +151,7 @@ def phi_field(eigs: RicciEigs, grid: SphereGrid) -> NDArray[np.float64]:
 def eta1_coeffs(direction: Direction, L: int) -> FieldCoeffs:
     """Exact spectral coefficients of eta1 = <a, x> (pure degree 1)."""
     c = np.zeros((L + 1) ** 2)
-    s = math.sqrt(4.0 * math.pi / 3.0)
+    s = math.sqrt(FOUR_PI / 3.0)
     c[index_of(1, 1)] = s * direction.a[0]
     c[index_of(1, -1)] = s * direction.a[1]
     c[index_of(1, 0)] = s * direction.a[2]
@@ -184,7 +184,7 @@ def g_quadratic(eigs: RicciEigs, direction: Direction, bbar: float) -> GQuadrati
     """Scalar quadratic alpha - 2 beta t + gamma t^2 controlling min G."""
     A = compute_A(eigs, direction)
     D = A - (16.0 * math.pi / 75.0) * float((direction.a**2) @ (eigs.lam**2))
-    alpha = 4.0 * math.pi * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq + 0.5 * A
+    alpha = FOUR_PI * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq + 0.5 * A
     beta = (5.0 / 6.0) * math.sqrt(D)
     return GQuadratic(
         A=A,
@@ -211,7 +211,7 @@ def _g_constant(
     """The eta2-free part of G: 4 pi (1/30 - bbar) sum lam_i^2 + A / 2."""
     eta1 = synthesize(basis, eta1_coeffs(direction, basis.L))
     phi = phi_field(eigs, basis.grid)
-    const = 4.0 * math.pi * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
+    const = FOUR_PI * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
     return const + 0.5 * integrate(basis.grid, eta1 * eta1 * phi * phi)
 
 

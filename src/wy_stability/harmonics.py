@@ -33,9 +33,10 @@ node take O(L^4).  Fields are transformed one order at a time, as in
 Driscoll & Healy (1994) and Schaeffer (2013): synthesis is one Legendre
 sum over l per order m, then one matrix product in phi; analysis, and
 ``weighted_form`` of a field against every basis function, run the
-transpose of both steps.  Each costs O(L^3).  The basis samples that
-``weighted_gram`` needs are formed on demand at the requested nodes as
-the product of the two factors, the same products the tables would hold.
+transpose of both steps.  Each costs O(L^3).  ``weighted_gram``, the
+dense reference of the Gram builder, forms the basis samples on every
+node as products of the two factors, the same products the tables
+would hold.
 
 Each basis function is even or odd under each coordinate reflection,
 by (l, m) alone:
@@ -44,34 +45,35 @@ by (l, m) alone:
     x2 -> -x2:  cos terms even, sin terms odd
     x3 -> -x3:  (-1)^(l+m)
 
-so the basis splits into 8 parity classes (``parity_blocks``).  A form
-whose weights are even under every reflection couples only rows of one
-class.  A form whose weights do not depend on phi couples only rows of
-one order |m| and one trig type, because the discrete cos and sin
-factors are orthogonal on the uniform phi nodes.  ``gram_blocks``, the
-one builder of the Gram matrices of the pencil and G, takes the finest
-of these splittings that the weights allow: per order from theta sums
-alone (``_order_grams``), per parity class as one ``weighted_gram`` on
-the folded grid, or one block of every row.
+A form whose weights are even under a reflection couples no two rows
+of opposite parity under it.  A form whose weights are constant on
+every theta ring couples only rows of one order |m| and one trig type,
+because the discrete cos and sin factors are orthogonal on the uniform
+phi nodes.  ``gram_blocks``, the one builder of the Gram matrices of
+the pencil and G, splits the rows by the symmetries the weights have
+and computes every entry as a theta sum: the phi sum of two trig
+factors against a ring's weights is read exactly off the ring's
+Fourier coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .quad import GridFold, SphereGrid, _read_only
+from .quad import FOUR_PI, SphereGrid, _read_only
 
 __all__ = [
     "FieldCoeffs",
     "HarmonicBasis",
     "build_basis",
     "index_of",
-    "parity_blocks",
     "gram_blocks",
     "shared_blocks",
     "analyze",
@@ -89,24 +91,6 @@ def index_of(l: int, m: int) -> int:
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid (l, m) = {(l, m)}")
     return l * l + l + m
-
-
-def parity_blocks(
-    degrees: NDArray[np.int64], orders: NDArray[np.int64]
-) -> list[NDArray[np.int64]]:
-    """Partition rows with the given (l, m) into the 8 reflection parity classes.
-
-    Row k is odd under x_i -> -x_i when p_i = 1, with p1 = |m| mod 2 for
-    cos terms (m >= 0) and (|m| + 1) mod 2 for sin terms (m < 0),
-    p2 = [m < 0] and p3 = (l + |m|) mod 2.  Block b = p1 + 2 p2 + 4 p3
-    holds the increasing row indices of that class; a block may be empty.
-    """
-    am = np.abs(orders)
-    sin = orders < 0
-    p1 = (am + sin) % 2
-    p3 = (degrees + am) % 2
-    code = p1 + 2 * sin + 4 * p3
-    return [np.flatnonzero(code == b) for b in range(8)]
 
 
 @dataclass(frozen=True)
@@ -187,15 +171,15 @@ class HarmonicBasis:
 
     @property
     def values(self) -> NDArray[np.float64]:
-        return _row_samples(self, slice(None), None, self.rad, self.ang)
+        return _row_samples(self, slice(None), self.rad, self.ang)
 
     @property
     def dtheta(self) -> NDArray[np.float64]:
-        return _row_samples(self, slice(None), None, self.drad, self.ang)
+        return _row_samples(self, slice(None), self.drad, self.ang)
 
     @property
     def dphi(self) -> NDArray[np.float64]:
-        return _row_samples(self, slice(None), None, self.rad, self.dang)
+        return _row_samples(self, slice(None), self.rad, self.dang)
 
 
 def _legendre_tables(L: int, x: NDArray[np.float64]) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +194,7 @@ def _legendre_tables(L: int, x: NDArray[np.float64]) -> tuple[np.ndarray, np.nda
     p = np.zeros((L + 1, L + 1, n))
     dp = np.zeros((L + 1, L + 1, n))
 
-    p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    p[0, 0] = 1.0 / math.sqrt(FOUR_PI)
     for m in range(1, L + 1):
         p[m, m] = s * math.sqrt((2 * m + 1) / (2.0 * m)) * p[m - 1, m - 1]
     m = np.arange(L)
@@ -301,21 +285,16 @@ def _analysis(basis: HarmonicBasis, q, rad, ang) -> NDArray[np.float64]:
     return np.matmul(g, rad.transpose(0, 2, 1)).ravel()[basis.slots]
 
 
-def _row_samples(basis: HarmonicBasis, rows, nodes, rad, ang) -> NDArray[np.float64]:
-    """rad_k(theta) ang_k(phi) for basis rows k at the given nodes, or all.
+def _row_samples(basis: HarmonicBasis, rows, rad, ang) -> NDArray[np.float64]:
+    """rad_k(theta) ang_k(phi) for basis rows k at every node.
 
     Each entry is one product of the row's two factors, so the result
-    matches a tabulated outer product bit for bit.  It is C-ordered like
-    a slice of such a table: the matrix products of a Gram matrix round
-    differently on other layouts.
+    matches a tabulated outer product bit for bit.
     """
     orders = basis.orders[rows]
     a, s = np.abs(orders), (orders < 0).astype(np.intp)
     r, g = rad[a, basis.degrees[rows]], ang[a, s]
-    if nodes is None:
-        return (r[:, :, None] * g[:, None, :]).reshape(len(a), -1)
-    i, j = np.divmod(nodes, basis.grid.n_phi)
-    return np.multiply(r[:, i], g[:, j], order="C")
+    return (r[:, :, None] * g[:, None, :]).reshape(len(a), -1)
 
 
 def analyze(basis: HarmonicBasis, samples: NDArray[np.float64]) -> FieldCoeffs:
@@ -419,25 +398,19 @@ def weighted_form(
 
 
 def weighted_gram(
-    basis: HarmonicBasis, w_lap, w_grad, rows: NDArray[np.int64], fold: GridFold | None = None
+    basis: HarmonicBasis, w_lap, w_grad, rows: NDArray[np.int64]
 ) -> NDArray[np.float64]:
-    """Gram matrix of ``weighted_form`` over the basis rows ``rows``.
+    """Gram matrix of ``weighted_form`` over the basis rows ``rows``, on every node.
 
-    Built from the rows' (Lap, d/dtheta, d/dphi) samples.  With a
-    ``fold`` the sum runs over its representative nodes with its orbit
-    weights, reading nodal weights there.  That equals the full
-    quadrature only when the integrand is even under every reflection,
-    for example for rows of one parity block and reflection-even weights.
+    Built from the rows' (Lap, d/dtheta, d/dphi) samples, in
+    O(len(rows)^2 n_nodes).  No computation uses it: it is the dense
+    reference that ``gram_blocks`` is checked against.
     """
-    nodes = None if fold is None else fold.nodes
     w = basis.grid.weights
     inv_s2 = 1.0 / basis.grid.sin_theta**2
-    if fold is not None:
-        w, inv_s2 = fold.weights, inv_s2[nodes]
-        w_lap, w_grad = (x[nodes] if np.ndim(x) else x for x in (w_lap, w_grad))
-    lap = _row_samples(basis, rows, nodes, basis.rad, basis.ang) * -basis.eigenvalues[rows, None]
-    dt = _row_samples(basis, rows, nodes, basis.drad, basis.ang)
-    dp = _row_samples(basis, rows, nodes, basis.rad, basis.dang)
+    lap = _row_samples(basis, rows, basis.rad, basis.ang) * -basis.eigenvalues[rows, None]
+    dt = _row_samples(basis, rows, basis.drad, basis.ang)
+    dp = _row_samples(basis, rows, basis.rad, basis.dang)
     wg = w * w_grad
     out = (lap * (w * w_lap)) @ lap.T
     out += (dt * wg) @ dt.T
@@ -450,46 +423,182 @@ def gram_blocks(
 ) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
     """Gram matrix of ``weighted_form`` over degrees >= l0, as (rows, block) pairs.
 
-    Rows count from row l0^2; the matrix is zero outside the blocks.
-    ``samples`` are the nodal arrays the weights are built from
-    (constant weights need none).  The blocks are the first that apply:
+    Rows count from row l0^2.  The blocks follow the symmetries of the
+    nodal arrays ``samples`` the weights are built from (constant
+    weights need none), each to 1e-13 of the array's max: one block per
+    order a = |m| and trig type when they are constant on every theta
+    ring, the cos and sin rows of an order sharing one matrix object;
+    else one per parity class of the reflections that hold, read as
+    index maps on the (n_theta, n_phi) view (x1: j -> n_phi/2 - j, even
+    n_phi only; x2: j -> -j; x3: i -> n_theta - 1 - i).  Row (l, m) is
+    odd under them by p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and
+    p3 = (l + |m|) mod 2; blocks follow p1 + 2 p2 + 4 p3, rows increase.
 
-    - per azimuthal order, when each array in ``samples`` is constant on
-      every theta ring to 1e-13 of its max.  The form then couples only
-      rows of one order a = |m| and one trig type, and the cos and sin
-      rows of an order share one matrix object (``_order_grams``);
-    - per reflection parity class, when the grid has reflections and each
-      array matches each reflection of itself to 1e-13 of its max: one
-      ``weighted_gram`` per non-empty class, on the grid's fold;
-    - otherwise one ``weighted_gram`` of every row on all nodes.
-
-    Each distinct block is symmetrized once its asymmetry is checked
-    against 1e-12 of the largest entry over all blocks (or of 1).
+    Every entry is a theta sum: on one ring the phi sum of the weight
+    against the trig factors of orders a and a' is exactly half the sum
+    or difference of the ring's Fourier coefficients at |a - a'| and
+    a + a' (C_0 alone for ring-constant weights, read on the ring's
+    first node; else all of one FFT, none dropped), and the
+    phi-derivative term is the same for the swapped trig types.  Under
+    x3 the sums run over one hemisphere.  Each term is one product
+    batched over the (order, trig type) groups of a block, as in
+    Driscoll & Healy (1994) and Schaeffer (2013): O(L^3 n_theta) for
+    ring-constant weights, O(L^5) otherwise.  No entry between blocks is
+    computed.  Each distinct block is symmetrized once its asymmetry is
+    checked against 1e-12 of the largest entry over all blocks (or of 1).
     """
-    n0 = l0 * l0
-    nphi = basis.grid.n_phi
+    L, grid = basis.L, basis.grid
+    nt, nphi = grid.n_theta, grid.n_phi
+    views = [np.reshape(x, (nt, nphi)) for x in samples]
 
-    def close(x, y) -> bool:
-        return np.abs(x - y).max() <= 1e-13 * np.abs(x).max()
+    def holds(image) -> bool:
+        return all(np.abs(x - image(x)).max() <= 1e-13 * np.abs(x).max() for x in views)
 
-    if all(close(x.reshape(-1, nphi), x[::nphi, None]) for x in samples):
-        blocks, forms = _order_grams(basis, w_lap, w_grad, l0)
-    elif (perms := basis.grid.reflections) and all(
-        close(x, x[p]) for x in samples for p in perms
-    ):
-        classes = [b for b in parity_blocks(basis.degrees[n0:], basis.orders[n0:]) if b.size]
-        nodes = basis.grid.fold
-        blocks = [(b, k) for k, b in enumerate(classes)]
-        forms = [weighted_gram(basis, w_lap, w_grad, b + n0, nodes) for b in classes]
+    # ring coefficients [C or S, k, term, ring] of w_q w_lap, w_q w_grad
+    # and w_q w_grad / sin^2 theta, w_q the quadrature weight of a node
+    ring = grid.weights[::nphi]
+    w = [np.broadcast_to(x, grid.n_nodes).reshape(nt, nphi) for x in (w_lap, w_grad)]
+    spec = np.zeros((2, 2 * L + 1, 3, nt))
+    if holds(lambda x: x[:, :1]):
+        mode = None
+        spec[0, 0, :2] = [ring * nphi * x[:, 0] for x in w]
     else:
-        blocks = [(np.arange(basis.n_basis - n0), 0)]
-        forms = [weighted_gram(basis, w_lap, w_grad, np.arange(n0, basis.n_basis))]
-    asym = max(np.abs(B - B.T).max() for B in forms)
-    scale = max(np.abs(B).max() for B in forms)
+        j = np.arange(nphi)
+        x1 = nphi % 2 == 0 and holds(lambda x: x[:, (nphi // 2 - j) % nphi])
+        mode = (x1, holds(lambda x: x[:, -j % nphi]), holds(lambda x: x[::-1]))
+        z = (ring[:, None] * np.fft.fft(np.stack(w), axis=-1)[..., : 2 * L + 1]).transpose(2, 0, 1)
+        spec[0, :, :2], spec[1, :, :2] = z.real, -z.imag
+    spec[:, :, 2] = spec[:, :, 1] * (1.0 / grid.sin_theta[::nphi] ** 2)
+    if mode and mode[2]:
+        # rings i and n_theta - 1 - i contribute alike; the equator once
+        nt = (nt + 1) // 2
+        spec = spec[..., :nt] * np.where(np.arange(nt) < grid.n_theta // 2, 2.0, 1.0)
+
+    lap = basis.rad * -(np.arange(L + 1) * (np.arange(L + 1) + 1.0))[:, None]
+    factors = [np.ascontiguousarray(f[..., :nt]) for f in (lap, basis.drad, basis.rad)]
+    blocks, reads, npad, bundles = _gram_layout(L, l0, mode)
+    forms, asym, scale = {}, 0.0, 0.0
+    for lay in bundles:
+        # the phi sums of each group pair (g', k), term and ring
+        phi = 0.5 * np.add(*(lay.coef * spec[lay.kind, lay.freq]))
+        # per term one product, batched over the groups g', of the rows of
+        # all groups of a block, weighted per pair, against the rows of g'
+        left = np.empty((len(phi), len(lay.slot_group), nt))
+        out = np.empty(left.shape[:2] + (npad,))
+        prod = np.empty_like(out)
+        for t, f in enumerate(factors):
+            fg = f if lay.right is None else f.reshape(-1, nt)[lay.right]
+            if lay.slots is None:
+                np.multiply(fg, phi[:, 0, t, None], out=left)
+            else:
+                np.take(fg.reshape(-1, nt), lay.slots, axis=0, out=left)
+                left *= phi[:, lay.slot_group, t]
+            np.matmul(left, fg.transpose(0, 2, 1), out=prod if t else out)
+            if t:
+                out += prod
+        del left, prod
+        vals = out.ravel()[lay.at]  # every block's entries, row by row, block after block
+        transposed = vals[lay.transpose]
+        asym = max(asym, np.abs(vals - transposed).max())
+        vals = 0.5 * (vals + transposed)
+        scale = max(scale, np.abs(vals).max())
+        for k, z, e in zip(lay.members, lay.sizes.tolist(), np.cumsum(lay.sizes**2).tolist()):
+            forms[k] = vals[e - z * z : e].reshape(z, z)
     if asym > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"Gram matrix asymmetry {asym} exceeds tolerance")
-    forms = [0.5 * (B + B.T) for B in forms]
-    return tuple((rows, forms[k]) for rows, k in blocks)
+    return tuple((b, forms[k]) for b, k in zip(blocks, reads))
+
+
+@functools.lru_cache(maxsize=4)
+def _gram_layout(L: int, l0: int, mode):
+    """The blocks of ``gram_blocks``, the matrix each reads, and how to build them.
+
+    Returns (blocks, reads, npad, bundles), read-only and fixed by L, l0
+    and ``mode`` (None for ring-constant weights, else whether x1, x2, x3
+    hold).  A group is one order and trig type of one block, at entries
+    r of its degrees par, par + step, ... padded to npad.  A block of
+    several groups is a bundle alone; all one-group blocks form one.
+    Per bundle, ``right`` maps group entries to rows of the factor
+    tables, ``slots`` and ``slot_group`` the left operand's rows,
+    ``kind``, ``freq`` and ``coef`` pick and sign each pair's ring
+    coefficients, and ``at`` and ``transpose`` read the blocks' entries.
+    """
+    l = np.repeat(np.arange(l0, L + 1), 2 * np.arange(l0, L + 1) + 1)
+    m = np.arange(l0 * l0, (L + 1) ** 2) - l * (l + 1)
+    a, s = np.abs(m), (m < 0).astype(np.intp)
+    if mode is None:
+        # a sin block reads the matrix of its order's cos block
+        key, owner = 2 * a + s, 2 * a
+    else:
+        key = owner = mode[0] * ((a + s) % 2) + mode[1] * 2 * s + mode[2] * 4 * ((l + a) % 2)
+    (order,) = _read_only(np.argsort(key, kind="stable"))
+    keys, first, counts = np.unique(key[order], return_index=True, return_counts=True)
+    blocks = [order[i : i + c] for i, c in zip(first.tolist(), counts.tolist())]
+    reads = np.searchsorted(keys, owner[order[first]]).tolist()
+    group = (2 * a + s)[order]
+    one = np.minimum.reduceat(group, first) == np.maximum.reduceat(group, first)
+    single = [k for k in sorted(set(reads)) if one[k]]
+    step = 2 if mode and mode[2] else 1
+    npad, span, bundles = L // step + 1, 2 * (L + 1), []
+    for members in [[k] for k in sorted(set(reads)) if not one[k]] + [single] * bool(single):
+        rows = np.concatenate([blocks[k] for k in members])
+        sizes = counts[members]
+        cls = np.repeat(np.arange(len(members)), sizes)
+        gkeys, gfirst, g = np.unique(
+            cls * span + 2 * a[rows] + s[rows], return_index=True, return_inverse=True
+        )
+        gcls, ga, gs = gkeys // span, gkeys // 2 % (L + 1), gkeys % 2
+        par = l[rows[gfirst]] % step
+        r = (l[rows] - par[g]) // step
+
+        # group g' pairs with the k-th group of its block; past the
+        # block's groups, k repeats its first group with a zero weight
+        gstart, gsize = np.searchsorted(gcls, np.arange(len(members))), np.bincount(gcls)
+        k = np.arange(gsize.max())
+        spare = k >= gsize[gcls, None]
+        mates = np.where(spare, gstart[gcls, None], gstart[gcls, None] + k)
+        ia, ja, si, sj = ga[mates], ga[:, None], gs[mates], gs[:, None]
+        # a pair's phi sum is half its ring coefficients at |a - a'| and
+        # a + a', C for like trig types and S for unlike ones, signed.  The
+        # phi derivatives -a sin(a phi) of cos rows and a cos(a phi) of sin
+        # rows scale the third term and swap its trig types
+        flip = np.array([1, 1, -1])[:, None]
+        same = (si == sj)[..., None, None]
+        coef = np.stack([
+            np.where(same, 1, ((si - sj) * np.sign(ia - ja))[..., None, None] * flip),
+            np.where(same, (1 - 2 * si)[..., None, None] * flip, 1),
+        ])
+        coef[:, :, :, 2] *= (ia * ja * (2 * si - 1) * (2 * sj - 1))[..., None]
+        coef[:, spare] = 0
+
+        # the left operand of g' holds slot (k, r) unless it holds l < a, a
+        # zero factor, in every block.  Where an l-range is one entry
+        # short, its last entry reads row L, which no block entry reads
+        lk = par[:, None] + step * np.arange(npad)
+        used = ((lk[mates] >= ia[..., None]) & (lk[mates] <= L) & ~spare[..., None]).any(axis=0)
+        ks, rs = np.nonzero(used)
+        slot = np.cumsum(used).reshape(used.shape) - 1
+
+        # the blocks' entries (p, q), row by row, read out[g_q, slot of p, r_q]
+        n = np.repeat(sizes, sizes)
+        start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        head = np.cumsum(n) - n
+        p = np.repeat(np.arange(n.size), n)
+        q = np.arange(p.size) - head[p] + start[p]
+        at = (slot[g - gstart[gcls[g]], r] * npad)[p] + (g * ks.size * npad + r)[q]
+        identity = step == 1 and np.array_equal(ga, np.arange(L + 1))
+        bundles.append(
+            SimpleNamespace(
+                members=members, sizes=sizes, coef=coef, slot_group=ks,
+                kind=(~same[..., 0, 0]).astype(np.intp), freq=np.stack([abs(ia - ja), ia + ja]),
+                right=None if identity else ga[:, None] * (L + 1) + np.minimum(lk, L),
+                slots=None if used.size == npad and used.all() else mates[:, ks] * npad + rs,
+                # int32 halves the kept indices; one past 2^31 would need a 16 GB product
+                at=at.astype(np.int32), transpose=(head[q] + p - start[p]).astype(np.int32),
+            )
+        )
+        _read_only(*(x for x in vars(bundles[-1]).values() if isinstance(x, np.ndarray)))
+    return blocks, reads, npad, bundles
 
 
 def shared_blocks(
@@ -507,50 +616,6 @@ def shared_blocks(
     for rows, B in blocks:
         groups.setdefault(id(B), ([], B))[0].append(rows)
     return list(groups.values())
-
-
-def _order_grams(
-    basis: HarmonicBasis, w_lap, w_grad, l0: int
-) -> tuple[list[tuple[NDArray[np.int64], int]], list[NDArray[np.float64]]]:
-    """Gram matrices of ``weighted_form`` per azimuthal order, for weights constant in phi.
-
-    Returns ``(blocks, forms)``: ``forms[a]`` is the Gram matrix over
-    degrees l >= max(a, l0) of order a, and ``blocks`` lists the pairs
-    (rows, a) of the cos rows of every order and the sin rows of every
-    order a > 0, rows counted from row l0^2.  The weights are read on
-    the first node of each theta ring.
-
-    On the product grid the phi sums are done exactly: for a, a' <= L
-    and 2L < n_phi, sum_j cos(a phi_j) cos(a' phi_j) is n_phi/2 when
-    a = a' > 0 and zero when a != a', and likewise for sin, while
-    cos and sin never couple.  So every entry is a theta sum of the
-    Legendre factors against ring weights, and the three terms of the
-    form are three matrix products batched over all orders, O(L^3 n_theta)
-    in all.  Driscoll & Healy (1994) and Schaeffer (2013) use the same
-    orthogonality of the discrete Fourier factors.
-    """
-    L, nphi = basis.L, basis.grid.n_phi
-    a = np.arange(L + 1)
-    # ring sums of the nodal weights; cos^2 and sin^2 average 1/2 on a ring
-    ring = np.where(a > 0, 0.5, 1.0)[:, None] * basis.grid.weights[::nphi] * nphi
-    inv_s2 = 1.0 / basis.grid.sin_theta[::nphi] ** 2
-    w_lap, w_grad = (x[::nphi] if np.ndim(x) else x for x in (w_lap, w_grad))
-    rad, drad = basis.rad, basis.drad
-    mu = a * (a + 1.0)  # l(l+1), l = 0..L
-    lap = rad * -mu[None, :, None]
-    G = (lap * (ring * w_lap)[:, None]) @ lap.transpose(0, 2, 1)
-    G += (drad * (ring * w_grad)[:, None]) @ drad.transpose(0, 2, 1)
-    G += (rad * (ring * w_grad * inv_s2 * (a * a)[:, None])[:, None]) @ rad.transpose(0, 2, 1)
-
-    n0 = l0 * l0
-    blocks, forms = [], []
-    for m in a:
-        l = np.arange(max(m, l0), L + 1)
-        forms.append(G[m, l[0]:, l[0]:])
-        blocks.append((l * l + l + m - n0, m))
-        if m:
-            blocks.append((l * l + l - m - n0, m))
-    return blocks, forms
 
 
 def _field_samples(basis: HarmonicBasis, u: FieldCoeffs):

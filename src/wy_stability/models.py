@@ -38,7 +38,7 @@ from .gform import (
     THRESHOLD_BBAR, ZERO_DEFICIT_BBAR, Direction, RicciEigs, eta1_coeffs, optimal_eta2, phi_field
 )
 from .harmonics import FieldCoeffs, HarmonicBasis
-from .quad import SphereGrid, integrate
+from .quad import FOUR_PI, SphereGrid, integrate
 
 __all__ = [
     "CurvatureData",
@@ -171,7 +171,7 @@ def positivity_radius(eigs: RicciEigs) -> float:
 
 def deficit_closed_form(eigs: RicciEigs, bbar: float, r: float) -> float:
     """Closed form of the total deficit int (2 - H) dv for the family."""
-    return 4.0 * math.pi * r**4 * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
+    return FOUR_PI * r**4 * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
 
 
 def small_sphere_mass(cd: CurvatureData, r: float) -> float:

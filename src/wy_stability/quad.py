@@ -14,28 +14,23 @@ Exact reference values for monomial integrals come from the closed form
 and zero whenever any exponent is odd.  The rational factor is kept exact
 so that quadrature accuracy can be measured against it.
 
-With an even ``n_phi`` the node set is closed under the three coordinate
-reflections x_i -> -x_i, which act on the nodes as permutations.  A
-field even under all three is integrated from one node per orbit of the
-reflection group (``SphereGrid.fold``), about one octant of the grid.
-
-Every array of a grid, and of a fold, is read-only, so that one grid
-can be shared by many callers.  A grid computes its reflections and its
-fold once, on first use.
+The nodes are symmetric about the equator and uniform in phi, so on the
+(n_theta, n_phi) view of nodal samples the reflections of x3 and x2 are
+the index maps i -> n_theta - 1 - i and j -> -j, and that of x1 is
+j -> n_phi/2 - j on an even n_phi; an odd n_phi has none.  Every array
+of a grid is read-only, so that one grid can be shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
-    "GridFold",
     "SphereGrid",
     "build_grid",
     "integrate",
@@ -80,49 +75,6 @@ class SphereGrid:
     def exact_degree(self) -> int:
         """Largest polynomial total degree integrated exactly."""
         return min(2 * self.n_theta - 1, self.n_phi - 1)
-
-    @cached_property
-    def reflections(self) -> tuple[NDArray[np.int64], ...]:
-        """The reflections x1 -> -x1, x2 -> -x2, x3 -> -x3 as node permutations.
-
-        Entry k of each permutation is the node that node k maps to.  In
-        theta-major order (node k = i * n_phi + j) they are j -> n_phi/2 - j,
-        j -> -j (mod n_phi) and i -> n_theta - 1 - i; the Gauss-Legendre
-        nodes are symmetric about the equator.  An odd n_phi has no node at
-        phi = pi - phi_j, so the result is then empty.  Computed on first
-        use; the permutations are read-only.
-        """
-        nt, nphi = self.n_theta, self.n_phi
-        if nphi % 2:
-            return ()
-        i = np.arange(nt)[:, None]
-        j = np.arange(nphi)[None, :]
-        x1 = i * nphi + (nphi // 2 - j) % nphi
-        x2 = i * nphi + (-j) % nphi
-        x3 = (nt - 1 - i) * nphi + j
-        return _read_only(*(np.ravel(p) for p in (x1, x2, x3)))
-
-    @cached_property
-    def fold(self) -> GridFold | None:
-        """The grid folded onto the orbits of its reflections; None if it has none.
-
-        For samples f even under every reflection,
-        ``fold.weights @ f[fold.nodes]`` equals ``integrate(grid, f)`` up to
-        roundoff.  Computed on first use; the fold's arrays are read-only.
-        """
-        perms = self.reflections
-        if not perms:
-            return None
-        # the orbit of k is {g(k)} over the 8 products g of the reflections
-        orbit = np.arange(self.n_nodes)[None, :]
-        for p in perms:
-            orbit = np.concatenate([orbit, p[orbit]])
-        # each node adds its own weight to its orbit's smallest node, so a
-        # node on a mirror plane, which its orbit lists twice, counts once
-        nodes, owner = np.unique(orbit.min(axis=0), return_inverse=True)
-        weights = np.zeros(nodes.size)
-        np.add.at(weights, owner, self.weights)
-        return GridFold(*_read_only(nodes, weights))
 
 
 def _read_only(*arrays: NDArray) -> tuple[NDArray, ...]:
@@ -177,23 +129,6 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
         xyz=xyz,
         sin_theta=sin_t,
     )
-
-
-@dataclass(frozen=True)
-class GridFold:
-    """One representative node per orbit of the reflection group.
-
-    Attributes
-    ----------
-    nodes : ndarray of int
-        The smallest node index of each orbit, increasing.
-    weights : ndarray
-        The summed quadrature weights of each orbit.  Nodes on a mirror
-        plane lie in smaller orbits and carry fewer weights.
-    """
-
-    nodes: NDArray[np.int64]
-    weights: NDArray[np.float64]
 
 
 def integrate(grid: SphereGrid, samples: NDArray[np.float64]) -> float:

@@ -295,7 +295,8 @@ def test_commands_never_build_full_tables(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak < 25**2 * grid.n_nodes * 8  # one table would take 6.25 MB
 
-    # an even n_phi folds the pencil and the G Gram, an odd one does not
+    # an odd n_phi loses the x1 reflection; every command still runs
+    # without the tables or the dense M
     for n_theta, n_phi in ((8, 16), (9, 19)):
         base = RunConfig(n_theta=n_theta, n_phi=n_phi, ltrunc=4, witness=str(tmp_path / "w.json"))
         for command, extra in (
@@ -429,6 +430,21 @@ def test_scan_report_contents(tmp_path):
         if row["bbar"] < 1.0 / 30.0:
             assert row["deficit_closed"] > 0.0
         assert abs(row["deficit_closed"] - row["deficit_quadrature"]) < 1e-10
+
+
+def test_scan_on_odd_n_phi_matches_even_grid_at_small_radius():
+    # three distinct lam on 25x51: the pencil splits by x2 and x3 alone,
+    # and min/r^4 at r = 1e-3 and 1e-4 matches the 8-class pencil of 25x50
+    base = RunConfig(command="scan", ltrunc=24, lam=(0.7, 0.5, -1.2), r_list=(1e-3, 1e-4))
+    odd, _ = run(replace(base, n_theta=25, n_phi=51))
+    even, _ = run(replace(base, n_theta=25, n_phi=50))
+    assert len(odd["results"]) == len(even["results"]) == 6
+    for a, b in zip(odd["results"], even["results"]):
+        assert (a["bbar"], a["r"]) == (b["bbar"], b["r"])
+        assert abs(a["min_eig_over_r4"] - b["min_eig_over_r4"]) < 1e-5
+    row = odd["results"][-1]
+    assert (row["bbar"], row["r"]) == (1.0 / 30.0, 1e-4)
+    assert abs(row["min_eig_over_r4"] - -0.0363335) < 1e-6
 
 
 def test_scan_skips_row_where_h_is_not_positive(tmp_path):

@@ -254,7 +254,7 @@ def dense_min(M, kdiag, keep):
     return np.linalg.eigvalsh(M[np.ix_(keep, keep)] * np.outer(s, s))[0]
 
 
-@pytest.mark.parametrize("shape", BLOCK_GRIDS)
+@pytest.mark.parametrize("shape", BLOCK_GRIDS + [(25, 51)])
 @pytest.mark.parametrize("lam, bbar", [((1.0, 1.0, -2.0), 1.0 / 30.0), ((0.7, 0.5, -1.2), 0.0)])
 def test_blocked_pencil_matches_one_block(shape, lam, bbar):
     grid = build_grid(*shape)
@@ -283,15 +283,22 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
 
 
 def test_asymmetric_field_or_odd_n_phi_gives_one_block():
+    # an asymmetric h has no symmetry to split by: one block of every row
     pencil = assemble_pencil(BASIS, random_positive_field(np.random.default_rng(61)))
     assert len(pencil.blocks) == 1
-    # three distinct lam: h depends on phi, and the grid has no node at
-    # phi = pi - phi_j to fold by
+    np.testing.assert_array_equal(pencil.blocks[0][0], np.arange(NMODES - 1))
+    # three distinct lam: h depends on phi, and an odd n_phi has no node at
+    # phi = pi - phi_j, so x1 is lost; x2 and x3 still split the rows into
+    # the 4 classes of (trig type, l + |m| parity)
     grid = build_grid(25, 51)
+    basis = build_basis(grid, 8)
     H = h_family(RicciEigs(np.array([0.7, 0.5, -1.2])), 1.0 / 30.0, 0.1, grid)
-    pencil = assemble_pencil(build_basis(grid, 8), H)
-    assert len(pencil.blocks) == 1
-    np.testing.assert_array_equal(pencil.blocks[0][0], np.arange(pencil.M.shape[0]))
+    pencil = assemble_pencil(basis, H)
+    m, l = basis.orders[1:], basis.degrees[1:]
+    code = 2 * (m < 0) + 4 * ((l + np.abs(m)) % 2)
+    assert len(pencil.blocks) == 4
+    for (rows, _), want in zip(pencil.blocks, (0, 2, 4, 6)):
+        np.testing.assert_array_equal(rows, np.flatnonzero(code == want))
 
 
 def order_rows(L, l0):
@@ -306,7 +313,7 @@ def order_rows(L, l0):
 @pytest.mark.parametrize("shape", [(25, 50), (25, 51)])
 def test_axisymmetric_family_takes_order_blocks(shape):
     # lam1 = lam2 makes h independent of phi, so the pencil splits by
-    # order |m| and trig type even where n_phi is odd and nothing folds
+    # order |m| and trig type even where n_phi is odd
     grid = build_grid(*shape)
     basis = build_basis(grid, 12)
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.3, grid)
@@ -337,7 +344,7 @@ def test_axisymmetric_family_takes_order_blocks(shape):
 def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
     # min/r^4 at r = 1e-4 used to read -3.92 on 25x51 and -2.22 on 49x99,
     # where one block of every row drowned the O(r^4) eigenvalue; per-order
-    # blocks need no fold, so odd n_phi now matches the even grid
+    # blocks need no x1 reflection, so odd n_phi matches the even grid
     eigs, r = RicciEigs(np.array([1.0, 1.0, -2.0])), 1e-4
 
     def min_over_r4(shape, L):
@@ -354,19 +361,20 @@ def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
 
 def test_family_axisymmetric_about_x1_keeps_parity_or_one_block():
     # lam = (2, -1, -1) is axisymmetric about x1, not x3: h depends on phi,
-    # so the pencil folds into parity blocks or, on odd n_phi, stays whole
+    # so the pencil splits into the 8 parity classes or, on odd n_phi,
+    # where x1 is lost, into the 4 classes of x2 and x3
     eigs = RicciEigs(np.array([2.0, -1.0, -1.0]))
-    for shape, count in (((25, 50), 8), ((25, 51), 1)):
+    for shape, count in (((25, 50), 8), ((25, 51), 4)):
         grid = build_grid(*shape)
         H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
         assert len(assemble_pencil(build_basis(grid, 8), H).blocks) == count
 
 
-@pytest.mark.parametrize("shape", BLOCK_GRIDS)
+@pytest.mark.parametrize("shape", BLOCK_GRIDS + [(25, 51)])
 def test_family_takes_the_blocked_path(shape):
     # scan's speed rests on h_family at the default lam passing the ring
-    # check: a change in how h is rounded would silently send it back to
-    # the parity blocks, or to one dense block
+    # check: a change in how h is rounded would silently send it to the
+    # parity classes, or to one dense block
     grid = build_grid(*shape)
     basis = build_basis(grid, 4)
     config = RunConfig()
@@ -374,9 +382,17 @@ def test_family_takes_the_blocked_path(shape):
     for bbar in config.bbar_list + config.bracket:
         for r in config.r_list + (config.bisect_r,):
             assert len(assemble_pencil(basis, h_family(eigs, bbar, r, grid)).blocks) == 2 * 4 + 1
+    # every other H the command line builds splits too: the const family,
+    # and the quartic family with three distinct lam, 4 classes on odd
+    # n_phi and 8 on even
+    assert len(assemble_pencil(basis, constant_field(grid, 2.0 - config.eps)).blocks) == 2 * 4 + 1
+    eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
+    for bbar, r in ((config.bbar, config.r), (0.0, 1e-1), (1.0 / 90.0, 1e-3)):
+        blocks = assemble_pencil(basis, h_family(eigs, bbar, r, grid)).blocks
+        assert len(blocks) == (4 if shape[1] % 2 else 8)
 
 
-@pytest.mark.parametrize("L, shape", [(8, (32, 64)), (24, (25, 50))])
+@pytest.mark.parametrize("L, shape", [(8, (32, 64)), (24, (25, 50)), (24, (25, 51))])
 @pytest.mark.parametrize("lam", [(1.0, 1.0, -2.0), (0.7, 0.5, -1.2)])
 def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
     # min/r^4 tends to a constant as r -> 0; a solve of the dense matrix
@@ -390,6 +406,26 @@ def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
         for r in (1e-3, 1e-4)
     )
     assert abs(v4 - v3) < 1e-4 * abs(v3)
+
+
+def pencil_min_over_r4(shape, L, lam, r):
+    grid = build_grid(*shape)
+    H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, r, grid)
+    return min_pencil_eigenvalue(assemble_pencil(build_basis(grid, L), H))[0] / r**4
+
+
+@pytest.mark.parametrize(
+    "odd, even, L, lam",
+    [((25, 51), (25, 50), 24, (0.7, 0.5, -1.2)), ((49, 99), (49, 98), 48, (2.0, -1.0, -1.0))],
+)
+def test_odd_n_phi_minimum_matches_even_grid_at_small_radius(odd, even, L, lam):
+    # on odd n_phi these pencils were one block of every row, and min/r^4
+    # read -0.0365698 and -2.4134519 (first case), -0.1012577 at r = 1e-3
+    # (second); the x2 and x3 classes keep the O(r^4) eigenvalue
+    for r in (1e-3, 1e-4):
+        ref = pencil_min_over_r4(even, L, lam, r)
+        assert abs(pencil_min_over_r4(odd, L, lam, r) - ref) < 1e-5
+    assert abs(ref - (-0.0363335 if L == 24 else -0.1000001)) < 1e-6
 
 
 def extended_F(basis, H, eta):

@@ -265,8 +265,8 @@ def test_blocked_gram_matches_dense(shape):
 
 
 def test_odd_n_phi_gram_takes_order_blocks():
-    # no node at phi = pi - phi_j, so the grid has no x1 reflection to fold
-    # by; the weights are constant, so the Gram still splits by order
+    # no node at phi = pi - phi_j, so the grid has no x1 reflection; the
+    # weights are constant, so the Gram still splits by order
     basis = build_basis(build_grid(25, 51), 12)
     gram = g_gram(basis)
     orders = [0] + [m for a in range(1, 13) for m in (a, -a)]

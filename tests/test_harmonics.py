@@ -7,6 +7,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wy_stability.harmonics as harmonics_module
 from wy_stability.functional import assemble_pencil, mean_curvature_from_h
@@ -14,13 +16,12 @@ from wy_stability.gform import g_gram
 from wy_stability.harmonics import (
     FieldCoeffs,
     _field_samples,
-    _row_samples,
     analyze,
     build_basis,
+    gram_blocks,
     gradient_dot,
     index_of,
     laplacian,
-    parity_blocks,
     project,
     synthesize,
     weighted_form,
@@ -206,17 +207,6 @@ def test_weighted_form_scalar_vector_and_gram_agree():
         assert np.max(np.abs(weighted_form(BASIS, w_lap, w_grad, v)[1:] - gv)) < 1e-13 * vec_scale
 
 
-def test_parity_blocks_agree_with_the_tables():
-    # row k maps to +-itself under each reflection, odd where its block says
-    blocks = parity_blocks(BASIS.degrees, BASIS.orders)
-    assert sorted(np.concatenate(blocks).tolist()) == list(range(NMODES))
-    for code, rows in enumerate(blocks):
-        vals = BASIS.values[rows]
-        for bit, perm in enumerate(GRID.reflections):
-            sign = -1.0 if code >> bit & 1 else 1.0
-            assert np.max(np.abs(vals[:, perm] - sign * vals)) < 1e-12
-
-
 def loop_legendre(L, x):
     # the recurrences one (l, m) at a time, indexed [l, m]
     s = np.sqrt(1.0 - x * x)
@@ -306,39 +296,115 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     rows = rng.choice(basis.n_basis, size=40, replace=False)
     assert close(weighted_form(basis, w_lap, w_grad, u)[rows], ref_form[rows])
 
-    # row samples: the table entries, bit for bit, at fold nodes and all nodes
-    folded = grid.fold
-    for nodes in [None] + ([folded.nodes] if folded else []):
-        cols = slice(None) if nodes is None else nodes
-        lap = _row_samples(basis, rows, nodes, basis.rad, basis.ang) * -mu[rows, None]
-        dt = _row_samples(basis, rows, nodes, basis.drad, basis.ang)
-        dp = _row_samples(basis, rows, nodes, basis.rad, basis.dang)
-        np.testing.assert_array_equal(lap, values[rows][:, cols] * -mu[rows, None])
-        np.testing.assert_array_equal(dt, dtheta[rows][:, cols])
-        np.testing.assert_array_equal(dp, dphi[rows][:, cols])
-
-    # the pencil and the G Gram, bit for bit against the same code reading the tables
+    # the dense reference: weighted_gram on demand is the same code reading
+    # the tables, bit for bit
     x1, x2, x3 = grid.xyz.T
     fields = [
-        mean_curvature_from_h(grid, 0.01 * (x1**2 - 2.0 * x3**4)),  # reflection-even
-        mean_curvature_from_h(grid, 0.01 * (x1 * x2**2 + x3)),  # odd: one block
+        mean_curvature_from_h(grid, 0.01 * (x1**2 - 2.0 * x3**4)),  # even under x1, x2, x3
+        mean_curvature_from_h(grid, 0.01 * (x1 * x2**2 + x3)),  # even under x2 only
     ]
-    on_demand = [assemble_pencil(basis, H).M for H in fields], g_gram(basis)
+    weights = [(-H.h / (2.0 * H.samples), -H.h) for H in fields] + [(0.5, -1.0)]
+    rows = np.arange(1, basis.n_basis)
+    on_demand = [weighted_gram(basis, wl, wg, rows) for wl, wg in weights]
 
-    def read_tables(basis_, rows_, nodes_, rad, ang):
-        table = tables[(rad is basis_.drad) + 2 * (ang is basis_.dang)]
-        if nodes_ is None:
-            return table[rows_]
-        return table[np.ix_(np.arange(basis_.n_basis)[rows_], nodes_)]
+    def read_tables(basis_, rows_, rad, ang):
+        return tables[(rad is basis_.drad) + 2 * (ang is basis_.dang)][rows_]
 
     monkeypatch.setattr(harmonics_module, "_row_samples", read_tables)
-    from_tables = [assemble_pencil(basis, H).M for H in fields], g_gram(basis)
-    for a, b in zip(on_demand[0], from_tables[0]):
+    dense = [weighted_gram(basis, wl, wg, rows) for wl, wg in weights]
+    monkeypatch.undo()
+    for a, b in zip(on_demand, dense):
         np.testing.assert_array_equal(a, b)
-    assert len(on_demand[1]) == len(from_tables[1])
-    for (rows_a, a), (rows_b, b) in zip(on_demand[1], from_tables[1]):
-        np.testing.assert_array_equal(rows_a, rows_b)
-        np.testing.assert_array_equal(a, b)
+
+    # the pencil and the G Gram, block by block, against that reference
+    for H, M in zip(fields, dense):
+        M = 0.5 * (M + M.T) + np.diag(mu[1:] * (0.5 * mu[1:] - 1.0))
+        pencil = assemble_pencil(basis, H)
+        scale = np.abs(M).max()
+        inside = np.zeros(M.shape, dtype=bool)
+        for rows_b, block in pencil.blocks:
+            inside[np.ix_(rows_b, rows_b)] = True
+            assert np.abs(block - M[np.ix_(rows_b, rows_b)]).max() <= 1e-12 * scale
+        assert len(pencil.blocks) > 1 and np.abs(M[~inside]).max() <= 1e-13 * scale
+    Q = dense[2][3:, 3:]
+    for rows_b, block in g_gram(basis):
+        assert np.abs(block - Q[np.ix_(rows_b, rows_b)]).max() <= 1e-12 * np.abs(Q).max()
+
+
+def mirror(x, axis):
+    # a field on the (n_theta, n_phi) view under x_axis -> -x_axis
+    nphi = x.shape[1]
+    j = np.arange(nphi)
+    return (x[:, (nphi // 2 - j) % nphi], x[:, -j % nphi], x[::-1])[axis - 1]
+
+
+def expected_classes(basis, l0, ring, held):
+    # the rows of each block in gram_blocks order, counted from row l0^2
+    l, m = basis.degrees[l0 * l0 :], basis.orders[l0 * l0 :]
+    a, sin = np.abs(m), (m < 0).astype(int)
+    if ring:
+        code = 2 * a + sin
+    else:
+        bits = ((a + sin) % 2, sin, (l + a) % 2)
+        code = sum((2**i * bits[i] for i in range(3) if i + 1 in held), np.zeros_like(a))
+    return [np.flatnonzero(code == c) for c in np.unique(code)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(2, 4),
+    extra=st.tuples(st.integers(1, 3), st.integers(0, 5)),
+    ring=st.booleans(),
+    held=st.sets(st.integers(1, 3)),
+    l0=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held, l0, seed):
+    # even and odd n_theta and n_phi; random nodal weights made constant on
+    # every ring, or even under a random subset of the three reflections
+    grid = build_grid(L + extra[0], 2 * L + 1 + extra[1])
+    basis = build_basis(grid, L)
+    rng = np.random.default_rng(seed)
+    nt, nphi = grid.n_theta, grid.n_phi
+    if nphi % 2:
+        held = held - {1}  # no node at phi = pi - phi_j
+    weights = []
+    for _ in range(2):
+        x = rng.normal(size=(nt, nphi))
+        if ring:
+            x[:] = x[:, :1]
+        for axis in held:
+            x = 0.5 * (x + mirror(x, axis))
+        weights.append(x.ravel())
+    blocks = gram_blocks(basis, *weights, l0, tuple(weights))
+
+    # the rows fall in the expected classes, and a sin block shares its
+    # cos block's matrix
+    want = expected_classes(basis, l0, ring, held)
+    assert len(blocks) == len(want)
+    for (rows, _), rows_want in zip(blocks, want):
+        np.testing.assert_array_equal(rows, rows_want)
+    if ring:
+        orders = [np.abs(basis.orders[l0 * l0 + rows[0]]) for rows, _ in blocks]
+        for (_, B), (_, B_next), a, a_next in zip(blocks, blocks[1:], orders, orders[1:]):
+            assert (B is B_next) == (a == a_next)
+
+    # every block matches the dense reference; the dense entries between
+    # classes are roundoff, and the pencil is exactly zero there
+    dense = weighted_gram(basis, *weights, np.arange(l0 * l0, basis.n_basis))
+    scale = np.abs(dense).max()
+    inside = np.zeros(dense.shape, dtype=bool)
+    for rows, B in blocks:
+        inside[np.ix_(rows, rows)] = True
+        assert np.abs(B - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
+    assert np.abs(dense[~inside]).max(initial=0.0) <= 1e-13 * scale
+    H = mean_curvature_from_h(grid, 0.1 * weights[1] / np.abs(weights[1]).max())
+    pencil = assemble_pencil(basis, H)
+    inside = np.zeros(pencil.M.shape, dtype=bool)
+    for rows, _ in pencil.blocks:
+        inside[np.ix_(rows, rows)] = True
+    assert len(pencil.blocks) == len(expected_classes(basis, 1, ring, held))
+    assert np.all(pencil.M[~inside] == 0.0)
 
 
 def test_basis_arrays_are_read_only():

@@ -120,42 +120,15 @@ def test_integrate_rejects_wrong_shape():
         integrate(GRID, np.ones(GRID.n_nodes - 1))
 
 
-def test_reflections_map_nodes_to_mirror_images():
-    for perm, sign in zip(GRID.reflections, 1.0 - 2.0 * np.eye(3)):
-        assert np.max(np.abs(GRID.xyz[perm] - GRID.xyz * sign)) < 4e-15
-    assert build_grid(25, 51).reflections == ()
-    assert build_grid(25, 51).fold is None
-
-
-@pytest.mark.parametrize("shape", [(5, 12), (25, 50), (32, 64), (49, 98)])
-def test_fold_integrates_even_fields(shape):
-    grid = build_grid(*shape)
-    folded = grid.fold
-    assert math.isclose(folded.weights.sum(), FOUR_PI, rel_tol=1e-14)
-    # the orbits of the representatives under the 8 group elements
-    # partition the nodes
-    group = [np.arange(grid.n_nodes)]
-    for perm in grid.reflections:
-        group += [perm[g] for g in group]
-    orbits = [np.unique(col) for col in np.stack(group)[:, folded.nodes].T]
-    assert sum(o.size for o in orbits) == grid.n_nodes
-    assert np.array_equal(np.unique(np.concatenate(orbits)), np.arange(grid.n_nodes))
-    x1, x2, x3 = grid.xyz.T
-    samples = x1**2 * x2**2 * x3**4
-    full = integrate(grid, samples)
-    assert abs(folded.weights @ samples[folded.nodes] - full) < 1e-14 * full
-
-
 @pytest.mark.parametrize("shape", [(8, 16), (8, 17)])
 def test_grid_and_fold_are_read_only_and_computed_once(shape):
+    # a grid keeps no folded copy and no node permutations: the Gram
+    # builder reads the reflections as index maps on the (n_theta, n_phi)
+    # view, on even and odd n_phi alike
     grid = build_grid(*shape)
-    folded = grid.fold
-    arrays = [grid.theta, grid.phi, grid.weights, grid.xyz, grid.sin_theta, *grid.reflections]
-    if folded is not None:
-        arrays += [folded.nodes, folded.weights]
-    assert len(arrays) == (10 if shape[1] % 2 == 0 else 5)
+    arrays = [grid.theta, grid.phi, grid.weights, grid.xyz, grid.sin_theta]
+    assert not hasattr(grid, "fold") and not hasattr(grid, "reflections")
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
-    assert grid.fold is folded and grid.reflections is grid.reflections
     assert np.array_equal(grid.sin_theta, np.sin(grid.theta))
