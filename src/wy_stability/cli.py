@@ -311,12 +311,14 @@ def _directions_for(config: RunConfig) -> list[np.ndarray]:
     return dirs
 
 
+def _require_ltrunc(config: RunConfig, least: int, why: str) -> None:
+    if config.ltrunc < least:
+        raise ConfigError(f"{config.command} {why}: ltrunc must be >= {least}, got {config.ltrunc}")
+
+
 def cmd_gform(config: RunConfig) -> dict:
     """Quartic-energy coefficients and minima per (a, lam, bbar)."""
-    if config.ltrunc < 2:
-        raise ConfigError(
-            f"gform minimizes over degrees l >= 2: ltrunc must be >= 2, got {config.ltrunc}"
-        )
+    _require_ltrunc(config, 2, "minimizes over degrees l >= 2")
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     eigs = RicciEigs(config.lam)
     gram = g_gram(basis)
@@ -365,13 +367,9 @@ def cmd_gform(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if ok and consistent else "FAIL")
 
 
-def _min_eigs(basis, H) -> tuple[float, float]:
-    """Pencil minima over degrees l >= 1 and over l >= 2."""
-    return pencil_minima(assemble_pencil(basis, H))
-
-
 def cmd_scan(config: RunConfig) -> dict:
     """Pencil eigenvalue scan over (bbar, r) plus threshold bisection."""
+    _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
     if len(config.bracket) != 2:
         raise ConfigError(f"bracket needs 2 values (lo, hi), got {len(config.bracket)}")
     if not config.bracket[0] < config.bracket[1]:
@@ -395,7 +393,7 @@ def cmd_scan(config: RunConfig) -> dict:
             except ValueError as exc:  # r out of range, or H not positive
                 rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(exc)})
                 continue
-            unres, res = _min_eigs(basis, H)
+            unres, res = pencil_minima(assemble_pencil(basis, H))
             deficit = deficit_closed_form(eigs, bbar, r)
             deficit_quad = integrate(grid, -H.h)
             rows.append(
@@ -479,6 +477,7 @@ def _witness_path(config: RunConfig) -> Path:
 
 def cmd_counterexample(config: RunConfig) -> dict:
     """Explicit negative direction for the quartic family, with witness file."""
+    _require_ltrunc(config, 3, "builds a degree-3 direction")
     wpath = _witness_path(config)
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     eigs = RicciEigs(config.lam)
@@ -578,6 +577,7 @@ def _certify_field(config: RunConfig, grid):
 
 def cmd_certify(config: RunConfig) -> dict:
     """Certificate thresholds, condition checks, and the pencil cross-check."""
+    _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     H = _certify_field(config, grid)
     alpha = config.alpha if config.alpha is not None else H.inf_h
@@ -586,7 +586,7 @@ def cmd_certify(config: RunConfig) -> dict:
     cert_neg = negative_part_certificate(config.beta, config.lambda1, alpha, 2.0, 2.0)
     report = check_deficit_conditions(H, cert_ratio)
 
-    unres, res = _min_eigs(basis, H)
+    unres, res = pencil_minima(assemble_pencil(basis, H))
 
     sound = (not report.passed) or unres > 0
     results = [

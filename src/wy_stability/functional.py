@@ -36,12 +36,12 @@ entries are exact zeros instead of roundoff, which keeps an O(r^4)
 eigenvalue from drowning in the O(1) spectrum.  When h does not depend
 on phi, as for the quartic family with lam1 = lam2, Q_H couples only
 harmonics of one azimuthal order and trig type: one block per order,
-shared by its cos and sin rows.  Otherwise the pencil splits by the
+which its cos and sin rows share.  Otherwise the pencil splits by the
 parity classes of the coordinate reflections that h is even under: the
 quartic family is even under all three, 8 classes on an even n_phi and
 4 on an odd one, which has no x1 reflection.  Every block is built from
-theta sums (``gram_blocks``).  The pencil stores only the blocks; the
-dense M is built when read.
+theta sums (``gram_blocks``).  The pencil stores each distinct block
+once, with the row sets it serves; the dense M is built when read.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .harmonics import (
     HarmonicBasis,
     gram_blocks,
     index_of,
-    shared_blocks,
     weighted_form,
 )
 from .quad import FOUR_PI, SphereGrid, integrate
@@ -163,14 +162,15 @@ class HessianPencil:
     ``M[i, j]`` is the polarized form Q_H on basis pair (i, j); ``kdiag``
     holds the exact diagonal l^2 (l+1)^2 of the comparison form
     int (Lap eta)^2.  Row index order follows the basis with the l=0
-    entry removed.  M is stored as ``blocks``, (rows, block) pairs of
-    its independent diagonal blocks in the order ``gram_blocks`` gives
-    them: one block per azimuthal order and trig type when h is constant
-    on every theta ring, where the cos and sin rows of an order share
-    one matrix object; else one block per parity class of the
-    reflections h is even under, one block of every row when there are
-    none.  M is zero outside them; reading ``M`` assembles the dense
-    matrix (46 MB at L = 48) for inspection.
+    entry removed.  M is stored as ``blocks``, one (rows, B) pair per
+    distinct diagonal block B, in the order ``gram_blocks`` gives them;
+    ``rows`` has shape (k, n), the k row sets whose block is B.  When h
+    is constant on every theta ring there is one pair per azimuthal
+    order, with k = 2 (its cos rows, then its sin rows) for order > 0;
+    else one pair per parity class of the reflections h is even under
+    (k = 1), one of every row when there are none.  M is zero outside
+    the blocks; reading ``M`` assembles the dense matrix (46 MB at
+    L = 48) for inspection.
     """
 
     L: int
@@ -182,7 +182,8 @@ class HessianPencil:
     def M(self) -> NDArray[np.float64]:
         M = np.zeros((self.kdiag.size, self.kdiag.size))
         for rows, B in self.blocks:
-            M[np.ix_(rows, rows)] = B
+            for r in rows:
+                M[np.ix_(r, r)] = B
         return M
 
 
@@ -252,16 +253,17 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     M is built in deficit form, like eval_Q: the symmetrized Gram blocks
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
     (gradients), plus the exact round diagonal mu^2/2 - mu, added once
-    to each distinct block.  h decides the blocks, each symmetry to
-    1e-13 of max|h|: the 2L + 1 (order, trig type) classes when h is
-    constant on every theta ring; else the parity classes of the
-    reflections h is even under.  Every entry is a theta sum.
+    to each block.  h decides the blocks, each symmetry to 1e-13 of
+    max|h|: L + 1 per-order blocks over the 2L + 1 (order, trig type)
+    row sets when h is constant on every theta ring; else the parity
+    classes of the reflections h is even under.  Every entry is a theta
+    sum.
     """
     _check_field(basis, H)
     blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h, 1, (H.h,))
     diag = _round_diagonal(basis)[1:]
-    for (rows, *_), B in shared_blocks(blocks):
-        B.flat[:: len(B) + 1] += diag[rows]
+    for rows, B in blocks:
+        B.flat[:: len(B) + 1] += diag[rows[0]]
     return HessianPencil(
         L=basis.L,
         kdiag=basis.eigenvalues[1:] ** 2,
@@ -290,9 +292,9 @@ def min_pencil_eigenvalue(
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
 
-    Each distinct block of the pencil is solved once, on its own; the
-    minimum is the smallest block minimum, the first block in
-    ``pencil.blocks`` order on a tie.
+    Each block of the pencil is solved once, on its own, over its first
+    row set; the minimum is the smallest block minimum, the first block
+    in ``pencil.blocks`` order on a tie.
 
     Parameters
     ----------
@@ -311,7 +313,8 @@ def min_pencil_eigenvalue(
     if restrict:
         _check_restrict(pencil)
     best = None
-    for (rows, *_), B in shared_blocks(pencil.blocks):
+    for rows, B in pencil.blocks:
+        rows = rows[0]
         if restrict:
             keep = pencil.degrees[rows] >= 2
             rows, B = rows[keep], B[np.ix_(keep, keep)]
@@ -335,20 +338,19 @@ def min_pencil_eigenvalue(
 def pencil_minima(pencil: HessianPencil) -> tuple[float, float]:
     """The values of ``min_pencil_eigenvalue`` over l >= 1 and over l >= 2, from one pass.
 
-    Each distinct block is solved once for both minima; only a block
-    with an l = 1 row is solved again without that row for the
-    restricted one.
+    Each block is solved once for both minima; only a block with an
+    l = 1 row is solved again without that row for the restricted one.
     """
     _check_restrict(pencil)
     unres = res = math.inf
-    for (rows, *_), B in shared_blocks(pencil.blocks):
-        low = _lowest_pair(pencil.kdiag, rows, B)[0]
+    for rows, B in pencil.blocks:
+        low = _lowest_pair(pencil.kdiag, rows[0], B)[0]
         unres = min(unres, low)
-        keep = pencil.degrees[rows] >= 2
+        keep = pencil.degrees[rows[0]] >= 2
         if not keep.all():
             if not keep.any():
                 continue
-            low = _lowest_pair(pencil.kdiag, rows[keep], B[np.ix_(keep, keep)])[0]
+            low = _lowest_pair(pencil.kdiag, rows[0][keep], B[np.ix_(keep, keep)])[0]
         res = min(res, low)
     return unres, res
 

@@ -40,7 +40,6 @@ from .harmonics import (
     gram_blocks,
     index_of,
     project,
-    shared_blocks,
     synthesize,
     weighted_form,
 )
@@ -279,14 +278,14 @@ def optimal_eta2(
 
 
 def g_gram(basis: HarmonicBasis) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
-    """The quadratic part of G over degrees l >= 2, as (rows, block) pairs.
+    """The quadratic part of G over degrees l >= 2, as (rows, B) pairs.
 
-    Each block is the symmetrized Gram matrix of
-    int [Lap(u) Lap(v) / 2 - <grad u, grad v>] dv over its rows, counted
-    from the first degree-2 row.  The weights are constant, so on any
-    grid the blocks are the 2L + 1 (order, trig type) classes of
-    ``gram_blocks``, built by theta sums alone; the cos and sin rows of
-    an order share one matrix object.
+    Each B is the symmetrized Gram matrix of
+    int [Lap(u) Lap(v) / 2 - <grad u, grad v>] dv over each of its row
+    sets, counted from the first degree-2 row.  The weights are
+    constant, so on any grid ``gram_blocks`` gives one pair per order,
+    built by theta sums alone: ``rows`` holds the order's cos rows and,
+    for order > 0, its sin rows, which share B.
     """
     if basis.L < 2:
         raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
@@ -305,12 +304,12 @@ def minimize_G(
     This is an independent route to the minimum: the quadratic part of G
     is the Gram matrix ``g_gram`` assembles by quadrature (not the
     spectral diagonal), the linear part comes from the cross-term
-    integrand, and each distinct block of the system is solved directly,
-    once for all the row sets that share it.  The
-    Gram matrix is symmetric positive definite: on degrees l >= 2 it
-    equals diag(mu (mu/2 - 1)) >= 12, mu = l(l+1), up to quadrature
-    roundoff.  It depends only on the basis; pass ``gram`` to reuse one
-    across directions and bbar values.
+    integrand, and each block of the system is solved directly, by one
+    solve with a right-hand side per row set it serves.  The Gram matrix
+    is symmetric positive definite: on degrees l >= 2 it equals
+    diag(mu (mu/2 - 1)) >= 12, mu = l(l+1), up to quadrature roundoff.
+    It depends only on the basis; pass ``gram`` to reuse one across
+    directions and bbar values.
 
     Returns the minimum value and the minimizing coefficients.
     """
@@ -320,10 +319,8 @@ def minimize_G(
     # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
     b = _g_cross(basis, eigs, direction)[4:]
     v = np.zeros_like(b)
-    for row_sets, block in shared_blocks(gram):
-        x = np.linalg.solve(block, np.stack([b[rows] for rows in row_sets], axis=1))
-        for rows, col in zip(row_sets, x.T):
-            v[rows] = col
+    for rows, block in gram:
+        v[rows] = np.linalg.solve(block, b[rows].T).T
     value = _g_constant(basis, eigs, direction, bbar) - float(b @ v)
 
     c = np.zeros((basis.L + 1) ** 2)

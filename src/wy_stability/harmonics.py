@@ -53,7 +53,9 @@ phi nodes.  ``gram_blocks``, the one builder of the Gram matrices of
 the pencil and G, splits the rows by the symmetries the weights have
 and computes every entry as a theta sum: the phi sum of two trig
 factors against a ring's weights is read exactly off the ring's
-Fourier coefficients.
+Fourier coefficients.  Each symmetry case takes one batched product
+per term, and each distinct matrix is returned once, with the row sets
+it serves.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -75,7 +76,6 @@ __all__ = [
     "build_basis",
     "index_of",
     "gram_blocks",
-    "shared_blocks",
     "analyze",
     "synthesize",
     "laplacian",
@@ -421,18 +421,21 @@ def weighted_gram(
 def gram_blocks(
     basis: HarmonicBasis, w_lap, w_grad, l0: int, samples: tuple[NDArray[np.float64], ...] = ()
 ) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
-    """Gram matrix of ``weighted_form`` over degrees >= l0, as (rows, block) pairs.
+    """Gram matrix of ``weighted_form`` over degrees >= l0, as (rows, B) pairs.
 
-    Rows count from row l0^2.  The blocks follow the symmetries of the
-    nodal arrays ``samples`` the weights are built from (constant
-    weights need none), each to 1e-13 of the array's max: one block per
-    order a = |m| and trig type when they are constant on every theta
-    ring, the cos and sin rows of an order sharing one matrix object;
-    else one per parity class of the reflections that hold, read as
-    index maps on the (n_theta, n_phi) view (x1: j -> n_phi/2 - j, even
-    n_phi only; x2: j -> -j; x3: i -> n_theta - 1 - i).  Row (l, m) is
-    odd under them by p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and
-    p3 = (l + |m|) mod 2; blocks follow p1 + 2 p2 + 4 p3, rows increase.
+    Each distinct diagonal block B comes once, with ``rows`` of shape
+    (k, n): the k row sets that share it, each of n rows counted from row
+    l0^2, increasing.  The blocks follow the symmetries of the nodal
+    arrays ``samples`` the weights are built from (constant weights need
+    none), each to 1e-13 of the array's max.  When they are constant on
+    every theta ring, there is one block per order a = |m| over the
+    degrees l >= max(a, l0), shared by its cos and its sin rows (k = 2
+    for a > 0).  Else there is one block per parity class of the
+    reflections that hold, read as index maps on the (n_theta, n_phi)
+    view (x1: j -> n_phi/2 - j, even n_phi only; x2: j -> -j; x3:
+    i -> n_theta - 1 - i).  Row (l, m) is odd under them by
+    p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and p3 = (l + |m|) mod 2;
+    the classes follow p1 + 2 p2 + 4 p3.
 
     Every entry is a theta sum: on one ring the phi sum of the weight
     against the trig factors of orders a and a' is exactly half the sum
@@ -440,12 +443,14 @@ def gram_blocks(
     a + a' (C_0 alone for ring-constant weights, read on the ring's
     first node; else all of one FFT, none dropped), and the
     phi-derivative term is the same for the swapped trig types.  Under
-    x3 the sums run over one hemisphere.  Each term is one product
-    batched over the (order, trig type) groups of a block, as in
-    Driscoll & Healy (1994) and Schaeffer (2013): O(L^3 n_theta) for
-    ring-constant weights, O(L^5) otherwise.  No entry between blocks is
-    computed.  Each distinct block is symmetrized once its asymmetry is
-    checked against 1e-12 of the largest entry over all blocks (or of 1).
+    x3 the sums run over one hemisphere.  Each term is one batched
+    product, as in Driscoll & Healy (1994) and Schaeffer (2013): for
+    ring-constant weights one over the orders on the full degree range,
+    each block a contiguous square of it, O(L^3 n_theta); else one per
+    class, of its rows against the rows of each of its (order, trig
+    type) groups, O(L^5) in all.  No entry between blocks is computed.
+    Each block is symmetrized once its asymmetry is checked against
+    1e-12 of the largest entry over all blocks (or of 1).
     """
     L, grid = basis.L, basis.grid
     nt, nphi = grid.n_theta, grid.n_phi
@@ -474,148 +479,143 @@ def gram_blocks(
         nt = (nt + 1) // 2
         spec = spec[..., :nt] * np.where(np.arange(nt) < grid.n_theta // 2, 2.0, 1.0)
 
-    lap = basis.rad * -(np.arange(L + 1) * (np.arange(L + 1) + 1.0))[:, None]
-    factors = [np.ascontiguousarray(f[..., :nt]) for f in (lap, basis.drad, basis.rad)]
-    blocks, reads, npad, bundles = _gram_layout(L, l0, mode)
-    forms, asym, scale = {}, 0.0, 0.0
-    for lay in bundles:
-        # the phi sums of each group pair (g', k), term and ring
-        phi = 0.5 * np.add(*(lay.coef * spec[lay.kind, lay.freq]))
-        # per term one product, batched over the groups g', of the rows of
-        # all groups of a block, weighted per pair, against the rows of g'
-        left = np.empty((len(phi), len(lay.slot_group), nt))
-        out = np.empty(left.shape[:2] + (npad,))
-        prod = np.empty_like(out)
-        for t, f in enumerate(factors):
-            fg = f if lay.right is None else f.reshape(-1, nt)[lay.right]
-            if lay.slots is None:
-                np.multiply(fg, phi[:, 0, t, None], out=left)
-            else:
-                np.take(fg.reshape(-1, nt), lay.slots, axis=0, out=left)
-                left *= phi[:, lay.slot_group, t]
-            np.matmul(left, fg.transpose(0, 2, 1), out=prod if t else out)
-            if t:
-                out += prod
-        del left, prod
-        vals = out.ravel()[lay.at]  # every block's entries, row by row, block after block
-        transposed = vals[lay.transpose]
-        asym = max(asym, np.abs(vals - transposed).max())
-        vals = 0.5 * (vals + transposed)
-        scale = max(scale, np.abs(vals).max())
-        for k, z, e in zip(lay.members, lay.sizes.tolist(), np.cumsum(lay.sizes**2).tolist()):
-            forms[k] = vals[e - z * z : e].reshape(z, z)
+    mu = np.arange(L + 1) * (np.arange(L + 1) + 1.0)
+    factors = [basis.rad * -mu[:, None], basis.drad, basis.rad]
+    factors = [np.ascontiguousarray(f[..., :nt]) for f in factors]
+    sets, plan = _layout(L, l0, mode)
+    if mode is None:
+        mats, asym, scale = _order_grams(spec, factors, plan, [rows.shape[1] for rows in sets])
+    else:
+        mats, asym, scale = _class_grams(spec, factors, plan)
     if asym > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"Gram matrix asymmetry {asym} exceeds tolerance")
-    return tuple((b, forms[k]) for b, k in zip(blocks, reads))
+    return tuple(zip(sets, mats))
+
+
+def _pair_terms(ia, si, ja, sj):
+    """How ``_phi_sums`` reads the phi sums of trig factors (ia, si) and (ja, sj).
+
+    Orders a, a' and trig types s, s' (1 for sin) broadcast together.  A
+    pair's sum is half its ring coefficients at |a - a'| and a + a', C
+    for like trig types and S for unlike ones, signed.  The phi
+    derivatives -a sin(a phi) of cos rows and a cos(a phi) of sin rows
+    scale the third term and swap its trig types.
+    """
+    flip = np.array([1, 1, -1])[:, None]
+    same = (si == sj)[..., None, None]
+    coef = np.stack([
+        np.where(same, 1, ((si - sj) * np.sign(ia - ja))[..., None, None] * flip),
+        np.where(same, (1 - 2 * si)[..., None, None] * flip, 1),
+    ])
+    coef[..., 2, :] *= (ia * ja * (2 * si - 1) * (2 * sj - 1))[..., None]
+    return coef, (si != sj).astype(np.intp), np.stack([abs(ia - ja), ia + ja])
+
+
+def _phi_sums(spec, pairs) -> NDArray[np.float64]:
+    """The phi sums [..., term, ring] of the pairs of ``_pair_terms``."""
+    coef, kind, freq = pairs
+    terms = spec[kind, freq]
+    terms *= coef
+    phi = np.add(*terms)
+    phi *= 0.5
+    return phi
+
+
+def _order_grams(spec, factors, pairs, sizes):
+    """The block of each order a, over its last ``sizes[a]`` degrees, from one product per term."""
+    n, nt = len(sizes), factors[0].shape[-1]
+    phi = _phi_sums(spec, pairs)
+    # one allocation for the three operands, which later calls reuse;
+    # with three, every call of a scan grew and trimmed the heap again
+    buf = np.empty(n * n * (nt + 2 * n))
+    left, (out, prod) = buf[: n * n * nt].reshape(n, n, nt), buf[n * n * nt :].reshape(2, n, n, n)
+    for t, f in enumerate(factors):
+        np.multiply(f, phi[:, t, None], out=left)
+        np.matmul(left, f.transpose(0, 2, 1), out=prod if t else out)
+        if t:
+            out += prod
+    # one flat gather of the used entries, row by row, order after order
+    keep = np.arange(n) >= n - np.array(sizes)[:, None]
+    pick = keep[:, :, None] & keep[:, None, :]
+    vals, transposed = out[pick], out.transpose(0, 2, 1)[pick]
+    asym = np.abs(vals - transposed).max()
+    vals = 0.5 * (vals + transposed)
+    ends = np.cumsum(np.square(sizes)).tolist()
+    mats = [vals[e - z * z : e].reshape(z, z) for z, e in zip(sizes, ends)]
+    return mats, asym, np.abs(vals).max()
+
+
+def _class_grams(spec, factors, plan):
+    """The block of each parity class of ``plan``, from one product per class and term.
+
+    Per term, the class's rows weighted by their phi sums against each
+    (order, trig type) group g' of the class, against the rows of g' at
+    its padded degrees; entry (p, q) of the block is at (g_q, p, r_q).
+    """
+    nt, npad = factors[0].shape[-1], plan[0][3].shape[1]
+    size = max(own.size * right.shape[0] for own, _, _, right, _ in plan)
+    rsize = max(right.size for *_, right, _ in plan) * nt
+    buf = np.empty(size * (nt + 2 * npad) + rsize)  # one buffer, as in _order_grams
+    wbuf, obuf, pbuf, rbuf = np.split(buf, np.cumsum([size * nt, size * npad, size * npad]))
+    mats, asym, scale = [], 0.0, 0.0
+    for own, g, r, right, pairs in plan:
+        G, n = right.shape[0], own.size
+        phi = _phi_sums(spec, pairs)  # [g', g, term, ring]
+        weighted = wbuf[: G * n * nt].reshape(G, n, nt)
+        out, prod = (x[: G * n * npad].reshape(G, n, npad) for x in (obuf, pbuf))
+        fg = rbuf[: right.size * nt].reshape(G, npad, nt)
+        for t, f in enumerate(factors):
+            f = f.reshape(-1, nt)
+            np.take(phi[:, :, t], g, axis=1, out=weighted, mode="clip")
+            weighted *= f[own]
+            np.take(f, right, axis=0, out=fg, mode="clip")
+            np.matmul(weighted, fg.transpose(0, 2, 1), out=prod if t else out)
+            if t:
+                out += prod
+        B = out.transpose(0, 2, 1)[g, r]  # row q reads (g_q, :, r_q): the block's transpose
+        asym = max(asym, np.abs(B - B.T).max())
+        mats.append(0.5 * (B + B.T))
+        scale = max(scale, np.abs(mats[-1]).max())
+    return mats, asym, scale
 
 
 @functools.lru_cache(maxsize=4)
-def _gram_layout(L: int, l0: int, mode):
-    """The blocks of ``gram_blocks``, the matrix each reads, and how to build them.
+def _layout(L: int, l0: int, mode):
+    """The row sets of ``gram_blocks`` and the plan of their products, as (sets, plan).
 
-    Returns (blocks, reads, npad, bundles), read-only and fixed by L, l0
-    and ``mode`` (None for ring-constant weights, else whether x1, x2, x3
-    hold).  A group is one order and trig type of one block, at entries
-    r of its degrees par, par + step, ... padded to npad.  A block of
-    several groups is a bundle alone; all one-group blocks form one.
-    Per bundle, ``right`` maps group entries to rows of the factor
-    tables, ``slots`` and ``slot_group`` the left operand's rows,
-    ``kind``, ``freq`` and ``coef`` pick and sign each pair's ring
-    coefficients, and ``at`` and ``transpose`` read the blocks' entries.
+    Fixed by L, l0 and ``mode`` (None for ring-constant weights, else
+    whether x1, x2, x3 hold); rows count from row l0^2.  For ring-constant
+    weights, per order its cos rows, then its sin rows, and the
+    ``_pair_terms`` of each order with itself.  Else per parity class
+    its rows, shape (1, n), and what ``_class_grams`` reads: each row's
+    index ``own`` in the [a, l] factor tables, its (order, trig type)
+    group g and its position r in the group's degrees par, par + step,
+    ... padded to L // step + 1 (step 2 under x3); each group's factor
+    rows ``right`` at those degrees, clipped to L; and the
+    ``_pair_terms`` of every (group, row's group) pair.  All of it is
+    read-only, and grows with the row count.
     """
     l = np.repeat(np.arange(l0, L + 1), 2 * np.arange(l0, L + 1) + 1)
     m = np.arange(l0 * l0, (L + 1) ** 2) - l * (l + 1)
     a, s = np.abs(m), (m < 0).astype(np.intp)
     if mode is None:
-        # a sin block reads the matrix of its order's cos block
-        key, owner = 2 * a + s, 2 * a
-    else:
-        key = owner = mode[0] * ((a + s) % 2) + mode[1] * 2 * s + mode[2] * 4 * ((l + a) % 2)
-    (order,) = _read_only(np.argsort(key, kind="stable"))
-    keys, first, counts = np.unique(key[order], return_index=True, return_counts=True)
-    blocks = [order[i : i + c] for i, c in zip(first.tolist(), counts.tolist())]
-    reads = np.searchsorted(keys, owner[order[first]]).tolist()
-    group = (2 * a + s)[order]
-    one = np.minimum.reduceat(group, first) == np.maximum.reduceat(group, first)
-    single = [k for k in sorted(set(reads)) if one[k]]
-    step = 2 if mode and mode[2] else 1
-    npad, span, bundles = L // step + 1, 2 * (L + 1), []
-    for members in [[k] for k in sorted(set(reads)) if not one[k]] + [single] * bool(single):
-        rows = np.concatenate([blocks[k] for k in members])
-        sizes = counts[members]
-        cls = np.repeat(np.arange(len(members)), sizes)
-        gkeys, gfirst, g = np.unique(
-            cls * span + 2 * a[rows] + s[rows], return_index=True, return_inverse=True
-        )
-        gcls, ga, gs = gkeys // span, gkeys // 2 % (L + 1), gkeys % 2
-        par = l[rows[gfirst]] % step
-        r = (l[rows] - par[g]) // step
-
-        # group g' pairs with the k-th group of its block; past the
-        # block's groups, k repeats its first group with a zero weight
-        gstart, gsize = np.searchsorted(gcls, np.arange(len(members))), np.bincount(gcls)
-        k = np.arange(gsize.max())
-        spare = k >= gsize[gcls, None]
-        mates = np.where(spare, gstart[gcls, None], gstart[gcls, None] + k)
-        ia, ja, si, sj = ga[mates], ga[:, None], gs[mates], gs[:, None]
-        # a pair's phi sum is half its ring coefficients at |a - a'| and
-        # a + a', C for like trig types and S for unlike ones, signed.  The
-        # phi derivatives -a sin(a phi) of cos rows and a cos(a phi) of sin
-        # rows scale the third term and swap its trig types
-        flip = np.array([1, 1, -1])[:, None]
-        same = (si == sj)[..., None, None]
-        coef = np.stack([
-            np.where(same, 1, ((si - sj) * np.sign(ia - ja))[..., None, None] * flip),
-            np.where(same, (1 - 2 * si)[..., None, None] * flip, 1),
-        ])
-        coef[:, :, :, 2] *= (ia * ja * (2 * si - 1) * (2 * sj - 1))[..., None]
-        coef[:, spare] = 0
-
-        # the left operand of g' holds slot (k, r) unless it holds l < a, a
-        # zero factor, in every block.  Where an l-range is one entry
-        # short, its last entry reads row L, which no block entry reads
-        lk = par[:, None] + step * np.arange(npad)
-        used = ((lk[mates] >= ia[..., None]) & (lk[mates] <= L) & ~spare[..., None]).any(axis=0)
-        ks, rs = np.nonzero(used)
-        slot = np.cumsum(used).reshape(used.shape) - 1
-
-        # the blocks' entries (p, q), row by row, read out[g_q, slot of p, r_q]
-        n = np.repeat(sizes, sizes)
-        start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        head = np.cumsum(n) - n
-        p = np.repeat(np.arange(n.size), n)
-        q = np.arange(p.size) - head[p] + start[p]
-        at = (slot[g - gstart[gcls[g]], r] * npad)[p] + (g * ks.size * npad + r)[q]
-        identity = step == 1 and np.array_equal(ga, np.arange(L + 1))
-        bundles.append(
-            SimpleNamespace(
-                members=members, sizes=sizes, coef=coef, slot_group=ks,
-                kind=(~same[..., 0, 0]).astype(np.intp), freq=np.stack([abs(ia - ja), ia + ja]),
-                right=None if identity else ga[:, None] * (L + 1) + np.minimum(lk, L),
-                slots=None if used.size == npad and used.all() else mates[:, ks] * npad + rs,
-                # int32 halves the kept indices; one past 2^31 would need a 16 GB product
-                at=at.astype(np.int32), transpose=(head[q] + p - start[p]).astype(np.int32),
-            )
-        )
-        _read_only(*(x for x in vars(bundles[-1]).values() if isinstance(x, np.ndarray)))
-    return blocks, reads, npad, bundles
-
-
-def shared_blocks(
-    blocks: tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...],
-) -> list[tuple[list[NDArray[np.int64]], NDArray[np.float64]]]:
-    """Group the (rows, block) pairs of ``gram_blocks`` by block object.
-
-    Returns one (row sets, block) pair per distinct matrix, in the order
-    each first appears, so that a matrix shared by the cos and sin rows
-    of one order is shifted and solved once.  Row sets that share a
-    matrix have the same degrees in the same order, so the first one
-    serves for anything that depends on degrees alone.
-    """
-    groups: dict[int, tuple[list, NDArray[np.float64]]] = {}
-    for rows, B in blocks:
-        groups.setdefault(id(B), ([], B))[0].append(rows)
-    return list(groups.values())
+        # the rows of order k alternate sin, cos by degree
+        sets = [np.flatnonzero(a == k).reshape(-1, 1 + (k > 0)).T[::-1] for k in range(L + 1)]
+        orders, zero = np.arange(L + 1), np.zeros(L + 1, dtype=np.intp)
+        return _read_only(*sets), _read_only(*_pair_terms(orders, zero, orders, zero))
+    key = mode[0] * ((a + s) % 2) + mode[1] * 2 * s + mode[2] * 4 * ((l + a) % 2)
+    step = 2 if mode[2] else 1
+    npad, sets, plan = L // step + 1, [], []
+    for c in np.unique(key):
+        rows = np.flatnonzero(key == c)
+        codes, first, g = np.unique(2 * a[rows] + s[rows], return_index=True, return_inverse=True)
+        ga, gs, par = codes // 2, codes % 2, l[rows[first]] % step
+        right = ga[:, None] * (L + 1) + np.minimum(par[:, None] + step * np.arange(npad), L)
+        idx = (a[rows] * (L + 1) + l[rows], g, (l[rows] - par[g]) // step, right)
+        pairs = _read_only(*_pair_terms(ga, gs, ga[:, None], gs[:, None]))
+        sets.append(rows[None])
+        plan.append((*_read_only(*idx), pairs))
+    return _read_only(*sets), tuple(plan)
 
 
 def _field_samples(basis: HarmonicBasis, u: FieldCoeffs):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import wy_stability
 import wy_stability.cli as cli_module
 import wy_stability.gform as gform_module
+import wy_stability.harmonics as harmonics_module
 from wy_stability.cli import (
     ConfigError,
     RunConfig,
@@ -170,6 +171,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["gform", "--set", "bbar_list="], "bbar_list needs at least one value"),
         (["small-sphere", "--set", "r_list="], "r_list needs at least one value"),
         (["gform", "--set", "ltrunc=8.0"], "ltrunc must be an integer"),
+        # a degree cap below what the command works on
+        (["scan", "--ltrunc", "1"], "scan restricts the pencil to degrees l >= 2: ltrunc"),
+        (["certify", "--ltrunc", "1"], "certify restricts the pencil to degrees l >= 2: ltrunc"),
+        (cex + ["--ltrunc", "2"], "counterexample builds a degree-3 direction: ltrunc"),
         (cex + ["--set", "r=abc"], "r must be a number"),
     ):
         capsys.readouterr()
@@ -325,9 +330,31 @@ def test_pencil_stays_below_one_dense_M():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pencil.blocks) == 2 * 24 + 1
+    assert sum(len(rows) for rows, _ in pencil.blocks) == 2 * 24 + 1
     assert len({id(block) for _, block in pencil.blocks}) == 24 + 1
     assert peak < (25**2 - 1) ** 2 * 8  # one dense M would take 3.12 MB
+
+
+def test_parity_pencil_keeps_little_between_calls():
+    # three distinct lam give the 8 parity classes; the blocks are read
+    # back by per-row index vectors, so what is kept between calls grows
+    # with the row count, not with the block entries (6.7 MB once)
+    eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
+    warm = build_grid(25, 50)
+    assemble_pencil(build_basis(warm, 24), h_family(eigs, 1.0 / 30.0, 1e-2, warm))
+    grid = build_grid(49, 98)
+    basis = build_basis(grid, 48)
+    H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
+    harmonics_module._layout.cache_clear()
+    tracemalloc.start()
+    try:
+        pencil = assemble_pencil(basis, H)
+        assert len(pencil.blocks) == 8
+        del pencil
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e6
 
 
 def test_counterexample_at_degree_96(tmp_path, monkeypatch):

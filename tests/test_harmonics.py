@@ -322,12 +322,12 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
         pencil = assemble_pencil(basis, H)
         scale = np.abs(M).max()
         inside = np.zeros(M.shape, dtype=bool)
-        for rows_b, block in pencil.blocks:
+        for rows_b, block in ((r, B) for rows, B in pencil.blocks for r in rows):
             inside[np.ix_(rows_b, rows_b)] = True
             assert np.abs(block - M[np.ix_(rows_b, rows_b)]).max() <= 1e-12 * scale
         assert len(pencil.blocks) > 1 and np.abs(M[~inside]).max() <= 1e-13 * scale
     Q = dense[2][3:, 3:]
-    for rows_b, block in g_gram(basis):
+    for rows_b, block in ((r, B) for rows, B in g_gram(basis) for r in rows):
         assert np.abs(block - Q[np.ix_(rows_b, rows_b)]).max() <= 1e-12 * np.abs(Q).max()
 
 
@@ -376,7 +376,8 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         for axis in held:
             x = 0.5 * (x + mirror(x, axis))
         weights.append(x.ravel())
-    blocks = gram_blocks(basis, *weights, l0, tuple(weights))
+    pairs = gram_blocks(basis, *weights, l0, tuple(weights))
+    blocks = [(r, B) for rows, B in pairs for r in rows]
 
     # the rows fall in the expected classes, and a sin block shares its
     # cos block's matrix
@@ -384,10 +385,9 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
     assert len(blocks) == len(want)
     for (rows, _), rows_want in zip(blocks, want):
         np.testing.assert_array_equal(rows, rows_want)
-    if ring:
-        orders = [np.abs(basis.orders[l0 * l0 + rows[0]]) for rows, _ in blocks]
-        for (_, B), (_, B_next), a, a_next in zip(blocks, blocks[1:], orders, orders[1:]):
-            assert (B is B_next) == (a == a_next)
+    for rows, _ in pairs:
+        shared = ring and basis.orders[l0 * l0 + rows[0, 0]] != 0
+        assert rows.shape == (1 + shared, rows[0].size)
 
     # every block matches the dense reference; the dense entries between
     # classes are roundoff, and the pencil is exactly zero there
@@ -401,9 +401,10 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
     H = mean_curvature_from_h(grid, 0.1 * weights[1] / np.abs(weights[1]).max())
     pencil = assemble_pencil(basis, H)
     inside = np.zeros(pencil.M.shape, dtype=bool)
-    for rows, _ in pencil.blocks:
+    row_sets = [r for rows, _ in pencil.blocks for r in rows]
+    for rows in row_sets:
         inside[np.ix_(rows, rows)] = True
-    assert len(pencil.blocks) == len(expected_classes(basis, 1, ring, held))
+    assert len(row_sets) == len(expected_classes(basis, 1, ring, held))
     assert np.all(pencil.M[~inside] == 0.0)
 
 
