@@ -317,20 +317,25 @@ def _require_ltrunc(config: RunConfig, least: int, why: str) -> None:
 
 
 def cmd_gform(config: RunConfig) -> dict:
-    """Quartic-energy coefficients and minima per (a, lam, bbar)."""
+    """Quartic-energy coefficients and minima per (a, lam, bbar).
+
+    The Gram matrix is built once per report and the G solve runs once
+    per direction: bbar only shifts the minimum by a constant.
+    """
     _require_ltrunc(config, 2, "minimizes over degrees l >= 2")
-    _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     eigs = RicciEigs(config.lam)
+    directions = _directions_for(config)
+    _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     gram = g_gram(basis)
     tol_closed = 1e-6
     rows = []
     ok = True
-    for avec in _directions_for(config):
+    for avec in directions:
         direction = Direction(avec)
-        for bbar in config.bbar_list:
+        minima, _ = minimize_G(basis, eigs, direction, config.bbar_list, gram)
+        for bbar, numeric in zip(config.bbar_list, minima):
             q = g_quadratic(eigs, direction, bbar)
             closed = q.min_value
-            numeric, _ = minimize_G(basis, eigs, direction, bbar, gram)
             ident = -(1.0 / 54.0 - (5.0 / 3.0) * bbar) * math.pi * eigs.sum_sq
             # absolute scale guards the exact-threshold point where closed = 0
             scale = max(abs(closed), eigs.sum_sq)
@@ -479,24 +484,15 @@ def cmd_counterexample(config: RunConfig) -> dict:
     """Explicit negative direction for the quartic family, with witness file."""
     _require_ltrunc(config, 3, "builds a degree-3 direction")
     wpath = _witness_path(config)
-    _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     eigs = RicciEigs(config.lam)
     direction = Direction(_unit_direction(config.a))
+    _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
     nd = negative_direction(basis, eigs, config.bbar, config.r, direction)
     predicted = config.r**4 * 4.0 * math.pi * (THRESHOLD_BBAR - config.bbar) * eigs.sum_sq
     rel_dev = abs(nd.f_value - predicted) / abs(predicted) if predicted != 0 else None
 
-    witness = {
-        "L": basis.L,
-        # (l, m, c) in basis index order: l ascending, then m from -l to l
-        "coeffs": [
-            list(t)
-            for t in zip(basis.degrees.tolist(), basis.orders.tolist(), nd.eta.c.tolist())
-        ],
-        "config_echo": _config_dict(config),
-    }
-    wpath.write_text(json.dumps(witness, sort_keys=True) + "\n")
+    wpath.write_text(_witness_text(basis.L, nd.eta.c, _config_dict(config)))
 
     results = [
         {
@@ -517,6 +513,28 @@ def cmd_counterexample(config: RunConfig) -> dict:
     }
     verdict = "PASS" if nd.guaranteed and nd.f_value < 0 else "FAIL"
     return _report(config, results, summary, verdict)
+
+
+@functools.lru_cache(maxsize=1)
+def _zero_entries(L: int) -> tuple[str, ...]:
+    """The witness entry "[l, m, 0.0]" of every degree-L basis index, kept for one L."""
+    return tuple(json.dumps([l, m, 0.0]) for l in range(L + 1) for m in range(-l, l + 1))
+
+
+def _witness_text(L: int, c: np.ndarray, echo: dict) -> str:
+    """The witness file: ``json.dumps(witness, sort_keys=True)`` and a newline.
+
+    ``coeffs`` lists (l, m, c) in basis index order, l ascending, then m
+    from -l to l.  A witness has a few nonzero entries among (L+1)^2, so
+    the +0.0 entries come from kept text; every other value, -0.0 and
+    NaN included, is formatted by ``json.dumps`` as in the whole dump.
+    """
+    entries = list(_zero_entries(L))
+    for i in np.flatnonzero((c != 0) | np.signbit(c)).tolist():
+        l = math.isqrt(i)
+        entries[i] = json.dumps([l, i - l * l - l, float(c[i])])
+    echo_text = json.dumps(echo, sort_keys=True)
+    return f'{{"L": {L}, "coeffs": [{", ".join(entries)}], "config_echo": {echo_text}}}\n'
 
 
 def load_witness(path: str) -> FieldCoeffs:
@@ -563,23 +581,25 @@ def cmd_small_sphere(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if finite else "FAIL")
 
 
-def _certify_field(config: RunConfig, grid):
+def _certify_field(config: RunConfig):
+    """Check the H family's inputs; returns the field as a function of the grid."""
     if config.family == "const":
         # eps = 0 is allowed: H identically 2 exercises the zero-deficit path
         if not 0 <= config.eps < 2:
             raise ConfigError(f"eps must lie in [0, 2), got {config.eps}")
-        return constant_field(grid, 2.0 - config.eps)
+        return functools.partial(constant_field, value=2.0 - config.eps)
     if config.family == "quartic":
         eigs = RicciEigs(config.lam)
-        return h_family(eigs, config.bbar, config.r, grid)
+        return functools.partial(h_family, eigs, config.bbar, config.r)
     raise ConfigError(f"unknown H family {config.family!r}; use const or quartic")
 
 
 def cmd_certify(config: RunConfig) -> dict:
     """Certificate thresholds, condition checks, and the pencil cross-check."""
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
+    field = _certify_field(config)
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
-    H = _certify_field(config, grid)
+    H = field(grid)
     alpha = config.alpha if config.alpha is not None else H.inf_h
 
     cert_ratio = deficit_ratio_certificate(config.beta, config.lambda1, alpha, 2.0)

@@ -28,6 +28,7 @@ phi eta1.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,14 +205,16 @@ def _require_complement(eta2: FieldCoeffs) -> None:
         )
 
 
-def _g_constant(
-    basis: HarmonicBasis, eigs: RicciEigs, direction: Direction, bbar: float
-) -> float:
-    """The eta2-free part of G: 4 pi (1/30 - bbar) sum lam_i^2 + A / 2."""
+def _half_A(basis: HarmonicBasis, eigs: RicciEigs, direction: Direction) -> float:
+    """A / 2 = (1/2) int eta1^2 phi^2 dv, by quadrature."""
     eta1 = synthesize(basis, eta1_coeffs(direction, basis.L))
     phi = phi_field(eigs, basis.grid)
-    const = FOUR_PI * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
-    return const + 0.5 * integrate(basis.grid, eta1 * eta1 * phi * phi)
+    return 0.5 * integrate(basis.grid, eta1 * eta1 * phi * phi)
+
+
+def _g_constant(eigs: RicciEigs, bbar: float, half_A: float) -> float:
+    """The eta2-free part of G: 4 pi (1/30 - bbar) sum lam_i^2 + A / 2."""
+    return FOUR_PI * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq + half_A
 
 
 def _g_cross(
@@ -237,7 +240,7 @@ def eval_G(
     _require_complement(eta2)
     cross = -2.0 * _g_cross(basis, eigs, direction, eta2)
     quad = weighted_form(basis, 0.5, -1.0, eta2, eta2)
-    return _g_constant(basis, eigs, direction, bbar) + cross + quad
+    return _g_constant(eigs, bbar, _half_A(basis, eigs, direction)) + cross + quad
 
 
 def eval_B(
@@ -296,9 +299,9 @@ def minimize_G(
     basis: HarmonicBasis,
     eigs: RicciEigs,
     direction: Direction,
-    bbar: float,
+    bbars: Sequence[float],
     gram=None,
-) -> tuple[float, FieldCoeffs]:
+) -> tuple[list[float], FieldCoeffs]:
     """Minimize G over all degree >= 2 fields by a stationarity solve.
 
     This is an independent route to the minimum: the quadratic part of G
@@ -309,9 +312,12 @@ def minimize_G(
     is symmetric positive definite: on degrees l >= 2 it equals
     diag(mu (mu/2 - 1)) >= 12, mu = l(l+1), up to quadrature roundoff.
     It depends only on the basis; pass ``gram`` to reuse one across
-    directions and bbar values.
+    directions.
 
-    Returns the minimum value and the minimizing coefficients.
+    bbar enters G only through its constant term, so the system is
+    solved once for the direction and each value of ``bbars`` only
+    shifts the minimum.  Returns the minimum for each bbar, in order,
+    and the minimizing coefficients, which all of them share.
     """
     if gram is None:
         gram = g_gram(basis)
@@ -321,11 +327,13 @@ def minimize_G(
     v = np.zeros_like(b)
     for rows, block in gram:
         v[rows] = np.linalg.solve(block, b[rows].T).T
-    value = _g_constant(basis, eigs, direction, bbar) - float(b @ v)
+    half_A = _half_A(basis, eigs, direction)
+    bv = float(b @ v)
+    values = [_g_constant(eigs, bbar, half_A) - bv for bbar in bbars]
 
     c = np.zeros((basis.L + 1) ** 2)
     c[4:] = v
-    return value, FieldCoeffs(basis.L, c)
+    return values, FieldCoeffs(basis.L, c)
 
 
 def classify_bbar(bbar: float, band: float = 1e-9) -> str:

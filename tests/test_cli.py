@@ -176,6 +176,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["certify", "--ltrunc", "1"], "certify restricts the pencil to degrees l >= 2: ltrunc"),
         (cex + ["--ltrunc", "2"], "counterexample builds a degree-3 direction: ltrunc"),
         (cex + ["--set", "r=abc"], "r must be a number"),
+        # a bad triple, direction, family or eps
+        (["gform", "--set", "lam=0,0,0"], "lam must be a nonzero triple"),
+        (["gform", "--set", "lam=1,1,1"], "lam must sum to zero"),
+        (["gform", "--set", "directions=0"], "directions must be >= 1"),
+        (cex + ["--set", "a=0,0,0"], "direction a must be nonzero"),
+        (cex + ["--set", "lam=1,1,1"], "lam must sum to zero"),
+        (["certify", "--set", "eps=3.0"], "eps must lie in [0, 2)"),
+        (["certify", "--set", "family=cubic"], "unknown H family 'cubic'"),
+        (["certify", "--set", "family=quartic", "--set", "lam=1,1,1"], "lam must sum to zero"),
     ):
         capsys.readouterr()
         assert main(argv) == 2
@@ -206,6 +215,23 @@ def test_gform_builds_the_gram_once_per_report(tmp_path, monkeypatch):
     assert main(["gform", "--ltrunc", "8", "--set", "directions=8", "--out", str(out)]) == 0
     assert len(read_report(out)["results"]) == 24
     assert calls == [8]
+
+
+def test_gform_solves_once_per_direction(tmp_path, monkeypatch):
+    # bbar only shifts the minimum, so one solve serves every bbar of a
+    # direction; solving per (direction, bbar) pair tripled the solves
+    calls = []
+
+    def counted(basis, eigs, direction, bbars, gram=None):
+        calls.append(len(bbars))
+        return real(basis, eigs, direction, bbars, gram)
+
+    real = gform_module.minimize_G
+    monkeypatch.setattr(cli_module, "minimize_G", counted)
+    out = tmp_path / "r.json"
+    assert main(["gform", "--ltrunc", "8", "--set", "directions=8", "--out", str(out)]) == 0
+    assert len(read_report(out)["results"]) == 24
+    assert calls == [3] * 8
 
 
 def cex_sweep(L: int, witness_dir) -> list[RunConfig]:
@@ -522,6 +548,39 @@ def test_counterexample_witness_roundtrip(tmp_path):
     # reloaded coefficients still certify negativity
     H = h_family(eigs, report["config"]["bbar"], report["config"]["r"], grid)
     assert eval_F(basis, H, loaded) < 0.0
+
+
+# values whose text json.dumps spells out: signed zeros, the smallest
+# subnormal, the ends of the range, and NaN
+WITNESS_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    L=st.integers(3, 10),
+    fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    data=st.data(),
+)
+def test_witness_text_is_the_json_dump(L, fill, data):
+    # sparse (mostly +0.0) and dense coefficient vectors alike
+    n = (L + 1) ** 2
+    picks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    c = np.zeros(n)
+    for i, pick in enumerate(picks):
+        if pick or i < fill * n:
+            c[i] = data.draw(WITNESS_VALUES)
+    echo = cli_module._config_dict(RunConfig(command="counterexample", ltrunc=L))
+    degrees = [l for l in range(L + 1) for _ in range(2 * l + 1)]
+    orders = [m for l in range(L + 1) for m in range(-l, l + 1)]
+    witness = {
+        "L": L,
+        "coeffs": [list(t) for t in zip(degrees, orders, c.tolist())],
+        "config_echo": echo,
+    }
+    assert cli_module._witness_text(L, c, echo) == json.dumps(witness, sort_keys=True) + "\n"
 
 
 def test_counterexample_fails_below_threshold(tmp_path):

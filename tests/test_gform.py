@@ -207,7 +207,7 @@ def test_minimize_G_matches_closed_form():
         eigs = random_eigs(rng)
         d = random_direction(rng)
         bbar = float(rng.uniform(-0.02, 0.05))
-        value, minimizer = minimize_G(BASIS, eigs, d, bbar)
+        [value], minimizer = minimize_G(BASIS, eigs, d, (bbar,))
         q = g_quadratic(eigs, d, bbar)
         assert abs(value - q.min_value) < 1e-6 * max(1.0, abs(q.min_value))
         # the numerical minimizer points along the closed-form one
@@ -216,6 +216,21 @@ def test_minimize_G_matches_closed_form():
             np.linalg.norm(minimizer.c) * np.linalg.norm(opt.c)
         )
         assert cos > 1.0 - 1e-8
+
+
+def test_minimize_G_over_several_bbar_matches_one_at_a_time():
+    # bbar only shifts the constant term, so one solve serves them all
+    rng = np.random.default_rng(47)
+    gram = g_gram(BASIS)
+    for _ in range(3):
+        eigs, d = random_eigs(rng), random_direction(rng)
+        bbars = (0.0, THRESHOLD_BBAR, float(rng.uniform(-0.02, 0.05)))
+        values, minimizer = minimize_G(BASIS, eigs, d, bbars, gram)
+        assert len(values) == 3
+        for bbar, value in zip(bbars, values):
+            [alone], minimizer_alone = minimize_G(BASIS, eigs, d, (bbar,), gram)
+            assert value == alone
+            np.testing.assert_array_equal(minimizer.c, minimizer_alone.c)
 
 
 # the benchmark grids and the default grid
@@ -256,11 +271,11 @@ def test_blocked_gram_matches_dense(shape):
         eigs, d = random_eigs(rng), random_direction(rng)
         bbar = float(rng.uniform(-0.02, 0.05))
         ref, v_ref = dense_minimize_G(basis, eigs, d, bbar)
-        value, minimizer = minimize_G(basis, eigs, d, bbar, gram)
+        [value], minimizer = minimize_G(basis, eigs, d, (bbar,), gram)
         assert abs(value - ref) <= 1e-12 * abs(ref)
         assert np.abs(minimizer.c[4:] - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
     # without a gram, minimize_G builds the same one
-    again, minimizer_again = minimize_G(basis, eigs, d, bbar)
+    [again], minimizer_again = minimize_G(basis, eigs, d, (bbar,))
     assert again == value
     np.testing.assert_array_equal(minimizer_again.c, minimizer.c)
 
@@ -283,7 +298,7 @@ def test_odd_n_phi_gram_takes_order_blocks():
         inside[np.ix_(rows, rows)] = True
         assert np.abs(block - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
     assert np.abs(dense[~inside]).max() <= 1e-13 * scale
-    value, _ = minimize_G(basis, CANON_EIGS, CANON_DIR, 1.0 / 30.0, gram)
+    [value], _ = minimize_G(basis, CANON_EIGS, CANON_DIR, (1.0 / 30.0,), gram)
     closed = g_quadratic(CANON_EIGS, CANON_DIR, 1.0 / 30.0).min_value
     assert abs(value - closed) < 1e-6 * max(abs(closed), CANON_EIGS.sum_sq)
 
