@@ -48,7 +48,6 @@ from .gform import (
     Direction,
     RicciEigs,
     classify_bbar,
-    g_gram,
     g_quadratic,
     minimize_G,
 )
@@ -267,11 +266,14 @@ def cmd_integrals(config: RunConfig) -> dict:
                         "pass": relerr < tol,
                     }
                 )
+    fracs = {e: monomial_integral(*e) for e in ((2, 0, 0), (2, 2, 0), (4, 2, 0), (2, 2, 2))}
     table = [
-        {"exponents": [2, 0, 0], "exact_fraction": "1/3", "value_over_4pi": 1 / 3},
-        {"exponents": [2, 2, 0], "exact_fraction": "1/15", "value_over_4pi": 1 / 15},
-        {"exponents": [4, 2, 0], "exact_fraction": "1/35", "value_over_4pi": 1 / 35},
-        {"exponents": [2, 2, 2], "exact_fraction": "1/105", "value_over_4pi": 1 / 105},
+        {
+            "exponents": list(e),
+            "exact_fraction": f"{f.numerator}/{f.denominator}",
+            "value_over_4pi": float(f),
+        }
+        for e, f in fracs.items()
     ]
     all_pass = all(row["pass"] for row in rows)
     summary = {
@@ -319,20 +321,19 @@ def _require_ltrunc(config: RunConfig, least: int, why: str) -> None:
 def cmd_gform(config: RunConfig) -> dict:
     """Quartic-energy coefficients and minima per (a, lam, bbar).
 
-    The Gram matrix is built once per report and the G solve runs once
-    per direction: bbar only shifts the minimum by a constant.
+    G is minimized once per direction: bbar only shifts the minimum by a
+    constant.
     """
     _require_ltrunc(config, 2, "minimizes over degrees l >= 2")
     eigs = RicciEigs(config.lam)
     directions = _directions_for(config)
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
-    gram = g_gram(basis)
     tol_closed = 1e-6
     rows = []
     ok = True
     for avec in directions:
         direction = Direction(avec)
-        minima, _ = minimize_G(basis, eigs, direction, config.bbar_list, gram)
+        minima, _ = minimize_G(basis, eigs, direction, config.bbar_list)
         for bbar, numeric in zip(config.bbar_list, minima):
             q = g_quadratic(eigs, direction, bbar)
             closed = q.min_value
@@ -489,7 +490,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
     nd = negative_direction(basis, eigs, config.bbar, config.r, direction)
-    predicted = config.r**4 * 4.0 * math.pi * (THRESHOLD_BBAR - config.bbar) * eigs.sum_sq
+    predicted = config.r**4 * FOUR_PI * (THRESHOLD_BBAR - config.bbar) * eigs.sum_sq
     rel_dev = abs(nd.f_value - predicted) / abs(predicted) if predicted != 0 else None
 
     wpath.write_text(_witness_text(basis.L, nd.eta.c, _config_dict(config)))

@@ -253,14 +253,14 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     M is built in deficit form, like eval_Q: the symmetrized Gram blocks
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
     (gradients), plus the exact round diagonal mu^2/2 - mu, added once
-    to each block.  h decides the blocks, each symmetry to 1e-13 of
-    max|h|: L + 1 per-order blocks over the 2L + 1 (order, trig type)
-    row sets when h is constant on every theta ring; else the parity
-    classes of the reflections h is even under.  Every entry is a theta
-    sum.
+    to each block.  The weights decide the blocks, each symmetry to
+    1e-13 of the weight's max: L + 1 per-order blocks over the 2L + 1
+    (order, trig type) row sets when h is constant on every theta ring;
+    else the parity classes of the reflections h is even under.  Every
+    entry is a theta sum.
     """
     _check_field(basis, H)
-    blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h, 1, (H.h,))
+    blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h)
     diag = _round_diagonal(basis)[1:]
     for rows, B in blocks:
         B.flat[:: len(B) + 1] += diag[rows[0]]

@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .functional import _round_diagonal
 from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
     analyze,
-    gram_blocks,
     index_of,
     project,
     synthesize,
@@ -58,7 +58,6 @@ __all__ = [
     "eval_G",
     "eval_B",
     "optimal_eta2",
-    "g_gram",
     "minimize_G",
     "classify_bbar",
     "POSITIVE",
@@ -280,53 +279,33 @@ def optimal_eta2(
     return project(basis, analyze(basis, samples), 3)
 
 
-def g_gram(basis: HarmonicBasis) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
-    """The quadratic part of G over degrees l >= 2, as (rows, B) pairs.
-
-    Each B is the symmetrized Gram matrix of
-    int [Lap(u) Lap(v) / 2 - <grad u, grad v>] dv over each of its row
-    sets, counted from the first degree-2 row.  The weights are
-    constant, so on any grid ``gram_blocks`` gives one pair per order,
-    built by theta sums alone: ``rows`` holds the order's cos rows and,
-    for order > 0, its sin rows, which share B.
-    """
-    if basis.L < 2:
-        raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
-    return gram_blocks(basis, 0.5, -1.0, 2)
-
-
 def minimize_G(
     basis: HarmonicBasis,
     eigs: RicciEigs,
     direction: Direction,
     bbars: Sequence[float],
-    gram=None,
 ) -> tuple[list[float], FieldCoeffs]:
-    """Minimize G over all degree >= 2 fields by a stationarity solve.
+    """Minimize G over all degree >= 2 fields by its stationarity condition.
 
-    This is an independent route to the minimum: the quadratic part of G
-    is the Gram matrix ``g_gram`` assembles by quadrature (not the
-    spectral diagonal), the linear part comes from the cross-term
-    integrand, and each block of the system is solved directly, by one
-    solve with a right-hand side per row set it serves.  The Gram matrix
-    is symmetric positive definite: on degrees l >= 2 it equals
-    diag(mu (mu/2 - 1)) >= 12, mu = l(l+1), up to quadrature roundoff.
-    It depends only on the basis; pass ``gram`` to reuse one across
-    directions.
+    This is an independent route to the minimum: the linear part of G
+    comes from the cross-term integrand by quadrature, and the quadratic
+    part is the round-sphere form int [(Lap u)^2 / 2 - |grad u|^2] dv,
+    which on the orthonormal harmonics is exactly the diagonal
+    mu (mu/2 - 1) >= 12, mu = l(l+1), that the pencil adds
+    (``_round_diagonal``).  The stationarity condition is then solved
+    row by row.
 
-    bbar enters G only through its constant term, so the system is
-    solved once for the direction and each value of ``bbars`` only
+    bbar enters G only through its constant term, so the minimizer is
+    found once for the direction and each value of ``bbars`` only
     shifts the minimum.  Returns the minimum for each bbar, in order,
     and the minimizing coefficients, which all of them share.
     """
-    if gram is None:
-        gram = g_gram(basis)
+    if basis.L < 2:
+        raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
     # linear part: G contains -2 * b . v with
     # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
     b = _g_cross(basis, eigs, direction)[4:]
-    v = np.zeros_like(b)
-    for rows, block in gram:
-        v[rows] = np.linalg.solve(block, b[rows].T).T
+    v = b / _round_diagonal(basis)[4:]
     half_A = _half_A(basis, eigs, direction)
     bv = float(b @ v)
     values = [_g_constant(eigs, bbar, half_A) - bv for bbar in bbars]

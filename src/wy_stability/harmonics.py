@@ -49,13 +49,13 @@ A form whose weights are even under a reflection couples no two rows
 of opposite parity under it.  A form whose weights are constant on
 every theta ring couples only rows of one order |m| and one trig type,
 because the discrete cos and sin factors are orthogonal on the uniform
-phi nodes.  ``gram_blocks``, the one builder of the Gram matrices of
-the pencil and G, splits the rows by the symmetries the weights have
-and computes every entry as a theta sum: the phi sum of two trig
-factors against a ring's weights is read exactly off the ring's
-Fourier coefficients.  Each symmetry case takes one batched product
-per term, and each distinct matrix is returned once, with the row sets
-it serves.
+phi nodes.  ``gram_blocks``, the builder of the Gram blocks of the
+pencil, splits the rows by the symmetries the weights have and
+computes every entry as a theta sum: the phi sum of two trig factors
+against a ring's weights is read exactly off the ring's Fourier
+coefficients.  Each symmetry case takes one batched product per term,
+and each distinct matrix is returned once, with the row sets it
+serves.
 """
 
 from __future__ import annotations
@@ -419,23 +419,22 @@ def weighted_gram(
 
 
 def gram_blocks(
-    basis: HarmonicBasis, w_lap, w_grad, l0: int, samples: tuple[NDArray[np.float64], ...] = ()
+    basis: HarmonicBasis, w_lap: NDArray[np.float64], w_grad: NDArray[np.float64]
 ) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
-    """Gram matrix of ``weighted_form`` over degrees >= l0, as (rows, B) pairs.
+    """Gram matrix of ``weighted_form`` over degrees >= 1, as (rows, B) pairs.
 
-    Each distinct diagonal block B comes once, with ``rows`` of shape
-    (k, n): the k row sets that share it, each of n rows counted from row
-    l0^2, increasing.  The blocks follow the symmetries of the nodal
-    arrays ``samples`` the weights are built from (constant weights need
-    none), each to 1e-13 of the array's max.  When they are constant on
-    every theta ring, there is one block per order a = |m| over the
-    degrees l >= max(a, l0), shared by its cos and its sin rows (k = 2
-    for a > 0).  Else there is one block per parity class of the
-    reflections that hold, read as index maps on the (n_theta, n_phi)
-    view (x1: j -> n_phi/2 - j, even n_phi only; x2: j -> -j; x3:
-    i -> n_theta - 1 - i).  Row (l, m) is odd under them by
-    p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and p3 = (l + |m|) mod 2;
-    the classes follow p1 + 2 p2 + 4 p3.
+    The weights are nodal arrays.  Each distinct diagonal block B comes
+    once, with ``rows`` of shape (k, n): the k row sets that share it,
+    each of n rows counted from row 1, increasing.  The blocks follow
+    the symmetries that both weight arrays have, each to 1e-13 of the
+    array's max.  When they are constant on every theta ring, there is
+    one block per order a = |m| over the degrees l >= max(a, 1), shared
+    by its cos and its sin rows (k = 2 for a > 0).  Else there is one
+    block per parity class of the reflections that hold, read as index
+    maps on the (n_theta, n_phi) view (x1: j -> n_phi/2 - j, even n_phi
+    only; x2: j -> -j; x3: i -> n_theta - 1 - i).  Row (l, m) is odd
+    under them by p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and
+    p3 = (l + |m|) mod 2; the classes follow p1 + 2 p2 + 4 p3.
 
     Every entry is a theta sum: on one ring the phi sum of the weight
     against the trig factors of orders a and a' is exactly half the sum
@@ -454,15 +453,14 @@ def gram_blocks(
     """
     L, grid = basis.L, basis.grid
     nt, nphi = grid.n_theta, grid.n_phi
-    views = [np.reshape(x, (nt, nphi)) for x in samples]
+    w = [np.reshape(x, (nt, nphi)) for x in (w_lap, w_grad)]
 
     def holds(image) -> bool:
-        return all(np.abs(x - image(x)).max() <= 1e-13 * np.abs(x).max() for x in views)
+        return all(np.abs(x - image(x)).max() <= 1e-13 * np.abs(x).max() for x in w)
 
     # ring coefficients [C or S, k, term, ring] of w_q w_lap, w_q w_grad
     # and w_q w_grad / sin^2 theta, w_q the quadrature weight of a node
     ring = grid.weights[::nphi]
-    w = [np.broadcast_to(x, grid.n_nodes).reshape(nt, nphi) for x in (w_lap, w_grad)]
     spec = np.zeros((2, 2 * L + 1, 3, nt))
     if holds(lambda x: x[:, :1]):
         mode = None
@@ -482,7 +480,7 @@ def gram_blocks(
     mu = np.arange(L + 1) * (np.arange(L + 1) + 1.0)
     factors = [basis.rad * -mu[:, None], basis.drad, basis.rad]
     factors = [np.ascontiguousarray(f[..., :nt]) for f in factors]
-    sets, plan = _layout(L, l0, mode)
+    sets, plan = _layout(L, mode)
     if mode is None:
         mats, asym, scale = _order_grams(spec, factors, plan, [rows.shape[1] for rows in sets])
     else:
@@ -580,11 +578,11 @@ def _class_grams(spec, factors, plan):
 
 
 @functools.lru_cache(maxsize=4)
-def _layout(L: int, l0: int, mode):
+def _layout(L: int, mode):
     """The row sets of ``gram_blocks`` and the plan of their products, as (sets, plan).
 
-    Fixed by L, l0 and ``mode`` (None for ring-constant weights, else
-    whether x1, x2, x3 hold); rows count from row l0^2.  For ring-constant
+    Fixed by L and ``mode`` (None for ring-constant weights, else
+    whether x1, x2, x3 hold); rows count from row 1.  For ring-constant
     weights, per order its cos rows, then its sin rows, and the
     ``_pair_terms`` of each order with itself.  Else per parity class
     its rows, shape (1, n), and what ``_class_grams`` reads: each row's
@@ -595,8 +593,8 @@ def _layout(L: int, l0: int, mode):
     ``_pair_terms`` of every (group, row's group) pair.  All of it is
     read-only, and grows with the row count.
     """
-    l = np.repeat(np.arange(l0, L + 1), 2 * np.arange(l0, L + 1) + 1)
-    m = np.arange(l0 * l0, (L + 1) ** 2) - l * (l + 1)
+    l = np.repeat(np.arange(1, L + 1), 2 * np.arange(1, L + 1) + 1)
+    m = np.arange(1, (L + 1) ** 2) - l * (l + 1)
     a, s = np.abs(m), (m < 0).astype(np.intp)
     if mode is None:
         # the rows of order k alternate sin, cos by degree

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import wy_stability
 import wy_stability.cli as cli_module
+import wy_stability.functional as functional_module
 import wy_stability.gform as gform_module
 import wy_stability.harmonics as harmonics_module
 from wy_stability.cli import (
@@ -199,22 +200,26 @@ def test_gform_needs_degree_two(tmp_path, capsys):
     assert main(["gform", "--ltrunc", "2", "--grid", "8x16", "--out", str(out)]) == 1
 
 
-def test_gform_builds_the_gram_once_per_report(tmp_path, monkeypatch):
-    # the Gram depends only on the basis; rebuilding it per (direction,
-    # bbar) pair made a report about 15x slower at L = 24
+def test_gform_builds_no_gram(tmp_path, monkeypatch):
+    # the quadratic part of G is the exact round diagonal, so a report
+    # assembles and solves no Gram matrix
     calls = []
 
-    def counted(basis):
-        calls.append(basis.L)
-        return real(basis)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    real = gform_module.g_gram
-    monkeypatch.setattr(gform_module, "g_gram", counted)
-    monkeypatch.setattr(cli_module, "g_gram", counted)
+        return call
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    for module in (harmonics_module, functional_module, gform_module, cli_module):
+        if hasattr(module, "gram_blocks"):
+            monkeypatch.setattr(module, "gram_blocks", counted("gram_blocks", module.gram_blocks))
     out = tmp_path / "r.json"
     assert main(["gform", "--ltrunc", "8", "--set", "directions=8", "--out", str(out)]) == 0
     assert len(read_report(out)["results"]) == 24
-    assert calls == [8]
+    assert calls == []
 
 
 def test_gform_solves_once_per_direction(tmp_path, monkeypatch):
@@ -222,9 +227,9 @@ def test_gform_solves_once_per_direction(tmp_path, monkeypatch):
     # direction; solving per (direction, bbar) pair tripled the solves
     calls = []
 
-    def counted(basis, eigs, direction, bbars, gram=None):
+    def counted(basis, eigs, direction, bbars):
         calls.append(len(bbars))
-        return real(basis, eigs, direction, bbars, gram)
+        return real(basis, eigs, direction, bbars)
 
     real = gform_module.minimize_G
     monkeypatch.setattr(cli_module, "minimize_G", counted)

@@ -21,7 +21,6 @@ from wy_stability.gform import (
     eta1_coeffs,
     eval_B,
     eval_G,
-    g_gram,
     g_quadratic,
     minimize_G,
     optimal_eta2,
@@ -219,16 +218,15 @@ def test_minimize_G_matches_closed_form():
 
 
 def test_minimize_G_over_several_bbar_matches_one_at_a_time():
-    # bbar only shifts the constant term, so one solve serves them all
+    # bbar only shifts the constant term, so one minimizer serves them all
     rng = np.random.default_rng(47)
-    gram = g_gram(BASIS)
     for _ in range(3):
         eigs, d = random_eigs(rng), random_direction(rng)
         bbars = (0.0, THRESHOLD_BBAR, float(rng.uniform(-0.02, 0.05)))
-        values, minimizer = minimize_G(BASIS, eigs, d, bbars, gram)
+        values, minimizer = minimize_G(BASIS, eigs, d, bbars)
         assert len(values) == 3
         for bbar, value in zip(bbars, values):
-            [alone], minimizer_alone = minimize_G(BASIS, eigs, d, (bbar,), gram)
+            [alone], minimizer_alone = minimize_G(BASIS, eigs, d, (bbar,))
             assert value == alone
             np.testing.assert_array_equal(minimizer.c, minimizer_alone.c)
 
@@ -248,64 +246,24 @@ def dense_minimize_G(basis, eigs, d, bbar):
     return eval_G(basis, eigs, d, bbar, zero) - float(b @ v), v
 
 
-@pytest.mark.parametrize("shape", BLOCK_GRIDS)
+# 25x51 has no node at phi = pi - phi_j, so no x1 reflection
+@pytest.mark.parametrize("shape", BLOCK_GRIDS + [(25, 51)])
 def test_blocked_gram_matches_dense(shape):
+    # the round diagonal against the quadrature Gram of every l >= 2 row
     basis = build_basis(build_grid(*shape), 12)
-    dense = weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
-    scale = np.abs(dense).max()
-    gram = g_gram(basis)
-    # one block per (order, trig type); the cos and sin rows of an order
-    # share one matrix
-    pairs = [(rows, block) for row_sets, block in gram for rows in row_sets]
-    assert len(pairs) == 2 * 12 + 1
-    assert len({id(block) for _, block in gram}) == 12 + 1
-    inside = np.zeros(dense.shape, dtype=bool)
-    for rows, block in pairs:
-        inside[np.ix_(rows, rows)] = True
-        assert np.abs(block - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
-    assert inside.sum() == sum(rows.size**2 for rows, _ in pairs)
-    assert np.abs(dense[~inside]).max() <= 1e-13 * scale
-
     rng = np.random.default_rng(46)
     for _ in range(5):
         eigs, d = random_eigs(rng), random_direction(rng)
         bbar = float(rng.uniform(-0.02, 0.05))
         ref, v_ref = dense_minimize_G(basis, eigs, d, bbar)
-        [value], minimizer = minimize_G(basis, eigs, d, (bbar,), gram)
+        [value], minimizer = minimize_G(basis, eigs, d, (bbar,))
         assert abs(value - ref) <= 1e-12 * abs(ref)
         assert np.abs(minimizer.c[4:] - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
-    # without a gram, minimize_G builds the same one
-    [again], minimizer_again = minimize_G(basis, eigs, d, (bbar,))
-    assert again == value
-    np.testing.assert_array_equal(minimizer_again.c, minimizer.c)
 
 
-def test_odd_n_phi_gram_takes_order_blocks():
-    # no node at phi = pi - phi_j, so the grid has no x1 reflection; the
-    # weights are constant, so the Gram still splits by order
-    basis = build_basis(build_grid(25, 51), 12)
-    gram = g_gram(basis)
-    pairs = [(rows, block) for row_sets, block in gram for rows in row_sets]
-    orders = [0] + [m for a in range(1, 13) for m in (a, -a)]
-    assert len(pairs) == len(orders) == 2 * 12 + 1
-    for m, (rows, _) in zip(orders, pairs):
-        l = np.arange(max(abs(m), 2), 13)
-        np.testing.assert_array_equal(rows, l * l + l + m - 4)
-    dense = weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
-    scale = np.abs(dense).max()
-    inside = np.zeros(dense.shape, dtype=bool)
-    for rows, block in pairs:
-        inside[np.ix_(rows, rows)] = True
-        assert np.abs(block - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
-    assert np.abs(dense[~inside]).max() <= 1e-13 * scale
-    [value], _ = minimize_G(basis, CANON_EIGS, CANON_DIR, (1.0 / 30.0,), gram)
-    closed = g_quadratic(CANON_EIGS, CANON_DIR, 1.0 / 30.0).min_value
-    assert abs(value - closed) < 1e-6 * max(abs(closed), CANON_EIGS.sum_sq)
-
-
-def test_g_gram_needs_degree_two():
-    with pytest.raises(ValueError):
-        g_gram(build_basis(GRID, 1))
+def test_minimize_G_needs_degree_two():
+    with pytest.raises(ValueError, match="G lives on degrees l >= 2"):
+        minimize_G(build_basis(GRID, 1), CANON_EIGS, CANON_DIR, (0.0,))
 
 
 def test_cross_term_identity():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import wy_stability.harmonics as harmonics_module
 from wy_stability.functional import assemble_pencil, mean_curvature_from_h
-from wy_stability.gform import g_gram
 from wy_stability.harmonics import (
     FieldCoeffs,
     _field_samples,
@@ -316,7 +315,7 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     for a, b in zip(on_demand, dense):
         np.testing.assert_array_equal(a, b)
 
-    # the pencil and the G Gram, block by block, against that reference
+    # the pencil, block by block, against that reference
     for H, M in zip(fields, dense):
         M = 0.5 * (M + M.T) + np.diag(mu[1:] * (0.5 * mu[1:] - 1.0))
         pencil = assemble_pencil(basis, H)
@@ -326,9 +325,6 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
             inside[np.ix_(rows_b, rows_b)] = True
             assert np.abs(block - M[np.ix_(rows_b, rows_b)]).max() <= 1e-12 * scale
         assert len(pencil.blocks) > 1 and np.abs(M[~inside]).max() <= 1e-13 * scale
-    Q = dense[2][3:, 3:]
-    for rows_b, block in ((r, B) for rows, B in g_gram(basis) for r in rows):
-        assert np.abs(block - Q[np.ix_(rows_b, rows_b)]).max() <= 1e-12 * np.abs(Q).max()
 
 
 def mirror(x, axis):
@@ -338,9 +334,9 @@ def mirror(x, axis):
     return (x[:, (nphi // 2 - j) % nphi], x[:, -j % nphi], x[::-1])[axis - 1]
 
 
-def expected_classes(basis, l0, ring, held):
-    # the rows of each block in gram_blocks order, counted from row l0^2
-    l, m = basis.degrees[l0 * l0 :], basis.orders[l0 * l0 :]
+def expected_classes(basis, ring, held):
+    # the rows of each block in gram_blocks order, counted from row 1
+    l, m = basis.degrees[1:], basis.orders[1:]
     a, sin = np.abs(m), (m < 0).astype(int)
     if ring:
         code = 2 * a + sin
@@ -356,10 +352,9 @@ def expected_classes(basis, l0, ring, held):
     extra=st.tuples(st.integers(1, 3), st.integers(0, 5)),
     ring=st.booleans(),
     held=st.sets(st.integers(1, 3)),
-    l0=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held, l0, seed):
+def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held, seed):
     # even and odd n_theta and n_phi; random nodal weights made constant on
     # every ring, or even under a random subset of the three reflections
     grid = build_grid(L + extra[0], 2 * L + 1 + extra[1])
@@ -376,22 +371,22 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         for axis in held:
             x = 0.5 * (x + mirror(x, axis))
         weights.append(x.ravel())
-    pairs = gram_blocks(basis, *weights, l0, tuple(weights))
+    pairs = gram_blocks(basis, *weights)
     blocks = [(r, B) for rows, B in pairs for r in rows]
 
     # the rows fall in the expected classes, and a sin block shares its
     # cos block's matrix
-    want = expected_classes(basis, l0, ring, held)
+    want = expected_classes(basis, ring, held)
     assert len(blocks) == len(want)
     for (rows, _), rows_want in zip(blocks, want):
         np.testing.assert_array_equal(rows, rows_want)
     for rows, _ in pairs:
-        shared = ring and basis.orders[l0 * l0 + rows[0, 0]] != 0
+        shared = ring and basis.orders[1 + rows[0, 0]] != 0
         assert rows.shape == (1 + shared, rows[0].size)
 
     # every block matches the dense reference; the dense entries between
     # classes are roundoff, and the pencil is exactly zero there
-    dense = weighted_gram(basis, *weights, np.arange(l0 * l0, basis.n_basis))
+    dense = weighted_gram(basis, *weights, np.arange(1, basis.n_basis))
     scale = np.abs(dense).max()
     inside = np.zeros(dense.shape, dtype=bool)
     for rows, B in blocks:
@@ -404,7 +399,7 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
     row_sets = [r for rows, _ in pencil.blocks for r in rows]
     for rows in row_sets:
         inside[np.ix_(rows, rows)] = True
-    assert len(row_sets) == len(expected_classes(basis, 1, ring, held))
+    assert len(row_sets) == len(expected_classes(basis, ring, held))
     assert np.all(pencil.M[~inside] == 0.0)
 
 
