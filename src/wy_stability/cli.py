@@ -57,6 +57,7 @@ from .models import (
     CASE_II,
     bbar_from_b,
     check_deficit_conditions,
+    check_radius,
     classify_small_sphere,
     deficit_closed_form,
     deficit_ratio_certificate,
@@ -486,6 +487,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     _require_ltrunc(config, 3, "builds a degree-3 direction")
     wpath = _witness_path(config)
     eigs = RicciEigs(config.lam)
+    check_radius(eigs, config.r)
     direction = Direction(_unit_direction(config.a))
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
@@ -588,9 +590,11 @@ def _certify_field(config: RunConfig):
         # eps = 0 is allowed: H identically 2 exercises the zero-deficit path
         if not 0 <= config.eps < 2:
             raise ConfigError(f"eps must lie in [0, 2), got {config.eps}")
-        return functools.partial(constant_field, value=2.0 - config.eps)
+        # h = -eps exactly: the deficit keeps every digit of a tiny eps
+        return functools.partial(constant_field, h=-config.eps)
     if config.family == "quartic":
         eigs = RicciEigs(config.lam)
+        check_radius(eigs, config.r)
         return functools.partial(h_family, eigs, config.bbar, config.r)
     raise ConfigError(f"unknown H family {config.family!r}; use const or quartic")
 

@@ -65,7 +65,6 @@ __all__ = [
     "MeanCurvatureField",
     "HessianPencil",
     "KernelDecomposition",
-    "mean_curvature_field",
     "mean_curvature_from_h",
     "eval_F",
     "eval_Q",
@@ -79,17 +78,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeanCurvatureField:
-    """Positive mean-curvature samples on a quadrature grid.
+    """A positive mean-curvature field on a quadrature grid, built from h = H - 2.
 
     Attributes
     ----------
     grid : SphereGrid
     samples : ndarray, shape (n_nodes,)
-        Strictly positive values of H at the nodes.
+        Strictly positive values 2 + h of H at the nodes.
     h : ndarray, shape (n_nodes,)
-        The deviation H - 2 from the round value.  Fields built from h
-        (``mean_curvature_from_h``) keep it exactly; for fields built
-        from samples it is ``samples - 2``.
+        The deviation H - 2 from the round value, kept exactly; every
+        field comes from ``mean_curvature_from_h``.
     inf_h, sup_h : float
         Cached extrema of the samples.
     tag : str
@@ -105,38 +103,18 @@ class MeanCurvatureField:
     tag: str = ""
 
 
-def mean_curvature_field(
-    grid: SphereGrid, samples: NDArray[np.float64], tag: str = ""
-) -> MeanCurvatureField:
-    """Validate and wrap nodal samples of H."""
-    samples = _check_shape(grid, "samples", samples)
-    return _make_field(grid, samples, samples - 2.0, tag)
-
-
 def mean_curvature_from_h(
     grid: SphereGrid, h: NDArray[np.float64], tag: str = ""
 ) -> MeanCurvatureField:
-    """Validate and wrap nodal samples of h = H - 2, kept exactly.
+    """Validate and wrap nodal samples of the deviation h = H - 2, kept exactly.
 
-    Use this for small perturbations of the round value: the low bits
-    of h that ``2 + h`` rounds away still enter F, Q and the pencil.
+    Every field is built from h, so the low bits of h that ``2 + h``
+    rounds away still enter F, Q and the pencil.
     """
-    h = _check_shape(grid, "h", h)
-    return _make_field(grid, 2.0 + h, h, tag)
-
-
-def _check_shape(grid: SphereGrid, name: str, values) -> NDArray[np.float64]:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (grid.n_nodes,):
-        raise ValueError(
-            f"{name} has shape {values.shape}, expected ({grid.n_nodes},)"
-        )
-    return values
-
-
-def _make_field(
-    grid: SphereGrid, samples: NDArray[np.float64], h: NDArray[np.float64], tag: str
-) -> MeanCurvatureField:
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape != (grid.n_nodes,):
+        raise ValueError(f"h has shape {h.shape}, expected ({grid.n_nodes},)")
+    samples = 2.0 + h
     lo = float(samples.min())
     if not lo > 0.0:
         raise ValueError(f"mean curvature must be positive everywhere; min = {lo}")
@@ -150,9 +128,10 @@ def _make_field(
     )
 
 
-def constant_field(grid: SphereGrid, value: float) -> MeanCurvatureField:
-    """Convenience constructor for H identically equal to ``value``."""
-    return mean_curvature_field(grid, np.full(grid.n_nodes, float(value)), tag=f"const={value!r}")
+def constant_field(grid: SphereGrid, h: float) -> MeanCurvatureField:
+    """H identically equal to 2 + h, built from the deviation h, kept exactly."""
+    h = float(h)
+    return mean_curvature_from_h(grid, np.full(grid.n_nodes, h), tag=f"const={2.0 + h!r}")
 
 
 @dataclass(frozen=True)
@@ -228,17 +207,14 @@ def eval_Q(
     return float(_round_diagonal(basis) @ (eta1.c * eta2.c)) - deficit_part
 
 
-def kernel_closed_form(H: MeanCurvatureField, a0: float, a: NDArray[np.float64]) -> float:
-    """Closed form of F_H on the span of {1, x1, x2, x3}.
+def kernel_closed_form(H: MeanCurvatureField, a: NDArray[np.float64]) -> float:
+    """Closed form of F_H on a0 + <a, x>, an oracle for eval_F.
 
-    The constant component a0 is annihilated by the form and does not
-    enter the value; it is accepted so kernel decompositions can be fed
-    through unchanged.
+    The form vanishes on constants, so the value depends on a alone.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (3,):
         raise ValueError(f"a has shape {a.shape}, expected (3,)")
-    del a0  # the form vanishes on constants
     grid = H.grid
     deficit = -H.h
     u = grid.xyz @ a
@@ -287,6 +263,16 @@ def _check_restrict(pencil: HessianPencil) -> None:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
 
 
+def _degree_two_part(pencil: HessianPencil, rows, B):
+    """The block over its rows of degree l >= 2.
+
+    A row set increases and the basis orders rows by degree, so a
+    block's l = 1 rows lead it.
+    """
+    k = int(np.count_nonzero(pencil.degrees[rows] == 1))
+    return rows[k:], B[k:, k:]
+
+
 def min_pencil_eigenvalue(
     pencil: HessianPencil, restrict: bool = False
 ) -> tuple[float, FieldCoeffs]:
@@ -316,8 +302,7 @@ def min_pencil_eigenvalue(
     for rows, B in pencil.blocks:
         rows = rows[0]
         if restrict:
-            keep = pencil.degrees[rows] >= 2
-            rows, B = rows[keep], B[np.ix_(keep, keep)]
+            rows, B = _degree_two_part(pencil, rows, B)
         if rows.size == 0:
             continue
         value, v = _lowest_pair(pencil.kdiag, rows, B)
@@ -346,11 +331,11 @@ def pencil_minima(pencil: HessianPencil) -> tuple[float, float]:
     for rows, B in pencil.blocks:
         low = _lowest_pair(pencil.kdiag, rows[0], B)[0]
         unres = min(unres, low)
-        keep = pencil.degrees[rows[0]] >= 2
-        if not keep.all():
-            if not keep.any():
-                continue
-            low = _lowest_pair(pencil.kdiag, rows[0][keep], B[np.ix_(keep, keep)])[0]
+        rows2, B2 = _degree_two_part(pencil, rows[0], B)
+        if rows2.size == 0:
+            continue
+        if rows2.size < rows[0].size:
+            low = _lowest_pair(pencil.kdiag, rows2, B2)[0]
         res = min(res, low)
     return unres, res
 

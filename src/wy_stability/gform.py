@@ -315,17 +315,15 @@ def minimize_G(
     return values, FieldCoeffs(basis.L, c)
 
 
-def classify_bbar(bbar: float, band: float = 1e-9) -> str:
+def classify_bbar(bbar: float) -> str:
     """Positivity verdict for the quartic family at parameter bbar.
 
     The minimum of G is 4 pi (1/90 - bbar) sum lam_i^2, so the verdict
-    depends only on the position of bbar relative to 1/90; ``band`` sets
-    the half-width of the BORDERLINE strip around the threshold.
+    depends only on the position of bbar relative to 1/90: BORDERLINE
+    within 1e-9 of it.
     """
-    if band < 0:
-        raise ValueError(f"band must be nonnegative, got {band}")
-    if bbar < THRESHOLD_BBAR - band:
+    if bbar < THRESHOLD_BBAR - 1e-9:
         return POSITIVE
-    if bbar > THRESHOLD_BBAR + band:
+    if bbar > THRESHOLD_BBAR + 1e-9:
         return INDEFINITE
     return BORDERLINE

@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -324,30 +323,15 @@ def laplacian(basis: HarmonicBasis, coeffs: FieldCoeffs) -> FieldCoeffs:
     return FieldCoeffs(coeffs.L, -basis.eigenvalues * coeffs.c)
 
 
-def project(
-    basis: HarmonicBasis, coeffs: FieldCoeffs, subspace: Union[str, int]
-) -> FieldCoeffs:
-    """Orthogonal projection onto a spectral subspace.
+def project(basis: HarmonicBasis, coeffs: FieldCoeffs, l: int) -> FieldCoeffs:
+    """Orthogonal projection onto the degree-l eigenspace, 0 <= l <= L.
 
-    Parameters
-    ----------
-    subspace : "kernel" | "kernel_complement" | int
-        ``"kernel"`` keeps degrees l <= 1 (constants and linear
-        coordinate functions), ``"kernel_complement"`` keeps l >= 2, and
-        an integer k keeps the pure degree-k eigenspace.
+    The split into degrees l <= 1 and l >= 2 is ``functional.decompose_kernel``.
     """
     _check_match(basis, coeffs)
-    if subspace == "kernel":
-        mask = basis.degrees <= 1
-    elif subspace == "kernel_complement":
-        mask = basis.degrees >= 2
-    elif isinstance(subspace, int) and not isinstance(subspace, bool):
-        if subspace < 0 or subspace > basis.L:
-            raise ValueError(f"eigenspace degree {subspace} outside 0..{basis.L}")
-        mask = basis.degrees == subspace
-    else:
-        raise ValueError(f"unknown subspace selector {subspace!r}")
-    return FieldCoeffs(coeffs.L, np.where(mask, coeffs.c, 0.0))
+    if not isinstance(l, int) or isinstance(l, bool) or not 0 <= l <= basis.L:
+        raise ValueError(f"eigenspace degree {l!r} outside 0..{basis.L}")
+    return FieldCoeffs(coeffs.L, np.where(basis.degrees == l, coeffs.c, 0.0))
 
 
 def gradient_dot(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,6 +45,7 @@ __all__ = [
     "ConditionReport",
     "NegativeDirection",
     "h_family",
+    "check_radius",
     "positivity_radius",
     "deficit_closed_form",
     "small_sphere_mass",
@@ -74,14 +74,11 @@ class CurvatureData:
     Physical data with R = 0 must have lapR >= 0 (a consequence of
     nonnegative scalar curvature attaining an interior minimum); set
     ``synthetic=True`` to bypass that check for sign-exploration inputs.
-    An optional eigenvalue triple may accompany the data; when present
-    its squared norm must agree with ric_sq.
     """
 
     R: float
     ric_sq: float
     lapR: float
-    lam: Optional[RicciEigs] = None
     synthetic: bool = False
 
     def __post_init__(self) -> None:
@@ -94,12 +91,6 @@ class CurvatureData:
                 "R = 0 forces lapR >= 0 for physical data; pass synthetic=True "
                 "to explore the other sign"
             )
-        if self.lam is not None:
-            if abs(self.lam.sum_sq - self.ric_sq) > 1e-12 * max(1.0, self.ric_sq):
-                raise ValueError(
-                    f"eigenvalue triple has sum_sq {self.lam.sum_sq}, "
-                    f"inconsistent with ric_sq = {self.ric_sq}"
-                )
 
 
 @dataclass(frozen=True)
@@ -137,21 +128,32 @@ def h_family(
 
     ``H = 2 + r^2 phi - (1/30 - bbar) r^4 sum lam_i^2`` with
     ``phi = sum lam_i x_i^2``.  The deviation ``h = H - 2`` is built
-    directly and carried exactly by the field.  The radius must stay
-    within ``positivity_radius(eigs)`` so the field is strictly positive.
+    directly and carried exactly by the field.  The radius must pass
+    ``check_radius``: within ``positivity_radius(eigs)`` the field is
+    strictly positive.
+    """
+    check_radius(eigs, r)
+    h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
+    tag = f"h_family(lam={tuple(eigs.lam)!r}, bbar={bbar!r}, r={r!r})"
+    return mean_curvature_from_h(grid, h, tag=tag)
+
+
+def check_radius(eigs: RicciEigs, r: float) -> None:
+    """Refuse a radius the quartic family cannot take.
+
+    r must be positive, at most ``positivity_radius(eigs)``, and large
+    enough that r^4 does not underflow.  The radius is compared first,
+    so r^4 is only formed for a bounded r.
     """
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
-    if not r**4 >= np.finfo(np.float64).tiny:
-        raise ValueError(f"r = {r} is too small: the r^4 term underflows")
     rmax = positivity_radius(eigs)
     if r > rmax:
         raise ValueError(
             f"r = {r} exceeds the positivity radius {rmax:.6f} for this family"
         )
-    h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
-    tag = f"h_family(lam={tuple(eigs.lam)!r}, bbar={bbar!r}, r={r!r})"
-    return mean_curvature_from_h(grid, h, tag=tag)
+    if not r**4 >= np.finfo(np.float64).tiny:
+        raise ValueError(f"r = {r} is too small: the r^4 term underflows")
 
 
 def positivity_radius(eigs: RicciEigs) -> float:
@@ -182,10 +184,13 @@ def small_sphere_mass(cd: CurvatureData, r: float) -> float:
     """
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
-    return (
-        r**3 / 12.0 * cd.R
-        + r**5 / 1440.0 * (24.0 * cd.ric_sq - 13.0 * cd.R**2 + 12.0 * cd.lapR)
-    )
+    try:
+        return (
+            r**3 / 12.0 * cd.R
+            + r**5 / 1440.0 * (24.0 * cd.ric_sq - 13.0 * cd.R**2 + 12.0 * cd.lapR)
+        )
+    except OverflowError:
+        raise ValueError(f"the mass expansion overflows at r = {r}, R = {cd.R}") from None
 
 
 def classify_small_sphere(cd: CurvatureData) -> str:
@@ -216,6 +221,14 @@ def bbar_from_b(b, cd: CurvatureData):
     return b - cd.lapR / (60 * cd.ric_sq)
 
 
+def _coercive_delta(beta, lambda1, alpha, inf_h0):
+    """(beta/4) / (1/(alpha inf_h0) + 1/lambda1), the delta both certificates share.
+
+    Written in product form so exact rational inputs stay exact.
+    """
+    return (beta / 4) * (alpha * inf_h0 * lambda1) / (lambda1 + alpha * inf_h0)
+
+
 def negative_part_certificate(beta, lambda1, alpha, inf_h0, sup_h0) -> Certificate:
     """Certificate tolerating a sign-changing deficit via its negative part.
 
@@ -240,7 +253,7 @@ def negative_part_certificate(beta, lambda1, alpha, inf_h0, sup_h0) -> Certifica
     theta = (half_beta * alpha1 * lambda1) / (
         lambda1 + sup_h0 * alpha1 + half_beta * alpha1 * lambda1
     )
-    delta = (beta / 4) * (alpha * inf_h0 * lambda1) / (lambda1 + alpha * inf_h0)
+    delta = _coercive_delta(beta, lambda1, alpha, inf_h0)
     return Certificate(
         beta=beta,
         lambda1=lambda1,
@@ -277,7 +290,7 @@ def deficit_ratio_certificate(beta, lambda1, alpha, inf_h0) -> Certificate:
     # written product-form so exact rational inputs stay exact
     alpha_sq = alpha * alpha
     first = (eps1 * alpha_sq * eps2) / (2 * (eps2 + eps1 * alpha_sq))
-    second = (beta / 4) * (alpha * inf_h0 * lambda1) / (lambda1 + alpha * inf_h0)
+    second = _coercive_delta(beta, lambda1, alpha, inf_h0)
     return Certificate(
         beta=beta,
         lambda1=lambda1,

@@ -17,7 +17,7 @@ from wy_stability.functional import (
     assemble_pencil,
     constant_field,
     eval_F,
-    mean_curvature_field,
+    mean_curvature_from_h,
     min_pencil_eigenvalue,
 )
 from wy_stability.gform import (
@@ -245,7 +245,7 @@ def test_criterion_06_positive_regime():
 
 def test_criterion_07_spectral_constants():
     """Restricted minimum 1/3; unrestricted zero with a degree-1 witness."""
-    pencil = assemble_pencil(BASIS, constant_field(GRID, 2.0))
+    pencil = assemble_pencil(BASIS, constant_field(GRID, 0.0))
     val, witness = min_pencil_eigenvalue(pencil, restrict=True)
     assert abs(val - 1.0 / 3.0) < 1e-9
     val0, witness0 = min_pencil_eigenvalue(pencil)
@@ -253,7 +253,7 @@ def test_criterion_07_spectral_constants():
     nz = np.abs(witness0.c) > 1e-8
     assert np.all(DEGREES[nz] == 1)
     # per-eigenspace coefficients: 1/3 at degree 2, 5/12 at degree 3
-    round_H = constant_field(GRID, 2.0)
+    round_H = constant_field(GRID, 0.0)
     for l, mu, coef in [(2, 6.0, 1.0 / 3.0), (3, 12.0, 5.0 / 12.0)]:
         c = np.zeros(NMODES)
         c[index_of(l, 0)] = 1.0
@@ -277,7 +277,7 @@ def test_criterion_08_certificates():
         g = g - g.min()
         g = g / g.max()
         eps = float(rng.uniform(0.002, 0.04))
-        H = mean_curvature_field(GRID, 2.0 - eps * g)
+        H = mean_curvature_from_h(GRID, -eps * g)
         cert = deficit_ratio_certificate(1.0 / 3.0, 2.0, H.inf_h, 2.0)
         report = check_deficit_conditions(H, cert)
         assert report.passed

@@ -186,6 +186,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["certify", "--set", "eps=3.0"], "eps must lie in [0, 2)"),
         (["certify", "--set", "family=cubic"], "unknown H family 'cubic'"),
         (["certify", "--set", "family=quartic", "--set", "lam=1,1,1"], "lam must sum to zero"),
+        # a radius outside the quartic family's range, huge ones included
+        (cex + ["--set", "r=5"], "r = 5.0 exceeds the positivity radius"),
+        (cex + ["--set", "r=1e100"], "r = 1e+100 exceeds the positivity radius"),
+        (["certify", "--set", "family=quartic", "--set", "r=5"], "r = 5.0 exceeds the positivity radius"),
+        (["certify", "--set", "family=quartic", "--set", "r=0"], "r must be positive"),
+        (
+            ["certify", "--set", "family=quartic", "--set", "r=1e100"],
+            "r = 1e+100 exceeds the positivity radius",
+        ),
     ):
         capsys.readouterr()
         assert main(argv) == 2
@@ -516,6 +525,29 @@ def test_scan_skips_row_where_h_is_not_positive(tmp_path):
     assert "mean curvature must be positive" in row["notice"]
 
 
+def test_overflowing_inputs_exit_as_documented(tmp_path, capsys):
+    # r^4, r^5 or R^2 of a huge input overflows a Python float; each run
+    # ends in a report or an error line that names the input, never in a
+    # traceback
+    out = tmp_path / "r.json"
+    witness = f"witness={tmp_path / 'w.json'}"
+    capsys.readouterr()
+    rc = main(["scan", "--set", "r_list=1e100", "--out", str(out)])
+    report = read_report(out)
+    assert rc == (0 if report["verdict"] == "PASS" else 1)
+    assert all(row["skipped"] for row in report["results"])
+    assert all("r = 1e+100 exceeds the positivity radius" in row["notice"] for row in report["results"])
+    for argv, message in (
+        (["counterexample", "--set", "r=1e100", "--set", witness], "r = 1e+100 exceeds"),
+        (["certify", "--set", "family=quartic", "--set", "r=1e100"], "r = 1e+100 exceeds"),
+        (["small-sphere", "--set", "r_list=1e100"], "the mass expansion overflows at r = 1e+100"),
+        (["small-sphere", "--set", "curv_r=1e200"], "the mass expansion overflows at r = 0.1, R = 1e+200"),
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {message}")
+
+
 def test_counterexample_witness_roundtrip(tmp_path):
     out = tmp_path / "ce.json"
     wit = tmp_path / "wit.json"
@@ -637,6 +669,16 @@ def test_certify_round_reference_has_no_deficit(tmp_path):
     assert row["conditions_pass"] is False
     # no certificate claim is made, so soundness holds vacuously
     assert report["summary"]["certificate_sound"] is True
+
+
+def test_certify_const_deficit_keeps_a_tiny_eps(tmp_path):
+    # the const family is built from h = -eps exactly: the deficit is
+    # 4 pi eps to rounding, though 2 - 1e-14 rounds eps by 8e-4 relative
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--ltrunc", "6", "--set", "eps=1e-14", "--out", str(out)]) == 0
+    deficit = read_report(out)["results"][0]["margins"]["deficit"]
+    exact = 4.0 * math.pi * 1e-14
+    assert abs(deficit - exact) < 1e-14 * exact
 
 
 def test_certify_conditions_refuse_indefinite_family(tmp_path):

@@ -15,7 +15,6 @@ from wy_stability.functional import (
     eval_F,
     eval_Q,
     kernel_closed_form,
-    mean_curvature_field,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
     pencil_minima,
@@ -36,7 +35,7 @@ from wy_stability.quad import build_grid
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
 NMODES = (8 + 1) ** 2
-ROUND = constant_field(GRID, 2.0)
+ROUND = constant_field(GRID, 0.0)
 
 
 def unit_coeffs(l: int, m: int) -> FieldCoeffs:
@@ -62,19 +61,19 @@ def random_positive_field(rng, amplitude=0.5):
     c[0] = 0.0
     bump = synthesize(BASIS, FieldCoeffs(8, c))
     bump *= amplitude / max(1.0, np.max(np.abs(bump)))
-    return mean_curvature_field(GRID, 2.0 + bump)
+    return mean_curvature_from_h(GRID, bump)
 
 
 def test_mean_curvature_field_validation():
     with pytest.raises(ValueError):
-        mean_curvature_field(GRID, np.ones(5))
-    samples = np.full(GRID.n_nodes, 2.0)
-    samples[17] = 0.0
+        mean_curvature_from_h(GRID, np.ones(5))
+    h = np.zeros(GRID.n_nodes)
+    h[17] = -2.0
     with pytest.raises(ValueError):
-        mean_curvature_field(GRID, samples)
-    samples[17] = -1.0
+        mean_curvature_from_h(GRID, h)
+    h[17] = -3.0
     with pytest.raises(ValueError):
-        mean_curvature_field(GRID, samples)
+        mean_curvature_from_h(GRID, h)
 
 
 def test_mean_curvature_from_h_keeps_h():
@@ -89,10 +88,21 @@ def test_mean_curvature_from_h_keeps_h():
     assert abs(f - 3e-18) < 1e-12 * 3e-18
 
 
+def test_constant_field_keeps_h():
+    # the const family is built from its deviation: 2 - 1e-18 rounds to 2,
+    # yet h and F on a degree-1 mode keep it
+    H = constant_field(GRID, -1e-18)
+    assert np.all(H.samples == 2.0)
+    assert np.all(H.h == -1e-18)
+    assert H.tag == "const=2.0"
+    f = eval_F(BASIS, H, unit_coeffs(1, 0))
+    assert abs(f - 3e-18) < 1e-12 * 3e-18
+
+
 def test_field_on_a_different_grid_is_rejected():
     # 16x32 and 32x16 have the same node count but different nodes
     basis = build_basis(build_grid(32, 16), 4)
-    H = constant_field(build_grid(16, 32), 1.5)
+    H = constant_field(build_grid(16, 32), -0.5)
     with pytest.raises(ValueError):
         eval_F(basis, H, FieldCoeffs(4, np.ones(25)))
     with pytest.raises(ValueError):
@@ -141,15 +151,8 @@ def test_kernel_closed_form_matches_quadrature():
         a0 = float(rng.normal())
         a = rng.normal(size=3)
         direct = eval_F(BASIS, H, kernel_coeffs(a0, a))
-        closed = kernel_closed_form(H, a0, a)
+        closed = kernel_closed_form(H, a)
         assert abs(direct - closed) < 1e-8 * max(1.0, abs(closed))
-
-
-def test_kernel_closed_form_ignores_constant():
-    rng = np.random.default_rng(17)
-    H = random_positive_field(rng)
-    a = np.array([0.3, -1.1, 0.7])
-    assert kernel_closed_form(H, 0.0, a) == kernel_closed_form(H, 42.0, a)
 
 
 def test_pencil_structure_round_sphere():
@@ -203,7 +206,7 @@ def test_depressed_curvature_is_positive_definite():
         f = synthesize(BASIS, FieldCoeffs(8, c))
         f = f - f.min() + 0.01
         f = f / f.max()  # 0 < f <= 1
-        H = mean_curvature_field(GRID, 2.0 - 1.5 * f * rng.uniform(0.1, 1.0))
+        H = mean_curvature_from_h(GRID, -1.5 * f * rng.uniform(0.1, 1.0))
         pencil = assemble_pencil(BASIS, H)
         val, _ = min_pencil_eigenvalue(pencil, restrict=True)
         assert val > 0.0
@@ -215,7 +218,7 @@ def test_truncation_stability():
     lam = np.array([1.0, 1.0, -2.0])
     phi = GRID.xyz**2 @ lam
     r = 0.3
-    H = mean_curvature_field(GRID, 2.0 + r**2 * phi - (1.0 / 30.0) * r**4 * 6.0)
+    H = mean_curvature_from_h(GRID, r**2 * phi - (1.0 / 30.0) * r**4 * 6.0)
     v8, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, H), restrict=True)
     v12, _ = min_pencil_eigenvalue(assemble_pencil(basis12, H), restrict=True)
     assert abs(v8 - v12) < 0.01 * abs(v12)
@@ -232,7 +235,7 @@ def test_decompose_kernel_roundtrip():
 
 def test_grid_mismatch_raises():
     other = build_grid(16, 32)
-    H = constant_field(other, 2.0)
+    H = constant_field(other, 0.0)
     with pytest.raises(ValueError):
         eval_F(BASIS, H, unit_coeffs(2, 0))
 
@@ -273,6 +276,8 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
         inside = np.zeros(dense.shape, dtype=bool)
         for rows in row_sets(pencil.blocks):
             inside[np.ix_(rows, rows)] = True
+            # row sets increase, so a block's l = 1 rows lead it
+            assert np.all(np.diff(rows) > 0)
         assert np.abs(dense[~inside]).max() <= 1e-13 * scale
         assert np.all(pencil.M[~inside] == 0.0)
         assert np.abs(pencil.M - dense)[inside].max() <= 1e-12 * scale
@@ -391,7 +396,7 @@ def test_family_takes_the_blocked_path(shape):
     # every other H the command line builds splits too: the const family,
     # and the quartic family with three distinct lam, 4 classes on odd
     # n_phi and 8 on even
-    blocks = assemble_pencil(basis, constant_field(grid, 2.0 - config.eps)).blocks
+    blocks = assemble_pencil(basis, constant_field(grid, -config.eps)).blocks
     assert len(row_sets(blocks)) == 2 * 4 + 1
     eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
     for bbar, r in ((config.bbar, config.r), (0.0, 1e-1), (1.0 / 90.0, 1e-3)):

@@ -325,6 +325,3 @@ def test_classify_bbar():
     assert classify_bbar(THRESHOLD_BBAR) == BORDERLINE
     assert classify_bbar(THRESHOLD_BBAR + 1e-12) == BORDERLINE
     assert classify_bbar(THRESHOLD_BBAR + 1e-6) == INDEFINITE
-    assert classify_bbar(THRESHOLD_BBAR - 1e-6, band=1e-5) == BORDERLINE
-    with pytest.raises(ValueError):
-        classify_bbar(0.0, band=-1.0)

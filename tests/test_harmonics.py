@@ -132,11 +132,8 @@ def test_green_identities():
 def test_project_partitions_modes():
     rng = np.random.default_rng(31)
     c = FieldCoeffs(8, rng.normal(size=NMODES))
-    ker = project(BASIS, c, "kernel")
-    comp = project(BASIS, c, "kernel_complement")
-    assert np.max(np.abs(ker.c + comp.c - c.c)) < 1e-15
-    assert np.all(ker.c[BASIS.degrees > 1] == 0.0)
-    assert np.all(comp.c[BASIS.degrees <= 1] == 0.0)
+    parts = [project(BASIS, c, l).c for l in range(BASIS.L + 1)]
+    np.testing.assert_array_equal(np.sum(parts, axis=0), c.c)
     pure = project(BASIS, c, 3)
     assert np.all(pure.c[BASIS.degrees != 3] == 0.0)
     np.testing.assert_allclose(pure.c[BASIS.degrees == 3], c.c[BASIS.degrees == 3])
@@ -150,6 +147,10 @@ def test_project_rejects_bad_selectors():
         project(BASIS, c, True)
     with pytest.raises(ValueError):
         project(BASIS, c, 9)
+    with pytest.raises(ValueError):
+        project(BASIS, c, -1)
+    with pytest.raises(ValueError):
+        project(BASIS, c, 3.0)
 
 
 def test_spectral_inequality_per_degree():

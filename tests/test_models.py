@@ -109,9 +109,6 @@ def test_curvature_data_validation():
     with pytest.raises(ValueError):
         CurvatureData(R=0.0, ric_sq=6.0, lapR=-1.0)
     CurvatureData(R=0.0, ric_sq=6.0, lapR=-1.0, synthetic=True)
-    with pytest.raises(ValueError):
-        CurvatureData(R=0.0, ric_sq=5.0, lam=CANON_EIGS, lapR=0.0)
-    CurvatureData(R=0.0, ric_sq=6.0, lam=CANON_EIGS, lapR=0.0)
 
 
 def test_small_sphere_mass_rows():
@@ -202,7 +199,7 @@ def test_check_deficit_conditions_constant_fields():
     delta = float(cert.delta)
 
     # small uniform deficit: all three conditions hold
-    report = check_deficit_conditions(constant_field(GRID, 2.0 - 0.01), cert)
+    report = check_deficit_conditions(constant_field(GRID, -0.01), cert)
     assert report.passed
     assert report.cond_a and report.cond_b1 and report.cond_b2
     assert report.margins["deficit"] > 0.0
@@ -210,14 +207,14 @@ def test_check_deficit_conditions_constant_fields():
     assert abs(report.margins["ratio"] - (delta - 0.01)) < 1e-12
 
     # inflated curvature: the deficit is negative, no ratio margin exists
-    report = check_deficit_conditions(constant_field(GRID, 2.0 + 0.01), cert)
+    report = check_deficit_conditions(constant_field(GRID, 0.01), cert)
     assert not report.cond_a
     assert not report.passed
     assert "ratio" not in report.margins
     assert abs(report.margins["negative_part"] - (delta - 0.01)) < 1e-12
 
     # large deficit: positive but the L2/L1 ratio violates the bound
-    report = check_deficit_conditions(constant_field(GRID, 2.0 - 1.5), cert)
+    report = check_deficit_conditions(constant_field(GRID, -1.5), cert)
     assert report.cond_a and report.cond_b1 and not report.cond_b2
     assert not report.passed
 
