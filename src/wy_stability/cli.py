@@ -38,8 +38,8 @@ import numpy as np
 from . import __version__
 from .functional import (
     assemble_pencil,
+    block_minima,
     constant_field,
-    min_pencil_eigenvalue,
     pencil_minima,
 )
 from .gform import (
@@ -421,7 +421,7 @@ def cmd_scan(config: RunConfig) -> dict:
 
     def unrestricted_min(bbar: float) -> float:
         pencil = assemble_pencil(basis, h_family(eigs, bbar, r_b, grid))
-        return min_pencil_eigenvalue(pencil)[0]
+        return float(block_minima(pencil).min())
 
     lo, hi = config.bracket
     bisection = None
@@ -580,8 +580,8 @@ def cmd_small_sphere(config: RunConfig) -> dict:
             summary["note"] = (
                 "all leading coefficients vanish; the r^-5 mass limit is not positive"
             )
-    finite = all(math.isfinite(row["mass_expansion"]) for row in rows)
-    return _report(config, rows, summary, "PASS" if finite else "FAIL")
+    # small_sphere_mass refuses a mass that is not finite
+    return _report(config, rows, summary, "PASS")
 
 
 def _certify_field(config: RunConfig):

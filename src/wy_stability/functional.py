@@ -42,6 +42,11 @@ quartic family is even under all three, 8 classes on an even n_phi and
 4 on an odd one, which has no x1 reflection.  Every block is built from
 theta sums (``gram_blocks``).  The pencil stores each distinct block
 once, with the row sets it serves; the dense M is built when read.
+
+Only a witness reads an eigenvector.  ``block_minima`` takes each
+block's minimum from the eigenvalues alone (``eigvalsh`` of the block
+whitened by K); ``min_pencil_eigenvalue`` picks the smallest and runs
+one ``eigh``, on that block, for its witness.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ __all__ = [
     "eval_Q",
     "kernel_closed_form",
     "assemble_pencil",
+    "block_minima",
     "min_pencil_eigenvalue",
     "pencil_minima",
     "decompose_kernel",
@@ -248,21 +254,6 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     )
 
 
-def _lowest_pair(kdiag, rows, B) -> tuple[float, NDArray[np.float64]]:
-    """Smallest eigenvalue of the block pencil (B, diag(kdiag[rows])) and its vector."""
-    inv_sqrt_k = 1.0 / np.sqrt(kdiag[rows])
-    try:
-        evals, evecs = np.linalg.eigh(B * np.outer(inv_sqrt_k, inv_sqrt_k))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
-    return float(evals[0]), evecs[:, 0] * inv_sqrt_k
-
-
-def _check_restrict(pencil: HessianPencil) -> None:
-    if pencil.L < 2:
-        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
-
-
 def _degree_two_part(pencil: HessianPencil, rows, B):
     """The block over its rows of degree l >= 2.
 
@@ -273,14 +264,45 @@ def _degree_two_part(pencil: HessianPencil, rows, B):
     return rows[k:], B[k:, k:]
 
 
+def _solve(pencil: HessianPencil, rows, B, solver):
+    """``solver`` on block B over ``rows`` whitened by kdiag, and 1 / sqrt(kdiag[rows])."""
+    inv_sqrt_k = 1.0 / np.sqrt(pencil.kdiag[rows])
+    try:
+        return solver(B * np.outer(inv_sqrt_k, inv_sqrt_k)), inv_sqrt_k
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
+
+
+def block_minima(pencil: HessianPencil, restrict: bool = False) -> NDArray[np.float64]:
+    """Smallest eigenvalue of each block of M v = lambda K v, from values alone.
+
+    Returns shape (1, n) for the n pairs of ``pencil.blocks``: each
+    block's minimum over its first row set, by ``eigvalsh``.  With
+    ``restrict``, shape (2, n): the second row is over the block's rows
+    of degree l >= 2 (inf for a block with none), which solves again
+    only a block that has an l = 1 row.
+    """
+    if restrict and pencil.L < 2:
+        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
+    lows = np.empty((1 + restrict, len(pencil.blocks)))
+    for i, (rows, B) in enumerate(pencil.blocks):
+        lows[:, i] = _solve(pencil, rows[0], B, np.linalg.eigvalsh)[0][0]
+        if restrict:
+            rows2, B2 = _degree_two_part(pencil, rows[0], B)
+            if rows2.size == 0:
+                lows[1, i] = math.inf
+            elif rows2.size < rows[0].size:
+                lows[1, i] = _solve(pencil, rows2, B2, np.linalg.eigvalsh)[0][0]
+    return lows
+
+
 def min_pencil_eigenvalue(
     pencil: HessianPencil, restrict: bool = False
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
 
-    Each block of the pencil is solved once, on its own, over its first
-    row set; the minimum is the smallest block minimum, the first block
-    in ``pencil.blocks`` order on a tie.
+    The value is the smallest of ``block_minima`` (the first on a tie);
+    the witness comes from one ``eigh`` of its block.
 
     Parameters
     ----------
@@ -296,48 +318,25 @@ def min_pencil_eigenvalue(
         sign (largest-magnitude coefficient positive).  The witness is
         returned as full coefficients with the l = 0 slot zero.
     """
+    lows = block_minima(pencil, restrict)[-1]
+    i = int(np.argmin(lows))
+    rows, B = pencil.blocks[i]
+    rows = rows[0]
     if restrict:
-        _check_restrict(pencil)
-    best = None
-    for rows, B in pencil.blocks:
-        rows = rows[0]
-        if restrict:
-            rows, B = _degree_two_part(pencil, rows, B)
-        if rows.size == 0:
-            continue
-        value, v = _lowest_pair(pencil.kdiag, rows, B)
-        if best is None or value < best[0]:
-            best = (value, rows, v)
-    value, rows, v = best
+        rows, B = _degree_two_part(pencil, rows, B)
+    (_, vecs), inv_sqrt_k = _solve(pencil, rows, B, np.linalg.eigh)
 
     c = np.zeros((pencil.L + 1) ** 2)
-    c[rows + 1] = v
-    nrm = np.linalg.norm(c)
-    c /= nrm
-    imax = np.argmax(np.abs(c))
-    if c[imax] < 0:
-        c = -c
-    return value, FieldCoeffs(pencil.L, c)
+    c[rows + 1] = vecs[:, 0] * inv_sqrt_k
+    c /= np.linalg.norm(c)
+    c *= np.sign(c[np.argmax(np.abs(c))])
+    return float(lows[i]), FieldCoeffs(pencil.L, c)
 
 
 def pencil_minima(pencil: HessianPencil) -> tuple[float, float]:
-    """The values of ``min_pencil_eigenvalue`` over l >= 1 and over l >= 2, from one pass.
-
-    Each block is solved once for both minima; only a block with an
-    l = 1 row is solved again without that row for the restricted one.
-    """
-    _check_restrict(pencil)
-    unres = res = math.inf
-    for rows, B in pencil.blocks:
-        low = _lowest_pair(pencil.kdiag, rows[0], B)[0]
-        unres = min(unres, low)
-        rows2, B2 = _degree_two_part(pencil, rows[0], B)
-        if rows2.size == 0:
-            continue
-        if rows2.size < rows[0].size:
-            low = _lowest_pair(pencil.kdiag, rows2, B2)[0]
-        res = min(res, low)
-    return unres, res
+    """The values of ``min_pencil_eigenvalue`` over l >= 1 and over l >= 2, with no witness."""
+    unres, res = block_minima(pencil, restrict=True).min(axis=1)
+    return float(unres), float(res)
 
 
 def decompose_kernel(basis: HarmonicBasis, coeffs: FieldCoeffs) -> KernelDecomposition:

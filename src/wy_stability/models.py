@@ -180,17 +180,24 @@ def small_sphere_mass(cd: CurvatureData, r: float) -> float:
     """Two-term small-sphere expansion of the Brown-York mass.
 
     ``m(r) = r^3/12 R + r^5/1440 (24 ric_sq - 13 R^2 + 12 lapR)``; the
-    O(r^6) remainder is intentionally not modeled.
+    O(r^6) remainder is intentionally not modeled.  A value that is not
+    finite raises ValueError, naming r and the curvature data.
     """
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
     try:
-        return (
+        mass = (
             r**3 / 12.0 * cd.R
             + r**5 / 1440.0 * (24.0 * cd.ric_sq - 13.0 * cd.R**2 + 12.0 * cd.lapR)
         )
     except OverflowError:
-        raise ValueError(f"the mass expansion overflows at r = {r}, R = {cd.R}") from None
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise ValueError(
+            f"the mass expansion overflows at r = {r}, R = {cd.R}, "
+            f"ric_sq = {cd.ric_sq}, lapR = {cd.lapR}"
+        )
+    return mass
 
 
 def classify_small_sphere(cd: CurvatureData) -> str:

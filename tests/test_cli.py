@@ -195,6 +195,22 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             ["certify", "--set", "family=quartic", "--set", "r=1e100"],
             "r = 1e+100 exceeds the positivity radius",
         ),
+        # a finite curvature input whose mass expansion is not finite,
+        # refused in either format
+        *(
+            (["small-sphere", *sets, "--format", fmt], message)
+            for fmt in ("json", "csv")
+            for sets, message in (
+                (
+                    ["--set", "ric_sq=1e308"],
+                    "the mass expansion overflows at r = 0.1, R = 0.0, ric_sq = 1e+308, lapR = 0.0",
+                ),
+                (
+                    ["--set", "ric_sq=1e306", "--set", "r_list=10"],
+                    "the mass expansion overflows at r = 10.0, R = 0.0, ric_sq = 1e+306, lapR = 0.0",
+                ),
+            )
+        ),
     ):
         capsys.readouterr()
         assert main(argv) == 2

@@ -19,7 +19,7 @@ from wy_stability.functional import (
     min_pencil_eigenvalue,
     pencil_minima,
 )
-from wy_stability.cli import RunConfig
+from wy_stability.cli import RunConfig, parse_args, run
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import (
     FieldCoeffs,
@@ -418,6 +418,73 @@ def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
         for r in (1e-3, 1e-4)
     )
     assert abs(v4 - v3) < 1e-4 * abs(v3)
+
+
+def count_solves(monkeypatch):
+    # calls of each symmetric eigensolver, counted through np.linalg
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_only_the_witness_computes_eigenvectors(monkeypatch):
+    # a scan report reads eigenvalues alone; min_pencil_eigenvalue runs one
+    # eigh, for its witness; pencil_minima solves each distinct block once
+    # and again without its l = 1 rows where it has any
+    calls = count_solves(monkeypatch)
+    run(parse_args(["scan", "--grid", "13x26", "--ltrunc", "12"]))
+    assert calls["eigh"] == 0 and calls["eigvalsh"] > 0
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    for lam, with_l1 in (((1.0, 1.0, -2.0), 2), ((0.7, 0.5, -1.2), 3)):
+        pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid))
+        assert with_l1 == sum(np.any(pencil.degrees[rows[0]] == 1) for rows, _ in pencil.blocks)
+        for restrict in (False, True):
+            calls["eigh"] = 0
+            min_pencil_eigenvalue(pencil, restrict=restrict)
+            assert calls["eigh"] == 1
+        calls["eigvalsh"] = 0
+        pencil_minima(pencil)
+        assert calls["eigvalsh"] == len(pencil.blocks) + with_l1
+        assert calls["eigh"] == 1
+
+
+def exact_minima(pencil):
+    # the 40-digit minima over l >= 1 and l >= 2 of each block, whitened by
+    # kdiag in float64 as the solver sees it
+    def exact_min(rows, B):
+        s = 1.0 / np.sqrt(pencil.kdiag[rows])
+        with mpmath.workdps(40):
+            return min(mpmath.mp.eigsy(mpmath.matrix((B * np.outer(s, s)).tolist()), eigvals_only=True))
+
+    full, cut = [], []
+    for rows, B in pencil.blocks:
+        rows = rows[0]
+        full.append(exact_min(rows, B))
+        keep = pencil.degrees[rows] >= 2
+        if keep.all():
+            cut.append(full[-1])
+        elif keep.any():
+            cut.append(exact_min(rows[keep], B[np.ix_(keep, keep)]))
+    return min(full), min(cut)
+
+
+@pytest.mark.parametrize("lam", [(1.0, 1.0, -2.0), (0.7, 0.5, -1.2)])
+def test_pencil_minima_match_extended_precision(lam):
+    # at bbar = 1/90 the unrestricted minimum is O(r^6) and loses digits
+    # against the O(1) spectrum; elsewhere both minima keep nearly all
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    for bbar, r, bound in ((1.0 / 90.0, 1e-2, 1e-9), (1.0 / 90.0, 3e-2, 1e-9), (1.0 / 30.0, 1e-2, 1e-14)):
+        pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), bbar, r, grid))
+        for got, ref in zip(pencil_minima(pencil), exact_minima(pencil)):
+            assert abs((got - ref) / ref) < bound
 
 
 def pencil_min_over_r4(shape, L, lam, r):
