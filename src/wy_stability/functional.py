@@ -43,10 +43,17 @@ quartic family is even under all three, 8 classes on an even n_phi and
 theta sums (``gram_blocks``).  The pencil stores each distinct block
 once, with the row sets it serves; the dense M is built when read.
 
-Only a witness reads an eigenvector.  ``block_minima`` takes each
-block's minimum from the eigenvalues alone (``eigvalsh`` of the block
-whitened by K); ``min_pencil_eigenvalue`` picks the smallest and runs
-one ``eigh``, on that block, for its witness.
+Only a witness reads an eigenvector, and only a block that can hold the
+minimum is solved.  Whitened by K, the round form is the diagonal
+1/2 - 1/(l(l+1)), and |Q_H - Q_2| <= s_lap int (Lap eta)^2
++ s_grad int |grad eta|^2, where s_lap and s_grad are the sups of the
+two deficit weights; so, by Weyl's inequality, no eigenvalue of a block
+whose lowest degree is l0 lies below 1/2 - s_lap - (1 + s_grad) /
+(l0 (l0 + 1)).  ``block_minima`` visits the blocks by ascending bound,
+takes each minimum from the eigenvalues alone (``eigvalsh`` of the
+block whitened by K), and stops where the bound clears the running
+minimum; ``min_pencil_eigenvalue`` picks the smallest and runs one
+``eigh``, on that block, for its witness.
 """
 
 from __future__ import annotations
@@ -156,12 +163,17 @@ class HessianPencil:
     (k = 1), one of every row when there are none.  M is zero outside
     the blocks; reading ``M`` assembles the dense matrix (46 MB at
     L = 48) for inspection.
+
+    ``sups`` holds (max |h / (2H)|, max |h|) over the nodes, the sups of
+    the two deficit weights.  They bound M against the round diagonal:
+    |Q_H - Q_2|(eta) <= sups[0] int (Lap eta)^2 + sups[1] int |grad eta|^2.
     """
 
     L: int
     kdiag: NDArray[np.float64]
     degrees: NDArray[np.int64]
     blocks: tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]
+    sups: tuple[float, float]
 
     @property
     def M(self) -> NDArray[np.float64]:
@@ -235,14 +247,15 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     M is built in deficit form, like eval_Q: the symmetrized Gram blocks
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
     (gradients), plus the exact round diagonal mu^2/2 - mu, added once
-    to each block.  The weights decide the blocks, each symmetry to
-    1e-13 of the weight's max: L + 1 per-order blocks over the 2L + 1
-    (order, trig type) row sets when h is constant on every theta ring;
-    else the parity classes of the reflections h is even under.  Every
-    entry is a theta sum.
+    to each block; the pencil keeps the sups of the two |weights|.  The
+    weights decide the blocks, each symmetry to 1e-13 of the weight's
+    max: L + 1 per-order blocks over the 2L + 1 (order, trig type) row
+    sets when h is constant on every theta ring; else the parity classes
+    of the reflections h is even under.  Every entry is a theta sum.
     """
     _check_field(basis, H)
-    blocks = gram_blocks(basis, -H.h / (2.0 * H.samples), -H.h)
+    w_lap = -H.h / (2.0 * H.samples)
+    blocks = gram_blocks(basis, w_lap, -H.h)
     diag = _round_diagonal(basis)[1:]
     for rows, B in blocks:
         B.flat[:: len(B) + 1] += diag[rows[0]]
@@ -251,6 +264,7 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
         kdiag=basis.eigenvalues[1:] ** 2,
         degrees=basis.degrees[1:],
         blocks=blocks,
+        sups=(float(np.abs(w_lap).max()), float(np.abs(H.h).max())),
     )
 
 
@@ -273,26 +287,54 @@ def _solve(pencil: HessianPencil, rows, B, solver):
         raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
+# Slack on each block's lower bound before it is compared with the running
+# minimum: far above the error of eigvalsh on whitened entries of order 1
+# (near 1e-15), so every block that can hold or tie a minimum is solved.
+_BOUND_MARGIN = 1e-9
+
+
 def block_minima(pencil: HessianPencil, restrict: bool = False) -> NDArray[np.float64]:
-    """Smallest eigenvalue of each block of M v = lambda K v, from values alone.
+    """Smallest eigenvalue of each block of M v = lambda K v that can hold the minimum.
 
     Returns shape (1, n) for the n pairs of ``pencil.blocks``: each
     block's minimum over its first row set, by ``eigvalsh``.  With
     ``restrict``, shape (2, n): the second row is over the block's rows
-    of degree l >= 2 (inf for a block with none), which solves again
-    only a block that has an l = 1 row.
+    of degree l >= 2, which solves again only a block that has an l = 1
+    row.
+
+    A block is solved only where it can hold its row's minimum.  The
+    whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups`` bounds the
+    rest, so the minimum over rows of degree l0 and up is at least
+    1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  Each row visits its
+    blocks (or their l >= 2 parts) by ascending lowest degree, hence
+    ascending bound, and solves them until the bound exceeds the running
+    minimum by ``_BOUND_MARGIN``; a block with no l = 1 row is solved
+    once for both rows.  An entry is inf where its block was not solved,
+    because it cannot hold or tie the row's minimum, or has no l >= 2
+    row.  So the row minima, and the first block attaining each, are
+    those of solving every block.
     """
     if restrict and pencil.L < 2:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
-    lows = np.empty((1 + restrict, len(pencil.blocks)))
-    for i, (rows, B) in enumerate(pencil.blocks):
-        lows[:, i] = _solve(pencil, rows[0], B, np.linalg.eigvalsh)[0][0]
-        if restrict:
-            rows2, B2 = _degree_two_part(pencil, rows[0], B)
-            if rows2.size == 0:
-                lows[1, i] = math.inf
-            elif rows2.size < rows[0].size:
-                lows[1, i] = _solve(pencil, rows2, B2, np.linalg.eigvalsh)[0][0]
+    s_lap, s_grad = pencil.sups
+    degrees = pencil.degrees.tolist()
+    lows = np.full((1 + restrict, len(pencil.blocks)), math.inf)
+    whole = [(rows[0], B) for rows, B in pencil.blocks]
+    for k in range(1 + restrict):
+        parts = whole
+        if k:
+            parts = [_degree_two_part(pencil, *p) if degrees[p[0][0]] == 1 else p for p in whole]
+        order = sorted((degrees[r[0]], i) for i, (r, _) in enumerate(parts) if r.size)
+        low = math.inf
+        for l0, i in order:
+            if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > low + _BOUND_MARGIN:
+                break
+            # a block with no l = 1 row may hold its value from row 0
+            if parts[i] is whole[i] and lows[0, i] < math.inf:
+                lows[k, i] = lows[0, i]
+            else:
+                lows[k, i] = _solve(pencil, *parts[i], np.linalg.eigvalsh)[0][0]
+            low = min(low, lows[k, i])
     return lows
 
 

@@ -7,9 +7,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wy_stability.functional import (
     assemble_pencil,
+    block_minima,
     constant_field,
     decompose_kernel,
     eval_F,
@@ -29,7 +32,7 @@ from wy_stability.harmonics import (
     synthesize,
     weighted_gram,
 )
-from wy_stability.models import h_family, negative_direction
+from wy_stability.models import h_family, negative_direction, positivity_radius
 from wy_stability.quad import build_grid
 
 GRID = build_grid(32, 64)
@@ -435,24 +438,122 @@ def count_solves(monkeypatch):
 
 def test_only_the_witness_computes_eigenvectors(monkeypatch):
     # a scan report reads eigenvalues alone; min_pencil_eigenvalue runs one
-    # eigh, for its witness; pencil_minima solves each distinct block once
-    # and again without its l = 1 rows where it has any
+    # eigh, for its witness; pencil_minima solves a block, or its l >= 2
+    # part, only where its round-sphere bound does not clear the running
+    # minimum of its row
     calls = count_solves(monkeypatch)
     run(parse_args(["scan", "--grid", "13x26", "--ltrunc", "12"]))
     assert calls["eigh"] == 0 and calls["eigvalsh"] > 0
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
-    for lam, with_l1 in (((1.0, 1.0, -2.0), 2), ((0.7, 0.5, -1.2), 3)):
-        pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid))
-        assert with_l1 == sum(np.any(pencil.degrees[rows[0]] == 1) for rows, _ in pencil.blocks)
-        for restrict in (False, True):
-            calls["eigh"] = 0
-            min_pencil_eigenvalue(pencil, restrict=restrict)
-            assert calls["eigh"] == 1
+
+    def solves(pencil):
+        with_l1 = sum(np.any(pencil.degrees[rows[0]] == 1) for rows, _ in pencil.blocks)
         calls["eigvalsh"] = 0
         pencil_minima(pencil)
-        assert calls["eigvalsh"] == len(pencil.blocks) + with_l1
-        assert calls["eigh"] == 1
+        assert calls["eigh"] == 0
+        return with_l1, calls["eigvalsh"]
+
+    # (1, 1, -2): orders 0 and 1 whole and without l = 1 (of 13 orders),
+    # and order 2, whose bound ties with their l >= 2 parts; (0.7, 0.5,
+    # -1.2): the 3 of 8 classes with an l = 1 row whole, and the 4 whose
+    # lowest degree is 2, below the l >= 2 parts' degree 3
+    for lam, count in (((1.0, 1.0, -2.0), (13, 2, 5)), ((0.7, 0.5, -1.2), (8, 3, 7))):
+        pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid))
+        assert (len(pencil.blocks), *solves(pencil)) == count
+        for restrict in (False, True):
+            min_pencil_eigenvalue(pencil, restrict=restrict)
+            assert calls["eigh"] == 1
+            calls["eigh"] = 0
+    # where |h| is large the bound prunes nothing: every block is solved,
+    # and again without its l = 1 rows where it has any
+    eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
+    for H in (
+        constant_field(grid, -1.5),
+        h_family(eigs, 1.0 / 30.0, 0.9 * positivity_radius(eigs), grid),
+    ):
+        pencil = assemble_pencil(basis, H)
+        with_l1, count = solves(pencil)
+        assert count == len(pencil.blocks) + with_l1
+
+
+def reflect(x, axis):
+    # a field on the (n_theta, n_phi) view under x_axis -> -x_axis
+    nphi = x.shape[1]
+    j = np.arange(nphi)
+    return (x[:, (nphi // 2 - j) % nphi], x[:, -j % nphi], x[::-1])[axis - 1]
+
+
+def whitened_min(pencil, rows, B, solver=np.linalg.eigvalsh):
+    # solver on B over rows whitened by kdiag, as the pencil solves it
+    s = 1.0 / np.sqrt(pencil.kdiag[rows])
+    return solver(B * np.outer(s, s)), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(2, 6),
+    extra=st.tuples(st.integers(1, 3), st.integers(0, 3)),
+    symmetry=st.sampled_from(["ring", "reflections", "none"]),
+    held=st.sets(st.integers(1, 3), min_size=1),
+    log_amp=st.floats(-4.0, math.log10(1.9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, held, log_amp, seed):
+    # seeded band-limited h of degree <= 4: constant on every ring, even
+    # under a random set of reflections, or with no symmetry (one block),
+    # on even and odd n_phi, at max |h| from 1e-4 up to 1.9, where H nears 0
+    grid = build_grid(L + extra[0], 2 * L + 1 + extra[1])
+    basis = build_basis(grid, L)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=basis.n_basis) * (basis.degrees <= 4)
+    if symmetry == "ring":
+        c *= basis.orders == 0
+    h = synthesize(basis, FieldCoeffs(L, c)).reshape(grid.n_theta, grid.n_phi)
+    if symmetry == "reflections":
+        for axis in held - ({1} if grid.n_phi % 2 else set()):
+            h = 0.5 * (h + reflect(h, axis))
+    h = h.ravel() * (10.0**log_amp / np.abs(h).max())
+    H = mean_curvature_from_h(grid, h)
+    pencil = assemble_pencil(basis, H)
+    assert pencil.sups == (np.abs(h / (2.0 * H.samples)).max(), np.abs(h).max())
+    if symmetry == "ring":
+        assert len(pencil.blocks) == L + 1
+    elif symmetry == "none":
+        assert len(pencil.blocks) == 1
+
+    # every block and its l >= 2 part, solved: each minimum clears the
+    # round-sphere bound of its lowest degree
+    s_lap, s_grad = pencil.sups
+    brute = np.full((2, len(pencil.blocks)), math.inf)
+    parts = []
+    for i, (rows, B) in enumerate(pencil.blocks):
+        rows = rows[0]
+        keep = pencil.degrees[rows] >= 2
+        parts.append([(rows, B), (rows[keep], B[np.ix_(keep, keep)])])
+        for k, (sub, Bsub) in enumerate(parts[-1]):
+            if sub.size:
+                brute[k, i] = whitened_min(pencil, sub, Bsub)[0][0]
+                l0 = pencil.degrees[sub[0]]
+                assert brute[k, i] >= 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) - 1e-12
+
+    # the pruned solve: every entry it solves is the same bits, and every
+    # entry it leaves at inf cannot hold or tie its row's minimum
+    lows = block_minima(pencil, restrict=True)
+    solved = np.isfinite(lows)
+    np.testing.assert_array_equal(lows[solved], brute[solved])
+    assert np.all((brute > brute.min(axis=1, keepdims=True))[~solved])
+    assert pencil_minima(pencil) == tuple(brute.min(axis=1))
+    for k in (0, 1):
+        i = int(np.argmin(brute[k]))
+        (_, vecs), s = whitened_min(pencil, *parts[i][k], np.linalg.eigh)
+        want = np.zeros(basis.n_basis)
+        want[parts[i][k][0] + 1] = vecs[:, 0] * s
+        want /= np.linalg.norm(want)
+        want *= np.sign(want[np.argmax(np.abs(want))])
+        val, witness = min_pencil_eigenvalue(pencil, restrict=bool(k))
+        assert val == brute[k, i]
+        np.testing.assert_array_equal(witness.c, want)
 
 
 def exact_minima(pencil):
