@@ -49,6 +49,7 @@ from .gform import (
     RicciEigs,
     classify_bbar,
     g_quadratic,
+    leading_value,
     minimize_G,
 )
 from .harmonics import FieldCoeffs, build_basis, index_of
@@ -64,7 +65,6 @@ from .models import (
     h_family,
     negative_direction,
     negative_part_certificate,
-    positivity_radius,
     small_sphere_mass,
 )
 from .quad import FOUR_PI, build_grid, integrate, monomial_integral
@@ -82,7 +82,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-COMMANDS = ("integrals", "gform", "scan", "counterexample", "small-sphere", "certify")
+FORMATS = ("json", "csv")
+_PATH_KEYS = ("out", "witness")  # output placement, not an analysis parameter
 
 BRACKET_TARGET = 1.0 / 450.0
 
@@ -168,6 +169,17 @@ def _parse_value(key: str, raw: str):
     return value
 
 
+def _parse_item(item: str) -> tuple[str, object]:
+    """Split ``key=value`` and parse the value; the key must name a RunConfig field."""
+    key, sep, raw = item.partition("=")
+    if not sep:
+        raise ConfigError(f"expected key=value, got {item!r}")
+    key = key.strip().replace("-", "_")
+    if key not in _FIELD_TYPES or key == "command":
+        raise ConfigError(f"unknown config key {key!r}")
+    return key, _parse_value(key, raw)
+
+
 def load_config_file(path: str) -> dict:
     """Parse a key=value config file; '#' starts a comment line."""
     out: dict = {}
@@ -179,25 +191,20 @@ def load_config_file(path: str) -> dict:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _FIELD_TYPES or key == "command":
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _parse_value(key, raw)
-        except (ValueError, ConfigError) as exc:
+            key, value = _parse_item(line)
+        except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        out[key] = value
     return out
 
 
 def _config_dict(config: RunConfig) -> dict:
-    # output placement is not an analysis parameter; leaving it out keeps
-    # report bytes independent of where the report is saved
+    # leaving output placement out keeps report bytes independent of
+    # where the report is saved
     d = {}
     for f in fields(config):
-        if f.name in ("out", "witness"):
+        if f.name in _PATH_KEYS:
             continue
         v = getattr(config, f.name)
         d[f.name] = list(v) if isinstance(v, tuple) else v
@@ -338,7 +345,8 @@ def cmd_gform(config: RunConfig) -> dict:
         for bbar, numeric in zip(config.bbar_list, minima):
             q = g_quadratic(eigs, direction, bbar)
             closed = q.min_value
-            ident = -(1.0 / 54.0 - (5.0 / 3.0) * bbar) * math.pi * eigs.sum_sq
+            # beta^2 - alpha gamma = -gamma min G
+            ident = -q.gamma_coef * leading_value(eigs, bbar, 1.0)
             # absolute scale guards the exact-threshold point where closed = 0
             scale = max(abs(closed), eigs.sum_sq)
             row_ok = abs(numeric - closed) < tol_closed * scale and abs(
@@ -382,14 +390,7 @@ def cmd_scan(config: RunConfig) -> dict:
     if not config.bracket[0] < config.bracket[1]:
         raise ConfigError(f"bracket needs lo < hi, got {list(config.bracket)}")
     eigs = RicciEigs(config.lam)
-    rmax = positivity_radius(eigs)
-    if not 0 < config.bisect_r <= rmax:
-        raise ConfigError(
-            f"bisect_r must lie in (0, {rmax:.6f}], the positivity radius, "
-            f"got {config.bisect_r}"
-        )
-    if not config.bisect_r**4 >= np.finfo(np.float64).tiny:
-        raise ConfigError(f"bisect_r = {config.bisect_r} is too small: the r^4 term underflows")
+    rmax = check_radius(eigs, config.bisect_r, "bisect_r")
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
     rows = []
@@ -492,7 +493,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
     nd = negative_direction(basis, eigs, config.bbar, config.r, direction)
-    predicted = config.r**4 * FOUR_PI * (THRESHOLD_BBAR - config.bbar) * eigs.sum_sq
+    predicted = leading_value(eigs, config.bbar, config.r)
     rel_dev = abs(nd.f_value - predicted) / abs(predicted) if predicted != 0 else None
 
     wpath.write_text(_witness_text(basis.L, nd.eta.c, _config_dict(config)))
@@ -651,6 +652,7 @@ _DISPATCH = {
     "small-sphere": cmd_small_sphere,
     "certify": cmd_certify,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +685,8 @@ def run(config: RunConfig) -> tuple[dict, str]:
     """Execute a command; returns (report, rendered output)."""
     if config.command not in _DISPATCH:
         raise ConfigError(f"unknown command {config.command!r}")
-    if config.format not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {config.format!r}")
+    if config.format not in FORMATS:
+        raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {config.format!r}")
     t0 = time.perf_counter()
     report = _DISPATCH[config.command](config)
     if config.timings:
@@ -710,7 +712,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid", metavar="TxP", help="quadrature sizes, e.g. 32x64"
     )
     parser.add_argument("--out", metavar="PATH", help="report output path")
-    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--format", choices=FORMATS)
     parser.add_argument("--seed", type=int, metavar="N")
     parser.add_argument("--timings", action="store_true", default=None,
                         help="embed wall-clock timings (breaks byte determinism)")
@@ -734,13 +736,8 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
-    for item in args.set:
-        key, sep, raw = item.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep or key not in _FIELD_TYPES or key == "command":
-            raise ConfigError(f"cannot apply override {item!r}")
-        overrides[key] = _parse_value(key, raw)
-    for key in ("out", "witness"):
+    overrides.update(_parse_item(item) for item in args.set)
+    for key in _PATH_KEYS:
         if overrides.get(key) == "":
             raise ConfigError(f"{key} must name a file, got an empty path")
     return replace(RunConfig(command=args.command), **overrides)

@@ -59,7 +59,7 @@ minimum; ``min_pencil_eigenvalue`` picks the smallest and runs one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,6 +67,7 @@ from numpy.typing import NDArray
 from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
+    _check_match,
     gram_blocks,
     index_of,
     weighted_form,
@@ -268,14 +269,20 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     )
 
 
-def _degree_two_part(pencil: HessianPencil, rows, B):
-    """The block over its rows of degree l >= 2.
+def _degree_two_pencil(pencil: HessianPencil) -> HessianPencil:
+    """The pencil over its rows of degree l >= 2: each block's l >= 2 part.
 
     A row set increases and the basis orders rows by degree, so a
-    block's l = 1 rows lead it.
+    block's l = 1 rows lead it.  A block with no l = 1 row is kept as is.
     """
-    k = int(np.count_nonzero(pencil.degrees[rows] == 1))
-    return rows[k:], B[k:, k:]
+    if pencil.L < 2:
+        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
+    blocks = []
+    for block in pencil.blocks:
+        rows, B = block
+        k = int(np.count_nonzero(pencil.degrees[rows[0]] == 1))
+        blocks.append((rows[:, k:], B[k:, k:]) if k else block)
+    return replace(pencil, blocks=tuple(blocks))
 
 
 def _solve(pencil: HessianPencil, rows, B, solver):
@@ -314,23 +321,19 @@ def block_minima(pencil: HessianPencil, restrict: bool = False) -> NDArray[np.fl
     row.  So the row minima, and the first block attaining each, are
     those of solving every block.
     """
-    if restrict and pencil.L < 2:
-        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
     s_lap, s_grad = pencil.sups
     degrees = pencil.degrees.tolist()
-    lows = np.full((1 + restrict, len(pencil.blocks)), math.inf)
-    whole = [(rows[0], B) for rows, B in pencil.blocks]
-    for k in range(1 + restrict):
-        parts = whole
-        if k:
-            parts = [_degree_two_part(pencil, *p) if degrees[p[0][0]] == 1 else p for p in whole]
+    views = (pencil, _degree_two_pencil(pencil)) if restrict else (pencil,)
+    lows = np.full((len(views), len(pencil.blocks)), math.inf)
+    for k, view in enumerate(views):
+        parts = [(rows[0], B) for rows, B in view.blocks]
         order = sorted((degrees[r[0]], i) for i, (r, _) in enumerate(parts) if r.size)
         low = math.inf
         for l0, i in order:
             if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > low + _BOUND_MARGIN:
                 break
             # a block with no l = 1 row may hold its value from row 0
-            if parts[i] is whole[i] and lows[0, i] < math.inf:
+            if view.blocks[i] is pencil.blocks[i] and lows[0, i] < math.inf:
                 lows[k, i] = lows[0, i]
             else:
                 lows[k, i] = _solve(pencil, *parts[i], np.linalg.eigvalsh)[0][0]
@@ -343,8 +346,8 @@ def min_pencil_eigenvalue(
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
 
-    The value is the smallest of ``block_minima`` (the first on a tie);
-    the witness comes from one ``eigh`` of its block.
+    The value is the smallest of ``block_minima`` over the rows asked
+    for (the first on a tie); the witness is one ``eigh`` of its block.
 
     Parameters
     ----------
@@ -360,12 +363,12 @@ def min_pencil_eigenvalue(
         sign (largest-magnitude coefficient positive).  The witness is
         returned as full coefficients with the l = 0 slot zero.
     """
-    lows = block_minima(pencil, restrict)[-1]
+    if restrict:
+        pencil = _degree_two_pencil(pencil)
+    lows = block_minima(pencil)[0]
     i = int(np.argmin(lows))
     rows, B = pencil.blocks[i]
     rows = rows[0]
-    if restrict:
-        rows, B = _degree_two_part(pencil, rows, B)
     (_, vecs), inv_sqrt_k = _solve(pencil, rows, B, np.linalg.eigh)
 
     c = np.zeros((pencil.L + 1) ** 2)
@@ -387,10 +390,7 @@ def decompose_kernel(basis: HarmonicBasis, coeffs: FieldCoeffs) -> KernelDecompo
     Returns the coefficients of the function written as
     ``a0 + a1 x1 + a2 x2 + a3 x3 + eta2`` with eta2 supported on l >= 2.
     """
-    if coeffs.L != basis.L:
-        raise ValueError(
-            f"coefficients truncated at L={coeffs.L}, basis built for L={basis.L}"
-        )
+    _check_match(basis, coeffs)
     c = coeffs.c
     a0 = float(c[0] / math.sqrt(FOUR_PI))
     scale = math.sqrt(3.0 / FOUR_PI)

@@ -55,6 +55,7 @@ __all__ = [
     "compute_A",
     "compute_xi",
     "g_quadratic",
+    "leading_value",
     "eval_G",
     "eval_B",
     "optimal_eta2",
@@ -80,7 +81,12 @@ GAMMA_COEF = 5.0 / 12.0
 
 @dataclass(frozen=True)
 class RicciEigs:
-    """Traceless eigenvalue triple driving the quadratic perturbation."""
+    """Traceless eigenvalue triple driving the quadratic perturbation.
+
+    It must be finite, sum to zero and be nonzero, and the bound
+    (8 pi/21) sum lam_i^2 on A over unit directions, formed as
+    ``compute_A`` forms A, must be finite; then A > 0 and D >= (11/25) A > 0.
+    """
 
     lam: NDArray[np.float64]
 
@@ -91,6 +97,10 @@ class RicciEigs:
         object.__setattr__(self, "lam", lam)
         if not np.all(np.isfinite(lam)):
             raise ValueError(f"lam must be finite, got {lam}")
+        with np.errstate(over="ignore"):
+            sum_sq = self.sum_sq
+        if not math.isfinite(_a_closed_form(sum_sq, sum_sq)):
+            raise ValueError(f"lam is too large: A = int eta1^2 phi^2 can overflow, got {lam}")
         tol = 1e-14 * max(1.0, float(np.abs(lam).sum()))
         if abs(float(lam.sum())) > tol:
             raise ValueError(f"lam must sum to zero, got sum = {lam.sum()}")
@@ -127,14 +137,6 @@ class GQuadratic:
     beta_coef: float
     gamma_coef: float
     discriminant: float
-    bbar: float
-
-    def __post_init__(self) -> None:
-        if not (self.A > 0 and self.D > 0):
-            raise AssertionError(
-                f"internal inconsistency: A = {self.A} and D = {self.D} must both "
-                f"be positive for a valid eigenvalue triple"
-            )
 
     @property
     def min_value(self) -> float:
@@ -164,10 +166,12 @@ def compute_A(eigs: RicciEigs, direction: Direction) -> float:
     gives ``16 pi (2 sum a_i^2 lam_i^2 / 105 + sum lam_i^2 / 210)``.
     """
     lam = eigs.lam
-    a = direction.a
-    return 16.0 * math.pi * (
-        2.0 * float((a**2) @ (lam**2)) / 105.0 + float(lam @ lam) / 210.0
-    )
+    return _a_closed_form(float((direction.a**2) @ (lam**2)), float(lam @ lam))
+
+
+def _a_closed_form(weighted: float, sum_sq: float) -> float:
+    """16 pi (2 weighted / 105 + sum_sq / 210), weighted = sum a_i^2 lam_i^2."""
+    return 16.0 * math.pi * (2.0 * weighted / 105.0 + sum_sq / 210.0)
 
 
 def compute_xi(eigs: RicciEigs, direction: Direction, grid: SphereGrid) -> NDArray[np.float64]:
@@ -192,8 +196,13 @@ def g_quadratic(eigs: RicciEigs, direction: Direction, bbar: float) -> GQuadrati
         beta_coef=beta,
         gamma_coef=GAMMA_COEF,
         discriminant=beta * beta - alpha * GAMMA_COEF,
-        bbar=bbar,
     )
+
+
+def leading_value(eigs: RicciEigs, bbar: float, r: float) -> float:
+    """r^4 4 pi (1/90 - bbar) sum lam_i^2: min G at r = 1, and the small-r limit of F
+    on the negative direction."""
+    return r**4 * FOUR_PI * (THRESHOLD_BBAR - bbar) * eigs.sum_sq
 
 
 def _require_complement(eta2: FieldCoeffs) -> None:

@@ -343,12 +343,8 @@ def gradient_dot(
     ``du/dtheta dv/dtheta + (du/dphi dv/dphi) / sin(theta)^2``
     with the analytic derivative factors.
     """
-    _check_match(basis, coeffs_u)
-    _check_match(basis, coeffs_v)
-    ut = _synthesis(basis, coeffs_u.c, basis.drad, basis.ang)
-    vt = _synthesis(basis, coeffs_v.c, basis.drad, basis.ang)
-    up = _synthesis(basis, coeffs_u.c, basis.rad, basis.dang)
-    vp = _synthesis(basis, coeffs_v.c, basis.rad, basis.dang)
+    _, ut, up = _field_samples(basis, coeffs_u)
+    _, vt, vp = _field_samples(basis, coeffs_v)
     inv_s2 = 1.0 / basis.grid.sin_theta**2
     return ut * vt + up * vp * inv_s2
 

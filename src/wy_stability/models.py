@@ -113,10 +113,10 @@ class Certificate:
     theta: object = None
 
     def __post_init__(self) -> None:
-        for name in ("beta", "lambda1", "alpha", "inf_h0", "sup_h0", "delta"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"certificate field {name} must be positive, got {v}")
+        _require_positive(
+            beta=self.beta, lambda1=self.lambda1, alpha=self.alpha,
+            inf_h0=self.inf_h0, sup_h0=self.sup_h0, delta=self.delta,
+        )
         if self.theta is not None and not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
@@ -138,22 +138,19 @@ def h_family(
     return mean_curvature_from_h(grid, h, tag=tag)
 
 
-def check_radius(eigs: RicciEigs, r: float) -> None:
-    """Refuse a radius the quartic family cannot take.
+def check_radius(eigs: RicciEigs, r: float, name: str = "r") -> float:
+    """Refuse a radius the quartic family cannot take; return the positivity radius.
 
-    r must be positive, at most ``positivity_radius(eigs)``, and large
-    enough that r^4 does not underflow.  The radius is compared first,
-    so r^4 is only formed for a bounded r.
+    r must lie in (0, ``positivity_radius(eigs)``] and be large enough
+    that r^4 does not underflow.  The radius is compared first, so r^4
+    is only formed for a bounded r.  ``name`` names r in the message.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
     rmax = positivity_radius(eigs)
-    if r > rmax:
-        raise ValueError(
-            f"r = {r} exceeds the positivity radius {rmax:.6f} for this family"
-        )
+    if not 0 < r <= rmax:
+        raise ValueError(f"{name} must lie in (0, {rmax:.6f}], the positivity radius, got {r}")
     if not r**4 >= np.finfo(np.float64).tiny:
-        raise ValueError(f"r = {r} is too small: the r^4 term underflows")
+        raise ValueError(f"{name} = {r} is too small: the r^4 term underflows")
+    return rmax
 
 
 def positivity_radius(eigs: RicciEigs) -> float:
@@ -228,6 +225,13 @@ def bbar_from_b(b, cd: CurvatureData):
     return b - cd.lapR / (60 * cd.ric_sq)
 
 
+def _require_positive(**constants) -> None:
+    """Refuse a certificate constant that is not positive, by its name."""
+    for name, v in constants.items():
+        if not v > 0:
+            raise ValueError(f"{name} must be positive, got {v}")
+
+
 def _coercive_delta(beta, lambda1, alpha, inf_h0):
     """(beta/4) / (1/(alpha inf_h0) + 1/lambda1), the delta both certificates share.
 
@@ -248,12 +252,7 @@ def negative_part_certificate(beta, lambda1, alpha, inf_h0, sup_h0) -> Certifica
     ``theta int (2-H) + 2 int (2-H)_- > 0`` and
     ``sup |(2-H)_-| < delta``.
     """
-    for name, v in (
-        ("beta", beta), ("lambda1", lambda1), ("alpha", alpha),
-        ("inf_h0", inf_h0), ("sup_h0", sup_h0),
-    ):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+    _require_positive(beta=beta, lambda1=lambda1, alpha=alpha, inf_h0=inf_h0, sup_h0=sup_h0)
     alpha1 = min(alpha, inf_h0)
     half_beta = beta / 2
     # written product-form so exact rational inputs stay exact
@@ -287,11 +286,7 @@ def deficit_ratio_certificate(beta, lambda1, alpha, inf_h0) -> Certificate:
     The certificate is built for round reference data, so the recorded
     sup_h0 equals inf_h0.
     """
-    for name, v in (
-        ("beta", beta), ("lambda1", lambda1), ("alpha", alpha), ("inf_h0", inf_h0),
-    ):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+    _require_positive(beta=beta, lambda1=lambda1, alpha=alpha, inf_h0=inf_h0)
     eps1 = beta / 4
     eps2 = lambda1 * beta / 4
     # written product-form so exact rational inputs stay exact
@@ -391,18 +386,9 @@ def negative_direction(
     f_value = eval_F(basis, H, eta)
 
     if bbar <= THRESHOLD_BBAR:
-        return NegativeDirection(
-            eta=eta,
-            f_value=f_value,
-            guaranteed=False,
-            note=f"bbar = {bbar} is not above the threshold 1/90; "
-            f"no negativity is claimed",
-        )
-    if f_value >= 0.0:
-        return NegativeDirection(
-            eta=eta,
-            f_value=f_value,
-            guaranteed=False,
-            note=f"r = {r} lies outside the radius where the r^4 term dominates",
-        )
-    return NegativeDirection(eta=eta, f_value=f_value, guaranteed=True)
+        note = f"bbar = {bbar} is not above the threshold 1/90; no negativity is claimed"
+    elif f_value >= 0.0:
+        note = f"r = {r} lies outside the radius where the r^4 term dominates"
+    else:
+        note = ""
+    return NegativeDirection(eta=eta, f_value=f_value, guaranteed=not note, note=note)

@@ -11,6 +11,7 @@ import math
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wy_stability
@@ -49,6 +50,8 @@ from wy_stability.quad import build_grid
 SCHEMA = json.loads(
     resources.files("wy_stability").joinpath("report_schema.json").read_text()
 )
+# the positivity radius of the default lam = (1, 1, -2), as messages print it
+RMAX = "0.701379"
 
 
 def read_report(path) -> dict:
@@ -166,7 +169,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         ),
         (["integrals", "--out", str(tmp_path)], "out path"),
         (["integrals", "--out", str(tmp_path / "missing" / "r.json")], "out directory"),
-        # an unknown format, an empty list, or a value that does not parse
+        # an unknown key or format, an empty list, or a value that does not parse
+        (["gform", "--set", "bogus=1"], "unknown config key 'bogus'"),
+        (["gform", "--set", "bogus"], "expected key=value, got 'bogus'"),
         (["integrals", "--set", "format=xml"], "format must be json or csv"),
         (["integrals", "--set", "format=CSV"], "format must be json or csv"),
         (["gform", "--set", "bbar_list="], "bbar_list needs at least one value"),
@@ -186,15 +191,18 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["certify", "--set", "eps=3.0"], "eps must lie in [0, 2)"),
         (["certify", "--set", "family=cubic"], "unknown H family 'cubic'"),
         (["certify", "--set", "family=quartic", "--set", "lam=1,1,1"], "lam must sum to zero"),
-        # a radius outside the quartic family's range, huge ones included
-        (cex + ["--set", "r=5"], "r = 5.0 exceeds the positivity radius"),
-        (cex + ["--set", "r=1e100"], "r = 1e+100 exceeds the positivity radius"),
-        (["certify", "--set", "family=quartic", "--set", "r=5"], "r = 5.0 exceeds the positivity radius"),
-        (["certify", "--set", "family=quartic", "--set", "r=0"], "r must be positive"),
-        (
-            ["certify", "--set", "family=quartic", "--set", "r=1e100"],
-            "r = 1e+100 exceeds the positivity radius",
+        # a triple whose bound (8 pi/21) sum lam_i^2 on A overflows
+        *(
+            (["gform", "--set", f"lam={lam}"], "lam is too large")
+            for lam in ("1e154,1e154,-2e154", "5e153,5e153,-1e154", "1e300,-1e300,0")
         ),
+        # a radius outside the quartic family's range, huge ones included;
+        # the family's r and the scan's bisect_r share one message
+        (cex + ["--set", "r=5"], f"r must lie in (0, {RMAX}], the positivity radius, got 5.0"),
+        (cex + ["--set", "r=1e100"], f"r must lie in (0, {RMAX}], the positivity radius, got 1e+1"),
+        (["certify", "--set", "family=quartic", "--set", "r=5"], f"r must lie in (0, {RMAX}]"),
+        (["certify", "--set", "family=quartic", "--set", "r=0"], f"r must lie in (0, {RMAX}]"),
+        (["certify", "--set", "family=quartic", "--set", "r=1e100"], f"r must lie in (0, {RMAX}]"),
         # a finite curvature input whose mass expansion is not finite,
         # refused in either format
         *(
@@ -213,8 +221,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         ),
     ):
         capsys.readouterr()
-        assert main(argv) == 2
-        assert capsys.readouterr().out.startswith(f"error: {message}")
+        # nothing warns on the way, so stderr stays empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"error: {message}") and printed.err == ""
 
 
 def test_gform_needs_degree_two(tmp_path, capsys):
@@ -474,6 +486,13 @@ def test_report_shape_and_schema(tmp_path):
         assert row["classification"] in ("POSITIVE", "INDEFINITE", "BORDERLINE")
 
 
+def test_schema_lists_the_cli_commands_and_formats():
+    # the schema keeps its own copies of the command and format lists
+    props = SCHEMA["properties"]
+    assert tuple(props["command"]["enum"]) == cli_module.COMMANDS
+    assert tuple(props["config"]["properties"]["format"]["enum"]) == cli_module.FORMATS
+
+
 def test_reports_are_byte_deterministic(tmp_path):
     args = ["scan", "--grid", "24x48", "--ltrunc", "5", "--set", "r_list=0.1,0.01"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -552,10 +571,11 @@ def test_overflowing_inputs_exit_as_documented(tmp_path, capsys):
     report = read_report(out)
     assert rc == (0 if report["verdict"] == "PASS" else 1)
     assert all(row["skipped"] for row in report["results"])
-    assert all("r = 1e+100 exceeds the positivity radius" in row["notice"] for row in report["results"])
+    too_far = f"r must lie in (0, {RMAX}], the positivity radius, got 1e+100"
+    assert all(row["notice"] == too_far for row in report["results"])
     for argv, message in (
-        (["counterexample", "--set", "r=1e100", "--set", witness], "r = 1e+100 exceeds"),
-        (["certify", "--set", "family=quartic", "--set", "r=1e100"], "r = 1e+100 exceeds"),
+        (["counterexample", "--set", "r=1e100", "--set", witness], too_far),
+        (["certify", "--set", "family=quartic", "--set", "r=1e100"], too_far),
         (["small-sphere", "--set", "r_list=1e100"], "the mass expansion overflows at r = 1e+100"),
         (["small-sphere", "--set", "curv_r=1e200"], "the mass expansion overflows at r = 0.1, R = 1e+200"),
     ):
@@ -748,12 +768,18 @@ def _mostly(usual, anything):
 
 
 TRACELESS = st.tuples(_floats(-3, 3), _floats(-3, 3)).map(lambda p: (p[0], p[1], -(p[0] + p[1])))
+# traceless triples up to 3e200, where sum lam_i^2 and the bound on A overflow
+SCALED = st.tuples(TRACELESS, st.integers(0, 200)).map(
+    lambda p: tuple(x * 10.0 ** p[1] for x in p[0])
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(["gform", "scan", "counterexample"]),
-    lam=_mostly(TRACELESS, st.tuples(_floats(-3, 3), _floats(-3, 3), _floats(-3, 3))),
+    lam=_mostly(
+        TRACELESS, st.one_of(SCALED, st.tuples(_floats(-3, 3), _floats(-3, 3), _floats(-3, 3)))
+    ),
     a=st.tuples(_floats(-2, 2), _floats(-2, 2), _floats(-2, 2)),
     bbar=_mostly(_floats(-0.1, 0.1), _floats(-300, 1)),
     r=_mostly(_floats(1e-4, 0.3), _floats(-0.1, 1.5)),
@@ -762,6 +788,12 @@ TRACELESS = st.tuples(_floats(-3, 3), _floats(-3, 3)).map(lambda p: (p[0], p[1],
     n_phi=_mostly(st.integers(9, 24), st.integers(1, 24)),
     ltrunc=_mostly(st.integers(1, 4), st.integers(0, 4)),
 )
+@example(command="gform", lam=(1e154, 1e154, -2e154), a=(0.0, 0.0, 1.0), bbar=0.0, r=0.01,
+         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+@example(command="gform", lam=(5e153, 5e153, -1e154), a=(0.0, 0.0, 1.0), bbar=0.0, r=0.01,
+         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+@example(command="gform", lam=(1e300, -1e300, 0.0), a=(0.0, 0.0, 1.0), bbar=0.0, r=0.01,
+         directions=1, n_theta=8, n_phi=16, ltrunc=4)
 def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions, n_theta, n_phi, ltrunc):
     # every run ends in a schema-valid report with exit 0 (PASS) or 1
     # (FAIL), or in exit 2 with an error message; it never raises

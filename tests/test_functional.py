@@ -457,12 +457,19 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
     # (1, 1, -2): orders 0 and 1 whole and without l = 1 (of 13 orders),
     # and order 2, whose bound ties with their l >= 2 parts; (0.7, 0.5,
     # -1.2): the 3 of 8 classes with an l = 1 row whole, and the 4 whose
-    # lowest degree is 2, below the l >= 2 parts' degree 3
-    for lam, count in (((1.0, 1.0, -2.0), (13, 2, 5)), ((0.7, 0.5, -1.2), (8, 3, 7))):
+    # lowest degree is 2, below the l >= 2 parts' degree 3.  A witness
+    # solves only the row it is asked for: (over l >= 1, over l >= 2)
+    for lam, count, witness_count in (
+        ((1.0, 1.0, -2.0), (13, 2, 5), (2, 3)),
+        ((0.7, 0.5, -1.2), (8, 3, 7), (3, 4)),
+    ):
         pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid))
         assert (len(pencil.blocks), *solves(pencil)) == count
+        solved = np.isfinite(block_minima(pencil, restrict=True)).sum(axis=1)
         for restrict in (False, True):
+            calls["eigvalsh"] = 0
             min_pencil_eigenvalue(pencil, restrict=restrict)
+            assert calls["eigvalsh"] == witness_count[restrict] == solved[int(restrict)]
             assert calls["eigh"] == 1
             calls["eigh"] = 0
     # where |h| is large the bound prunes nothing: every block is solved,

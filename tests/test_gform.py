@@ -22,6 +22,7 @@ from wy_stability.gform import (
     eval_B,
     eval_G,
     g_quadratic,
+    leading_value,
     minimize_G,
     optimal_eta2,
     phi_field,
@@ -69,6 +70,44 @@ def test_ricci_eigs_validation():
     with pytest.raises(ValueError):
         RicciEigs(np.array([1.0, -1.0]))
     assert CANON_EIGS.sum_sq == 6.0
+
+
+def _accepted(lam) -> bool:
+    try:
+        RicciEigs(lam)
+    except ValueError:
+        return False
+    return True
+
+
+def _edge_scale(shape, outside):
+    # the scale t nearest ``outside`` at which t * shape is accepted
+    inside = 1.0
+    while np.nextafter(inside, outside) != outside:
+        mid = math.sqrt(inside) * math.sqrt(outside)
+        if mid in (inside, outside):
+            mid = float(np.nextafter(inside, outside))
+        if _accepted(shape * mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+@pytest.mark.parametrize("shape", [(1.0, 1.0, -2.0), (1.0, -1.0, 0.0), (0.7, 0.5, -1.2)])
+def test_every_accepted_scale_gives_positive_A_and_D(shape):
+    # sum lam_i^2 >= tiny sets the smallest triple and the bound
+    # (8 pi/21) sum lam_i^2 on A the largest; at both edges, and for any
+    # unit direction, A and D >= (11/25) A are finite and positive
+    shape = np.array(shape)
+    for outside in (1e-200, 1e200):
+        t = _edge_scale(shape, outside)
+        assert not _accepted(shape * np.nextafter(t, outside))
+        eigs = RicciEigs(shape * t)
+        for a in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.3, -0.5, 0.8)):
+            a = np.array(a) / np.linalg.norm(a)
+            q = g_quadratic(eigs, Direction(a), THRESHOLD_BBAR)
+            assert 0 < q.A < math.inf and 0 < q.D < math.inf
 
 
 def test_direction_validation():
@@ -166,6 +205,9 @@ def test_min_value_closed_form():
         q = g_quadratic(eigs, d, bbar)
         expected = 4.0 * math.pi * (THRESHOLD_BBAR - bbar) * eigs.sum_sq
         assert abs(q.min_value - expected) < 1e-10 * max(1.0, abs(expected))
+        assert abs(leading_value(eigs, bbar, 1.0) - expected) < 1e-14 * eigs.sum_sq
+        r = float(rng.uniform(1e-4, 0.1))
+        assert abs(leading_value(eigs, bbar, r) / r**4 - expected) < 1e-14 * eigs.sum_sq
 
 
 def test_eval_G_at_optimum_canonical():
