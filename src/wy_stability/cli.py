@@ -347,11 +347,13 @@ def cmd_gform(config: RunConfig) -> dict:
             closed = q.min_value
             # beta^2 - alpha gamma = -gamma min G
             ident = -q.gamma_coef * leading_value(eigs, bbar, 1.0)
-            # absolute scale guards the exact-threshold point where closed = 0
+            # one scale for both checks: sum lam^2 guards the exact-threshold
+            # point, where closed = 0 and both discriminant sides are roundoff
             scale = max(abs(closed), eigs.sum_sq)
-            row_ok = abs(numeric - closed) < tol_closed * scale and abs(
-                q.discriminant - ident
-            ) <= 1e-12 * max(abs(ident), 1.0)
+            row_ok = (
+                abs(numeric - closed) < tol_closed * scale
+                and abs(q.discriminant - ident) <= 1e-12 * scale
+            )
             ok = ok and row_ok
             rows.append(
                 {

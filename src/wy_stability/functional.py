@@ -40,11 +40,12 @@ which its cos and sin rows share.  Otherwise the pencil splits by the
 parity classes of the coordinate reflections that h is even under: the
 quartic family is even under all three, 8 classes on an even n_phi and
 4 on an odd one, which has no x1 reflection.  Every block is built from
-theta sums (``gram_blocks``).  The pencil stores each distinct block
-once, with the row sets it serves; the dense M is built when read.
+theta sums (``gram_blocks``), the first time a solve reads it, and kept:
+the pencil holds the row sets of each distinct block and builds each
+block at most once; the dense M is built when read.
 
 Only a witness reads an eigenvector, and only a block that can hold the
-minimum is solved.  Whitened by K, the round form is the diagonal
+minimum is built and solved.  Whitened by K, the round form is the diagonal
 1/2 - 1/(l(l+1)), and |Q_H - Q_2| <= s_lap int (Lap eta)^2
 + s_grad int |grad eta|^2, where s_lap and s_grad are the sups of the
 two deficit weights; so, by Weyl's inequality, no eigenvalue of a block
@@ -52,14 +53,16 @@ whose lowest degree is l0 lies below 1/2 - s_lap - (1 + s_grad) /
 (l0 (l0 + 1)).  ``block_minima`` visits the blocks by ascending bound,
 takes each minimum from the eigenvalues alone (``eigvalsh`` of the
 block whitened by K), and stops where the bound clears the running
-minimum; ``min_pencil_eigenvalue`` picks the smallest and runs one
+minimum.  The bound needs only the sups, so a block it skips is never
+built.  ``min_pencil_eigenvalue`` picks the smallest and runs one
 ``eigh``, on that block, for its witness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -155,15 +158,19 @@ class HessianPencil:
     ``M[i, j]`` is the polarized form Q_H on basis pair (i, j); ``kdiag``
     holds the exact diagonal l^2 (l+1)^2 of the comparison form
     int (Lap eta)^2.  Row index order follows the basis with the l=0
-    entry removed.  M is stored as ``blocks``, one (rows, B) pair per
-    distinct diagonal block B, in the order ``gram_blocks`` gives them;
-    ``rows`` has shape (k, n), the k row sets whose block is B.  When h
-    is constant on every theta ring there is one pair per azimuthal
-    order, with k = 2 (its cos rows, then its sin rows) for order > 0;
-    else one pair per parity class of the reflections h is even under
-    (k = 1), one of every row when there are none.  M is zero outside
-    the blocks; reading ``M`` assembles the dense matrix (46 MB at
-    L = 48) for inspection.
+    entry removed.  M is zero outside its diagonal blocks: one distinct
+    block per entry of ``row_sets``, in the order ``gram_blocks`` gives
+    them, where ``row_sets[i]`` has shape (k, n), the k row sets whose
+    block is ``block(i)``.  When h is constant on every theta ring there
+    is one block per azimuthal order, with k = 2 (its cos rows, then its
+    sin rows) for order > 0; else one per parity class of the
+    reflections h is even under (k = 1), one of every row when there
+    are none.
+
+    A block is built the first time it is read: ``block(i)`` calls
+    ``build(i)`` once and keeps the result, so a solve that reads few
+    blocks builds few.  ``blocks``, the (rows, B) pairs, and the dense
+    ``M`` (46 MB at L = 48) read every block; they are for inspection.
 
     ``sups`` holds (max |h / (2H)|, max |h|) over the nodes, the sups of
     the two deficit weights.  They bound M against the round diagonal:
@@ -173,8 +180,20 @@ class HessianPencil:
     L: int
     kdiag: NDArray[np.float64]
     degrees: NDArray[np.int64]
-    blocks: tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]
+    row_sets: tuple[NDArray[np.int64], ...]
     sups: tuple[float, float]
+    build: Callable[[int], NDArray[np.float64]] = field(repr=False, compare=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def block(self, i: int) -> NDArray[np.float64]:
+        """The matrix of ``row_sets[i]``, built on the first read and kept."""
+        if i not in self._built:
+            self._built[i] = self.build(i)
+        return self._built[i]
+
+    @property
+    def blocks(self) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
+        return tuple((rows, self.block(i)) for i, rows in enumerate(self.row_sets))
 
     @property
     def M(self) -> NDArray[np.float64]:
@@ -243,46 +262,54 @@ def kernel_closed_form(H: MeanCurvatureField, a: NDArray[np.float64]) -> float:
 
 
 def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPencil:
-    """Assemble the pencil (M, K) over degrees l >= 1, as blocks of M.
+    """Assemble the pencil (M, K) over degrees l >= 1, as lazily built blocks of M.
 
     M is built in deficit form, like eval_Q: the symmetrized Gram blocks
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
-    (gradients), plus the exact round diagonal mu^2/2 - mu, added once
-    to each block; the pencil keeps the sups of the two |weights|.  The
-    weights decide the blocks, each symmetry to 1e-13 of the weight's
-    max: L + 1 per-order blocks over the 2L + 1 (order, trig type) row
-    sets when h is constant on every theta ring; else the parity classes
-    of the reflections h is even under.  Every entry is a theta sum.
+    (gradients), plus the exact round diagonal mu^2/2 - mu, added to a
+    block when it is built; the pencil keeps the sups of the two
+    |weights|, which need no block.  The weights decide the blocks, each
+    symmetry to 1e-13 of the weight's max: L + 1 per-order blocks over
+    the 2L + 1 (order, trig type) row sets when h is constant on every
+    theta ring; else the parity classes of the reflections h is even
+    under.  Every entry is a theta sum.
     """
     _check_field(basis, H)
     w_lap = -H.h / (2.0 * H.samples)
-    blocks = gram_blocks(basis, w_lap, -H.h)
+    row_sets, gram = gram_blocks(basis, w_lap, -H.h)
     diag = _round_diagonal(basis)[1:]
-    for rows, B in blocks:
-        B.flat[:: len(B) + 1] += diag[rows[0]]
+
+    def build(i: int) -> NDArray[np.float64]:
+        B = gram(i)
+        B.flat[:: len(B) + 1] += diag[row_sets[i][0]]
+        return B
+
     return HessianPencil(
         L=basis.L,
         kdiag=basis.eigenvalues[1:] ** 2,
         degrees=basis.degrees[1:],
-        blocks=blocks,
+        row_sets=row_sets,
         sups=(float(np.abs(w_lap).max()), float(np.abs(H.h).max())),
+        build=build,
     )
 
 
 def _degree_two_pencil(pencil: HessianPencil) -> HessianPencil:
-    """The pencil over its rows of degree l >= 2: each block's l >= 2 part.
+    """The pencil over its rows of degree l >= 2: a view of each block's l >= 2 part.
 
     A row set increases and the basis orders rows by degree, so a
-    block's l = 1 rows lead it.  A block with no l = 1 row is kept as is.
+    block's l = 1 rows lead it.  A block with no l = 1 row keeps its row
+    sets; every block is read through ``pencil.block``, so it is built
+    at most once for the pencil and its view.
     """
     if pencil.L < 2:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
-    blocks = []
-    for block in pencil.blocks:
-        rows, B = block
-        k = int(np.count_nonzero(pencil.degrees[rows[0]] == 1))
-        blocks.append((rows[:, k:], B[k:, k:]) if k else block)
-    return replace(pencil, blocks=tuple(blocks))
+    ones = [int(np.count_nonzero(pencil.degrees[rows[0]] == 1)) for rows in pencil.row_sets]
+    return replace(
+        pencil,
+        row_sets=tuple(rows[:, k:] if k else rows for rows, k in zip(pencil.row_sets, ones)),
+        build=lambda i: pencil.block(i)[ones[i] :, ones[i] :],
+    )
 
 
 def _solve(pencil: HessianPencil, rows, B, solver):
@@ -303,13 +330,14 @@ _BOUND_MARGIN = 1e-9
 def block_minima(pencil: HessianPencil, restrict: bool = False) -> NDArray[np.float64]:
     """Smallest eigenvalue of each block of M v = lambda K v that can hold the minimum.
 
-    Returns shape (1, n) for the n pairs of ``pencil.blocks``: each
+    Returns shape (1, n) for the n entries of ``pencil.row_sets``: each
     block's minimum over its first row set, by ``eigvalsh``.  With
     ``restrict``, shape (2, n): the second row is over the block's rows
     of degree l >= 2, which solves again only a block that has an l = 1
     row.
 
-    A block is solved only where it can hold its row's minimum.  The
+    A block is built and solved only where it can hold its row's
+    minimum, and built at most once for both rows.  The
     whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups`` bounds the
     rest, so the minimum over rows of degree l0 and up is at least
     1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  Each row visits its
@@ -324,19 +352,19 @@ def block_minima(pencil: HessianPencil, restrict: bool = False) -> NDArray[np.fl
     s_lap, s_grad = pencil.sups
     degrees = pencil.degrees.tolist()
     views = (pencil, _degree_two_pencil(pencil)) if restrict else (pencil,)
-    lows = np.full((len(views), len(pencil.blocks)), math.inf)
+    lows = np.full((len(views), len(pencil.row_sets)), math.inf)
     for k, view in enumerate(views):
-        parts = [(rows[0], B) for rows, B in view.blocks]
-        order = sorted((degrees[r[0]], i) for i, (r, _) in enumerate(parts) if r.size)
+        order = sorted((degrees[r[0, 0]], i) for i, r in enumerate(view.row_sets) if r.size)
         low = math.inf
         for l0, i in order:
             if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > low + _BOUND_MARGIN:
                 break
             # a block with no l = 1 row may hold its value from row 0
-            if view.blocks[i] is pencil.blocks[i] and lows[0, i] < math.inf:
+            if view.row_sets[i] is pencil.row_sets[i] and lows[0, i] < math.inf:
                 lows[k, i] = lows[0, i]
             else:
-                lows[k, i] = _solve(pencil, *parts[i], np.linalg.eigvalsh)[0][0]
+                rows = view.row_sets[i][0]
+                lows[k, i] = _solve(pencil, rows, view.block(i), np.linalg.eigvalsh)[0][0]
             low = min(low, lows[k, i])
     return lows
 
@@ -367,9 +395,8 @@ def min_pencil_eigenvalue(
         pencil = _degree_two_pencil(pencil)
     lows = block_minima(pencil)[0]
     i = int(np.argmin(lows))
-    rows, B = pencil.blocks[i]
-    rows = rows[0]
-    (_, vecs), inv_sqrt_k = _solve(pencil, rows, B, np.linalg.eigh)
+    rows = pencil.row_sets[i][0]
+    (_, vecs), inv_sqrt_k = _solve(pencil, rows, pencil.block(i), np.linalg.eigh)
 
     c = np.zeros((pencil.L + 1) ** 2)
     c[rows + 1] = vecs[:, 0] * inv_sqrt_k

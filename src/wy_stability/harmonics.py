@@ -53,15 +53,15 @@ phi nodes.  ``gram_blocks``, the builder of the Gram blocks of the
 pencil, splits the rows by the symmetries the weights have and
 computes every entry as a theta sum: the phi sum of two trig factors
 against a ring's weights is read exactly off the ring's Fourier
-coefficients.  Each symmetry case takes one batched product per term,
-and each distinct matrix is returned once, with the row sets it
-serves.
+coefficients.  It returns the row sets and a builder that computes
+each distinct block, one product per term, only when it is called.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,21 +400,24 @@ def weighted_gram(
 
 def gram_blocks(
     basis: HarmonicBasis, w_lap: NDArray[np.float64], w_grad: NDArray[np.float64]
-) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
-    """Gram matrix of ``weighted_form`` over degrees >= 1, as (rows, B) pairs.
+) -> tuple[tuple[NDArray[np.int64], ...], Callable[[int], NDArray[np.float64]]]:
+    """Gram matrix of ``weighted_form`` over degrees >= 1, as row sets and a block builder.
 
-    The weights are nodal arrays.  Each distinct diagonal block B comes
-    once, with ``rows`` of shape (k, n): the k row sets that share it,
-    each of n rows counted from row 1, increasing.  The blocks follow
-    the symmetries that both weight arrays have, each to 1e-13 of the
-    array's max.  When they are constant on every theta ring, there is
-    one block per order a = |m| over the degrees l >= max(a, 1), shared
-    by its cos and its sin rows (k = 2 for a > 0).  Else there is one
-    block per parity class of the reflections that hold, read as index
-    maps on the (n_theta, n_phi) view (x1: j -> n_phi/2 - j, even n_phi
-    only; x2: j -> -j; x3: i -> n_theta - 1 - i).  Row (l, m) is odd
-    under them by p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and
-    p3 = (l + |m|) mod 2; the classes follow p1 + 2 p2 + 4 p3.
+    The weights are nodal arrays.  Returns (sets, build): ``sets[i]``
+    has shape (k, n), the k row sets that share the diagonal block
+    ``build(i)``, each of n rows counted from row 1, increasing.  Only
+    the ring coefficients of the weights are computed here; each call of
+    ``build`` computes its block from them, so a caller builds only the
+    blocks it reads.  The blocks follow the symmetries that both weight
+    arrays have, each to 1e-13 of the array's max.  When they are
+    constant on every theta ring, there is one block per order a = |m|
+    over the degrees l >= max(a, 1), shared by its cos and its sin rows
+    (k = 2 for a > 0).  Else there is one block per parity class of the
+    reflections that hold, read as index maps on the (n_theta, n_phi)
+    view (x1: j -> n_phi/2 - j, even n_phi only; x2: j -> -j;
+    x3: i -> n_theta - 1 - i).  Row (l, m) is odd under them by
+    p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and p3 = (l + |m|) mod 2;
+    the classes follow p1 + 2 p2 + 4 p3.
 
     Every entry is a theta sum: on one ring the phi sum of the weight
     against the trig factors of orders a and a' is exactly half the sum
@@ -422,14 +425,15 @@ def gram_blocks(
     a + a' (C_0 alone for ring-constant weights, read on the ring's
     first node; else all of one FFT, none dropped), and the
     phi-derivative term is the same for the swapped trig types.  Under
-    x3 the sums run over one hemisphere.  Each term is one batched
-    product, as in Driscoll & Healy (1994) and Schaeffer (2013): for
-    ring-constant weights one over the orders on the full degree range,
-    each block a contiguous square of it, O(L^3 n_theta); else one per
-    class, of its rows against the rows of each of its (order, trig
-    type) groups, O(L^5) in all.  No entry between blocks is computed.
-    Each block is symmetrized once its asymmetry is checked against
-    1e-12 of the largest entry over all blocks (or of 1).
+    x3 the sums run over one hemisphere.  A block takes one product per
+    term, as in Driscoll & Healy (1994) and Schaeffer (2013): for
+    ring-constant weights its order's on the full degree range, of which
+    the block is the trailing square, O(L^2 n_theta); else its class's
+    rows against the rows of each of the class's (order, trig type)
+    groups, O(L^5) over all classes.  No entry between blocks is
+    computed.  ``build`` symmetrizes its block once the block's
+    asymmetry is checked against 1e-12 of its own largest entry (or
+    of 1), and raises AssertionError past that.
     """
     L, grid = basis.L, basis.grid
     nt, nphi = grid.n_theta, grid.n_phi
@@ -462,12 +466,26 @@ def gram_blocks(
     factors = [np.ascontiguousarray(f[..., :nt]) for f in factors]
     sets, plan = _layout(L, mode)
     if mode is None:
-        mats, asym, scale = _order_grams(spec, factors, plan, [rows.shape[1] for rows in sets])
+        phi = _phi_sums(spec, plan)  # [order, term, ring]
+
+        def gram(i):
+            n = sets[i].shape[1]
+            return _order_gram(factors, phi[i], i)[-n:, -n:]
+
     else:
-        mats, asym, scale = _class_grams(spec, factors, plan)
-    if asym > 1e-12 * max(scale, 1.0):
-        raise AssertionError(f"Gram matrix asymmetry {asym} exceeds tolerance")
-    return tuple(zip(sets, mats))
+
+        def gram(i):
+            return _class_gram(spec, factors, *plan[i])
+
+    def build(i: int) -> NDArray[np.float64]:
+        B = gram(i)
+        asym = np.abs(B - B.T).max()
+        B = 0.5 * (B + B.T)
+        if asym > 1e-12 * max(np.abs(B).max(), 1.0):
+            raise AssertionError(f"Gram block {i} asymmetry {asym} exceeds tolerance")
+        return B
+
+    return sets, build
 
 
 def _pair_terms(ia, si, ja, sj):
@@ -499,62 +517,29 @@ def _phi_sums(spec, pairs) -> NDArray[np.float64]:
     return phi
 
 
-def _order_grams(spec, factors, pairs, sizes):
-    """The block of each order a, over its last ``sizes[a]`` degrees, from one product per term."""
-    n, nt = len(sizes), factors[0].shape[-1]
-    phi = _phi_sums(spec, pairs)
-    # one allocation for the three operands, which later calls reuse;
-    # with three, every call of a scan grew and trimmed the heap again
-    buf = np.empty(n * n * (nt + 2 * n))
-    left, (out, prod) = buf[: n * n * nt].reshape(n, n, nt), buf[n * n * nt :].reshape(2, n, n, n)
-    for t, f in enumerate(factors):
-        np.multiply(f, phi[:, t, None], out=left)
-        np.matmul(left, f.transpose(0, 2, 1), out=prod if t else out)
-        if t:
-            out += prod
-    # one flat gather of the used entries, row by row, order after order
-    keep = np.arange(n) >= n - np.array(sizes)[:, None]
-    pick = keep[:, :, None] & keep[:, None, :]
-    vals, transposed = out[pick], out.transpose(0, 2, 1)[pick]
-    asym = np.abs(vals - transposed).max()
-    vals = 0.5 * (vals + transposed)
-    ends = np.cumsum(np.square(sizes)).tolist()
-    mats = [vals[e - z * z : e].reshape(z, z) for z, e in zip(sizes, ends)]
-    return mats, asym, np.abs(vals).max()
+def _order_gram(factors, phi, a) -> NDArray[np.float64]:
+    """The product of order a over every degree, from its phi sums [term, ring]: one per term, summed."""
+    return functools.reduce(np.add, (np.matmul(f[a] * p, f[a].T) for f, p in zip(factors, phi)))
 
 
-def _class_grams(spec, factors, plan):
-    """The block of each parity class of ``plan``, from one product per class and term.
+def _class_gram(spec, factors, own, g, r, right, pairs) -> NDArray[np.float64]:
+    """The block of one parity class of ``_layout``'s plan, from one product per term.
 
     Per term, the class's rows weighted by their phi sums against each
     (order, trig type) group g' of the class, against the rows of g' at
     its padded degrees; entry (p, q) of the block is at (g_q, p, r_q).
     """
-    nt, npad = factors[0].shape[-1], plan[0][3].shape[1]
-    size = max(own.size * right.shape[0] for own, _, _, right, _ in plan)
-    rsize = max(right.size for *_, right, _ in plan) * nt
-    buf = np.empty(size * (nt + 2 * npad) + rsize)  # one buffer, as in _order_grams
-    wbuf, obuf, pbuf, rbuf = np.split(buf, np.cumsum([size * nt, size * npad, size * npad]))
-    mats, asym, scale = [], 0.0, 0.0
-    for own, g, r, right, pairs in plan:
-        G, n = right.shape[0], own.size
-        phi = _phi_sums(spec, pairs)  # [g', g, term, ring]
-        weighted = wbuf[: G * n * nt].reshape(G, n, nt)
-        out, prod = (x[: G * n * npad].reshape(G, n, npad) for x in (obuf, pbuf))
-        fg = rbuf[: right.size * nt].reshape(G, npad, nt)
-        for t, f in enumerate(factors):
-            f = f.reshape(-1, nt)
-            np.take(phi[:, :, t], g, axis=1, out=weighted, mode="clip")
-            weighted *= f[own]
-            np.take(f, right, axis=0, out=fg, mode="clip")
-            np.matmul(weighted, fg.transpose(0, 2, 1), out=prod if t else out)
-            if t:
-                out += prod
-        B = out.transpose(0, 2, 1)[g, r]  # row q reads (g_q, :, r_q): the block's transpose
-        asym = max(asym, np.abs(B - B.T).max())
-        mats.append(0.5 * (B + B.T))
-        scale = max(scale, np.abs(mats[-1]).max())
-    return mats, asym, scale
+    nt = factors[0].shape[-1]
+    phi = _phi_sums(spec, pairs)  # [g', g, term, ring]
+    flat = [f.reshape(-1, nt) for f in factors]
+    out = functools.reduce(
+        np.add,
+        (
+            np.matmul(np.take(phi[:, :, t], g, axis=1) * f[own], f[right].transpose(0, 2, 1))
+            for t, f in enumerate(flat)
+        ),
+    )
+    return out.transpose(0, 2, 1)[g, r]  # row q reads (g_q, :, r_q): the block's transpose
 
 
 @functools.lru_cache(maxsize=4)
@@ -565,7 +550,7 @@ def _layout(L: int, mode):
     whether x1, x2, x3 hold); rows count from row 1.  For ring-constant
     weights, per order its cos rows, then its sin rows, and the
     ``_pair_terms`` of each order with itself.  Else per parity class
-    its rows, shape (1, n), and what ``_class_grams`` reads: each row's
+    its rows, shape (1, n), and what ``_class_gram`` reads: each row's
     index ``own`` in the [a, l] factor tables, its (order, trig type)
     group g and its position r in the group's degrees par, par + step,
     ... padded to L // step + 1 (step 2 under x3); each group's factor

@@ -147,7 +147,7 @@ def check_radius(eigs: RicciEigs, r: float, name: str = "r") -> float:
     """
     rmax = positivity_radius(eigs)
     if not 0 < r <= rmax:
-        raise ValueError(f"{name} must lie in (0, {rmax:.6f}], the positivity radius, got {r}")
+        raise ValueError(f"{name} must lie in (0, {rmax:.6g}], the positivity radius, got {r}")
     if not r**4 >= np.finfo(np.float64).tiny:
         raise ValueError(f"{name} = {r} is too small: the r^4 term underflows")
     return rmax
@@ -161,11 +161,20 @@ def positivity_radius(eigs: RicciEigs) -> float:
     that does not cancel: s = 2K / (B + sqrt(B^2 + 4 (S2/45) K)) with
     B = sum |lam_i|, S2 = sum lam_i^2 and K = 2 - 1e-6.  The bound does
     not depend on bbar, so one radius serves every bbar.
+
+    B^2 overflows for triples near the top of lam's range, so s is
+    solved for lam scaled by 2^-e, e even, to a largest entry below 1,
+    and scaled back by 2^-e.  A power of two scales every step exactly,
+    so wherever B^2 does not overflow the radius is the unscaled one,
+    bit for bit.
     """
-    B = float(np.abs(eigs.lam).sum())
+    e = math.frexp(float(np.abs(eigs.lam).max()))[1]
+    e += e % 2
+    lam = np.ldexp(eigs.lam, -e)
+    B = float(np.abs(lam).sum())
     K = 2.0 - 1e-6
-    s = 2.0 * K / (B + math.sqrt(B * B + 4.0 * (eigs.sum_sq / 45.0) * K))
-    return math.sqrt(s)
+    s = 2.0 * K / (B + math.sqrt(B * B + 4.0 * (float(lam @ lam) / 45.0) * K))
+    return math.sqrt(math.ldexp(s, -e))
 
 
 def deficit_closed_form(eigs: RicciEigs, bbar: float, r: float) -> float:

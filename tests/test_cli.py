@@ -203,6 +203,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["certify", "--set", "family=quartic", "--set", "r=5"], f"r must lie in (0, {RMAX}]"),
         (["certify", "--set", "family=quartic", "--set", "r=0"], f"r must lie in (0, {RMAX}]"),
         (["certify", "--set", "family=quartic", "--set", "r=1e100"], f"r must lie in (0, {RMAX}]"),
+        # a tiny radius near the top of lam's range prints its digits
+        (
+            cex + ["--set", "lam=3.5e153,3.5e153,-7e153", "--set", "r=1e-76"],
+            "r must lie in (0, 1.18555e-77], the positivity radius, got 1e-76",
+        ),
         # a finite curvature input whose mass expansion is not finite,
         # refused in either format
         *(
@@ -257,6 +262,29 @@ def test_gform_builds_no_gram(tmp_path, monkeypatch):
     assert main(["gform", "--ltrunc", "8", "--set", "directions=8", "--out", str(out)]) == 0
     assert len(read_report(out)["results"]) == 24
     assert calls == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_gform_discriminant_check_scales_with_lam(scale, tmp_path, monkeypatch):
+    # both sides of beta^2 - alpha gamma = -gamma min G are roundoff of
+    # order 1e-16 sum lam^2 at bbar = 1/90, so the check is relative to
+    # sum lam^2 as the min G check is: 1e3 (1, 1, -2) failed an absolute
+    # floor of 1, and 1e-11 sum lam^2 off still fails every row
+    lam = scale * np.array([1.0, 1.0, -2.0])
+    argv = ["gform", "--ltrunc", "8", "--set", "directions=2", "--set", f"lam={','.join(map(str, lam))}"]
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert all(row["pass"] for row in read_report(out)["results"])
+
+    real = cli_module.g_quadratic
+
+    def off(eigs, direction, bbar):
+        q = real(eigs, direction, bbar)
+        return replace(q, discriminant=q.discriminant + 1e-11 * eigs.sum_sq)
+
+    monkeypatch.setattr(cli_module, "g_quadratic", off)
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not any(row["pass"] for row in read_report(out)["results"])
 
 
 def test_gform_solves_once_per_direction(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from wy_stability.functional import (
     min_pencil_eigenvalue,
     pencil_minima,
 )
+from wy_stability import harmonics as harmonics_module
 from wy_stability.cli import RunConfig, parse_args, run
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import (
@@ -448,7 +450,7 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
     basis = build_basis(grid, 12)
 
     def solves(pencil):
-        with_l1 = sum(np.any(pencil.degrees[rows[0]] == 1) for rows, _ in pencil.blocks)
+        with_l1 = sum(np.any(pencil.degrees[rows[0]] == 1) for rows in pencil.row_sets)
         calls["eigvalsh"] = 0
         pencil_minima(pencil)
         assert calls["eigh"] == 0
@@ -464,7 +466,7 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         ((0.7, 0.5, -1.2), (8, 3, 7), (3, 4)),
     ):
         pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid))
-        assert (len(pencil.blocks), *solves(pencil)) == count
+        assert (len(pencil.row_sets), *solves(pencil)) == count
         solved = np.isfinite(block_minima(pencil, restrict=True)).sum(axis=1)
         for restrict in (False, True):
             calls["eigvalsh"] = 0
@@ -481,7 +483,64 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
     ):
         pencil = assemble_pencil(basis, H)
         with_l1, count = solves(pencil)
-        assert count == len(pencil.blocks) + with_l1
+        assert count == len(pencil.row_sets) + with_l1
+
+
+def counted_builds(pencil):
+    # the pencil with a fresh cache, and the list of the blocks its builder builds
+    built = []
+
+    def build(i, _build=pencil.build):
+        built.append(i)
+        return _build(i)
+
+    return replace(pencil, build=build), built
+
+
+@pytest.mark.parametrize(
+    "shape, L, lam, blocks",
+    [((25, 50), 24, (1.0, 1.0, -2.0), 25), ((13, 26), 12, (0.7, 0.5, -1.2), 8)],
+)
+def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
+    # the bound needs only the sups, so a block it skips is never built;
+    # each block is built at most once, and the witnesses that follow
+    # read only blocks pencil_minima built
+    grid = build_grid(*shape)
+    H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
+    pencil, built = counted_builds(assemble_pencil(build_basis(grid, L), H))
+    assert len(pencil.row_sets) == blocks
+    pencil_minima(pencil)
+    want = np.flatnonzero(np.isfinite(block_minima(pencil, restrict=True)).any(axis=0))
+    assert sorted(built) == want.tolist() and 0 < len(built) < blocks
+    for restrict in (False, True):
+        min_pencil_eigenvalue(pencil, restrict=restrict)
+    assert sorted(built) == want.tolist()
+    # reading blocks builds the rest, once each
+    assert len(pencil.blocks) == blocks
+    assert sorted(built) == list(range(blocks))
+
+
+@pytest.mark.parametrize("lam, gram", [((1.0, 1.0, -2.0), "_order_gram"), ((0.7, 0.5, -1.2), "_class_gram")])
+def test_asymmetric_block_is_refused_when_built(monkeypatch, lam, gram):
+    # each block's asymmetry is checked against its own largest entry (or
+    # 1) as it is built; 1e-10 of that off the transpose is refused
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
+    real = getattr(harmonics_module, gram)
+
+    def skewed(*args):
+        B = real(*args)
+        return B + np.triu(np.full(B.shape, 1e-10 * max(np.abs(B).max(), 1.0)), 1)
+
+    monkeypatch.setattr(harmonics_module, gram, skewed)
+    pencil = assemble_pencil(basis, H)
+    with pytest.raises(AssertionError, match="asymmetry"):
+        pencil_minima(pencil)
+    for i, rows in enumerate(pencil.row_sets):
+        if rows.shape[1] > 1:
+            with pytest.raises(AssertionError, match="asymmetry"):
+                pencil.block(i)
 
 
 def reflect(x, axis):

@@ -372,7 +372,8 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         for axis in held:
             x = 0.5 * (x + mirror(x, axis))
         weights.append(x.ravel())
-    pairs = gram_blocks(basis, *weights)
+    sets, build = gram_blocks(basis, *weights)
+    pairs = [(rows, build(i)) for i, rows in enumerate(sets)]
     blocks = [(r, B) for rows, B in pairs for r in rows]
 
     # the rows fall in the expected classes, and a sin block shares its

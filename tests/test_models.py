@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +77,25 @@ def test_positivity_radius_scaling():
     for s in (4.0, 100.0):
         scaled = positivity_radius(RicciEigs(np.array([s, -s, 0.0])))
         assert abs(scaled - base / math.sqrt(s)) < 1e-12
+
+
+def test_positivity_radius_near_the_top_of_lam_range():
+    # B^2 = (sum |lam_i|)^2 overflowed at 3.5e153 (1, 1, -2), an accepted
+    # triple, and the radius read 0.0; against the root at 40 digits
+    K = 2.0 - 1e-6
+    for scale in (1.0, 1e100, 3.5e153):
+        eigs = RicciEigs(scale * np.array([1.0, 1.0, -2.0]))
+        with mpmath.workdps(40):
+            B = mpmath.fsum(abs(mpmath.mpf(x)) for x in eigs.lam)
+            S2 = mpmath.fsum(mpmath.mpf(x) ** 2 for x in eigs.lam)
+            ref = mpmath.sqrt(2 * K / (B + mpmath.sqrt(B * B + 4 * (S2 / 45) * K)))
+            assert abs(positivity_radius(eigs) - ref) <= 1e-14 * ref
+    # the scaling is exact: wherever B^2 is finite, the unscaled formula's bits
+    for lam in ((1.0, 1.0, -2.0), (0.7, 0.5, -1.2), (3e-100, -1e-100, -2e-100), (1e150, -0.3e150, -0.7e150)):
+        eigs = RicciEigs(np.array(lam))
+        B = float(np.abs(eigs.lam).sum())
+        unscaled = math.sqrt(2.0 * K / (B + math.sqrt(B * B + 4.0 * (eigs.sum_sq / 45.0) * K)))
+        assert positivity_radius(eigs) == unscaled
 
 
 def test_positivity_radius_needs_nonzero_triple():
