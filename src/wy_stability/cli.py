@@ -48,6 +48,7 @@ from .gform import (
     Direction,
     RicciEigs,
     classify_bbar,
+    deficit_closed_form,
     g_quadratic,
     leading_value,
     minimize_G,
@@ -57,10 +58,10 @@ from .models import (
     CurvatureData,
     CASE_II,
     bbar_from_b,
+    check_bbar,
     check_deficit_conditions,
     check_radius,
     classify_small_sphere,
-    deficit_closed_form,
     deficit_ratio_certificate,
     h_family,
     negative_direction,
@@ -120,7 +121,6 @@ class RunConfig:
     ric_sq: float = 6.0
     lap_r: float = 0.0
     b: float = 0.0
-    synthetic: bool = False
     # certify inputs
     family: str = "const"
     eps: float = 0.01
@@ -334,6 +334,7 @@ def cmd_gform(config: RunConfig) -> dict:
     """
     _require_ltrunc(config, 2, "minimizes over degrees l >= 2")
     eigs = RicciEigs(config.lam)
+    check_bbar(eigs, *config.bbar_list)
     directions = _directions_for(config)
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     tol_closed = 1e-6
@@ -392,6 +393,7 @@ def cmd_scan(config: RunConfig) -> dict:
     if not config.bracket[0] < config.bracket[1]:
         raise ConfigError(f"bracket needs lo < hi, got {list(config.bracket)}")
     eigs = RicciEigs(config.lam)
+    check_bbar(eigs, *config.bbar_list, *config.bracket)
     rmax = check_radius(eigs, config.bisect_r, "bisect_r")
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
@@ -490,6 +492,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     _require_ltrunc(config, 3, "builds a degree-3 direction")
     wpath = _witness_path(config)
     eigs = RicciEigs(config.lam)
+    check_bbar(eigs, config.bbar)
     check_radius(eigs, config.r)
     direction = Direction(_unit_direction(config.a))
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
@@ -555,12 +558,7 @@ def load_witness(path: str) -> FieldCoeffs:
 
 def cmd_small_sphere(config: RunConfig) -> dict:
     """Mass expansion rows and curvature-case classification."""
-    cd = CurvatureData(
-        R=config.curv_r,
-        ric_sq=config.ric_sq,
-        lapR=config.lap_r,
-        synthetic=config.synthetic,
-    )
+    cd = CurvatureData(R=config.curv_r, ric_sq=config.ric_sq, lapR=config.lap_r)
     case = classify_small_sphere(cd)
     rows = [
         {"r": r, "mass_expansion": small_sphere_mass(cd, r)} for r in config.r_list
@@ -597,6 +595,7 @@ def _certify_field(config: RunConfig):
         return functools.partial(constant_field, h=-config.eps)
     if config.family == "quartic":
         eigs = RicciEigs(config.lam)
+        check_bbar(eigs, config.bbar)
         check_radius(eigs, config.r)
         return functools.partial(h_family, eigs, config.bbar, config.r)
     raise ConfigError(f"unknown H family {config.family!r}; use const or quartic")

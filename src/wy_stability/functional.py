@@ -55,14 +55,16 @@ takes each minimum from the eigenvalues alone (``eigvalsh`` of the
 block whitened by K), and stops where the bound clears the running
 minimum.  The bound needs only the sups, so a block it skips is never
 built.  ``min_pencil_eigenvalue`` picks the smallest and runs one
-``eigh``, on that block, for its witness.
+``eigh``, on that block, for its witness.  Over l >= 2 each block is
+read from its offset k, the number of l = 1 rows that lead it:
+``block(i)[k:, k:]`` over ``row_sets[i][0][k:]``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -294,29 +296,12 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     )
 
 
-def _degree_two_pencil(pencil: HessianPencil) -> HessianPencil:
-    """The pencil over its rows of degree l >= 2: a view of each block's l >= 2 part.
-
-    A row set increases and the basis orders rows by degree, so a
-    block's l = 1 rows lead it.  A block with no l = 1 row keeps its row
-    sets; every block is read through ``pencil.block``, so it is built
-    at most once for the pencil and its view.
-    """
-    if pencil.L < 2:
-        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
-    ones = [int(np.count_nonzero(pencil.degrees[rows[0]] == 1)) for rows in pencil.row_sets]
-    return replace(
-        pencil,
-        row_sets=tuple(rows[:, k:] if k else rows for rows, k in zip(pencil.row_sets, ones)),
-        build=lambda i: pencil.block(i)[ones[i] :, ones[i] :],
-    )
-
-
-def _solve(pencil: HessianPencil, rows, B, solver):
-    """``solver`` on block B over ``rows`` whitened by kdiag, and 1 / sqrt(kdiag[rows])."""
+def _solve(pencil: HessianPencil, i: int, k: int, solver):
+    """``solver`` on block i from offset k whitened by kdiag; its rows; 1 / sqrt(kdiag[rows])."""
+    rows = pencil.row_sets[i][0][k:]
     inv_sqrt_k = 1.0 / np.sqrt(pencil.kdiag[rows])
     try:
-        return solver(B * np.outer(inv_sqrt_k, inv_sqrt_k)), inv_sqrt_k
+        return solver(pencil.block(i)[k:, k:] * np.outer(inv_sqrt_k, inv_sqrt_k)), rows, inv_sqrt_k
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
 
@@ -327,46 +312,57 @@ def _solve(pencil: HessianPencil, rows, B, solver):
 _BOUND_MARGIN = 1e-9
 
 
+def _row_minima(pencil: HessianPencil, restrict: bool, solved: dict) -> tuple[NDArray, list[int]]:
+    """One row of ``block_minima``, and each block's offset k: 0, or with
+    ``restrict`` its number of l = 1 rows (a row set increases, and the
+    basis orders rows by degree).  ``solved`` maps each (i, k) solved so
+    far to its minimum."""
+    if restrict and pencil.L < 2:
+        raise ValueError("restricting to degrees l >= 2 needs L >= 2")
+    s_lap, s_grad = pencil.sups
+    parts, offsets = [], []
+    for i, rows in enumerate(pencil.row_sets):
+        degrees = pencil.degrees[rows[0]].tolist()
+        offsets.append(degrees.count(1) if restrict else 0)
+        if offsets[i] < len(degrees):
+            parts.append((degrees[offsets[i]], i, offsets[i]))
+    lows = np.full(len(offsets), math.inf)
+    low = math.inf
+    for l0, i, k in sorted(parts):
+        if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > low + _BOUND_MARGIN:
+            break
+        if (i, k) not in solved:
+            solved[i, k] = _solve(pencil, i, k, np.linalg.eigvalsh)[0][0]
+        lows[i] = solved[i, k]
+        low = min(low, lows[i])
+    return lows, offsets
+
+
 def block_minima(pencil: HessianPencil, restrict: bool = False) -> NDArray[np.float64]:
     """Smallest eigenvalue of each block of M v = lambda K v that can hold the minimum.
 
     Returns shape (1, n) for the n entries of ``pencil.row_sets``: each
     block's minimum over its first row set, by ``eigvalsh``.  With
-    ``restrict``, shape (2, n): the second row is over the block's rows
-    of degree l >= 2, which solves again only a block that has an l = 1
-    row.
+    ``restrict``, shape (2, n): the second row is over each block's
+    rows of degree l >= 2, ``pencil.block(i)[k:, k:]`` over
+    ``row_sets[i][0][k:]``, k the number of l = 1 rows that lead it.
 
     A block is built and solved only where it can hold its row's
-    minimum, and built at most once for both rows.  The
-    whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups`` bounds the
-    rest, so the minimum over rows of degree l0 and up is at least
+    minimum, and each part (i, k) is solved at most once per call, so a
+    block with no l = 1 row serves both rows.  The whitened round
+    diagonal is 1/2 - 1/mu, and ``pencil.sups`` bounds the rest, so the
+    minimum over rows of degree l0 and up is at least
     1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  Each row visits its
-    blocks (or their l >= 2 parts) by ascending lowest degree, hence
-    ascending bound, and solves them until the bound exceeds the running
-    minimum by ``_BOUND_MARGIN``; a block with no l = 1 row is solved
-    once for both rows.  An entry is inf where its block was not solved,
-    because it cannot hold or tie the row's minimum, or has no l >= 2
+    parts (lowest degree, i, k) in ascending order, hence ascending
+    bound, and solves them until the bound exceeds the running minimum
+    by ``_BOUND_MARGIN``.  An entry is inf where its part was not
+    solved, because it cannot hold or tie the row's minimum, or has no
     row.  So the row minima, and the first block attaining each, are
-    those of solving every block.
+    those of solving every part.
     """
-    s_lap, s_grad = pencil.sups
-    degrees = pencil.degrees.tolist()
-    views = (pencil, _degree_two_pencil(pencil)) if restrict else (pencil,)
-    lows = np.full((len(views), len(pencil.row_sets)), math.inf)
-    for k, view in enumerate(views):
-        order = sorted((degrees[r[0, 0]], i) for i, r in enumerate(view.row_sets) if r.size)
-        low = math.inf
-        for l0, i in order:
-            if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > low + _BOUND_MARGIN:
-                break
-            # a block with no l = 1 row may hold its value from row 0
-            if view.row_sets[i] is pencil.row_sets[i] and lows[0, i] < math.inf:
-                lows[k, i] = lows[0, i]
-            else:
-                rows = view.row_sets[i][0]
-                lows[k, i] = _solve(pencil, rows, view.block(i), np.linalg.eigvalsh)[0][0]
-            low = min(low, lows[k, i])
-    return lows
+    solved: dict = {}
+    restricts = (False, True) if restrict else (False,)
+    return np.array([_row_minima(pencil, r, solved)[0] for r in restricts])
 
 
 def min_pencil_eigenvalue(
@@ -374,14 +370,16 @@ def min_pencil_eigenvalue(
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
 
-    The value is the smallest of ``block_minima`` over the rows asked
-    for (the first on a tie); the witness is one ``eigh`` of its block.
+    The value is the smallest of the ``block_minima`` row asked for (the
+    first block on a tie), and only that row is solved; the witness is
+    one ``eigh`` of the same part of its block.
 
     Parameters
     ----------
     restrict : bool
         When true, restrict to degrees l >= 2 (the orthogonal complement
-        of the geometric kernel); otherwise all l >= 1 rows participate.
+        of the geometric kernel): each block from its offset k, past its
+        l = 1 rows; otherwise all l >= 1 rows participate.
 
     Returns
     -------
@@ -391,12 +389,9 @@ def min_pencil_eigenvalue(
         sign (largest-magnitude coefficient positive).  The witness is
         returned as full coefficients with the l = 0 slot zero.
     """
-    if restrict:
-        pencil = _degree_two_pencil(pencil)
-    lows = block_minima(pencil)[0]
+    lows, offsets = _row_minima(pencil, restrict, {})
     i = int(np.argmin(lows))
-    rows = pencil.row_sets[i][0]
-    (_, vecs), inv_sqrt_k = _solve(pencil, rows, pencil.block(i), np.linalg.eigh)
+    (_, vecs), rows, inv_sqrt_k = _solve(pencil, i, offsets[i], np.linalg.eigh)
 
     c = np.zeros((pencil.L + 1) ** 2)
     c[rows + 1] = vecs[:, 0] * inv_sqrt_k

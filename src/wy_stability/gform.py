@@ -56,6 +56,7 @@ __all__ = [
     "compute_xi",
     "g_quadratic",
     "leading_value",
+    "deficit_closed_form",
     "eval_G",
     "eval_B",
     "optimal_eta2",
@@ -187,7 +188,7 @@ def g_quadratic(eigs: RicciEigs, direction: Direction, bbar: float) -> GQuadrati
     """Scalar quadratic alpha - 2 beta t + gamma t^2 controlling min G."""
     A = compute_A(eigs, direction)
     D = A - (16.0 * math.pi / 75.0) * float((direction.a**2) @ (eigs.lam**2))
-    alpha = FOUR_PI * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq + 0.5 * A
+    alpha = deficit_closed_form(eigs, bbar, 1.0) + 0.5 * A
     beta = (5.0 / 6.0) * math.sqrt(D)
     return GQuadratic(
         A=A,
@@ -203,6 +204,12 @@ def leading_value(eigs: RicciEigs, bbar: float, r: float) -> float:
     """r^4 4 pi (1/90 - bbar) sum lam_i^2: min G at r = 1, and the small-r limit of F
     on the negative direction."""
     return r**4 * FOUR_PI * (THRESHOLD_BBAR - bbar) * eigs.sum_sq
+
+
+def deficit_closed_form(eigs: RicciEigs, bbar: float, r: float) -> float:
+    """4 pi r^4 (1/30 - bbar) sum lam_i^2: the family's total deficit int (2 - H) dv,
+    and at r = 1 the constant term of G without A / 2."""
+    return FOUR_PI * r**4 * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
 
 
 def _require_complement(eta2: FieldCoeffs) -> None:
@@ -222,7 +229,7 @@ def _half_A(basis: HarmonicBasis, eigs: RicciEigs, direction: Direction) -> floa
 
 def _g_constant(eigs: RicciEigs, bbar: float, half_A: float) -> float:
     """The eta2-free part of G: 4 pi (1/30 - bbar) sum lam_i^2 + A / 2."""
-    return FOUR_PI * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq + half_A
+    return deficit_closed_form(eigs, bbar, 1.0) + half_A
 
 
 def _g_cross(

@@ -34,10 +34,11 @@ from .functional import (
     mean_curvature_from_h,
 )
 from .gform import (
-    THRESHOLD_BBAR, ZERO_DEFICIT_BBAR, Direction, RicciEigs, eta1_coeffs, optimal_eta2, phi_field
+    THRESHOLD_BBAR, ZERO_DEFICIT_BBAR, Direction, RicciEigs, deficit_closed_form, eta1_coeffs,
+    optimal_eta2, phi_field,
 )
 from .harmonics import FieldCoeffs, HarmonicBasis
-from .quad import FOUR_PI, SphereGrid, integrate
+from .quad import SphereGrid, integrate
 
 __all__ = [
     "CurvatureData",
@@ -46,8 +47,8 @@ __all__ = [
     "NegativeDirection",
     "h_family",
     "check_radius",
+    "check_bbar",
     "positivity_radius",
-    "deficit_closed_form",
     "small_sphere_mass",
     "classify_small_sphere",
     "bbar_from_b",
@@ -71,26 +72,25 @@ DEGENERATE = "DEGENERATE"
 class CurvatureData:
     """Pointwise curvature data (R, |Ric|^2, Lap R) at a center point.
 
-    Physical data with R = 0 must have lapR >= 0 (a consequence of
-    nonnegative scalar curvature attaining an interior minimum); set
-    ``synthetic=True`` to bypass that check for sign-exploration inputs.
+    Each value must be finite, R and |Ric|^2 nonnegative, and R = 0
+    forces lapR >= 0 (nonnegative scalar curvature attaining an interior
+    minimum).
     """
 
     R: float
     ric_sq: float
     lapR: float
-    synthetic: bool = False
 
     def __post_init__(self) -> None:
+        for name, v in (("R", self.R), ("ric_sq", self.ric_sq), ("lapR", self.lapR)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.R < 0:
             raise ValueError(f"scalar curvature must be >= 0, got {self.R}")
         if self.ric_sq < 0:
             raise ValueError(f"|Ric|^2 must be >= 0, got {self.ric_sq}")
-        if self.R == 0 and self.lapR < 0 and not self.synthetic:
-            raise ValueError(
-                "R = 0 forces lapR >= 0 for physical data; pass synthetic=True "
-                "to explore the other sign"
-            )
+        if self.R == 0 and self.lapR < 0:
+            raise ValueError(f"R = 0 forces lapR >= 0, got lapR = {self.lapR}")
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,12 @@ class Certificate:
     def __post_init__(self) -> None:
         _require_positive(
             beta=self.beta, lambda1=self.lambda1, alpha=self.alpha,
-            inf_h0=self.inf_h0, sup_h0=self.sup_h0, delta=self.delta,
+            inf_h0=self.inf_h0, sup_h0=self.sup_h0,
         )
-        if self.theta is not None and not 0 < self.theta < 1:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        # positive constants give 0 < delta < inf and 0 < theta < 1; a float
+        # threshold outside that range overflowed or rounded on the way
+        if not 0 < self.delta < math.inf or self.theta is not None and not 0 < self.theta < 1:
+            raise ValueError(f"certificate constants too large or small for the arithmetic: {self}")
 
 
 def h_family(
@@ -153,6 +155,13 @@ def check_radius(eigs: RicciEigs, r: float, name: str = "r") -> float:
     return rmax
 
 
+def check_bbar(eigs: RicciEigs, *bbars: float) -> None:
+    """Refuse a bbar too large for the family: its deficit at r = 1 must be finite."""
+    for bbar in bbars:
+        if not math.isfinite(deficit_closed_form(eigs, bbar, 1.0)):
+            raise ValueError(f"bbar = {bbar} is too large: 4 pi (1/30 - bbar) sum lam^2 overflows")
+
+
 def positivity_radius(eigs: RicciEigs) -> float:
     """Largest radius with a positive uniform lower bound for the family.
 
@@ -175,11 +184,6 @@ def positivity_radius(eigs: RicciEigs) -> float:
     K = 2.0 - 1e-6
     s = 2.0 * K / (B + math.sqrt(B * B + 4.0 * (float(lam @ lam) / 45.0) * K))
     return math.sqrt(math.ldexp(s, -e))
-
-
-def deficit_closed_form(eigs: RicciEigs, bbar: float, r: float) -> float:
-    """Closed form of the total deficit int (2 - H) dv for the family."""
-    return FOUR_PI * r**4 * (ZERO_DEFICIT_BBAR - bbar) * eigs.sum_sq
 
 
 def small_sphere_mass(cd: CurvatureData, r: float) -> float:
@@ -211,15 +215,9 @@ def classify_small_sphere(cd: CurvatureData) -> str:
 
     CASE_I: R > 0 (r^3 leading term); CASE_II: R = 0 with ric_sq > 0;
     CASE_III: R = 0, ric_sq = 0, lapR > 0; DEGENERATE otherwise.
-    Synthetic data violating lapR >= 0 at R = 0 are rejected here even
-    though the container admits them.
     """
     if cd.R > 0:
         return CASE_I
-    if cd.lapR < 0:
-        raise ValueError(
-            "classification requires physical data: R = 0 forces lapR >= 0"
-        )
     if cd.ric_sq > 0:
         return CASE_II
     if cd.lapR > 0:

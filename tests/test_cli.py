@@ -171,6 +171,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["integrals", "--out", str(tmp_path / "missing" / "r.json")], "out directory"),
         # an unknown key or format, an empty list, or a value that does not parse
         (["gform", "--set", "bogus=1"], "unknown config key 'bogus'"),
+        (["small-sphere", "--set", "synthetic=1"], "unknown config key 'synthetic'"),
         (["gform", "--set", "bogus"], "expected key=value, got 'bogus'"),
         (["integrals", "--set", "format=xml"], "format must be json or csv"),
         (["integrals", "--set", "format=CSV"], "format must be json or csv"),
@@ -195,6 +196,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         *(
             (["gform", "--set", f"lam={lam}"], "lam is too large")
             for lam in ("1e154,1e154,-2e154", "5e153,5e153,-1e154", "1e300,-1e300,0")
+        ),
+        # a bbar whose deficit 4 pi (1/30 - bbar) sum lam_i^2 at r = 1 overflows;
+        # a refused counterexample writes no witness
+        (["gform", "--set", "bbar_list=0,1e307"], "bbar = 1e+307 is too large"),
+        (["gform", "--set", "bbar_list=-1e307"], "bbar = -1e+307 is too large"),
+        (["scan", "--set", "bbar_list=1e308"], "bbar = 1e+308 is too large"),
+        (["scan", "--set", "bracket=0.01,1e308"], "bbar = 1e+308 is too large"),
+        (
+            cex + ["--ltrunc", "3", "--set", "bbar=1e308", "--set", f"witness={tmp_path / 'w.json'}"],
+            "bbar = 1e+308 is too large",
+        ),
+        (
+            ["certify", "--set", "family=quartic", "--set", "bbar=1e307"],
+            "bbar = 1e+307 is too large",
         ),
         # a radius outside the quartic family's range, huge ones included;
         # the family's r and the scan's bisect_r share one message
@@ -232,6 +247,52 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             assert main(argv) == 2
         printed = capsys.readouterr()
         assert printed.out.startswith(f"error: {message}") and printed.err == ""
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_certificate_constants_too_large_exit_two(capsys, monkeypatch):
+    # a certificate constant whose thresholds overflow, or round theta to 1,
+    # is refused by name before the conditions and the pencil; the default
+    # alpha is inf H, which needs the grid
+    def refuse(*args):
+        raise AssertionError("a bad certificate constant reached the conditions or the pencil")
+
+    for name in ("check_deficit_conditions", "assemble_pencil"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    named = "certificate constants too large or small for the arithmetic: Certificate(beta="
+    for sets, message in (
+        (["alpha=1e200"], f"{named}0.3333333333333333, lambda1=2.0, alpha=1e+200,"),
+        (["beta=1e200"], f"{named}1e+200, lambda1=2.0, alpha=1.99,"),
+        (["lambda1=1e308"], f"{named}0.3333333333333333, lambda1=1e+308, alpha=1.99,"),
+        (["family=quartic", "bbar=1e300"], f"{named}0.3333333333333333, lambda1=2.0, alpha=6"),
+    ):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", *(f"--set={s}" for s in sets)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"error: {message}") and printed.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gform", "--set", "bbar_list=2e306,-2e306"],
+        ["scan", "--set", "bbar_list=2e306"],
+        ["counterexample", "--ltrunc", "3", "--set", "bbar=2e306"],
+        ["certify", "--set", "alpha=1e154"],
+        ["certify", "--set", "beta=1e16"],
+        ["certify", "--set", "lambda1=1e300"],
+        ["certify", "--set", "family=quartic", "--set", "bbar=1e157"],
+    ],
+)
+def test_inputs_just_inside_the_arithmetic_pass(argv, tmp_path):
+    # a value just inside each rule gives a finite report, and a PASS
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 0
+    assert read_report(out)["verdict"] == "PASS"
 
 
 def test_gform_needs_degree_two(tmp_path, capsys):

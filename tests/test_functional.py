@@ -8,7 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wy_stability.functional import (
@@ -200,6 +200,16 @@ def test_witness_properties():
         kquad = float(np.sum((eigs * witness.c) ** 2))
         f = eval_F(BASIS, H, witness)
         assert abs(f / kquad - val) < 1e-9 * max(1.0, abs(val))
+
+
+def test_restricting_needs_degree_two():
+    # an L = 1 pencil has no row of degree l >= 2; both restricted entry
+    # points refuse it instead of returning inf or failing to index
+    grid = build_grid(4, 8)
+    pencil = assemble_pencil(build_basis(grid, 1), constant_field(grid, -0.1))
+    for solve in (block_minima, min_pencil_eigenvalue):
+        with pytest.raises(ValueError, match="restricting to degrees l >= 2 needs L >= 2"):
+            solve(pencil, restrict=True)
 
 
 def test_depressed_curvature_is_positive_definite():
@@ -565,6 +575,9 @@ def whitened_min(pencil, rows, B, solver=np.linalg.eigvalsh):
     log_amp=st.floats(-4.0, math.log10(1.9)),
     seed=st.integers(0, 2**32 - 1),
 )
+# L = 2 on 3x6 with all three reflections: three of the seven classes hold
+# a single l = 1 row, so their l >= 2 parts are empty and are skipped
+@example(L=2, extra=(1, 1), symmetry="reflections", held={1, 2, 3}, log_amp=-1.0, seed=0)
 def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, held, log_amp, seed):
     # seeded band-limited h of degree <= 4: constant on every ring, even
     # under a random set of reflections, or with no symmetry (one block),

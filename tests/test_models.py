@@ -9,7 +9,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from wy_stability.gform import BORDERLINE, Direction, RicciEigs, classify_bbar
+from wy_stability.gform import (
+    BORDERLINE,
+    Direction,
+    RicciEigs,
+    classify_bbar,
+    deficit_closed_form,
+)
 from wy_stability.harmonics import build_basis
 from wy_stability.models import (
     CASE_I,
@@ -21,7 +27,6 @@ from wy_stability.models import (
     bbar_from_b,
     check_deficit_conditions,
     classify_small_sphere,
-    deficit_closed_form,
     deficit_ratio_certificate,
     h_family,
     negative_direction,
@@ -128,7 +133,10 @@ def test_curvature_data_validation():
         CurvatureData(R=0.0, ric_sq=-2.0, lapR=0.0)
     with pytest.raises(ValueError):
         CurvatureData(R=0.0, ric_sq=6.0, lapR=-1.0)
-    CurvatureData(R=0.0, ric_sq=6.0, lapR=-1.0, synthetic=True)
+    # a value that is not finite is refused, whatever the others
+    for data in ((math.nan, 6.0, 0.0), (0.0, math.nan, 0.0), (1.0, 6.0, math.nan), (math.inf, 6.0, 0.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            CurvatureData(*data)
 
 
 def test_small_sphere_mass_rows():
@@ -150,17 +158,13 @@ def test_classify_small_sphere_cases():
     assert classify_small_sphere(CurvatureData(0.0, 6.0, 0.0)) == CASE_II
     assert classify_small_sphere(CurvatureData(0.0, 0.0, 1.0)) == CASE_III
     assert classify_small_sphere(CurvatureData(0.0, 0.0, 0.0)) == DEGENERATE
-    bad = CurvatureData(0.0, 6.0, -3.6, synthetic=True)
-    with pytest.raises(ValueError):
-        classify_small_sphere(bad)
 
 
 def test_bbar_from_b():
     cd = CurvatureData(0.0, 6.0, 0.0)
     assert bbar_from_b(0.0, cd) == 0.0
     assert classify_bbar(bbar_from_b(1.0 / 90.0, cd)) == BORDERLINE
-    synth = CurvatureData(0.0, 6.0, -3.6, synthetic=True)
-    assert abs(bbar_from_b(0.0, synth) - 0.01) < 1e-15
+    assert abs(bbar_from_b(0.0, CurvatureData(0.0, 6.0, 3.6)) + 0.01) < 1e-15
     with pytest.raises(ValueError):
         bbar_from_b(0.0, CurvatureData(0.0, 0.0, 1.0))
 
