@@ -38,9 +38,8 @@ import numpy as np
 from . import __version__
 from .functional import (
     assemble_pencil,
-    block_minima,
     constant_field,
-    pencil_minima,
+    pencil_minimum,
 )
 from .gform import (
     THRESHOLD_BBAR,
@@ -402,10 +401,11 @@ def cmd_scan(config: RunConfig) -> dict:
         for r in config.r_list:
             try:
                 H = h_family(eigs, bbar, r, grid)
-            except ValueError as exc:  # r out of range, or H not positive
+            except ValueError as exc:  # r out of range, h not finite, or H not positive
                 rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(exc)})
                 continue
-            unres, res = pencil_minima(assemble_pencil(basis, H))
+            pencil = assemble_pencil(basis, H)
+            unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
             deficit = deficit_closed_form(eigs, bbar, r)
             deficit_quad = integrate(grid, -H.h)
             rows.append(
@@ -425,8 +425,7 @@ def cmd_scan(config: RunConfig) -> dict:
     r_b = config.bisect_r
 
     def unrestricted_min(bbar: float) -> float:
-        pencil = assemble_pencil(basis, h_family(eigs, bbar, r_b, grid))
-        return float(block_minima(pencil).min())
+        return pencil_minimum(assemble_pencil(basis, h_family(eigs, bbar, r_b, grid)))
 
     lo, hi = config.bracket
     bisection = None
@@ -613,7 +612,8 @@ def cmd_certify(config: RunConfig) -> dict:
     cert_neg = negative_part_certificate(config.beta, config.lambda1, alpha, 2.0, 2.0)
     report = check_deficit_conditions(H, cert_ratio)
 
-    unres, res = pencil_minima(assemble_pencil(basis, H))
+    pencil = assemble_pencil(basis, H)
+    unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
 
     sound = (not report.passed) or unres > 0
     results = [

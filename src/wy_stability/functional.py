@@ -50,14 +50,16 @@ minimum is built and solved.  Whitened by K, the round form is the diagonal
 + s_grad int |grad eta|^2, where s_lap and s_grad are the sups of the
 two deficit weights; so, by Weyl's inequality, no eigenvalue of a block
 whose lowest degree is l0 lies below 1/2 - s_lap - (1 + s_grad) /
-(l0 (l0 + 1)).  ``block_minima`` visits the blocks by ascending bound,
-takes each minimum from the eigenvalues alone (``eigvalsh`` of the
-block whitened by K), and stops where the bound clears the running
-minimum.  The bound needs only the sups, so a block it skips is never
-built.  ``min_pencil_eigenvalue`` picks the smallest and runs one
-``eigh``, on that block, for its witness.  Over l >= 2 each block is
-read from its offset k, the number of l = 1 rows that lead it:
-``block(i)[k:, k:]`` over ``row_sets[i][0][k:]``.
+(l0 (l0 + 1)).  Over l >= 2 each block is read from its offset k, the
+number of l = 1 rows that lead it: ``block(i)[k:, k:]`` over
+``row_sets[i][0][k:]``.  ``pencil_minimum`` visits these parts (i, k)
+by ascending bound, takes each minimum from the eigenvalues alone
+(``eigvalsh`` of the part whitened by K), and stops where the bound
+clears the running minimum.  The pencil records each part's minimum,
+so a part is solved at most once across both minima and the witness,
+and the bound needs only the sups, so a part it skips is never built.
+``min_pencil_eigenvalue`` takes the part holding the minimum from the
+same routine and runs one ``eigh``, on that part, for its witness.
 """
 
 from __future__ import annotations
@@ -88,9 +90,8 @@ __all__ = [
     "eval_Q",
     "kernel_closed_form",
     "assemble_pencil",
-    "block_minima",
+    "pencil_minimum",
     "min_pencil_eigenvalue",
-    "pencil_minima",
     "decompose_kernel",
 ]
 
@@ -133,6 +134,8 @@ def mean_curvature_from_h(
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (grid.n_nodes,):
         raise ValueError(f"h has shape {h.shape}, expected ({grid.n_nodes},)")
+    if not np.isfinite(h).all():
+        raise ValueError(f"h = H - 2 must be finite at every node, not {h[~np.isfinite(h)][0]}")
     samples = 2.0 + h
     lo = float(samples.min())
     if not lo > 0.0:
@@ -173,6 +176,9 @@ class HessianPencil:
     ``build(i)`` once and keeps the result, so a solve that reads few
     blocks builds few.  ``blocks``, the (rows, B) pairs, and the dense
     ``M`` (46 MB at L = 48) read every block; they are for inspection.
+    ``_minima`` records the smallest eigenvalue of each part (i, k)
+    solved so far, ``block(i)[k:, k:]`` whitened by kdiag, so each part
+    is solved at most once.
 
     ``sups`` holds (max |h / (2H)|, max |h|) over the nodes, the sups of
     the two deficit weights.  They bound M against the round diagonal:
@@ -186,6 +192,7 @@ class HessianPencil:
     sups: tuple[float, float]
     build: Callable[[int], NDArray[np.float64]] = field(repr=False, compare=False)
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def block(self, i: int) -> NDArray[np.float64]:
         """The matrix of ``row_sets[i]``, built on the first read and kept."""
@@ -312,57 +319,47 @@ def _solve(pencil: HessianPencil, i: int, k: int, solver):
 _BOUND_MARGIN = 1e-9
 
 
-def _row_minima(pencil: HessianPencil, restrict: bool, solved: dict) -> tuple[NDArray, list[int]]:
-    """One row of ``block_minima``, and each block's offset k: 0, or with
-    ``restrict`` its number of l = 1 rows (a row set increases, and the
-    basis orders rows by degree).  ``solved`` maps each (i, k) solved so
-    far to its minimum."""
+def _row_minimum(pencil: HessianPencil, restrict: bool) -> tuple[float, int, int]:
+    """The smallest eigenvalue of M v = lambda K v over l >= 1, or with
+    ``restrict`` over l >= 2, and the part (i, k) that holds it: block i
+    from its offset k, 0, or with ``restrict`` its number of l = 1 rows
+    (a row set increases, and the basis orders rows by degree).
+
+    The whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups``
+    bounds the rest, so the minimum over rows of degree l0 and up is at
+    least 1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  The parts are
+    visited as (lowest degree, i, k) in ascending order, hence ascending
+    bound, and solved by ``eigvalsh`` until the bound exceeds the
+    running minimum by ``_BOUND_MARGIN``; each minimum goes into
+    ``pencil._minima``, and a part found there is not solved again.
+    Every part that can hold or tie the minimum is solved, so the
+    minimum, and the first block attaining it, are those of solving
+    every part.
+    """
     if restrict and pencil.L < 2:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
     s_lap, s_grad = pencil.sups
-    parts, offsets = [], []
+    parts = []
     for i, rows in enumerate(pencil.row_sets):
         degrees = pencil.degrees[rows[0]].tolist()
-        offsets.append(degrees.count(1) if restrict else 0)
-        if offsets[i] < len(degrees):
-            parts.append((degrees[offsets[i]], i, offsets[i]))
-    lows = np.full(len(offsets), math.inf)
-    low = math.inf
+        k = degrees.count(1) if restrict else 0
+        if k < len(degrees):
+            parts.append((degrees[k], i, k))
+    best = (math.inf, -1, -1)
     for l0, i, k in sorted(parts):
-        if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > low + _BOUND_MARGIN:
+        if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > best[0] + _BOUND_MARGIN:
             break
-        if (i, k) not in solved:
-            solved[i, k] = _solve(pencil, i, k, np.linalg.eigvalsh)[0][0]
-        lows[i] = solved[i, k]
-        low = min(low, lows[i])
-    return lows, offsets
+        if (i, k) not in pencil._minima:
+            pencil._minima[i, k] = _solve(pencil, i, k, np.linalg.eigvalsh)[0][0]
+        best = min(best, (pencil._minima[i, k], i, k))
+    return best
 
 
-def block_minima(pencil: HessianPencil, restrict: bool = False) -> NDArray[np.float64]:
-    """Smallest eigenvalue of each block of M v = lambda K v that can hold the minimum.
-
-    Returns shape (1, n) for the n entries of ``pencil.row_sets``: each
-    block's minimum over its first row set, by ``eigvalsh``.  With
-    ``restrict``, shape (2, n): the second row is over each block's
-    rows of degree l >= 2, ``pencil.block(i)[k:, k:]`` over
-    ``row_sets[i][0][k:]``, k the number of l = 1 rows that lead it.
-
-    A block is built and solved only where it can hold its row's
-    minimum, and each part (i, k) is solved at most once per call, so a
-    block with no l = 1 row serves both rows.  The whitened round
-    diagonal is 1/2 - 1/mu, and ``pencil.sups`` bounds the rest, so the
-    minimum over rows of degree l0 and up is at least
-    1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  Each row visits its
-    parts (lowest degree, i, k) in ascending order, hence ascending
-    bound, and solves them until the bound exceeds the running minimum
-    by ``_BOUND_MARGIN``.  An entry is inf where its part was not
-    solved, because it cannot hold or tie the row's minimum, or has no
-    row.  So the row minima, and the first block attaining each, are
-    those of solving every part.
-    """
-    solved: dict = {}
-    restricts = (False, True) if restrict else (False,)
-    return np.array([_row_minima(pencil, r, solved)[0] for r in restricts])
+def pencil_minimum(pencil: HessianPencil, restrict: bool = False) -> float:
+    """Smallest generalized eigenvalue of M v = lambda K v over l >= 1, or
+    with ``restrict`` over l >= 2: the value of ``min_pencil_eigenvalue``,
+    from eigenvalues alone."""
+    return float(_row_minimum(pencil, restrict)[0])
 
 
 def min_pencil_eigenvalue(
@@ -370,9 +367,8 @@ def min_pencil_eigenvalue(
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
 
-    The value is the smallest of the ``block_minima`` row asked for (the
-    first block on a tie), and only that row is solved; the witness is
-    one ``eigh`` of the same part of its block.
+    The value and its part (i, k) are those of ``pencil_minimum`` (the
+    first block on a tie); the witness is one ``eigh`` of that part.
 
     Parameters
     ----------
@@ -389,21 +385,14 @@ def min_pencil_eigenvalue(
         sign (largest-magnitude coefficient positive).  The witness is
         returned as full coefficients with the l = 0 slot zero.
     """
-    lows, offsets = _row_minima(pencil, restrict, {})
-    i = int(np.argmin(lows))
-    (_, vecs), rows, inv_sqrt_k = _solve(pencil, i, offsets[i], np.linalg.eigh)
+    low, i, k = _row_minimum(pencil, restrict)
+    (_, vecs), rows, inv_sqrt_k = _solve(pencil, i, k, np.linalg.eigh)
 
     c = np.zeros((pencil.L + 1) ** 2)
     c[rows + 1] = vecs[:, 0] * inv_sqrt_k
     c /= np.linalg.norm(c)
     c *= np.sign(c[np.argmax(np.abs(c))])
-    return float(lows[i]), FieldCoeffs(pencil.L, c)
-
-
-def pencil_minima(pencil: HessianPencil) -> tuple[float, float]:
-    """The values of ``min_pencil_eigenvalue`` over l >= 1 and over l >= 2, with no witness."""
-    unres, res = block_minima(pencil, restrict=True).min(axis=1)
-    return float(unres), float(res)
+    return float(low), FieldCoeffs(pencil.L, c)
 
 
 def decompose_kernel(basis: HarmonicBasis, coeffs: FieldCoeffs) -> KernelDecomposition:

@@ -652,16 +652,25 @@ def test_scan_skips_row_where_h_is_not_positive(tmp_path):
 def test_overflowing_inputs_exit_as_documented(tmp_path, capsys):
     # r^4, r^5 or R^2 of a huge input overflows a Python float; each run
     # ends in a report or an error line that names the input, never in a
-    # traceback
+    # traceback.  (1/30 - bbar) r^4 overflows at bbar = 1e305, r = 20,
+    # inside the positivity radius of this lam (about 22): h is inf, which
+    # passes 2 + h > 0, and the pencil solve used to end in a traceback
     out = tmp_path / "r.json"
     witness = f"witness={tmp_path / 'w.json'}"
-    capsys.readouterr()
-    rc = main(["scan", "--set", "r_list=1e100", "--out", str(out)])
-    report = read_report(out)
-    assert rc == (0 if report["verdict"] == "PASS" else 1)
-    assert all(row["skipped"] for row in report["results"])
     too_far = f"r must lie in (0, {RMAX}], the positivity radius, got 1e+100"
-    assert all(row["notice"] == too_far for row in report["results"])
+    for argv, notice in (
+        (["--set", "r_list=1e100"], too_far),
+        (
+            ["--set", "lam=1e-3,1e-3,-2e-3", "--set", "bbar_list=1e305", "--set", "r_list=20"],
+            "h = H - 2 must be finite at every node, not inf",
+        ),
+    ):
+        capsys.readouterr()
+        rc = main(["scan", *argv, "--out", str(out)])
+        assert capsys.readouterr().err == ""
+        report = read_report(out)
+        assert rc == (0 if report["verdict"] == "PASS" else 1)
+        assert all(row["skipped"] and row["notice"] == notice for row in report["results"])
     for argv, message in (
         (["counterexample", "--set", "r=1e100", "--set", witness], too_far),
         (["certify", "--set", "family=quartic", "--set", "r=1e100"], too_far),

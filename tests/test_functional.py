@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from wy_stability.functional import (
     assemble_pencil,
-    block_minima,
     constant_field,
     decompose_kernel,
     eval_F,
@@ -21,7 +20,7 @@ from wy_stability.functional import (
     kernel_closed_form,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
-    pencil_minima,
+    pencil_minimum,
 )
 from wy_stability import harmonics as harmonics_module
 from wy_stability.cli import RunConfig, parse_args, run
@@ -79,6 +78,12 @@ def test_mean_curvature_field_validation():
     h[17] = -3.0
     with pytest.raises(ValueError):
         mean_curvature_from_h(GRID, h)
+    # inf passes 2 + h > 0 and nan fails it as "min = nan"; both are
+    # refused by name before any sample is formed
+    for bad in (math.inf, -math.inf, math.nan):
+        h[17] = bad
+        with pytest.raises(ValueError, match=f"h = H - 2 must be finite at every node, not {bad}"):
+            mean_curvature_from_h(GRID, h)
 
 
 def test_mean_curvature_from_h_keeps_h():
@@ -207,7 +212,7 @@ def test_restricting_needs_degree_two():
     # points refuse it instead of returning inf or failing to index
     grid = build_grid(4, 8)
     pencil = assemble_pencil(build_basis(grid, 1), constant_field(grid, -0.1))
-    for solve in (block_minima, min_pencil_eigenvalue):
+    for solve in (pencil_minimum, min_pencil_eigenvalue):
         with pytest.raises(ValueError, match="restricting to degrees l >= 2 needs L >= 2"):
             solve(pencil, restrict=True)
 
@@ -363,7 +368,7 @@ def test_axisymmetric_family_takes_order_blocks(shape):
         ref = dense_min(dense, pencil.kdiag, keep)
         val, _ = min_pencil_eigenvalue(pencil, restrict=restrict)
         assert abs(val - ref) <= 1e-9 * abs(ref)
-        assert pencil_minima(pencil)[restrict] == val
+        assert pencil_minimum(pencil, restrict=restrict) == val
 
 
 def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
@@ -450,9 +455,9 @@ def count_solves(monkeypatch):
 
 def test_only_the_witness_computes_eigenvectors(monkeypatch):
     # a scan report reads eigenvalues alone; min_pencil_eigenvalue runs one
-    # eigh, for its witness; pencil_minima solves a block, or its l >= 2
+    # eigh, for its witness; pencil_minimum solves a block, or its l >= 2
     # part, only where its round-sphere bound does not clear the running
-    # minimum of its row
+    # minimum of its row, and the pencil records each part it solves
     calls = count_solves(monkeypatch)
     run(parse_args(["scan", "--grid", "13x26", "--ltrunc", "12"]))
     assert calls["eigh"] == 0 and calls["eigvalsh"] > 0
@@ -461,29 +466,34 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
 
     def solves(pencil):
         with_l1 = sum(np.any(pencil.degrees[rows[0]] == 1) for rows in pencil.row_sets)
-        calls["eigvalsh"] = 0
-        pencil_minima(pencil)
-        assert calls["eigh"] == 0
+        calls["eigvalsh"] = calls["eigh"] = 0
+        pencil_minimum(pencil)
+        pencil_minimum(pencil, restrict=True)
+        assert calls["eigh"] == 0 and calls["eigvalsh"] == len(pencil._minima)
         return with_l1, calls["eigvalsh"]
+
+    def witness_solves(pencil, restrict):
+        calls["eigvalsh"] = calls["eigh"] = 0
+        min_pencil_eigenvalue(pencil, restrict=restrict)
+        assert calls["eigh"] == 1
+        return calls["eigvalsh"]
 
     # (1, 1, -2): orders 0 and 1 whole and without l = 1 (of 13 orders),
     # and order 2, whose bound ties with their l >= 2 parts; (0.7, 0.5,
     # -1.2): the 3 of 8 classes with an l = 1 row whole, and the 4 whose
-    # lowest degree is 2, below the l >= 2 parts' degree 3.  A witness
-    # solves only the row it is asked for: (over l >= 1, over l >= 2)
+    # lowest degree is 2, below the l >= 2 parts' degree 3.  A witness on
+    # a fresh pencil solves only the row it is asked for: (over l >= 1,
+    # over l >= 2); after the values it solves nothing more
     for lam, count, witness_count in (
         ((1.0, 1.0, -2.0), (13, 2, 5), (2, 3)),
         ((0.7, 0.5, -1.2), (8, 3, 7), (3, 4)),
     ):
         pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid))
         assert (len(pencil.row_sets), *solves(pencil)) == count
-        solved = np.isfinite(block_minima(pencil, restrict=True)).sum(axis=1)
         for restrict in (False, True):
-            calls["eigvalsh"] = 0
-            min_pencil_eigenvalue(pencil, restrict=restrict)
-            assert calls["eigvalsh"] == witness_count[restrict] == solved[int(restrict)]
-            assert calls["eigh"] == 1
-            calls["eigh"] = 0
+            assert witness_solves(pencil, restrict) == 0
+            fresh = replace(pencil)
+            assert witness_solves(fresh, restrict) == witness_count[restrict] == len(fresh._minima)
     # where |h| is large the bound prunes nothing: every block is solved,
     # and again without its l = 1 rows where it has any
     eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
@@ -514,17 +524,18 @@ def counted_builds(pencil):
 def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
     # the bound needs only the sups, so a block it skips is never built;
     # each block is built at most once, and the witnesses that follow
-    # read only blocks pencil_minima built
+    # read only blocks the two minima built: those with a recorded part
     grid = build_grid(*shape)
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
     pencil, built = counted_builds(assemble_pencil(build_basis(grid, L), H))
     assert len(pencil.row_sets) == blocks
-    pencil_minima(pencil)
-    want = np.flatnonzero(np.isfinite(block_minima(pencil, restrict=True)).any(axis=0))
-    assert sorted(built) == want.tolist() and 0 < len(built) < blocks
+    pencil_minimum(pencil)
+    pencil_minimum(pencil, restrict=True)
+    want = sorted({i for i, _ in pencil._minima})
+    assert sorted(built) == want and 0 < len(built) < blocks
     for restrict in (False, True):
         min_pencil_eigenvalue(pencil, restrict=restrict)
-    assert sorted(built) == want.tolist()
+    assert sorted(built) == want
     # reading blocks builds the rest, once each
     assert len(pencil.blocks) == blocks
     assert sorted(built) == list(range(blocks))
@@ -546,7 +557,7 @@ def test_asymmetric_block_is_refused_when_built(monkeypatch, lam, gram):
     monkeypatch.setattr(harmonics_module, gram, skewed)
     pencil = assemble_pencil(basis, H)
     with pytest.raises(AssertionError, match="asymmetry"):
-        pencil_minima(pencil)
+        pencil_minimum(pencil)
     for i, rows in enumerate(pencil.row_sets):
         if rows.shape[1] > 1:
             with pytest.raises(AssertionError, match="asymmetry"):
@@ -616,13 +627,18 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
                 l0 = pencil.degrees[sub[0]]
                 assert brute[k, i] >= 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) - 1e-12
 
-    # the pruned solve: every entry it solves is the same bits, and every
-    # entry it leaves at inf cannot hold or tie its row's minimum
-    lows = block_minima(pencil, restrict=True)
-    solved = np.isfinite(lows)
-    np.testing.assert_array_equal(lows[solved], brute[solved])
-    assert np.all((brute > brute.min(axis=1, keepdims=True))[~solved])
-    assert pencil_minima(pencil) == tuple(brute.min(axis=1))
+    # the pruned solve, on a fresh pencil: every part it records is the
+    # same bits, every part it leaves unrecorded cannot hold or tie its
+    # row's minimum, and the blocks built are those with a recorded part
+    fresh, built = counted_builds(pencil)
+    assert (pencil_minimum(fresh), pencil_minimum(fresh, restrict=True)) == tuple(brute.min(axis=1))
+    assert sorted(built) == sorted({i for i, _ in fresh._minima})
+    for i, rows in enumerate(fresh.row_sets):
+        for row, k in enumerate((0, int(np.sum(fresh.degrees[rows[0]] == 1)))):
+            if (i, k) in fresh._minima:
+                assert fresh._minima[i, k] == brute[row, i]
+            else:
+                assert brute[row, i] > brute[row].min()
     for k in (0, 1):
         i = int(np.argmin(brute[k]))
         (_, vecs), s = whitened_min(pencil, *parts[i][k], np.linalg.eigh)
@@ -656,14 +672,15 @@ def exact_minima(pencil):
 
 
 @pytest.mark.parametrize("lam", [(1.0, 1.0, -2.0), (0.7, 0.5, -1.2)])
-def test_pencil_minima_match_extended_precision(lam):
+def test_pencil_minimum_matches_extended_precision(lam):
     # at bbar = 1/90 the unrestricted minimum is O(r^6) and loses digits
     # against the O(1) spectrum; elsewhere both minima keep nearly all
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
     for bbar, r, bound in ((1.0 / 90.0, 1e-2, 1e-9), (1.0 / 90.0, 3e-2, 1e-9), (1.0 / 30.0, 1e-2, 1e-14)):
         pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), bbar, r, grid))
-        for got, ref in zip(pencil_minima(pencil), exact_minima(pencil)):
+        minima = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
+        for got, ref in zip(minima, exact_minima(pencil)):
             assert abs((got - ref) / ref) < bound
 
 
