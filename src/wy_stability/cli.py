@@ -392,8 +392,9 @@ def cmd_scan(config: RunConfig) -> dict:
     if not config.bracket[0] < config.bracket[1]:
         raise ConfigError(f"bracket needs lo < hi, got {list(config.bracket)}")
     eigs = RicciEigs(config.lam)
-    check_bbar(eigs, *config.bbar_list, *config.bracket)
+    check_bbar(eigs, *config.bbar_list)
     rmax = check_radius(eigs, config.bisect_r, "bisect_r")
+    check_bbar(eigs, *config.bracket, r=config.bisect_r)
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
     rows = []
@@ -401,10 +402,11 @@ def cmd_scan(config: RunConfig) -> dict:
         for r in config.r_list:
             try:
                 H = h_family(eigs, bbar, r, grid)
-            except ValueError as exc:  # r out of range, h not finite, or H not positive
+                check_bbar(eigs, bbar, r=r)
+                pencil = assemble_pencil(basis, H)
+            except ValueError as exc:  # r out of range, h or the deficit too large, or H not positive
                 rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(exc)})
                 continue
-            pencil = assemble_pencil(basis, H)
             unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
             deficit = deficit_closed_form(eigs, bbar, r)
             deficit_quad = integrate(grid, -H.h)
@@ -491,8 +493,8 @@ def cmd_counterexample(config: RunConfig) -> dict:
     _require_ltrunc(config, 3, "builds a degree-3 direction")
     wpath = _witness_path(config)
     eigs = RicciEigs(config.lam)
-    check_bbar(eigs, config.bbar)
     check_radius(eigs, config.r)
+    check_bbar(eigs, config.bbar, r=config.r)
     direction = Direction(_unit_direction(config.a))
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
@@ -594,8 +596,8 @@ def _certify_field(config: RunConfig):
         return functools.partial(constant_field, h=-config.eps)
     if config.family == "quartic":
         eigs = RicciEigs(config.lam)
-        check_bbar(eigs, config.bbar)
         check_radius(eigs, config.r)
+        check_bbar(eigs, config.bbar, r=config.r)
         return functools.partial(h_family, eigs, config.bbar, config.r)
     raise ConfigError(f"unknown H family {config.family!r}; use const or quartic")
 

@@ -75,6 +75,7 @@ from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
     _check_match,
+    _gram_limit,
     gram_blocks,
     index_of,
     weighted_form,
@@ -174,8 +175,9 @@ class HessianPencil:
 
     A block is built the first time it is read: ``block(i)`` calls
     ``build(i)`` once and keeps the result, so a solve that reads few
-    blocks builds few.  ``blocks``, the (rows, B) pairs, and the dense
-    ``M`` (46 MB at L = 48) read every block; they are for inspection.
+    blocks builds few.  The dense ``M`` (46 MB at L = 48) reads every
+    block; no command reads it, but the benchmark tracer
+    (``perfbench/tracer.py``) sizes its counts from it and ``degrees``.
     ``_minima`` records the smallest eigenvalue of each part (i, k)
     solved so far, ``block(i)[k:, k:]`` whitened by kdiag, so each part
     is solved at most once.
@@ -201,15 +203,11 @@ class HessianPencil:
         return self._built[i]
 
     @property
-    def blocks(self) -> tuple[tuple[NDArray[np.int64], NDArray[np.float64]], ...]:
-        return tuple((rows, self.block(i)) for i, rows in enumerate(self.row_sets))
-
-    @property
     def M(self) -> NDArray[np.float64]:
         M = np.zeros((self.kdiag.size, self.kdiag.size))
-        for rows, B in self.blocks:
+        for i, rows in enumerate(self.row_sets):
             for r in rows:
-                M[np.ix_(r, r)] = B
+                M[np.ix_(r, r)] = self.block(i)
         return M
 
 
@@ -277,14 +275,16 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
     (gradients), plus the exact round diagonal mu^2/2 - mu, added to a
     block when it is built; the pencil keeps the sups of the two
-    |weights|, which need no block.  The weights decide the blocks, each
-    symmetry to 1e-13 of the weight's max: L + 1 per-order blocks over
-    the 2L + 1 (order, trig type) row sets when h is constant on every
-    theta ring; else the parity classes of the reflections h is even
-    under.  Every entry is a theta sum.
+    |weights|, which need no block, and the symmetries of the weights
+    decide the blocks (see ``HessianPencil``).  Before any block, an h
+    whose weights exceed ``_gram_limit``, where a Gram sum could overflow,
+    is refused by a ValueError naming max |h|.
     """
     _check_field(basis, H)
     w_lap = -H.h / (2.0 * H.samples)
+    sups = (float(np.abs(w_lap).max()), float(np.abs(H.h).max()))
+    if not max(sups) <= (limit := _gram_limit(basis)):
+        raise ValueError(f"h = H - 2 is too large for the Gram sums: max |h| = {sups[1]:.6g} > {limit:.6g}")
     row_sets, gram = gram_blocks(basis, w_lap, -H.h)
     diag = _round_diagonal(basis)[1:]
 
@@ -298,7 +298,7 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
         kdiag=basis.eigenvalues[1:] ** 2,
         degrees=basis.degrees[1:],
         row_sets=row_sets,
-        sups=(float(np.abs(w_lap).max()), float(np.abs(H.h).max())),
+        sups=sups,
         build=build,
     )
 

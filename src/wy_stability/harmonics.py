@@ -33,10 +33,7 @@ node take O(L^4).  Fields are transformed one order at a time, as in
 Driscoll & Healy (1994) and Schaeffer (2013): synthesis is one Legendre
 sum over l per order m, then one matrix product in phi; analysis, and
 ``weighted_form`` of a field against every basis function, run the
-transpose of both steps.  Each costs O(L^3).  ``weighted_gram``, the
-dense reference of the Gram builder, forms the basis samples on every
-node as products of the two factors, the same products the tables
-would hold.
+transpose of both steps.  Each costs O(L^3).
 
 Each basis function is even or odd under each coordinate reflection,
 by (l, m) alone:
@@ -81,7 +78,6 @@ __all__ = [
     "project",
     "gradient_dot",
     "weighted_form",
-    "weighted_gram",
 ]
 
 
@@ -149,8 +145,10 @@ class HarmonicBasis:
     Every array is read-only, so one basis can be shared by many callers.
 
     The full tables ``values``, ``dtheta`` and ``dphi``, shape
-    (n_basis, n_nodes), are assembled from the factors on every read;
-    they are for inspection, and take 92 MB each at L = 48.
+    (n_basis, n_nodes), are assembled from the factors on every read,
+    and take 92 MB each at L = 48.  No command reads them; they stay
+    only because the benchmark tracer (``perfbench/tracer.py``) sizes
+    its table count from them.
     """
 
     L: int
@@ -288,7 +286,8 @@ def _row_samples(basis: HarmonicBasis, rows, rad, ang) -> NDArray[np.float64]:
     """rad_k(theta) ang_k(phi) for basis rows k at every node.
 
     Each entry is one product of the row's two factors, so the result
-    matches a tabulated outer product bit for bit.
+    matches a tabulated outer product bit for bit.  It serves the full
+    tables above and the tests' dense reference Gram.
     """
     orders = basis.orders[rows]
     a, s = np.abs(orders), (orders < 0).astype(np.intp)
@@ -377,27 +376,6 @@ def weighted_form(
     return out
 
 
-def weighted_gram(
-    basis: HarmonicBasis, w_lap, w_grad, rows: NDArray[np.int64]
-) -> NDArray[np.float64]:
-    """Gram matrix of ``weighted_form`` over the basis rows ``rows``, on every node.
-
-    Built from the rows' (Lap, d/dtheta, d/dphi) samples, in
-    O(len(rows)^2 n_nodes).  No computation uses it: it is the dense
-    reference that ``gram_blocks`` is checked against.
-    """
-    w = basis.grid.weights
-    inv_s2 = 1.0 / basis.grid.sin_theta**2
-    lap = _row_samples(basis, rows, basis.rad, basis.ang) * -basis.eigenvalues[rows, None]
-    dt = _row_samples(basis, rows, basis.drad, basis.ang)
-    dp = _row_samples(basis, rows, basis.rad, basis.dang)
-    wg = w * w_grad
-    out = (lap * (w * w_lap)) @ lap.T
-    out += (dt * wg) @ dt.T
-    out += (dp * (wg * inv_s2)) @ dp.T
-    return out
-
-
 def gram_blocks(
     basis: HarmonicBasis, w_lap: NDArray[np.float64], w_grad: NDArray[np.float64]
 ) -> tuple[tuple[NDArray[np.int64], ...], Callable[[int], NDArray[np.float64]]]:
@@ -481,11 +459,26 @@ def gram_blocks(
         B = gram(i)
         asym = np.abs(B - B.T).max()
         B = 0.5 * (B + B.T)
-        if asym > 1e-12 * max(np.abs(B).max(), 1.0):
-            raise AssertionError(f"Gram block {i} asymmetry {asym} exceeds tolerance")
+        # a NaN or inf entry fails the test, as an asymmetry past tolerance does
+        if not asym <= 1e-12 * max(np.abs(B).max(), 1.0) < math.inf:
+            raise AssertionError(f"Gram block {i} is not finite, or its asymmetry {asym} exceeds tolerance")
         return B
 
     return sets, build
+
+
+def _gram_limit(basis: HarmonicBasis) -> float:
+    """The largest |weight| for which no step of ``gram_blocks`` can overflow.
+
+    A ring coefficient is at most 2 n_phi w_q / sin^2 theta times it (2
+    for the x3 fold); a phi sum L^2 times that; a block entry 3 n_theta
+    times that times two factors of at most L (L + 1) sqrt((2L + 1) / 4 pi)
+    (by the addition theorem); symmetrizing and the round diagonal, 2.
+    """
+    L, grid, nphi = basis.L, basis.grid, basis.grid.n_phi
+    ring = 2.0 * nphi * float(np.max(grid.weights[::nphi] / grid.sin_theta[::nphi] ** 2))
+    F2 = (L * (L + 1)) ** 2 * (2 * L + 1) / FOUR_PI
+    return float(np.finfo(np.float64).max) / (2.0 * 3.0 * grid.n_theta * F2 * L * L * ring)
 
 
 def _pair_terms(ia, si, ja, sj):

@@ -155,11 +155,14 @@ def check_radius(eigs: RicciEigs, r: float, name: str = "r") -> float:
     return rmax
 
 
-def check_bbar(eigs: RicciEigs, *bbars: float) -> None:
-    """Refuse a bbar too large for the family: its deficit at r = 1 must be finite."""
+def check_bbar(eigs: RicciEigs, *bbars: float, r: float = 1.0) -> None:
+    """Refuse a bbar too large for the family: its deficit at r = 1, and at the
+    r the caller evaluates, once past ``check_radius``, must be finite."""
     for bbar in bbars:
         if not math.isfinite(deficit_closed_form(eigs, bbar, 1.0)):
             raise ValueError(f"bbar = {bbar} is too large: 4 pi (1/30 - bbar) sum lam^2 overflows")
+        if not math.isfinite(deficit_closed_form(eigs, bbar, r)):
+            raise ValueError(f"bbar = {bbar} is too large at r = {r}: 4 pi r^4 (1/30 - bbar) sum lam^2 overflows")
 
 
 def positivity_radius(eigs: RicciEigs) -> float:

@@ -58,6 +58,8 @@ from wy_stability.models import (
 )
 from wy_stability.quad import FOUR_PI, build_grid, integrate, monomial_integral
 
+from reference import random_direction, random_eigs
+
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
 NMODES = (8 + 1) ** 2
@@ -65,17 +67,6 @@ DEGREES = np.repeat(np.arange(9), 2 * np.arange(9) + 1)
 
 CANON_EIGS = RicciEigs(np.array([1.0, 1.0, -2.0]))
 CANON_DIR = Direction(np.array([0.0, 0.0, 1.0]))
-
-
-def random_eigs(rng) -> RicciEigs:
-    lam = rng.normal(size=3)
-    lam -= lam.mean()
-    return RicciEigs(lam)
-
-
-def random_direction(rng) -> Direction:
-    v = rng.normal(size=3)
-    return Direction(v / np.linalg.norm(v))
 
 
 def test_criterion_01_monomial_oracle():

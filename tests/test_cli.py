@@ -47,6 +47,8 @@ from wy_stability.harmonics import HarmonicBasis, build_basis
 from wy_stability.models import h_family, negative_direction
 from wy_stability.quad import build_grid
 
+import reference
+
 SCHEMA = json.loads(
     resources.files("wy_stability").joinpath("report_schema.json").read_text()
 )
@@ -487,8 +489,8 @@ def test_pencil_stays_below_one_dense_M():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(rows) for rows, _ in pencil.blocks) == 2 * 24 + 1
-    assert len({id(block) for _, block in pencil.blocks}) == 24 + 1
+    assert sum(len(rows) for rows, _ in reference.blocks(pencil)) == 2 * 24 + 1
+    assert len({id(block) for _, block in reference.blocks(pencil)}) == 24 + 1
     assert peak < (25**2 - 1) ** 2 * 8  # one dense M would take 3.12 MB
 
 
@@ -506,7 +508,7 @@ def test_parity_pencil_keeps_little_between_calls():
     tracemalloc.start()
     try:
         pencil = assemble_pencil(basis, H)
-        assert len(pencil.blocks) == 8
+        assert len(reference.blocks(pencil)) == 8
         del pencil
         kept = tracemalloc.get_traced_memory()[0]
     finally:
@@ -654,32 +656,68 @@ def test_overflowing_inputs_exit_as_documented(tmp_path, capsys):
     # ends in a report or an error line that names the input, never in a
     # traceback.  (1/30 - bbar) r^4 overflows at bbar = 1e305, r = 20,
     # inside the positivity radius of this lam (about 22): h is inf, which
-    # passes 2 + h > 0, and the pencil solve used to end in a traceback
+    # passes 2 + h > 0, and the pencil solve used to end in a traceback.
+    # At bbar = 1e302 h is finite but the deficit 4 pi r^4 (1/30 - bbar)
+    # sum lam^2 is not, and the report could not render; at bbar = 1e306
+    # and r = 1.5, h is finite but its Gram ring sums overflow
     out = tmp_path / "r.json"
     witness = f"witness={tmp_path / 'w.json'}"
     too_far = f"r must lie in (0, {RMAX}], the positivity radius, got 1e+100"
+    deficit = "is too large at r = {}: 4 pi r^4 (1/30 - bbar) sum lam^2 overflows"
+    big_h = "h = H - 2 is too large for the Gram sums: max |h| = {} > 1.29254e+299"
+    small = ["--set", "lam=1e-3,1e-3,-2e-3", "--set", "r_list=20"]
     for argv, notice in (
         (["--set", "r_list=1e100"], too_far),
+        (small + ["--set", "bbar_list=1e305"], "h = H - 2 must be finite at every node, not inf"),
+        (small + ["--set", "bbar_list=1e302"], "bbar = 1e+302 " + deficit.format(20.0)),
         (
-            ["--set", "lam=1e-3,1e-3,-2e-3", "--set", "bbar_list=1e305", "--set", "r_list=20"],
-            "h = H - 2 must be finite at every node, not inf",
+            ["--set", "lam=0.2,0.2,-0.4", "--set", "bbar_list=1e307", "--set", "r_list=1.5"],
+            "bbar = 1e+307 " + deficit.format(1.5),
+        ),
+        (
+            ["--set", "lam=0.2,0.3,-0.5", "--set", "bbar_list=1e307", "--set", "r_list=1.4"],
+            "bbar = 1e+307 " + deficit.format(1.4),
+        ),
+        (
+            ["--set", "lam=0.2,0.2,-0.4", "--set", "bbar_list=1e306", "--set", "r_list=1.5"],
+            big_h.format("1.215e+306"),
+        ),
+        (
+            ["--set", "lam=0.2,0.3,-0.5", "--set", "bbar_list=1e306", "--set", "r_list=1.4"],
+            big_h.format("1.45981e+306"),
         ),
     ):
         capsys.readouterr()
-        rc = main(["scan", *argv, "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["scan", *argv, "--out", str(out)])
         assert capsys.readouterr().err == ""
         report = read_report(out)
         assert rc == (0 if report["verdict"] == "PASS" else 1)
         assert all(row["skipped"] and row["notice"] == notice for row in report["results"])
+    huge = ["--set", "lam=0.2,0.2,-0.4", "--set", "bbar=1e306", "--set", "r=1.5", "--set", "alpha=1"]
     for argv, message in (
         (["counterexample", "--set", "r=1e100", "--set", witness], too_far),
         (["certify", "--set", "family=quartic", "--set", "r=1e100"], too_far),
         (["small-sphere", "--set", "r_list=1e100"], "the mass expansion overflows at r = 1e+100"),
         (["small-sphere", "--set", "curv_r=1e200"], "the mass expansion overflows at r = 0.1, R = 1e+200"),
+        (
+            ["counterexample", *small[:2], "--set", "r=20", "--set", "bbar=1e302", "--set", witness],
+            "bbar = 1e+302 " + deficit.format(20.0),
+        ),
+        (["certify", "--set", "family=quartic", *huge], big_h.format("1.215e+306")),
+        (
+            ["scan", "--set", "lam=0.2,0.2,-0.4", "--set", "bracket=0.01,1e306", "--set", "bisect_r=1.5"],
+            big_h.format("1.215e+306"),
+        ),
     ):
         capsys.readouterr()
-        assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().out.startswith(f"error: {message}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"error: {message}") and printed.err == ""
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_counterexample_witness_roundtrip(tmp_path):
@@ -870,17 +908,27 @@ TRACELESS = st.tuples(_floats(-3, 3), _floats(-3, 3)).map(lambda p: (p[0], p[1],
 SCALED = st.tuples(TRACELESS, st.integers(0, 200)).map(
     lambda p: tuple(x * 10.0 ** p[1] for x in p[0])
 )
+# traceless triples down to 3e-8, whose positivity radius passes 1
+SHRUNK = st.tuples(TRACELESS, st.integers(0, 8)).map(
+    lambda p: tuple(x * 10.0 ** -p[1] for x in p[0])
+)
+# +-10^k up to 1e308, where the deficit at r, or h, overflows
+POWERS = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(0, 308)).map(
+    lambda p: p[0] * 10.0 ** p[1]
+)
 
 
-@settings(max_examples=100, deadline=None)
+# 200 examples take about 2 s
+@settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(["gform", "scan", "counterexample"]),
     lam=_mostly(
-        TRACELESS, st.one_of(SCALED, st.tuples(_floats(-3, 3), _floats(-3, 3), _floats(-3, 3)))
+        TRACELESS,
+        st.one_of(SCALED, SHRUNK, st.tuples(_floats(-3, 3), _floats(-3, 3), _floats(-3, 3))),
     ),
     a=st.tuples(_floats(-2, 2), _floats(-2, 2), _floats(-2, 2)),
-    bbar=_mostly(_floats(-0.1, 0.1), _floats(-300, 1)),
-    r=_mostly(_floats(1e-4, 0.3), _floats(-0.1, 1.5)),
+    bbar=_mostly(_floats(-0.1, 0.1), st.one_of(_floats(-300, 1), POWERS)),
+    r=_mostly(_floats(1e-4, 0.3), st.one_of(_floats(-0.1, 1.5), _floats(1.5, 30))),
     directions=_mostly(st.integers(1, 3), st.integers(-3, 3)),
     n_theta=_mostly(st.integers(5, 12), st.integers(1, 12)),
     n_phi=_mostly(st.integers(9, 24), st.integers(1, 24)),
@@ -892,9 +940,25 @@ SCALED = st.tuples(TRACELESS, st.integers(0, 200)).map(
          directions=1, n_theta=8, n_phi=16, ltrunc=4)
 @example(command="gform", lam=(1e300, -1e300, 0.0), a=(0.0, 0.0, 1.0), bbar=0.0, r=0.01,
          directions=1, n_theta=8, n_phi=16, ltrunc=4)
+# the deficit at r = 20 overflowed: the report could not render, and the
+# counterexample had written its witness
+@example(command="scan", lam=(1e-3, 1e-3, -2e-3), a=(0.0, 0.0, 1.0), bbar=1e302, r=20.0,
+         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+@example(command="counterexample", lam=(1e-3, 1e-3, -2e-3), a=(0.0, 0.0, 1.0), bbar=1e302,
+         r=20.0, directions=1, n_theta=8, n_phi=16, ltrunc=4)
+# h is finite but its Gram ring sums overflowed, on the order and the
+# parity path, with a traceback or only a warning
+@example(command="scan", lam=(0.2, 0.2, -0.4), a=(0.0, 0.0, 1.0), bbar=1e307, r=1.5,
+         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+@example(command="scan", lam=(0.2, 0.3, -0.5), a=(0.0, 0.0, 1.0), bbar=1e306, r=1.4,
+         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+@example(command="scan", lam=(0.2, 0.2, -0.4), a=(0.0, 0.0, 1.0), bbar=2e306, r=1.5,
+         directions=1, n_theta=8, n_phi=16, ltrunc=4)
 def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions, n_theta, n_phi, ltrunc):
     # every run ends in a schema-valid report with exit 0 (PASS) or 1
-    # (FAIL), or in exit 2 with an error message; it never raises
+    # (FAIL), or in exit 2 with an error message that refuses an input,
+    # not one from the report's renderer, and with no witness written; it
+    # never raises, warns or writes to stderr
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         args = [
@@ -911,11 +975,16 @@ def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions,
             "--set", f"directions={directions}",
             "--set", f"witness={tmp}/witness.json",
         ]
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            rc = main(args)
+        printed, errors = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
+                rc = main(args)
+        assert errors.getvalue() == ""
         if rc == 2:
             assert printed.getvalue().startswith("error: ")
+            assert "JSON compliant" not in printed.getvalue()
+            assert not (Path(tmp) / "witness.json").exists()
         else:
             report = read_report(out)
             assert rc == (0 if report["verdict"] == "PASS" else 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -28,24 +29,21 @@ from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import (
     FieldCoeffs,
     _field_samples,
+    _gram_limit,
     build_basis,
     index_of,
     synthesize,
-    weighted_gram,
 )
 from wy_stability.models import h_family, negative_direction, positivity_radius
 from wy_stability.quad import build_grid
+
+import reference
+from reference import unit_coeffs
 
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
 NMODES = (8 + 1) ** 2
 ROUND = constant_field(GRID, 0.0)
-
-
-def unit_coeffs(l: int, m: int) -> FieldCoeffs:
-    c = np.zeros(NMODES)
-    c[index_of(l, m)] = 1.0
-    return FieldCoeffs(8, c)
 
 
 def kernel_coeffs(a0: float, a) -> FieldCoeffs:
@@ -264,22 +262,9 @@ def test_grid_mismatch_raises():
 BLOCK_GRIDS = [(25, 50), (32, 64), (49, 98)]
 
 
-def one_block_M(basis, H):
-    # the pencil without blocking: every l >= 1 row on every node
-    M = weighted_gram(basis, -H.h / (2.0 * H.samples), -H.h, np.arange(1, basis.n_basis))
-    mu = basis.eigenvalues[1:]
-    M[np.diag_indices_from(M)] += mu * (0.5 * mu - 1.0)
-    return 0.5 * (M + M.T)
-
-
 def row_sets(blocks):
     # every row set of the (rows (k, n), block) pairs, in order
     return [r for rows, _ in blocks for r in rows]
-
-
-def dense_min(M, kdiag, keep):
-    s = 1.0 / np.sqrt(kdiag[keep])
-    return np.linalg.eigvalsh(M[np.ix_(keep, keep)] * np.outer(s, s))[0]
 
 
 @pytest.mark.parametrize("shape", BLOCK_GRIDS + [(25, 51)])
@@ -291,10 +276,10 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
     for r in (0.3, 1e-2):
         H = h_family(eigs, bbar, r, grid)
         pencil = assemble_pencil(basis, H)
-        dense = one_block_M(basis, H)
+        dense = reference.one_block_M(basis, H)
         scale = np.abs(dense).max()
         inside = np.zeros(dense.shape, dtype=bool)
-        for rows in row_sets(pencil.blocks):
+        for rows in row_sets(reference.blocks(pencil)):
             inside[np.ix_(rows, rows)] = True
             # row sets increase, so a block's l = 1 rows lead it
             assert np.all(np.diff(rows) > 0)
@@ -303,11 +288,11 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
         assert np.abs(pencil.M - dense)[inside].max() <= 1e-12 * scale
 
         rows = np.arange(dense.shape[0])
-        ref = dense_min(dense, pencil.kdiag, rows[pencil.degrees >= 2])
+        ref = reference.dense_min(dense, pencil.kdiag, rows[pencil.degrees >= 2])
         val, _ = min_pencil_eigenvalue(pencil, restrict=True)
         assert abs(val - ref) <= 1e-12 * abs(ref)
         if r == 0.3:
-            ref = dense_min(dense, pencil.kdiag, rows)
+            ref = reference.dense_min(dense, pencil.kdiag, rows)
             val, _ = min_pencil_eigenvalue(pencil)
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
@@ -315,8 +300,8 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
 def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     # an asymmetric h has no symmetry to split by: one block of every row
     pencil = assemble_pencil(BASIS, random_positive_field(np.random.default_rng(61)))
-    assert len(row_sets(pencil.blocks)) == 1
-    np.testing.assert_array_equal(row_sets(pencil.blocks)[0], np.arange(NMODES - 1))
+    assert len(row_sets(reference.blocks(pencil))) == 1
+    np.testing.assert_array_equal(row_sets(reference.blocks(pencil))[0], np.arange(NMODES - 1))
     # three distinct lam: h depends on phi, and an odd n_phi has no node at
     # phi = pi - phi_j, so x1 is lost; x2 and x3 still split the rows into
     # the 4 classes of (trig type, l + |m| parity)
@@ -326,8 +311,8 @@ def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     pencil = assemble_pencil(basis, H)
     m, l = basis.orders[1:], basis.degrees[1:]
     code = 2 * (m < 0) + 4 * ((l + np.abs(m)) % 2)
-    assert len(row_sets(pencil.blocks)) == 4
-    for rows, want in zip(row_sets(pencil.blocks), (0, 2, 4, 6)):
+    assert len(row_sets(reference.blocks(pencil))) == 4
+    for rows, want in zip(row_sets(reference.blocks(pencil)), (0, 2, 4, 6)):
         np.testing.assert_array_equal(rows, np.flatnonzero(code == want))
 
 
@@ -349,23 +334,23 @@ def test_axisymmetric_family_takes_order_blocks(shape):
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.3, grid)
     pencil = assemble_pencil(basis, H)
     expected = order_rows(12, 1)
-    assert len(row_sets(pencil.blocks)) == len(expected) == 2 * 12 + 1
-    for rows, want in zip(row_sets(pencil.blocks), expected):
+    assert len(row_sets(reference.blocks(pencil))) == len(expected) == 2 * 12 + 1
+    for rows, want in zip(row_sets(reference.blocks(pencil)), expected):
         np.testing.assert_array_equal(rows, want)
     # the cos and sin rows of an order share their matrix
-    for a, (rows, _) in enumerate(pencil.blocks):
+    for a, (rows, _) in enumerate(reference.blocks(pencil)):
         assert rows.shape == (2 if a else 1, 12 + 1 - max(a, 1))
 
-    dense = one_block_M(basis, H)
+    dense = reference.one_block_M(basis, H)
     scale = np.abs(dense).max()
     inside = np.zeros(dense.shape, dtype=bool)
-    for rows in row_sets(pencil.blocks):
+    for rows in row_sets(reference.blocks(pencil)):
         inside[np.ix_(rows, rows)] = True
     assert np.abs(dense[~inside]).max() <= 1e-13 * scale
     assert np.abs(pencil.M - dense)[inside].max() <= 1e-12 * scale
     rows = np.arange(dense.shape[0])
     for restrict, keep in ((False, rows), (True, rows[pencil.degrees >= 2])):
-        ref = dense_min(dense, pencil.kdiag, keep)
+        ref = reference.dense_min(dense, pencil.kdiag, keep)
         val, _ = min_pencil_eigenvalue(pencil, restrict=restrict)
         assert abs(val - ref) <= 1e-9 * abs(ref)
         assert pencil_minimum(pencil, restrict=restrict) == val
@@ -380,7 +365,7 @@ def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
     def min_over_r4(shape, L):
         grid = build_grid(*shape)
         pencil = assemble_pencil(build_basis(grid, L), h_family(eigs, 1.0 / 30.0, r, grid))
-        assert len(row_sets(pencil.blocks)) == 2 * L + 1
+        assert len(row_sets(reference.blocks(pencil))) == 2 * L + 1
         return min_pencil_eigenvalue(pencil)[0] / r**4
 
     ref = min_over_r4((25, 50), 24)
@@ -397,7 +382,7 @@ def test_family_axisymmetric_about_x1_keeps_parity_or_one_block():
     for shape, count in (((25, 50), 8), ((25, 51), 4)):
         grid = build_grid(*shape)
         H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
-        assert len(row_sets(assemble_pencil(build_basis(grid, 8), H).blocks)) == count
+        assert len(row_sets(reference.blocks(assemble_pencil(build_basis(grid, 8), H)))) == count
 
 
 @pytest.mark.parametrize("shape", BLOCK_GRIDS + [(25, 51)])
@@ -411,16 +396,16 @@ def test_family_takes_the_blocked_path(shape):
     eigs = RicciEigs(np.array(config.lam))
     for bbar in config.bbar_list + config.bracket:
         for r in config.r_list + (config.bisect_r,):
-            blocks = assemble_pencil(basis, h_family(eigs, bbar, r, grid)).blocks
+            blocks = reference.blocks(assemble_pencil(basis, h_family(eigs, bbar, r, grid)))
             assert len(row_sets(blocks)) == 2 * 4 + 1
     # every other H the command line builds splits too: the const family,
     # and the quartic family with three distinct lam, 4 classes on odd
     # n_phi and 8 on even
-    blocks = assemble_pencil(basis, constant_field(grid, -config.eps)).blocks
+    blocks = reference.blocks(assemble_pencil(basis, constant_field(grid, -config.eps)))
     assert len(row_sets(blocks)) == 2 * 4 + 1
     eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
     for bbar, r in ((config.bbar, config.r), (0.0, 1e-1), (1.0 / 90.0, 1e-3)):
-        blocks = assemble_pencil(basis, h_family(eigs, bbar, r, grid)).blocks
+        blocks = reference.blocks(assemble_pencil(basis, h_family(eigs, bbar, r, grid)))
         assert len(row_sets(blocks)) == (4 if shape[1] % 2 else 8)
 
 
@@ -537,7 +522,7 @@ def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
         min_pencil_eigenvalue(pencil, restrict=restrict)
     assert sorted(built) == want
     # reading blocks builds the rest, once each
-    assert len(pencil.blocks) == blocks
+    assert len(reference.blocks(pencil)) == blocks
     assert sorted(built) == list(range(blocks))
 
 
@@ -564,17 +549,51 @@ def test_asymmetric_block_is_refused_when_built(monkeypatch, lam, gram):
                 pencil.block(i)
 
 
-def reflect(x, axis):
-    # a field on the (n_theta, n_phi) view under x_axis -> -x_axis
-    nphi = x.shape[1]
-    j = np.arange(nphi)
-    return (x[:, (nphi // 2 - j) % nphi], x[:, -j % nphi], x[::-1])[axis - 1]
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("lam, gram", [((1.0, 1.0, -2.0), "_order_gram"), ((0.7, 0.5, -1.2), "_class_gram")])
+@pytest.mark.parametrize("bad, both", [(math.inf, True), (math.inf, False), (math.nan, True)])
+def test_non_finite_block_is_refused_when_built(monkeypatch, lam, gram, bad, both):
+    # a block holding inf or NaN, on both sides of the diagonal or on one,
+    # is refused as it is built; the asymmetry test read NaN as passing
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
+    real = getattr(harmonics_module, gram)
+
+    def broken(*args):
+        B = real(*args)
+        B[-1, -2] = bad
+        if both:
+            B[-2, -1] = bad
+        return B
+
+    monkeypatch.setattr(harmonics_module, gram, broken)
+    pencil = assemble_pencil(basis, H)
+    for i, rows in enumerate(pencil.row_sets):
+        if rows.shape[1] > 1:
+            with pytest.raises(AssertionError, match="not finite"):
+                pencil.block(i)
 
 
-def whitened_min(pencil, rows, B, solver=np.linalg.eigvalsh):
-    # solver on B over rows whitened by kdiag, as the pencil solves it
-    s = 1.0 / np.sqrt(pencil.kdiag[rows])
-    return solver(B * np.outer(s, s)), s
+@pytest.mark.parametrize("shape, L", [((8, 16), 4), ((13, 26), 12), ((25, 51), 24)])
+def test_h_rule_keeps_every_block_finite(shape, L):
+    # at the largest |h| the pencil takes, no ring sum, product or block
+    # overflows, on the order path, the parity path and one block; past
+    # it the pencil is refused by a rule that names h
+    grid = build_grid(*shape)
+    basis = build_basis(grid, L)
+    x1, x2, x3 = grid.xyz.T
+    for shape_h in (1.0 + x3**2, 1.0 + x1**2 + 2.0 * x3**4, 1.5 + x1 * x2**2 + x3):
+        h = shape_h / shape_h.max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pencil = assemble_pencil(basis, mean_curvature_from_h(grid, h * _gram_limit(basis)))
+            assert pencil.sups[1] == _gram_limit(basis)
+            for i in range(len(pencil.row_sets)):
+                assert np.isfinite(pencil.block(i)).all()
+            assert math.isfinite(pencil_minimum(pencil))
+        with pytest.raises(ValueError, match=r"h = H - 2 is too large for the Gram sums: max \|h\| = "):
+            assemble_pencil(basis, mean_curvature_from_h(grid, h * (1.0 + 1e-15) * _gram_limit(basis)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -602,28 +621,28 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
     h = synthesize(basis, FieldCoeffs(L, c)).reshape(grid.n_theta, grid.n_phi)
     if symmetry == "reflections":
         for axis in held - ({1} if grid.n_phi % 2 else set()):
-            h = 0.5 * (h + reflect(h, axis))
+            h = 0.5 * (h + reference.mirror(h, axis))
     h = h.ravel() * (10.0**log_amp / np.abs(h).max())
     H = mean_curvature_from_h(grid, h)
     pencil = assemble_pencil(basis, H)
     assert pencil.sups == (np.abs(h / (2.0 * H.samples)).max(), np.abs(h).max())
     if symmetry == "ring":
-        assert len(pencil.blocks) == L + 1
+        assert len(reference.blocks(pencil)) == L + 1
     elif symmetry == "none":
-        assert len(pencil.blocks) == 1
+        assert len(reference.blocks(pencil)) == 1
 
     # every block and its l >= 2 part, solved: each minimum clears the
     # round-sphere bound of its lowest degree
     s_lap, s_grad = pencil.sups
-    brute = np.full((2, len(pencil.blocks)), math.inf)
+    brute = np.full((2, len(reference.blocks(pencil))), math.inf)
     parts = []
-    for i, (rows, B) in enumerate(pencil.blocks):
+    for i, (rows, B) in enumerate(reference.blocks(pencil)):
         rows = rows[0]
         keep = pencil.degrees[rows] >= 2
         parts.append([(rows, B), (rows[keep], B[np.ix_(keep, keep)])])
         for k, (sub, Bsub) in enumerate(parts[-1]):
             if sub.size:
-                brute[k, i] = whitened_min(pencil, sub, Bsub)[0][0]
+                brute[k, i] = reference.whitened_min(pencil.kdiag, sub, Bsub)[0][0]
                 l0 = pencil.degrees[sub[0]]
                 assert brute[k, i] >= 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) - 1e-12
 
@@ -641,7 +660,7 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
                 assert brute[row, i] > brute[row].min()
     for k in (0, 1):
         i = int(np.argmin(brute[k]))
-        (_, vecs), s = whitened_min(pencil, *parts[i][k], np.linalg.eigh)
+        (_, vecs), s = reference.whitened_min(pencil.kdiag, *parts[i][k], np.linalg.eigh)
         want = np.zeros(basis.n_basis)
         want[parts[i][k][0] + 1] = vecs[:, 0] * s
         want /= np.linalg.norm(want)
@@ -654,13 +673,15 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
 def exact_minima(pencil):
     # the 40-digit minima over l >= 1 and l >= 2 of each block, whitened by
     # kdiag in float64 as the solver sees it
+    def exact_eigvals(W):
+        return mpmath.mp.eigsy(mpmath.matrix(W.tolist()), eigvals_only=True)
+
     def exact_min(rows, B):
-        s = 1.0 / np.sqrt(pencil.kdiag[rows])
         with mpmath.workdps(40):
-            return min(mpmath.mp.eigsy(mpmath.matrix((B * np.outer(s, s)).tolist()), eigvals_only=True))
+            return min(reference.whitened_min(pencil.kdiag, rows, B, exact_eigvals)[0])
 
     full, cut = [], []
-    for rows, B in pencil.blocks:
+    for rows, B in reference.blocks(pencil):
         rows = rows[0]
         full.append(exact_min(rows, B))
         keep = pencil.degrees[rows] >= 2

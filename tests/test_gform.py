@@ -35,9 +35,11 @@ from wy_stability.harmonics import (
     project,
     synthesize,
     weighted_form,
-    weighted_gram,
 )
 from wy_stability.quad import build_grid, integrate
+
+import reference
+from reference import random_direction, random_eigs
 
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
@@ -45,17 +47,6 @@ NMODES = (8 + 1) ** 2
 
 CANON_EIGS = RicciEigs(np.array([1.0, 1.0, -2.0]))
 CANON_DIR = Direction(np.array([0.0, 0.0, 1.0]))
-
-
-def random_eigs(rng) -> RicciEigs:
-    lam = rng.normal(size=3)
-    lam -= lam.mean()
-    return RicciEigs(lam)
-
-
-def random_direction(rng) -> Direction:
-    v = rng.normal(size=3)
-    return Direction(v / np.linalg.norm(v))
 
 
 def random_complement(rng) -> FieldCoeffs:
@@ -279,7 +270,7 @@ BLOCK_GRIDS = [(25, 50), (32, 64), (49, 98)]
 
 def dense_minimize_G(basis, eigs, d, bbar):
     # the stationarity solve without blocking: every l >= 2 row on every node
-    Q = weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
+    Q = reference.weighted_gram(basis, 0.5, -1.0, np.arange(4, basis.n_basis))
     Q = 0.5 * (Q + Q.T)
     phi = phi_field(eigs, basis.grid)
     b = weighted_form(basis, phi / 4.0, phi, eta1_coeffs(d, basis.L))[4:]

@@ -24,19 +24,15 @@ from wy_stability.harmonics import (
     project,
     synthesize,
     weighted_form,
-    weighted_gram,
 )
 from wy_stability.quad import build_grid, integrate
+
+import reference
+from reference import unit_coeffs
 
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
 NMODES = (8 + 1) ** 2
-
-
-def unit_coeffs(l: int, m: int) -> FieldCoeffs:
-    c = np.zeros(NMODES)
-    c[index_of(l, m)] = 1.0
-    return FieldCoeffs(8, c)
 
 
 def test_index_of_is_a_bijection():
@@ -185,7 +181,7 @@ def test_field_coeffs_shape_check():
 
 def test_weighted_form_round_identity():
     # int [ Lap u Lap v / 2 - <grad u, grad v> ] is diag(mu (mu/2 - 1)) on l >= 2
-    gram = weighted_gram(BASIS, 0.5, -1.0, np.arange(4, NMODES))
+    gram = reference.weighted_gram(BASIS, 0.5, -1.0, np.arange(4, NMODES))
     mu = BASIS.eigenvalues[4:]
     expected = np.diag(mu * (0.5 * mu - 1.0))
     assert np.max(np.abs(gram - expected)) < 1e-12 * np.max(np.abs(expected))
@@ -195,7 +191,7 @@ def test_weighted_form_scalar_vector_and_gram_agree():
     rng = np.random.default_rng(59)
     w_lap = 1.0 + rng.random(GRID.n_nodes)
     w_grad = rng.normal(size=GRID.n_nodes)
-    gram = weighted_gram(BASIS, w_lap, w_grad, np.arange(1, NMODES))
+    gram = reference.weighted_gram(BASIS, w_lap, w_grad, np.arange(1, NMODES))
     for _ in range(3):
         u = FieldCoeffs(8, rng.normal(size=NMODES))
         v = FieldCoeffs(8, rng.normal(size=NMODES))
@@ -305,34 +301,28 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     ]
     weights = [(-H.h / (2.0 * H.samples), -H.h) for H in fields] + [(0.5, -1.0)]
     rows = np.arange(1, basis.n_basis)
-    on_demand = [weighted_gram(basis, wl, wg, rows) for wl, wg in weights]
+    on_demand = [reference.weighted_gram(basis, wl, wg, rows) for wl, wg in weights]
 
     def read_tables(basis_, rows_, rad, ang):
         return tables[(rad is basis_.drad) + 2 * (ang is basis_.dang)][rows_]
 
     monkeypatch.setattr(harmonics_module, "_row_samples", read_tables)
-    dense = [weighted_gram(basis, wl, wg, rows) for wl, wg in weights]
+    dense = [reference.weighted_gram(basis, wl, wg, rows) for wl, wg in weights]
     monkeypatch.undo()
     for a, b in zip(on_demand, dense):
         np.testing.assert_array_equal(a, b)
 
-    # the pencil, block by block, against that reference
-    for H, M in zip(fields, dense):
-        M = 0.5 * (M + M.T) + np.diag(mu[1:] * (0.5 * mu[1:] - 1.0))
+    # the pencil, block by block, against the one-block M that the same
+    # reference gives
+    for H in fields:
+        M = reference.one_block_M(basis, H)
         pencil = assemble_pencil(basis, H)
         scale = np.abs(M).max()
         inside = np.zeros(M.shape, dtype=bool)
-        for rows_b, block in ((r, B) for rows, B in pencil.blocks for r in rows):
+        for rows_b, block in ((r, B) for rows, B in reference.blocks(pencil) for r in rows):
             inside[np.ix_(rows_b, rows_b)] = True
             assert np.abs(block - M[np.ix_(rows_b, rows_b)]).max() <= 1e-12 * scale
-        assert len(pencil.blocks) > 1 and np.abs(M[~inside]).max() <= 1e-13 * scale
-
-
-def mirror(x, axis):
-    # a field on the (n_theta, n_phi) view under x_axis -> -x_axis
-    nphi = x.shape[1]
-    j = np.arange(nphi)
-    return (x[:, (nphi // 2 - j) % nphi], x[:, -j % nphi], x[::-1])[axis - 1]
+        assert len(reference.blocks(pencil)) > 1 and np.abs(M[~inside]).max() <= 1e-13 * scale
 
 
 def expected_classes(basis, ring, held):
@@ -370,7 +360,7 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         if ring:
             x[:] = x[:, :1]
         for axis in held:
-            x = 0.5 * (x + mirror(x, axis))
+            x = 0.5 * (x + reference.mirror(x, axis))
         weights.append(x.ravel())
     sets, build = gram_blocks(basis, *weights)
     pairs = [(rows, build(i)) for i, rows in enumerate(sets)]
@@ -388,7 +378,7 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
 
     # every block matches the dense reference; the dense entries between
     # classes are roundoff, and the pencil is exactly zero there
-    dense = weighted_gram(basis, *weights, np.arange(1, basis.n_basis))
+    dense = reference.weighted_gram(basis, *weights, np.arange(1, basis.n_basis))
     scale = np.abs(dense).max()
     inside = np.zeros(dense.shape, dtype=bool)
     for rows, B in blocks:
@@ -398,7 +388,7 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
     H = mean_curvature_from_h(grid, 0.1 * weights[1] / np.abs(weights[1]).max())
     pencil = assemble_pencil(basis, H)
     inside = np.zeros(pencil.M.shape, dtype=bool)
-    row_sets = [r for rows, _ in pencil.blocks for r in rows]
+    row_sets = [r for rows, _ in reference.blocks(pencil) for r in rows]
     for rows in row_sets:
         inside[np.ix_(rows, rows)] = True
     assert len(row_sets) == len(expected_classes(basis, ring, held))
