@@ -210,7 +210,7 @@ def _config_dict(config: RunConfig) -> dict:
     return d
 
 
-def _report(config: RunConfig, results, summary, verdict: str, timings=None) -> dict:
+def _report(config: RunConfig, results, summary, verdict: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -219,7 +219,7 @@ def _report(config: RunConfig, results, summary, verdict: str, timings=None) -> 
         "results": results,
         "summary": summary,
         "verdict": verdict,
-        "timings": timings,
+        "timings": None,
     }
 
 
@@ -371,17 +371,12 @@ def cmd_gform(config: RunConfig) -> dict:
                     "pass": row_ok,
                 }
             )
-    classes = {}
-    for row in rows:
-        classes.setdefault(row["bbar"], set()).add(row["classification"])
-    consistent = all(len(v) == 1 for v in classes.values())
     summary = {
         "lam": list(config.lam),
         "sum_lam_sq": eigs.sum_sq,
         "threshold_bbar": THRESHOLD_BBAR,
-        "classification_consistent_across_directions": consistent,
     }
-    return _report(config, rows, summary, "PASS" if ok and consistent else "FAIL")
+    return _report(config, rows, summary, "PASS" if ok else "FAIL")
 
 
 def cmd_scan(config: RunConfig) -> dict:

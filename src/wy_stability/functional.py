@@ -52,14 +52,15 @@ two deficit weights; so, by Weyl's inequality, no eigenvalue of a block
 whose lowest degree is l0 lies below 1/2 - s_lap - (1 + s_grad) /
 (l0 (l0 + 1)).  Over l >= 2 each block is read from its offset k, the
 number of l = 1 rows that lead it: ``block(i)[k:, k:]`` over
-``row_sets[i][0][k:]``.  ``pencil_minimum`` visits these parts (i, k)
-by ascending bound, takes each minimum from the eigenvalues alone
-(``eigvalsh`` of the part whitened by K), and stops where the bound
-clears the running minimum.  The pencil records each part's minimum,
-so a part is solved at most once across both minima and the witness,
-and the bound needs only the sups, so a part it skips is never built.
-``min_pencil_eigenvalue`` takes the part holding the minimum from the
-same routine and runs one ``eigh``, on that part, for its witness.
+``row_sets[i][0][k:]``.  ``pencil_minimum`` visits these parts (i, k) by
+ascending bound, as the block layout lists them, takes each minimum from
+the eigenvalues alone (``eigvalsh`` of the part whitened by K), and
+stops where the bound clears the running minimum.  The pencil records
+each part's minimum, so a part is solved at most once across both minima
+and the witness, and the bound needs only the sups, so a part it skips
+is never built.  ``min_pencil_eigenvalue`` takes the part holding the
+minimum from the same routine and runs one ``eigh``, on that part, for
+its witness.
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ from numpy.typing import NDArray
 from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
+    LINEAR_ROWS,
     _check_match,
     _gram_limit,
     gram_blocks,
-    index_of,
+    round_diagonal,
     weighted_form,
 )
 from .quad import FOUR_PI, SphereGrid, integrate
@@ -167,7 +169,8 @@ class HessianPencil:
     entry removed.  M is zero outside its diagonal blocks: one distinct
     block per entry of ``row_sets``, in the order ``gram_blocks`` gives
     them, where ``row_sets[i]`` has shape (k, n), the k row sets whose
-    block is ``block(i)``.  When h is constant on every theta ring there
+    block is ``block(i)``, and ``parts[restrict]`` the parts that
+    ``_row_minimum`` visits.  When h is constant on every theta ring there
     is one block per azimuthal order, with k = 2 (its cos rows, then its
     sin rows) for order > 0; else one per parity class of the
     reflections h is even under (k = 1), one of every row when there
@@ -176,8 +179,8 @@ class HessianPencil:
     A block is built the first time it is read: ``block(i)`` calls
     ``build(i)`` once and keeps the result, so a solve that reads few
     blocks builds few.  The dense ``M`` (46 MB at L = 48) reads every
-    block; no command reads it, but the benchmark tracer
-    (``perfbench/tracer.py``) sizes its counts from it and ``degrees``.
+    block; no command reads it or ``degrees`` (each row's l), but the
+    benchmark tracer (``perfbench/tracer.py``) sizes its counts from both.
     ``_minima`` records the smallest eigenvalue of each part (i, k)
     solved so far, ``block(i)[k:, k:]`` whitened by kdiag, so each part
     is solved at most once.
@@ -191,6 +194,7 @@ class HessianPencil:
     kdiag: NDArray[np.float64]
     degrees: NDArray[np.int64]
     row_sets: tuple[NDArray[np.int64], ...]
+    parts: tuple[tuple[tuple[int, int, int], ...], ...]
     sups: tuple[float, float]
     build: Callable[[int], NDArray[np.float64]] = field(repr=False, compare=False)
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -225,12 +229,6 @@ def _check_field(basis: HarmonicBasis, H: MeanCurvatureField) -> None:
         raise ValueError("mean curvature field and basis use different grids")
 
 
-def _round_diagonal(basis: HarmonicBasis) -> NDArray[np.float64]:
-    """Exact round-sphere form on each mode: mu (mu/2 - 1), mu = l(l+1)."""
-    mu = basis.eigenvalues
-    return mu * (0.5 * mu - 1.0)
-
-
 def eval_F(basis: HarmonicBasis, H: MeanCurvatureField, eta: FieldCoeffs) -> float:
     """Evaluate F_H(eta) in deficit form, by spectral differentiation and quadrature."""
     return eval_Q(basis, H, eta, eta)
@@ -249,7 +247,7 @@ def eval_Q(
     """
     _check_field(basis, H)
     deficit_part = weighted_form(basis, H.h / (2.0 * H.samples), H.h, eta1, eta2)
-    return float(_round_diagonal(basis) @ (eta1.c * eta2.c)) - deficit_part
+    return float(round_diagonal(basis) @ (eta1.c * eta2.c)) - deficit_part
 
 
 def kernel_closed_form(H: MeanCurvatureField, a: NDArray[np.float64]) -> float:
@@ -285,8 +283,8 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
     sups = (float(np.abs(w_lap).max()), float(np.abs(H.h).max()))
     if not max(sups) <= (limit := _gram_limit(basis)):
         raise ValueError(f"h = H - 2 is too large for the Gram sums: max |h| = {sups[1]:.6g} > {limit:.6g}")
-    row_sets, gram = gram_blocks(basis, w_lap, -H.h)
-    diag = _round_diagonal(basis)[1:]
+    row_sets, gram, parts = gram_blocks(basis, w_lap, -H.h)
+    diag = round_diagonal(basis)[1:]
 
     def build(i: int) -> NDArray[np.float64]:
         B = gram(i)
@@ -298,6 +296,7 @@ def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPenci
         kdiag=basis.eigenvalues[1:] ** 2,
         degrees=basis.degrees[1:],
         row_sets=row_sets,
+        parts=parts,
         sups=sups,
         build=build,
     )
@@ -322,16 +321,16 @@ _BOUND_MARGIN = 1e-9
 def _row_minimum(pencil: HessianPencil, restrict: bool) -> tuple[float, int, int]:
     """The smallest eigenvalue of M v = lambda K v over l >= 1, or with
     ``restrict`` over l >= 2, and the part (i, k) that holds it: block i
-    from its offset k, 0, or with ``restrict`` its number of l = 1 rows
-    (a row set increases, and the basis orders rows by degree).
+    from its offset k, 0, or with ``restrict`` its number of l = 1 rows.
 
     The whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups``
     bounds the rest, so the minimum over rows of degree l0 and up is at
     least 1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  The parts are
-    visited as (lowest degree, i, k) in ascending order, hence ascending
-    bound, and solved by ``eigvalsh`` until the bound exceeds the
-    running minimum by ``_BOUND_MARGIN``; each minimum goes into
-    ``pencil._minima``, and a part found there is not solved again.
+    visited as ``pencil.parts[restrict]`` lists them, ascending (lowest
+    degree, i, k), hence ascending bound, and solved by ``eigvalsh``
+    until the bound exceeds the running minimum by ``_BOUND_MARGIN``;
+    each minimum goes into ``pencil._minima``, and a part found there is
+    not solved again.
     Every part that can hold or tie the minimum is solved, so the
     minimum, and the first block attaining it, are those of solving
     every part.
@@ -339,14 +338,8 @@ def _row_minimum(pencil: HessianPencil, restrict: bool) -> tuple[float, int, int
     if restrict and pencil.L < 2:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
     s_lap, s_grad = pencil.sups
-    parts = []
-    for i, rows in enumerate(pencil.row_sets):
-        degrees = pencil.degrees[rows[0]].tolist()
-        k = degrees.count(1) if restrict else 0
-        if k < len(degrees):
-            parts.append((degrees[k], i, k))
     best = (math.inf, -1, -1)
-    for l0, i, k in sorted(parts):
+    for l0, i, k in pencil.parts[restrict]:
         if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > best[0] + _BOUND_MARGIN:
             break
         if (i, k) not in pencil._minima:
@@ -404,14 +397,7 @@ def decompose_kernel(basis: HarmonicBasis, coeffs: FieldCoeffs) -> KernelDecompo
     _check_match(basis, coeffs)
     c = coeffs.c
     a0 = float(c[0] / math.sqrt(FOUR_PI))
-    scale = math.sqrt(3.0 / FOUR_PI)
-    a = np.array(
-        [
-            scale * c[index_of(1, 1)],
-            scale * c[index_of(1, -1)],
-            scale * c[index_of(1, 0)],
-        ]
-    )
+    a = math.sqrt(3.0 / FOUR_PI) * c[LINEAR_ROWS]
     c2 = c.copy()
     c2[:4] = 0.0
     return KernelDecomposition(a0=a0, a=a, eta2=FieldCoeffs(coeffs.L, c2))

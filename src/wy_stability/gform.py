@@ -34,13 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .functional import _round_diagonal
 from .harmonics import (
+    LINEAR_ROWS,
     FieldCoeffs,
     HarmonicBasis,
     analyze,
-    index_of,
     project,
+    round_diagonal,
     synthesize,
     weighted_form,
 )
@@ -153,10 +153,7 @@ def phi_field(eigs: RicciEigs, grid: SphereGrid) -> NDArray[np.float64]:
 def eta1_coeffs(direction: Direction, L: int) -> FieldCoeffs:
     """Exact spectral coefficients of eta1 = <a, x> (pure degree 1)."""
     c = np.zeros((L + 1) ** 2)
-    s = math.sqrt(FOUR_PI / 3.0)
-    c[index_of(1, 1)] = s * direction.a[0]
-    c[index_of(1, -1)] = s * direction.a[1]
-    c[index_of(1, 0)] = s * direction.a[2]
+    c[LINEAR_ROWS] = math.sqrt(FOUR_PI / 3.0) * direction.a
     return FieldCoeffs(L, c)
 
 
@@ -307,9 +304,9 @@ def minimize_G(
     comes from the cross-term integrand by quadrature, and the quadratic
     part is the round-sphere form int [(Lap u)^2 / 2 - |grad u|^2] dv,
     which on the orthonormal harmonics is exactly the diagonal
-    mu (mu/2 - 1) >= 12, mu = l(l+1), that the pencil adds
-    (``_round_diagonal``).  The stationarity condition is then solved
-    row by row.
+    mu (mu/2 - 1) >= 12, mu = l(l+1), of ``harmonics.round_diagonal``,
+    which the pencil adds too.  The stationarity condition is then
+    solved row by row.
 
     bbar enters G only through its constant term, so the minimizer is
     found once for the direction and each value of ``bbars`` only
@@ -321,7 +318,7 @@ def minimize_G(
     # linear part: G contains -2 * b . v with
     # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
     b = _g_cross(basis, eigs, direction)[4:]
-    v = b / _round_diagonal(basis)[4:]
+    v = b / round_diagonal(basis)[4:]
     half_A = _half_A(basis, eigs, direction)
     bv = float(b @ v)
     values = [_g_constant(eigs, bbar, half_A) - bv for bbar in bbars]

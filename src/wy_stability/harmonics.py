@@ -13,7 +13,8 @@ without the Condon-Shortley phase,
 
 Functions are indexed by ``l*l + l + m`` so the block for degree ``l``
 occupies indices ``l*l .. l*l + 2l``.  With this convention the l=1 block
-is ``sqrt(3/4pi) * (x2, x3, x1)`` in index order.
+is ``sqrt(3/4pi) * (x2, x3, x1)`` in index order; ``LINEAR_ROWS`` holds
+the rows of x1, x2 and x3.
 
 Theta derivatives are evaluated through the analytic recurrence
 
@@ -50,8 +51,8 @@ phi nodes.  ``gram_blocks``, the builder of the Gram blocks of the
 pencil, splits the rows by the symmetries the weights have and
 computes every entry as a theta sum: the phi sum of two trig factors
 against a ring's weights is read exactly off the ring's Fourier
-coefficients.  It returns the row sets and a builder that computes
-each distinct block, one product per term, only when it is called.
+coefficients.  It returns the row sets, a builder that computes each
+distinct block, one product per term, only when called, and the parts.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ __all__ = [
     "HarmonicBasis",
     "build_basis",
     "index_of",
+    "LINEAR_ROWS",
+    "round_diagonal",
     "gram_blocks",
     "analyze",
     "synthesize",
@@ -86,6 +89,10 @@ def index_of(l: int, m: int) -> int:
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid (l, m) = {(l, m)}")
     return l * l + l + m
+
+
+# a list: numpy reads a tuple as one index per axis
+LINEAR_ROWS = [index_of(1, 1), index_of(1, -1), index_of(1, 0)]
 
 
 @dataclass(frozen=True)
@@ -258,6 +265,12 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
     )
 
 
+def round_diagonal(basis: HarmonicBasis) -> NDArray[np.float64]:
+    """Exact round-sphere form on each mode: mu (mu/2 - 1), mu = l(l+1)."""
+    mu = basis.eigenvalues
+    return mu * (0.5 * mu - 1.0)
+
+
 def _synthesis(basis: HarmonicBasis, c, rad, ang) -> NDArray[np.float64]:
     """sum_k c_k rad_k(theta) ang_k(phi) at every node, in O(L^3).
 
@@ -378,15 +391,16 @@ def weighted_form(
 
 def gram_blocks(
     basis: HarmonicBasis, w_lap: NDArray[np.float64], w_grad: NDArray[np.float64]
-) -> tuple[tuple[NDArray[np.int64], ...], Callable[[int], NDArray[np.float64]]]:
-    """Gram matrix of ``weighted_form`` over degrees >= 1, as row sets and a block builder.
+) -> tuple[tuple[NDArray[np.int64], ...], Callable[[int], NDArray[np.float64]], tuple]:
+    """Gram matrix of ``weighted_form`` over degrees >= 1, as row sets, block builder, parts.
 
-    The weights are nodal arrays.  Returns (sets, build): ``sets[i]``
-    has shape (k, n), the k row sets that share the diagonal block
-    ``build(i)``, each of n rows counted from row 1, increasing.  Only
-    the ring coefficients of the weights are computed here; each call of
-    ``build`` computes its block from them, so a caller builds only the
-    blocks it reads.  The blocks follow the symmetries that both weight
+    The weights are nodal arrays.  Returns (sets, build, parts):
+    ``sets[i]`` has shape (k, n), the k row sets that share the diagonal
+    block ``build(i)``, each of n rows counted from row 1, increasing;
+    ``parts`` is ``_layout``'s.  Only the ring coefficients of the weights
+    are computed here; each call of ``build`` computes its block from
+    them, so a caller builds only the blocks it reads.  The blocks follow
+    the symmetries that both weight
     arrays have, each to 1e-13 of the array's max.  When they are
     constant on every theta ring, there is one block per order a = |m|
     over the degrees l >= max(a, 1), shared by its cos and its sin rows
@@ -442,7 +456,7 @@ def gram_blocks(
     mu = np.arange(L + 1) * (np.arange(L + 1) + 1.0)
     factors = [basis.rad * -mu[:, None], basis.drad, basis.rad]
     factors = [np.ascontiguousarray(f[..., :nt]) for f in factors]
-    sets, plan = _layout(L, mode)
+    sets, plan, parts = _layout(L, mode)
     if mode is None:
         phi = _phi_sums(spec, plan)  # [order, term, ring]
 
@@ -464,7 +478,7 @@ def gram_blocks(
             raise AssertionError(f"Gram block {i} is not finite, or its asymmetry {asym} exceeds tolerance")
         return B
 
-    return sets, build
+    return sets, build, parts
 
 
 def _gram_limit(basis: HarmonicBasis) -> float:
@@ -537,7 +551,7 @@ def _class_gram(spec, factors, own, g, r, right, pairs) -> NDArray[np.float64]:
 
 @functools.lru_cache(maxsize=4)
 def _layout(L: int, mode):
-    """The row sets of ``gram_blocks`` and the plan of their products, as (sets, plan).
+    """The row sets of ``gram_blocks``, the plan of their products, and their parts.
 
     Fixed by L and ``mode`` (None for ring-constant weights, else
     whether x1, x2, x3 hold); rows count from row 1.  For ring-constant
@@ -548,8 +562,10 @@ def _layout(L: int, mode):
     group g and its position r in the group's degrees par, par + step,
     ... padded to L // step + 1 (step 2 under x3); each group's factor
     rows ``right`` at those degrees, clipped to L; and the
-    ``_pair_terms`` of every (group, row's group) pair.  All of it is
-    read-only, and grows with the row count.
+    ``_pair_terms`` of every (group, row's group) pair.  ``parts[0]``
+    holds each block i as (lowest degree, i, 0), ``parts[1]`` each as
+    (lowest degree >= 2, i, k), k its l = 1 rows, which lead it; sorted.
+    All of it is read-only, and grows with the row count.
     """
     l = np.repeat(np.arange(1, L + 1), 2 * np.arange(1, L + 1) + 1)
     m = np.arange(1, (L + 1) ** 2) - l * (l + 1)
@@ -558,20 +574,25 @@ def _layout(L: int, mode):
         # the rows of order k alternate sin, cos by degree
         sets = [np.flatnonzero(a == k).reshape(-1, 1 + (k > 0)).T[::-1] for k in range(L + 1)]
         orders, zero = np.arange(L + 1), np.zeros(L + 1, dtype=np.intp)
-        return _read_only(*sets), _read_only(*_pair_terms(orders, zero, orders, zero))
-    key = mode[0] * ((a + s) % 2) + mode[1] * 2 * s + mode[2] * 4 * ((l + a) % 2)
-    step = 2 if mode[2] else 1
-    npad, sets, plan = L // step + 1, [], []
-    for c in np.unique(key):
-        rows = np.flatnonzero(key == c)
-        codes, first, g = np.unique(2 * a[rows] + s[rows], return_index=True, return_inverse=True)
-        ga, gs, par = codes // 2, codes % 2, l[rows[first]] % step
-        right = ga[:, None] * (L + 1) + np.minimum(par[:, None] + step * np.arange(npad), L)
-        idx = (a[rows] * (L + 1) + l[rows], g, (l[rows] - par[g]) // step, right)
-        pairs = _read_only(*_pair_terms(ga, gs, ga[:, None], gs[:, None]))
-        sets.append(rows[None])
-        plan.append((*_read_only(*idx), pairs))
-    return _read_only(*sets), tuple(plan)
+        plan = _read_only(*_pair_terms(orders, zero, orders, zero))
+    else:
+        key = mode[0] * ((a + s) % 2) + mode[1] * 2 * s + mode[2] * 4 * ((l + a) % 2)
+        step = 2 if mode[2] else 1
+        npad, sets, plan = L // step + 1, [], []
+        for c in np.unique(key):
+            rows = np.flatnonzero(key == c)
+            codes, first, g = np.unique(2 * a[rows] + s[rows], return_index=True, return_inverse=True)
+            ga, gs, par = codes // 2, codes % 2, l[rows[first]] % step
+            right = ga[:, None] * (L + 1) + np.minimum(par[:, None] + step * np.arange(npad), L)
+            idx = (a[rows] * (L + 1) + l[rows], g, (l[rows] - par[g]) // step, right)
+            pairs = _read_only(*_pair_terms(ga, gs, ga[:, None], gs[:, None]))
+            sets.append(rows[None])
+            plan.append((*_read_only(*idx), pairs))
+        plan = tuple(plan)
+    degrees = [l[rows[0]].tolist() for rows in sets]  # each block's, increasing
+    full = sorted((d[0], i, 0) for i, d in enumerate(degrees))
+    past_l1 = sorted((d[k], i, k) for i, d in enumerate(degrees) if (k := d.count(1)) < len(d))
+    return _read_only(*sets), plan, (tuple(full), tuple(past_l1))
 
 
 def _field_samples(basis: HarmonicBasis, u: FieldCoeffs):

@@ -526,6 +526,36 @@ def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
     assert sorted(built) == list(range(blocks))
 
 
+@pytest.mark.parametrize(
+    "shape, lam, blocks",
+    [
+        ((13, 26), (1.0, 1.0, -2.0), 13),  # ring-constant h: one block per order
+        ((13, 26), (0.7, 0.5, -1.2), 8),  # the 8 parity classes of an even n_phi
+        ((13, 27), (0.7, 0.5, -1.2), 4),  # the 4 of an odd n_phi
+        ((13, 26), None, 1),  # h with no symmetry: one block
+    ],
+)
+def test_pencil_parts_are_read_off_the_row_sets(shape, lam, blocks):
+    # the parts the layout lists match those found row by row: over l >= 1
+    # every block from its first row, over l >= 2 every block with a row of
+    # degree 2 or more from its first such row, as (degree, block, offset),
+    # sorted
+    grid = build_grid(*shape)
+    if lam is None:
+        H = mean_curvature_from_h(grid, 0.1 * np.random.default_rng(5).normal(size=grid.n_nodes))
+    else:
+        H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
+    pencil = assemble_pencil(build_basis(grid, 12), H)
+    assert len(pencil.row_sets) == blocks
+    for least in (1, 2):
+        want = []
+        for i, rows in enumerate(pencil.row_sets):
+            offsets = [k for k, l in enumerate(pencil.degrees[rows[0]]) if l >= least]
+            if offsets:
+                want.append((int(pencil.degrees[rows[0][offsets[0]]]), i, offsets[0]))
+        assert pencil.parts[least == 2] == tuple(sorted(want))
+
+
 @pytest.mark.parametrize("lam, gram", [((1.0, 1.0, -2.0), "_order_gram"), ((0.7, 0.5, -1.2), "_class_gram")])
 def test_asymmetric_block_is_refused_when_built(monkeypatch, lam, gram):
     # each block's asymmetry is checked against its own largest entry (or

@@ -362,7 +362,7 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         for axis in held:
             x = 0.5 * (x + reference.mirror(x, axis))
         weights.append(x.ravel())
-    sets, build = gram_blocks(basis, *weights)
+    sets, build, _ = gram_blocks(basis, *weights)
     pairs = [(rows, build(i)) for i, rows in enumerate(sets)]
     blocks = [(r, B) for rows, B in pairs for r in rows]
 
