@@ -87,6 +87,12 @@ _PATH_KEYS = ("out", "witness")  # output placement, not an analysis parameter
 
 BRACKET_TARGET = 1.0 / 450.0
 
+# bytes a grid and its basis may take: leggauss's companion matrix, n_theta^2
+# doubles; the seven node arrays, 7 n_theta n_phi; the basis factors,
+# 2 (L+1)^2 n_theta.  The largest size the repository uses, 97x194 at
+# L = 96, takes 16 MB
+GRID_BYTES_LIMIT = 2**30
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -227,6 +233,16 @@ def _report(config: RunConfig, results, summary, verdict: str) -> dict:
 # commands
 
 
+def _check_size(n_theta: int, n_phi: int, L: int) -> None:
+    """Refuse, before anything is allocated, sizes whose arrays pass ``GRID_BYTES_LIMIT``."""
+    need = 8 * (n_theta**2 + 7 * n_theta * n_phi + 2 * (L + 1) ** 2 * n_theta)
+    if need > GRID_BYTES_LIMIT:
+        raise ConfigError(
+            f"grid {n_theta}x{n_phi} at L = {L} needs {need / 2**30:.3g} GiB of arrays, "
+            f"over the {GRID_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _grid_basis(n_theta: int, n_phi: int, L: int):
     """The grid and the degree-L basis on it, kept for the last size asked for.
@@ -237,12 +253,14 @@ def _grid_basis(n_theta: int, n_phi: int, L: int):
     One size is kept: a sweep runs at one size, and each kept basis
     holds O(L^3) memory.
     """
+    _check_size(n_theta, n_phi, L)
     grid = build_grid(n_theta, n_phi)
     return grid, build_basis(grid, L)
 
 
 def cmd_integrals(config: RunConfig) -> dict:
     """Monomial oracle vs quadrature over all even triples of degree <= 10."""
+    _check_size(config.n_theta, config.n_phi, 0)
     grid = build_grid(config.n_theta, config.n_phi)
     tol = 1e-11
     rows = []
@@ -429,6 +447,11 @@ def cmd_scan(config: RunConfig) -> dict:
     if unrestricted_min(lo) > 0 > unrestricted_min(hi):
         while hi - lo > BRACKET_TARGET / 2.0:
             mid = 0.5 * (lo + hi)
+            # a sign change at a huge bbar, where adjacent floats are
+            # farther apart than the target, or lo + hi overflowing, ends the
+            # narrowing; the wide bracket then fails the width check
+            if not lo < mid < hi:
+                break
             if unrestricted_min(mid) > 0:
                 lo = mid
             else:
@@ -685,6 +708,12 @@ def run(config: RunConfig) -> tuple[dict, str]:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.format not in FORMATS:
         raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {config.format!r}")
+    # the least sizes the report schema admits, also for commands that build no grid
+    if config.n_theta < 2 or config.n_phi < 4 or config.ltrunc < 1:
+        raise ConfigError(
+            f"grid must be at least 2x4 and ltrunc at least 1, "
+            f"got {config.n_theta}x{config.n_phi} and ltrunc = {config.ltrunc}"
+        )
     t0 = time.perf_counter()
     report = _DISPATCH[config.command](config)
     if config.timings:

@@ -394,13 +394,12 @@ def gram_blocks(
 ) -> tuple[tuple[NDArray[np.int64], ...], Callable[[int], NDArray[np.float64]], tuple]:
     """Gram matrix of ``weighted_form`` over degrees >= 1, as row sets, block builder, parts.
 
-    The weights are nodal arrays.  Returns (sets, build, parts):
-    ``sets[i]`` has shape (k, n), the k row sets that share the diagonal
-    block ``build(i)``, each of n rows counted from row 1, increasing;
-    ``parts`` is ``_layout``'s.  Only the ring coefficients of the weights
-    are computed here; each call of ``build`` computes its block from
-    them, so a caller builds only the blocks it reads.  The blocks follow
-    the symmetries that both weight
+    The weights are nodal arrays.  Returns (sets, build, parts): ``sets[i]``
+    has shape (k, n), the k row sets that share the diagonal block
+    ``build(i)``, each of n rows counted from row 1, increasing.  Only
+    the ring coefficients of the weights are computed here; each call of
+    ``build`` computes its block from them, so a caller builds only the
+    blocks it reads.  The blocks follow the symmetries that both weight
     arrays have, each to 1e-13 of the array's max.  When they are
     constant on every theta ring, there is one block per order a = |m|
     over the degrees l >= max(a, 1), shared by its cos and its sin rows
@@ -425,7 +424,8 @@ def gram_blocks(
     groups, O(L^5) over all classes.  No entry between blocks is
     computed.  ``build`` symmetrizes its block once the block's
     asymmetry is checked against 1e-12 of its own largest entry (or
-    of 1), and raises AssertionError past that.
+    of 1), and raises AssertionError past that.  ``parts`` are the part
+    lists of ``_layout``.
     """
     L, grid = basis.L, basis.grid
     nt, nphi = grid.n_theta, grid.n_phi

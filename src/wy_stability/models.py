@@ -229,10 +229,20 @@ def classify_small_sphere(cd: CurvatureData) -> str:
 
 
 def bbar_from_b(b, cd: CurvatureData):
-    """Shift the family parameter: bbar = b - (1/60) lapR / ric_sq."""
+    """Shift the family parameter: bbar = b - (1/60) lapR / ric_sq.
+
+    A step that overflows raises ValueError naming b, lap_r and ric_sq:
+    bbar itself, or 60 ric_sq, which would silently drop the shift to 0.
+    """
     if not cd.ric_sq > 0:
         raise ValueError("bbar shift needs ric_sq > 0")
-    return b - cd.lapR / (60 * cd.ric_sq)
+    sixty_ric = 60 * cd.ric_sq
+    bbar = b - cd.lapR / sixty_ric
+    if not (math.isfinite(sixty_ric) and math.isfinite(bbar)):
+        raise ValueError(
+            f"bbar = b - lap_r / (60 ric_sq) overflows at b = {b}, lap_r = {cd.lapR}, ric_sq = {cd.ric_sq}"
+        )
+    return bbar
 
 
 def _require_positive(**constants) -> None:
@@ -301,7 +311,9 @@ def deficit_ratio_certificate(beta, lambda1, alpha, inf_h0) -> Certificate:
     eps2 = lambda1 * beta / 4
     # written product-form so exact rational inputs stay exact
     alpha_sq = alpha * alpha
-    first = (eps1 * alpha_sq * eps2) / (2 * (eps2 + eps1 * alpha_sq))
+    denominator = 2 * (eps2 + eps1 * alpha_sq)
+    # subnormal constants can underflow it to 0; delta = 0 is then refused
+    first = (eps1 * alpha_sq * eps2) / denominator if denominator else 0
     second = _coercive_delta(beta, lambda1, alpha, inf_h0)
     return Certificate(
         beta=beta,

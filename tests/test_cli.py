@@ -276,6 +276,73 @@ def test_certificate_constants_too_large_exit_two(capsys, monkeypatch):
         assert printed.out.startswith(f"error: {message}") and printed.err == ""
 
 
+def test_underflowing_and_overflowing_constants_exit_two(capsys):
+    # subnormal certificate constants that underflow a denominator of delta,
+    # and a bbar shift lap_r / (60 ric_sq) that overflows, are refused in one
+    # error line that names the inputs, in either format, not by the report's
+    # renderer or a traceback
+    named = "certificate constants too large or small for the arithmetic: Certificate(beta="
+    shift = "bbar = b - lap_r / (60 ric_sq) overflows at b = 0.0, lap_r = {}, ric_sq = {}\n"
+    certify = ["certify", "--grid", "13x26", "--ltrunc", "12", "--set", "family=const"]
+    sphere = ["small-sphere", "--set", "curv_r=0", "--set", "b=0"]
+    for argv, message in (
+        (certify + ["--set", "beta=5e-324"], f"{named}5e-324, lambda1=2.0, alpha=1.99,"),
+        (
+            certify + ["--set", "alpha=5e-324", "--set", "lambda1=5e-324"],
+            f"{named}0.3333333333333333, lambda1=5e-324, alpha=5e-324,",
+        ),
+        *(
+            (sphere + [*sets, "--format", fmt], message)
+            for fmt in ("json", "csv")
+            for sets, message in (
+                (["--set", "ric_sq=1e-300", "--set", "lap_r=1e300"], shift.format(1e300, 1e-300)),
+                (["--set", "ric_sq=5e-324", "--set", "lap_r=1"], shift.format(1.0, 5e-324)),
+                # 60 ric_sq overflows: the shift used to drop to 0
+                (
+                    ["--set", "ric_sq=3e306", "--set", "lap_r=3e306", "--set", "r_list=1e-3"],
+                    shift.format(3e306, 3e306),
+                ),
+            )
+        ),
+    ):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"error: {message}") and printed.out.count("\n") == 1
+        assert printed.err == ""
+
+
+def test_sizes_past_the_byte_limit_are_refused_before_allocation(capsys, monkeypatch):
+    # the rule is arithmetic on the sizes, checked here on huge values: the
+    # largest size the repository uses takes a fiftieth of the limit, and a
+    # huge grid or degree is refused before the grid or any basis array
+    need = 8 * (97**2 + 7 * 97 * 194 + 2 * 97**2 * 97)
+    assert need < 16e6 and 50 * need < cli_module.GRID_BYTES_LIMIT
+    cli_module._check_size(97, 194, 96)
+    # on a 2x4 grid the limit falls between L = 5791 and L = 5792
+    cli_module._check_size(2, 4, 5791)
+    with pytest.raises(ConfigError, match="grid 2x4 at L = 5792 needs 1 GiB of arrays, over the 1 GiB limit"):
+        cli_module._check_size(2, 4, 5792)
+
+    def refuse(*args):
+        raise AssertionError("a size past the limit reached an allocation")
+
+    cli_module._grid_basis.cache_clear()
+    monkeypatch.setattr(cli_module, "build_grid", refuse)
+    for argv, sizes in (
+        (["scan", "--grid", "100000x200000"], "grid 100000x200000 at L = 8 needs 1.12e+03 GiB"),
+        (["integrals", "--grid", "100000x200000"], "grid 100000x200000 at L = 0 needs 1.12e+03 GiB"),
+        (["gform", "--ltrunc", "100000"], "grid 32x64 at L = 100000 needs 4.77e+03 GiB"),
+        (["certify", "--grid", "12000x24000"], "grid 12000x24000 at L = 8 needs 16.1 GiB"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out == f"error: {sizes} of arrays, over the 1 GiB limit\n" and printed.err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -955,26 +1022,28 @@ POWERS = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(0, 308)).map(
 @example(command="scan", lam=(0.2, 0.2, -0.4), a=(0.0, 0.0, 1.0), bbar=2e306, r=1.5,
          directions=1, n_theta=8, n_phi=16, ltrunc=4)
 def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions, n_theta, n_phi, ltrunc):
+    assert_contract([
+        command,
+        "--grid", f"{n_theta}x{n_phi}",
+        "--ltrunc", str(ltrunc),
+        "--set", f"lam={_csv(lam)}",
+        "--set", f"a={_csv(a)}",
+        "--set", f"bbar={bbar!r}",
+        "--set", f"bbar_list={bbar!r}",
+        "--set", f"r={r!r}",
+        "--set", f"r_list={r!r}",
+        "--set", f"directions={directions}",
+    ])
+
+
+def assert_contract(args):
     # every run ends in a schema-valid report with exit 0 (PASS) or 1
-    # (FAIL), or in exit 2 with an error message that refuses an input,
-    # not one from the report's renderer, and with no witness written; it
+    # (FAIL), or in exit 2 with one error line that refuses an input, not
+    # one from the report's renderer, and with no witness written; it
     # never raises, warns or writes to stderr
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        args = [
-            command,
-            "--grid", f"{n_theta}x{n_phi}",
-            "--ltrunc", str(ltrunc),
-            "--out", str(out),
-            "--set", f"lam={_csv(lam)}",
-            "--set", f"a={_csv(a)}",
-            "--set", f"bbar={bbar!r}",
-            "--set", f"bbar_list={bbar!r}",
-            "--set", f"r={r!r}",
-            "--set", f"r_list={r!r}",
-            "--set", f"directions={directions}",
-            "--set", f"witness={tmp}/witness.json",
-        ]
+        args = [*args, "--out", str(out), "--set", f"witness={tmp}/witness.json"]
         printed, errors = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -983,8 +1052,82 @@ def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions,
         assert errors.getvalue() == ""
         if rc == 2:
             assert printed.getvalue().startswith("error: ")
+            assert printed.getvalue().count("\n") == 1
             assert "JSON compliant" not in printed.getvalue()
             assert not (Path(tmp) / "witness.json").exists()
         else:
             report = read_report(out)
             assert rc == (0 if report["verdict"] == "PASS" else 1)
+
+
+# the boundary values of every float field: 0, the least subnormal, and
+# powers of ten where products underflow or overflow, each signed
+EDGES = [sign * x for x in (0.0, 5e-324, 1e-308, 1e-300, 1e300, 1e308) for sign in (1.0, -1.0)]
+
+
+def _near(usual, *near_rules):
+    # three draws in four from the usual range, so that some runs get past
+    # validation; else a boundary value, or one just inside or just
+    # outside a rule of the field
+    return st.one_of(usual, usual, usual, st.sampled_from(EDGES + list(near_rules)))
+
+
+RADIUS = _near(_floats(1e-4, 0.3), 1e61, 1e62)
+# the fields of certify, small-sphere and scan's bisection.  Values near a
+# rule: eps below 2; 60 ric_sq (2.9e306 in, 3e306 out) and the mass
+# r^5 ric_sq / 60 near overflow; bisect_r where r^4 underflows (1.2e-77)
+# and at the positivity radius of lam = (1, 1, -2) (0.70138)
+FIELDS = st.fixed_dictionaries({
+    "family": st.sampled_from(["const", "quartic"]),
+    "lam": st.one_of(st.just((1.0, 1.0, -2.0)), TRACELESS, SHRUNK),
+    "eps": _near(_floats(0, 1.9), math.nextafter(2.0, 0.0), 2.0),
+    "beta": _near(_floats(0.01, 10)),
+    "lambda1": _near(_floats(0.01, 10)),
+    "alpha": st.one_of(st.none(), _near(_floats(0.01, 2))),
+    "curv_r": _near(_floats(0, 10)),
+    "ric_sq": _near(_floats(0, 10), 2.9e306, 3e306),
+    "lap_r": _near(_floats(-10, 10)),
+    "b": _near(_floats(-0.1, 0.1)),
+    "bbar": _near(_floats(-0.1, 0.1)),
+    "r": RADIUS,
+    "r_list": st.lists(RADIUS, min_size=1, max_size=2).map(tuple),
+    "bisect_r": _near(_floats(1e-4, 0.3), 1.1e-77, 1.3e-77, 0.7013, 0.7014),
+    "bracket": _near(
+        st.tuples(_floats(-0.01, 0.01), _floats(0.012, 0.05)),
+        *((x, y) for x in EDGES for y in (-0.1, 0.0, 0.05, 1e300)),
+        (0.0,),
+        (0.0, 0.05, 0.1),
+    ),
+})
+
+
+def _set(key, value) -> list[str]:
+    text = _csv(value) if isinstance(value, tuple) else "none" if value is None else str(value)
+    return ["--set", f"{key}={text}"]
+
+
+# 200 examples take about 2 s
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["certify", "small-sphere", "scan"]),
+    size=st.one_of(
+        *[st.tuples(st.integers(5, 13), st.integers(9, 26), st.integers(2, 4))] * 3,
+        st.tuples(st.integers(1, 13), st.integers(1, 26), st.integers(0, 6)),
+    ),
+    fields=FIELDS,
+)
+# eps1 alpha^2 + eps2 underflowed to 0 and the certificate divided by it
+@example(command="certify", size=(13, 26, 12), fields={"beta": 5e-324})
+@example(command="certify", size=(13, 26, 12), fields={"alpha": 5e-324, "lambda1": 5e-324})
+# lap_r / (60 ric_sq) overflowed and the report could not render
+@example(command="small-sphere", size=(13, 26, 12), fields={"ric_sq": 1e-300, "lap_r": 1e300})
+@example(command="small-sphere", size=(13, 26, 12), fields={"ric_sq": 5e-324, "lap_r": 1.0})
+# small-sphere builds no grid and echoed a grid below the schema's 2x4
+@example(command="small-sphere", size=(5, 1, 2), fields={})
+# at bisect_r = 1.3e-77 the sign changes near bbar = 2.4e137, where adjacent
+# floats are farther apart than the target width: the bisection never ended
+@example(command="scan", size=(7, 26, 3), fields={"bracket": (0.0, 1e300), "bisect_r": 1.3e-77})
+def test_cli_contract_holds_on_certify_small_sphere_and_bisection(command, size, fields):
+    n_theta, n_phi, ltrunc = size
+    sets = [arg for key, value in fields.items() for arg in _set(key, value)]
+    assert_contract([command, "--grid", f"{n_theta}x{n_phi}", "--ltrunc", str(ltrunc), *sets])

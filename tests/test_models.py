@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -177,6 +178,16 @@ def test_bbar_from_b_exact_rationals():
     assert isinstance(got, Fraction)
 
 
+def test_bbar_from_b_refuses_an_overflowing_step():
+    # bbar, or 60 ric_sq, which would drop the shift to 0, overflows: the
+    # error names b, lap_r and ric_sq.  Just below, the shift is kept
+    for ric_sq, lap_r in ((1e-300, 1e300), (5e-324, 1.0), (3e306, 3e306), (1e308, 1e308)):
+        named = f"overflows at b = 0.0, lap_r = {lap_r}, ric_sq = {ric_sq}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            bbar_from_b(0.0, CurvatureData(0.0, ric_sq, lap_r))
+    assert bbar_from_b(0.0, CurvatureData(0.0, 2.9e306, 2.9e306)) == -1.0 / 60.0
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -216,6 +227,14 @@ def test_certificate_rejects_nonpositive_inputs():
         negative_part_certificate(1.0 / 3.0, -2.0, 2.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         Certificate(beta=1, lambda1=1, alpha=1, inf_h0=1, sup_h0=1, delta=1, theta=1.5)
+
+
+@pytest.mark.parametrize("beta, lambda1, alpha", [(5e-324, 2.0, 1.99), (1.0 / 3.0, 5e-324, 5e-324)])
+def test_subnormal_certificate_constants_are_refused(beta, lambda1, alpha):
+    # positive subnormals underflow eps2 + eps1 alpha^2 to 0; the zero delta
+    # meets the range rule, whose message names every constant
+    with pytest.raises(ValueError, match=r"too large or small for the arithmetic: Certificate\(beta="):
+        deficit_ratio_certificate(beta, lambda1, alpha, 2.0)
 
 
 def test_check_deficit_conditions_constant_fields():
