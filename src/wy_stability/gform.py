@@ -217,18 +217,6 @@ def _require_complement(eta2: FieldCoeffs) -> None:
         )
 
 
-def _half_A(basis: HarmonicBasis, eigs: RicciEigs, direction: Direction) -> float:
-    """A / 2 = (1/2) int eta1^2 phi^2 dv, by quadrature."""
-    eta1 = synthesize(basis, eta1_coeffs(direction, basis.L))
-    phi = phi_field(eigs, basis.grid)
-    return 0.5 * integrate(basis.grid, eta1 * eta1 * phi * phi)
-
-
-def _g_constant(eigs: RicciEigs, bbar: float, half_A: float) -> float:
-    """The eta2-free part of G: 4 pi (1/30 - bbar) sum lam_i^2 + A / 2."""
-    return deficit_closed_form(eigs, bbar, 1.0) + half_A
-
-
 def _g_cross(
     basis: HarmonicBasis, eigs: RicciEigs, direction: Direction, eta2: FieldCoeffs | None = None
 ):
@@ -250,9 +238,12 @@ def eval_G(
 ) -> float:
     """Evaluate G(eta2) by quadrature on the basis grid."""
     _require_complement(eta2)
+    eta1 = synthesize(basis, eta1_coeffs(direction, basis.L))
+    phi = phi_field(eigs, basis.grid)
+    half_A = 0.5 * integrate(basis.grid, eta1 * eta1 * phi * phi)
     cross = -2.0 * _g_cross(basis, eigs, direction, eta2)
     quad = weighted_form(basis, 0.5, -1.0, eta2, eta2)
-    return _g_constant(eigs, bbar, _half_A(basis, eigs, direction)) + cross + quad
+    return deficit_closed_form(eigs, bbar, 1.0) + half_A + cross + quad
 
 
 def eval_B(
@@ -295,37 +286,38 @@ def optimal_eta2(
 def minimize_G(
     basis: HarmonicBasis,
     eigs: RicciEigs,
-    direction: Direction,
+    directions: Sequence[Direction],
     bbars: Sequence[float],
-) -> tuple[list[float], FieldCoeffs]:
-    """Minimize G over all degree >= 2 fields by its stationarity condition.
+) -> list[tuple[list[float], FieldCoeffs]]:
+    """Minimize G over all degree >= 2 fields, in every direction, from one 3x3 matrix.
 
     This is an independent route to the minimum: the linear part of G
     comes from the cross-term integrand by quadrature, and the quadratic
     part is the round-sphere form int [(Lap u)^2 / 2 - |grad u|^2] dv,
     which on the orthonormal harmonics is exactly the diagonal
     mu (mu/2 - 1) >= 12, mu = l(l+1), of ``harmonics.round_diagonal``,
-    which the pencil adds too.  The stationarity condition is then
-    solved row by row.
-
-    bbar enters G only through its constant term, so the minimizer is
-    found once for the direction and each value of ``bbars`` only
-    shifts the minimum.  Returns the minimum for each bbar, in order,
-    and the minimizing coefficients, which all of them share.
+    which the pencil adds too.  The cross term is linear in eta1, so on
+    l >= 2 it is B a, with B the vectors of the three coordinate
+    directions; the minimizer is V a, V = B / the diagonal, and the
+    minimum is 4 pi (1/30 - bbar) sum lam_i^2 - a^T T a, with
+    T = B^T V - (1/2) int phi^2 x x^T dv (A / 2 by quadrature), which
+    equals (4 pi sum lam_i^2 / 45) I.  bbar only shifts the minimum.
+    Returns, per direction, the minimum for each bbar and the minimizing
+    coefficients, which all of them share.
     """
     if basis.L < 2:
         raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
-    # linear part: G contains -2 * b . v with
-    # b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
-    b = _g_cross(basis, eigs, direction)[4:]
-    v = b / round_diagonal(basis)[4:]
-    half_A = _half_A(basis, eigs, direction)
-    bv = float(b @ v)
-    values = [_g_constant(eigs, bbar, half_A) - bv for bbar in bbars]
-
-    c = np.zeros((basis.L + 1) ** 2)
-    c[4:] = v
-    return values, FieldCoeffs(basis.L, c)
+    # G contains -2 b . v with b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
+    B = np.stack([_g_cross(basis, eigs, Direction(e))[4:] for e in np.eye(3)], axis=1)
+    V = B / round_diagonal(basis)[4:, None]
+    phi, xyz = phi_field(eigs, basis.grid), basis.grid.xyz
+    T = B.T @ V - 0.5 * xyz.T @ ((basis.grid.weights * phi * phi)[:, None] * xyz)
+    a = np.array([d.a for d in directions])
+    c = np.zeros((len(a), (basis.L + 1) ** 2))
+    c[:, 4:] = a @ V.T
+    shifts = np.einsum("ki,ij,kj->k", a, T, a)
+    deficits = [deficit_closed_form(eigs, bbar, 1.0) for bbar in bbars]
+    return [([d - float(s) for d in deficits], FieldCoeffs(basis.L, row)) for s, row in zip(shifts, c)]
 
 
 def classify_bbar(bbar: float) -> str:

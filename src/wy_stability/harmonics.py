@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .quad import FOUR_PI, SphereGrid, _read_only
+from .quad import FOUR_PI, GRID_BYTES_LIMIT, SphereGrid, _read_only
 
 __all__ = [
     "FieldCoeffs",
@@ -425,7 +425,8 @@ def gram_blocks(
     computed.  ``build`` symmetrizes its block once the block's
     asymmetry is checked against 1e-12 of its own largest entry (or
     of 1), and raises AssertionError past that.  ``parts`` are the part
-    lists of ``_layout``.
+    lists of ``_layout``.  A layout whose largest block or product would
+    pass ``GRID_BYTES_LIMIT`` is refused first (``_check_pencil_size``).
     """
     L, grid = basis.L, basis.grid
     nt, nphi = grid.n_theta, grid.n_phi
@@ -457,6 +458,7 @@ def gram_blocks(
     factors = [basis.rad * -mu[:, None], basis.drad, basis.rad]
     factors = [np.ascontiguousarray(f[..., :nt]) for f in factors]
     sets, plan, parts = _layout(L, mode)
+    _check_pencil_size(grid.n_theta, grid.n_phi, L, mode)
     if mode is None:
         phi = _phi_sums(spec, plan)  # [order, term, ring]
 
@@ -493,6 +495,30 @@ def _gram_limit(basis: HarmonicBasis) -> float:
     ring = 2.0 * nphi * float(np.max(grid.weights[::nphi] / grid.sin_theta[::nphi] ** 2))
     F2 = (L * (L + 1)) ** 2 * (2 * L + 1) / FOUR_PI
     return float(np.finfo(np.float64).max) / (2.0 * 3.0 * grid.n_theta * F2 * L * L * ring)
+
+
+def _check_pencil_size(n_theta: int, n_phi: int, L: int, mode) -> None:
+    """Refuse, by a ValueError, a layout whose largest block or product passes ``GRID_BYTES_LIMIT``.
+
+    ``mode`` is as for ``_layout``.  A block of n rows takes n^2 doubles.
+    For ring-constant weights a product is one order's (L+1) degrees
+    against its theta sums, (L+1) max(L+1, n_theta); else a term product
+    of a parity class takes its G groups times its n rows times the more
+    of its rings (halved under x3) and its padded degrees.
+    """
+    sets, plan, _ = _layout(L, mode)
+    rows = max(s.shape[1] for s in sets)
+    if mode is None:
+        product = (L + 1) * max(L + 1, n_theta)
+    else:
+        rings = (n_theta + 1) // 2 if mode[2] else n_theta
+        product = max(s.shape[1] * p[3].shape[0] * max(rings, p[3].shape[1]) for s, p in zip(sets, plan))
+    need = 8 * max(rows * rows, product)
+    if need > GRID_BYTES_LIMIT:
+        raise ValueError(
+            f"pencil on grid {n_theta}x{n_phi} at L = {L} needs {need / 2**30:.3g} GiB for its "
+            f"largest block or product, over the {GRID_BYTES_LIMIT / 2**30:.3g} GiB limit"
+        )
 
 
 def _pair_terms(ia, si, ja, sj):

@@ -40,6 +40,10 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 
+# bytes that a grid with its basis, and that one pencil block or one
+# product building it, may take
+GRID_BYTES_LIMIT = 2**30
+
 
 @dataclass(frozen=True)
 class SphereGrid:

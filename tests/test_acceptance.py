@@ -152,16 +152,16 @@ def test_criterion_04_sharp_threshold():
         val = eval_G(BASIS, eigs, d, bbar, optimal_eta2(BASIS, eigs, d))
         assert abs(val - expected) < 1e-8 * max(1.0, abs(expected))
         # independent numerical minimization over all degree <= 8 coefficients
-        [num], _ = minimize_G(BASIS, eigs, d, (bbar,))
+        [([num], _)] = minimize_G(BASIS, eigs, [d], (bbar,))
         assert abs(num - expected) < 1e-6 * max(1.0, abs(expected))
 
     # bisection on the sign of the numerical minimum
     lo, hi = 0.0, 1.0 / 30.0
-    (flo, fhi), _ = minimize_G(BASIS, CANON_EIGS, CANON_DIR, (lo, hi))
+    [((flo, fhi), _)] = minimize_G(BASIS, CANON_EIGS, [CANON_DIR], (lo, hi))
     assert flo > 0.0 > fhi
     while hi - lo >= 1.0 / 450.0:
         mid = 0.5 * (lo + hi)
-        [fmid], _ = minimize_G(BASIS, CANON_EIGS, CANON_DIR, (mid,))
+        [([fmid], _)] = minimize_G(BASIS, CANON_EIGS, [CANON_DIR], (mid,))
         if fmid > 0.0:
             lo = mid
         else:

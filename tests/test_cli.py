@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -343,6 +344,47 @@ def test_sizes_past_the_byte_limit_are_refused_before_allocation(capsys, monkeyp
         assert printed.out == f"error: {sizes} of arrays, over the 1 GiB limit\n" and printed.err == ""
 
 
+def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkeypatch):
+    # the rule is arithmetic on the layout's shapes, checked here on sizes
+    # that no test allocates: an odd n_phi at L = 200 leaves 4 parity
+    # classes of up to 10,200 rows, whose term products take 1.54 GiB
+    # while the grid and basis take 0.13 GiB
+    check = harmonics_module._check_pencil_size
+    cli_module._check_size(201, 403, 200)
+    with pytest.raises(ValueError, match=r"pencil on grid 201x403 at L = 200 needs 1.54 GiB for its largest block or product, over the 1 GiB limit"):
+        check(201, 403, 200, (False, True, True))
+    with pytest.raises(ValueError, match=r"pencil on grid 391x782 at L = 390 needs 5.53 GiB"):
+        check(391, 782, 390, (True, True, True))
+    # ring-constant pencils, and the parity pencils of the largest size the
+    # repository uses, stay admitted
+    check(391, 782, 390, None)
+    check(97, 194, 96, (True, True, True))
+    check(97, 195, 96, (False, True, True))
+    assert harmonics_module.GRID_BYTES_LIMIT is cli_module.GRID_BYTES_LIMIT
+
+    # below a lowered limit, the 8-class pencil at 13x26, L = 12 (10,584
+    # bytes) is refused before any block is built, and the scan (whose
+    # rows are skipped, and whose bisection then refuses it) and certify
+    # exit 2; the order pencils (1,352 bytes) of the const family and of
+    # lam = (1, 1, -2) are not refused
+    def refuse(*args):
+        raise AssertionError("a pencil past the limit reached a block")
+
+    monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 4096)
+    monkeypatch.setattr(harmonics_module, "_class_gram", refuse)
+    size = ["--grid", "13x26", "--ltrunc", "12"]
+    for argv in (["scan"], ["certify", "--set", "family=quartic"]):
+        capsys.readouterr()
+        assert main([*argv, *size, "--set", "lam=0.7,0.5,-1.2"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == (
+            "error: pencil on grid 13x26 at L = 12 needs 9.86e-06 GiB for its largest block "
+            "or product, over the 3.81e-06 GiB limit\n"
+        ) and printed.err == ""
+    assert main(["certify", *size]) == 0
+    assert main(["certify", *size, "--set", "family=quartic"]) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -418,20 +460,27 @@ def test_gform_discriminant_check_scales_with_lam(scale, tmp_path, monkeypatch):
 
 
 def test_gform_solves_once_per_direction(tmp_path, monkeypatch):
-    # bbar only shifts the minimum, so one solve serves every bbar of a
-    # direction; solving per (direction, bbar) pair tripled the solves
-    calls = []
+    # bbar only shifts the minimum and one 3x3 matrix gives it in every
+    # direction, so one call serves the report: three cross-term vectors,
+    # not one per direction, and not one per (direction, bbar) pair
+    calls, vectors = [], []
 
-    def counted(basis, eigs, direction, bbars):
+    def counted(basis, eigs, directions, bbars):
         calls.append(len(bbars))
-        return real(basis, eigs, direction, bbars)
+        return real(basis, eigs, directions, bbars)
 
-    real = gform_module.minimize_G
+    def cross(basis, eigs, direction, eta2=None):
+        vectors.append(eta2)
+        return real_cross(basis, eigs, direction, eta2)
+
+    real, real_cross = gform_module.minimize_G, gform_module._g_cross
     monkeypatch.setattr(cli_module, "minimize_G", counted)
+    monkeypatch.setattr(gform_module, "_g_cross", cross)
     out = tmp_path / "r.json"
     assert main(["gform", "--ltrunc", "8", "--set", "directions=8", "--out", str(out)]) == 0
     assert len(read_report(out)["results"]) == 24
-    assert calls == [3] * 8
+    assert calls == [3]
+    assert vectors == [None] * 3
 
 
 def cex_sweep(L: int, witness_dir) -> list[RunConfig]:
@@ -505,6 +554,31 @@ def test_cli_import_leaves_scipy_out():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_runtime_imports_numpy_alone():
+    # numpy is the one runtime dependency: importing the CLI, and with it
+    # every module of the package, in a fresh interpreter loads none of the
+    # packages that only the tests or the benchmark use
+    src = str(Path(wy_stability.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import json, pkgutil, sys, wy_stability, wy_stability.cli\n"
+        "package = [f'wy_stability.{m.name}' for m in pkgutil.iter_modules(wy_stability.__path__)]\n"
+        "unloaded = [m for m in package if m not in sys.modules]\n"
+        "print(json.dumps([len(package), unloaded, sorted(m for m in sys.modules if '.' not in m)]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    modules, unloaded, loaded = json.loads(done.stdout)
+    assert modules == 6 and unloaded == []
+    assert "numpy" in loaded
+    assert not {"scipy", "mpmath", "sympy", "hypothesis", "jsonschema"} & set(loaded)
 
 
 def test_commands_never_build_full_tables(tmp_path, monkeypatch):
@@ -705,6 +779,18 @@ def test_scan_on_odd_n_phi_matches_even_grid_at_small_radius():
     row = odd["results"][-1]
     assert (row["bbar"], row["r"]) == (1.0 / 30.0, 1e-4)
     assert abs(row["min_eig_over_r4"] - -0.0363335) < 1e-6
+
+
+def test_scan_passes_where_the_deficit_underflows(tmp_path):
+    # 4 pi r^4 (1/30 - bbar) sum lam^2 underflows to 0.0 at r = 1e-76; its
+    # sign is positive for every bbar below 1/30, so the row fails no check
+    out = tmp_path / "r.json"
+    args = ["scan", "--grid", "13x26", "--ltrunc", "12", "--set", "lam=1e-8,1e-8,-2e-8",
+            "--set", "bbar_list=0.0333333333333333", "--set", "r_list=1e-76,1e-2"]
+    assert main(args + ["--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["results"][0]["deficit_closed"] == 0.0
+    assert report["summary"]["bisection"]["contains_threshold"] is True
 
 
 def test_scan_skips_row_where_h_is_not_positive(tmp_path):
@@ -983,6 +1069,19 @@ SHRUNK = st.tuples(TRACELESS, st.integers(0, 8)).map(
 POWERS = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(0, 308)).map(
     lambda p: p[0] * 10.0 ** p[1]
 )
+# raw strings that are no finite number, and "1,,2", which a list key
+# reads as two numbers
+NON_NUMBERS = ["nan", "-inf", "1e999", "1e", "0x10", "", "   ", "1,,2"]
+NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("int", "float", "float | None", "tuple")]
+# the report format, and one time in four a raw string for one numeric key
+EXTRA = st.tuples(
+    st.sampled_from(cli_module.FORMATS),
+    st.one_of(
+        st.none(), st.none(), st.none(),
+        st.tuples(st.sampled_from(NUMERIC_KEYS), st.sampled_from(NON_NUMBERS)),
+    ),
+)
+PLAIN = ("json", None)
 
 
 # 200 examples take about 2 s
@@ -1000,29 +1099,30 @@ POWERS = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(0, 308)).map(
     n_theta=_mostly(st.integers(5, 12), st.integers(1, 12)),
     n_phi=_mostly(st.integers(9, 24), st.integers(1, 24)),
     ltrunc=_mostly(st.integers(1, 4), st.integers(0, 4)),
+    extra=EXTRA,
 )
 @example(command="gform", lam=(1e154, 1e154, -2e154), a=(0.0, 0.0, 1.0), bbar=0.0, r=0.01,
-         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+         directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
 @example(command="gform", lam=(5e153, 5e153, -1e154), a=(0.0, 0.0, 1.0), bbar=0.0, r=0.01,
-         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+         directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
 @example(command="gform", lam=(1e300, -1e300, 0.0), a=(0.0, 0.0, 1.0), bbar=0.0, r=0.01,
-         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+         directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
 # the deficit at r = 20 overflowed: the report could not render, and the
 # counterexample had written its witness
 @example(command="scan", lam=(1e-3, 1e-3, -2e-3), a=(0.0, 0.0, 1.0), bbar=1e302, r=20.0,
-         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+         directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
 @example(command="counterexample", lam=(1e-3, 1e-3, -2e-3), a=(0.0, 0.0, 1.0), bbar=1e302,
-         r=20.0, directions=1, n_theta=8, n_phi=16, ltrunc=4)
+         r=20.0, directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
 # h is finite but its Gram ring sums overflowed, on the order and the
 # parity path, with a traceback or only a warning
 @example(command="scan", lam=(0.2, 0.2, -0.4), a=(0.0, 0.0, 1.0), bbar=1e307, r=1.5,
-         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+         directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
 @example(command="scan", lam=(0.2, 0.3, -0.5), a=(0.0, 0.0, 1.0), bbar=1e306, r=1.4,
-         directions=1, n_theta=8, n_phi=16, ltrunc=4)
+         directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
 @example(command="scan", lam=(0.2, 0.2, -0.4), a=(0.0, 0.0, 1.0), bbar=2e306, r=1.5,
-         directions=1, n_theta=8, n_phi=16, ltrunc=4)
-def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions, n_theta, n_phi, ltrunc):
-    assert_contract([
+         directions=1, n_theta=8, n_phi=16, ltrunc=4, extra=PLAIN)
+def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions, n_theta, n_phi, ltrunc, extra):
+    assert_contract(extra, [
         command,
         "--grid", f"{n_theta}x{n_phi}",
         "--ltrunc", str(ltrunc),
@@ -1036,25 +1136,38 @@ def test_cli_contract_holds_on_small_cases(command, lam, a, bbar, r, directions,
     ])
 
 
-def assert_contract(args):
-    # every run ends in a schema-valid report with exit 0 (PASS) or 1
-    # (FAIL), or in exit 2 with one error line that refuses an input, not
-    # one from the report's renderer, and with no witness written; it
-    # never raises, warns or writes to stderr
+def assert_contract(extra, args):
+    # every run ends in a report with exit 0 (PASS) or 1 (FAIL): in JSON
+    # schema-valid, in CSV with no cell that reads as nan or inf; or in
+    # exit 2 with one error line that refuses an input, not one from the
+    # report's renderer, and with no witness written; it never raises,
+    # warns or writes to stderr.  A raw string that no number of its key
+    # reads is refused by an error line that names the key
+    fmt, raw = extra
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        args = [*args, "--out", str(out), "--set", f"witness={tmp}/witness.json"]
+        args = [*args, "--out", str(out), "--set", f"witness={tmp}/witness.json", "--format", fmt]
+        if raw is not None:
+            args += ["--set", f"{raw[0]}={raw[1]}"]
         printed, errors = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
                 rc = main(args)
         assert errors.getvalue() == ""
+        if raw is not None and not (raw[1] == "1,,2" and cli_module._FIELD_TYPES[raw[0]] == "tuple"):
+            assert rc == 2 and raw[0] in printed.getvalue()
         if rc == 2:
             assert printed.getvalue().startswith("error: ")
             assert printed.getvalue().count("\n") == 1
             assert "JSON compliant" not in printed.getvalue()
             assert not (Path(tmp) / "witness.json").exists()
+        elif fmt == "csv":
+            assert printed.getvalue().endswith(f"verdict: {'PASS' if rc == 0 else 'FAIL'}\n")
+            for row in csv.reader(io.StringIO(out.read_text())):
+                for cell in row:
+                    with contextlib.suppress(ValueError):
+                        assert math.isfinite(float(cell)), cell
         else:
             report = read_report(out)
             assert rc == (0 if report["verdict"] == "PASS" else 1)
@@ -1115,19 +1228,20 @@ def _set(key, value) -> list[str]:
         st.tuples(st.integers(1, 13), st.integers(1, 26), st.integers(0, 6)),
     ),
     fields=FIELDS,
+    extra=EXTRA,
 )
 # eps1 alpha^2 + eps2 underflowed to 0 and the certificate divided by it
-@example(command="certify", size=(13, 26, 12), fields={"beta": 5e-324})
-@example(command="certify", size=(13, 26, 12), fields={"alpha": 5e-324, "lambda1": 5e-324})
+@example(command="certify", size=(13, 26, 12), fields={"beta": 5e-324}, extra=PLAIN)
+@example(command="certify", size=(13, 26, 12), fields={"alpha": 5e-324, "lambda1": 5e-324}, extra=PLAIN)
 # lap_r / (60 ric_sq) overflowed and the report could not render
-@example(command="small-sphere", size=(13, 26, 12), fields={"ric_sq": 1e-300, "lap_r": 1e300})
-@example(command="small-sphere", size=(13, 26, 12), fields={"ric_sq": 5e-324, "lap_r": 1.0})
+@example(command="small-sphere", size=(13, 26, 12), fields={"ric_sq": 1e-300, "lap_r": 1e300}, extra=PLAIN)
+@example(command="small-sphere", size=(13, 26, 12), fields={"ric_sq": 5e-324, "lap_r": 1.0}, extra=PLAIN)
 # small-sphere builds no grid and echoed a grid below the schema's 2x4
-@example(command="small-sphere", size=(5, 1, 2), fields={})
+@example(command="small-sphere", size=(5, 1, 2), fields={}, extra=PLAIN)
 # at bisect_r = 1.3e-77 the sign changes near bbar = 2.4e137, where adjacent
 # floats are farther apart than the target width: the bisection never ended
-@example(command="scan", size=(7, 26, 3), fields={"bracket": (0.0, 1e300), "bisect_r": 1.3e-77})
-def test_cli_contract_holds_on_certify_small_sphere_and_bisection(command, size, fields):
+@example(command="scan", size=(7, 26, 3), fields={"bracket": (0.0, 1e300), "bisect_r": 1.3e-77}, extra=PLAIN)
+def test_cli_contract_holds_on_certify_small_sphere_and_bisection(command, size, fields, extra):
     n_theta, n_phi, ltrunc = size
     sets = [arg for key, value in fields.items() for arg in _set(key, value)]
-    assert_contract([command, "--grid", f"{n_theta}x{n_phi}", "--ltrunc", str(ltrunc), *sets])
+    assert_contract(extra, [command, "--grid", f"{n_theta}x{n_phi}", "--ltrunc", str(ltrunc), *sets])

@@ -18,6 +18,7 @@ from wy_stability.gform import (
     classify_bbar,
     compute_A,
     compute_xi,
+    deficit_closed_form,
     eta1_coeffs,
     eval_B,
     eval_G,
@@ -239,7 +240,7 @@ def test_minimize_G_matches_closed_form():
         eigs = random_eigs(rng)
         d = random_direction(rng)
         bbar = float(rng.uniform(-0.02, 0.05))
-        [value], minimizer = minimize_G(BASIS, eigs, d, (bbar,))
+        [([value], minimizer)] = minimize_G(BASIS, eigs, [d], (bbar,))
         q = g_quadratic(eigs, d, bbar)
         assert abs(value - q.min_value) < 1e-6 * max(1.0, abs(q.min_value))
         # the numerical minimizer points along the closed-form one
@@ -256,12 +257,28 @@ def test_minimize_G_over_several_bbar_matches_one_at_a_time():
     for _ in range(3):
         eigs, d = random_eigs(rng), random_direction(rng)
         bbars = (0.0, THRESHOLD_BBAR, float(rng.uniform(-0.02, 0.05)))
-        values, minimizer = minimize_G(BASIS, eigs, d, bbars)
+        [(values, minimizer)] = minimize_G(BASIS, eigs, [d], bbars)
         assert len(values) == 3
         for bbar, value in zip(bbars, values):
-            [alone], minimizer_alone = minimize_G(BASIS, eigs, d, (bbar,))
+            [([alone], minimizer_alone)] = minimize_G(BASIS, eigs, [d], (bbar,))
             assert value == alone
             np.testing.assert_array_equal(minimizer.c, minimizer_alone.c)
+
+
+@pytest.mark.parametrize("lam", [(1.0, 1.0, -2.0), (0.7, 0.5, -1.2), (2.0, -1.0, -1.0)])
+def test_threshold_matrix_is_a_multiple_of_the_identity(lam):
+    # min G = deficit - a^T T a with T = (4 pi sum lam^2 / 45) I: the
+    # threshold 1/90 holds in every kernel direction a
+    eigs = RicciEigs(np.array(lam))
+    rng = np.random.default_rng(48)
+    directions = [random_direction(rng) for _ in range(8)]
+    bbars = (0.0, THRESHOLD_BBAR, 1.0 / 30.0, float(rng.uniform(-0.02, 0.05)))
+    t = 4.0 * math.pi * eigs.sum_sq / 45.0
+    results = minimize_G(BASIS, eigs, directions, bbars)
+    assert len(results) == 8
+    for values, _ in results:
+        for bbar, value in zip(bbars, values, strict=True):
+            assert abs(value - (deficit_closed_form(eigs, bbar, 1.0) - t)) <= 1e-12 * eigs.sum_sq
 
 
 # the benchmark grids and the default grid
@@ -289,14 +306,14 @@ def test_blocked_gram_matches_dense(shape):
         eigs, d = random_eigs(rng), random_direction(rng)
         bbar = float(rng.uniform(-0.02, 0.05))
         ref, v_ref = dense_minimize_G(basis, eigs, d, bbar)
-        [value], minimizer = minimize_G(basis, eigs, d, (bbar,))
+        [([value], minimizer)] = minimize_G(basis, eigs, [d], (bbar,))
         assert abs(value - ref) <= 1e-12 * abs(ref)
         assert np.abs(minimizer.c[4:] - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
 
 def test_minimize_G_needs_degree_two():
     with pytest.raises(ValueError, match="G lives on degrees l >= 2"):
-        minimize_G(build_basis(GRID, 1), CANON_EIGS, CANON_DIR, (0.0,))
+        minimize_G(build_basis(GRID, 1), CANON_EIGS, [CANON_DIR], (0.0,))
 
 
 def test_cross_term_identity():
