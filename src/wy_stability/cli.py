@@ -138,7 +138,7 @@ class ConfigError(Exception):
 
 
 def _parse_value(key: str, raw: str):
-    """Parse ``raw`` by the RunConfig annotation of ``key``; floats finite, tuples nonempty."""
+    """Parse ``raw`` by the RunConfig annotation of ``key``; floats finite, tuples nonempty with no empty entry."""
     raw = raw.strip()
     kind = _FIELD_TYPES[key]
     if kind == "bool":
@@ -153,7 +153,7 @@ def _parse_value(key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "tuple":
-            value = tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
+            value = tuple(float(tok) for tok in raw.split(",")) if raw else ()
         elif kind.startswith("float"):
             value = float(raw)
         else:

@@ -52,7 +52,10 @@ pencil, splits the rows by the symmetries the weights have and
 computes every entry as a theta sum: the phi sum of two trig factors
 against a ring's weights is read exactly off the ring's Fourier
 coefficients.  It returns the row sets, a builder that computes each
-distinct block, one product per term, only when called, and the parts.
+distinct block only when called, and the parts.  One kernel builds
+every block, from one product per (order, trig type) group in it and
+no padded degrees; a block of one group, as every ring-constant one
+is, reads its rows out of the factor tables as slices.
 """
 
 from __future__ import annotations
@@ -135,9 +138,10 @@ class HarmonicBasis:
         Maximum degree.
     grid : SphereGrid
         Quadrature grid the factors are sampled on.
-    rad, drad : ndarray, shape (L+1, L+1, n_theta)
-        Pbar_l^a(cos theta_i) and its theta derivative, indexed [a, l, i],
-        times sqrt(2) for a > 0; zero where l < a.
+    legendre : ndarray, shape (2, L+1, L+1, n_theta)
+        One table of ``rad`` = legendre[0], Pbar_l^a(cos theta_i) indexed
+        [a, l, i], and ``drad`` = legendre[1], its theta derivative, times
+        sqrt(2) for a > 0; zero where l < a.
     ang, dang : ndarray, shape (L+1, 2, n_phi)
         cos(a phi_j) at [a, 0] and sin(a phi_j) at [a, 1], and their phi
         derivatives -a sin(a phi_j) and a cos(a phi_j).
@@ -160,8 +164,7 @@ class HarmonicBasis:
 
     L: int
     grid: SphereGrid
-    rad: NDArray[np.float64]
-    drad: NDArray[np.float64]
+    legendre: NDArray[np.float64]
     ang: NDArray[np.float64]
     dang: NDArray[np.float64]
     degrees: NDArray[np.int64]
@@ -172,6 +175,14 @@ class HarmonicBasis:
     @property
     def n_basis(self) -> int:
         return (self.L + 1) ** 2
+
+    @functools.cached_property
+    def rad(self) -> NDArray[np.float64]:
+        return self.legendre[0]
+
+    @functools.cached_property
+    def drad(self) -> NDArray[np.float64]:
+        return self.legendre[1]
 
     @property
     def values(self) -> NDArray[np.float64]:
@@ -186,17 +197,17 @@ class HarmonicBasis:
         return _row_samples(self, slice(None), self.rad, self.dang)
 
 
-def _legendre_tables(L: int, x: NDArray[np.float64]) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_tables(L: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Orthonormalized associated Legendre values and theta derivatives.
 
-    Returns arrays ``p`` and ``dp`` of shape (L+1, L+1, len(x)) indexed
-    [m, l]; entries with l < m are zero.  Past the sectoral seeds each
-    step in l runs for every order m at once.
+    Returns them as one array ``[p, dp]`` of shape (2, L+1, L+1, len(x)),
+    each indexed [m, l]; entries with l < m are zero.  Past the sectoral
+    seeds each step in l runs for every order m at once.
     """
     n = x.shape[0]
     s = np.sqrt(1.0 - x * x)
-    p = np.zeros((L + 1, L + 1, n))
-    dp = np.zeros((L + 1, L + 1, n))
+    tables = np.zeros((2, L + 1, L + 1, n))
+    p, dp = tables
 
     p[0, 0] = 1.0 / math.sqrt(FOUR_PI)
     for m in range(1, L + 1):
@@ -214,7 +225,7 @@ def _legendre_tables(L: int, x: NDArray[np.float64]) -> tuple[np.ndarray, np.nda
         cl = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l else 0.0
         prev = p[: l + 1, l - 1] if l else 0.0  # zero at m = l, where l - 1 < m
         dp[: l + 1, l] = (l * x * p[: l + 1, l] - cl * prev) / s
-    return p, dp
+    return tables
 
 
 def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
@@ -234,10 +245,8 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
 
     theta_1d = grid.theta[:: grid.n_phi]
     phi_1d = grid.phi[: grid.n_phi]
-    rad, drad = _legendre_tables(L, np.cos(theta_1d))
-    rt2 = math.sqrt(2.0)
-    rad[1:] *= rt2
-    drad[1:] *= rt2
+    legendre = _legendre_tables(L, np.cos(theta_1d))
+    legendre[:, 1:] *= math.sqrt(2.0)
 
     m = np.arange(L + 1)[:, None]
     cos_m = np.cos(m * phi_1d[None, :])
@@ -250,12 +259,11 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
     orders = np.arange((L + 1) ** 2) - degrees * (degrees + 1)
     eigenvalues = (degrees * (degrees + 1)).astype(np.float64)
     slots = (2 * np.abs(orders) + (orders < 0)) * (L + 1) + degrees
-    _read_only(rad, drad, ang, dang, degrees, orders, eigenvalues, slots)
+    _read_only(legendre, ang, dang, degrees, orders, eigenvalues, slots)
     return HarmonicBasis(
         L=L,
         grid=grid,
-        rad=rad,
-        drad=drad,
+        legendre=legendre,
         ang=ang,
         dang=dang,
         degrees=degrees,
@@ -416,15 +424,14 @@ def gram_blocks(
     a + a' (C_0 alone for ring-constant weights, read on the ring's
     first node; else all of one FFT, none dropped), and the
     phi-derivative term is the same for the swapped trig types.  Under
-    x3 the sums run over one hemisphere.  A block takes one product per
-    term, as in Driscoll & Healy (1994) and Schaeffer (2013): for
-    ring-constant weights its order's on the full degree range, of which
-    the block is the trailing square, O(L^2 n_theta); else its class's
-    rows against the rows of each of the class's (order, trig type)
-    groups, O(L^5) over all classes.  No entry between blocks is
-    computed.  ``build`` symmetrizes its block once the block's
-    asymmetry is checked against 1e-12 of its own largest entry (or
-    of 1), and raises AssertionError past that.  ``parts`` are the part
+    x3 the sums run over one hemisphere; one read of the ring
+    coefficients gives every block's.  ``_block_gram`` builds a block,
+    as in Driscoll & Healy (1994) and Schaeffer (2013), from one product
+    per (order, trig type) group in it: O(L^2 n_theta) per order block
+    of ring-constant weights, O(L^5) over all parity classes.  No entry
+    between blocks is computed.  ``build`` symmetrizes its block once
+    the block's asymmetry is checked against 1e-12 of its own largest
+    entry (or of 1), and raises AssertionError past that.  ``parts`` are the part
     lists of ``_layout``.  A layout whose largest block or product would
     pass ``GRID_BYTES_LIMIT`` is refused first (``_check_pencil_size``).
     """
@@ -454,25 +461,23 @@ def gram_blocks(
         nt = (nt + 1) // 2
         spec = spec[..., :nt] * np.where(np.arange(nt) < grid.n_theta // 2, 2.0, 1.0)
 
-    mu = np.arange(L + 1) * (np.arange(L + 1) + 1.0)
-    factors = [basis.rad * -mu[:, None], basis.drad, basis.rad]
-    factors = [np.ascontiguousarray(f[..., :nt]) for f in factors]
-    sets, plan, parts = _layout(L, mode)
+    sets, plan, pairs, parts = _layout(L, mode)
     _check_pencil_size(grid.n_theta, grid.n_phi, L, mode)
-    if mode is None:
-        phi = _phi_sums(spec, plan)  # [order, term, ring]
-
-        def gram(i):
-            n = sets[i].shape[1]
-            return _order_gram(factors, phi[i], i)[-n:, -n:]
-
-    else:
-
-        def gram(i):
-            return _class_gram(spec, factors, *plan[i])
+    # the phi sums [pair, term, ring] of every block's group pairs, one
+    # half of the ring coefficients at a time
+    coef, kind, freq = pairs
+    phi = spec[kind, freq[0]]
+    phi *= coef[0]
+    half = spec[kind, freq[1]]
+    half *= coef[1]
+    phi += half
+    phi *= 0.5
+    flat = basis.legendre.reshape(2, -1, grid.n_theta)[..., :nt]
 
     def build(i: int) -> NDArray[np.float64]:
-        B = gram(i)
+        own, g, cols, span, lap = plan[i]
+        G = len(cols)
+        B = _block_gram(flat, phi[span].reshape(G, G, 3, nt), own, g, cols, lap)
         asym = np.abs(B - B.T).max()
         B = 0.5 * (B + B.T)
         # a NaN or inf entry fails the test, as an asymmetry past tolerance does
@@ -500,20 +505,15 @@ def _gram_limit(basis: HarmonicBasis) -> float:
 def _check_pencil_size(n_theta: int, n_phi: int, L: int, mode) -> None:
     """Refuse, by a ValueError, a layout whose largest block or product passes ``GRID_BYTES_LIMIT``.
 
-    ``mode`` is as for ``_layout``.  A block of n rows takes n^2 doubles.
-    For ring-constant weights a product is one order's (L+1) degrees
-    against its theta sums, (L+1) max(L+1, n_theta); else a term product
-    of a parity class takes its G groups times its n rows times the more
-    of its rings (halved under x3) and its padded degrees.
+    ``mode`` is as for ``_layout``.  The largest arrays are a block of n
+    rows with the two n x n temporaries of its symmetry check, one
+    group's operand or product over three terms, 3 n max(rings, L+1),
+    and the phi sums, 3 rings sum G^2 over the blocks' G groups.
     """
-    sets, plan, _ = _layout(L, mode)
-    rows = max(s.shape[1] for s in sets)
-    if mode is None:
-        product = (L + 1) * max(L + 1, n_theta)
-    else:
-        rings = (n_theta + 1) // 2 if mode[2] else n_theta
-        product = max(s.shape[1] * p[3].shape[0] * max(rings, p[3].shape[1]) for s, p in zip(sets, plan))
-    need = 8 * max(rows * rows, product)
+    sets, plan, _, _ = _layout(L, mode)
+    n = max(s.shape[1] for s in sets)
+    rings = (n_theta + 1) // 2 if mode and mode[2] else n_theta
+    need = 24 * max(n * n, n * max(rings, L + 1), rings * sum(len(p[2]) ** 2 for p in plan))
     if need > GRID_BYTES_LIMIT:
         raise ValueError(
             f"pencil on grid {n_theta}x{n_phi} at L = {L} needs {need / 2**30:.3g} GiB for its "
@@ -522,7 +522,7 @@ def _check_pencil_size(n_theta: int, n_phi: int, L: int, mode) -> None:
 
 
 def _pair_terms(ia, si, ja, sj):
-    """How ``_phi_sums`` reads the phi sums of trig factors (ia, si) and (ja, sj).
+    """How ``gram_blocks`` reads the phi sums of trig factors (ia, si) and (ja, sj).
 
     Orders a, a' and trig types s, s' (1 for sin) broadcast together.  A
     pair's sum is half its ring coefficients at |a - a'| and a + a', C
@@ -540,58 +540,41 @@ def _pair_terms(ia, si, ja, sj):
     return coef, (si != sj).astype(np.intp), np.stack([abs(ia - ja), ia + ja])
 
 
-def _phi_sums(spec, pairs) -> NDArray[np.float64]:
-    """The phi sums [..., term, ring] of the pairs of ``_pair_terms``."""
-    coef, kind, freq = pairs
-    terms = spec[kind, freq]
-    terms *= coef
-    phi = np.add(*terms)
-    phi *= 0.5
-    return phi
+def _block_gram(flat, phi, own, g, cols, lap) -> NDArray[np.float64]:
+    """One block of ``_layout``'s plan: per group k, its rows weighted by their phi sums against k's rows.
 
-
-def _order_gram(factors, phi, a) -> NDArray[np.float64]:
-    """The product of order a over every degree, from its phi sums [term, ring]: one per term, summed."""
-    return functools.reduce(np.add, (np.matmul(f[a] * p, f[a].T) for f, p in zip(factors, phi)))
-
-
-def _class_gram(spec, factors, own, g, r, right, pairs) -> NDArray[np.float64]:
-    """The block of one parity class of ``_layout``'s plan, from one product per term.
-
-    Per term, the class's rows weighted by their phi sums against each
-    (order, trig type) group g' of the class, against the rows of g' at
-    its padded degrees; entry (p, q) of the block is at (g_q, p, r_q).
+    ``flat`` holds the factors [rad or drad, a (L+1) + l, ring], ``phi``
+    the block's phi sums [column group, row group, term, ring], ``lap``
+    -l(l+1) per row; the terms Laplacian, theta derivative and value are
+    batched in one product per group, and summed in that order.
     """
-    nt = factors[0].shape[-1]
-    phi = _phi_sums(spec, pairs)  # [g', g, term, ring]
-    flat = [f.reshape(-1, nt) for f in factors]
-    out = functools.reduce(
-        np.add,
-        (
-            np.matmul(np.take(phi[:, :, t], g, axis=1) * f[own], f[right].transpose(0, 2, 1))
-            for t, f in enumerate(flat)
-        ),
-    )
-    return out.transpose(0, 2, 1)[g, r]  # row q reads (g_q, :, r_q): the block's transpose
+    rad, drad = flat[:, own]
+    left = np.array([rad * lap, drad, rad])  # [term, row, ring]
+    B = np.empty((left.shape[1],) * 2)
+    for k, c in enumerate(cols):
+        P = np.matmul(phi[k, g].transpose(1, 0, 2) * left, left[:, c].transpose(0, 2, 1))
+        B[:, c] = P[0] + P[1] + P[2]
+    return B
 
 
 @functools.lru_cache(maxsize=4)
 def _layout(L: int, mode):
-    """The row sets of ``gram_blocks``, the plan of their products, and their parts.
+    """The row sets of ``gram_blocks``, the plan of their products, their group pairs, and their parts.
 
     Fixed by L and ``mode`` (None for ring-constant weights, else
-    whether x1, x2, x3 hold); rows count from row 1.  For ring-constant
-    weights, per order its cos rows, then its sin rows, and the
-    ``_pair_terms`` of each order with itself.  Else per parity class
-    its rows, shape (1, n), and what ``_class_gram`` reads: each row's
-    index ``own`` in the [a, l] factor tables, its (order, trig type)
-    group g and its position r in the group's degrees par, par + step,
-    ... padded to L // step + 1 (step 2 under x3); each group's factor
-    rows ``right`` at those degrees, clipped to L; and the
-    ``_pair_terms`` of every (group, row's group) pair.  ``parts[0]``
-    holds each block i as (lowest degree, i, 0), ``parts[1]`` each as
-    (lowest degree >= 2, i, k), k its l = 1 rows, which lead it; sorted.
-    All of it is read-only, and grows with the row count.
+    whether x1, x2, x3 hold); rows count from row 1.  ``sets`` holds,
+    for ring-constant weights, per order its cos rows, then its sin
+    rows; else per parity class its rows, shape (1, n).  ``plan`` holds
+    per block what ``_block_gram`` reads of its first row set: each
+    row's index ``own`` in the [a, l] factor tables, its (order, trig
+    type) group g, each group's columns, the span of its group pairs
+    (column group, row group) in ``pairs``, the ``_pair_terms`` of every
+    block's pairs, and -l(l+1) per row, shape (n, 1).  A block of one
+    group, as every ring-constant one is, holds ``own``, g and its
+    columns as slices.  ``parts[0]`` holds each block i as (lowest
+    degree, i, 0), ``parts[1]`` each as (lowest degree >= 2, i, k), k its
+    l = 1 rows, which lead it; sorted.  All of it is read-only, and
+    grows with the row count.
     """
     l = np.repeat(np.arange(1, L + 1), 2 * np.arange(1, L + 1) + 1)
     m = np.arange(1, (L + 1) ** 2) - l * (l + 1)
@@ -599,26 +582,28 @@ def _layout(L: int, mode):
     if mode is None:
         # the rows of order k alternate sin, cos by degree
         sets = [np.flatnonzero(a == k).reshape(-1, 1 + (k > 0)).T[::-1] for k in range(L + 1)]
-        orders, zero = np.arange(L + 1), np.zeros(L + 1, dtype=np.intp)
-        plan = _read_only(*_pair_terms(orders, zero, orders, zero))
     else:
         key = mode[0] * ((a + s) % 2) + mode[1] * 2 * s + mode[2] * 4 * ((l + a) % 2)
-        step = 2 if mode[2] else 1
-        npad, sets, plan = L // step + 1, [], []
-        for c in np.unique(key):
-            rows = np.flatnonzero(key == c)
-            codes, first, g = np.unique(2 * a[rows] + s[rows], return_index=True, return_inverse=True)
-            ga, gs, par = codes // 2, codes % 2, l[rows[first]] % step
-            right = ga[:, None] * (L + 1) + np.minimum(par[:, None] + step * np.arange(npad), L)
-            idx = (a[rows] * (L + 1) + l[rows], g, (l[rows] - par[g]) // step, right)
-            pairs = _read_only(*_pair_terms(ga, gs, ga[:, None], gs[:, None]))
-            sets.append(rows[None])
-            plan.append((*_read_only(*idx), pairs))
-        plan = tuple(plan)
+        sets = [np.flatnonzero(key == c)[None] for c in np.unique(key)]
+    plan, groups, start = [], [], 0
+    for rows in (r[0] for r in sets):
+        codes, g = np.unique(2 * a[rows] + s[rows], return_inverse=True)
+        own, G = a[rows] * (L + 1) + l[rows], len(codes)
+        if G == 1:  # its rows are then read without copies
+            step = own[1] - own[0] if len(own) > 1 else 1
+            own, g, cols = slice(own[0], own[-1] + 1, step), slice(None), [slice(None)]
+        else:
+            own, g, *cols = _read_only(own, g, *(np.flatnonzero(g == k) for k in range(G)))
+        lap = _read_only(-(l[rows] * (l[rows] + 1.0))[:, None])[0]
+        plan.append((own, g, tuple(cols), slice(start, start + G * G), lap))
+        groups.append((np.tile(codes, G), np.repeat(codes, G)))  # pair k G + g: row group g, column group k
+        start += G * G
+    i, j = np.concatenate(groups, axis=1)
+    pairs = _read_only(*_pair_terms(i // 2, i % 2, j // 2, j % 2))
     degrees = [l[rows[0]].tolist() for rows in sets]  # each block's, increasing
     full = sorted((d[0], i, 0) for i, d in enumerate(degrees))
     past_l1 = sorted((d[k], i, k) for i, d in enumerate(degrees) if (k := d.count(1)) < len(d))
-    return _read_only(*sets), plan, (tuple(full), tuple(past_l1))
+    return _read_only(*sets), tuple(plan), pairs, (tuple(full), tuple(past_l1))
 
 
 def _field_samples(basis: HarmonicBasis, u: FieldCoeffs):

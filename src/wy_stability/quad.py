@@ -40,8 +40,8 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 
-# bytes that a grid with its basis, and that one pencil block or one
-# product building it, may take
+# bytes that a grid with its basis, and that the largest array of one
+# pencil's build, may take
 GRID_BYTES_LIMIT = 2**30
 
 

@@ -253,6 +253,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "w.json").exists()
 
 
+@pytest.mark.parametrize("raw", ["1e-2,,1e-3", "1e-2,1e-3,", ",1e-2", "1e-2, ,1e-3"])
+def test_an_empty_entry_of_a_list_is_refused(raw, capsys):
+    # a doubled, leading or trailing comma used to drop the empty entry,
+    # so the scan ran silently on fewer radii than were typed
+    assert main(["scan", "--grid", "8x16", "--ltrunc", "4", "--set", f"r_list={raw}"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == f"error: r_list must be a list of numbers, got {raw!r}\n" and printed.err == ""
+
+
 def test_certificate_constants_too_large_exit_two(capsys, monkeypatch):
     # a certificate constant whose thresholds overflow, or round theta to 1,
     # is refused by name before the conditions and the pencil; the default
@@ -347,14 +356,17 @@ def test_sizes_past_the_byte_limit_are_refused_before_allocation(capsys, monkeyp
 def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkeypatch):
     # the rule is arithmetic on the layout's shapes, checked here on sizes
     # that no test allocates: an odd n_phi at L = 200 leaves 4 parity
-    # classes of up to 10,200 rows, whose term products take 1.54 GiB
-    # while the grid and basis take 0.13 GiB
+    # classes of up to 10,200 rows, whose blocks with the two temporaries
+    # of their symmetry check take 2.33 GiB while the grid and basis take
+    # 0.13 GiB
     check = harmonics_module._check_pencil_size
     cli_module._check_size(201, 403, 200)
-    with pytest.raises(ValueError, match=r"pencil on grid 201x403 at L = 200 needs 1.54 GiB for its largest block or product, over the 1 GiB limit"):
+    with pytest.raises(ValueError, match=r"pencil on grid 201x403 at L = 200 needs 2.33 GiB for its largest block or product, over the 1 GiB limit"):
         check(201, 403, 200, (False, True, True))
-    with pytest.raises(ValueError, match=r"pencil on grid 391x782 at L = 390 needs 5.53 GiB"):
+    with pytest.raises(ValueError, match=r"pencil on grid 391x782 at L = 390 needs 8.33 GiB"):
         check(391, 782, 390, (True, True, True))
+    with pytest.raises(ValueError, match=r"pencil on grid 97x194 at L = 96 needs 1.98 GiB"):
+        check(97, 194, 96, (False, False, False))
     # ring-constant pencils, and the parity pencils of the largest size the
     # repository uses, stay admitted
     check(391, 782, 390, None)
@@ -362,25 +374,26 @@ def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkey
     check(97, 195, 96, (False, True, True))
     assert harmonics_module.GRID_BYTES_LIMIT is cli_module.GRID_BYTES_LIMIT
 
-    # below a lowered limit, the 8-class pencil at 13x26, L = 12 (10,584
+    # below a lowered limit, the 8-class pencil at 13x26, L = 12 (48,720
     # bytes) is refused before any block is built, and the scan (whose
     # rows are skipped, and whose bisection then refuses it) and certify
-    # exit 2; the order pencils (1,352 bytes) of the const family and of
+    # exit 2; the order pencils (4,056 bytes) of the const family and of
     # lam = (1, 1, -2) are not refused
     def refuse(*args):
         raise AssertionError("a pencil past the limit reached a block")
 
     monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 4096)
-    monkeypatch.setattr(harmonics_module, "_class_gram", refuse)
     size = ["--grid", "13x26", "--ltrunc", "12"]
-    for argv in (["scan"], ["certify", "--set", "family=quartic"]):
-        capsys.readouterr()
-        assert main([*argv, *size, "--set", "lam=0.7,0.5,-1.2"]) == 2
-        printed = capsys.readouterr()
-        assert printed.out == (
-            "error: pencil on grid 13x26 at L = 12 needs 9.86e-06 GiB for its largest block "
-            "or product, over the 3.81e-06 GiB limit\n"
-        ) and printed.err == ""
+    with monkeypatch.context() as parity:
+        parity.setattr(harmonics_module, "_block_gram", refuse)
+        for argv in (["scan"], ["certify", "--set", "family=quartic"]):
+            capsys.readouterr()
+            assert main([*argv, *size, "--set", "lam=0.7,0.5,-1.2"]) == 2
+            printed = capsys.readouterr()
+            assert printed.out == (
+                "error: pencil on grid 13x26 at L = 12 needs 4.54e-05 GiB for its largest block "
+                "or product, over the 3.81e-06 GiB limit\n"
+            ) and printed.err == ""
     assert main(["certify", *size]) == 0
     assert main(["certify", *size, "--set", "family=quartic"]) == 0
 
@@ -1069,8 +1082,8 @@ SHRUNK = st.tuples(TRACELESS, st.integers(0, 8)).map(
 POWERS = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(0, 308)).map(
     lambda p: p[0] * 10.0 ** p[1]
 )
-# raw strings that are no finite number, and "1,,2", which a list key
-# reads as two numbers
+# raw strings that are no finite number, and "1,,2", whose empty entry a
+# list key refuses
 NON_NUMBERS = ["nan", "-inf", "1e999", "1e", "0x10", "", "   ", "1,,2"]
 NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("int", "float", "float | None", "tuple")]
 # the report format, and one time in four a raw string for one numeric key
@@ -1155,7 +1168,7 @@ def assert_contract(extra, args):
             with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
                 rc = main(args)
         assert errors.getvalue() == ""
-        if raw is not None and not (raw[1] == "1,,2" and cli_module._FIELD_TYPES[raw[0]] == "tuple"):
+        if raw is not None:
             assert rc == 2 and raw[0] in printed.getvalue()
         if rc == 2:
             assert printed.getvalue().startswith("error: ")

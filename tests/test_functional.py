@@ -556,20 +556,27 @@ def test_pencil_parts_are_read_off_the_row_sets(shape, lam, blocks):
         assert pencil.parts[least == 2] == tuple(sorted(want))
 
 
-@pytest.mark.parametrize("lam, gram", [((1.0, 1.0, -2.0), "_order_gram"), ((0.7, 0.5, -1.2), "_class_gram")])
-def test_asymmetric_block_is_refused_when_built(monkeypatch, lam, gram):
+# the order layout and the parity layout of the one kernel; the ids keep
+# the names of the two kernels they had before, so the test ids stay put
+BOTH_LAYOUTS = pytest.mark.parametrize(
+    "lam", [(1.0, 1.0, -2.0), (0.7, 0.5, -1.2)], ids=["lam0-_order_gram", "lam1-_class_gram"]
+)
+
+
+@BOTH_LAYOUTS
+def test_asymmetric_block_is_refused_when_built(monkeypatch, lam):
     # each block's asymmetry is checked against its own largest entry (or
     # 1) as it is built; 1e-10 of that off the transpose is refused
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
-    real = getattr(harmonics_module, gram)
+    real = harmonics_module._block_gram
 
     def skewed(*args):
         B = real(*args)
         return B + np.triu(np.full(B.shape, 1e-10 * max(np.abs(B).max(), 1.0)), 1)
 
-    monkeypatch.setattr(harmonics_module, gram, skewed)
+    monkeypatch.setattr(harmonics_module, "_block_gram", skewed)
     pencil = assemble_pencil(basis, H)
     with pytest.raises(AssertionError, match="asymmetry"):
         pencil_minimum(pencil)
@@ -580,15 +587,15 @@ def test_asymmetric_block_is_refused_when_built(monkeypatch, lam, gram):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("lam, gram", [((1.0, 1.0, -2.0), "_order_gram"), ((0.7, 0.5, -1.2), "_class_gram")])
+@BOTH_LAYOUTS
 @pytest.mark.parametrize("bad, both", [(math.inf, True), (math.inf, False), (math.nan, True)])
-def test_non_finite_block_is_refused_when_built(monkeypatch, lam, gram, bad, both):
+def test_non_finite_block_is_refused_when_built(monkeypatch, lam, bad, both):
     # a block holding inf or NaN, on both sides of the diagonal or on one,
     # is refused as it is built; the asymmetry test read NaN as passing
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
-    real = getattr(harmonics_module, gram)
+    real = harmonics_module._block_gram
 
     def broken(*args):
         B = real(*args)
@@ -597,7 +604,7 @@ def test_non_finite_block_is_refused_when_built(monkeypatch, lam, gram, bad, bot
             B[-2, -1] = bad
         return B
 
-    monkeypatch.setattr(harmonics_module, gram, broken)
+    monkeypatch.setattr(harmonics_module, "_block_gram", broken)
     pencil = assemble_pencil(basis, H)
     for i, rows in enumerate(pencil.row_sets):
         if rows.shape[1] > 1:

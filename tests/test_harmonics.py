@@ -395,10 +395,40 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
     assert np.all(pencil.M[~inside] == 0.0)
 
 
+@pytest.mark.parametrize("L", [8, 24])
+def test_the_block_kernel_reads_one_legendre_table(L, monkeypatch):
+    # rad and drad are read-only views of one table, so that one index
+    # gathers a row's value and derivative; the kernel forms each block's
+    # Laplacian rows from its value rows, bit for bit the full table times
+    # -l(l+1), for the order blocks and for the 8 parity classes
+    grid = build_grid(L + 1, 2 * L + 2)
+    basis = build_basis(grid, L)
+    assert basis.rad.base is basis.legendre and basis.drad.base is basis.legendre
+    assert not (basis.legendre.flags.writeable or basis.rad.flags.writeable or basis.drad.flags.writeable)
+    mu = np.arange(L + 1) * (np.arange(L + 1) + 1.0)
+    lap = basis.rad * -mu[:, None]
+    l, m = basis.degrees[1:], basis.orders[1:]
+    x1, _, x3 = grid.xyz.T
+    real = np.matmul
+    right = []  # the second operand of each product: a group's rows [term, ring, row]
+    monkeypatch.setattr(np, "matmul", lambda x, y: right.append(y) or real(x, y))
+    for h, blocks in ((x3**2, L + 1), (x1**2 - 2.0 * x3**4, 8)):
+        sets, build, _ = gram_blocks(basis, 0.01 * h, 0.01 * h)
+        assert len(sets) == blocks
+        for i, rows in enumerate(sets):
+            right.clear()
+            build(i)
+            got = np.concatenate([y[0].T for y in right])
+            # the groups in order of (|m|, sin), each its rows in order
+            rows = rows[0][np.argsort(2 * abs(m[rows[0]]) + (m[rows[0]] < 0), kind="stable")]
+            want = lap[abs(m[rows]), l[rows], : got.shape[1]]
+            assert got.tobytes() == want.tobytes()
+
+
 def test_basis_arrays_are_read_only():
     arrays = [getattr(BASIS, f.name) for f in fields(BASIS)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 7
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0.0
