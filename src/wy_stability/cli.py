@@ -23,8 +23,6 @@ builds them.  Their arrays are read-only.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import io
 import json
@@ -32,6 +30,7 @@ import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,6 +67,9 @@ from .models import (
     small_sphere_mass,
 )
 from .quad import FOUR_PI, GRID_BYTES_LIMIT, build_grid, integrate, monomial_integral
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = [
     "RunConfig",
@@ -230,10 +232,11 @@ def _report(config: RunConfig, results, summary, verdict: str) -> dict:
 def _check_size(n_theta: int, n_phi: int, L: int) -> None:
     """Refuse, before anything is allocated, sizes whose arrays pass ``GRID_BYTES_LIMIT``.
 
-    The arrays are leggauss's companion matrix, n_theta^2 doubles; the
-    seven node arrays, 7 n_theta n_phi; and the basis factors,
-    2 (L+1)^2 n_theta.  The largest size the repository uses, 97x194 at
-    L = 96, takes 16 MB.  ``harmonics.gram_blocks`` budgets the pencil.
+    The arrays are the Gauss-Legendre rule's Jacobi matrix, n_theta^2
+    doubles; the seven node arrays, 7 n_theta n_phi; and the basis
+    factors, 2 (L+1)^2 n_theta.  The largest size the repository uses,
+    97x194 at L = 96, takes 16 MB.  ``harmonics.gram_blocks`` budgets the
+    pencil.
     """
     need = 8 * (n_theta**2 + 7 * n_theta * n_phi + 2 * (L + 1) ** 2 * n_theta)
     if need > GRID_BYTES_LIMIT:
@@ -557,12 +560,26 @@ def _witness_text(L: int, c: np.ndarray, echo: dict) -> str:
 
 
 def load_witness(path: str) -> FieldCoeffs:
-    """Reload a witness coefficient file written by cmd_counterexample."""
+    """Reload a witness coefficient file written by cmd_counterexample.
+
+    Raises ValueError on a negative ``L``, or on an entry whose (l, m) is
+    no degree-L index or repeats an earlier entry's.
+    """
     data = json.loads(Path(path).read_text())
     L = int(data["L"])
+    if L < 0:
+        raise ValueError(f"witness {path}: L must be >= 0, got {L}")
     c = np.zeros((L + 1) ** 2)
-    for l, m, v in data["coeffs"]:
-        c[index_of(int(l), int(m))] = float(v)
+    seen = set()
+    for entry in data["coeffs"]:
+        l, m, v = entry
+        l, m = int(l), int(m)
+        if not 0 <= l <= L or abs(m) > l:
+            raise ValueError(f"witness {path}: entry {entry} is no index of degree <= L = {L}")
+        if (l, m) in seen:
+            raise ValueError(f"witness {path}: entry {entry} repeats (l, m) = ({l}, {m})")
+        seen.add((l, m))
+        c[index_of(l, m)] = float(v)
     return FieldCoeffs(L, c)
 
 
@@ -677,6 +694,8 @@ def render_json(report: dict) -> str:
 
 def render_csv(report: dict) -> str:
     """Flatten the per-point results into CSV rows."""
+    import csv
+
     rows = report["results"]
     if not rows:
         return ""
@@ -718,6 +737,8 @@ def run(config: RunConfig) -> tuple[dict, str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="wy-stability",
         description="Positivity analysis for the second variation of the "

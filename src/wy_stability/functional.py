@@ -68,9 +68,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .harmonics import (
     FieldCoeffs,
@@ -83,6 +83,9 @@ from .harmonics import (
     weighted_form,
 )
 from .quad import FOUR_PI, SphereGrid, integrate
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "MeanCurvatureField",

@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .harmonics import (
     LINEAR_ROWS,
@@ -45,6 +45,9 @@ from .harmonics import (
     weighted_form,
 )
 from .quad import FOUR_PI, SphereGrid, integrate
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "RicciEigs",

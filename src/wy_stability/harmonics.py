@@ -64,11 +64,14 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .quad import FOUR_PI, GRID_BYTES_LIMIT, SphereGrid, _read_only
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "FieldCoeffs",

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .functional import (
     MeanCurvatureField,
@@ -39,6 +39,9 @@ from .gform import (
 )
 from .harmonics import FieldCoeffs, HarmonicBasis
 from .quad import SphereGrid, integrate
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "CurvatureData",

@@ -19,16 +19,27 @@ The nodes are symmetric about the equator and uniform in phi, so on the
 the index maps i -> n_theta - 1 - i and j -> -j, and that of x1 is
 j -> n_phi/2 - j on an even n_phi; an odd n_phi has none.  Every array
 of a grid is read-only, so that one grid can be shared.
+
+The Gauss-Legendre rule (``_gauss_legendre``) is numpy's ``leggauss``
+algorithm step for step: the eigenvalues of the symmetric Jacobi matrix,
+one Newton step by the Clenshaw recurrence of ``legval``, and weights
+from P_{n-1} P_n', symmetrized and normalized to sum to 2.  A test holds
+it equal to ``leggauss`` bit for bit; computing it here keeps
+``numpy.polynomial`` out of the import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from numpy.typing import NDArray
 
 __all__ = [
     "SphereGrid",
@@ -88,6 +99,40 @@ def _read_only(*arrays: NDArray) -> tuple[NDArray, ...]:
     return arrays
 
 
+def _legval(x: NDArray[np.float64], c: NDArray[np.float64]) -> NDArray[np.float64]:
+    """sum_i c[i] P_i(x), len(c) >= 2, by the Clenshaw recurrence of numpy's ``legval``."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Nodes, increasing, and weights of the n-point Gauss-Legendre rule, n >= 2."""
+    k = np.arange(n)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    # the symmetric Jacobi matrix, off-diagonal k / sqrt((2k-1)(2k+1))
+    off = k[1:] * scl[:-1] * scl[1:]
+    jacobi = np.zeros((n, n))
+    jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = off
+    x = np.linalg.eigvalsh(jacobi)
+    # P_n and P_n' = sum of (2i+1) P_i over i = n-1, n-3, ...
+    pn = np.zeros(n + 1)
+    pn[n] = 1.0
+    dpn = np.where(k % 2 == (n - 1) % 2, 2.0 * k + 1.0, 0.0)
+    df = _legval(x, dpn)
+    x -= _legval(x, pn) / df  # one Newton step
+    fm = _legval(x, pn[1:])  # P_{n-1}
+    # each factor scaled by its max, so that the product cannot overflow
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
     """Build the product quadrature grid.
 
@@ -108,9 +153,9 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
     if n_phi < 4:
         raise ValueError(f"n_phi must be >= 4, got {n_phi}")
 
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    # leggauss returns nodes increasing in x = cos(theta); no node hits the
-    # poles because the Legendre nodes are interior to (-1, 1).
+    x, wx = _gauss_legendre(n_theta)
+    # the nodes increase in x = cos(theta); none hits the poles because
+    # the Legendre nodes are interior to (-1, 1).
     theta_1d = np.arccos(x)
     phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * np.pi / n_phi
@@ -181,6 +226,8 @@ def monomial_integral(p: int, q: int, r: int) -> Fraction:
         The exact value of ``(1/4pi) * int x1^p x2^q x3^r dv``.  Zero when
         any exponent is odd.
     """
+    from fractions import Fraction
+
     for e in (p, q, r):
         if e < 0 or e != int(e):
             raise ValueError(f"exponents must be nonnegative integers, got {(p, q, r)}")

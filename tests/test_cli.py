@@ -554,11 +554,10 @@ def test_warm_report_matches_cold_report(command, tmp_path):
     assert cli_module._grid_basis.cache_info().hits == uses_basis
 
 
-def test_cli_import_leaves_scipy_out():
-    # importing scipy.linalg alone costs several times the set-up of a gform report
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package; its stdout."""
     src = str(Path(wy_stability.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, wy_stability.cli; print('scipy' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -566,32 +565,49 @@ def test_cli_import_leaves_scipy_out():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.linalg alone costs several times the set-up of a gform report
+    code = "import sys, wy_stability.cli; print('scipy' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
 
 
 def test_runtime_imports_numpy_alone():
     # numpy is the one runtime dependency: importing the CLI, and with it
     # every module of the package, in a fresh interpreter loads none of the
     # packages that only the tests or the benchmark use
-    src = str(Path(wy_stability.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
         "import json, pkgutil, sys, wy_stability, wy_stability.cli\n"
         "package = [f'wy_stability.{m.name}' for m in pkgutil.iter_modules(wy_stability.__path__)]\n"
         "unloaded = [m for m in package if m not in sys.modules]\n"
         "print(json.dumps([len(package), unloaded, sorted(m for m in sys.modules if '.' not in m)]))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    modules, unloaded, loaded = json.loads(done.stdout)
+    modules, unloaded, loaded = json.loads(_fresh_python(code))
     assert modules == 6 and unloaded == []
     assert "numpy" in loaded
     assert not {"scipy", "mpmath", "sympy", "hypothesis", "jsonschema"} & set(loaded)
+
+
+def test_set_up_loads_only_what_it_uses():
+    # the set-up of every report, importing the CLI and building a grid and
+    # basis, loads none of the modules that only the argument parser, the
+    # CSV export, the monomial oracle or type checkers use; what numpy
+    # itself loads is subtracted
+    code = (
+        "import json, sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import wy_stability.cli\n"
+        "from wy_stability.harmonics import build_basis\n"
+        "from wy_stability.quad import build_grid\n"
+        "build_basis(build_grid(25, 50), 24)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    added = set(json.loads(_fresh_python(code)))
+    assert "wy_stability.quad" in added
+    unused = ("argparse", "csv", "fractions", "decimal", "numpy.typing", "numpy.polynomial")
+    assert not set(unused) & added
 
 
 def test_commands_never_build_full_tables(tmp_path, monkeypatch):
@@ -956,6 +972,36 @@ def test_witness_text_is_the_json_dump(L, fill, data):
         "config_echo": echo,
     }
     assert cli_module._witness_text(L, c, echo) == json.dumps(witness, sort_keys=True) + "\n"
+
+
+def test_witness_text_loads_back_bit_for_bit(tmp_path):
+    # signed zeros, a subnormal and NaN survive the file as written
+    L = 3
+    c = np.zeros((L + 1) ** 2)
+    c[[1, 4, 7, 15]] = [-0.0, 5e-324, math.nan, -1e300]
+    wit = tmp_path / "w.json"
+    wit.write_text(cli_module._witness_text(L, c, {}))
+    loaded = load_witness(str(wit))
+    assert loaded.L == L
+    np.testing.assert_array_equal(loaded.c, c)
+    assert np.array_equal(np.signbit(loaded.c), np.signbit(c))
+
+
+@pytest.mark.parametrize(
+    "L, coeffs, message",
+    [
+        (2, [[0, 0, 1.0], [3, 1, 0.5]], r"entry \[3, 1, 0.5\] is no index of degree <= L = 2"),
+        (2, [[1, 2, 1.0]], r"entry \[1, 2, 1.0\] is no index"),
+        (2, [[1, 0, 1.0], [1, 0, 2.0]], r"entry \[1, 0, 2.0\] repeats \(l, m\) = \(1, 0\)"),
+        (-1, [], "L must be >= 0, got -1"),
+    ],
+    ids=["degree-past-L", "order-past-degree", "repeated-index", "negative-L"],
+)
+def test_load_witness_refuses_bad_files(tmp_path, L, coeffs, message):
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps({"L": L, "coeffs": coeffs}))
+    with pytest.raises(ValueError, match=message):
+        load_witness(str(wit))
 
 
 def test_counterexample_fails_below_threshold(tmp_path):

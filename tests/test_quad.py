@@ -10,6 +10,7 @@ import pytest
 
 from wy_stability.quad import (
     FOUR_PI,
+    _gauss_legendre,
     build_grid,
     integrate,
     monomial_integral,
@@ -40,6 +41,17 @@ def test_exact_degree():
     assert GRID.exact_degree == min(2 * 32 - 1, 64 - 1)
     small = build_grid(4, 8)
     assert small.exact_degree == 7
+
+
+def test_gauss_legendre_is_leggauss_bit_for_bit():
+    # the in-module rule runs numpy's leggauss algorithm step for step
+    from numpy.polynomial.legendre import leggauss
+
+    for n in range(2, 129):
+        x, w = _gauss_legendre(n)
+        x_np, w_np = leggauss(n)
+        np.testing.assert_array_equal(x, x_np, err_msg=f"nodes, n = {n}")
+        np.testing.assert_array_equal(w, w_np, err_msg=f"weights, n = {n}")
 
 
 def test_build_grid_rejects_tiny_sizes():
