@@ -514,8 +514,6 @@ def cmd_counterexample(config: RunConfig) -> dict:
     predicted = leading_value(eigs, config.bbar, config.r)
     rel_dev = abs(nd.f_value - predicted) / abs(predicted) if predicted != 0 else None
 
-    wpath.write_text(_witness_text(basis.L, nd.eta.c, _config_dict(config)))
-
     results = [
         {
             "bbar": config.bbar,
@@ -534,7 +532,9 @@ def cmd_counterexample(config: RunConfig) -> dict:
         "guaranteed_regime": nd.guaranteed,
     }
     verdict = "PASS" if nd.guaranteed and nd.f_value < 0 else "FAIL"
-    return _report(config, results, summary, verdict)
+    report = _report(config, results, summary, verdict)
+    wpath.write_text(_witness_text(basis.L, nd.eta.c, report["config"]))
+    return report
 
 
 @functools.lru_cache(maxsize=1)
@@ -559,21 +559,30 @@ def _witness_text(L: int, c: np.ndarray, echo: dict) -> str:
     return f'{{"L": {L}, "coeffs": [{", ".join(entries)}], "config_echo": {echo_text}}}\n'
 
 
+def _is_json_int(x) -> bool:
+    """Whether a parsed JSON value is an integer: not a bool, not a float."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_witness(path: str) -> FieldCoeffs:
     """Reload a witness coefficient file written by cmd_counterexample.
 
-    Raises ValueError on a negative ``L``, or on an entry whose (l, m) is
-    no degree-L index or repeats an earlier entry's.
+    Raises ValueError on an ``L`` that is no JSON integer >= 0, or on an
+    entry whose l or m is no JSON integer, whose (l, m) is no degree-L
+    index, or which repeats an earlier entry's (l, m).
     """
     data = json.loads(Path(path).read_text())
-    L = int(data["L"])
+    L = data["L"]
+    if not _is_json_int(L):
+        raise ValueError(f"witness {path}: L must be an integer, got {L!r}")
     if L < 0:
         raise ValueError(f"witness {path}: L must be >= 0, got {L}")
     c = np.zeros((L + 1) ** 2)
     seen = set()
     for entry in data["coeffs"]:
         l, m, v = entry
-        l, m = int(l), int(m)
+        if not (_is_json_int(l) and _is_json_int(m)):
+            raise ValueError(f"witness {path}: entry {entry} has a degree or order that is no integer")
         if not 0 <= l <= L or abs(m) > l:
             raise ValueError(f"witness {path}: entry {entry} is no index of degree <= L = {L}")
         if (l, m) in seen:

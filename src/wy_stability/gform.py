@@ -275,15 +275,15 @@ def optimal_eta2(
 ) -> FieldCoeffs:
     """The minimizing field (1/6)(phi eta1 - xi), pure degree 3.
 
-    The sampled field is analyzed and projected onto the degree-3
-    eigenspace, which removes only quadrature dust: phi eta1 - xi is an
-    exact -12 eigenfunction of the Laplacian.
+    The sampled field is analyzed to degree 3 and projected onto the
+    degree-3 eigenspace, which removes only quadrature dust: phi eta1 - xi
+    is an exact -12 eigenfunction of the Laplacian.
     """
     grid = basis.grid
     phi = phi_field(eigs, grid)
     e1 = eta1_coeffs(direction, basis.L)
     samples = (phi * synthesize(basis, e1) - compute_xi(eigs, direction, grid)) / 6.0
-    return project(basis, analyze(basis, samples), 3)
+    return project(basis, analyze(basis, samples, 3), 3)
 
 
 def minimize_G(

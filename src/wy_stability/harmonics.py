@@ -34,7 +34,12 @@ node take O(L^4).  Fields are transformed one order at a time, as in
 Driscoll & Healy (1994) and Schaeffer (2013): synthesis is one Legendre
 sum over l per order m, then one matrix product in phi; analysis, and
 ``weighted_form`` of a field against every basis function, run the
-transpose of both steps.  Each costs O(L^3).
+transpose of both steps.  A transform costs what the degrees it spans
+need, not what L needs: synthesis runs over the orders and degrees up
+to the field's top degree D, the largest with a nonzero coefficient,
+in O(D^2 n_theta + D n_theta n_phi), and analysis to a degree cap D
+costs the same.  At D = L both are O(L^3), and their products are
+those of the full tables.
 
 Each basis function is even or odd under each coordinate reflection,
 by (l, m) alone:
@@ -282,28 +287,43 @@ def round_diagonal(basis: HarmonicBasis) -> NDArray[np.float64]:
     return mu * (0.5 * mu - 1.0)
 
 
-def _synthesis(basis: HarmonicBasis, c, rad, ang) -> NDArray[np.float64]:
-    """sum_k c_k rad_k(theta) ang_k(phi) at every node, in O(L^3).
+def _top_degree(c) -> int:
+    """The largest degree with a nonzero coefficient in c; -1 when every one is zero."""
+    nonzero = np.flatnonzero(c)
+    return math.isqrt(int(nonzero[-1])) if nonzero.size else -1
 
-    One Legendre sum over l per order (the cos and sin terms of an order
-    share its theta factor), then one matrix product in phi.
+
+def _synthesis(basis: HarmonicBasis, c, rad, ang, D: int | None = None) -> NDArray[np.float64]:
+    """sum_k c_k rad_k(theta) ang_k(phi) at every node, over the degrees <= D.
+
+    D defaults to the top degree of c, and no row above D may hold a
+    nonzero coefficient.  One Legendre sum over l <= D per order a <= D
+    (the cos and sin terms of an order share its theta factor), then one
+    matrix product in phi: O(D^2 n_theta + D n_theta n_phi).  At D = L
+    the operands are the full tables; an all-zero c gives zeros.
     """
     L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
-    spec = np.zeros(2 * (L + 1) ** 2)
-    spec[basis.slots] = c
-    g = np.matmul(spec.reshape(L + 1, 2, L + 1), rad)  # [a, s, i]
-    return (g.reshape(-1, nt).T @ ang.reshape(-1, nphi)).ravel()
+    D = _top_degree(c) if D is None else D
+    spec = np.zeros((L + 1, 2, L + 1))
+    spec.reshape(-1)[basis.slots] = c
+    g = np.matmul(spec[: D + 1, :, : D + 1], rad[: D + 1, : D + 1])  # [a, s, i]
+    return (g.reshape(-1, nt).T @ ang[: D + 1].reshape(-1, nphi)).ravel()
 
 
-def _analysis(basis: HarmonicBasis, q, rad, ang) -> NDArray[np.float64]:
-    """sum over nodes of q rad_k(theta) ang_k(phi) for every row k.
+def _analysis(basis: HarmonicBasis, q, rad, ang, D: int | None = None) -> NDArray[np.float64]:
+    """sum over nodes of q rad_k(theta) ang_k(phi) for every row k of degree <= D.
 
-    The transpose of ``_synthesis``: one matrix product in phi, then one
-    Legendre sum over theta per order, in O(L^3).
+    The transpose of ``_synthesis``: one matrix product in phi for the
+    orders a <= D, then one Legendre sum over theta per order, in
+    O(D^2 n_theta + D n_theta n_phi).  D defaults to L; the rows above
+    D are zero.
     """
     L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
-    g = (ang.reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(L + 1, 2, nt)
-    return np.matmul(g, rad.transpose(0, 2, 1)).ravel()[basis.slots]
+    D = L if D is None else D
+    g = (ang[: D + 1].reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(D + 1, 2, nt)
+    rows = np.zeros((L + 1, 2, L + 1))
+    rows[: D + 1, :, : D + 1] = np.matmul(g, rad[: D + 1, : D + 1].transpose(0, 2, 1))
+    return rows.ravel()[basis.slots]
 
 
 def _row_samples(basis: HarmonicBasis, rows, rad, ang) -> NDArray[np.float64]:
@@ -319,23 +339,31 @@ def _row_samples(basis: HarmonicBasis, rows, rad, ang) -> NDArray[np.float64]:
     return (r[:, :, None] * g[:, None, :]).reshape(len(a), -1)
 
 
-def analyze(basis: HarmonicBasis, samples: NDArray[np.float64]) -> FieldCoeffs:
-    """Project nodal samples onto the basis by quadrature.
+def analyze(
+    basis: HarmonicBasis, samples: NDArray[np.float64], lmax: int | None = None
+) -> FieldCoeffs:
+    """Project nodal samples onto the basis by quadrature, to degree lmax.
 
     Exact (to roundoff) for fields band-limited to degree <= L when the
-    grid integrates degree 2L polynomials exactly.
+    grid integrates degree 2L polynomials exactly.  Only the rows of
+    degree <= lmax (default L) are computed, in
+    O(lmax^2 n_theta + lmax n_theta n_phi); the rows above it are zero.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (basis.grid.n_nodes,):
         raise ValueError(
             f"samples has shape {samples.shape}, expected ({basis.grid.n_nodes},)"
         )
+    if lmax is not None and (
+        not isinstance(lmax, int) or isinstance(lmax, bool) or not 0 <= lmax <= basis.L
+    ):
+        raise ValueError(f"analysis degree cap {lmax!r} outside 0..{basis.L}")
     q = basis.grid.weights * samples
-    return FieldCoeffs(basis.L, _analysis(basis, q, basis.rad, basis.ang))
+    return FieldCoeffs(basis.L, _analysis(basis, q, basis.rad, basis.ang, lmax))
 
 
 def synthesize(basis: HarmonicBasis, coeffs: FieldCoeffs) -> NDArray[np.float64]:
-    """Evaluate the spectral field at the grid nodes."""
+    """Evaluate the spectral field at the grid nodes, over its degrees up to its top one."""
     _check_match(basis, coeffs)
     return _synthesis(basis, coeffs.c, basis.rad, basis.ang)
 
@@ -610,11 +638,12 @@ def _layout(L: int, mode):
 
 
 def _field_samples(basis: HarmonicBasis, u: FieldCoeffs):
-    """(Lap, d/dtheta, d/dphi) samples of a field at every node."""
+    """(Lap, d/dtheta, d/dphi) samples of a field at every node, from one read of its top degree."""
     _check_match(basis, u)
-    lap = _synthesis(basis, -basis.eigenvalues * u.c, basis.rad, basis.ang)
-    dt = _synthesis(basis, u.c, basis.drad, basis.ang)
-    dp = _synthesis(basis, u.c, basis.rad, basis.dang)
+    D = _top_degree(u.c)
+    lap = _synthesis(basis, -basis.eigenvalues * u.c, basis.rad, basis.ang, D)
+    dt = _synthesis(basis, u.c, basis.drad, basis.ang, D)
+    dp = _synthesis(basis, u.c, basis.rad, basis.dang, D)
     return lap, dt, dp
 
 

@@ -38,6 +38,29 @@ def weighted_gram(
     return out
 
 
+def full_synthesis(basis: HarmonicBasis, c, rad, ang) -> NDArray[np.float64]:
+    """sum_k c_k rad_k(theta) ang_k(phi) at every node, over every order and degree <= L.
+
+    The transform on the full factor tables, whatever the field's top
+    degree: the oracle of ``harmonics._synthesis``.
+    """
+    L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
+    spec = np.zeros(2 * (L + 1) ** 2)
+    spec[basis.slots] = c
+    g = np.matmul(spec.reshape(L + 1, 2, L + 1), rad)  # [a, s, i]
+    return (g.reshape(-1, nt).T @ ang.reshape(-1, nphi)).ravel()
+
+
+def full_analysis(basis: HarmonicBasis, q, rad, ang) -> NDArray[np.float64]:
+    """sum over nodes of q rad_k(theta) ang_k(phi) for every row k, on the full factor tables.
+
+    The oracle of ``harmonics._analysis``.
+    """
+    L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
+    g = (ang.reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(L + 1, 2, nt)
+    return np.matmul(g, rad.transpose(0, 2, 1)).ravel()[basis.slots]
+
+
 def one_block_M(basis: HarmonicBasis, H: MeanCurvatureField) -> NDArray[np.float64]:
     """The pencil's M without blocking: every l >= 1 row on every node."""
     M = weighted_gram(basis, -H.h / (2.0 * H.samples), -H.h, np.arange(1, basis.n_basis))

@@ -994,8 +994,16 @@ def test_witness_text_loads_back_bit_for_bit(tmp_path):
         (2, [[1, 2, 1.0]], r"entry \[1, 2, 1.0\] is no index"),
         (2, [[1, 0, 1.0], [1, 0, 2.0]], r"entry \[1, 0, 2.0\] repeats \(l, m\) = \(1, 0\)"),
         (-1, [], "L must be >= 0, got -1"),
+        (2, [[1.7, 0, 3.0]], r"entry \[1.7, 0, 3.0\] has a degree or order that is no integer"),
+        (2, [[True, 1, 2.0]], r"entry \[True, 1, 2.0\] has a degree or order that is no integer"),
+        (2, [[1, 0.0, 2.0]], r"entry \[1, 0.0, 2.0\] has a degree or order that is no integer"),
+        (3.9, [], "L must be an integer, got 3.9"),
+        (True, [], "L must be an integer, got True"),
     ],
-    ids=["degree-past-L", "order-past-degree", "repeated-index", "negative-L"],
+    ids=[
+        "degree-past-L", "order-past-degree", "repeated-index", "negative-L",
+        "fractional-degree", "bool-degree", "float-order", "fractional-L", "bool-L",
+    ],
 )
 def test_load_witness_refuses_bad_files(tmp_path, L, coeffs, message):
     wit = tmp_path / "w.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import fields
 
@@ -28,7 +29,7 @@ from wy_stability.harmonics import (
 from wy_stability.quad import build_grid, integrate
 
 import reference
-from reference import unit_coeffs
+from reference import full_analysis, full_synthesis, unit_coeffs
 
 GRID = build_grid(32, 64)
 BASIS = build_basis(GRID, 8)
@@ -102,6 +103,68 @@ def test_analyze_of_polynomial_lands_in_low_degrees():
     assert np.max(np.abs(high)) < 1e-13
     odd = coeffs.c[BASIS.degrees == 1]
     assert np.max(np.abs(odd)) < 1e-13
+
+
+@functools.lru_cache(maxsize=None)
+def degree_basis(L: int, n_phi: int):
+    """The basis of degree cap L on the (L+1) x n_phi grid, built once per module run."""
+    return build_basis(build_grid(L + 1, n_phi), L)
+
+
+# each degree cap on a grid of even and of odd n_phi
+TRANSFORM_SIZES = [(L, n_phi) for L in (8, 24, 48) for n_phi in (2 * L + 2, 2 * L + 3)]
+
+
+@pytest.mark.parametrize("L, n_phi", TRANSFORM_SIZES)
+def test_synthesis_runs_to_the_top_degree(L, n_phi):
+    # every sample transform against the full-table oracle: a field of top
+    # degree D < L agrees to 8 ulps of its largest sample, one of degree L
+    # bit for bit
+    basis = degree_basis(L, n_phi)
+    rng = np.random.default_rng(L + n_phi)
+    for D in (0, 1, 2, 3, 4, L):
+        c = np.zeros(basis.n_basis)
+        c[: (D + 1) ** 2] = rng.normal(size=(D + 1) ** 2)
+        u = FieldCoeffs(L, c)
+        got = (synthesize(basis, u), *_field_samples(basis, u))
+        ref = (
+            full_synthesis(basis, c, basis.rad, basis.ang),
+            full_synthesis(basis, -basis.eigenvalues * c, basis.rad, basis.ang),
+            full_synthesis(basis, c, basis.drad, basis.ang),
+            full_synthesis(basis, c, basis.rad, basis.dang),
+        )
+        for g, r in zip(got, ref):
+            if D == L:
+                np.testing.assert_array_equal(g, r)
+            else:
+                assert np.abs(g - r).max() <= 8 * np.spacing(np.abs(r).max()), (D, L, n_phi)
+
+
+def test_synthesis_of_the_zero_field_is_zero():
+    zero = FieldCoeffs(8, np.zeros(NMODES))
+    for samples in (synthesize(BASIS, zero), *_field_samples(BASIS, zero)):
+        np.testing.assert_array_equal(samples, np.zeros(GRID.n_nodes))
+
+
+@pytest.mark.parametrize("L, n_phi", TRANSFORM_SIZES)
+def test_analysis_to_a_degree_cap(L, n_phi):
+    # the rows of degree <= lmax match the full-table oracle, and every row
+    # above is zero; with no cap the analysis is the oracle bit for bit
+    basis = degree_basis(L, n_phi)
+    f = np.random.default_rng(L * n_phi).normal(size=basis.grid.n_nodes)
+    ref = full_analysis(basis, basis.grid.weights * f, basis.rad, basis.ang)
+    np.testing.assert_array_equal(analyze(basis, f).c, ref)
+    for lmax in range(5):
+        got = analyze(basis, f, lmax).c
+        low = basis.degrees <= lmax
+        assert np.abs(got[low] - ref[low]).max() <= 1e-14 * np.abs(ref[low]).max()
+        assert np.all(got[~low] == 0.0)
+
+
+@pytest.mark.parametrize("lmax", [-1, 9, True, 2.0])
+def test_analyze_refuses_a_cap_outside_the_degrees(lmax):
+    with pytest.raises(ValueError, match=f"analysis degree cap {lmax!r} outside 0..8"):
+        analyze(BASIS, GRID.xyz[:, 0], lmax)
 
 
 def test_laplacian_multiplies_by_eigenvalue():

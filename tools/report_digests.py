@@ -44,6 +44,10 @@ REPORTS = {
     "certify-quartic-parity": ["certify", "--set", "family=quartic", *PARITY],
     "counterexample": ["counterexample"],
     "counterexample-13x26-l12": ["counterexample", "--grid", "13x26", "--ltrunc", "12"],
+    "counterexample-49x98-l48-r1e-4": ["counterexample", "--grid", "49x98", "--ltrunc", "48", "--set", "r=1e-4"],
+    "counterexample-25x50-l24-tilted": [
+        "counterexample", "--grid", "25x50", "--ltrunc", "24", "--set", "a=0.3,-0.5,0.8", *PARITY,
+    ],
     "gform": ["gform"],
     "gform-25x50-l24-directions8": ["gform", "--grid", "25x50", "--ltrunc", "24", "--set", "directions=8"],
 }
