@@ -329,13 +329,31 @@ def _unit_direction(a) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
+# bytes a gform report holds per result row: its dict, its share of the
+# Direction and its JSON text; tracemalloc read 3.4-3.6 kB at L = 2 and 24
+_GFORM_ROW_BYTES = 4096
+
+
 def _directions_for(config: RunConfig) -> list[Direction]:
-    if config.directions < 1:
-        raise ConfigError(f"directions must be >= 1, got {config.directions}")
+    """The report's directions: ``a``, then ``directions - 1`` drawn from ``seed``.
+
+    A count whose rows (``_GFORM_ROW_BYTES`` each, one per bbar) and
+    minimizers ((L+1)^2 doubles each) would pass ``GRID_BYTES_LIMIT`` is
+    refused before the first draw.
+    """
+    n = config.directions
+    if n < 1:
+        raise ConfigError(f"directions must be >= 1, got {n}")
+    need = n * (8 * (config.ltrunc + 1) ** 2 + _GFORM_ROW_BYTES * len(config.bbar_list))
+    if need > GRID_BYTES_LIMIT:
+        raise ConfigError(
+            f"directions = {n} needs {need / 2**30:.3g} GiB for the report rows and minimizers, "
+            f"over the {GRID_BYTES_LIMIT / 2**30:.3g} GiB limit"
+        )
     dirs = [Direction(_unit_direction(config.a))]
-    if config.directions > 1:
+    if n > 1:
         rng = np.random.default_rng(config.seed)
-        for _ in range(config.directions - 1):
+        for _ in range(n - 1):
             v = rng.normal(size=3)
             dirs.append(Direction(v / np.linalg.norm(v)))
     return dirs
@@ -350,22 +368,27 @@ def cmd_gform(config: RunConfig) -> dict:
     """Quartic-energy coefficients and minima per (a, lam, bbar).
 
     G is minimized once per report: one 3x3 matrix gives the minimum in
-    every direction, and bbar only shifts it by a constant.
+    every direction, and bbar only shifts it by a constant.  The closed
+    forms are formed once per direction (A, D, beta) and once per bbar
+    (the leading value and the classification).
     """
     _require_ltrunc(config, 2, "minimizes over degrees l >= 2")
     eigs = RicciEigs(config.lam)
     check_bbar(eigs, *config.bbar_list)
+    _check_size(config.n_theta, config.n_phi, config.ltrunc)  # a huge L is a grid size first
     directions = _directions_for(config)
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     tol_closed = 1e-6
+    # beta^2 - alpha gamma = -gamma min G, gamma the same for every row
+    leading = [(bbar, leading_value(eigs, bbar, 1.0), classify_bbar(bbar)) for bbar in config.bbar_list]
     rows = []
     ok = True
     for direction, (minima, _) in zip(directions, minimize_G(basis, eigs, directions, config.bbar_list)):
-        for bbar, numeric in zip(config.bbar_list, minima):
-            q = g_quadratic(eigs, direction, bbar)
+        a = [float(x) for x in direction.a]
+        quadratics = g_quadratic(eigs, direction, config.bbar_list)
+        for (bbar, lead, verdict), q, numeric in zip(leading, quadratics, minima):
             closed = q.min_value
-            # beta^2 - alpha gamma = -gamma min G
-            ident = -q.gamma_coef * leading_value(eigs, bbar, 1.0)
+            ident = -q.gamma_coef * lead
             # one scale for both checks: sum lam^2 guards the exact-threshold
             # point, where closed = 0 and both discriminant sides are roundoff
             scale = max(abs(closed), eigs.sum_sq)
@@ -376,7 +399,7 @@ def cmd_gform(config: RunConfig) -> dict:
             ok = ok and row_ok
             rows.append(
                 {
-                    "a": [float(x) for x in direction.a],
+                    "a": a,
                     "bbar": bbar,
                     "A": q.A,
                     "D": q.D,
@@ -386,7 +409,7 @@ def cmd_gform(config: RunConfig) -> dict:
                     "discriminant": q.discriminant,
                     "min_G_closed": closed,
                     "min_G_numeric": numeric,
-                    "classification": classify_bbar(bbar),
+                    "classification": verdict,
                     "pass": row_ok,
                 }
             )
@@ -567,7 +590,8 @@ def _is_json_int(x) -> bool:
 def load_witness(path: str) -> FieldCoeffs:
     """Reload a witness coefficient file written by cmd_counterexample.
 
-    Raises ValueError on an ``L`` that is no JSON integer >= 0, or on an
+    Raises ValueError on an ``L`` that is no JSON integer >= 0, or whose
+    (L+1)^2 coefficients pass ``GRID_BYTES_LIMIT``, or on an
     entry whose l or m is no JSON integer, whose (l, m) is no degree-L
     index, or which repeats an earlier entry's (l, m).
     """
@@ -577,6 +601,11 @@ def load_witness(path: str) -> FieldCoeffs:
         raise ValueError(f"witness {path}: L must be an integer, got {L!r}")
     if L < 0:
         raise ValueError(f"witness {path}: L must be >= 0, got {L}")
+    if 8 * (L + 1) ** 2 > GRID_BYTES_LIMIT:
+        raise ValueError(
+            f"witness {path}: L = {L} needs {8 * (L + 1) ** 2 / 2**30:.3g} GiB of coefficients, "
+            f"over the {GRID_BYTES_LIMIT / 2**30:.3g} GiB limit"
+        )
     c = np.zeros((L + 1) ** 2)
     seen = set()
     for entry in data["coeffs"]:

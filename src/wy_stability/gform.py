@@ -27,6 +27,7 @@ phi eta1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -111,7 +112,7 @@ class RicciEigs:
         if not self.sum_sq >= np.finfo(np.float64).tiny:
             raise ValueError(f"lam must be a nonzero triple, got sum lam_i^2 = {self.sum_sq}")
 
-    @property
+    @functools.cached_property
     def sum_sq(self) -> float:
         return float(self.lam @ self.lam)
 
@@ -184,20 +185,19 @@ def compute_xi(eigs: RicciEigs, direction: Direction, grid: SphereGrid) -> NDArr
     return 0.4 * (grid.xyz @ (direction.a * eigs.lam))
 
 
-def g_quadratic(eigs: RicciEigs, direction: Direction, bbar: float) -> GQuadratic:
-    """Scalar quadratic alpha - 2 beta t + gamma t^2 controlling min G."""
+def g_quadratic(eigs: RicciEigs, direction: Direction, bbars: Sequence[float]) -> list[GQuadratic]:
+    """Scalar quadratic alpha - 2 beta t + gamma t^2 controlling min G, one per bbar.
+
+    A, D and beta depend on the direction alone and are formed once;
+    bbar only shifts alpha, by the deficit 4 pi (1/30 - bbar) sum lam_i^2.
+    """
     A = compute_A(eigs, direction)
     D = A - (16.0 * math.pi / 75.0) * float((direction.a**2) @ (eigs.lam**2))
-    alpha = deficit_closed_form(eigs, bbar, 1.0) + 0.5 * A
     beta = (5.0 / 6.0) * math.sqrt(D)
-    return GQuadratic(
-        A=A,
-        D=D,
-        alpha=alpha,
-        beta_coef=beta,
-        gamma_coef=GAMMA_COEF,
-        discriminant=beta * beta - alpha * GAMMA_COEF,
-    )
+    return [
+        GQuadratic(A, D, alpha, beta, GAMMA_COEF, discriminant=beta * beta - alpha * GAMMA_COEF)
+        for alpha in (deficit_closed_form(eigs, bbar, 1.0) + 0.5 * A for bbar in bbars)
+    ]
 
 
 def leading_value(eigs: RicciEigs, bbar: float, r: float) -> float:
@@ -226,10 +226,14 @@ def _g_cross(
     """int phi [Lap(eta1) Lap(eta2) / 4 + <grad eta1, grad eta2>] dv.
 
     With ``eta2`` omitted, the vector of the form against every basis
-    function.
+    function, computed to degree 3 and zero above.  Integrating by parts,
+    its entry at Y is int Y [Lap(phi Lap eta1) / 4 - div(phi grad eta1)] dv,
+    and both terms are odd cubics (deg phi + deg eta1 = 3), so the vector
+    lives on degrees 1 and 3.
     """
     phi = phi_field(eigs, basis.grid)
-    return weighted_form(basis, phi / 4.0, phi, eta1_coeffs(direction, basis.L), eta2)
+    cap = min(3, basis.L) if eta2 is None else None
+    return weighted_form(basis, phi / 4.0, phi, eta1_coeffs(direction, basis.L), eta2, cap)
 
 
 def eval_G(
@@ -295,29 +299,32 @@ def minimize_G(
     """Minimize G over all degree >= 2 fields, in every direction, from one 3x3 matrix.
 
     This is an independent route to the minimum: the linear part of G
-    comes from the cross-term integrand by quadrature, and the quadratic
+    comes from the cross-term integrand by quadrature, analyzed to
+    degree 3, above which it vanishes (``_g_cross``), and the quadratic
     part is the round-sphere form int [(Lap u)^2 / 2 - |grad u|^2] dv,
     which on the orthonormal harmonics is exactly the diagonal
     mu (mu/2 - 1) >= 12, mu = l(l+1), of ``harmonics.round_diagonal``,
     which the pencil adds too.  The cross term is linear in eta1, so on
     l >= 2 it is B a, with B the vectors of the three coordinate
-    directions; the minimizer is V a, V = B / the diagonal, and the
-    minimum is 4 pi (1/30 - bbar) sum lam_i^2 - a^T T a, with
+    directions on degrees 2 and 3; the minimizer is V a, V = B / the
+    diagonal, and the minimum is 4 pi (1/30 - bbar) sum lam_i^2 - a^T T a, with
     T = B^T V - (1/2) int phi^2 x x^T dv (A / 2 by quadrature), which
     equals (4 pi sum lam_i^2 / 45) I.  bbar only shifts the minimum.
     Returns, per direction, the minimum for each bbar and the minimizing
-    coefficients, which all of them share.
+    coefficients, which all of them share: (L+1)^2 doubles per direction,
+    zero above degree 3.
     """
     if basis.L < 2:
         raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
     # G contains -2 b . v with b_i = int phi [Lap(eta1) Lap(Y_i)/4 + <grad eta1, grad Y_i>] dv
-    B = np.stack([_g_cross(basis, eigs, Direction(e))[4:] for e in np.eye(3)], axis=1)
-    V = B / round_diagonal(basis)[4:, None]
+    top = (min(3, basis.L) + 1) ** 2
+    B = np.stack([_g_cross(basis, eigs, Direction(e))[4:top] for e in np.eye(3)], axis=1)
+    V = B / round_diagonal(basis)[4:top, None]
     phi, xyz = phi_field(eigs, basis.grid), basis.grid.xyz
     T = B.T @ V - 0.5 * xyz.T @ ((basis.grid.weights * phi * phi)[:, None] * xyz)
     a = np.array([d.a for d in directions])
     c = np.zeros((len(a), (basis.L + 1) ** 2))
-    c[:, 4:] = a @ V.T
+    c[:, 4:top] = a @ V.T
     shifts = np.einsum("ki,ij,kj->k", a, T, a)
     deficits = [deficit_closed_form(eigs, bbar, 1.0) for bbar in bbars]
     return [([d - float(s) for d in deficits], FieldCoeffs(basis.L, row)) for s, row in zip(shifts, c)]

@@ -37,9 +37,9 @@ sum over l per order m, then one matrix product in phi; analysis, and
 transpose of both steps.  A transform costs what the degrees it spans
 need, not what L needs: synthesis runs over the orders and degrees up
 to the field's top degree D, the largest with a nonzero coefficient,
-in O(D^2 n_theta + D n_theta n_phi), and analysis to a degree cap D
-costs the same.  At D = L both are O(L^3), and their products are
-those of the full tables.
+in O(D^2 n_theta + D n_theta n_phi), and analysis, or the vector of
+``weighted_form``, to a degree cap D costs the same.  At D = L both
+are O(L^3), and their products are those of the full tables.
 
 Each basis function is even or odd under each coordinate reflection,
 by (l, m) alone:
@@ -354,12 +354,17 @@ def analyze(
         raise ValueError(
             f"samples has shape {samples.shape}, expected ({basis.grid.n_nodes},)"
         )
+    _check_cap(basis, lmax)
+    q = basis.grid.weights * samples
+    return FieldCoeffs(basis.L, _analysis(basis, q, basis.rad, basis.ang, lmax))
+
+
+def _check_cap(basis: HarmonicBasis, lmax) -> None:
+    """Refuse an analysis degree cap that is no int in 0..L; None means L."""
     if lmax is not None and (
         not isinstance(lmax, int) or isinstance(lmax, bool) or not 0 <= lmax <= basis.L
     ):
         raise ValueError(f"analysis degree cap {lmax!r} outside 0..{basis.L}")
-    q = basis.grid.weights * samples
-    return FieldCoeffs(basis.L, _analysis(basis, q, basis.rad, basis.ang, lmax))
 
 
 def synthesize(basis: HarmonicBasis, coeffs: FieldCoeffs) -> NDArray[np.float64]:
@@ -401,16 +406,22 @@ def gradient_dot(
 
 
 def weighted_form(
-    basis: HarmonicBasis, w_lap, w_grad, u: FieldCoeffs, v: FieldCoeffs | None = None
+    basis: HarmonicBasis, w_lap, w_grad, u: FieldCoeffs, v: FieldCoeffs | None = None, lmax=None
 ):
     """Quadrature of int [w_lap Lap u Lap v + w_grad <grad u, grad v>] dv.
 
     The weights are scalars or nodal samples.  Two fields give a scalar.
     With v omitted, the result is the vector of the form of u against
-    every basis function, by three analysis transforms of the weighted
-    (Lap, d/dtheta, d/dphi) samples of u against the value,
-    theta-derivative and phi-derivative factors.
+    every basis function of degree <= lmax (default L), by three
+    analysis transforms of the weighted (Lap, d/dtheta, d/dphi) samples
+    of u against the value, theta-derivative and phi-derivative factors,
+    each to degree lmax as in ``analyze``; the rows above it are zero.
+    A caller that knows the vector's support passes its top degree.
+    The cap is checked as ``analyze`` checks it, and takes no v.
     """
+    _check_cap(basis, lmax)
+    if v is not None and lmax is not None:
+        raise ValueError("a degree cap applies only to the vector form, with v omitted")
     su = _field_samples(basis, u)
     w = basis.grid.weights
     inv_s2 = 1.0 / basis.grid.sin_theta**2
@@ -422,9 +433,9 @@ def weighted_form(
         grad = su[1] * sv[1] + su[2] * sv[2] * inv_s2
         return float(w @ (w_lap * (su[0] * sv[0]) + w_grad * grad))
     wg = w * w_grad
-    out = -basis.eigenvalues * _analysis(basis, su[0] * (w * w_lap), basis.rad, basis.ang)
-    out += _analysis(basis, su[1] * wg, basis.drad, basis.ang)
-    out += _analysis(basis, su[2] * (wg * inv_s2), basis.rad, basis.dang)
+    out = -basis.eigenvalues * _analysis(basis, su[0] * (w * w_lap), basis.rad, basis.ang, lmax)
+    out += _analysis(basis, su[1] * wg, basis.drad, basis.ang, lmax)
+    out += _analysis(basis, su[2] * (wg * inv_s2), basis.rad, basis.dang, lmax)
     return out
 
 

@@ -134,7 +134,7 @@ def test_criterion_03_identity_suite():
         eigs = random_eigs(rng)
         d = random_direction(rng)
         bbar = float(rng.uniform(-0.05, 0.05))
-        q = g_quadratic(eigs, d, bbar)
+        [q] = g_quadratic(eigs, d, [bbar])
         expected = -(1.0 / 54.0 - (5.0 / 3.0) * bbar) * math.pi * eigs.sum_sq
         assert abs(q.discriminant - expected) < 1e-12 * max(1.0, abs(expected))
 

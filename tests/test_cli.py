@@ -11,6 +11,7 @@ import subprocess
 import math
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -353,6 +354,35 @@ def test_sizes_past_the_byte_limit_are_refused_before_allocation(capsys, monkeyp
         assert printed.out == f"error: {sizes} of arrays, over the 1 GiB limit\n" and printed.err == ""
 
 
+def test_directions_past_the_byte_limit_are_refused_before_the_first_draw(tmp_path, capsys, monkeypatch):
+    # 1e11 directions once drew Directions one by one until killed; the
+    # rows and minimizers they need are budgeted before the first one
+    def refuse(*args):
+        raise AssertionError("a count past the limit reached a draw")
+
+    with monkeypatch.context() as drawn:
+        drawn.setattr(cli_module, "_unit_direction", refuse)
+        start = time.perf_counter()
+        assert main(["gform", "--set", "directions=100000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+    printed = capsys.readouterr()
+    assert printed.out == (
+        "error: directions = 100000000000 needs 1.2e+06 GiB for the report rows and "
+        "minimizers, over the 1 GiB limit\n"
+    ) and printed.err == ""
+
+    # below a lowered limit that still admits the 32x64 grid at L = 8, 20
+    # directions of three bbar rows and 81 minimizer doubles fit and 21 do not
+    per_direction = 3 * cli_module._GFORM_ROW_BYTES + 8 * 81
+    monkeypatch.setattr(cli_module, "GRID_BYTES_LIMIT", 20 * per_direction)
+    out = tmp_path / "r.json"
+    assert main(["gform", "--ltrunc", "8", "--set", "directions=20", "--out", str(out)]) == 0
+    assert len(read_report(out)["results"]) == 60
+    capsys.readouterr()
+    assert main(["gform", "--ltrunc", "8", "--set", "directions=21"]) == 2
+    assert capsys.readouterr().out.startswith("error: directions = 21 needs ")
+
+
 def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkeypatch):
     # the rule is arithmetic on the layout's shapes, checked here on sizes
     # that no test allocates: an odd n_phi at L = 200 leaves 4 parity
@@ -463,9 +493,11 @@ def test_gform_discriminant_check_scales_with_lam(scale, tmp_path, monkeypatch):
 
     real = cli_module.g_quadratic
 
-    def off(eigs, direction, bbar):
-        q = real(eigs, direction, bbar)
-        return replace(q, discriminant=q.discriminant + 1e-11 * eigs.sum_sq)
+    def off(eigs, direction, bbars):
+        return [
+            replace(q, discriminant=q.discriminant + 1e-11 * eigs.sum_sq)
+            for q in real(eigs, direction, bbars)
+        ]
 
     monkeypatch.setattr(cli_module, "g_quadratic", off)
     assert main(argv + ["--out", str(out)]) == 1
@@ -999,10 +1031,12 @@ def test_witness_text_loads_back_bit_for_bit(tmp_path):
         (2, [[1, 0.0, 2.0]], r"entry \[1, 0.0, 2.0\] has a degree or order that is no integer"),
         (3.9, [], "L must be an integer, got 3.9"),
         (True, [], "L must be an integer, got True"),
+        (10**9, [], r"L = 1000000000 needs 7.45e\+09 GiB of coefficients, over the 1 GiB limit"),
     ],
     ids=[
         "degree-past-L", "order-past-degree", "repeated-index", "negative-L",
         "fractional-degree", "bool-degree", "float-order", "fractional-L", "bool-L",
+        "huge-L",
     ],
 )
 def test_load_witness_refuses_bad_files(tmp_path, L, coeffs, message):

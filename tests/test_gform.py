@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import wy_stability.gform as gform_module
 from wy_stability.gform import (
     BORDERLINE,
     GAMMA_COEF,
@@ -14,6 +15,7 @@ from wy_stability.gform import (
     POSITIVE,
     THRESHOLD_BBAR,
     Direction,
+    GQuadratic,
     RicciEigs,
     classify_bbar,
     compute_A,
@@ -98,7 +100,7 @@ def test_every_accepted_scale_gives_positive_A_and_D(shape):
         eigs = RicciEigs(shape * t)
         for a in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.3, -0.5, 0.8)):
             a = np.array(a) / np.linalg.norm(a)
-            q = g_quadratic(eigs, Direction(a), THRESHOLD_BBAR)
+            [q] = g_quadratic(eigs, Direction(a), [THRESHOLD_BBAR])
             assert 0 < q.A < math.inf and 0 < q.D < math.inf
 
 
@@ -164,7 +166,7 @@ def test_phi_eta1_minus_xi_is_pure_degree_three():
 
 
 def test_g_quadratic_coefficients():
-    q = g_quadratic(CANON_EIGS, CANON_DIR, 1.0 / 30.0)
+    [q] = g_quadratic(CANON_EIGS, CANON_DIR, [1.0 / 30.0])
     A = 176.0 * math.pi / 105.0
     assert abs(q.A - A) < 1e-13
     D = A - (16.0 * math.pi / 75.0) * 4.0
@@ -176,6 +178,31 @@ def test_g_quadratic_coefficients():
     assert abs(q.discriminant - 2.0 * math.pi / 9.0) < 1e-12
 
 
+def test_g_quadratic_over_a_list_matches_the_scalar_formulas():
+    # A, D and beta are formed once per direction; each bbar gets the
+    # quadratic the scalar formulas give, bit for bit
+    rng = np.random.default_rng(26)
+    bbars = [0.0, THRESHOLD_BBAR, 1.0 / 30.0, -0.02, 0.05, THRESHOLD_BBAR]
+    for _ in range(20):
+        eigs, d = random_eigs(rng), random_direction(rng)
+        A = compute_A(eigs, d)
+        D = A - (16.0 * math.pi / 75.0) * float((d.a**2) @ (eigs.lam**2))
+        beta = (5.0 / 6.0) * math.sqrt(D)
+        quadratics = g_quadratic(eigs, d, bbars)
+        for bbar, q in zip(bbars, quadratics, strict=True):
+            alpha = deficit_closed_form(eigs, bbar, 1.0) + 0.5 * A
+            assert q == GQuadratic(
+                A=A,
+                D=D,
+                alpha=alpha,
+                beta_coef=beta,
+                gamma_coef=GAMMA_COEF,
+                discriminant=beta * beta - alpha * GAMMA_COEF,
+            )
+            assert q == g_quadratic(eigs, d, [bbar])[0]
+    assert g_quadratic(CANON_EIGS, CANON_DIR, []) == []
+
+
 def test_discriminant_identity_random():
     # beta^2 - alpha gamma = -(1/54 - (5/3) bbar) pi sum lam^2
     rng = np.random.default_rng(27)
@@ -183,7 +210,7 @@ def test_discriminant_identity_random():
         eigs = random_eigs(rng)
         d = random_direction(rng)
         bbar = float(rng.uniform(-0.05, 0.05))
-        q = g_quadratic(eigs, d, bbar)
+        [q] = g_quadratic(eigs, d, [bbar])
         expected = -(1.0 / 54.0 - (5.0 / 3.0) * bbar) * math.pi * eigs.sum_sq
         assert abs(q.discriminant - expected) < 1e-12 * max(1.0, abs(expected))
 
@@ -194,7 +221,7 @@ def test_min_value_closed_form():
         eigs = random_eigs(rng)
         d = random_direction(rng)
         bbar = float(rng.uniform(-0.02, 0.05))
-        q = g_quadratic(eigs, d, bbar)
+        [q] = g_quadratic(eigs, d, [bbar])
         expected = 4.0 * math.pi * (THRESHOLD_BBAR - bbar) * eigs.sum_sq
         assert abs(q.min_value - expected) < 1e-10 * max(1.0, abs(expected))
         assert abs(leading_value(eigs, bbar, 1.0) - expected) < 1e-14 * eigs.sum_sq
@@ -216,7 +243,7 @@ def test_eval_G_at_optimum_random():
         bbar = float(rng.uniform(-0.02, 0.05))
         eta2 = optimal_eta2(BASIS, eigs, d)
         val = eval_G(BASIS, eigs, d, bbar, eta2)
-        q = g_quadratic(eigs, d, bbar)
+        [q] = g_quadratic(eigs, d, [bbar])
         assert abs(val - q.min_value) < 1e-8 * max(1.0, abs(q.min_value))
 
 
@@ -241,7 +268,7 @@ def test_minimize_G_matches_closed_form():
         d = random_direction(rng)
         bbar = float(rng.uniform(-0.02, 0.05))
         [([value], minimizer)] = minimize_G(BASIS, eigs, [d], (bbar,))
-        q = g_quadratic(eigs, d, bbar)
+        [q] = g_quadratic(eigs, d, [bbar])
         assert abs(value - q.min_value) < 1e-6 * max(1.0, abs(q.min_value))
         # the numerical minimizer points along the closed-form one
         opt = optimal_eta2(BASIS, eigs, d)
@@ -311,6 +338,29 @@ def test_blocked_gram_matches_dense(shape):
         assert np.abs(minimizer.c[4:] - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
 
+@pytest.mark.parametrize("L", [8, 24, 48])
+@pytest.mark.parametrize("lam", [(1.0, 1.0, -2.0), (0.7, 0.5, -1.2), (2.0, -1.0, -1.0)])
+def test_cross_term_vector_lives_on_degrees_up_to_three(L, lam):
+    # its entry at Y is int Y [Lap(phi Lap eta1) / 4 - div(phi grad eta1)],
+    # an odd cubic: the full-degree vector holds only quadrature dust above
+    # degree 3, and the one minimize_G reads, analyzed to degree 3, matches
+    # it below and is zero above.  The Laplacian term scales each row's
+    # analysis by l(l+1), and its roundoff with it: the dust reaches 2.4e-12
+    # of the largest entry at L = 48, and 1.9e-15 l(l+1) of it
+    basis = build_basis(build_grid(L + 1, 2 * L + 2), L)
+    eigs = RicciEigs(np.array(lam))
+    phi = phi_field(eigs, basis.grid)
+    high = basis.degrees > 3
+    for e in np.eye(3):
+        d = Direction(e)
+        full = weighted_form(basis, phi / 4.0, phi, eta1_coeffs(d, L))
+        capped = gform_module._g_cross(basis, eigs, d)
+        scale = np.abs(full).max()
+        assert np.all(np.abs(full[high]) < 1e-14 * basis.eigenvalues[high] * scale)
+        assert np.abs(capped[~high] - full[~high]).max() <= 1e-14 * scale
+        assert np.all(capped[high] == 0.0)
+
+
 def test_minimize_G_needs_degree_two():
     with pytest.raises(ValueError, match="G lives on degrees l >= 2"):
         minimize_G(build_basis(GRID, 1), CANON_EIGS, [CANON_DIR], (0.0,))
@@ -344,14 +394,14 @@ def test_G_lower_bound_below_threshold():
         bbar = float(rng.uniform(0.0, THRESHOLD_BBAR))
         eta2 = random_complement(rng)
         val = eval_G(BASIS, eigs, d, bbar, eta2)
-        q = g_quadratic(eigs, d, bbar)
+        [q] = g_quadratic(eigs, d, [bbar])
         assert val >= q.min_value - 1e-8 * max(1.0, abs(val))
 
 
 def test_scaling_covariance():
     # scaling lam by s scales A, D, alpha, and min G by s^2
-    q1 = g_quadratic(CANON_EIGS, CANON_DIR, 0.0)
-    q2 = g_quadratic(RicciEigs(2.0 * CANON_EIGS.lam), CANON_DIR, 0.0)
+    [q1] = g_quadratic(CANON_EIGS, CANON_DIR, [0.0])
+    [q2] = g_quadratic(RicciEigs(2.0 * CANON_EIGS.lam), CANON_DIR, [0.0])
     for attr in ("A", "D", "alpha", "discriminant"):
         assert abs(getattr(q2, attr) - 4.0 * getattr(q1, attr)) < 1e-12
     assert abs(q2.min_value - 4.0 * q1.min_value) < 1e-12
@@ -362,8 +412,8 @@ def test_permutation_invariance():
     eigs = random_eigs(rng)
     d = random_direction(rng)
     perm = [2, 0, 1]
-    q1 = g_quadratic(eigs, d, 0.005)
-    q2 = g_quadratic(RicciEigs(eigs.lam[perm]), Direction(d.a[perm]), 0.005)
+    [q1] = g_quadratic(eigs, d, [0.005])
+    [q2] = g_quadratic(RicciEigs(eigs.lam[perm]), Direction(d.a[perm]), [0.005])
     assert abs(q1.A - q2.A) < 1e-13
     assert abs(q1.min_value - q2.min_value) < 1e-13
 

@@ -167,6 +167,19 @@ def test_analyze_refuses_a_cap_outside_the_degrees(lmax):
         analyze(BASIS, GRID.xyz[:, 0], lmax)
 
 
+@pytest.mark.parametrize("lmax", [-1, 9, True, 2.0])
+def test_weighted_form_refuses_a_cap_outside_the_degrees(lmax):
+    u = FieldCoeffs(8, np.eye(NMODES)[5])
+    with pytest.raises(ValueError, match=f"analysis degree cap {lmax!r} outside 0..8"):
+        weighted_form(BASIS, 1.0, 1.0, u, lmax=lmax)
+
+
+def test_weighted_form_takes_a_cap_only_for_the_vector():
+    u = FieldCoeffs(8, np.eye(NMODES)[5])
+    with pytest.raises(ValueError, match="only to the vector form"):
+        weighted_form(BASIS, 1.0, 1.0, u, u, lmax=3)
+
+
 def test_laplacian_multiplies_by_eigenvalue():
     rng = np.random.default_rng(11)
     c = rng.normal(size=NMODES)

@@ -50,6 +50,7 @@ REPORTS = {
     ],
     "gform": ["gform"],
     "gform-25x50-l24-directions8": ["gform", "--grid", "25x50", "--ltrunc", "24", "--set", "directions=8"],
+    "gform-49x98-l48-directions8": ["gform", "--grid", "49x98", "--ltrunc", "48", "--set", "directions=8"],
 }
 
 
