@@ -337,17 +337,16 @@ _GFORM_ROW_BYTES = 4096
 def _directions_for(config: RunConfig) -> list[Direction]:
     """The report's directions: ``a``, then ``directions - 1`` drawn from ``seed``.
 
-    A count whose rows (``_GFORM_ROW_BYTES`` each, one per bbar) and
-    minimizers ((L+1)^2 doubles each) would pass ``GRID_BYTES_LIMIT`` is
-    refused before the first draw.
+    A count whose rows (``_GFORM_ROW_BYTES`` each, one per bbar) would
+    pass ``GRID_BYTES_LIMIT`` is refused before the first draw.
     """
     n = config.directions
     if n < 1:
         raise ConfigError(f"directions must be >= 1, got {n}")
-    need = n * (8 * (config.ltrunc + 1) ** 2 + _GFORM_ROW_BYTES * len(config.bbar_list))
+    need = n * _GFORM_ROW_BYTES * len(config.bbar_list)
     if need > GRID_BYTES_LIMIT:
         raise ConfigError(
-            f"directions = {n} needs {need / 2**30:.3g} GiB for the report rows and minimizers, "
+            f"directions = {n} needs {need / 2**30:.3g} GiB for the report rows, "
             f"over the {GRID_BYTES_LIMIT / 2**30:.3g} GiB limit"
         )
     dirs = [Direction(_unit_direction(config.a))]
@@ -421,6 +420,24 @@ def cmd_gform(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if ok else "FAIL")
 
 
+def _pencils_or_refusals(basis, fields) -> list:
+    """One pencil per field, assembled together; a field the pencil refuses gets its ValueError.
+
+    A refusal refuses the whole call, so then each field is assembled
+    alone, and only the refused ones lose their rows.
+    """
+    try:
+        return assemble_pencil(basis, fields)
+    except ValueError:
+        out = []
+        for H in fields:
+            try:
+                out += assemble_pencil(basis, [H])
+            except ValueError as exc:
+                out.append(exc)
+        return out
+
+
 def cmd_scan(config: RunConfig) -> dict:
     """Pencil eigenvalue scan over (bbar, r) plus threshold bisection."""
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
@@ -434,37 +451,45 @@ def cmd_scan(config: RunConfig) -> dict:
     check_bbar(eigs, *config.bracket, r=config.bisect_r)
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
-    rows = []
+    cells = []  # (bbar, r, H or the ValueError that refused the row)
     for bbar in config.bbar_list:
         for r in config.r_list:
             try:
                 H = h_family(eigs, bbar, r, grid)
                 check_bbar(eigs, bbar, r=r)
-                pencil = assemble_pencil(basis, H)
-            except ValueError as exc:  # r out of range, h, deficit or pencil too large, H not positive
-                rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(exc)})
-                continue
-            unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
-            deficit = deficit_closed_form(eigs, bbar, r)
-            deficit_quad = integrate(grid, -H.h)
-            rows.append(
-                {
-                    "bbar": bbar,
-                    "r": r,
-                    "skipped": False,
-                    "min_eig_unrestricted": unres,
-                    "min_eig_restricted": res,
-                    "min_eig_over_r4": unres / r**4,
-                    "deficit_closed": deficit,
-                    "deficit_quadrature": deficit_quad,
-                }
-            )
+            except ValueError as exc:  # r out of range, h or deficit too large, H not positive
+                H = exc
+            cells.append((bbar, r, H))
+    # popped in row order, so that each group's blocks go with its last row
+    pencils = _pencils_or_refusals(basis, [H for *_, H in cells if not isinstance(H, ValueError)])[::-1]
+    rows = []
+    for bbar, r, H in cells:
+        pencil = H if isinstance(H, ValueError) else pencils.pop()
+        if isinstance(pencil, ValueError):
+            rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(pencil)})
+            continue
+        unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
+        deficit = deficit_closed_form(eigs, bbar, r)
+        deficit_quad = integrate(grid, -H.h)
+        rows.append(
+            {
+                "bbar": bbar,
+                "r": r,
+                "skipped": False,
+                "min_eig_unrestricted": unres,
+                "min_eig_restricted": res,
+                "min_eig_over_r4": unres / r**4,
+                "deficit_closed": deficit,
+                "deficit_quadrature": deficit_quad,
+            }
+        )
 
     # bisection on the sign of the unrestricted minimum eigenvalue at fixed r
     r_b = config.bisect_r
 
     def unrestricted_min(bbar: float) -> float:
-        return pencil_minimum(assemble_pencil(basis, h_family(eigs, bbar, r_b, grid)))
+        [pencil] = assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])
+        return pencil_minimum(pencil)
 
     lo, hi = config.bracket
     bisection = None
@@ -678,7 +703,7 @@ def cmd_certify(config: RunConfig) -> dict:
     cert_neg = negative_part_certificate(config.beta, config.lambda1, alpha, 2.0, 2.0)
     report = check_deficit_conditions(H, cert_ratio)
 
-    pencil = assemble_pencil(basis, H)
+    [pencil] = assemble_pencil(basis, [H])
     unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
 
     sound = (not report.passed) or unres > 0

@@ -36,13 +36,19 @@ entries are exact zeros instead of roundoff, which keeps an O(r^4)
 eigenvalue from drowning in the O(1) spectrum.  When h does not depend
 on phi, as for the quartic family with lam1 = lam2, Q_H couples only
 harmonics of one azimuthal order and trig type: one block per order,
-which its cos and sin rows share.  Otherwise the pencil splits by the
-parity classes of the coordinate reflections that h is even under: the
+which its cos and sin rows share, and, when h is also even under the x3
+reflection, as the quartic family and the constants always are, one per
+(order, parity of l + |m|).  Otherwise the pencil splits by the parity
+classes of the coordinate reflections that h is even under: the
 quartic family is even under all three, 8 classes on an even n_phi and
 4 on an odd one, which has no x1 reflection.  Every block is built from
 theta sums (``gram_blocks``), the first time a solve reads it, and kept:
 the pencil holds the row sets of each distinct block and builds each
-block at most once; the dense M is built when read.
+block at most once; the dense M is built when read.  ``assemble_pencil``
+takes a sequence of fields: those of one layout share one pass over
+their weights, and each block is built for all of them at once, by the
+first solve of any of them that reads it; each pencil reads its own
+slice, the bits it would get alone.
 
 Only a witness reads an eigenvector, and only a block that can hold the
 minimum is built and solved.  Whitened by K, the round form is the diagonal
@@ -65,8 +71,9 @@ its witness.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -82,7 +89,7 @@ from .harmonics import (
     round_diagonal,
     weighted_form,
 )
-from .quad import FOUR_PI, SphereGrid, integrate
+from .quad import FOUR_PI, SphereGrid, _read_only, integrate
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -174,14 +181,16 @@ class HessianPencil:
     them, where ``row_sets[i]`` has shape (k, n), the k row sets whose
     block is ``block(i)``, and ``parts[restrict]`` the parts that
     ``_row_minimum`` visits.  When h is constant on every theta ring there
-    is one block per azimuthal order, with k = 2 (its cos rows, then its
-    sin rows) for order > 0; else one per parity class of the
-    reflections h is even under (k = 1), one of every row when there
-    are none.
+    is one block per azimuthal order, and per parity of l + |m| when h is
+    even under x3, with k = 2 (its cos rows, then its sin rows) for
+    order > 0; else one per parity class of the reflections h is even
+    under (k = 1), one of every row when there are none.
 
     A block is built the first time it is read: ``block(i)`` calls
     ``build(i)`` once and keeps the result, so a solve that reads few
-    blocks builds few.  The dense ``M`` (46 MB at L = 48) reads every
+    blocks builds few.  ``build(i)`` reads the pencil's read-only slice
+    of block i of its ``assemble_pencil`` group, which the first read by
+    any pencil of the group builds for all of them.  The dense ``M`` (46 MB at L = 48) reads every
     block; no command reads it or ``degrees`` (each row's l), but the
     benchmark tracer (``perfbench/tracer.py``) sizes its counts from both.
     ``_minima`` records the smallest eigenvalue of each part (i, k)
@@ -269,40 +278,67 @@ def kernel_closed_form(H: MeanCurvatureField, a: NDArray[np.float64]) -> float:
     return norm_term + weighted
 
 
-def assemble_pencil(basis: HarmonicBasis, H: MeanCurvatureField) -> HessianPencil:
-    """Assemble the pencil (M, K) over degrees l >= 1, as lazily built blocks of M.
+def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) -> list[HessianPencil]:
+    """Assemble the pencil (M, K) over degrees l >= 1 of each field, as lazily built blocks of M.
 
     M is built in deficit form, like eval_Q: the symmetrized Gram blocks
     of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
     (gradients), plus the exact round diagonal mu^2/2 - mu, added to a
-    block when it is built; the pencil keeps the sups of the two
+    block when it is built; each pencil keeps the sups of its two
     |weights|, which need no block, and the symmetries of the weights
-    decide the blocks (see ``HessianPencil``).  Before any block, an h
-    whose weights exceed ``_gram_limit``, where a Gram sum could overflow,
-    is refused by a ValueError naming max |h|.
+    decide the blocks (see ``HessianPencil``).  Fields of one layout are
+    assembled together: one pass over their weights, and each block
+    built for all of them at once, on the first read by any of them;
+    each pencil's ``block(i)`` reads its own slice.  Before any block, an
+    h whose weights exceed ``_gram_limit``, where a Gram sum could
+    overflow, is refused by a ValueError naming max |h|, and so is a
+    layout past the byte limit; either refuses the whole call.
     """
-    _check_field(basis, H)
-    w_lap = -H.h / (2.0 * H.samples)
-    sups = (float(np.abs(w_lap).max()), float(np.abs(H.h).max()))
-    if not max(sups) <= (limit := _gram_limit(basis)):
-        raise ValueError(f"h = H - 2 is too large for the Gram sums: max |h| = {sups[1]:.6g} > {limit:.6g}")
-    row_sets, gram, parts = gram_blocks(basis, w_lap, -H.h)
-    diag = round_diagonal(basis)[1:]
+    for H in fields:
+        _check_field(basis, H)
+    if not fields:
+        return []
+    h = np.stack([H.h for H in fields])
+    w_lap = -h / (2.0 * np.stack([H.samples for H in fields]))
+    sups = list(zip(np.abs(w_lap).max(axis=1).tolist(), np.abs(h).max(axis=1).tolist()))
+    limit = _gram_limit(basis)
+    for s_lap, s_grad in sups:
+        if not max(s_lap, s_grad) <= limit:
+            raise ValueError(f"h = H - 2 is too large for the Gram sums: max |h| = {s_grad:.6g} > {limit:.6g}")
+    kdiag, degrees, diag = *_read_only(basis.eigenvalues[1:] ** 2), basis.degrees[1:], round_diagonal(basis)[1:]
+    pencils = [None] * len(fields)
+    for members, row_sets, gram, parts in gram_blocks(basis, w_lap, -h):
+        blocks = _shared_blocks(gram, row_sets, diag)
+        for j, f in enumerate(members):
+            pencils[f] = HessianPencil(
+                L=basis.L,
+                kdiag=kdiag,
+                degrees=degrees,
+                row_sets=row_sets,
+                parts=parts,
+                sups=sups[f],
+                build=functools.partial(blocks, j=j),
+            )
+    return pencils
 
-    def build(i: int) -> NDArray[np.float64]:
-        B = gram(i)
-        B.flat[:: len(B) + 1] += diag[row_sets[i][0]]
-        return B
 
-    return HessianPencil(
-        L=basis.L,
-        kdiag=basis.eigenvalues[1:] ** 2,
-        degrees=basis.degrees[1:],
-        row_sets=row_sets,
-        parts=parts,
-        sups=sups,
-        build=build,
-    )
+def _shared_blocks(gram, row_sets, diag):
+    """``block(i, j)``: block i of member j of one ``gram_blocks`` group.
+
+    The first read of block i builds it for every member, adds the round
+    diagonal, and keeps it read-only.
+    """
+    built = {}
+
+    def block(i: int, j: int) -> NDArray[np.float64]:
+        if i not in built:
+            B = gram(i)
+            n = B.shape[1]
+            B.reshape(len(B), -1)[:, :: n + 1] += diag[row_sets[i][0]]
+            built[i] = _read_only(B)[0]
+        return built[i][j]
+
+    return block
 
 
 def _solve(pencil: HessianPencil, i: int, k: int, solver):

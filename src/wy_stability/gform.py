@@ -295,7 +295,7 @@ def minimize_G(
     eigs: RicciEigs,
     directions: Sequence[Direction],
     bbars: Sequence[float],
-) -> list[tuple[list[float], FieldCoeffs]]:
+) -> list[tuple[list[float], NDArray[np.float64]]]:
     """Minimize G over all degree >= 2 fields, in every direction, from one 3x3 matrix.
 
     This is an independent route to the minimum: the linear part of G
@@ -310,9 +310,10 @@ def minimize_G(
     diagonal, and the minimum is 4 pi (1/30 - bbar) sum lam_i^2 - a^T T a, with
     T = B^T V - (1/2) int phi^2 x x^T dv (A / 2 by quadrature), which
     equals (4 pi sum lam_i^2 / 45) I.  bbar only shifts the minimum.
-    Returns, per direction, the minimum for each bbar and the minimizing
-    coefficients, which all of them share: (L+1)^2 doubles per direction,
-    zero above degree 3.
+    Returns, per direction, the minimum for each bbar and the minimizer,
+    which all of them share, as its 12 coefficients on degrees 2 and 3
+    (basis rows 4..15; zero on degree 3 at L = 2): the minimizer is zero
+    above degree 3.
     """
     if basis.L < 2:
         raise ValueError(f"G lives on degrees l >= 2, but the basis stops at L = {basis.L}")
@@ -323,11 +324,11 @@ def minimize_G(
     phi, xyz = phi_field(eigs, basis.grid), basis.grid.xyz
     T = B.T @ V - 0.5 * xyz.T @ ((basis.grid.weights * phi * phi)[:, None] * xyz)
     a = np.array([d.a for d in directions])
-    c = np.zeros((len(a), (basis.L + 1) ** 2))
-    c[:, 4:top] = a @ V.T
+    c = np.zeros((len(a), 12))
+    c[:, : top - 4] = a @ V.T
     shifts = np.einsum("ki,ij,kj->k", a, T, a)
     deficits = [deficit_closed_form(eigs, bbar, 1.0) for bbar in bbars]
-    return [([d - float(s) for d in deficits], FieldCoeffs(basis.L, row)) for s, row in zip(shifts, c)]
+    return [([d - float(s) for d in deficits], row) for s, row in zip(shifts, c)]
 
 
 def classify_bbar(bbar: float) -> str:

@@ -52,15 +52,18 @@ A form whose weights are even under a reflection couples no two rows
 of opposite parity under it.  A form whose weights are constant on
 every theta ring couples only rows of one order |m| and one trig type,
 because the discrete cos and sin factors are orthogonal on the uniform
-phi nodes.  ``gram_blocks``, the builder of the Gram blocks of the
-pencil, splits the rows by the symmetries the weights have and
-computes every entry as a theta sum: the phi sum of two trig factors
-against a ring's weights is read exactly off the ring's Fourier
-coefficients.  It returns the row sets, a builder that computes each
-distinct block only when called, and the parts.  One kernel builds
-every block, from one product per (order, trig type) group in it and
-no padded degrees; a block of one group, as every ring-constant one
-is, reads its rows out of the factor tables as slices.
+phi nodes; when they are also even under x3, each order splits again
+by the parity of l + |m|.  ``gram_blocks``, the builder of the Gram
+blocks of the pencil, splits the rows by the symmetries the weights
+have and computes every entry as a theta sum: the phi sum of two trig
+factors against a ring's weights is read exactly off the ring's
+Fourier coefficients.  It takes the weights of a batch of fields and
+returns one group per layout: its fields, the row sets, a builder that
+computes each distinct block, for every field of the group at once,
+only when called, and the parts.  One kernel builds every block, from
+one product per (order, trig type) group in it and no padded degrees;
+a block of one group, as every ring-constant one is, reads its rows
+out of the factor tables as slices.
 """
 
 from __future__ import annotations
@@ -441,24 +444,33 @@ def weighted_form(
 
 def gram_blocks(
     basis: HarmonicBasis, w_lap: NDArray[np.float64], w_grad: NDArray[np.float64]
-) -> tuple[tuple[NDArray[np.int64], ...], Callable[[int], NDArray[np.float64]], tuple]:
-    """Gram matrix of ``weighted_form`` over degrees >= 1, as row sets, block builder, parts.
+) -> list[tuple[tuple[int, ...], tuple, Callable[[int], NDArray[np.float64]], tuple]]:
+    """Gram matrices of ``weighted_form`` over degrees >= 1, for a batch of weights, as groups.
 
-    The weights are nodal arrays.  Returns (sets, build, parts): ``sets[i]``
-    has shape (k, n), the k row sets that share the diagonal block
-    ``build(i)``, each of n rows counted from row 1, increasing.  Only
-    the ring coefficients of the weights are computed here; each call of
-    ``build`` computes its block from them, so a caller builds only the
-    blocks it reads.  The blocks follow the symmetries that both weight
-    arrays have, each to 1e-13 of the array's max.  When they are
-    constant on every theta ring, there is one block per order a = |m|
-    over the degrees l >= max(a, 1), shared by its cos and its sin rows
-    (k = 2 for a > 0).  Else there is one block per parity class of the
-    reflections that hold, read as index maps on the (n_theta, n_phi)
-    view (x1: j -> n_phi/2 - j, even n_phi only; x2: j -> -j;
-    x3: i -> n_theta - 1 - i).  Row (l, m) is odd under them by
-    p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0] and p3 = (l + |m|) mod 2;
-    the classes follow p1 + 2 p2 + 4 p3.
+    The weights are nodal arrays of shape (F, n_nodes), one row per
+    field.  Returns a list of groups (members, sets, build, parts):
+    ``members`` the fields of the group, ascending; ``sets[i]`` has shape
+    (k, n), the k row sets that share the diagonal block ``build(i)``,
+    each of n rows counted from row 1, increasing; ``build(i)`` has shape
+    (len(members), n, n), one block per member.  Fields whose weights
+    have the same layout share a group: one pass over their weights (the
+    symmetry checks, ring coefficients and phi sums) and one product per
+    block, with a leading batch axis over as many fields as keep its
+    operands within ``_CHUNK_BYTES``.  Only the ring coefficients are
+    computed here; each call of ``build`` computes its block from them,
+    so a caller builds only the blocks it reads.
+
+    The blocks follow the symmetries that both weight arrays of a field
+    have, each to 1e-13 of the array's max.  When they are constant on
+    every theta ring, there is one block per order a = |m| over the
+    degrees l >= max(a, 1), shared by its cos and its sin rows (k = 2
+    for a > 0); when they are also even under x3, each order block
+    splits by the parity of l + a, one block per (order, parity).  Else
+    there is one block per parity class of the reflections that hold,
+    read as index maps on the (n_theta, n_phi) view (x1: j -> n_phi/2 -
+    j, even n_phi only; x2: j -> -j; x3: i -> n_theta - 1 - i).  Row
+    (l, m) is odd under them by p1 = (|m| + [m < 0]) mod 2, p2 = [m < 0]
+    and p3 = (l + |m|) mod 2; the classes follow p1 + 2 p2 + 4 p3.
 
     Every entry is a theta sum: on one ring the phi sum of the weight
     against the trig factors of orders a and a' is exactly half the sum
@@ -471,46 +483,77 @@ def gram_blocks(
     as in Driscoll & Healy (1994) and Schaeffer (2013), from one product
     per (order, trig type) group in it: O(L^2 n_theta) per order block
     of ring-constant weights, O(L^5) over all parity classes.  No entry
-    between blocks is computed.  ``build`` symmetrizes its block once
-    the block's asymmetry is checked against 1e-12 of its own largest
-    entry (or of 1), and raises AssertionError past that.  ``parts`` are the part
-    lists of ``_layout``.  A layout whose largest block or product would
-    pass ``GRID_BYTES_LIMIT`` is refused first (``_check_pencil_size``).
+    between blocks is computed.  ``build`` symmetrizes its blocks once
+    each one's asymmetry is checked against 1e-12 of its own largest
+    entry (or of 1), and raises AssertionError past that, for the
+    group.  ``parts`` are the part lists of ``_layout``.  A layout whose
+    largest block or product would pass ``GRID_BYTES_LIMIT`` is refused
+    first (``_check_pencil_size``), and a group holds no more fields
+    than the limit admits together.
     """
+    grid = basis.grid
+    w = np.stack([w_lap, w_grad], axis=1).reshape(-1, 2, grid.n_theta, grid.n_phi)
+    modes = _modes(w)
+    sizes = {mode: _check_pencil_size(grid.n_theta, grid.n_phi, basis.L, mode) for mode in dict.fromkeys(modes)}
+    groups = []
+    for mode, size in sizes.items():
+        members = [f for f, m in enumerate(modes) if m == mode]
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            group = w if len(chunk) == len(w) else w[chunk]  # no copy of a batch of one layout
+            groups.append((tuple(chunk), *_group_blocks(basis, group, mode)))
+    return groups
+
+
+def _modes(w: NDArray[np.float64]) -> list[tuple[bool, bool, bool, bool]]:
+    """The layout of each field's weights [field, weight, ring, node]: (ring-constant, x1, x2, x3).
+
+    For ring-constant weights, x1 and x2 are not read: every order block
+    is even or odd under both.
+    """
+    nphi = w.shape[-1]
+    j = np.arange(nphi)
+    top = 1e-13 * np.abs(w).max(axis=(2, 3))
+
+    def holds(image) -> NDArray[np.bool_]:
+        d = w - image(w)
+        return (np.abs(d, out=d).max(axis=(2, 3)) <= top).all(axis=1)
+
+    ring, x3 = holds(lambda x: x[..., :1]), holds(lambda x: x[:, :, ::-1])
+    x1 = x2 = np.zeros(len(w), dtype=bool)
+    if not ring.all():
+        x2 = ~ring & holds(lambda x: x[..., -j % nphi])
+        if nphi % 2 == 0:
+            x1 = ~ring & holds(lambda x: x[..., (nphi // 2 - j) % nphi])
+    return [tuple(map(bool, m)) for m in zip(ring, x1, x2, x3)]
+
+
+def _group_blocks(basis: HarmonicBasis, w: NDArray[np.float64], mode):
+    """The sets, block builder and parts of ``gram_blocks`` for the weights [field, weight, ring, node] of one layout."""
     L, grid = basis.L, basis.grid
     nt, nphi = grid.n_theta, grid.n_phi
-    w = [np.reshape(x, (nt, nphi)) for x in (w_lap, w_grad)]
-
-    def holds(image) -> bool:
-        return all(np.abs(x - image(x)).max() <= 1e-13 * np.abs(x).max() for x in w)
-
-    # ring coefficients [C or S, k, term, ring] of w_q w_lap, w_q w_grad
-    # and w_q w_grad / sin^2 theta, w_q the quadrature weight of a node
+    # ring coefficients [field, C or S, k, term, ring] of w_q w_lap, w_q
+    # w_grad and w_q w_grad / sin^2 theta, w_q the quadrature weight of a node
+    sets, plan, pairs, parts = _layout(L, mode)
+    coef, kind, freq = pairs
     ring = grid.weights[::nphi]
-    spec = np.zeros((2, 2 * L + 1, 3, nt))
-    if holds(lambda x: x[:, :1]):
-        mode = None
-        spec[0, 0, :2] = [ring * nphi * x[:, 0] for x in w]
+    spec = np.zeros((len(w), 2, freq.max() + 1, 3, nt))
+    if mode[0]:
+        spec[:, 0, 0, :2] = ring * nphi * w[..., 0]
     else:
-        j = np.arange(nphi)
-        x1 = nphi % 2 == 0 and holds(lambda x: x[:, (nphi // 2 - j) % nphi])
-        mode = (x1, holds(lambda x: x[:, -j % nphi]), holds(lambda x: x[::-1]))
-        z = (ring[:, None] * np.fft.fft(np.stack(w), axis=-1)[..., : 2 * L + 1]).transpose(2, 0, 1)
-        spec[0, :, :2], spec[1, :, :2] = z.real, -z.imag
-    spec[:, :, 2] = spec[:, :, 1] * (1.0 / grid.sin_theta[::nphi] ** 2)
-    if mode and mode[2]:
+        z = (ring[:, None] * np.fft.fft(w, axis=-1)[..., : spec.shape[2]]).transpose(0, 3, 1, 2)
+        spec[:, 0, :, :2], spec[:, 1, :, :2] = z.real, -z.imag
+    spec[:, :, :, 2] = spec[:, :, :, 1] * (1.0 / grid.sin_theta[::nphi] ** 2)
+    if mode[3]:
         # rings i and n_theta - 1 - i contribute alike; the equator once
         nt = (nt + 1) // 2
         spec = spec[..., :nt] * np.where(np.arange(nt) < grid.n_theta // 2, 2.0, 1.0)
 
-    sets, plan, pairs, parts = _layout(L, mode)
-    _check_pencil_size(grid.n_theta, grid.n_phi, L, mode)
-    # the phi sums [pair, term, ring] of every block's group pairs, one
-    # half of the ring coefficients at a time
-    coef, kind, freq = pairs
-    phi = spec[kind, freq[0]]
+    # the phi sums [field, pair, term, ring] of every block's group pairs,
+    # one half of the ring coefficients at a time
+    phi = spec[:, kind, freq[0]]
     phi *= coef[0]
-    half = spec[kind, freq[1]]
+    half = spec[:, kind, freq[1]]
     half *= coef[1]
     phi += half
     phi *= 0.5
@@ -518,16 +561,28 @@ def gram_blocks(
 
     def build(i: int) -> NDArray[np.float64]:
         own, g, cols, span, lap = plan[i]
-        G = len(cols)
-        B = _block_gram(flat, phi[span].reshape(G, G, 3, nt), own, g, cols, lap)
-        asym = np.abs(B - B.T).max()
-        B = 0.5 * (B + B.T)
-        # a NaN or inf entry fails the test, as an asymmetry past tolerance does
-        if not asym <= 1e-12 * max(np.abs(B).max(), 1.0) < math.inf:
-            raise AssertionError(f"Gram block {i} is not finite, or its asymmetry {asym} exceeds tolerance")
-        return B
+        G, n = len(cols), sets[i].shape[1]
+        out = np.empty((len(w), n, n))
+        # a few fields at a time, so that one chunk's operands stay in cache
+        step = max(1, _CHUNK_BYTES // (24 * n * max(n, nt)))
+        for f in range(0, len(w), step):
+            B = _block_gram(flat, phi[f : f + step, span].reshape(-1, G, G, 3, nt), own, g, cols, lap)
+            Bt = B.transpose(0, 2, 1)
+            asym = np.abs(B - Bt).max(axis=(1, 2))
+            sym = np.multiply(0.5, B + Bt, out=out[f : f + step])
+            bound = 1e-12 * np.maximum(np.abs(sym).max(axis=(1, 2)), 1.0)
+            # a NaN or inf entry fails the test, as an asymmetry past tolerance does
+            if not np.all((asym <= bound) & (bound < math.inf)):
+                raise AssertionError(f"Gram block {i} is not finite, or its asymmetry {asym.max()} exceeds tolerance")
+        return out
 
     return sets, build, parts
+
+
+# bytes of the operands one chunk of fields builds a block from, about
+# half of an L2 cache: a 49x98, L = 48 parity scan built its nine rows'
+# 300-row blocks 8% slower in one batch than one field at a time
+_CHUNK_BYTES = 2**20
 
 
 def _gram_limit(basis: HarmonicBasis) -> float:
@@ -544,23 +599,39 @@ def _gram_limit(basis: HarmonicBasis) -> float:
     return float(np.finfo(np.float64).max) / (2.0 * 3.0 * grid.n_theta * F2 * L * L * ring)
 
 
-def _check_pencil_size(n_theta: int, n_phi: int, L: int, mode) -> None:
-    """Refuse, by a ValueError, a layout whose largest block or product passes ``GRID_BYTES_LIMIT``.
+def _check_pencil_size(n_theta: int, n_phi: int, L: int, mode) -> int:
+    """How many fields of layout ``mode`` one group of ``gram_blocks`` takes.
 
-    ``mode`` is as for ``_layout``.  The largest arrays are a block of n
-    rows with the two n x n temporaries of its symmetry check, one
-    group's operand or product over three terms, 3 n max(rings, L+1),
-    and the phi sums, 3 rings sum G^2 over the blocks' G groups.
+    A layout whose largest block or product alone passes
+    ``GRID_BYTES_LIMIT`` is refused by a ValueError.  A group takes as
+    many fields as fit in the limit together, each with its blocks
+    kept, and at least one.  See ``_pencil_bytes``.
     """
-    sets, plan, _, _ = _layout(L, mode)
-    n = max(s.shape[1] for s in sets)
-    rings = (n_theta + 1) // 2 if mode and mode[2] else n_theta
-    need = 24 * max(n * n, n * max(rings, L + 1), rings * sum(len(p[2]) ** 2 for p in plan))
+    need, kept = _pencil_bytes(n_theta, L, mode)
     if need > GRID_BYTES_LIMIT:
         raise ValueError(
             f"pencil on grid {n_theta}x{n_phi} at L = {L} needs {need / 2**30:.3g} GiB for its "
             f"largest block or product, over the {GRID_BYTES_LIMIT / 2**30:.3g} GiB limit"
         )
+    return max(1, GRID_BYTES_LIMIT // (need + kept))
+
+
+@functools.lru_cache(maxsize=8)
+def _pencil_bytes(n_theta: int, L: int, mode) -> tuple[int, int]:
+    """The bytes one field's pencil of layout ``mode`` needs at once, and the bytes of all its blocks.
+
+    ``mode`` is as for ``_layout``.  The largest arrays are a block of n
+    rows with the two n x n temporaries of its symmetry check, one
+    group's operand or product over three terms, 3 n max(rings, L+1),
+    and the phi sums, 3 rings per group pair, G^2 per distinct set of
+    a block's G groups.  A pencil keeps every block it builds, sum n^2
+    over the blocks.
+    """
+    sets, _, pairs, _ = _layout(L, mode)
+    n = max(s.shape[1] for s in sets)
+    rings = (n_theta + 1) // 2 if mode[3] else n_theta
+    need = 24 * max(n * n, n * max(rings, L + 1), rings * len(pairs[1]))
+    return need, 8 * sum(s.shape[1] ** 2 for s in sets)
 
 
 def _pair_terms(ia, si, ja, sj):
@@ -583,51 +654,57 @@ def _pair_terms(ia, si, ja, sj):
 
 
 def _block_gram(flat, phi, own, g, cols, lap) -> NDArray[np.float64]:
-    """One block of ``_layout``'s plan: per group k, its rows weighted by their phi sums against k's rows.
+    """One block of ``_layout``'s plan for every field: per group k, its rows weighted by their phi sums against k's rows.
 
     ``flat`` holds the factors [rad or drad, a (L+1) + l, ring], ``phi``
-    the block's phi sums [column group, row group, term, ring], ``lap``
-    -l(l+1) per row; the terms Laplacian, theta derivative and value are
-    batched in one product per group, and summed in that order.
+    the block's phi sums [field, column group, row group, term, ring],
+    ``lap`` -l(l+1) per row; the terms Laplacian, theta derivative and
+    value are batched in one product per group, and summed in that
+    order.  Returns the blocks [field, row, row].
     """
     rad, drad = flat[:, own]
     left = np.array([rad * lap, drad, rad])  # [term, row, ring]
-    B = np.empty((left.shape[1],) * 2)
+    B = np.empty((len(phi), left.shape[1], left.shape[1]))
     for k, c in enumerate(cols):
-        P = np.matmul(phi[k, g].transpose(1, 0, 2) * left, left[:, c].transpose(0, 2, 1))
-        B[:, c] = P[0] + P[1] + P[2]
+        P = np.matmul(phi[:, k, g].transpose(0, 2, 1, 3) * left, left[:, c].transpose(0, 2, 1))
+        B[:, :, c] = P[:, 0] + P[:, 1] + P[:, 2]
     return B
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _layout(L: int, mode):
     """The row sets of ``gram_blocks``, the plan of their products, their group pairs, and their parts.
 
-    Fixed by L and ``mode`` (None for ring-constant weights, else
-    whether x1, x2, x3 hold); rows count from row 1.  ``sets`` holds,
-    for ring-constant weights, per order its cos rows, then its sin
-    rows; else per parity class its rows, shape (1, n).  ``plan`` holds
-    per block what ``_block_gram`` reads of its first row set: each
-    row's index ``own`` in the [a, l] factor tables, its (order, trig
-    type) group g, each group's columns, the span of its group pairs
-    (column group, row group) in ``pairs``, the ``_pair_terms`` of every
-    block's pairs, and -l(l+1) per row, shape (n, 1).  A block of one
-    group, as every ring-constant one is, holds ``own``, g and its
-    columns as slices.  ``parts[0]`` holds each block i as (lowest
-    degree, i, 0), ``parts[1]`` each as (lowest degree >= 2, i, k), k its
-    l = 1 rows, which lead it; sorted.  All of it is read-only, and
-    grows with the row count.
+    Fixed by L and ``mode``, whether the weights are ring-constant and
+    whether x1, x2, x3 hold (x1 and x2 unread for ring-constant
+    weights); rows count from row 1.  ``sets`` holds, for ring-constant
+    weights, per order, and per parity of l + |m| when x3 holds, its cos
+    rows, then its sin rows; else per parity class its rows, shape (1,
+    n).  ``plan`` holds per block what ``_block_gram`` reads of its
+    first row set: each row's index ``own`` in the [a, l] factor tables,
+    its (order, trig type) group g, each group's columns, the span of
+    its group pairs (column group, row group) in ``pairs``, the
+    ``_pair_terms`` of every block's pairs, which blocks of the same
+    groups share, and -l(l+1) per row, shape (n, 1); for ring-constant
+    weights every frequency past 0 reads 1, where the ring coefficients
+    are zero.  A block of one group, as every ring-constant one is, holds
+    ``own``, g and its columns as slices.  ``parts[0]`` holds each block
+    i as (lowest degree, i, 0), ``parts[1]`` each as (lowest degree >=
+    2, i, k), k its l = 1 rows, which lead it; sorted.  All of it is
+    read-only, and grows with the row count.
     """
     l = np.repeat(np.arange(1, L + 1), 2 * np.arange(1, L + 1) + 1)
     m = np.arange(1, (L + 1) ** 2) - l * (l + 1)
     a, s = np.abs(m), (m < 0).astype(np.intp)
-    if mode is None:
-        # the rows of order k alternate sin, cos by degree
-        sets = [np.flatnonzero(a == k).reshape(-1, 1 + (k > 0)).T[::-1] for k in range(L + 1)]
+    ring, x1, x2, x3 = mode
+    if ring:
+        # the rows of one key alternate sin, cos by degree
+        key = 2 * a + x3 * ((l + a) % 2)
+        sets = [np.flatnonzero(key == c).reshape(-1, 1 + (c > 1)).T[::-1] for c in np.unique(key)]
     else:
-        key = mode[0] * ((a + s) % 2) + mode[1] * 2 * s + mode[2] * 4 * ((l + a) % 2)
+        key = x1 * ((a + s) % 2) + x2 * 2 * s + x3 * 4 * ((l + a) % 2)
         sets = [np.flatnonzero(key == c)[None] for c in np.unique(key)]
-    plan, groups, start = [], [], 0
+    plan, groups, spans, start = [], [], {}, 0
     for rows in (r[0] for r in sets):
         codes, g = np.unique(2 * a[rows] + s[rows], return_inverse=True)
         own, G = a[rows] * (L + 1) + l[rows], len(codes)
@@ -637,11 +714,17 @@ def _layout(L: int, mode):
         else:
             own, g, *cols = _read_only(own, g, *(np.flatnonzero(g == k) for k in range(G)))
         lap = _read_only(-(l[rows] * (l[rows] + 1.0))[:, None])[0]
-        plan.append((own, g, tuple(cols), slice(start, start + G * G), lap))
-        groups.append((np.tile(codes, G), np.repeat(codes, G)))  # pair k G + g: row group g, column group k
-        start += G * G
+        # blocks of the same groups, as the two x3 parities of an order, share their pairs
+        if (span := spans.get(codes.tobytes())) is None:
+            span = spans[codes.tobytes()] = slice(start, start + G * G)
+            groups.append((np.tile(codes, G), np.repeat(codes, G)))  # pair k G + g: row group g, column group k
+            start += G * G
+        plan.append((own, g, tuple(cols), span, lap))
     i, j = np.concatenate(groups, axis=1)
-    pairs = _read_only(*_pair_terms(i // 2, i % 2, j // 2, j % 2))
+    coef, kind, freq = _pair_terms(i // 2, i % 2, j // 2, j % 2)
+    if ring:  # no ring coefficient past C_0: the pairs read C_0, or a zero at 1
+        freq = np.minimum(freq, 1)
+    pairs = _read_only(coef, kind, freq)
     degrees = [l[rows[0]].tolist() for rows in sets]  # each block's, increasing
     full = sorted((d[0], i, 0) for i, d in enumerate(degrees))
     past_l1 = sorted((d[k], i, k) for i, d in enumerate(degrees) if (k := d.count(1)) < len(d))

@@ -227,7 +227,7 @@ def test_criterion_06_positive_regime():
             scaled = []
             for r in (1e-1, 1e-2, 1e-3):
                 H = h_family(eigs, bbar, r, GRID)
-                val, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, H))
+                val, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, [H])[0])
                 assert val > 0.0
                 scaled.append(val / r**4)
             ratio = scaled[1] / scaled[2]
@@ -236,7 +236,7 @@ def test_criterion_06_positive_regime():
 
 def test_criterion_07_spectral_constants():
     """Restricted minimum 1/3; unrestricted zero with a degree-1 witness."""
-    pencil = assemble_pencil(BASIS, constant_field(GRID, 0.0))
+    pencil = assemble_pencil(BASIS, [constant_field(GRID, 0.0)])[0]
     val, witness = min_pencil_eigenvalue(pencil, restrict=True)
     assert abs(val - 1.0 / 3.0) < 1e-9
     val0, witness0 = min_pencil_eigenvalue(pencil)
@@ -272,7 +272,7 @@ def test_criterion_08_certificates():
         cert = deficit_ratio_certificate(1.0 / 3.0, 2.0, H.inf_h, 2.0)
         report = check_deficit_conditions(H, cert)
         assert report.passed
-        val, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, H))
+        val, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, [H])[0])
         assert val > 0.0
 
 

@@ -42,11 +42,13 @@ from wy_stability.functional import (
     HessianPencil,
     assemble_pencil,
     eval_F,
+    mean_curvature_from_h,
     min_pencil_eigenvalue,
+    pencil_minimum,
 )
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import HarmonicBasis, build_basis
-from wy_stability.models import h_family, negative_direction
+from wy_stability.models import check_radius, h_family, negative_direction
 from wy_stability.quad import build_grid
 
 import reference
@@ -356,7 +358,7 @@ def test_sizes_past_the_byte_limit_are_refused_before_allocation(capsys, monkeyp
 
 def test_directions_past_the_byte_limit_are_refused_before_the_first_draw(tmp_path, capsys, monkeypatch):
     # 1e11 directions once drew Directions one by one until killed; the
-    # rows and minimizers they need are budgeted before the first one
+    # rows they need are budgeted before the first one
     def refuse(*args):
         raise AssertionError("a count past the limit reached a draw")
 
@@ -367,13 +369,13 @@ def test_directions_past_the_byte_limit_are_refused_before_the_first_draw(tmp_pa
         assert time.perf_counter() - start < 1.0
     printed = capsys.readouterr()
     assert printed.out == (
-        "error: directions = 100000000000 needs 1.2e+06 GiB for the report rows and "
-        "minimizers, over the 1 GiB limit\n"
+        "error: directions = 100000000000 needs 1.14e+06 GiB for the report rows, "
+        "over the 1 GiB limit\n"
     ) and printed.err == ""
 
     # below a lowered limit that still admits the 32x64 grid at L = 8, 20
-    # directions of three bbar rows and 81 minimizer doubles fit and 21 do not
-    per_direction = 3 * cli_module._GFORM_ROW_BYTES + 8 * 81
+    # directions of three bbar rows fit and 21 do not
+    per_direction = 3 * cli_module._GFORM_ROW_BYTES
     monkeypatch.setattr(cli_module, "GRID_BYTES_LIMIT", 20 * per_direction)
     out = tmp_path / "r.json"
     assert main(["gform", "--ltrunc", "8", "--set", "directions=20", "--out", str(out)]) == 0
@@ -381,6 +383,60 @@ def test_directions_past_the_byte_limit_are_refused_before_the_first_draw(tmp_pa
     capsys.readouterr()
     assert main(["gform", "--ltrunc", "8", "--set", "directions=21"]) == 2
     assert capsys.readouterr().out.startswith("error: directions = 21 needs ")
+
+
+def test_scan_rows_assembled_in_groups_keep_their_bytes(monkeypatch):
+    # the nine rows share one layout and are assembled as one batch; below
+    # a limit that fits two of them with their blocks, they are assembled
+    # two at a time, and the report keeps its bytes
+    argv = parse_args(["scan", "--grid", "13x26", "--ltrunc", "12"])
+    batches = []
+    real = harmonics_module._block_gram
+
+    def counted(flat, phi, *args):
+        batches.append(len(phi))
+        return real(flat, phi, *args)
+
+    monkeypatch.setattr(harmonics_module, "_block_gram", counted)
+    _, text = run(argv)
+    assert max(batches) == 9
+    need, kept = harmonics_module._pencil_bytes(13, 12, (True, False, False, True))
+    monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 2 * (need + kept))
+    batches.clear()
+    assert run(argv)[1] == text
+    assert max(batches) == 2
+
+
+def test_a_refused_scan_row_is_skipped_alone():
+    # a radius past the positivity radius refuses its rows, with the notice
+    # check_radius gives, and every other row keeps its bytes
+    argv = ["scan", "--grid", "13x26", "--ltrunc", "12", "--set"]
+    report, _ = run(parse_args([*argv, "r_list=0.1,0.9,1e-2"]))
+    plain, _ = run(parse_args([*argv, "r_list=0.1,1e-2"]))
+    with pytest.raises(ValueError) as refusal:
+        check_radius(RicciEigs(np.array([1.0, 1.0, -2.0])), 0.9)
+    rows = report["results"]
+    assert [row["r"] for row in rows if row["skipped"]] == [0.9] * 3
+    assert all(row["notice"] == str(refusal.value) for row in rows if row["skipped"])
+    assert json.dumps([row for row in rows if not row["skipped"]]) == json.dumps(plain["results"])
+
+
+def test_a_field_refused_in_a_batch_loses_only_its_own_pencil():
+    # a refusal inside the assembly refuses the whole call; the scan then
+    # assembles each field alone, and only the refused field lacks a pencil
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    eigs = RicciEigs(np.array([1.0, 1.0, -2.0]))
+    ok = [h_family(eigs, bbar, 1e-2, grid) for bbar in (0.0, 1.0 / 30.0)]
+    huge = mean_curvature_from_h(grid, np.full(grid.n_nodes, 2.0 * harmonics_module._gram_limit(basis)))
+    with pytest.raises(ValueError, match="too large for the Gram sums"):
+        assemble_pencil(basis, [ok[0], huge, ok[1]])
+    first, refused, last = cli_module._pencils_or_refusals(basis, [ok[0], huge, ok[1]])
+    assert isinstance(refused, ValueError) and str(refused).startswith("h = H - 2 is too large")
+    for pencil, H in ((first, ok[0]), (last, ok[1])):
+        [alone] = assemble_pencil(basis, [H])
+        for restrict in (False, True):
+            assert pencil_minimum(pencil, restrict) == pencil_minimum(alone, restrict)
 
 
 def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkeypatch):
@@ -392,23 +448,24 @@ def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkey
     check = harmonics_module._check_pencil_size
     cli_module._check_size(201, 403, 200)
     with pytest.raises(ValueError, match=r"pencil on grid 201x403 at L = 200 needs 2.33 GiB for its largest block or product, over the 1 GiB limit"):
-        check(201, 403, 200, (False, True, True))
+        check(201, 403, 200, (False, False, True, True))
     with pytest.raises(ValueError, match=r"pencil on grid 391x782 at L = 390 needs 8.33 GiB"):
-        check(391, 782, 390, (True, True, True))
+        check(391, 782, 390, (False, True, True, True))
     with pytest.raises(ValueError, match=r"pencil on grid 97x194 at L = 96 needs 1.98 GiB"):
-        check(97, 194, 96, (False, False, False))
+        check(97, 194, 96, (False, False, False, False))
     # ring-constant pencils, and the parity pencils of the largest size the
     # repository uses, stay admitted
-    check(391, 782, 390, None)
-    check(97, 194, 96, (True, True, True))
-    check(97, 195, 96, (False, True, True))
+    check(391, 782, 390, (True, False, False, False))
+    check(391, 782, 390, (True, False, False, True))
+    check(97, 194, 96, (False, True, True, True))
+    check(97, 195, 96, (False, False, True, True))
     assert harmonics_module.GRID_BYTES_LIMIT is cli_module.GRID_BYTES_LIMIT
 
-    # below a lowered limit, the 8-class pencil at 13x26, L = 12 (48,720
+    # below a lowered limit, the 8-class pencil at 13x26, L = 12 (36,624
     # bytes) is refused before any block is built, and the scan (whose
     # rows are skipped, and whose bisection then refuses it) and certify
-    # exit 2; the order pencils (4,056 bytes) of the const family and of
-    # lam = (1, 1, -2) are not refused
+    # exit 2; the (order, x3 parity) pencils (2,184 bytes) of the const
+    # family and of lam = (1, 1, -2) are not refused
     def refuse(*args):
         raise AssertionError("a pencil past the limit reached a block")
 
@@ -421,7 +478,7 @@ def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkey
             assert main([*argv, *size, "--set", "lam=0.7,0.5,-1.2"]) == 2
             printed = capsys.readouterr()
             assert printed.out == (
-                "error: pencil on grid 13x26 at L = 12 needs 4.54e-05 GiB for its largest block "
+                "error: pencil on grid 13x26 at L = 12 needs 3.41e-05 GiB for its largest block "
                 "or product, over the 3.81e-06 GiB limit\n"
             ) and printed.err == ""
     assert main(["certify", *size]) == 0
@@ -677,22 +734,23 @@ def test_commands_never_build_full_tables(tmp_path, monkeypatch):
 
 
 def test_pencil_stays_below_one_dense_M():
-    # the family at lam = (1, 1, -2) does not depend on phi: the pencil
-    # keeps one block per (order, trig type), 2L + 1 of them, and the cos
-    # and sin blocks of an order share one matrix, L + 1 matrices in all
+    # the family at lam = (1, 1, -2) does not depend on phi and is even
+    # under x3: the pencil keeps one row set per (order, parity of l + |m|,
+    # trig type), 4L of them, and the cos and sin row sets of an (order,
+    # parity) share one matrix, 2L + 1 matrices in all
     grid = build_grid(25, 50)
     basis = build_basis(grid, 24)
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 1e-2, grid)
     tracemalloc.start()
     try:
-        pencil = assemble_pencil(basis, H)
+        pencil = assemble_pencil(basis, [H])[0]
         min_pencil_eigenvalue(pencil)
         min_pencil_eigenvalue(pencil, restrict=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(rows) for rows, _ in reference.blocks(pencil)) == 2 * 24 + 1
-    assert len({id(block) for _, block in reference.blocks(pencil)}) == 24 + 1
+    assert sum(len(rows) for rows, _ in reference.blocks(pencil)) == 4 * 24
+    assert len({id(block) for _, block in reference.blocks(pencil)}) == 2 * 24 + 1
     assert peak < (25**2 - 1) ** 2 * 8  # one dense M would take 3.12 MB
 
 
@@ -702,14 +760,14 @@ def test_parity_pencil_keeps_little_between_calls():
     # with the row count, not with the block entries (6.7 MB once)
     eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
     warm = build_grid(25, 50)
-    assemble_pencil(build_basis(warm, 24), h_family(eigs, 1.0 / 30.0, 1e-2, warm))
+    assemble_pencil(build_basis(warm, 24), [h_family(eigs, 1.0 / 30.0, 1e-2, warm)])
     grid = build_grid(49, 98)
     basis = build_basis(grid, 48)
     H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
     harmonics_module._layout.cache_clear()
     tracemalloc.start()
     try:
-        pencil = assemble_pencil(basis, H)
+        pencil = assemble_pencil(basis, [H])[0]
         assert len(reference.blocks(pencil)) == 8
         del pencil
         kept = tracemalloc.get_traced_memory()[0]

@@ -114,7 +114,7 @@ def test_field_on_a_different_grid_is_rejected():
     with pytest.raises(ValueError):
         eval_F(basis, H, FieldCoeffs(4, np.ones(25)))
     with pytest.raises(ValueError):
-        assemble_pencil(basis, H)
+        assemble_pencil(basis, [H])
 
 
 def test_constant_field_extrema():
@@ -164,7 +164,7 @@ def test_kernel_closed_form_matches_quadrature():
 
 
 def test_pencil_structure_round_sphere():
-    pencil = assemble_pencil(BASIS, ROUND)
+    pencil = assemble_pencil(BASIS, [ROUND])[0]
     assert pencil.M.shape == (NMODES - 1, NMODES - 1)
     assert np.all(pencil.degrees >= 1)
     np.testing.assert_array_equal(
@@ -177,7 +177,7 @@ def test_pencil_structure_round_sphere():
 
 
 def test_round_sphere_eigenvalues():
-    pencil = assemble_pencil(BASIS, ROUND)
+    pencil = assemble_pencil(BASIS, [ROUND])[0]
     val, witness = min_pencil_eigenvalue(pencil)
     assert abs(val) < 1e-10
     # witness lies in the degree-1 block
@@ -192,7 +192,7 @@ def test_round_sphere_eigenvalues():
 def test_witness_properties():
     rng = np.random.default_rng(29)
     H = random_positive_field(rng)
-    pencil = assemble_pencil(BASIS, H)
+    pencil = assemble_pencil(BASIS, [H])[0]
     for restrict in (False, True):
         val, witness = min_pencil_eigenvalue(pencil, restrict=restrict)
         assert abs(np.linalg.norm(witness.c) - 1.0) < 1e-12
@@ -209,7 +209,7 @@ def test_restricting_needs_degree_two():
     # an L = 1 pencil has no row of degree l >= 2; both restricted entry
     # points refuse it instead of returning inf or failing to index
     grid = build_grid(4, 8)
-    pencil = assemble_pencil(build_basis(grid, 1), constant_field(grid, -0.1))
+    pencil = assemble_pencil(build_basis(grid, 1), [constant_field(grid, -0.1)])[0]
     for solve in (pencil_minimum, min_pencil_eigenvalue):
         with pytest.raises(ValueError, match="restricting to degrees l >= 2 needs L >= 2"):
             solve(pencil, restrict=True)
@@ -225,7 +225,7 @@ def test_depressed_curvature_is_positive_definite():
         f = f - f.min() + 0.01
         f = f / f.max()  # 0 < f <= 1
         H = mean_curvature_from_h(GRID, -1.5 * f * rng.uniform(0.1, 1.0))
-        pencil = assemble_pencil(BASIS, H)
+        pencil = assemble_pencil(BASIS, [H])[0]
         val, _ = min_pencil_eigenvalue(pencil, restrict=True)
         assert val > 0.0
 
@@ -237,8 +237,8 @@ def test_truncation_stability():
     phi = GRID.xyz**2 @ lam
     r = 0.3
     H = mean_curvature_from_h(GRID, r**2 * phi - (1.0 / 30.0) * r**4 * 6.0)
-    v8, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, H), restrict=True)
-    v12, _ = min_pencil_eigenvalue(assemble_pencil(basis12, H), restrict=True)
+    v8, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, [H])[0], restrict=True)
+    v12, _ = min_pencil_eigenvalue(assemble_pencil(basis12, [H])[0], restrict=True)
     assert abs(v8 - v12) < 0.01 * abs(v12)
 
 
@@ -275,7 +275,7 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
     eigs = RicciEigs(np.array(lam))
     for r in (0.3, 1e-2):
         H = h_family(eigs, bbar, r, grid)
-        pencil = assemble_pencil(basis, H)
+        pencil = assemble_pencil(basis, [H])[0]
         dense = reference.one_block_M(basis, H)
         scale = np.abs(dense).max()
         inside = np.zeros(dense.shape, dtype=bool)
@@ -299,7 +299,7 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
 
 def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     # an asymmetric h has no symmetry to split by: one block of every row
-    pencil = assemble_pencil(BASIS, random_positive_field(np.random.default_rng(61)))
+    pencil = assemble_pencil(BASIS, [random_positive_field(np.random.default_rng(61))])[0]
     assert len(row_sets(reference.blocks(pencil))) == 1
     np.testing.assert_array_equal(row_sets(reference.blocks(pencil))[0], np.arange(NMODES - 1))
     # three distinct lam: h depends on phi, and an odd n_phi has no node at
@@ -308,7 +308,7 @@ def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     grid = build_grid(25, 51)
     basis = build_basis(grid, 8)
     H = h_family(RicciEigs(np.array([0.7, 0.5, -1.2])), 1.0 / 30.0, 0.1, grid)
-    pencil = assemble_pencil(basis, H)
+    pencil = assemble_pencil(basis, [H])[0]
     m, l = basis.orders[1:], basis.degrees[1:]
     code = 2 * (m < 0) + 4 * ((l + np.abs(m)) % 2)
     assert len(row_sets(reference.blocks(pencil))) == 4
@@ -317,29 +317,38 @@ def test_asymmetric_field_or_odd_n_phi_gives_one_block():
 
 
 def order_rows(L, l0):
-    # the (order, trig type) classes in gram_blocks order, counted from row l0^2
+    # the (order, parity of l + order, trig type) classes in gram_blocks
+    # order, counted from row l0^2, each with its order
     out = []
     for a in range(L + 1):
-        l = np.arange(max(a, l0), L + 1)
-        out += [l * l + l + m - l0 * l0 for m in ((a, -a) if a else (0,))]
+        for p in (0, 1):
+            l = np.arange(max(a, l0), L + 1)
+            l = l[(l + a) % 2 == p]
+            if l.size:
+                out += [(a, l * l + l + m - l0 * l0) for m in ((a, -a) if a else (0,))]
     return out
 
 
 @pytest.mark.parametrize("shape", [(25, 50), (25, 51)])
 def test_axisymmetric_family_takes_order_blocks(shape):
     # lam1 = lam2 makes h independent of phi, so the pencil splits by
-    # order |m| and trig type even where n_phi is odd
+    # order |m| and trig type even where n_phi is odd, and, h being even
+    # under x3, by the parity of l + |m|
     grid = build_grid(*shape)
     basis = build_basis(grid, 12)
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.3, grid)
-    pencil = assemble_pencil(basis, H)
+    pencil = assemble_pencil(basis, [H])[0]
     expected = order_rows(12, 1)
-    assert len(row_sets(reference.blocks(pencil))) == len(expected) == 2 * 12 + 1
-    for rows, want in zip(row_sets(reference.blocks(pencil)), expected):
+    assert len(row_sets(reference.blocks(pencil))) == len(expected) == 4 * 12
+    for rows, (_, want) in zip(row_sets(reference.blocks(pencil)), expected):
         np.testing.assert_array_equal(rows, want)
-    # the cos and sin rows of an order share their matrix
-    for a, (rows, _) in enumerate(reference.blocks(pencil)):
-        assert rows.shape == (2 if a else 1, 12 + 1 - max(a, 1))
+    # the cos and sin rows of an (order, parity) share their matrix
+    orders = iter(a for a, _ in expected)
+    for rows, _ in reference.blocks(pencil):
+        a = next(orders)
+        assert rows.shape[0] == (2 if a else 1)
+        if a:
+            assert next(orders) == a
 
     dense = reference.one_block_M(basis, H)
     scale = np.abs(dense).max()
@@ -364,8 +373,8 @@ def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
 
     def min_over_r4(shape, L):
         grid = build_grid(*shape)
-        pencil = assemble_pencil(build_basis(grid, L), h_family(eigs, 1.0 / 30.0, r, grid))
-        assert len(row_sets(reference.blocks(pencil))) == 2 * L + 1
+        pencil = assemble_pencil(build_basis(grid, L), [h_family(eigs, 1.0 / 30.0, r, grid)])[0]
+        assert len(row_sets(reference.blocks(pencil))) == 4 * L
         return min_pencil_eigenvalue(pencil)[0] / r**4
 
     ref = min_over_r4((25, 50), 24)
@@ -382,30 +391,30 @@ def test_family_axisymmetric_about_x1_keeps_parity_or_one_block():
     for shape, count in (((25, 50), 8), ((25, 51), 4)):
         grid = build_grid(*shape)
         H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
-        assert len(row_sets(reference.blocks(assemble_pencil(build_basis(grid, 8), H)))) == count
+        assert len(row_sets(reference.blocks(assemble_pencil(build_basis(grid, 8), [H])[0]))) == count
 
 
 @pytest.mark.parametrize("shape", BLOCK_GRIDS + [(25, 51)])
 def test_family_takes_the_blocked_path(shape):
     # scan's speed rests on h_family at the default lam passing the ring
-    # check: a change in how h is rounded would silently send it to the
-    # parity classes, or to one dense block
+    # and x3 checks: a change in how h is rounded would silently send it to
+    # the order blocks, the parity classes, or one dense block
     grid = build_grid(*shape)
     basis = build_basis(grid, 4)
     config = RunConfig()
     eigs = RicciEigs(np.array(config.lam))
     for bbar in config.bbar_list + config.bracket:
         for r in config.r_list + (config.bisect_r,):
-            blocks = reference.blocks(assemble_pencil(basis, h_family(eigs, bbar, r, grid)))
-            assert len(row_sets(blocks)) == 2 * 4 + 1
+            blocks = reference.blocks(assemble_pencil(basis, [h_family(eigs, bbar, r, grid)])[0])
+            assert len(row_sets(blocks)) == 4 * 4
     # every other H the command line builds splits too: the const family,
     # and the quartic family with three distinct lam, 4 classes on odd
     # n_phi and 8 on even
-    blocks = reference.blocks(assemble_pencil(basis, constant_field(grid, -config.eps)))
-    assert len(row_sets(blocks)) == 2 * 4 + 1
+    blocks = reference.blocks(assemble_pencil(basis, [constant_field(grid, -config.eps)])[0])
+    assert len(row_sets(blocks)) == 4 * 4
     eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
     for bbar, r in ((config.bbar, config.r), (0.0, 1e-1), (1.0 / 90.0, 1e-3)):
-        blocks = reference.blocks(assemble_pencil(basis, h_family(eigs, bbar, r, grid)))
+        blocks = reference.blocks(assemble_pencil(basis, [h_family(eigs, bbar, r, grid)])[0])
         assert len(row_sets(blocks)) == (4 if shape[1] % 2 else 8)
 
 
@@ -418,7 +427,7 @@ def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
     basis = build_basis(grid, L)
     eigs = RicciEigs(np.array(lam))
     v3, v4 = (
-        min_pencil_eigenvalue(assemble_pencil(basis, h_family(eigs, 1.0 / 30.0, r, grid)))[0]
+        min_pencil_eigenvalue(assemble_pencil(basis, [h_family(eigs, 1.0 / 30.0, r, grid)])[0])[0]
         / r**4
         for r in (1e-3, 1e-4)
     )
@@ -463,17 +472,18 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         assert calls["eigh"] == 1
         return calls["eigvalsh"]
 
-    # (1, 1, -2): orders 0 and 1 whole and without l = 1 (of 13 orders),
-    # and order 2, whose bound ties with their l >= 2 parts; (0.7, 0.5,
+    # (1, 1, -2): of the 25 (order, x3 parity) blocks, the 2 with an l = 1
+    # row whole, and the 3 whose lowest degree is 2 (order 0 even, orders 1
+    # and 2 of even l + |m|), below the l >= 2 parts' degree 3; (0.7, 0.5,
     # -1.2): the 3 of 8 classes with an l = 1 row whole, and the 4 whose
-    # lowest degree is 2, below the l >= 2 parts' degree 3.  A witness on
-    # a fresh pencil solves only the row it is asked for: (over l >= 1,
-    # over l >= 2); after the values it solves nothing more
+    # lowest degree is 2.  A witness on a fresh pencil solves only the row
+    # it is asked for: (over l >= 1, over l >= 2); after the values it
+    # solves nothing more
     for lam, count, witness_count in (
-        ((1.0, 1.0, -2.0), (13, 2, 5), (2, 3)),
+        ((1.0, 1.0, -2.0), (25, 2, 5), (2, 3)),
         ((0.7, 0.5, -1.2), (8, 3, 7), (3, 4)),
     ):
-        pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid))
+        pencil = assemble_pencil(basis, [h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid)])[0]
         assert (len(pencil.row_sets), *solves(pencil)) == count
         for restrict in (False, True):
             assert witness_solves(pencil, restrict) == 0
@@ -486,7 +496,7 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         constant_field(grid, -1.5),
         h_family(eigs, 1.0 / 30.0, 0.9 * positivity_radius(eigs), grid),
     ):
-        pencil = assemble_pencil(basis, H)
+        pencil = assemble_pencil(basis, [H])[0]
         with_l1, count = solves(pencil)
         assert count == len(pencil.row_sets) + with_l1
 
@@ -502,9 +512,11 @@ def counted_builds(pencil):
     return replace(pencil, build=build), built
 
 
+# the ids keep the block counts of the order layout, so the test ids stay put
 @pytest.mark.parametrize(
     "shape, L, lam, blocks",
-    [((25, 50), 24, (1.0, 1.0, -2.0), 25), ((13, 26), 12, (0.7, 0.5, -1.2), 8)],
+    [((25, 50), 24, (1.0, 1.0, -2.0), 49), ((13, 26), 12, (0.7, 0.5, -1.2), 8)],
+    ids=["shape0-24-lam0-25", "shape1-12-lam1-8"],
 )
 def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
     # the bound needs only the sups, so a block it skips is never built;
@@ -512,7 +524,7 @@ def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
     # read only blocks the two minima built: those with a recorded part
     grid = build_grid(*shape)
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
-    pencil, built = counted_builds(assemble_pencil(build_basis(grid, L), H))
+    pencil, built = counted_builds(assemble_pencil(build_basis(grid, L), [H])[0])
     assert len(pencil.row_sets) == blocks
     pencil_minimum(pencil)
     pencil_minimum(pencil, restrict=True)
@@ -526,14 +538,16 @@ def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
     assert sorted(built) == list(range(blocks))
 
 
+# the ids keep the block counts of the order layout, so the test ids stay put
 @pytest.mark.parametrize(
     "shape, lam, blocks",
     [
-        ((13, 26), (1.0, 1.0, -2.0), 13),  # ring-constant h: one block per order
+        ((13, 26), (1.0, 1.0, -2.0), 25),  # ring-constant h even under x3: one block per (order, parity)
         ((13, 26), (0.7, 0.5, -1.2), 8),  # the 8 parity classes of an even n_phi
         ((13, 27), (0.7, 0.5, -1.2), 4),  # the 4 of an odd n_phi
         ((13, 26), None, 1),  # h with no symmetry: one block
     ],
+    ids=["shape0-lam0-13", "shape1-lam1-8", "shape2-lam2-4", "shape3-None-1"],
 )
 def test_pencil_parts_are_read_off_the_row_sets(shape, lam, blocks):
     # the parts the layout lists match those found row by row: over l >= 1
@@ -545,7 +559,7 @@ def test_pencil_parts_are_read_off_the_row_sets(shape, lam, blocks):
         H = mean_curvature_from_h(grid, 0.1 * np.random.default_rng(5).normal(size=grid.n_nodes))
     else:
         H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
-    pencil = assemble_pencil(build_basis(grid, 12), H)
+    pencil = assemble_pencil(build_basis(grid, 12), [H])[0]
     assert len(pencil.row_sets) == blocks
     for least in (1, 2):
         want = []
@@ -577,7 +591,7 @@ def test_asymmetric_block_is_refused_when_built(monkeypatch, lam):
         return B + np.triu(np.full(B.shape, 1e-10 * max(np.abs(B).max(), 1.0)), 1)
 
     monkeypatch.setattr(harmonics_module, "_block_gram", skewed)
-    pencil = assemble_pencil(basis, H)
+    pencil = assemble_pencil(basis, [H])[0]
     with pytest.raises(AssertionError, match="asymmetry"):
         pencil_minimum(pencil)
     for i, rows in enumerate(pencil.row_sets):
@@ -598,14 +612,14 @@ def test_non_finite_block_is_refused_when_built(monkeypatch, lam, bad, both):
     real = harmonics_module._block_gram
 
     def broken(*args):
-        B = real(*args)
-        B[-1, -2] = bad
+        B = real(*args)  # [field, row, row]
+        B[:, -1, -2] = bad
         if both:
-            B[-2, -1] = bad
+            B[:, -2, -1] = bad
         return B
 
     monkeypatch.setattr(harmonics_module, "_block_gram", broken)
-    pencil = assemble_pencil(basis, H)
+    pencil = assemble_pencil(basis, [H])[0]
     for i, rows in enumerate(pencil.row_sets):
         if rows.shape[1] > 1:
             with pytest.raises(AssertionError, match="not finite"):
@@ -624,13 +638,13 @@ def test_h_rule_keeps_every_block_finite(shape, L):
         h = shape_h / shape_h.max()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pencil = assemble_pencil(basis, mean_curvature_from_h(grid, h * _gram_limit(basis)))
+            pencil = assemble_pencil(basis, [mean_curvature_from_h(grid, h * _gram_limit(basis))])[0]
             assert pencil.sups[1] == _gram_limit(basis)
             for i in range(len(pencil.row_sets)):
                 assert np.isfinite(pencil.block(i)).all()
             assert math.isfinite(pencil_minimum(pencil))
         with pytest.raises(ValueError, match=r"h = H - 2 is too large for the Gram sums: max \|h\| = "):
-            assemble_pencil(basis, mean_curvature_from_h(grid, h * (1.0 + 1e-15) * _gram_limit(basis)))
+            assemble_pencil(basis, [mean_curvature_from_h(grid, h * (1.0 + 1e-15) * _gram_limit(basis))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -661,7 +675,7 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
             h = 0.5 * (h + reference.mirror(h, axis))
     h = h.ravel() * (10.0**log_amp / np.abs(h).max())
     H = mean_curvature_from_h(grid, h)
-    pencil = assemble_pencil(basis, H)
+    pencil = assemble_pencil(basis, [H])[0]
     assert pencil.sups == (np.abs(h / (2.0 * H.samples)).max(), np.abs(h).max())
     if symmetry == "ring":
         assert len(reference.blocks(pencil)) == L + 1
@@ -736,7 +750,7 @@ def test_pencil_minimum_matches_extended_precision(lam):
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
     for bbar, r, bound in ((1.0 / 90.0, 1e-2, 1e-9), (1.0 / 90.0, 3e-2, 1e-9), (1.0 / 30.0, 1e-2, 1e-14)):
-        pencil = assemble_pencil(basis, h_family(RicciEigs(np.array(lam)), bbar, r, grid))
+        pencil = assemble_pencil(basis, [h_family(RicciEigs(np.array(lam)), bbar, r, grid)])[0]
         minima = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
         for got, ref in zip(minima, exact_minima(pencil)):
             assert abs((got - ref) / ref) < bound
@@ -745,7 +759,7 @@ def test_pencil_minimum_matches_extended_precision(lam):
 def pencil_min_over_r4(shape, L, lam, r):
     grid = build_grid(*shape)
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, r, grid)
-    return min_pencil_eigenvalue(assemble_pencil(build_basis(grid, L), H))[0] / r**4
+    return min_pencil_eigenvalue(assemble_pencil(build_basis(grid, L), [H])[0])[0] / r**4
 
 
 @pytest.mark.parametrize(
@@ -787,3 +801,83 @@ def test_eval_F_matches_extended_precision_sum():
         eta = negative_direction(BASIS, eigs, 1.0 / 30.0, r, a).eta
         ref = extended_F(BASIS, H, eta)
         assert abs((eval_F(BASIS, H, eta) - ref) / ref) < bound
+
+
+def batch_fields(grid):
+    # one field of every layout: ring-constant and even under x3, at three
+    # (bbar, r); ring-constant and odd under x3; the parity classes; and a
+    # rotated h with no symmetry (one block)
+    x1, x2, x3 = grid.xyz.T
+    u = grid.xyz @ (np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98))
+    axis = RicciEigs(np.array([1.0, 1.0, -2.0]))
+    fields = [h_family(axis, bbar, r, grid) for bbar, r in ((0.0, 0.1), (1.0 / 90.0, 1e-2), (1.0 / 30.0, 1e-3))]
+    fields.append(mean_curvature_from_h(grid, 0.01 * x3))
+    fields += [h_family(RicciEigs(np.array([0.7, 0.5, -1.2])), bbar, 1e-2, grid) for bbar in (0.0, 1.0 / 30.0)]
+    fields.append(mean_curvature_from_h(grid, 0.05 * (u**2 + u**3)))
+    return fields
+
+
+def same_bits(a, b):
+    # blocks, both minima and both witnesses, bit for bit
+    assert len(a.row_sets) == len(b.row_sets) and a.sups == b.sups
+    for i in range(len(a.row_sets)):
+        assert a.block(i).tobytes() == b.block(i).tobytes()
+    for restrict in (False, True):
+        assert pencil_minimum(a, restrict) == pencil_minimum(b, restrict)
+        (va, wa), (vb, wb) = min_pencil_eigenvalue(a, restrict), min_pencil_eigenvalue(b, restrict)
+        assert va == vb and wa.c.tobytes() == wb.c.tobytes()
+
+
+@pytest.mark.parametrize("shape, L", [((13, 26), 12), ((25, 50), 24), ((25, 51), 24)])
+def test_a_pencil_is_the_same_bits_whatever_it_is_assembled_with(shape, L, monkeypatch):
+    # fields of one layout share their ring coefficients, phi sums and
+    # block products; each pencil reads its own slice, the bits it gets
+    # alone, whether its batch holds one layout or mixes all of them, and
+    # whether a block is built for all fields at once or one at a time
+    grid = build_grid(*shape)
+    basis = build_basis(grid, L)
+    fields = batch_fields(grid)
+    together = assemble_pencil(basis, fields)
+    # blocks of (order, x3 parity), of order, of parity class, and one
+    parity = 4 if shape[1] % 2 else 8
+    assert [len(p.row_sets) for p in together] == [2 * L + 1] * 3 + [L + 1] + [parity] * 2 + [1]
+    # one group per layout: its pencils read one shared builder
+    builders = [p.build.func for p in together]
+    assert builders[0] is builders[1] is builders[2] and builders[4] is builders[5]
+    assert len(set(map(id, builders))) == 4
+    alone = [assemble_pencil(basis, [H])[0] for H in fields]
+    by_layout = assemble_pencil(basis, fields[:3]) + assemble_pencil(basis, fields[3:4])
+    by_layout += assemble_pencil(basis, fields[4:6]) + assemble_pencil(basis, fields[6:])
+    monkeypatch.setattr(harmonics_module, "_CHUNK_BYTES", 1)
+    one_at_a_time = assemble_pencil(basis, fields)
+    # read in an order unlike the batch's, so that blocks are built by
+    # whichever pencil reads them first
+    for a, b, c, d in reversed(list(zip(together, alone, by_layout, one_at_a_time))):
+        same_bits(a, b)
+        same_bits(c, b)
+        same_bits(d, b)
+    assert assemble_pencil(basis, []) == []
+
+
+@pytest.mark.parametrize("shape, L", [((13, 26), 12), ((25, 50), 24)])
+def test_x3_split_blocks_match_the_dense_gram(shape, L):
+    # a ring-constant h even under x3 splits each order block by the parity
+    # of l + |m|, summing over one hemisphere: each block matches the dense
+    # Gram on every node over its rows, and the entries between the two
+    # parities, which the split drops, are roundoff
+    grid = build_grid(*shape)
+    basis = build_basis(grid, L)
+    eigs = RicciEigs(np.array([1.0, 1.0, -2.0]))
+    for H in (h_family(eigs, 1.0 / 30.0, 0.3, grid), constant_field(grid, -0.3)):
+        w_lap, w_grad = -H.h / (2.0 * H.samples), -H.h
+        [(_, sets, build, _)] = harmonics_module.gram_blocks(basis, w_lap[None], w_grad[None])
+        assert len(sets) == 2 * L + 1
+        dense = reference.weighted_gram(basis, w_lap, w_grad, np.arange(1, basis.n_basis))
+        scale = np.abs(dense).max()
+        inside = np.zeros(dense.shape, dtype=bool)
+        for i, rows in enumerate(sets):
+            assert len(set((basis.degrees[1 + rows] + np.abs(basis.orders[1 + rows])).ravel() % 2)) == 1
+            for r in rows:
+                inside[np.ix_(r, r)] = True
+                assert np.abs(build(i)[0] - dense[np.ix_(r, r)]).max() <= 1e-13 * scale
+        assert np.abs(dense[~inside]).max() <= 1e-13 * scale

@@ -392,7 +392,7 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     # reference gives
     for H in fields:
         M = reference.one_block_M(basis, H)
-        pencil = assemble_pencil(basis, H)
+        pencil = assemble_pencil(basis, [H])[0]
         scale = np.abs(M).max()
         inside = np.zeros(M.shape, dtype=bool)
         for rows_b, block in ((r, B) for rows, B in reference.blocks(pencil) for r in rows):
@@ -406,7 +406,7 @@ def expected_classes(basis, ring, held):
     l, m = basis.degrees[1:], basis.orders[1:]
     a, sin = np.abs(m), (m < 0).astype(int)
     if ring:
-        code = 2 * a + sin
+        code = 4 * a + 2 * (3 in held) * ((l + a) % 2) + sin
     else:
         bits = ((a + sin) % 2, sin, (l + a) % 2)
         code = sum((2**i * bits[i] for i in range(3) if i + 1 in held), np.zeros_like(a))
@@ -438,8 +438,9 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         for axis in held:
             x = 0.5 * (x + reference.mirror(x, axis))
         weights.append(x.ravel())
-    sets, build, _ = gram_blocks(basis, *weights)
-    pairs = [(rows, build(i)) for i, rows in enumerate(sets)]
+    [(members, sets, build, _)] = gram_blocks(basis, *(w[None] for w in weights))
+    assert members == (0,)
+    pairs = [(rows, build(i)[0]) for i, rows in enumerate(sets)]
     blocks = [(r, B) for rows, B in pairs for r in rows]
 
     # the rows fall in the expected classes, and a sin block shares its
@@ -462,7 +463,7 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         assert np.abs(B - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
     assert np.abs(dense[~inside]).max(initial=0.0) <= 1e-13 * scale
     H = mean_curvature_from_h(grid, 0.1 * weights[1] / np.abs(weights[1]).max())
-    pencil = assemble_pencil(basis, H)
+    pencil = assemble_pencil(basis, [H])[0]
     inside = np.zeros(pencil.M.shape, dtype=bool)
     row_sets = [r for rows, _ in reference.blocks(pencil) for r in rows]
     for rows in row_sets:
@@ -476,7 +477,7 @@ def test_the_block_kernel_reads_one_legendre_table(L, monkeypatch):
     # rad and drad are read-only views of one table, so that one index
     # gathers a row's value and derivative; the kernel forms each block's
     # Laplacian rows from its value rows, bit for bit the full table times
-    # -l(l+1), for the order blocks and for the 8 parity classes
+    # -l(l+1), for the (order, x3 parity) blocks and for the 8 parity classes
     grid = build_grid(L + 1, 2 * L + 2)
     basis = build_basis(grid, L)
     assert basis.rad.base is basis.legendre and basis.drad.base is basis.legendre
@@ -488,8 +489,8 @@ def test_the_block_kernel_reads_one_legendre_table(L, monkeypatch):
     real = np.matmul
     right = []  # the second operand of each product: a group's rows [term, ring, row]
     monkeypatch.setattr(np, "matmul", lambda x, y: right.append(y) or real(x, y))
-    for h, blocks in ((x3**2, L + 1), (x1**2 - 2.0 * x3**4, 8)):
-        sets, build, _ = gram_blocks(basis, 0.01 * h, 0.01 * h)
+    for h, blocks in ((x3**2, 2 * L + 1), (x1**2 - 2.0 * x3**4, 8)):
+        [(_, sets, build, _)] = gram_blocks(basis, 0.01 * h[None], 0.01 * h[None])
         assert len(sets) == blocks
         for i, rows in enumerate(sets):
             right.clear()
