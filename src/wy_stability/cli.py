@@ -38,6 +38,8 @@ from . import __version__
 from .functional import (
     assemble_pencil,
     constant_field,
+    pencil_groups,
+    pencil_minima,
     pencil_minimum,
 )
 from .gform import (
@@ -438,8 +440,108 @@ def _pencils_or_refusals(basis, fields) -> list:
         return out
 
 
+def _solve_by_group(pencils: list, *restricts: bool) -> None:
+    """Put in place of each pencil of ``pencils`` its ``pencil_minima`` under each of ``restricts``, a tuple; refusals stay.
+
+    The pencils are solved one ``pencil_groups`` group at a time, and a
+    group's pencils leave the list, and its blocks with them, before the
+    next group builds any: the byte limit sizes a group with its blocks
+    kept, so it holds for the call only while one group's are alive.
+    """
+    solved = [n for n, p in enumerate(pencils) if not isinstance(p, ValueError)]
+    for members in pencil_groups([pencils[n] for n in solved]):
+        at = [solved[m] for m in members]
+        group = [pencils[n] for n in at]
+        for n in at:
+            pencils[n] = None
+        for n, *values in zip(at, *[pencil_minima(group, restrict) for restrict in restricts]):
+            pencils[n] = tuple(values)
+
+
+# The scan's bisection assembles, per call, the points of its next two
+# halvings where the rows' pencils hold at most this many block entries,
+# and of its next one elsewhere.  Looking further ahead saves calls, each
+# of a fixed cost, but assembles pencils the loop may not read, each at a
+# cost that grows with its blocks.  With one BLAS thread, two halvings
+# against one took the bisection of a 25x50, L = 24 scan (2,744 entries)
+# from 1.6-2.8 to 1.2-2.1 ms, were even at 8,760 and 10,496, and took a
+# 73x146, L = 72 one (66,120) from 3.9-4.8 to 5.5-7.2 ms.
+_LOOKAHEAD_ENTRIES = 2**13
+
+
+def _halvings(lo: float, hi: float, depth: int) -> list[float]:
+    """The points the scan's bisection can read in its next ``depth`` halvings of (lo, hi).
+
+    The midpoint first, then those of both halves, each formed and
+    guarded as the bisection loop forms and guards it.
+    """
+    if depth == 0 or not hi - lo > BRACKET_TARGET / 2.0:
+        return []
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:
+        return []
+    return [mid, *_halvings(lo, mid, depth - 1), *_halvings(mid, hi, depth - 1)]
+
+
+def _bisection(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float, depth: int) -> dict | None:
+    """Bisect the sign change of the unrestricted pencil minimum in bbar at r = r_b; None without one.
+
+    Each sign read is kept.  Where the loop needs one it lacks, one
+    ``assemble_pencil`` call takes every point that its next ``depth``
+    halvings can read (``_halvings``), lo and hi with the first, and
+    ``_solve_by_group`` solves them together, so the bracket is that of
+    reading one point per call.  A batch that is refused gives way to
+    the one point needed, alone: a point the loop never reads refuses
+    nothing.
+    """
+    grid = basis.grid
+    memo = {}  # bbar -> the unrestricted minimum at r_b
+
+    def unrestricted_min(bbar: float, *ahead: float) -> float:
+        if bbar not in memo:
+            points = [x for x in dict.fromkeys((bbar, *ahead)) if x not in memo]
+            try:
+                pencils = assemble_pencil(basis, [h_family(eigs, x, r_b, grid) for x in points])
+            except ValueError:  # a point the loop might never read must not refuse the report
+                points, pencils = [bbar], assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])
+            _solve_by_group(pencils, False)
+            memo.update(zip(points, (low for low, in pencils)))
+        return memo[bbar]
+
+    if not unrestricted_min(lo, hi, *_halvings(lo, hi, depth)) > 0 > unrestricted_min(hi):
+        return None
+    while hi - lo > BRACKET_TARGET / 2.0:
+        mid = 0.5 * (lo + hi)
+        # a sign change at a huge bbar, where adjacent floats are
+        # farther apart than the target, or lo + hi overflowing, ends the
+        # narrowing; the wide bracket then fails the width check
+        if not lo < mid < hi:
+            break
+        if unrestricted_min(mid, *_halvings(lo, hi, depth)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    # widen slightly: the finite-r threshold sits within O(r^2) of the
+    # ideal one, so a small guard band keeps the reported bracket honest
+    guard = 1.0 / 3600.0
+    return {
+        "r": r_b,
+        "bracket_lo": lo - guard,
+        "bracket_hi": hi + guard,
+        "width": (hi - lo) + 2 * guard,
+        "contains_threshold": lo - guard <= THRESHOLD_BBAR <= hi + guard,
+    }
+
+
 def cmd_scan(config: RunConfig) -> dict:
-    """Pencil eigenvalue scan over (bbar, r) plus threshold bisection."""
+    """Pencil eigenvalue scan over (bbar, r) plus threshold bisection.
+
+    The rows are assembled in one call and their minima solved together,
+    one ``assemble_pencil`` group at a time (``_solve_by_group``).
+    The bisection (``_bisection``) assembles the points of its next two
+    halvings per call where the rows' pencils are small, at most
+    ``_LOOKAHEAD_ENTRIES`` block entries, and of its next one elsewhere.
+    """
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
     if len(config.bracket) != 2:
         raise ConfigError(f"bracket needs 2 values (lo, hi), got {len(config.bracket)}")
@@ -460,15 +562,21 @@ def cmd_scan(config: RunConfig) -> dict:
             except ValueError as exc:  # r out of range, h or deficit too large, H not positive
                 H = exc
             cells.append((bbar, r, H))
-    # popped in row order, so that each group's blocks go with its last row
-    pencils = _pencils_or_refusals(basis, [H for *_, H in cells if not isinstance(H, ValueError)])[::-1]
+    outcomes = _pencils_or_refusals(basis, [H for *_, H in cells if not isinstance(H, ValueError)])
+    # the block entries of the rows' largest layout, read once per group
+    layouts = {id(p.row_sets): p.row_sets for p in outcomes if not isinstance(p, ValueError)}.values()
+    entries = max((sum(rows.shape[1] ** 2 for rows in sets) for sets in layouts), default=math.inf)
+    # each assembled row's refusal or two minima, in row order; the rows'
+    # blocks go before the bisection builds its own
+    _solve_by_group(outcomes, False, True)
+    outcomes = iter(outcomes)
     rows = []
     for bbar, r, H in cells:
-        pencil = H if isinstance(H, ValueError) else pencils.pop()
-        if isinstance(pencil, ValueError):
-            rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(pencil)})
+        outcome = H if isinstance(H, ValueError) else next(outcomes)
+        if isinstance(outcome, ValueError):
+            rows.append({"bbar": bbar, "r": r, "skipped": True, "notice": str(outcome)})
             continue
-        unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
+        unres, res = outcome
         deficit = deficit_closed_form(eigs, bbar, r)
         deficit_quad = integrate(grid, -H.h)
         rows.append(
@@ -484,37 +592,8 @@ def cmd_scan(config: RunConfig) -> dict:
             }
         )
 
-    # bisection on the sign of the unrestricted minimum eigenvalue at fixed r
-    r_b = config.bisect_r
-
-    def unrestricted_min(bbar: float) -> float:
-        [pencil] = assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])
-        return pencil_minimum(pencil)
-
-    lo, hi = config.bracket
-    bisection = None
-    if unrestricted_min(lo) > 0 > unrestricted_min(hi):
-        while hi - lo > BRACKET_TARGET / 2.0:
-            mid = 0.5 * (lo + hi)
-            # a sign change at a huge bbar, where adjacent floats are
-            # farther apart than the target, or lo + hi overflowing, ends the
-            # narrowing; the wide bracket then fails the width check
-            if not lo < mid < hi:
-                break
-            if unrestricted_min(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        # widen slightly: the finite-r threshold sits within O(r^2) of the
-        # ideal one, so a small guard band keeps the reported bracket honest
-        guard = 1.0 / 3600.0
-        bisection = {
-            "r": r_b,
-            "bracket_lo": lo - guard,
-            "bracket_hi": hi + guard,
-            "width": (hi - lo) + 2 * guard,
-            "contains_threshold": lo - guard <= THRESHOLD_BBAR <= hi + guard,
-        }
+    depth = 2 if entries <= _LOOKAHEAD_ENTRIES else 1
+    bisection = _bisection(basis, eigs, config.bisect_r, *config.bracket, depth)
     ok = (
         bisection is not None
         and bisection["contains_threshold"]

@@ -64,9 +64,12 @@ the eigenvalues alone (``eigvalsh`` of the part whitened by K), and
 stops where the bound clears the running minimum.  The pencil records
 each part's minimum, so a part is solved at most once across both minima
 and the witness, and the bound needs only the sups, so a part it skips
-is never built.  ``min_pencil_eigenvalue`` takes the part holding the
-minimum from the same routine and runs one ``eigh``, on that part, for
-its witness.
+is never built.  ``pencil_minima`` walks the parts of a sequence of
+pencils together: the pencils of one ``assemble_pencil`` group that
+need a part get it from one ``eigvalsh`` call on their stacked parts,
+each with the pruning and the bits it has alone.
+``min_pencil_eigenvalue`` takes the part holding the minimum from the
+same routine and runs one ``eigh``, on that part, for its witness.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from .harmonics import (
     FieldCoeffs,
     HarmonicBasis,
     LINEAR_ROWS,
+    _CHUNK_BYTES,
     _check_match,
     _gram_limit,
     gram_blocks,
@@ -104,6 +108,8 @@ __all__ = [
     "kernel_closed_form",
     "assemble_pencil",
     "pencil_minimum",
+    "pencil_minima",
+    "pencil_groups",
     "min_pencil_eigenvalue",
     "decompose_kernel",
 ]
@@ -180,11 +186,12 @@ class HessianPencil:
     block per entry of ``row_sets``, in the order ``gram_blocks`` gives
     them, where ``row_sets[i]`` has shape (k, n), the k row sets whose
     block is ``block(i)``, and ``parts[restrict]`` the parts that
-    ``_row_minimum`` visits.  When h is constant on every theta ring there
-    is one block per azimuthal order, and per parity of l + |m| when h is
-    even under x3, with k = 2 (its cos rows, then its sin rows) for
-    order > 0; else one per parity class of the reflections h is even
-    under (k = 1), one of every row when there are none.
+    ``_row_minimum`` visits, together for the pencils that share them.
+    When h is constant on every theta ring there is one block per
+    azimuthal order, and per parity of l + |m| when h is even under x3,
+    with k = 2 (its cos rows, then its sin rows) for order > 0; else one
+    per parity class of the reflections h is even under (k = 1), one of
+    every row when there are none.
 
     A block is built the first time it is read: ``block(i)`` calls
     ``build(i)`` once and keeps the result, so a solve that reads few
@@ -195,7 +202,8 @@ class HessianPencil:
     benchmark tracer (``perfbench/tracer.py``) sizes its counts from both.
     ``_minima`` records the smallest eigenvalue of each part (i, k)
     solved so far, ``block(i)[k:, k:]`` whitened by kdiag, so each part
-    is solved at most once.
+    is solved at most once; it is the only record of what the pencil
+    has solved, also when its parts are solved in a batch.
 
     ``sups`` holds (max |h / (2H)|, max |h|) over the nodes, the sups of
     the two deficit weights.  They bound M against the round diagonal:
@@ -289,10 +297,12 @@ def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) 
     decide the blocks (see ``HessianPencil``).  Fields of one layout are
     assembled together: one pass over their weights, and each block
     built for all of them at once, on the first read by any of them;
-    each pencil's ``block(i)`` reads its own slice.  Before any block, an
-    h whose weights exceed ``_gram_limit``, where a Gram sum could
-    overflow, is refused by a ValueError naming max |h|, and so is a
-    layout past the byte limit; either refuses the whole call.
+    each pencil's ``block(i)`` reads its own slice.  The pencils of one
+    group share their row sets and part lists, so ``pencil_minima``
+    solves a part for all of them that need it in one call.  Before any
+    block, an h whose weights exceed ``_gram_limit``, where a Gram sum
+    could overflow, is refused by a ValueError naming max |h|, and so is
+    a layout past the byte limit; either refuses the whole call.
     """
     for H in fields:
         _check_field(basis, H)
@@ -341,12 +351,20 @@ def _shared_blocks(gram, row_sets, diag):
     return block
 
 
-def _solve(pencil: HessianPencil, i: int, k: int, solver):
-    """``solver`` on block i from offset k whitened by kdiag; its rows; 1 / sqrt(kdiag[rows])."""
-    rows = pencil.row_sets[i][0][k:]
-    inv_sqrt_k = 1.0 / np.sqrt(pencil.kdiag[rows])
+def _solve(pencils: Sequence[HessianPencil], i: int, k: int, solver):
+    """``solver``, in one call, on block i from offset k of each pencil, whitened by kdiag.
+
+    Returns its result, the part's rows and 1 / sqrt(kdiag[rows]).  The
+    pencils share a part list, so their parts have the same rows.
+    """
+    rows = pencils[0].row_sets[i][0][k:]
+    inv_sqrt_k = 1.0 / np.sqrt(pencils[0].kdiag[rows])
+    scale = np.outer(inv_sqrt_k, inv_sqrt_k)
+    stack = np.empty((len(pencils), *scale.shape))
+    for out, pencil in zip(stack, pencils):
+        np.multiply(pencil.block(i)[k:, k:], scale, out=out)
     try:
-        return solver(pencil.block(i)[k:, k:] * np.outer(inv_sqrt_k, inv_sqrt_k)), rows, inv_sqrt_k
+        return solver(stack), rows, inv_sqrt_k
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
 
@@ -357,41 +375,82 @@ def _solve(pencil: HessianPencil, i: int, k: int, solver):
 _BOUND_MARGIN = 1e-9
 
 
-def _row_minimum(pencil: HessianPencil, restrict: bool) -> tuple[float, int, int]:
-    """The smallest eigenvalue of M v = lambda K v over l >= 1, or with
-    ``restrict`` over l >= 2, and the part (i, k) that holds it: block i
-    from its offset k, 0, or with ``restrict`` its number of l = 1 rows.
+def _bound(pencil: HessianPencil, l0: int) -> float:
+    """The round-sphere lower bound on the pencil's eigenvalues over rows of degree l0 and up."""
+    s_lap, s_grad = pencil.sups
+    return 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0))
+
+
+def _row_minimum(pencils: Sequence[HessianPencil], restrict: bool) -> list[tuple[float, int, int]]:
+    """For each pencil, the smallest eigenvalue of M v = lambda K v over
+    l >= 1, or with ``restrict`` over l >= 2, and the part (i, k) that
+    holds it: block i from its offset k, 0, or with ``restrict`` its
+    number of l = 1 rows.
 
     The whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups``
     bounds the rest, so the minimum over rows of degree l0 and up is at
-    least 1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  The parts are
-    visited as ``pencil.parts[restrict]`` lists them, ascending (lowest
-    degree, i, k), hence ascending bound, and solved by ``eigvalsh``
-    until the bound exceeds the running minimum by ``_BOUND_MARGIN``;
-    each minimum goes into ``pencil._minima``, and a part found there is
-    not solved again.
+    least 1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  The pencils of
+    one ``assemble_pencil`` group (``pencil_groups``) walk the part list
+    they share together, one group after another, as ``parts[restrict]``
+    lists it, ascending (lowest degree, i, k), hence ascending bound.  A
+    pencil drops out where the bound exceeds its own running minimum by
+    ``_BOUND_MARGIN``; at each part, the pencils still walking that have
+    not recorded it in ``pencil._minima`` get it solved in one
+    ``eigvalsh`` call on their stacked parts, as many per call as
+    ``_CHUNK_BYTES`` holds, and each records its own minimum.  So every pencil solves the parts, and gets
+    the bits, that it would alone.
     Every part that can hold or tie the minimum is solved, so the
     minimum, and the first block attaining it, are those of solving
     every part.
     """
-    if restrict and pencil.L < 2:
+    if restrict and any(pencil.L < 2 for pencil in pencils):
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
-    s_lap, s_grad = pencil.sups
-    best = (math.inf, -1, -1)
-    for l0, i, k in pencil.parts[restrict]:
-        if 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) > best[0] + _BOUND_MARGIN:
-            break
-        if (i, k) not in pencil._minima:
-            pencil._minima[i, k] = _solve(pencil, i, k, np.linalg.eigvalsh)[0][0]
-        best = min(best, (pencil._minima[i, k], i, k))
+    best = [(math.inf, -1, -1)] * len(pencils)
+    for walking in pencil_groups(pencils):
+        for l0, i, k in pencils[walking[0]].parts[restrict]:
+            walking = [n for n in walking if not _bound(pencils[n], l0) > best[n][0] + _BOUND_MARGIN]
+            if not walking:
+                break
+            unsolved = [pencils[n] for n in walking if (i, k) not in pencils[n]._minima]
+            # a stack saves calls, each of a fixed cost; past _CHUNK_BYTES its
+            # parts only hold memory
+            size = pencils[walking[0]].row_sets[i].shape[1] - k
+            step = max(1, _CHUNK_BYTES // (8 * size * size))
+            for start in range(0, len(unsolved), step):
+                chunk = unsolved[start : start + step]
+                for pencil, low in zip(chunk, _solve(chunk, i, k, np.linalg.eigvalsh)[0][:, 0]):
+                    pencil._minima[i, k] = low
+            for n in walking:
+                best[n] = min(best[n], (pencils[n]._minima[i, k], i, k))
     return best
+
+
+def pencil_groups(pencils: Sequence[HessianPencil]) -> list[list[int]]:
+    """The indices of ``pencils`` by the ``assemble_pencil`` group whose blocks they read, in order of first appearance.
+
+    The pencils of a group share one ``_shared_blocks`` builder, and with
+    it their row sets and part lists; a pencil built otherwise is a group
+    of its own.  Two groups of one layout share their part lists but not
+    their blocks, so they are not walked together: a caller that drops a
+    group's pencils before solving the next keeps within the byte limit
+    that sized the groups.
+    """
+    groups = {}
+    for n, pencil in enumerate(pencils):
+        groups.setdefault(id(getattr(pencil.build, "func", pencil)), []).append(n)
+    return list(groups.values())
+
+
+def pencil_minima(pencils: Sequence[HessianPencil], restrict: bool = False) -> list[float]:
+    """``pencil_minimum`` of each pencil, the parts of the pencils of one ``pencil_groups`` group solved together."""
+    return [float(low) for low, _, _ in _row_minimum(pencils, restrict)]
 
 
 def pencil_minimum(pencil: HessianPencil, restrict: bool = False) -> float:
     """Smallest generalized eigenvalue of M v = lambda K v over l >= 1, or
     with ``restrict`` over l >= 2: the value of ``min_pencil_eigenvalue``,
-    from eigenvalues alone."""
-    return float(_row_minimum(pencil, restrict)[0])
+    from eigenvalues alone; ``pencil_minima`` of the one pencil."""
+    return pencil_minima([pencil], restrict)[0]
 
 
 def min_pencil_eigenvalue(
@@ -417,8 +476,8 @@ def min_pencil_eigenvalue(
         sign (largest-magnitude coefficient positive).  The witness is
         returned as full coefficients with the l = 0 slot zero.
     """
-    low, i, k = _row_minimum(pencil, restrict)
-    (_, vecs), rows, inv_sqrt_k = _solve(pencil, i, k, np.linalg.eigh)
+    [(low, i, k)] = _row_minimum([pencil], restrict)
+    (_, [vecs]), rows, inv_sqrt_k = _solve([pencil], i, k, np.linalg.eigh)
 
     c = np.zeros((pencil.L + 1) ** 2)
     c[rows + 1] = vecs[:, 0] * inv_sqrt_k

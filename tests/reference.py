@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from wy_stability import harmonics
-from wy_stability.functional import HessianPencil, MeanCurvatureField
+from wy_stability import cli, harmonics
+from wy_stability.functional import HessianPencil, MeanCurvatureField, assemble_pencil, pencil_minimum
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import FieldCoeffs, HarmonicBasis, index_of
+from wy_stability.models import h_family
 
 
 def weighted_gram(
@@ -108,3 +109,39 @@ def random_eigs(rng) -> RicciEigs:
 def random_direction(rng) -> Direction:
     v = rng.normal(size=3)
     return Direction(v / np.linalg.norm(v))
+
+
+def sequential_bisection(config: cli.RunConfig) -> dict | None:
+    """The summary's ``bisection`` of a scan with ``config``, one sign at a time.
+
+    The scan's bisection loop as it reads its signs, each from its own
+    ``assemble_pencil`` call, at the point where the loop first needs
+    it: the reference that the scan's batched look-ahead is checked
+    against.
+    """
+    eigs, r_b = RicciEigs(config.lam), config.bisect_r
+    grid, basis = cli._grid_basis(config.n_theta, config.n_phi, config.ltrunc)
+
+    def unrestricted_min(bbar: float) -> float:
+        [pencil] = assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])
+        return pencil_minimum(pencil)
+
+    lo, hi = config.bracket
+    if not unrestricted_min(lo) > 0 > unrestricted_min(hi):
+        return None
+    while hi - lo > cli.BRACKET_TARGET / 2.0:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if unrestricted_min(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    guard = 1.0 / 3600.0
+    return {
+        "r": r_b,
+        "bracket_lo": lo - guard,
+        "bracket_hi": hi + guard,
+        "width": (hi - lo) + 2 * guard,
+        "contains_threshold": lo - guard <= cli.THRESHOLD_BBAR <= hi + guard,
+    }

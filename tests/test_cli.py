@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -407,6 +409,39 @@ def test_scan_rows_assembled_in_groups_keep_their_bytes(monkeypatch):
     assert max(batches) == 2
 
 
+def test_scan_frees_each_groups_blocks_before_the_next_builds(monkeypatch):
+    # the limit sizes a group with its blocks kept, so it holds for a report
+    # only while one group's blocks are alive: below a limit that fits two
+    # of the nine rows, no group, of the rows or of a bisection batch,
+    # builds a block while another group's are still held
+    need, kept = harmonics_module._pencil_bytes(13, 12, (True, False, False, True))
+    monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 2 * (need + kept))
+    groups, overlaps = [], []  # per group, weakrefs to the blocks it built
+    real = functional_module._shared_blocks
+
+    def tracked(gram, row_sets, diag):
+        refs = []
+        groups.append(refs)
+
+        def build(i):
+            overlaps.extend(n for n, other in enumerate(groups) if other is not refs and any(r() is not None for r in other))
+            B = gram(i)
+            refs.append(weakref.ref(B))
+            return B
+
+        return real(build, row_sets, diag)
+
+    monkeypatch.setattr(functional_module, "_shared_blocks", tracked)
+    gc.disable()
+    try:
+        report, _ = run(parse_args(["scan", "--grid", "13x26", "--ltrunc", "12"]))
+    finally:
+        gc.enable()
+    assert report["summary"]["bisection"] is not None
+    assert len(groups) > 5 and all(groups)
+    assert overlaps == []
+
+
 def test_a_refused_scan_row_is_skipped_alone():
     # a radius past the positivity radius refuses its rows, with the notice
     # check_radius gives, and every other row keeps its bytes
@@ -419,6 +454,78 @@ def test_a_refused_scan_row_is_skipped_alone():
     assert [row["r"] for row in rows if row["skipped"]] == [0.9] * 3
     assert all(row["notice"] == str(refusal.value) for row in rows if row["skipped"])
     assert json.dumps([row for row in rows if not row["skipped"]]) == json.dumps(plain["results"])
+
+
+def counted_assembly(monkeypatch):
+    # the number of fields of each assemble_pencil call the CLI makes
+    calls = []
+    real = cli_module.assemble_pencil
+
+    def counted(basis, fields):
+        calls.append(len(fields))
+        return real(basis, fields)
+
+    monkeypatch.setattr(cli_module, "assemble_pencil", counted)
+    return calls
+
+
+L24 = ["--grid", "25x50", "--ltrunc", "24"]
+# parity pencils of 10,496 block entries, past the bisection's two-halving limit
+PARITY_L16 = ["--grid", "17x34", "--ltrunc", "16", "--set", "lam=0.7,0.5,-1.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        L24,  # the default bracket: four halvings, two batches
+        [*L24, "--set", "bracket=0,0.02"],  # five halvings: a third batch, the fifth midpoint alone
+        [*L24, "--set", "bracket=0.05,0.06"],  # no sign change
+        ["--grid", "7x26", "--ltrunc", "3", "--set", "bracket=0,1e300", "--set", "bisect_r=1.3e-77"],  # the huge-bbar break
+        PARITY_L16,  # one halving per call
+    ],
+    ids=["default", "odd", "no-sign-change", "huge-bbar", "one-halving"],
+)
+def test_the_bisection_reads_the_signs_of_the_sequential_loop(argv):
+    # the look-ahead assembles points in batches, and the bracket is bit
+    # for bit the one that one sign at a time, each its own pencil, gives
+    config = parse_args(["scan", *argv])
+    report, _ = run(config)
+    assert json.dumps(report["summary"]["bisection"]) == json.dumps(reference.sequential_bisection(config))
+
+
+@pytest.mark.parametrize("argv, want", [(L24, [9, 5, 3]), (PARITY_L16, [9, 3, 1, 1, 1])], ids=["two", "one"])
+def test_the_bisection_assembles_the_points_of_its_next_halvings_together(argv, want, monkeypatch):
+    # the nine rows in one call.  With small pencils, the bisection's lo,
+    # hi and the three midpoints of its first two halvings in a second,
+    # and the midpoint of the third with its two children in a third:
+    # three calls on 17 fields, where one field per point made 7 on 15.
+    # Past the entry limit, lo, hi and the first midpoint, then one
+    # midpoint per call
+    assert 2744 <= cli_module._LOOKAHEAD_ENTRIES < 10496
+    calls = counted_assembly(monkeypatch)
+    report, _ = run(parse_args(["scan", *argv]))
+    assert report["verdict"] == "PASS"
+    assert calls == want
+
+
+def test_a_look_ahead_point_the_loop_never_reads_refuses_nothing(tmp_path, monkeypatch):
+    # f(lo) <= 0 at bbar = 0.05, so the loop never reads hi = 1e305, whose
+    # pencil the Gram-sum rule refuses; that refuses the look-ahead batch,
+    # lo is assembled alone, and the report is the FAIL that one sign at a
+    # time gives, with the rows and summary of a bracket that refuses nothing
+    argv = ["scan", *L24, "--set"]
+    grid = build_grid(25, 50)
+    with pytest.raises(ValueError, match="h = H - 2 is too large for the Gram sums"):
+        assemble_pencil(build_basis(grid, 24), [h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1e305, 1e-2, grid)])
+    calls = counted_assembly(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main([*argv, "bracket=0.05,1e305", "--out", str(out)]) == 1
+    assert calls == [9, 5, 1]
+    report = read_report(out)
+    assert report["summary"]["bisection"] is None is reference.sequential_bisection(parse_args([*argv, "bracket=0.05,1e305"]))
+    plain, _ = run(parse_args([*argv, "bracket=0.05,0.06"]))
+    plain["config"]["bracket"] = [0.05, 1e305]
+    assert out.read_text() == cli_module.render_json(plain)
 
 
 def test_a_field_refused_in_a_batch_loses_only_its_own_pencil():

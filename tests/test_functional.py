@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import mpmath
@@ -21,6 +23,7 @@ from wy_stability.functional import (
     kernel_closed_form,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
+    pencil_minima,
     pencil_minimum,
 )
 from wy_stability import harmonics as harmonics_module
@@ -881,3 +884,90 @@ def test_x3_split_blocks_match_the_dense_gram(shape, L):
                 inside[np.ix_(r, r)] = True
                 assert np.abs(build(i)[0] - dense[np.ix_(r, r)]).max() <= 1e-13 * scale
         assert np.abs(dense[~inside]).max() <= 1e-13 * scale
+
+
+def layout_batches(grid):
+    # per layout, fields of one layout at amplitudes that prune their walks
+    # differently: ring-constant and even under x3; h proportional to x3;
+    # the parity classes; and a rotated h with no symmetry (one block)
+    x3 = grid.xyz[:, 2]
+    u = grid.xyz @ (np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98))
+    axis, parity = RicciEigs(np.array([1.0, 1.0, -2.0])), RicciEigs(np.array([0.7, 0.5, -1.2]))
+    cells = [(0.0, 0.1), (1.0 / 90.0, 1e-2), (1.0 / 30.0, 1e-3), (1.0 / 30.0, 0.6)]
+    return {
+        "x3-split": [h_family(axis, bbar, r, grid) for bbar, r in cells],
+        "order": [mean_curvature_from_h(grid, a * x3) for a in (1e-3, 0.01, 0.5, 1.5)],
+        "parity": [h_family(parity, bbar, r, grid) for bbar, r in cells[:3] + [(1.0 / 30.0, 0.5)]],
+        "one-block": [mean_curvature_from_h(grid, a * (u**2 + u**3)) for a in (1e-3, 0.05, 0.5)],
+    }
+
+
+def bits(minima):
+    return {key: np.float64(value).tobytes() for key, value in minima.items()}
+
+
+@pytest.mark.parametrize("shape, L", [((13, 26), 12), ((25, 50), 24)])
+def test_a_batch_of_pencils_solves_each_part_once_per_group(shape, L, monkeypatch):
+    # the pencils of one group walk their shared parts together: at each
+    # part, those whose bound has not cleared their own minimum, and that
+    # have not solved it, get it in one eigvalsh call on their stacked
+    # parts, or in as few as keep each stack within _CHUNK_BYTES; each gets
+    # both minima and records the parts, bit for bit, that it gets alone
+    grid = build_grid(*shape)
+    basis = build_basis(grid, L)
+    stacks = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        assert len(a) == 1 or a.nbytes <= harmonics_module._CHUNK_BYTES
+        stacks.append(len(a))
+        return real(a, *args, **kwargs)
+
+    pruned_apart = stacked = 0
+    for layout, fields in layout_batches(grid).items():
+        alone = [assemble_pencil(basis, [H])[0] for H in fields]
+        want = [(pencil_minimum(p), pencil_minimum(p, restrict=True)) for p in alone]
+        batch = assemble_pencil(basis, fields)
+        assert len({id(p.build.func) for p in batch}) == 1, layout
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for restrict in (False, True):
+            before = [set(p._minima) for p in batch]
+            stacks.clear()
+            got = pencil_minima(batch, restrict)
+            assert [v.hex() for v in got] == [w[restrict].hex() for w in want], layout
+            # per part any member solved, the fewest calls that the chunk
+            # bytes admit, on the members that solved it
+            solved = [set(p._minima) - b for p, b in zip(batch, before)]
+            calls = 0
+            for i, k in set().union(*solved):
+                per_call = max(1, harmonics_module._CHUNK_BYTES // (8 * (batch[0].row_sets[i].shape[1] - k) ** 2))
+                calls += -(-sum((i, k) in parts for parts in solved) // per_call)
+            assert len(stacks) == calls and sum(stacks) == sum(map(len, solved)), layout
+            stacked = max([stacked, *stacks])
+        monkeypatch.setattr(np.linalg, "eigvalsh", real)
+        for b, a in zip(batch, alone):
+            assert bits(b._minima) == bits(a._minima), layout
+        pruned_apart += len({frozenset(p._minima) for p in batch}) > 1
+    # the walks drop members at different parts in some layout, and some
+    # call stacks every member of a batch
+    assert pruned_apart > 0 and stacked == 4
+
+
+def test_a_batch_keeps_no_block_past_its_pencils():
+    # nothing the batched solve leaves behind refers back to a pencil or a
+    # group's blocks: without the cyclic collector, every block goes with
+    # the last pencil that reads it
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    gc.disable()
+    try:
+        for fields in layout_batches(grid).values():
+            pencils = assemble_pencil(basis, fields)
+            pencil_minima(pencils)
+            pencil_minima(pencils, restrict=True)
+            views = [block for p in pencils for block in p._built.values()]
+            refs = [weakref.ref(a) for a in views + [v.base for v in views]]
+            del pencils, views
+            assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

@@ -37,6 +37,11 @@ REPORTS = {
     "scan-13x26-l12-lam2": ["scan", "--grid", "13x26", "--ltrunc", "12", "--set", "lam=2,-1,-1"],
     "scan-49x98-l48": ["scan", "--grid", "49x98", "--ltrunc", "48"],
     "scan-73x146-l72": ["scan", "--grid", "73x146", "--ltrunc", "72"],
+    "scan-25x50-l24-bracket-odd": ["scan", "--grid", "25x50", "--ltrunc", "24", "--set", "bracket=0,0.02"],
+    "scan-25x50-l24-bracket-refused-hi": ["scan", "--grid", "25x50", "--ltrunc", "24", "--set", "bracket=0.05,1e305"],
+    "scan-7x26-l3-huge-bracket": [
+        "scan", "--grid", "7x26", "--ltrunc", "3", "--set", "bracket=0,1e300", "--set", "bisect_r=1.3e-77",
+    ],
     "certify-const-eps0.3": ["certify", "--set", "eps=0.3"],
     "certify-const-eps1.5": ["certify", "--set", "eps=1.5"],
     "certify-const-49x98-l48-eps1.5": ["certify", "--grid", "49x98", "--ltrunc", "48", "--set", "eps=1.5"],
