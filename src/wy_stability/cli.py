@@ -830,8 +830,64 @@ COMMANDS = tuple(_DISPATCH)
 # serialization
 
 
+# json runs its C encoder only without an indent, so the indented text is
+# laid out here with a %s slot per scalar, and one C encode renders all the
+# scalars at once; with ensure_ascii no encoded scalar holds a raw newline,
+# so a "\n" item separator splits them apart again.
+_ENCODE_SCALARS = json.JSONEncoder(allow_nan=False, separators=("\n", ":")).encode
+_CONTAINERS = (dict, list, tuple)
+
+
+def _key(k: str) -> str:
+    return json.encoder.encode_basestring_ascii(k).replace("%", "%%") + ": "
+
+
+def _block(opening: str, items: list, closing: str, depth: int) -> str:
+    inner = "\n" + "  " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
+@functools.lru_cache(maxsize=128)
+def _flat_layout(keys: tuple, lens: tuple, depth: int) -> str:
+    """Layout of a dict of scalars (length -1) and flat lists of scalars."""
+    return _block("{", [
+        _key(k) + ("%s" if n < 0 else _block("[", ["%s"] * n, "]", depth + 1) if n else "[]")
+        for k, n in zip(keys, lens)
+    ], "}", depth)
+
+
+def _layout(o, depth: int, scalars: list) -> str:
+    """The indented text of ``o`` with a %s slot per scalar, appended to ``scalars``."""
+    if isinstance(o, dict):
+        keys, start, lens = sorted(o), len(scalars), []
+        for k in keys:
+            v = o[k]
+            if not isinstance(v, _CONTAINERS):
+                lens.append(-1)
+                scalars.append(v)
+            elif isinstance(v, dict) or any(isinstance(x, _CONTAINERS) for x in v):
+                del scalars[start:]
+                return _block("{", [_key(k) + _layout(o[k], depth + 1, scalars) for k in keys], "}", depth)
+            else:
+                lens.append(len(v))
+                scalars.extend(v)
+        return _flat_layout(tuple(keys), tuple(lens), depth) if keys else "{}"
+    if isinstance(o, (list, tuple)):
+        return _block("[", [_layout(x, depth + 1, scalars) for x in o], "]", depth) if o else "[]"
+    scalars.append(o)
+    return "%s"
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` and a newline.
+
+    The text is the same byte for byte; keys must be str (a TypeError
+    otherwise).  NaN and infinities raise ValueError, and a value json
+    cannot encode raises TypeError, as there.
+    """
+    scalars: list = []
+    text = _layout(report, 0, scalars)
+    return text % tuple(_ENCODE_SCALARS(scalars)[1:-1].split("\n") if scalars else ()) + "\n"
 
 
 def render_csv(report: dict) -> str:
@@ -930,11 +986,12 @@ def main(argv: list[str] | None = None) -> int:
         if config.out:
             _check_file_path("out", Path(config.out))
         report, text = run(config)
+        if config.out:
+            Path(config.out).write_text(text)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2
     if config.out:
-        Path(config.out).write_text(text)
         print(f"report written to {config.out}")
         print(f"verdict: {report['verdict']}")
     else:

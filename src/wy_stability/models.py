@@ -139,7 +139,7 @@ def h_family(
     """
     check_radius(eigs, r)
     h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
-    tag = f"h_family(lam={tuple(eigs.lam)!r}, bbar={bbar!r}, r={r!r})"
+    tag = f"h_family(lam={tuple(eigs.lam.tolist())!r}, bbar={bbar!r}, r={r!r})"
     return mean_curvature_from_h(grid, h, tag=tag)
 
 

@@ -1309,6 +1309,110 @@ def test_stdout_output_parses(capsys):
     assert report["command"] == "small-sphere"
 
 
+def test_an_unwritable_out_exits_two_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def full(self, text, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", full)
+        assert main(["integrals", "--out", str(tmp_path / "r.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert err == ""
+    if Path("/dev/full").exists():
+        src = str(Path(wy_stability.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "wy_stability.cli", "integrals", "--out", "/dev/full"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("error: ") and len(proc.stdout.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+
+def _oracle(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# keys with the characters that quoting escapes or a % format reads
+JSON_KEYS = st.text(st.sampled_from('a%s"\\\x00\x1f\n\té€\U0001f600'), max_size=4) | st.text(max_size=4)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -(2**64) - 1, "%s", "%%"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+def _holding(leaf):
+    """JSON-like values with one ``leaf`` at any depth."""
+    return st.recursive(
+        leaf,
+        lambda inner: st.builds(lambda xs, x, i: [*xs[:i], x, *xs[i:]], st.lists(JSON_VALUES, max_size=3), inner, st.integers(0, 3))
+        | st.builds(lambda d, k, x: {**d, k: x}, st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=3), JSON_KEYS, inner),
+        max_leaves=4,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"a%": [1, {"x": []}, [], "%s"], "b": {}, "c": (1, 2), "%": {"%%": ()}})
+@example([{"a": [1.5, np.float64(0.1)]}, {"a": [[1], 2]}, {}, [[]], 7])
+def test_render_json_is_the_indented_json_dump(value):
+    assert cli_module.render_json(value) == _oracle(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_holding(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)])))
+def test_render_json_refuses_non_finite_floats_at_any_depth(value):
+    with pytest.raises(ValueError):
+        _oracle(value)
+    with pytest.raises(ValueError):
+        cli_module.render_json(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_holding(st.sampled_from([{1, 2}, frozenset(), b"x", 1j, np.int64(3), object()])))
+def test_render_json_refuses_what_json_cannot_encode(value):
+    with pytest.raises(TypeError):
+        _oracle(value)
+    with pytest.raises(TypeError):
+        cli_module.render_json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrals"],
+        ["small-sphere", "--set", "curv_r=2", "--timings"],
+        ["gform", "--grid", "13x26", "--ltrunc", "6"],
+        ["scan", "--grid", "13x26", "--ltrunc", "6"],
+        ["certify", "--ltrunc", "6"],
+        ["certify", "--ltrunc", "6", "--set", "family=quartic"],
+        ["counterexample", "--grid", "13x26", "--ltrunc", "12"],
+    ],
+)
+def test_every_report_is_the_indented_json_dump(argv, tmp_path):
+    report, text = run(parse_args([*argv, "--set", f"witness={tmp_path / 'w.json'}"]))
+    assert text == _oracle(report)
+    assert isinstance(report["timings"], dict) == ("--timings" in argv)
+
+
+def test_the_layout_memo_stays_within_its_bound():
+    report, _ = run(parse_args(["small-sphere", "--set", "curv_r=2"]))
+    bound = cli_module._flat_layout.cache_info().maxsize
+    for n in range(2 * bound + 5):
+        report["config"]["r_list"] = [0.1 * (k + 1) for k in range(n)]
+        assert cli_module.render_json(report) == _oracle(report)
+        assert cli_module._flat_layout.cache_info().currsize <= bound
+
+
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 

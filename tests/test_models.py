@@ -60,6 +60,12 @@ def test_h_family_samples_formula():
     assert H.inf_h > 0.0
 
 
+def test_h_family_tag_prints_plain_floats():
+    # the tag goes into certify reports, so it must not carry numpy's repr
+    H = h_family(CANON_EIGS, 1.0 / 30.0, 0.01, GRID)
+    assert H.tag == "h_family(lam=(1.0, 1.0, -2.0), bbar=0.03333333333333333, r=0.01)"
+
+
 def test_h_family_rejects_bad_radius():
     with pytest.raises(ValueError):
         h_family(CANON_EIGS, 0.0, 0.0, GRID)
