@@ -4,7 +4,7 @@ Subcommands
 -----------
 integrals        monomial oracle vs quadrature for every even monomial
 gform            quartic-energy coefficients, minima, and classification
-scan             pencil eigenvalue scan over (bbar, r) with threshold bisection
+scan             pencil eigenvalue scan over (bbar, r) with threshold bracket
 counterexample   explicit negative direction and witness coefficient file
 small-sphere     mass expansion rows and curvature case classification
 certify          certificate thresholds, condition checks, pencil cross-check
@@ -458,74 +458,71 @@ def _solve_by_group(pencils: list, *restricts: bool) -> None:
             pencils[n] = tuple(values)
 
 
-# The scan's bisection assembles, per call, the points of its next two
-# halvings where the rows' pencils hold at most this many block entries,
-# and of its next one elsewhere.  Looking further ahead saves calls, each
-# of a fixed cost, but assembles pencils the loop may not read, each at a
-# cost that grows with its blocks.  With one BLAS thread, two halvings
-# against one took the bisection of a 25x50, L = 24 scan (2,744 entries)
-# from 1.6-2.8 to 1.2-2.1 ms, were even at 8,760 and 10,496, and took a
-# 73x146, L = 72 one (66,120) from 3.9-4.8 to 5.5-7.2 ms.
-_LOOKAHEAD_ENTRIES = 2**13
+def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float) -> dict | None:
+    """Bracket the sign change of the unrestricted pencil minimum f in bbar at r = r_b; None without one.
 
-
-def _halvings(lo: float, hi: float, depth: int) -> list[float]:
-    """The points the scan's bisection can read in its next ``depth`` halvings of (lo, hi).
-
-    The midpoint first, then those of both halves, each formed and
-    guarded as the bisection loop forms and guards it.
-    """
-    if depth == 0 or not hi - lo > BRACKET_TARGET / 2.0:
-        return []
-    mid = 0.5 * (lo + hi)
-    if not lo < mid < hi:
-        return []
-    return [mid, *_halvings(lo, mid, depth - 1), *_halvings(mid, hi, depth - 1)]
-
-
-def _bisection(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float, depth: int) -> dict | None:
-    """Bisect the sign change of the unrestricted pencil minimum in bbar at r = r_b; None without one.
-
-    Each sign read is kept.  Where the loop needs one it lacks, one
-    ``assemble_pencil`` call takes every point that its next ``depth``
-    halvings can read (``_halvings``), lo and hi with the first, and
-    ``_solve_by_group`` solves them together, so the bracket is that of
-    reading one point per call.  A batch that is refused gives way to
-    the one point needed, alone: a point the loop never reads refuses
-    nothing.
+    Brent's method (Brent 1973, ch. 4) keeps f > 0 at one end and f <= 0
+    at the other, and stops once the bracket is at most BRACKET_TARGET / 2
+    + 4 eps |b| wide, b the best iterate: the relative term ends it where
+    adjacent floats are farther apart than the target.  lo and hi are
+    assembled in one call; lo refused, or hi refused when f(lo) > 0, exits 2.
     """
     grid = basis.grid
-    memo = {}  # bbar -> the unrestricted minimum at r_b
+    ends = _pencils_or_refusals(basis, [h_family(eigs, x, r_b, grid) for x in (lo, hi)])
+    _solve_by_group(ends, False)
 
-    def unrestricted_min(bbar: float, *ahead: float) -> float:
-        if bbar not in memo:
-            points = [x for x in dict.fromkeys((bbar, *ahead)) if x not in memo]
-            try:
-                pencils = assemble_pencil(basis, [h_family(eigs, x, r_b, grid) for x in points])
-            except ValueError:  # a point the loop might never read must not refuse the report
-                points, pencils = [bbar], assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])
-            _solve_by_group(pencils, False)
-            memo.update(zip(points, (low for low, in pencils)))
-        return memo[bbar]
+    def value(end) -> float:
+        if isinstance(end, ValueError):
+            raise end
+        return end[0]
 
-    if not unrestricted_min(lo, hi, *_halvings(lo, hi, depth)) > 0 > unrestricted_min(hi):
+    if not (fa := value(ends[0])) > 0 > (fb := value(ends[1])):
         return None
-    while hi - lo > BRACKET_TARGET / 2.0:
-        mid = 0.5 * (lo + hi)
-        # a sign change at a huge bbar, where adjacent floats are
-        # farther apart than the target, or lo + hi overflowing, ends the
-        # narrowing; the wide bracket then fails the width check
-        if not lo < mid < hi:
+
+    def f(bbar: float) -> float:
+        # h is affine in bbar, so at every node |h|, |h / (2H)| and 1/H at
+        # a bbar between lo and hi are bounded by their values at the two
+        # ends: a step point is never refused
+        return pencil_minimum(assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])[0])
+
+    a, b = lo, hi
+    c, fc = b, fb  # on b's side, so the first pass sets c = a
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * math.ulp(1.0) * abs(b) + BRACKET_TARGET / 4.0
+        m = 0.5 * c - 0.5 * b
+        if not abs(m) > tol:
             break
-        if unrestricted_min(mid, *_halvings(lo, hi, depth)) > 0:
-            lo = mid
+        if abs(e) < tol or not abs(fa) > abs(fb):
+            d = e = m
         else:
-            hi = mid
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, t = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            # a NaN or infinite p or q fails both tests: the midpoint
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
     # widen slightly: the finite-r threshold sits within O(r^2) of the
     # ideal one, so a small guard band keeps the reported bracket honest
     guard = 1.0 / 3600.0
+    lo, hi = sorted((b, c))
     return {
         "r": r_b,
+        "bbar_star": b,
         "bracket_lo": lo - guard,
         "bracket_hi": hi + guard,
         "width": (hi - lo) + 2 * guard,
@@ -534,13 +531,12 @@ def _bisection(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float, depth: 
 
 
 def cmd_scan(config: RunConfig) -> dict:
-    """Pencil eigenvalue scan over (bbar, r) plus threshold bisection.
+    """Pencil eigenvalue scan over (bbar, r) plus the threshold bracket.
 
     The rows are assembled in one call and their minima solved together,
-    one ``assemble_pencil`` group at a time (``_solve_by_group``).
-    The bisection (``_bisection``) assembles the points of its next two
-    halvings per call where the rows' pencils are small, at most
-    ``_LOOKAHEAD_ENTRIES`` block entries, and of its next one elsewhere.
+    one ``assemble_pencil`` group at a time (``_solve_by_group``).  The
+    threshold's bracket (``_threshold_bracket``) assembles lo and hi in
+    one more call, then one field per step of Brent's method.
     """
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
     if len(config.bracket) != 2:
@@ -563,11 +559,8 @@ def cmd_scan(config: RunConfig) -> dict:
                 H = exc
             cells.append((bbar, r, H))
     outcomes = _pencils_or_refusals(basis, [H for *_, H in cells if not isinstance(H, ValueError)])
-    # the block entries of the rows' largest layout, read once per group
-    layouts = {id(p.row_sets): p.row_sets for p in outcomes if not isinstance(p, ValueError)}.values()
-    entries = max((sum(rows.shape[1] ** 2 for rows in sets) for sets in layouts), default=math.inf)
     # each assembled row's refusal or two minima, in row order; the rows'
-    # blocks go before the bisection builds its own
+    # blocks go before the bracket builds its own
     _solve_by_group(outcomes, False, True)
     outcomes = iter(outcomes)
     rows = []
@@ -592,8 +585,7 @@ def cmd_scan(config: RunConfig) -> dict:
             }
         )
 
-    depth = 2 if entries <= _LOOKAHEAD_ENTRIES else 1
-    bisection = _bisection(basis, eigs, config.bisect_r, *config.bracket, depth)
+    bisection = _threshold_bracket(basis, eigs, config.bisect_r, *config.bracket)
     ok = (
         bisection is not None
         and bisection["contains_threshold"]

@@ -111,37 +111,13 @@ def random_direction(rng) -> Direction:
     return Direction(v / np.linalg.norm(v))
 
 
-def sequential_bisection(config: cli.RunConfig) -> dict | None:
-    """The summary's ``bisection`` of a scan with ``config``, one sign at a time.
+def unrestricted_minimum(config: cli.RunConfig, bbar: float) -> float:
+    """The unrestricted pencil minimum whose sign change a scan with ``config`` brackets, at ``bbar``.
 
-    The scan's bisection loop as it reads its signs, each from its own
-    ``assemble_pencil`` call, at the point where the loop first needs
-    it: the reference that the scan's batched look-ahead is checked
-    against.
+    Each value from its own ``assemble_pencil`` call on the one field: the
+    reference that the signs at the ends of the scan's bracket are
+    checked against.
     """
-    eigs, r_b = RicciEigs(config.lam), config.bisect_r
     grid, basis = cli._grid_basis(config.n_theta, config.n_phi, config.ltrunc)
-
-    def unrestricted_min(bbar: float) -> float:
-        [pencil] = assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])
-        return pencil_minimum(pencil)
-
-    lo, hi = config.bracket
-    if not unrestricted_min(lo) > 0 > unrestricted_min(hi):
-        return None
-    while hi - lo > cli.BRACKET_TARGET / 2.0:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if unrestricted_min(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    guard = 1.0 / 3600.0
-    return {
-        "r": r_b,
-        "bracket_lo": lo - guard,
-        "bracket_hi": hi + guard,
-        "width": (hi - lo) + 2 * guard,
-        "contains_threshold": lo - guard <= cli.THRESHOLD_BBAR <= hi + guard,
-    }
+    [pencil] = assemble_pencil(basis, [h_family(RicciEigs(config.lam), bbar, config.bisect_r, grid)])
+    return pencil_minimum(pencil)

@@ -412,8 +412,8 @@ def test_scan_rows_assembled_in_groups_keep_their_bytes(monkeypatch):
 def test_scan_frees_each_groups_blocks_before_the_next_builds(monkeypatch):
     # the limit sizes a group with its blocks kept, so it holds for a report
     # only while one group's blocks are alive: below a limit that fits two
-    # of the nine rows, no group, of the rows or of a bisection batch,
-    # builds a block while another group's are still held
+    # of the nine rows, no group, of the rows or of the bracket's two
+    # ends, builds a block while another group's are still held
     need, kept = harmonics_module._pencil_bytes(13, 12, (True, False, False, True))
     monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 2 * (need + kept))
     groups, overlaps = [], []  # per group, weakrefs to the blocks it built
@@ -470,49 +470,83 @@ def counted_assembly(monkeypatch):
 
 
 L24 = ["--grid", "25x50", "--ltrunc", "24"]
-# parity pencils of 10,496 block entries, past the bisection's two-halving limit
+# three distinct lam: the 8 parity classes of the pencil
 PARITY_L16 = ["--grid", "17x34", "--ltrunc", "16", "--set", "lam=0.7,0.5,-1.2"]
+GUARD = 1.0 / 3600.0  # the band the summary widens its bracket by
+
+
+def assert_bracket_holds(config, bisection):
+    # bbar_star, the best iterate, is an end of the unguarded bracket, so
+    # it lies in it; taking the guard off can move an end by an ulp, so the
+    # signs are read at bbar_star itself and at the other end.  f, each
+    # value from a pencil of its own field alone, is > 0 at one and <= 0 at
+    # the other, and the bracket is at most the stopping width wide,
+    # BRACKET_TARGET / 2 plus Brent's relative term
+    star = bisection["bbar_star"]
+    lo, hi = bisection["bracket_lo"] + GUARD, bisection["bracket_hi"] - GUARD
+    near, far = sorted((lo, hi), key=lambda x: abs(x - star))
+    assert abs(near - star) <= 2 * math.ulp(star)
+    signs = {reference.unrestricted_minimum(config, x) > 0 for x in (star, far)}
+    assert signs == {True, False}
+    assert hi - lo <= cli_module.BRACKET_TARGET / 2 + 4 * math.ulp(1.0) * abs(star)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, verdict, contains",
     [
-        L24,  # the default bracket: four halvings, two batches
-        [*L24, "--set", "bracket=0,0.02"],  # five halvings: a third batch, the fifth midpoint alone
-        [*L24, "--set", "bracket=0.05,0.06"],  # no sign change
-        ["--grid", "7x26", "--ltrunc", "3", "--set", "bracket=0,1e300", "--set", "bisect_r=1.3e-77"],  # the huge-bbar break
-        PARITY_L16,  # one halving per call
+        (L24, "PASS", True),  # the default bracket
+        ([*L24, "--set", "bracket=0,0.02"], "PASS", True),
+        ([*L24, "--set", "bracket=0.05,0.06"], "FAIL", None),  # no sign change
+        # the sign change sits at bbar = 1.45e137, where adjacent floats
+        # are farther apart than the target: the relative term ends it
+        (["--grid", "7x26", "--ltrunc", "3", "--set", "bracket=0,1e300", "--set", "bisect_r=1.3e-77"], "FAIL", False),
+        (PARITY_L16, "PASS", True),
     ],
-    ids=["default", "odd", "no-sign-change", "huge-bbar", "one-halving"],
+    ids=["default", "odd", "no-sign-change", "huge-bbar", "parity"],
 )
-def test_the_bisection_reads_the_signs_of_the_sequential_loop(argv):
-    # the look-ahead assembles points in batches, and the bracket is bit
-    # for bit the one that one sign at a time, each its own pencil, gives
+def test_the_bracket_ends_show_the_sign_change_of_one_field_pencils(argv, verdict, contains):
+    # the verdict and contains_threshold of these five scans are those
+    # that bisecting in bbar gives
     config = parse_args(["scan", *argv])
     report, _ = run(config)
-    assert json.dumps(report["summary"]["bisection"]) == json.dumps(reference.sequential_bisection(config))
+    bisection = report["summary"]["bisection"]
+    assert report["verdict"] == verdict
+    if contains is None:
+        assert bisection is None
+        assert not reference.unrestricted_minimum(config, config.bracket[0]) > 0
+        return
+    assert bisection["contains_threshold"] is contains
+    assert_bracket_holds(config, bisection)
 
 
-@pytest.mark.parametrize("argv, want", [(L24, [9, 5, 3]), (PARITY_L16, [9, 3, 1, 1, 1])], ids=["two", "one"])
-def test_the_bisection_assembles_the_points_of_its_next_halvings_together(argv, want, monkeypatch):
-    # the nine rows in one call.  With small pencils, the bisection's lo,
-    # hi and the three midpoints of its first two halvings in a second,
-    # and the midpoint of the third with its two children in a third:
-    # three calls on 17 fields, where one field per point made 7 on 15.
-    # Past the entry limit, lo, hi and the first midpoint, then one
-    # midpoint per call
-    assert 2744 <= cli_module._LOOKAHEAD_ENTRIES < 10496
+def test_the_default_scan_assembles_its_rows_its_ends_then_one_field_per_step(monkeypatch):
+    # the nine rows in one call, lo and hi in a second, then one field per
+    # step of Brent's method: two steps reach the stopping width
     calls = counted_assembly(monkeypatch)
-    report, _ = run(parse_args(["scan", *argv]))
+    report, _ = run(parse_args(["scan", *L24]))
     assert report["verdict"] == "PASS"
-    assert calls == want
+    assert calls == [9, 2, 1, 1]
 
 
-def test_a_look_ahead_point_the_loop_never_reads_refuses_nothing(tmp_path, monkeypatch):
-    # f(lo) <= 0 at bbar = 0.05, so the loop never reads hi = 1e305, whose
-    # pencil the Gram-sum rule refuses; that refuses the look-ahead batch,
-    # lo is assembled alone, and the report is the FAIL that one sign at a
-    # time gives, with the rows and summary of a bracket that refuses nothing
+def test_a_sign_change_at_a_huge_bbar_ends_in_few_steps(monkeypatch):
+    # from (0, 1e300) to the sign change at 1.45e137, halving bbar on a
+    # linear scale reads about 600 points; Brent's steps, one field each,
+    # take at most 150 calls
+    calls = counted_assembly(monkeypatch)
+    argv = ["scan", "--grid", "7x26", "--ltrunc", "3", "--set", "bracket=0,1e300", "--set", "bisect_r=1.3e-77"]
+    report, _ = run(parse_args(argv))
+    assert report["verdict"] == "FAIL"
+    assert report["summary"]["bisection"]["width"] > cli_module.BRACKET_TARGET
+    assert calls[:2] == [9, 2] and set(calls[2:]) == {1}
+    assert len(calls) <= 150
+
+
+def test_a_refused_hi_past_a_non_positive_lo_refuses_nothing(tmp_path, monkeypatch):
+    # f(lo) <= 0 at bbar = 0.05, so there is no sign change to bracket and
+    # hi = 1e305, whose pencil the Gram-sum rule refuses, is never read:
+    # that refuses the call that assembles both ends, each is assembled
+    # alone, and the report is a FAIL with the rows and summary of a
+    # bracket that refuses nothing
     argv = ["scan", *L24, "--set"]
     grid = build_grid(25, 50)
     with pytest.raises(ValueError, match="h = H - 2 is too large for the Gram sums"):
@@ -520,9 +554,10 @@ def test_a_look_ahead_point_the_loop_never_reads_refuses_nothing(tmp_path, monke
     calls = counted_assembly(monkeypatch)
     out = tmp_path / "r.json"
     assert main([*argv, "bracket=0.05,1e305", "--out", str(out)]) == 1
-    assert calls == [9, 5, 1]
+    assert calls == [9, 2, 1, 1]
     report = read_report(out)
-    assert report["summary"]["bisection"] is None is reference.sequential_bisection(parse_args([*argv, "bracket=0.05,1e305"]))
+    assert report["summary"]["bisection"] is None
+    assert not reference.unrestricted_minimum(parse_args([*argv, "bracket=0.05,1e305"]), 0.05) > 0
     plain, _ = run(parse_args([*argv, "bracket=0.05,0.06"]))
     plain["config"]["bracket"] = [0.05, 1e305]
     assert out.read_text() == cli_module.render_json(plain)
@@ -1608,10 +1643,28 @@ def _set(key, value) -> list[str]:
 @example(command="small-sphere", size=(13, 26, 12), fields={"ric_sq": 5e-324, "lap_r": 1.0}, extra=PLAIN)
 # small-sphere builds no grid and echoed a grid below the schema's 2x4
 @example(command="small-sphere", size=(5, 1, 2), fields={}, extra=PLAIN)
-# at bisect_r = 1.3e-77 the sign changes near bbar = 2.4e137, where adjacent
-# floats are farther apart than the target width: the bisection never ended
+# at bisect_r = 1.3e-77 the sign changes near bbar = 1.45e137, where adjacent
+# floats are farther apart than the target width: a halving loop never ended
 @example(command="scan", size=(7, 26, 3), fields={"bracket": (0.0, 1e300), "bisect_r": 1.3e-77}, extra=PLAIN)
 def test_cli_contract_holds_on_certify_small_sphere_and_bisection(command, size, fields, extra):
     n_theta, n_phi, ltrunc = size
     sets = [arg for key, value in fields.items() for arg in _set(key, value)]
     assert_contract(extra, [command, "--grid", f"{n_theta}x{n_phi}", "--ltrunc", str(ltrunc), *sets])
+
+
+# each example is one 13x26, L = 12 scan of one row; 20 take about 0.3 s
+@settings(max_examples=20, deadline=None)
+@given(
+    lam=TRACELESS.filter(lambda lam: sum(x * x for x in lam) > 0),  # RicciEigs refuses a zero triple
+    ends=st.lists(st.floats(0, 1.0 / 30.0, exclude_min=True, exclude_max=True), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@example(lam=(1.0, 1.0, -2.0), ends=[1.0 / 180.0, 1.0 / 45.0])
+def test_the_bracket_is_none_exactly_where_its_ends_show_no_sign_change(lam, ends):
+    config = RunConfig(
+        command="scan", n_theta=13, n_phi=26, ltrunc=12, lam=lam, bracket=tuple(ends), bbar_list=(0.0,), r_list=(1e-2,)
+    )
+    bisection = run(config)[0]["summary"]["bisection"]
+    lo, hi = (reference.unrestricted_minimum(config, x) for x in ends)
+    assert (bisection is None) == (not lo > 0 > hi)
+    if bisection is not None:
+        assert_bracket_holds(config, bisection)
