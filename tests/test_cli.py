@@ -160,6 +160,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     cli_module._grid_basis.cache_clear()
     monkeypatch.setattr(cli_module, "build_basis", refuse)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path, target_is_directory=True)
     for argv, message in (
         (cex + ["--set", "r=nan"], "r must be finite"),
         (cex + ["--set", "bbar=inf"], "bbar must be finite"),
@@ -176,6 +178,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             "witness directory",
         ),
         (["integrals", "--out", str(tmp_path)], "out path"),
+        # a witness that names the report file, also by another spelling
+        (cex + ["--set", f"witness={out}"], f"witness path {str(out)!r} is the out file"),
+        (
+            cex + ["--set", f"witness={link / out.name}"],
+            f"witness path {str(link / out.name)!r} is the out file",
+        ),
         (["integrals", "--out", str(tmp_path / "missing" / "r.json")], "out directory"),
         # an unknown key or format, an empty list, or a value that does not parse
         (["gform", "--set", "bogus=1"], "unknown config key 'bogus'"),
@@ -1232,17 +1240,48 @@ def test_witness_text_loads_back_bit_for_bit(tmp_path):
         (3.9, [], "L must be an integer, got 3.9"),
         (True, [], "L must be an integer, got True"),
         (10**9, [], r"L = 1000000000 needs 7.45e\+09 GiB of coefficients, over the 1 GiB limit"),
+        # a value that is no JSON number is refused, not converted
+        (2, [[1, 0, "1.5"]], r"entry \[1, 0, '1.5'\] has a value that is no number"),
+        (2, [[1, 0, True]], r"entry \[1, 0, True\] has a value that is no number"),
+        (2, [[1, 0, None]], r"entry \[1, 0, None\] has a value that is no number"),
+        (2, [[1, 0, [1.0]]], r"entry \[1, 0, \[1.0\]\] has a value that is no number"),
+        (2, [[1, 0, 10**400]], r"entry \[1, 0, 10+ has a value past the float range"),
+        # an entry that is not [l, m, value], and coeffs that is no list
+        (2, [[1, 0]], r"entry \[1, 0\] must be a list \[l, m, value\]"),
+        (2, [[1, 0, 1.0, 2.0]], r"entry \[1, 0, 1.0, 2.0\] must be a list \[l, m, value\]"),
+        (2, ["lmv"], r"entry 'lmv' must be a list \[l, m, value\]"),
+        (2, [{"l": 1, "m": 0, "v": 1.0}], r"entry \{'l': 1, 'm': 0, 'v': 1.0\} must be a list"),
+        (2, {"1,0": 1.0}, "coeffs must be a list, got dict"),
+        (2, None, "coeffs must be a list, got NoneType"),
     ],
     ids=[
         "degree-past-L", "order-past-degree", "repeated-index", "negative-L",
         "fractional-degree", "bool-degree", "float-order", "fractional-L", "bool-L",
-        "huge-L",
+        "huge-L", "string-value", "bool-value", "null-value", "list-value", "huge-int-value",
+        "short-entry", "long-entry", "string-entry", "object-entry", "object-coeffs", "null-coeffs",
     ],
 )
 def test_load_witness_refuses_bad_files(tmp_path, L, coeffs, message):
     wit = tmp_path / "w.json"
     wit.write_text(json.dumps({"L": L, "coeffs": coeffs}))
     with pytest.raises(ValueError, match=message):
+        load_witness(str(wit))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "the top level must be an object, got list"),
+        ("3", "the top level must be an object, got int"),
+        ('{"L": 2}', "no key 'coeffs'"),
+        ('{"coeffs": []}', "no key 'L'"),
+    ],
+    ids=["list", "number", "no-coeffs", "no-L"],
+)
+def test_load_witness_refuses_a_file_without_its_keys(tmp_path, text, message):
+    wit = tmp_path / "w.json"
+    wit.write_text(text)
+    with pytest.raises(ValueError, match=f"w.json: {message}$"):
         load_witness(str(wit))
 
 
@@ -1345,11 +1384,11 @@ def test_stdout_output_parses(capsys):
 
 
 def test_an_unwritable_out_exits_two_without_a_traceback(tmp_path, capsys, monkeypatch):
-    def full(self, text, *args, **kwargs):
+    def full(path, text):
         raise OSError(28, "No space left on device")
 
     with monkeypatch.context() as m:
-        m.setattr(Path, "write_text", full)
+        m.setattr(cli_module, "write_output", full)
         assert main(["integrals", "--out", str(tmp_path / "r.json")]) == 2
     out, err = capsys.readouterr()
     assert out.splitlines() == ["error: [Errno 28] No space left on device"]
@@ -1363,6 +1402,58 @@ def test_an_unwritable_out_exits_two_without_a_traceback(tmp_path, capsys, monke
         assert proc.returncode == 2
         assert proc.stdout.startswith("error: ") and len(proc.stdout.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("stale", [b"x" * 100_000, b"{}"], ids=["longer", "shorter"])
+def test_a_rewrite_over_a_stale_file_equals_a_fresh_write(tmp_path, stale):
+    out, wit = tmp_path / "r.json", tmp_path / "w.json"
+    argv = ["counterexample", "--out", str(out), "--set", f"witness={wit}"]
+    assert main(argv) == 0
+    fresh = out.read_bytes(), wit.read_bytes()
+    out.write_bytes(stale)
+    wit.write_bytes(stale)
+    assert main(argv) == 0
+    assert (out.read_bytes(), wit.read_bytes()) == fresh
+
+
+def test_a_device_takes_the_report_and_the_witness(capsys):
+    # a device reports size 0, so nothing tries to cut it to length
+    assert main(["counterexample", "--set", "witness=/dev/null"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["witness_file"] == "/dev/null"
+    assert main(["integrals", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["report written to /dev/null", "verdict: PASS"]
+
+
+def test_a_rewrite_never_truncates_the_old_file_to_zero(tmp_path, monkeypatch):
+    # the report and the witness are written over their old bytes: opened
+    # without O_TRUNC, and cut only to the new length when that is shorter
+    out, wit = tmp_path / "r.json", tmp_path / "w.json"
+    argv = ["counterexample", "--out", str(out), "--set", f"witness={wit}"]
+    assert main(argv) == 0
+    first = out.read_bytes(), wit.read_bytes()
+    out.write_bytes(first[0] + b" " * 50)
+    opens, cuts = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def recording_open(path, flags, *args, **kwargs):
+        opens.append((str(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    def recording_ftruncate(fd, length):
+        cuts.append(length)
+        return real_ftruncate(fd, length)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "open", recording_open)
+        m.setattr(os, "ftruncate", recording_ftruncate)
+        assert main(argv) == 0
+    written = [(path, flags) for path, flags in opens if path in (str(out), str(wit))]
+    assert sorted(path for path, _ in written) == sorted([str(out), str(wit)])
+    for _, flags in written:
+        assert flags & os.O_TRUNC == 0
+        assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+    assert cuts == [len(first[0])]
+    assert (out.read_bytes(), wit.read_bytes()) == first
 
 
 def _oracle(value) -> str:
