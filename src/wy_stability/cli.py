@@ -36,13 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .functional import (
-    assemble_pencil,
-    constant_field,
-    pencil_groups,
-    pencil_minima,
-    pencil_minimum,
-)
+from .functional import assemble_pencil, constant_field, field_minima, pencil_minimum
 from .gform import (
     THRESHOLD_BBAR,
     ZERO_DEFICIT_BBAR,
@@ -238,7 +232,7 @@ def _check_size(n_theta: int, n_phi: int, L: int) -> None:
     The arrays are the Gauss-Legendre rule's Jacobi matrix, n_theta^2
     doubles; the seven node arrays, 7 n_theta n_phi; and the basis
     factors, 2 (L+1)^2 n_theta.  The largest size the repository uses,
-    97x194 at L = 96, takes 16 MB.  ``harmonics.gram_blocks`` budgets the
+    97x194 at L = 96, takes 16 MB.  ``harmonics.gram_blocks`` sizes the
     pencil.
     """
     need = 8 * (n_theta**2 + 7 * n_theta * n_phi + 2 * (L + 1) ** 2 * n_theta)
@@ -423,42 +417,6 @@ def cmd_gform(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if ok else "FAIL")
 
 
-def _pencils_or_refusals(basis, fields) -> list:
-    """One pencil per field, assembled together; a field the pencil refuses gets its ValueError.
-
-    A refusal refuses the whole call, so then each field is assembled
-    alone, and only the refused ones lose their rows.
-    """
-    try:
-        return assemble_pencil(basis, fields)
-    except ValueError:
-        out = []
-        for H in fields:
-            try:
-                out += assemble_pencil(basis, [H])
-            except ValueError as exc:
-                out.append(exc)
-        return out
-
-
-def _solve_by_group(pencils: list, *restricts: bool) -> None:
-    """Put in place of each pencil of ``pencils`` its ``pencil_minima`` under each of ``restricts``, a tuple; refusals stay.
-
-    The pencils are solved one ``pencil_groups`` group at a time, and a
-    group's pencils leave the list, and its blocks with them, before the
-    next group builds any: the byte limit sizes a group with its blocks
-    kept, so it holds for the call only while one group's are alive.
-    """
-    solved = [n for n, p in enumerate(pencils) if not isinstance(p, ValueError)]
-    for members in pencil_groups([pencils[n] for n in solved]):
-        at = [solved[m] for m in members]
-        group = [pencils[n] for n in at]
-        for n in at:
-            pencils[n] = None
-        for n, *values in zip(at, *[pencil_minima(group, restrict) for restrict in restricts]):
-            pencils[n] = tuple(values)
-
-
 def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float) -> dict | None:
     """Bracket the sign change of the unrestricted pencil minimum f in bbar at r = r_b; None without one.
 
@@ -466,11 +424,11 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float)
     at the other, and stops once the bracket is at most BRACKET_TARGET / 2
     + 4 eps |b| wide, b the best iterate: the relative term ends it where
     adjacent floats are farther apart than the target.  lo and hi are
-    assembled in one call; lo refused, or hi refused when f(lo) > 0, exits 2.
+    solved in one ``field_minima`` call; lo refused, or hi refused when
+    f(lo) > 0, exits 2.
     """
     grid = basis.grid
-    ends = _pencils_or_refusals(basis, [h_family(eigs, x, r_b, grid) for x in (lo, hi)])
-    _solve_by_group(ends, False)
+    ends = field_minima(basis, [h_family(eigs, x, r_b, grid) for x in (lo, hi)], (False,))
 
     def value(end) -> float:
         if isinstance(end, ValueError):
@@ -534,10 +492,10 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float)
 def cmd_scan(config: RunConfig) -> dict:
     """Pencil eigenvalue scan over (bbar, r) plus the threshold bracket.
 
-    The rows are assembled in one call and their minima solved together,
-    one ``assemble_pencil`` group at a time (``_solve_by_group``).  The
-    threshold's bracket (``_threshold_bracket``) assembles lo and hi in
-    one more call, then one field per step of Brent's method.
+    The rows' two minima come from one ``field_minima`` call, which
+    skips only the rows whose pencil it refuses.  The threshold's bracket
+    (``_threshold_bracket``) solves lo and hi in one more call, then
+    assembles one field per step of Brent's method.
     """
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
     if len(config.bracket) != 2:
@@ -559,11 +517,8 @@ def cmd_scan(config: RunConfig) -> dict:
             except ValueError as exc:  # r out of range, h or deficit too large, H not positive
                 H = exc
             cells.append((bbar, r, H))
-    outcomes = _pencils_or_refusals(basis, [H for *_, H in cells if not isinstance(H, ValueError)])
-    # each assembled row's refusal or two minima, in row order; the rows'
-    # blocks go before the bracket builds its own
-    _solve_by_group(outcomes, False, True)
-    outcomes = iter(outcomes)
+    # each assembled row's refusal or two minima, in row order
+    outcomes = iter(field_minima(basis, [H for *_, H in cells if not isinstance(H, ValueError)], (False, True)))
     rows = []
     for bbar, r, H in cells:
         outcome = H if isinstance(H, ValueError) else next(outcomes)
@@ -644,7 +599,11 @@ def _witness_path(config: RunConfig) -> Path:
         path = out.with_name(out.stem + "_witness.json")
     else:
         path = Path("witness.json")
-    if config.out is not None and path.resolve() == Path(config.out).resolve():
+    # a hard link to the out file resolves to another name but is the same file
+    if config.out is not None and (
+        path.resolve() == Path(config.out).resolve()
+        or path.exists() and os.path.exists(config.out) and os.path.samefile(path, config.out)
+    ):
         raise ConfigError(f"witness path {str(path)!r} is the out file; the report would overwrite it")
     return _check_file_path("witness", path)
 

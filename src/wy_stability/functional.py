@@ -42,13 +42,13 @@ reflection, as the quartic family and the constants always are, one per
 classes of the coordinate reflections that h is even under: the
 quartic family is even under all three, 8 classes on an even n_phi and
 4 on an odd one, which has no x1 reflection.  Every block is built from
-theta sums (``gram_blocks``), the first time a solve reads it, and kept:
-the pencil holds the row sets of each distinct block and builds each
-block at most once; the dense M is built when read.  ``assemble_pencil``
-takes a sequence of fields: those of one layout share one pass over
-their weights, and each block is built for all of them at once, by the
-first solve of any of them that reads it; each pencil reads its own
-slice, the bits it would get alone.
+theta sums (``gram_blocks``), the first time a solve reads it, and kept
+by its ``gram_blocks`` group: the pencil holds the row sets of each
+distinct block, and each block is built at most once; the dense M is
+built when read.  ``assemble_pencil`` takes a sequence of fields: those
+of one layout share one pass over their weights, and each block is built
+for all of them at once, by the first solve of any of them that reads
+it; each pencil reads its own slice, the bits it would get alone.
 
 Only a witness reads an eigenvector, and only a block that can hold the
 minimum is built and solved.  Whitened by K, the round form is the diagonal
@@ -64,10 +64,11 @@ the eigenvalues alone (``eigvalsh`` of the part whitened by K), and
 stops where the bound clears the running minimum.  The pencil records
 each part's minimum, so a part is solved at most once across both minima
 and the witness, and the bound needs only the sups, so a part it skips
-is never built.  ``pencil_minima`` walks the parts of a sequence of
-pencils together: the pencils of one ``assemble_pencil`` group that
-need a part get it from one ``eigvalsh`` call on their stacked parts,
-each with the pruning and the bits it has alone.
+is never built.  ``field_minima`` solves a batch of fields one
+``gram_blocks`` group at a time: the group's pencils walk their shared
+parts together, those that need a part get it from one ``eigvalsh``
+call on their stacked parts, each with the pruning and the bits it has
+alone, and they go, with their blocks, before the next group builds any.
 ``min_pencil_eigenvalue`` takes the part holding the minimum from the
 same routine and runs one ``eigh``, on that part, for its witness.
 """
@@ -108,8 +109,7 @@ __all__ = [
     "kernel_closed_form",
     "assemble_pencil",
     "pencil_minimum",
-    "pencil_minima",
-    "pencil_groups",
+    "field_minima",
     "min_pencil_eigenvalue",
     "decompose_kernel",
 ]
@@ -193,11 +193,11 @@ class HessianPencil:
     per parity class of the reflections h is even under (k = 1), one of
     every row when there are none.
 
-    A block is built the first time it is read: ``block(i)`` calls
-    ``build(i)`` once and keeps the result, so a solve that reads few
-    blocks builds few.  ``build(i)`` reads the pencil's read-only slice
-    of block i of its ``assemble_pencil`` group, which the first read by
-    any pencil of the group builds for all of them.  The dense ``M`` (46 MB at L = 48) reads every
+    ``block(i)`` is ``build(i)``, the pencil's read-only slice of block i
+    of its ``gram_blocks`` group, which the first read by any pencil of
+    the group builds for all of them and the group keeps; so a solve that
+    reads few blocks builds few, and each is built at most once.  The
+    dense ``M`` (46 MB at L = 48) reads every
     block; no command reads it or ``degrees`` (each row's l), but the
     benchmark tracer (``perfbench/tracer.py``) sizes its counts from both.
     ``_minima`` records the smallest eigenvalue of each part (i, k)
@@ -217,14 +217,11 @@ class HessianPencil:
     parts: tuple[tuple[tuple[int, int, int], ...], ...]
     sups: tuple[float, float]
     build: Callable[[int], NDArray[np.float64]] = field(repr=False, compare=False)
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def block(self, i: int) -> NDArray[np.float64]:
-        """The matrix of ``row_sets[i]``, built on the first read and kept."""
-        if i not in self._built:
-            self._built[i] = self.build(i)
-        return self._built[i]
+        """The matrix of ``row_sets[i]``, built on the first read by the group and kept."""
+        return self.build(i)
 
     @property
     def M(self) -> NDArray[np.float64]:
@@ -297,17 +294,29 @@ def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) 
     decide the blocks (see ``HessianPencil``).  Fields of one layout are
     assembled together: one pass over their weights, and each block
     built for all of them at once, on the first read by any of them;
-    each pencil's ``block(i)`` reads its own slice.  The pencils of one
-    group share their row sets and part lists, so ``pencil_minima``
-    solves a part for all of them that need it in one call.  Before any
-    block, an h whose weights exceed ``_gram_limit``, where a Gram sum
-    could overflow, is refused by a ValueError naming max |h|, and so is
-    a layout past the byte limit; either refuses the whole call.
+    each pencil's ``block(i)`` reads its own slice.  Before any block, an
+    h whose weights exceed ``_gram_limit``, where a Gram sum could
+    overflow, is refused by a ValueError naming max |h|, and so is a
+    layout past the byte limit; either refuses the whole call.
+    """
+    pencils = [None] * len(fields)
+    for members, group in _grouped_pencils(basis, fields):
+        for f, pencil in zip(members, group):
+            pencils[f] = pencil
+    return pencils
+
+
+def _grouped_pencils(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]):
+    """The pencils of ``assemble_pencil``, as (members, pencils) per ``gram_blocks`` group.
+
+    The call raises every refusal; a group's pencils, which share their
+    blocks, row sets and part lists, are made when the iterator reaches
+    them.
     """
     for H in fields:
         _check_field(basis, H)
     if not fields:
-        return []
+        return iter(())
     h = np.stack([H.h for H in fields])
     w_lap = -h / (2.0 * np.stack([H.samples for H in fields]))
     sups = list(zip(np.abs(w_lap).max(axis=1).tolist(), np.abs(h).max(axis=1).tolist()))
@@ -316,11 +325,11 @@ def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) 
         if not max(s_lap, s_grad) <= limit:
             raise ValueError(f"h = H - 2 is too large for the Gram sums: max |h| = {s_grad:.6g} > {limit:.6g}")
     kdiag, degrees, diag = *_read_only(basis.eigenvalues[1:] ** 2), basis.degrees[1:], round_diagonal(basis)[1:]
-    pencils = [None] * len(fields)
-    for members, row_sets, gram, parts in gram_blocks(basis, w_lap, -h):
+
+    def group(members, row_sets, gram, parts):
         blocks = _shared_blocks(gram, row_sets, diag)
-        for j, f in enumerate(members):
-            pencils[f] = HessianPencil(
+        pencils = [
+            HessianPencil(
                 L=basis.L,
                 kdiag=kdiag,
                 degrees=degrees,
@@ -329,7 +338,35 @@ def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) 
                 sups=sups[f],
                 build=functools.partial(blocks, j=j),
             )
-    return pencils
+            for j, f in enumerate(members)
+        ]
+        return members, pencils
+
+    return (group(*g) for g in gram_blocks(basis, w_lap, -h))
+
+
+def field_minima(
+    basis: HarmonicBasis, fields: Sequence[MeanCurvatureField], restricts: tuple[bool, ...]
+) -> list[tuple[float, ...] | ValueError]:
+    """For each field, its ``pencil_minimum`` under each entry of ``restricts``, or the ValueError that refuses its pencil.
+
+    The fields are assembled together and solved one ``gram_blocks``
+    group at a time: the group's pencils walk their shared parts together
+    (``_row_minimum``), and go, with their blocks, before the next group
+    builds any, as the byte limit sizes a group with its blocks kept.  A
+    refusal refuses the whole batch, so then each field is solved alone,
+    and a refused field gets the error ``assemble_pencil(basis, [H])``
+    raises.
+    """
+    try:
+        groups = _grouped_pencils(basis, fields)
+    except ValueError as exc:
+        return [exc] if len(fields) == 1 else [field_minima(basis, [H], restricts)[0] for H in fields]
+    out = [None] * len(fields)
+    for members, pencils in groups:
+        for f, *values in zip(members, *[_row_minimum(pencils, restrict) for restrict in restricts]):
+            out[f] = tuple(float(low) for low, _, _ in values)
+    return out
 
 
 def _shared_blocks(gram, row_sets, diag):
@@ -387,70 +424,51 @@ def _row_minimum(pencils: Sequence[HessianPencil], restrict: bool) -> list[tuple
     holds it: block i from its offset k, 0, or with ``restrict`` its
     number of l = 1 rows.
 
-    The whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups``
-    bounds the rest, so the minimum over rows of degree l0 and up is at
-    least 1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  The pencils of
-    one ``assemble_pencil`` group (``pencil_groups``) walk the part list
-    they share together, one group after another, as ``parts[restrict]``
-    lists it, ascending (lowest degree, i, k), hence ascending bound.  A
-    pencil drops out where the bound exceeds its own running minimum by
+    The pencils are those of one ``gram_blocks`` group, or one pencil:
+    they share their blocks' builder, row sets and part lists.  The
+    whitened round diagonal is 1/2 - 1/mu, and ``pencil.sups`` bounds
+    the rest, so the minimum over rows of degree l0 and up is at least
+    1/2 - s_lap - (1 + s_grad) / (l0 (l0 + 1)).  The pencils walk their
+    part list together, as ``parts[restrict]`` lists it, ascending
+    (lowest degree, i, k), hence ascending bound.  A pencil drops out
+    where the bound exceeds its own running minimum by
     ``_BOUND_MARGIN``; at each part, the pencils still walking that have
     not recorded it in ``pencil._minima`` get it solved in one
     ``eigvalsh`` call on their stacked parts, as many per call as
-    ``_CHUNK_BYTES`` holds, and each records its own minimum.  So every pencil solves the parts, and gets
-    the bits, that it would alone.
+    ``_CHUNK_BYTES`` holds, and each records its own minimum.  So every
+    pencil solves the parts, and gets the bits, that it would alone.
     Every part that can hold or tie the minimum is solved, so the
     minimum, and the first block attaining it, are those of solving
     every part.
     """
-    if restrict and any(pencil.L < 2 for pencil in pencils):
+    first = pencils[0]
+    if restrict and first.L < 2:
         raise ValueError("restricting to degrees l >= 2 needs L >= 2")
     best = [(math.inf, -1, -1)] * len(pencils)
-    for walking in pencil_groups(pencils):
-        for l0, i, k in pencils[walking[0]].parts[restrict]:
-            walking = [n for n in walking if not _bound(pencils[n], l0) > best[n][0] + _BOUND_MARGIN]
-            if not walking:
-                break
-            unsolved = [pencils[n] for n in walking if (i, k) not in pencils[n]._minima]
-            # a stack saves calls, each of a fixed cost; past _CHUNK_BYTES its
-            # parts only hold memory
-            size = pencils[walking[0]].row_sets[i].shape[1] - k
-            step = max(1, _CHUNK_BYTES // (8 * size * size))
-            for start in range(0, len(unsolved), step):
-                chunk = unsolved[start : start + step]
-                for pencil, low in zip(chunk, _solve(chunk, i, k, np.linalg.eigvalsh)[0][:, 0]):
-                    pencil._minima[i, k] = low
-            for n in walking:
-                best[n] = min(best[n], (pencils[n]._minima[i, k], i, k))
+    walking = range(len(pencils))
+    for l0, i, k in first.parts[restrict]:
+        walking = [n for n in walking if not _bound(pencils[n], l0) > best[n][0] + _BOUND_MARGIN]
+        if not walking:
+            break
+        unsolved = [pencils[n] for n in walking if (i, k) not in pencils[n]._minima]
+        # a stack saves calls, each of a fixed cost; past _CHUNK_BYTES its
+        # parts only hold memory
+        size = first.row_sets[i].shape[1] - k
+        step = max(1, _CHUNK_BYTES // (8 * size * size))
+        for start in range(0, len(unsolved), step):
+            chunk = unsolved[start : start + step]
+            for pencil, low in zip(chunk, _solve(chunk, i, k, np.linalg.eigvalsh)[0][:, 0]):
+                pencil._minima[i, k] = low
+        for n in walking:
+            best[n] = min(best[n], (pencils[n]._minima[i, k], i, k))
     return best
-
-
-def pencil_groups(pencils: Sequence[HessianPencil]) -> list[list[int]]:
-    """The indices of ``pencils`` by the ``assemble_pencil`` group whose blocks they read, in order of first appearance.
-
-    The pencils of a group share one ``_shared_blocks`` builder, and with
-    it their row sets and part lists; a pencil built otherwise is a group
-    of its own.  Two groups of one layout share their part lists but not
-    their blocks, so they are not walked together: a caller that drops a
-    group's pencils before solving the next keeps within the byte limit
-    that sized the groups.
-    """
-    groups = {}
-    for n, pencil in enumerate(pencils):
-        groups.setdefault(id(getattr(pencil.build, "func", pencil)), []).append(n)
-    return list(groups.values())
-
-
-def pencil_minima(pencils: Sequence[HessianPencil], restrict: bool = False) -> list[float]:
-    """``pencil_minimum`` of each pencil, the parts of the pencils of one ``pencil_groups`` group solved together."""
-    return [float(low) for low, _, _ in _row_minimum(pencils, restrict)]
 
 
 def pencil_minimum(pencil: HessianPencil, restrict: bool = False) -> float:
     """Smallest generalized eigenvalue of M v = lambda K v over l >= 1, or
     with ``restrict`` over l >= 2: the value of ``min_pencil_eigenvalue``,
-    from eigenvalues alone; ``pencil_minima`` of the one pencil."""
-    return pencil_minima([pencil], restrict)[0]
+    from eigenvalues alone."""
+    return float(_row_minimum([pencil], restrict)[0][0])
 
 
 def min_pencil_eigenvalue(

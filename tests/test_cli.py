@@ -44,6 +44,7 @@ from wy_stability.functional import (
     HessianPencil,
     assemble_pencil,
     eval_F,
+    field_minima,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
     pencil_minimum,
@@ -162,6 +163,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "build_basis", refuse)
     link = tmp_path / "link"
     link.symlink_to(tmp_path, target_is_directory=True)
+    hard = tmp_path / "hard.json"
+    os.link(out, hard)
     for argv, message in (
         (cex + ["--set", "r=nan"], "r must be finite"),
         (cex + ["--set", "bbar=inf"], "bbar must be finite"),
@@ -178,12 +181,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             "witness directory",
         ),
         (["integrals", "--out", str(tmp_path)], "out path"),
-        # a witness that names the report file, also by another spelling
+        # a witness that names the report file, also by another spelling or
+        # through a hard link
         (cex + ["--set", f"witness={out}"], f"witness path {str(out)!r} is the out file"),
         (
             cex + ["--set", f"witness={link / out.name}"],
             f"witness path {str(link / out.name)!r} is the out file",
         ),
+        (cex + ["--set", f"witness={hard}"], f"witness path {str(hard)!r} is the out file"),
         (["integrals", "--out", str(tmp_path / "missing" / "r.json")], "out directory"),
         # an unknown key or format, an empty list, or a value that does not parse
         (["gform", "--set", "bogus=1"], "unknown config key 'bogus'"),
@@ -465,15 +470,15 @@ def test_a_refused_scan_row_is_skipped_alone():
 
 
 def counted_assembly(monkeypatch):
-    # the number of fields of each assemble_pencil call the CLI makes
+    # the number of fields of each gram_blocks call that a pencil assembly makes
     calls = []
-    real = cli_module.assemble_pencil
+    real = functional_module.gram_blocks
 
-    def counted(basis, fields):
-        calls.append(len(fields))
-        return real(basis, fields)
+    def counted(basis, w_lap, w_grad):
+        calls.append(len(w_lap))
+        return real(basis, w_lap, w_grad)
 
-    monkeypatch.setattr(cli_module, "assemble_pencil", counted)
+    monkeypatch.setattr(functional_module, "gram_blocks", counted)
     return calls
 
 
@@ -552,9 +557,9 @@ def test_a_sign_change_at_a_huge_bbar_ends_in_few_steps(monkeypatch):
 def test_a_refused_hi_past_a_non_positive_lo_refuses_nothing(tmp_path, monkeypatch):
     # f(lo) <= 0 at bbar = 0.05, so there is no sign change to bracket and
     # hi = 1e305, whose pencil the Gram-sum rule refuses, is never read:
-    # that refuses the call that assembles both ends, each is assembled
-    # alone, and the report is a FAIL with the rows and summary of a
-    # bracket that refuses nothing
+    # that refuses the call that assembles both ends before any Gram work,
+    # each is assembled alone, and only lo reaches gram_blocks; the report
+    # is a FAIL with the rows and summary of a bracket that refuses nothing
     argv = ["scan", *L24, "--set"]
     grid = build_grid(25, 50)
     with pytest.raises(ValueError, match="h = H - 2 is too large for the Gram sums"):
@@ -562,7 +567,7 @@ def test_a_refused_hi_past_a_non_positive_lo_refuses_nothing(tmp_path, monkeypat
     calls = counted_assembly(monkeypatch)
     out = tmp_path / "r.json"
     assert main([*argv, "bracket=0.05,1e305", "--out", str(out)]) == 1
-    assert calls == [9, 2, 1, 1]
+    assert calls == [9, 1]
     report = read_report(out)
     assert report["summary"]["bisection"] is None
     assert not reference.unrestricted_minimum(parse_args([*argv, "bracket=0.05,1e305"]), 0.05) > 0
@@ -572,8 +577,9 @@ def test_a_refused_hi_past_a_non_positive_lo_refuses_nothing(tmp_path, monkeypat
 
 
 def test_a_field_refused_in_a_batch_loses_only_its_own_pencil():
-    # a refusal inside the assembly refuses the whole call; the scan then
-    # assembles each field alone, and only the refused field lacks a pencil
+    # a refusal inside the assembly refuses the whole call; field_minima
+    # then solves each field alone: the refused field gets the error its
+    # pencil gets alone, and every other field the minima it gets alone
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
     eigs = RicciEigs(np.array([1.0, 1.0, -2.0]))
@@ -581,12 +587,14 @@ def test_a_field_refused_in_a_batch_loses_only_its_own_pencil():
     huge = mean_curvature_from_h(grid, np.full(grid.n_nodes, 2.0 * harmonics_module._gram_limit(basis)))
     with pytest.raises(ValueError, match="too large for the Gram sums"):
         assemble_pencil(basis, [ok[0], huge, ok[1]])
-    first, refused, last = cli_module._pencils_or_refusals(basis, [ok[0], huge, ok[1]])
-    assert isinstance(refused, ValueError) and str(refused).startswith("h = H - 2 is too large")
-    for pencil, H in ((first, ok[0]), (last, ok[1])):
+    with pytest.raises(ValueError) as alone_refused:
+        assemble_pencil(basis, [huge])
+    first, refused, last = field_minima(basis, [ok[0], huge, ok[1]], (False, True))
+    assert isinstance(refused, ValueError) and str(refused) == str(alone_refused.value)
+    assert str(refused).startswith("h = H - 2 is too large")
+    for minima, H in ((first, ok[0]), (last, ok[1])):
         [alone] = assemble_pencil(basis, [H])
-        for restrict in (False, True):
-            assert pencil_minimum(pencil, restrict) == pencil_minimum(alone, restrict)
+        assert minima == (pencil_minimum(alone), pencil_minimum(alone, True))
 
 
 def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkeypatch):

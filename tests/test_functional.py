@@ -20,12 +20,13 @@ from wy_stability.functional import (
     decompose_kernel,
     eval_F,
     eval_Q,
+    field_minima,
     kernel_closed_form,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
-    pencil_minima,
     pencil_minimum,
 )
+from wy_stability import functional as functional_module
 from wy_stability import harmonics as harmonics_module
 from wy_stability.cli import RunConfig, parse_args, run
 from wy_stability.gform import Direction, RicciEigs
@@ -504,15 +505,24 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         assert count == len(pencil.row_sets) + with_l1
 
 
-def counted_builds(pencil):
-    # the pencil with a fresh cache, and the list of the blocks its builder builds
+def counted_builds(basis, H):
+    # the pencil of H alone, and the list of the blocks its group's builder builds
     built = []
+    real = functional_module._shared_blocks
 
-    def build(i, _build=pencil.build):
-        built.append(i)
-        return _build(i)
+    def counted(gram, row_sets, diag):
+        def build(i):
+            built.append(i)
+            return gram(i)
 
-    return replace(pencil, build=build), built
+        return real(build, row_sets, diag)
+
+    functional_module._shared_blocks = counted
+    try:
+        [pencil] = assemble_pencil(basis, [H])
+    finally:
+        functional_module._shared_blocks = real
+    return pencil, built
 
 
 # the ids keep the block counts of the order layout, so the test ids stay put
@@ -527,7 +537,7 @@ def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
     # read only blocks the two minima built: those with a recorded part
     grid = build_grid(*shape)
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
-    pencil, built = counted_builds(assemble_pencil(build_basis(grid, L), [H])[0])
+    pencil, built = counted_builds(build_basis(grid, L), H)
     assert len(pencil.row_sets) == blocks
     pencil_minimum(pencil)
     pencil_minimum(pencil, restrict=True)
@@ -700,10 +710,11 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
                 l0 = pencil.degrees[sub[0]]
                 assert brute[k, i] >= 0.5 - s_lap - (1.0 + s_grad) / (l0 * (l0 + 1.0)) - 1e-12
 
-    # the pruned solve, on a fresh pencil: every part it records is the
-    # same bits, every part it leaves unrecorded cannot hold or tie its
-    # row's minimum, and the blocks built are those with a recorded part
-    fresh, built = counted_builds(pencil)
+    # the pruned solve, on a fresh pencil of H: every part it records is
+    # the same bits, every part it leaves unrecorded cannot hold or tie its
+    # row's minimum, and the blocks built are those with a recorded part,
+    # once each
+    fresh, built = counted_builds(basis, H)
     assert (pencil_minimum(fresh), pencil_minimum(fresh, restrict=True)) == tuple(brute.min(axis=1))
     assert sorted(built) == sorted({i for i, _ in fresh._minima})
     for i, rows in enumerate(fresh.row_sets):
@@ -906,13 +917,19 @@ def bits(minima):
     return {key: np.float64(value).tobytes() for key, value in minima.items()}
 
 
+def group_minima(pencils, restrict):
+    # the minima of the pencils of one group, their parts walked together
+    return [float(low) for low, _, _ in functional_module._row_minimum(pencils, restrict)]
+
+
 @pytest.mark.parametrize("shape, L", [((13, 26), 12), ((25, 50), 24)])
 def test_a_batch_of_pencils_solves_each_part_once_per_group(shape, L, monkeypatch):
     # the pencils of one group walk their shared parts together: at each
     # part, those whose bound has not cleared their own minimum, and that
     # have not solved it, get it in one eigvalsh call on their stacked
     # parts, or in as few as keep each stack within _CHUNK_BYTES; each gets
-    # both minima and records the parts, bit for bit, that it gets alone
+    # both minima and records the parts, bit for bit, that it gets alone,
+    # and field_minima gives the batch those minima
     grid = build_grid(*shape)
     basis = build_basis(grid, L)
     stacks = []
@@ -927,13 +944,15 @@ def test_a_batch_of_pencils_solves_each_part_once_per_group(shape, L, monkeypatc
     for layout, fields in layout_batches(grid).items():
         alone = [assemble_pencil(basis, [H])[0] for H in fields]
         want = [(pencil_minimum(p), pencil_minimum(p, restrict=True)) for p in alone]
+        hexes = [tuple(v.hex() for v in w) for w in want]
+        assert [tuple(v.hex() for v in got) for got in field_minima(basis, fields, (False, True))] == hexes, layout
         batch = assemble_pencil(basis, fields)
         assert len({id(p.build.func) for p in batch}) == 1, layout
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         for restrict in (False, True):
             before = [set(p._minima) for p in batch]
             stacks.clear()
-            got = pencil_minima(batch, restrict)
+            got = group_minima(batch, restrict)
             assert [v.hex() for v in got] == [w[restrict].hex() for w in want], layout
             # per part any member solved, the fewest calls that the chunk
             # bytes admit, on the members that solved it
@@ -953,6 +972,33 @@ def test_a_batch_of_pencils_solves_each_part_once_per_group(shape, L, monkeypatc
     assert pruned_apart > 0 and stacked == 4
 
 
+def test_a_layout_past_the_byte_limit_loses_only_its_own_fields(monkeypatch):
+    # at 13x26, L = 12, one x3-split ring pencil needs 2,184 B at once and
+    # one parity pencil 36,624 B: below a limit between the two, the parity
+    # layout refuses the batch, field_minima solves each field alone, the
+    # parity fields get the error their pencils get alone, and the ring
+    # fields keep the bits of an unlimited batch
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    ring, parity = (
+        [h_family(RicciEigs(np.array(lam)), bbar, 1e-2, grid) for bbar in (0.0, 1.0 / 30.0)]
+        for lam in ((1.0, 1.0, -2.0), (0.7, 0.5, -1.2))
+    )
+    fields = [ring[0], parity[0], ring[1], parity[1]]
+    modes = ((True, False, False, True), (False, True, True, True))
+    assert [harmonics_module._pencil_bytes(13, 12, mode)[0] for mode in modes] == [2184, 36624]
+    want = field_minima(basis, fields, (False, True))
+    assert all(isinstance(w, tuple) for w in want)
+    monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 20000)
+    with pytest.raises(ValueError, match="pencil on grid 13x26 at L = 12 needs ") as refusal:
+        assemble_pencil(basis, [parity[1]])
+    got = field_minima(basis, fields, (False, True))
+    for n in (1, 3):
+        assert isinstance(got[n], ValueError) and str(got[n]) == str(refusal.value)
+    for n in (0, 2):
+        assert [v.hex() for v in got[n]] == [v.hex() for v in want[n]]
+
+
 def test_a_batch_keeps_no_block_past_its_pencils():
     # nothing the batched solve leaves behind refers back to a pencil or a
     # group's blocks: without the cyclic collector, every block goes with
@@ -963,9 +1009,9 @@ def test_a_batch_keeps_no_block_past_its_pencils():
     try:
         for fields in layout_batches(grid).values():
             pencils = assemble_pencil(basis, fields)
-            pencil_minima(pencils)
-            pencil_minima(pencils, restrict=True)
-            views = [block for p in pencils for block in p._built.values()]
+            group_minima(pencils, False)
+            group_minima(pencils, True)
+            views = [p.block(i) for p in pencils for i, _ in p._minima]
             refs = [weakref.ref(a) for a in views + [v.base for v in views]]
             del pencils, views
             assert all(ref() is None for ref in refs)

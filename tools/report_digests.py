@@ -35,6 +35,8 @@ REPORTS = {
     "scan-49x98-l48-parity": ["scan", "--grid", "49x98", "--ltrunc", "48", *PARITY],
     "scan-r-list": ["scan", "--set", "r_list=0.5,0.3,0.2,1e-4"],
     "scan-13x26-l12-lam2": ["scan", "--grid", "13x26", "--ltrunc", "12", "--set", "lam=2,-1,-1"],
+    # the Gram-sum rule refuses the (1e305, 0.1) row inside the rows' batch
+    "scan-13x26-l12-row-refused": ["scan", "--grid", "13x26", "--ltrunc", "12", "--set", "bbar_list=0,1e305"],
     "scan-49x98-l48": ["scan", "--grid", "49x98", "--ltrunc", "48"],
     "scan-73x146-l72": ["scan", "--grid", "73x146", "--ltrunc", "72"],
     "scan-25x50-l24-bracket-odd": ["scan", "--grid", "25x50", "--ltrunc", "24", "--set", "bracket=0,0.02"],
