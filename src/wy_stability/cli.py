@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .functional import assemble_pencil, constant_field, field_minima, pencil_minimum
+from .functional import assemble_pencil, field_minima, pencil_minimum
 from .gform import (
     THRESHOLD_BBAR,
     ZERO_DEFICIT_BBAR,
@@ -55,12 +55,14 @@ from .models import (
     bbar_from_b,
     check_bbar,
     check_deficit_conditions,
-    check_radius,
     classify_small_sphere,
+    constant,
     deficit_ratio_certificate,
     h_family,
     negative_direction,
     negative_part_certificate,
+    positivity_radius,
+    quartic,
     small_sphere_mass,
 )
 from .quad import FOUR_PI, GRID_BYTES_LIMIT, build_grid, integrate, monomial_integral
@@ -417,18 +419,18 @@ def cmd_gform(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if ok else "FAIL")
 
 
-def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float) -> dict | None:
+def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, bracket: tuple, ends: list) -> dict | None:
     """Bracket the sign change of the unrestricted pencil minimum f in bbar at r = r_b; None without one.
 
     Brent's method (Brent 1973, ch. 4) keeps f > 0 at one end and f <= 0
     at the other, and stops once the bracket is at most BRACKET_TARGET / 2
     + 4 eps |b| wide, b the best iterate: the relative term ends it where
-    adjacent floats are farther apart than the target.  lo and hi are
-    solved in one ``field_minima`` call; lo refused, or hi refused when
-    f(lo) > 0, exits 2.
+    adjacent floats are farther apart than the target.  ``ends``, the
+    checked samplers at ``bracket``'s lo and hi, are solved in one
+    ``field_minima`` call; lo refused, or hi refused when f(lo) > 0, exits 2.
     """
     grid = basis.grid
-    ends = field_minima(basis, [h_family(eigs, x, r_b, grid) for x in (lo, hi)], (False,))
+    ends = field_minima(basis, [end(grid) for end in ends], (False,))
 
     def value(end) -> float:
         if isinstance(end, ValueError):
@@ -444,7 +446,7 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, lo: float, hi: float)
         # ends: a step point is never refused
         return pencil_minimum(assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])[0])
 
-    a, b = lo, hi
+    a, b = bracket
     c, fc = b, fb  # on b's side, so the first pass sets c = a
     while True:
         if (fb > 0) == (fc > 0):
@@ -504,8 +506,7 @@ def cmd_scan(config: RunConfig) -> dict:
         raise ConfigError(f"bracket needs lo < hi, got {list(config.bracket)}")
     eigs = RicciEigs(config.lam)
     check_bbar(eigs, *config.bbar_list)
-    rmax = check_radius(eigs, config.bisect_r, "bisect_r")
-    check_bbar(eigs, *config.bracket, r=config.bisect_r)
+    ends = [quartic(eigs, x, config.bisect_r, "bisect_r") for x in config.bracket]
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
     cells = []  # (bbar, r, H or the ValueError that refused the row)
@@ -513,8 +514,7 @@ def cmd_scan(config: RunConfig) -> dict:
         for r in config.r_list:
             try:
                 H = h_family(eigs, bbar, r, grid)
-                check_bbar(eigs, bbar, r=r)
-            except ValueError as exc:  # r out of range, h or deficit too large, H not positive
+            except ValueError as exc:  # r out of range, deficit or h too large, H not positive
                 H = exc
             cells.append((bbar, r, H))
     # each assembled row's refusal or two minima, in row order
@@ -541,14 +541,14 @@ def cmd_scan(config: RunConfig) -> dict:
             }
         )
 
-    bisection = _threshold_bracket(basis, eigs, config.bisect_r, *config.bracket)
+    bisection = _threshold_bracket(basis, eigs, config.bisect_r, config.bracket, ends)
     ok = (
         bisection is not None
         and bisection["contains_threshold"]
         and bisection["width"] < BRACKET_TARGET
     )
     summary = {
-        "positivity_radius": rmax,
+        "positivity_radius": positivity_radius(eigs),
         "threshold_bbar": THRESHOLD_BBAR,
         "bisection": bisection,
     }
@@ -613,8 +613,7 @@ def cmd_counterexample(config: RunConfig) -> dict:
     _require_ltrunc(config, 3, "builds a degree-3 direction")
     wpath = _witness_path(config)
     eigs = RicciEigs(config.lam)
-    check_radius(eigs, config.r)
-    check_bbar(eigs, config.bbar, r=config.r)
+    quartic(eigs, config.bbar, config.r)  # its rules, before the basis; negative_direction samples it
     direction = Direction(_unit_direction(config.a))
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
@@ -752,26 +751,19 @@ def cmd_small_sphere(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS")
 
 
-def _certify_field(config: RunConfig):
-    """Check the H family's inputs; returns the field as a function of the grid."""
-    if config.family == "const":
-        # eps = 0 is allowed: H identically 2 exercises the zero-deficit path
-        if not 0 <= config.eps < 2:
-            raise ConfigError(f"eps must lie in [0, 2), got {config.eps}")
-        # h = -eps exactly: the deficit keeps every digit of a tiny eps
-        return functools.partial(constant_field, h=-config.eps)
-    if config.family == "quartic":
-        eigs = RicciEigs(config.lam)
-        check_radius(eigs, config.r)
-        check_bbar(eigs, config.bbar, r=config.r)
-        return functools.partial(h_family, eigs, config.bbar, config.r)
-    raise ConfigError(f"unknown H family {config.family!r}; use const or quartic")
+# the family setting -> certify's H source: its rules checked, its sampler returned
+_FAMILIES = {
+    "const": lambda config: constant(config.eps),
+    "quartic": lambda config: quartic(RicciEigs(config.lam), config.bbar, config.r),
+}
 
 
 def cmd_certify(config: RunConfig) -> dict:
     """Certificate thresholds, condition checks, and the pencil cross-check."""
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
-    field = _certify_field(config)
+    if config.family not in _FAMILIES:
+        raise ConfigError(f"unknown H family {config.family!r}; use {' or '.join(_FAMILIES)}")
+    field = _FAMILIES[config.family](config)
     grid, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
     H = field(grid)
     alpha = config.alpha if config.alpha is not None else H.inf_h
@@ -786,7 +778,7 @@ def cmd_certify(config: RunConfig) -> dict:
     sound = (not report.passed) or unres > 0
     results = [
         {
-            "family": H.tag or config.family,
+            "family": H.tag,
             "inf_H": H.inf_h,
             "sup_H": H.sup_h,
             "alpha": alpha,

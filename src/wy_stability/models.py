@@ -2,11 +2,11 @@
 
 Three groups of tools live here:
 
-* the explicit quartic family on the unit sphere,
-  ``H = 2 + r^2 sum lam_i x_i^2 - (1/30 - bbar) r^4 sum lam_i^2``,
-  whose Brown-York deficit has the closed form
-  ``4 pi r^4 (1/30 - bbar) sum lam_i^2`` and which carries an explicit
-  negative direction ``eta1 + r^2 eta2`` once bbar exceeds 1/90;
+* the H sources ``quartic``, the family
+  ``H = 2 + r^2 sum lam_i x_i^2 - (1/30 - bbar) r^4 sum lam_i^2`` with
+  the closed-form deficit ``4 pi r^4 (1/30 - bbar) sum lam_i^2`` and a
+  negative direction ``eta1 + r^2 eta2`` once bbar exceeds 1/90, and
+  ``constant``; each checks its range rules once, before any grid;
 
 * the small-geodesic-sphere expansion of the Brown-York mass,
   ``m(r) = r^3/12 R + r^5/1440 (24 |Ric|^2 - 13 R^2 + 12 Lap R)``,
@@ -28,11 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .functional import (
-    MeanCurvatureField,
-    eval_F,
-    mean_curvature_from_h,
-)
+from .functional import MeanCurvatureField, constant_field, eval_F, mean_curvature_from_h
 from .gform import (
     THRESHOLD_BBAR, ZERO_DEFICIT_BBAR, Direction, RicciEigs, deficit_closed_form, eta1_coeffs,
     optimal_eta2, phi_field,
@@ -41,6 +37,8 @@ from .harmonics import FieldCoeffs, HarmonicBasis
 from .quad import SphereGrid, integrate
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from numpy.typing import NDArray
 
 __all__ = [
@@ -48,8 +46,9 @@ __all__ = [
     "Certificate",
     "ConditionReport",
     "NegativeDirection",
+    "quartic",
+    "constant",
     "h_family",
-    "check_radius",
     "check_bbar",
     "positivity_radius",
     "small_sphere_mass",
@@ -126,46 +125,53 @@ class Certificate:
             raise ValueError(f"certificate constants too large or small for the arithmetic: {self}")
 
 
-def h_family(
-    eigs: RicciEigs, bbar: float, r: float, grid: SphereGrid
-) -> MeanCurvatureField:
-    """The quartic perturbation family sampled on the grid.
+def quartic(eigs: RicciEigs, bbar: float, r: float, name: str = "r") -> Callable[[SphereGrid], MeanCurvatureField]:
+    """The family ``H = 2 + r^2 phi - (1/30 - bbar) r^4 sum lam_i^2``, ``phi = sum lam_i x_i^2``.
 
-    ``H = 2 + r^2 phi - (1/30 - bbar) r^4 sum lam_i^2`` with
-    ``phi = sum lam_i x_i^2``.  The deviation ``h = H - 2`` is built
-    directly and carried exactly by the field.  The radius must pass
-    ``check_radius``: within ``positivity_radius(eigs)`` the field is
-    strictly positive.
-    """
-    check_radius(eigs, r)
-    h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
-    tag = f"h_family(lam={tuple(eigs.lam.tolist())!r}, bbar={bbar!r}, r={r!r})"
-    return mean_curvature_from_h(grid, h, tag=tag)
-
-
-def check_radius(eigs: RicciEigs, r: float, name: str = "r") -> float:
-    """Refuse a radius the quartic family cannot take; return the positivity radius.
-
-    r must lie in (0, ``positivity_radius(eigs)``] and be large enough
-    that r^4 does not underflow.  The radius is compared first, so r^4
-    is only formed for a bounded r.  ``name`` names r in the message.
+    Its rules run here, each naming its input (``name`` names r): r in
+    (0, ``positivity_radius(eigs)``], where H > 0, and r^4 above underflow;
+    then a finite deficit at r = 1 (``check_bbar``) and at r.  Returns the
+    sampler grid -> H, which builds h = H - 2 exactly and refuses an h
+    that is not finite or an H that is not positive.
     """
     rmax = positivity_radius(eigs)
     if not 0 < r <= rmax:
         raise ValueError(f"{name} must lie in (0, {rmax:.6g}], the positivity radius, got {r}")
     if not r**4 >= np.finfo(np.float64).tiny:
         raise ValueError(f"{name} = {r} is too small: the r^4 term underflows")
-    return rmax
+    check_bbar(eigs, bbar)
+    if not math.isfinite(deficit_closed_form(eigs, bbar, r)):
+        raise ValueError(f"bbar = {bbar} is too large at r = {r}: 4 pi r^4 (1/30 - bbar) sum lam^2 overflows")
+    tag = f"h_family(lam={tuple(eigs.lam.tolist())!r}, bbar={bbar!r}, r={r!r})"
+
+    def field(grid: SphereGrid) -> MeanCurvatureField:
+        h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
+        return mean_curvature_from_h(grid, h, tag=tag)
+
+    return field
 
 
-def check_bbar(eigs: RicciEigs, *bbars: float, r: float = 1.0) -> None:
-    """Refuse a bbar too large for the family: its deficit at r = 1, and at the
-    r the caller evaluates, once past ``check_radius``, must be finite."""
+def constant(eps: float) -> Callable[[SphereGrid], MeanCurvatureField]:
+    """H identically 2 - eps for eps in [0, 2); returns the sampler grid -> H.
+
+    eps = 0, H identically 2, exercises the zero-deficit path.  h = -eps
+    exactly, so the deficit keeps every digit of a tiny eps.
+    """
+    if not 0 <= eps < 2:
+        raise ValueError(f"eps must lie in [0, 2), got {eps}")
+    return lambda grid: constant_field(grid, -eps)
+
+
+def h_family(eigs: RicciEigs, bbar: float, r: float, grid: SphereGrid) -> MeanCurvatureField:
+    """``quartic(eigs, bbar, r)(grid)``: the quartic family on the grid, its rules checked."""
+    return quartic(eigs, bbar, r)(grid)
+
+
+def check_bbar(eigs: RicciEigs, *bbars: float) -> None:
+    """Refuse a bbar too large for the family: its deficit at r = 1 must be finite."""
     for bbar in bbars:
         if not math.isfinite(deficit_closed_form(eigs, bbar, 1.0)):
             raise ValueError(f"bbar = {bbar} is too large: 4 pi (1/30 - bbar) sum lam^2 overflows")
-        if not math.isfinite(deficit_closed_form(eigs, bbar, r)):
-            raise ValueError(f"bbar = {bbar} is too large at r = {r}: 4 pi r^4 (1/30 - bbar) sum lam^2 overflows")
 
 
 def positivity_radius(eigs: RicciEigs) -> float:

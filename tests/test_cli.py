@@ -51,7 +51,7 @@ from wy_stability.functional import (
 )
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import HarmonicBasis, build_basis
-from wy_stability.models import check_radius, h_family, negative_direction
+from wy_stability.models import h_family, negative_direction, quartic
 from wy_stability.quad import build_grid
 
 import reference
@@ -213,6 +213,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         (["certify", "--set", "eps=3.0"], "eps must lie in [0, 2)"),
         (["certify", "--set", "family=cubic"], "unknown H family 'cubic'"),
         (["certify", "--set", "family=quartic", "--set", "lam=1,1,1"], "lam must sum to zero"),
+        # quartic's rules run before the grid in certify and counterexample,
+        # at the default witness path too (r=5 with --out is below)
+        (["certify", "--set", "family=quartic", "--set", "bbar=1e308"], "bbar = 1e+308 is too large"),
+        (["counterexample", "--set", "r=5"], "r must lie in (0, "),
         # a triple whose bound (8 pi/21) sum lam_i^2 on A overflows
         *(
             (["gform", "--set", f"lam={lam}"], "lam is too large")
@@ -457,12 +461,12 @@ def test_scan_frees_each_groups_blocks_before_the_next_builds(monkeypatch):
 
 def test_a_refused_scan_row_is_skipped_alone():
     # a radius past the positivity radius refuses its rows, with the notice
-    # check_radius gives, and every other row keeps its bytes
+    # quartic gives, and every other row keeps its bytes
     argv = ["scan", "--grid", "13x26", "--ltrunc", "12", "--set"]
     report, _ = run(parse_args([*argv, "r_list=0.1,0.9,1e-2"]))
     plain, _ = run(parse_args([*argv, "r_list=0.1,1e-2"]))
     with pytest.raises(ValueError) as refusal:
-        check_radius(RicciEigs(np.array([1.0, 1.0, -2.0])), 0.9)
+        quartic(RicciEigs(np.array([1.0, 1.0, -2.0])), 0.0, 0.9)
     rows = report["results"]
     assert [row["r"] for row in rows if row["skipped"]] == [0.9] * 3
     assert all(row["notice"] == str(refusal.value) for row in rows if row["skipped"])
@@ -1085,8 +1089,9 @@ def test_overflowing_inputs_exit_as_documented(tmp_path, capsys):
     # r^4, r^5 or R^2 of a huge input overflows a Python float; each run
     # ends in a report or an error line that names the input, never in a
     # traceback.  (1/30 - bbar) r^4 overflows at bbar = 1e305, r = 20,
-    # inside the positivity radius of this lam (about 22): h is inf, which
-    # passes 2 + h > 0, and the pencil solve used to end in a traceback.
+    # inside the positivity radius of this lam (about 22): h would be inf,
+    # which passes 2 + h > 0, and the pencil solve used to end in a
+    # traceback; the deficit rule refuses the row before h is sampled.
     # At bbar = 1e302 h is finite but the deficit 4 pi r^4 (1/30 - bbar)
     # sum lam^2 is not, and the report could not render; at bbar = 1e306
     # and r = 1.5, h is finite but its Gram ring sums overflow
@@ -1098,7 +1103,7 @@ def test_overflowing_inputs_exit_as_documented(tmp_path, capsys):
     small = ["--set", "lam=1e-3,1e-3,-2e-3", "--set", "r_list=20"]
     for argv, notice in (
         (["--set", "r_list=1e100"], too_far),
-        (small + ["--set", "bbar_list=1e305"], "h = H - 2 must be finite at every node, not inf"),
+        (small + ["--set", "bbar_list=1e305"], "bbar = 1e+305 " + deficit.format(20.0)),
         (small + ["--set", "bbar_list=1e302"], "bbar = 1e+302 " + deficit.format(20.0)),
         (
             ["--set", "lam=0.2,0.2,-0.4", "--set", "bbar_list=1e307", "--set", "r_list=1.5"],

@@ -74,6 +74,9 @@ def test_h_family_rejects_bad_radius():
     with pytest.raises(ValueError):
         h_family(CANON_EIGS, 0.0, 0.71, GRID)  # just past the positivity radius
     h_family(CANON_EIGS, 0.0, 0.70, GRID)  # just inside
+    # the deficit at r, finite at r = 1, overflows at r = 20
+    with pytest.raises(ValueError, match=r"bbar = 1e\+302 is too large at r = 20\.0"):
+        h_family(RicciEigs((1e-3, 1e-3, -2e-3)), 1e302, 20.0, GRID)
 
 
 def test_positivity_radius_reference_value():

@@ -49,6 +49,11 @@ REPORTS = {
     "certify-const-49x98-l48-eps1.5": ["certify", "--grid", "49x98", "--ltrunc", "48", "--set", "eps=1.5"],
     "certify-quartic": ["certify", "--set", "family=quartic"],
     "certify-quartic-parity": ["certify", "--set", "family=quartic", *PARITY],
+    # the quartic certify path at a non-default r: margins.deficit reads
+    # -3.8e-20 against a true 0, the digit that carrying h's mean moves
+    "certify-quartic-25x50-l24-r1e-3": [
+        "certify", "--grid", "25x50", "--ltrunc", "24", "--set", "family=quartic", "--set", "r=1e-3",
+    ],
     "counterexample": ["counterexample"],
     "counterexample-13x26-l12": ["counterexample", "--grid", "13x26", "--ltrunc", "12"],
     "counterexample-49x98-l48-r1e-4": ["counterexample", "--grid", "49x98", "--ltrunc", "48", "--set", "r=1e-4"],
