@@ -613,11 +613,11 @@ def cmd_counterexample(config: RunConfig) -> dict:
     _require_ltrunc(config, 3, "builds a degree-3 direction")
     wpath = _witness_path(config)
     eigs = RicciEigs(config.lam)
-    quartic(eigs, config.bbar, config.r)  # its rules, before the basis; negative_direction samples it
+    family = quartic(eigs, config.bbar, config.r)  # its rules, before the basis
     direction = Direction(_unit_direction(config.a))
     _, basis = _grid_basis(config.n_theta, config.n_phi, config.ltrunc)
 
-    nd = negative_direction(basis, eigs, config.bbar, config.r, direction)
+    nd = negative_direction(basis, eigs, config.bbar, config.r, direction, family)
     predicted = leading_value(eigs, config.bbar, config.r)
     rel_dev = abs(nd.f_value - predicted) / abs(predicted) if predicted != 0 else None
 

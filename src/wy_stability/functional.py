@@ -78,7 +78,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,7 +93,7 @@ from .harmonics import (
     round_diagonal,
     weighted_form,
 )
-from .quad import FOUR_PI, SphereGrid, _read_only, integrate
+from .quad import FOUR_PI, Record, SphereGrid, _read_only, integrate
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -115,8 +114,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeanCurvatureField:
+class MeanCurvatureField(Record):
     """A positive mean-curvature field on a quadrature grid, built from h = H - 2.
 
     Attributes
@@ -134,12 +132,11 @@ class MeanCurvatureField:
         synthetic family); empty for ad hoc fields.
     """
 
-    grid: SphereGrid
-    samples: NDArray[np.float64]
-    h: NDArray[np.float64]
-    inf_h: float
-    sup_h: float
-    tag: str = ""
+    def __init__(
+        self, grid: SphereGrid, samples: NDArray[np.float64], h: NDArray[np.float64], inf_h: float, sup_h: float,
+        tag: str = "",
+    ) -> None:
+        vars(self).update(grid=grid, samples=samples, h=h, inf_h=inf_h, sup_h=sup_h, tag=tag)
 
 
 def mean_curvature_from_h(
@@ -159,14 +156,7 @@ def mean_curvature_from_h(
     lo = float(samples.min())
     if not lo > 0.0:
         raise ValueError(f"mean curvature must be positive everywhere; min = {lo}")
-    return MeanCurvatureField(
-        grid=grid,
-        samples=samples,
-        h=h,
-        inf_h=lo,
-        sup_h=float(samples.max()),
-        tag=tag,
-    )
+    return MeanCurvatureField(grid, samples, h, lo, float(samples.max()), tag)
 
 
 def constant_field(grid: SphereGrid, h: float) -> MeanCurvatureField:
@@ -175,8 +165,7 @@ def constant_field(grid: SphereGrid, h: float) -> MeanCurvatureField:
     return mean_curvature_from_h(grid, np.full(grid.n_nodes, h), tag=f"const={2.0 + h!r}")
 
 
-@dataclass(frozen=True)
-class HessianPencil:
+class HessianPencil(Record):
     """Symmetric pencil (M, K) over harmonics of degree >= 1.
 
     ``M[i, j]`` is the polarized form Q_H on basis pair (i, j); ``kdiag``
@@ -196,7 +185,8 @@ class HessianPencil:
     ``block(i)`` is ``build(i)``, the pencil's read-only slice of block i
     of its ``gram_blocks`` group, which the first read by any pencil of
     the group builds for all of them and the group keeps; so a solve that
-    reads few blocks builds few, and each is built at most once.  The
+    reads few blocks builds few, and each is built at most once.
+    ``build`` is keyword-only, so ``repr`` and ``==`` leave it out.  The
     dense ``M`` (46 MB at L = 48) reads every
     block; no command reads it or ``degrees`` (each row's l), but the
     benchmark tracer (``perfbench/tracer.py``) sizes its counts from both.
@@ -210,14 +200,14 @@ class HessianPencil:
     |Q_H - Q_2|(eta) <= sups[0] int (Lap eta)^2 + sups[1] int |grad eta|^2.
     """
 
-    L: int
-    kdiag: NDArray[np.float64]
-    degrees: NDArray[np.int64]
-    row_sets: tuple[NDArray[np.int64], ...]
-    parts: tuple[tuple[tuple[int, int, int], ...], ...]
-    sups: tuple[float, float]
-    build: Callable[[int], NDArray[np.float64]] = field(repr=False, compare=False)
-    _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self, L: int, kdiag: NDArray[np.float64], degrees: NDArray[np.int64], row_sets: tuple[NDArray[np.int64], ...],
+        parts: tuple[tuple[tuple[int, int, int], ...], ...], sups: tuple[float, float], *,
+        build: Callable[[int], NDArray[np.float64]],
+    ) -> None:
+        vars(self).update(
+            L=L, kdiag=kdiag, degrees=degrees, row_sets=row_sets, parts=parts, sups=sups, build=build, _minima={}
+        )
 
     def block(self, i: int) -> NDArray[np.float64]:
         """The matrix of ``row_sets[i]``, built on the first read by the group and kept."""
@@ -232,13 +222,11 @@ class HessianPencil:
         return M
 
 
-@dataclass(frozen=True)
-class KernelDecomposition:
+class KernelDecomposition(Record):
     """Split of a field into a0 * 1 + <a, x> + (degree >= 2 remainder)."""
 
-    a0: float
-    a: NDArray[np.float64]
-    eta2: FieldCoeffs
+    def __init__(self, a0: float, a: NDArray[np.float64], eta2: FieldCoeffs) -> None:
+        vars(self).update(a0=a0, a=a, eta2=eta2)
 
 
 def _check_field(basis: HarmonicBasis, H: MeanCurvatureField) -> None:

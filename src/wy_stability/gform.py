@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +44,7 @@ from .harmonics import (
     synthesize,
     weighted_form,
 )
-from .quad import FOUR_PI, SphereGrid, integrate
+from .quad import FOUR_PI, Record, SphereGrid, integrate
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -84,8 +83,7 @@ ZERO_DEFICIT_BBAR = 1.0 / 30.0
 GAMMA_COEF = 5.0 / 12.0
 
 
-@dataclass(frozen=True)
-class RicciEigs:
+class RicciEigs(Record):
     """Traceless eigenvalue triple driving the quadratic perturbation.
 
     It must be finite, sum to zero and be nonzero, and the bound
@@ -93,13 +91,11 @@ class RicciEigs:
     ``compute_A`` forms A, must be finite; then A > 0 and D >= (11/25) A > 0.
     """
 
-    lam: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lam, dtype=np.float64)
+    def __init__(self, lam: NDArray[np.float64]) -> None:
+        lam = np.asarray(lam, dtype=np.float64)
         if lam.shape != (3,):
             raise ValueError(f"lam has shape {lam.shape}, expected (3,)")
-        object.__setattr__(self, "lam", lam)
+        vars(self)["lam"] = lam
         if not np.all(np.isfinite(lam)):
             raise ValueError(f"lam must be finite, got {lam}")
         with np.errstate(over="ignore"):
@@ -117,31 +113,25 @@ class RicciEigs:
         return float(self.lam @ self.lam)
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """Unit vector selecting the linear kernel direction eta1 = <a, x>."""
 
-    a: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.float64)
+    def __init__(self, a: NDArray[np.float64]) -> None:
+        a = np.asarray(a, dtype=np.float64)
         if a.shape != (3,):
             raise ValueError(f"a has shape {a.shape}, expected (3,)")
-        object.__setattr__(self, "a", a)
         if abs(float(a @ a) - 1.0) > 1e-14:
             raise ValueError(f"direction must be unit length, |a|^2 = {a @ a}")
+        vars(self)["a"] = a
 
 
-@dataclass(frozen=True)
-class GQuadratic:
+class GQuadratic(Record):
     """Scalar quadratic reduction of min G along the optimal ray."""
 
-    A: float
-    D: float
-    alpha: float
-    beta_coef: float
-    gamma_coef: float
-    discriminant: float
+    def __init__(
+        self, A: float, D: float, alpha: float, beta_coef: float, gamma_coef: float, discriminant: float
+    ) -> None:
+        vars(self).update(A=A, D=D, alpha=alpha, beta_coef=beta_coef, gamma_coef=gamma_coef, discriminant=discriminant)
 
     @property
     def min_value(self) -> float:

@@ -71,12 +71,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .quad import FOUR_PI, GRID_BYTES_LIMIT, SphereGrid, _read_only
+from .quad import FOUR_PI, GRID_BYTES_LIMIT, Record, SphereGrid, _read_only
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -109,8 +108,7 @@ def index_of(l: int, m: int) -> int:
 LINEAR_ROWS = [index_of(1, 1), index_of(1, -1), index_of(1, 0)]
 
 
-@dataclass(frozen=True)
-class FieldCoeffs:
+class FieldCoeffs(Record):
     """Spectral coefficients of a real field, truncated at degree L.
 
     Attributes
@@ -121,19 +119,14 @@ class FieldCoeffs:
         Coefficients in ``l*l + l + m`` index order.
     """
 
-    L: int
-    c: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        n = (self.L + 1) ** 2
-        if self.c.shape != (n,):
-            raise ValueError(
-                f"coefficient array has shape {self.c.shape}, expected ({n},)"
-            )
+    def __init__(self, L: int, c: NDArray[np.float64]) -> None:
+        n = (L + 1) ** 2
+        if c.shape != (n,):
+            raise ValueError(f"coefficient array has shape {c.shape}, expected ({n},)")
+        vars(self).update(L=L, c=c)
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+class HarmonicBasis(Record):
     """Orthonormal basis as separable theta and phi factors.
 
     The basis function of degree l and order m, with a = |m| and s = 1
@@ -173,15 +166,15 @@ class HarmonicBasis:
     its table count from them.
     """
 
-    L: int
-    grid: SphereGrid
-    legendre: NDArray[np.float64]
-    ang: NDArray[np.float64]
-    dang: NDArray[np.float64]
-    degrees: NDArray[np.int64]
-    orders: NDArray[np.int64]
-    eigenvalues: NDArray[np.float64]
-    slots: NDArray[np.int64]
+    def __init__(
+        self, L: int, grid: SphereGrid, legendre: NDArray[np.float64], ang: NDArray[np.float64],
+        dang: NDArray[np.float64], degrees: NDArray[np.int64], orders: NDArray[np.int64],
+        eigenvalues: NDArray[np.float64], slots: NDArray[np.int64],
+    ) -> None:
+        vars(self).update(
+            L=L, grid=grid, legendre=legendre, ang=ang, dang=dang, degrees=degrees, orders=orders,
+            eigenvalues=eigenvalues, slots=slots,
+        )
 
     @property
     def n_basis(self) -> int:
@@ -271,17 +264,7 @@ def build_basis(grid: SphereGrid, L: int) -> HarmonicBasis:
     eigenvalues = (degrees * (degrees + 1)).astype(np.float64)
     slots = (2 * np.abs(orders) + (orders < 0)) * (L + 1) + degrees
     _read_only(legendre, ang, dang, degrees, orders, eigenvalues, slots)
-    return HarmonicBasis(
-        L=L,
-        grid=grid,
-        legendre=legendre,
-        ang=ang,
-        dang=dang,
-        degrees=degrees,
-        orders=orders,
-        eigenvalues=eigenvalues,
-        slots=slots,
-    )
+    return HarmonicBasis(L, grid, legendre, ang, dang, degrees, orders, eigenvalues, slots)
 
 
 def round_diagonal(basis: HarmonicBasis) -> NDArray[np.float64]:

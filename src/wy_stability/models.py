@@ -23,7 +23,6 @@ Three groups of tools live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +33,7 @@ from .gform import (
     optimal_eta2, phi_field,
 )
 from .harmonics import FieldCoeffs, HarmonicBasis
-from .quad import SphereGrid, integrate
+from .quad import Record, SphereGrid, integrate
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -70,8 +69,7 @@ CASE_III = "CASE_III"
 DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(Record):
     """Pointwise curvature data (R, |Ric|^2, Lap R) at a center point.
 
     Each value must be finite, R and |Ric|^2 nonnegative, and R = 0
@@ -79,24 +77,20 @@ class CurvatureData:
     minimum).
     """
 
-    R: float
-    ric_sq: float
-    lapR: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("R", self.R), ("ric_sq", self.ric_sq), ("lapR", self.lapR)):
+    def __init__(self, R: float, ric_sq: float, lapR: float) -> None:
+        for name, v in (("R", R), ("ric_sq", ric_sq), ("lapR", lapR)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if self.R < 0:
-            raise ValueError(f"scalar curvature must be >= 0, got {self.R}")
-        if self.ric_sq < 0:
-            raise ValueError(f"|Ric|^2 must be >= 0, got {self.ric_sq}")
-        if self.R == 0 and self.lapR < 0:
-            raise ValueError(f"R = 0 forces lapR >= 0, got lapR = {self.lapR}")
+        if R < 0:
+            raise ValueError(f"scalar curvature must be >= 0, got {R}")
+        if ric_sq < 0:
+            raise ValueError(f"|Ric|^2 must be >= 0, got {ric_sq}")
+        if R == 0 and lapR < 0:
+            raise ValueError(f"R = 0 forces lapR >= 0, got lapR = {lapR}")
+        vars(self).update(R=R, ric_sq=ric_sq, lapR=lapR)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Explicit positivity thresholds from coercivity constants.
 
     ``delta`` bounds how negative the deficit 2 - H may get (and, for the
@@ -106,22 +100,14 @@ class Certificate:
     rational inputs give exact rational thresholds.
     """
 
-    beta: object
-    lambda1: object
-    alpha: object
-    inf_h0: object
-    sup_h0: object
-    delta: object
-    theta: object = None
-
-    def __post_init__(self) -> None:
-        _require_positive(
-            beta=self.beta, lambda1=self.lambda1, alpha=self.alpha,
-            inf_h0=self.inf_h0, sup_h0=self.sup_h0,
+    def __init__(self, beta, lambda1, alpha, inf_h0, sup_h0, delta, theta=None) -> None:
+        _require_positive(beta=beta, lambda1=lambda1, alpha=alpha, inf_h0=inf_h0, sup_h0=sup_h0)
+        vars(self).update(
+            beta=beta, lambda1=lambda1, alpha=alpha, inf_h0=inf_h0, sup_h0=sup_h0, delta=delta, theta=theta
         )
         # positive constants give 0 < delta < inf and 0 < theta < 1; a float
         # threshold outside that range overflowed or rounded on the way
-        if not 0 < self.delta < math.inf or self.theta is not None and not 0 < self.theta < 1:
+        if not 0 < delta < math.inf or theta is not None and not 0 < theta < 1:
             raise ValueError(f"certificate constants too large or small for the arithmetic: {self}")
 
 
@@ -334,8 +320,7 @@ def deficit_ratio_certificate(beta, lambda1, alpha, inf_h0) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Quadrature evaluation of the deficit-ratio certificate conditions.
 
     ``margins`` holds signed distances to each threshold (positive means
@@ -343,10 +328,8 @@ class ConditionReport:
     positive, since the ratio is then undefined.
     """
 
-    cond_a: bool
-    cond_b1: bool
-    cond_b2: bool
-    margins: dict = field(default_factory=dict)
+    def __init__(self, cond_a: bool, cond_b1: bool, cond_b2: bool, margins: dict | None = None) -> None:
+        vars(self).update(cond_a=cond_a, cond_b1=cond_b1, cond_b2=cond_b2, margins={} if margins is None else margins)
 
     @property
     def passed(self) -> bool:
@@ -383,8 +366,7 @@ def check_deficit_conditions(
     return ConditionReport(cond_a=cond_a, cond_b1=cond_b1, cond_b2=cond_b2, margins=margins)
 
 
-@dataclass(frozen=True)
-class NegativeDirection:
+class NegativeDirection(Record):
     """Explicit test direction for the quartic family, with its F value.
 
     ``guaranteed`` records whether the parameters sit in the regime where
@@ -392,10 +374,8 @@ class NegativeDirection:
     negative); outside it the witness is still returned, with a note.
     """
 
-    eta: FieldCoeffs
-    f_value: float
-    guaranteed: bool
-    note: str = ""
+    def __init__(self, eta: FieldCoeffs, f_value: float, guaranteed: bool, note: str = "") -> None:
+        vars(self).update(eta=eta, f_value=f_value, guaranteed=guaranteed, note=note)
 
 
 def negative_direction(
@@ -404,13 +384,16 @@ def negative_direction(
     bbar: float,
     r: float,
     a: Direction,
+    family: Callable[[SphereGrid], MeanCurvatureField] | None = None,
 ) -> NegativeDirection:
     """Evaluate F on the direction eta1 + r^2 * optimal_eta2.
 
     For bbar > 1/90 and r small the value is negative with
-    ``F / r^4 -> 4 pi (1/90 - bbar) sum lam_i^2``.
+    ``F / r^4 -> 4 pi (1/90 - bbar) sum lam_i^2``.  ``family``, when
+    given, is the sampler ``quartic(eigs, bbar, r)`` the caller built,
+    its rules already run; without it they run here.
     """
-    H = h_family(eigs, bbar, r, basis.grid)
+    H = (family or quartic(eigs, bbar, r))(basis.grid)
     e1 = eta1_coeffs(a, basis.L)
     e2 = optimal_eta2(basis, eigs, a)
     eta = FieldCoeffs(basis.L, e1.c + r * r * e2.c)

@@ -31,7 +31,7 @@ it equal to ``leggauss`` bit for bit; computing it here keeps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +42,7 @@ if TYPE_CHECKING:
     from numpy.typing import NDArray
 
 __all__ = [
+    "Record",
     "SphereGrid",
     "build_grid",
     "integrate",
@@ -56,8 +57,44 @@ FOUR_PI = 4.0 * math.pi
 GRID_BYTES_LIMIT = 2**30
 
 
-@dataclass(frozen=True)
-class SphereGrid:
+class Record:
+    """Base of the package's frozen records.
+
+    A record's ``__init__`` checks its inputs and stores them with
+    ``vars(self).update``; after that, assignment and deletion raise
+    ``FrozenInstanceError``, as on a frozen dataclass.  Its fields are
+    the positional parameters of ``__init__``, in order; a keyword-only
+    parameter is stored but is no field.  ``repr`` reads
+    ``Name(field=value, ...)``, ``==`` compares the fields of two records
+    of one class as a tuple, and ``hash`` hashes that tuple.
+    ``functools.cached_property`` writes ``vars(self)`` directly, so it
+    still caches.  A frozen dataclass would compile six methods per class
+    with ``exec`` at import, most of the package's import time.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> dict:
+        code = type(self).__init__.__code__
+        return {name: getattr(self, name) for name in code.co_varnames[1 : code.co_argcount]}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(self._fields().values()) == tuple(other._fields().values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+
+class SphereGrid(Record):
     """Quadrature nodes and weights on the unit sphere.
 
     Attributes
@@ -74,13 +111,13 @@ class SphereGrid:
         sin(theta) at each node.
     """
 
-    n_theta: int
-    n_phi: int
-    theta: NDArray[np.float64]
-    phi: NDArray[np.float64]
-    weights: NDArray[np.float64]
-    xyz: NDArray[np.float64]
-    sin_theta: NDArray[np.float64]
+    def __init__(
+        self, n_theta: int, n_phi: int, theta: NDArray[np.float64], phi: NDArray[np.float64],
+        weights: NDArray[np.float64], xyz: NDArray[np.float64], sin_theta: NDArray[np.float64],
+    ) -> None:
+        vars(self).update(
+            n_theta=n_theta, n_phi=n_phi, theta=theta, phi=phi, weights=weights, xyz=xyz, sin_theta=sin_theta
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -169,15 +206,7 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
         [sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1
     )
     _read_only(theta, phi, weights, xyz, sin_t)
-    return SphereGrid(
-        n_theta=n_theta,
-        n_phi=n_phi,
-        theta=theta,
-        phi=phi,
-        weights=weights,
-        xyz=xyz,
-        sin_theta=sin_t,
-    )
+    return SphereGrid(n_theta, n_phi, theta, phi, weights, xyz, sin_t)
 
 
 def integrate(grid: SphereGrid, samples: NDArray[np.float64]) -> float:

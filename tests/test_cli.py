@@ -31,6 +31,7 @@ import wy_stability.cli as cli_module
 import wy_stability.functional as functional_module
 import wy_stability.gform as gform_module
 import wy_stability.harmonics as harmonics_module
+import wy_stability.models as models_module
 from wy_stability.cli import (
     ConfigError,
     RunConfig,
@@ -49,7 +50,7 @@ from wy_stability.functional import (
     min_pencil_eigenvalue,
     pencil_minimum,
 )
-from wy_stability.gform import Direction, RicciEigs
+from wy_stability.gform import Direction, GQuadratic, RicciEigs
 from wy_stability.harmonics import HarmonicBasis, build_basis
 from wy_stability.models import h_family, negative_direction, quartic
 from wy_stability.quad import build_grid
@@ -714,7 +715,7 @@ def test_gform_discriminant_check_scales_with_lam(scale, tmp_path, monkeypatch):
 
     def off(eigs, direction, bbars):
         return [
-            replace(q, discriminant=q.discriminant + 1e-11 * eigs.sum_sq)
+            GQuadratic(**{**vars(q), "discriminant": q.discriminant + 1e-11 * eigs.sum_sq})
             for q in real(eigs, direction, bbars)
         ]
 
@@ -861,6 +862,23 @@ def test_set_up_loads_only_what_it_uses():
     assert not set(unused) & added
 
 
+def test_run_config_is_the_only_dataclass():
+    # a frozen dataclass compiles six methods with exec when its module is
+    # imported, about 0.7 ms a class on Python 3.11, most of the package's
+    # import time; the records are plain classes on quad.Record, and only
+    # RunConfig, read by dataclasses.fields and replace, stays a dataclass
+    code = (
+        "import dataclasses, json, sys, wy_stability.cli\n"
+        "print(json.dumps(sorted(f'{name}.{k}' for name, module in list(sys.modules.items())\n"
+        "    if name.startswith('wy_stability') for k, v in vars(module).items()\n"
+        "    if isinstance(v, type) and v.__module__ == name and dataclasses.is_dataclass(v))))"
+    )
+    found = json.loads(_fresh_python(code))
+    assert found == ["wy_stability.cli.RunConfig"], (
+        f"dataclasses {found}: each compiles six methods at import, ~0.7 ms a class on Python 3.11"
+    )
+
+
 def test_commands_never_build_full_tables(tmp_path, monkeypatch):
     # every computation works on the separable factors and the pencil's
     # blocks; the (L+1)^2 x n_nodes tables and the dense M exist only to
@@ -963,7 +981,8 @@ def test_counterexample_at_degree_96(tmp_path, monkeypatch):
     target = 4.0 * math.pi * (1.0 / 90.0 - bbar) * 6.0  # sum lam^2 = 6
     assert abs(report["results"][0]["F_over_r4"] - target) <= 0.005 * abs(target)
     (basis,) = built
-    arrays = [getattr(basis, f.name) for f in fields(basis)]
+    # rad and drad, views of legendre that the run cached, count twice
+    arrays = vars(basis).values()
     assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < 64e6
 
 
@@ -1307,6 +1326,27 @@ def test_counterexample_fails_below_threshold(tmp_path):
     report = read_report(out)
     assert report["verdict"] == "FAIL"
     assert report["results"][0]["guaranteed"] is False
+
+
+def test_a_counterexample_report_runs_the_family_rules_once(tmp_path, monkeypatch):
+    # the report runs quartic's rules before the basis, and negative_direction
+    # samples that checked family instead of running them again: one radius
+    # and two deficits (at r = 1 and at r), in whichever module calls them
+    calls = []
+    modules = (cli_module, models_module, gform_module)
+    for name in ("positivity_radius", "deficit_closed_form"):
+        real = getattr(models_module, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    report, _ = run(RunConfig(command="counterexample", witness=str(tmp_path / "w.json")))
+    assert report["verdict"] == "PASS"
+    assert sorted(calls) == ["deficit_closed_form"] * 2 + ["positivity_radius"]
 
 
 def test_small_sphere_degenerate_is_data_not_failure(tmp_path):

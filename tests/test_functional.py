@@ -6,7 +6,6 @@ import gc
 import math
 import warnings
 import weakref
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -15,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wy_stability.functional import (
+    HessianPencil,
     assemble_pencil,
     constant_field,
     decompose_kernel,
@@ -491,7 +491,9 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         assert (len(pencil.row_sets), *solves(pencil)) == count
         for restrict in (False, True):
             assert witness_solves(pencil, restrict) == 0
-            fresh = replace(pencil)
+            fresh = HessianPencil(
+                pencil.L, pencil.kdiag, pencil.degrees, pencil.row_sets, pencil.parts, pencil.sups, build=pencil.build
+            )
             assert witness_solves(fresh, restrict) == witness_count[restrict] == len(fresh._minima)
     # where |h| is large the bound prunes nothing: every block is solved,
     # and again without its l = 1 rows where it has any

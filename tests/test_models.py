@@ -33,6 +33,7 @@ from wy_stability.models import (
     negative_direction,
     negative_part_certificate,
     positivity_radius,
+    quartic,
     small_sphere_mass,
 )
 from wy_stability.functional import constant_field
@@ -307,6 +308,17 @@ def test_negative_direction_radius_too_large():
     assert nd.f_value > 0.0
     assert not nd.guaranteed
     assert "radius" in nd.note
+
+
+def test_negative_direction_runs_the_rules_without_a_family():
+    # a caller that passes no checked family still gets the rules' refusals
+    with pytest.raises(ValueError, match="r must lie in"):
+        negative_direction(BASIS, CANON_EIGS, 1.0 / 30.0, 5.0, CANON_DIR)
+    with pytest.raises(ValueError, match="bbar = 1e\\+308 is too large"):
+        negative_direction(BASIS, CANON_EIGS, 1e308, 1e-2, CANON_DIR)
+    family = quartic(CANON_EIGS, 1.0 / 30.0, 1e-2)
+    given = negative_direction(BASIS, CANON_EIGS, 1.0 / 30.0, 1e-2, CANON_DIR, family)
+    assert given.f_value == negative_direction(BASIS, CANON_EIGS, 1.0 / 30.0, 1e-2, CANON_DIR).f_value
 
 
 def test_negative_direction_mode_content():
