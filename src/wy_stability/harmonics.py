@@ -158,6 +158,8 @@ class HarmonicBasis(Record):
         that the transforms work on.
 
     Every array is read-only, so one basis can be shared by many callers.
+    ``gform.optimal_eta2`` keeps its last result on the basis, as
+    ``_eta2``, which is no field and lives as long as the basis.
 
     The full tables ``values``, ``dtheta`` and ``dphi``, shape
     (n_basis, n_nodes), are assembled from the factors on every read,
@@ -283,16 +285,19 @@ def _synthesis(basis: HarmonicBasis, c, rad, ang, D: int | None = None) -> NDArr
     """sum_k c_k rad_k(theta) ang_k(phi) at every node, over the degrees <= D.
 
     D defaults to the top degree of c, and no row above D may hold a
-    nonzero coefficient.  One Legendre sum over l <= D per order a <= D
-    (the cos and sin terms of an order share its theta factor), then one
-    matrix product in phi: O(D^2 n_theta + D n_theta n_phi).  At D = L
-    the operands are the full tables; an all-zero c gives zeros.
+    nonzero coefficient.  Rows are ordered by degree, so only the first
+    (D+1)^2 coefficients are scattered.  One Legendre sum over l <= D
+    per order a <= D (the cos and sin terms of an order share its theta
+    factor), then one matrix product in phi: O(D^2 n_theta + D n_theta
+    n_phi).  At D = L the operands are the full tables; an all-zero c
+    gives zeros.
     """
     L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
     D = _top_degree(c) if D is None else D
-    spec = np.zeros((L + 1, 2, L + 1))
-    spec.reshape(-1)[basis.slots] = c
-    g = np.matmul(spec[: D + 1, :, : D + 1], rad[: D + 1, : D + 1])  # [a, s, i]
+    n = (D + 1) ** 2
+    spec = np.zeros((D + 1, 2, L + 1))  # the slots of degrees <= D lie in orders a <= D
+    spec.reshape(-1)[basis.slots[:n]] = c[:n]
+    g = np.matmul(spec[:, :, : D + 1], rad[: D + 1, : D + 1])  # [a, s, i]
     return (g.reshape(-1, nt).T @ ang[: D + 1].reshape(-1, nphi)).ravel()
 
 
@@ -301,15 +306,19 @@ def _analysis(basis: HarmonicBasis, q, rad, ang, D: int | None = None) -> NDArra
 
     The transpose of ``_synthesis``: one matrix product in phi for the
     orders a <= D, then one Legendre sum over theta per order, in
-    O(D^2 n_theta + D n_theta n_phi).  D defaults to L; the rows above
-    D are zero.
+    O(D^2 n_theta + D n_theta n_phi).  D defaults to L; only the first
+    (D+1)^2 rows, the degrees <= D, are gathered, and the rows above are
+    zero.
     """
     L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
     D = L if D is None else D
+    n = (D + 1) ** 2
     g = (ang[: D + 1].reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(D + 1, 2, nt)
-    rows = np.zeros((L + 1, 2, L + 1))
-    rows[: D + 1, :, : D + 1] = np.matmul(g, rad[: D + 1, : D + 1].transpose(0, 2, 1))
-    return rows.ravel()[basis.slots]
+    rows = np.zeros((D + 1, 2, L + 1))
+    rows[:, :, : D + 1] = np.matmul(g, rad[: D + 1, : D + 1].transpose(0, 2, 1))
+    out = np.zeros((L + 1) ** 2)
+    out[:n] = rows.ravel()[basis.slots[:n]]
+    return out
 
 
 def _row_samples(basis: HarmonicBasis, rows, rad, ang) -> NDArray[np.float64]:

@@ -791,6 +791,36 @@ def test_reports_at_one_size_build_grid_and_basis_once(tmp_path, monkeypatch):
     assert sizes == [1] * 10
 
 
+def test_a_sweep_that_alternates_directions_matches_reports_with_nothing_kept(tmp_path):
+    # the kept basis holds one eta2 entry, for the last (lam, a); alternating
+    # a recomputes it each report, and every report and witness is byte for
+    # byte the one a fresh basis, with no entry kept, gives
+    sweep = [replace(c, a=(0.0, 0.6, 0.8)) if i % 2 else c for i, c in enumerate(cex_sweep(8, tmp_path))]
+    warm = [(run(config)[1], Path(config.witness).read_bytes()) for config in sweep]
+    for config, (text, witness) in zip(sweep, warm):
+        cli_module._grid_basis.cache_clear()
+        assert run(config)[1] == text
+        assert Path(config.witness).read_bytes() == witness
+
+
+def test_a_sweep_enters_optimal_eta2_once_per_report(tmp_path, monkeypatch):
+    # the kept eta2 is reused inside the call, so a tracer still sees one
+    # call per report
+    calls = []
+    real = models_module.optimal_eta2
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(models_module, "optimal_eta2", counted)
+    sweep = cex_sweep(8, tmp_path)
+    for config in sweep:
+        run(config)
+    assert len(calls) == len(sweep) == 8
+    assert all(basis is calls[0] for basis in calls)
+
+
 @pytest.mark.parametrize("command", cli_module.COMMANDS)
 def test_warm_report_matches_cold_report(command, tmp_path):
     # the second report reads the grid and basis the first one kept, and
@@ -1799,7 +1829,8 @@ def test_cli_contract_holds_on_certify_small_sphere_and_bisection(command, size,
 # each example is one 13x26, L = 12 scan of one row; 20 take about 0.3 s
 @settings(max_examples=20, deadline=None)
 @given(
-    lam=TRACELESS.filter(lambda lam: sum(x * x for x in lam) > 0),  # RicciEigs refuses a zero triple
+    # RicciEigs refuses a triple whose sum lam_i^2 is below the float tiny, such as a subnormal one
+    lam=TRACELESS.filter(lambda lam: np.asarray(lam) @ np.asarray(lam) >= np.finfo(np.float64).tiny),
     ends=st.lists(st.floats(0, 1.0 / 30.0, exclude_min=True, exclude_max=True), min_size=2, max_size=2, unique=True).map(sorted),
 )
 @example(lam=(1.0, 1.0, -2.0), ends=[1.0 / 180.0, 1.0 / 45.0])
@@ -1812,3 +1843,10 @@ def test_the_bracket_is_none_exactly_where_its_ends_show_no_sign_change(lam, end
     assert (bisection is None) == (not lo > 0 > hi)
     if bisection is not None:
         assert_bracket_holds(config, bisection)
+
+
+def test_a_triple_of_subnormal_square_sum_exits_2():
+    # sum lam_i^2 = 2.2e-319 is nonzero but below the float tiny
+    lam = "lam=0.0,3.3254226687168805e-160,-3.3254226687168805e-160"
+    argv = ["scan", "--grid", "13x26", "--ltrunc", "12", "--set", lam, "--set", "bracket=0.015625,0.03125"]
+    assert main([*argv, "--set", "bbar_list=0.0", "--set", "r_list=1e-2"]) == 2

@@ -254,6 +254,47 @@ def test_optimal_eta2_is_pure_degree_three():
     assert np.max(np.abs(eta2.c)) > 0.0
 
 
+def test_optimal_eta2_keeps_its_last_result_on_the_basis():
+    # a repeated call returns the kept read-only coefficients; an equal
+    # triple and direction, as new objects, have the same bytes and hit too
+    basis = build_basis(GRID, 8)
+    first = optimal_eta2(basis, CANON_EIGS, CANON_DIR)
+    assert not first.c.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.c[0] = 1.0
+    assert optimal_eta2(basis, CANON_EIGS, CANON_DIR) is first
+    same = (RicciEigs(np.array([1.0, 1.0, -2.0])), Direction(np.array([0.0, 0.0, 1.0])))
+    assert optimal_eta2(basis, *same) is first
+
+
+def test_optimal_eta2_recomputes_when_the_basis_lam_or_a_changes():
+    # each changed input gives a new result, bit for bit the one a fresh
+    # basis with nothing kept computes; a new but equal basis holds no entry
+    changed = (build_basis(GRID, 8), RicciEigs(np.array([0.7, 0.5, -1.2])), Direction(np.array([0.0, 0.6, 0.8])))
+    for i in range(3):
+        basis = build_basis(GRID, 8)
+        first = optimal_eta2(basis, CANON_EIGS, CANON_DIR)
+        args = [basis, CANON_EIGS, CANON_DIR]
+        args[i] = changed[i]
+        got = optimal_eta2(*args)
+        assert got is not first
+        assert i == 0 or not np.array_equal(got.c, first.c)
+        np.testing.assert_array_equal(got.c, optimal_eta2(build_basis(GRID, 8), *args[1:]).c)
+        assert optimal_eta2(*args) is got
+
+
+def test_optimal_eta2_keeps_one_entry():
+    # after a second (lam, a) the first is recomputed: only the last is kept
+    basis = build_basis(GRID, 8)
+    tilted = Direction(np.array([0.0, 0.6, 0.8]))
+    first = optimal_eta2(basis, CANON_EIGS, CANON_DIR)
+    second = optimal_eta2(basis, CANON_EIGS, tilted)
+    again = optimal_eta2(basis, CANON_EIGS, CANON_DIR)
+    assert again is not first
+    np.testing.assert_array_equal(again.c, first.c)
+    assert optimal_eta2(basis, CANON_EIGS, tilted) is not second
+
+
 def test_eval_G_requires_complement_support():
     c = np.zeros(NMODES)
     c[2] = 1.0  # a degree-1 slot

@@ -139,6 +139,34 @@ def test_synthesis_runs_to_the_top_degree(L, n_phi):
                 assert np.abs(g - r).max() <= 8 * np.spacing(np.abs(r).max()), (D, L, n_phi)
 
 
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 16), data=st.data())
+def test_capped_transforms_match_the_full_slot_ones_bit_for_bit(L, data):
+    # the transforms scatter and gather only the (D+1)^2 rows of degree <= D;
+    # the products over every slot, as the transforms once ran them, give
+    # the same bits, and the rows above D stay exactly +0.0
+    D = data.draw(st.integers(0, L - 1))
+    basis = degree_basis(L, data.draw(st.sampled_from([2 * L + 2, 2 * L + 3])))
+    nt, nphi = basis.grid.n_theta, basis.grid.n_phi
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    c = np.zeros(basis.n_basis)
+    c[: (D + 1) ** 2] = rng.normal(size=(D + 1) ** 2)
+    q = rng.normal(size=basis.grid.n_nodes)
+    for rad, ang in ((basis.rad, basis.ang), (basis.drad, basis.ang), (basis.rad, basis.dang)):
+        spec = np.zeros((L + 1, 2, L + 1))
+        spec.reshape(-1)[basis.slots] = c
+        g = np.matmul(spec[: D + 1, :, : D + 1], rad[: D + 1, : D + 1])
+        full = (g.reshape(-1, nt).T @ ang[: D + 1].reshape(-1, nphi)).ravel()
+        assert np.array_equal(harmonics_module._synthesis(basis, c, rad, ang), full)
+        g = (ang[: D + 1].reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(D + 1, 2, nt)
+        rows = np.zeros((L + 1, 2, L + 1))
+        rows[: D + 1, :, : D + 1] = np.matmul(g, rad[: D + 1, : D + 1].transpose(0, 2, 1))
+        got = harmonics_module._analysis(basis, q, rad, ang, D)
+        assert np.array_equal(got, rows.ravel()[basis.slots])
+        above = got[basis.degrees > D]
+        assert np.all(above == 0.0) and not np.signbit(above).any()
+
+
 def test_synthesis_of_the_zero_field_is_zero():
     zero = FieldCoeffs(8, np.zeros(NMODES))
     for samples in (synthesize(BASIS, zero), *_field_samples(BASIS, zero)):
