@@ -52,6 +52,7 @@ from .harmonics import FieldCoeffs, build_basis, index_of
 from .models import (
     CurvatureData,
     CASE_II,
+    DEGENERATE,
     bbar_from_b,
     check_bbar,
     check_deficit_conditions,
@@ -743,7 +744,7 @@ def cmd_small_sphere(config: RunConfig) -> dict:
     else:
         summary["bbar"] = None
         summary["classification"] = None
-        if case == "DEGENERATE":
+        if case == DEGENERATE:
             summary["note"] = (
                 "all leading coefficients vanish; the r^-5 mass limit is not positive"
             )

@@ -41,14 +41,16 @@ reflection, as the quartic family and the constants always are, one per
 (order, parity of l + |m|).  Otherwise the pencil splits by the parity
 classes of the coordinate reflections that h is even under: the
 quartic family is even under all three, 8 classes on an even n_phi and
-4 on an odd one, which has no x1 reflection.  Every block is built from
-theta sums (``gram_blocks``), the first time a solve reads it, and kept
-by its ``gram_blocks`` group: the pencil holds the row sets of each
-distinct block, and each block is built at most once; the dense M is
-built when read.  ``assemble_pencil`` takes a sequence of fields: those
-of one layout share one pass over their weights, and each block is built
-for all of them at once, by the first solve of any of them that reads
-it; each pencil reads its own slice, the bits it would get alone.
+4 on an odd one, which has no x1 reflection.  Every block is made in
+one place, the builder of its ``gram_blocks`` group: from theta sums,
+symmetrized, with the round diagonal added, the first time a solve
+reads it, and kept; the pencil holds the row sets of each distinct
+block, and each block is built at most once; the dense M is built when
+read.  ``assemble_pencil`` takes a sequence of fields: those of one
+layout share one pass over their weights, and each block is built for
+all of them at once, by the first solve of any of them that reads it;
+each pencil reads its own member of the group's stack, the bits it
+would get alone.
 
 Only a witness reads an eigenvector, and only a block that can hold the
 minimum is built and solved.  Whitened by K, the round form is the diagonal
@@ -67,15 +69,15 @@ and the witness, and the bound needs only the sups, so a part it skips
 is never built.  ``field_minima`` solves a batch of fields one
 ``gram_blocks`` group at a time: the group's pencils walk their shared
 parts together, those that need a part get it from one ``eigvalsh``
-call on their stacked parts, each with the pruning and the bits it has
-alone, and they go, with their blocks, before the next group builds any.
+call on their parts, read from the group's stack at once, each with
+the pruning and the bits it has alone, and they go, with their blocks,
+before the next group builds any.
 ``min_pencil_eigenvalue`` takes the part holding the minimum from the
 same routine and runs one ``eigh``, on that part, for its witness.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
@@ -182,14 +184,16 @@ class HessianPencil(Record):
     per parity class of the reflections h is even under (k = 1), one of
     every row when there are none.
 
-    ``block(i)`` is ``build(i)``, the pencil's read-only slice of block i
-    of its ``gram_blocks`` group, which the first read by any pencil of
-    the group builds for all of them and the group keeps; so a solve that
-    reads few blocks builds few, and each is built at most once.
-    ``build`` is keyword-only, so ``repr`` and ``==`` leave it out.  The
-    dense ``M`` (46 MB at L = 48) reads every
-    block; no command reads it or ``degrees`` (each row's l), but the
-    benchmark tracer (``perfbench/tracer.py``) sizes its counts from both.
+    ``blocks`` is the builder of the pencil's ``gram_blocks`` group and
+    ``member`` its index in the group: ``block(i)`` is
+    ``blocks(i)[member]``, a read-only view of block i of the group's
+    stack, which the first read by any pencil of the group builds for
+    all of them and the builder keeps; so a solve that reads few blocks
+    builds few, and each is built at most once.  Both are keyword-only,
+    so ``repr``, ``==`` and ``hash`` leave them out.  The dense ``M``
+    (46 MB at L = 48) reads every block; no command reads it or
+    ``degrees`` (each row's l), but the benchmark tracer
+    (``perfbench/tracer.py``) sizes its counts from both.
     ``_minima`` records the smallest eigenvalue of each part (i, k)
     solved so far, ``block(i)[k:, k:]`` whitened by kdiag, so each part
     is solved at most once; it is the only record of what the pencil
@@ -203,15 +207,16 @@ class HessianPencil(Record):
     def __init__(
         self, L: int, kdiag: NDArray[np.float64], degrees: NDArray[np.int64], row_sets: tuple[NDArray[np.int64], ...],
         parts: tuple[tuple[tuple[int, int, int], ...], ...], sups: tuple[float, float], *,
-        build: Callable[[int], NDArray[np.float64]],
+        blocks: Callable[[int], NDArray[np.float64]], member: int,
     ) -> None:
         vars(self).update(
-            L=L, kdiag=kdiag, degrees=degrees, row_sets=row_sets, parts=parts, sups=sups, build=build, _minima={}
+            L=L, kdiag=kdiag, degrees=degrees, row_sets=row_sets, parts=parts, sups=sups, blocks=blocks,
+            member=member, _minima={},
         )
 
     def block(self, i: int) -> NDArray[np.float64]:
         """The matrix of ``row_sets[i]``, built on the first read by the group and kept."""
-        return self.build(i)
+        return self.blocks(i)[self.member]
 
     @property
     def M(self) -> NDArray[np.float64]:
@@ -274,18 +279,19 @@ def kernel_closed_form(H: MeanCurvatureField, a: NDArray[np.float64]) -> float:
 def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) -> list[HessianPencil]:
     """Assemble the pencil (M, K) over degrees l >= 1 of each field, as lazily built blocks of M.
 
-    M is built in deficit form, like eval_Q: the symmetrized Gram blocks
-    of ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
-    (gradients), plus the exact round diagonal mu^2/2 - mu, added to a
-    block when it is built; each pencil keeps the sups of its two
-    |weights|, which need no block, and the symmetries of the weights
-    decide the blocks (see ``HessianPencil``).  Fields of one layout are
-    assembled together: one pass over their weights, and each block
-    built for all of them at once, on the first read by any of them;
-    each pencil's ``block(i)`` reads its own slice.  Before any block, an
-    h whose weights exceed ``_gram_limit``, where a Gram sum could
-    overflow, is refused by a ValueError naming max |h|, and so is a
-    layout past the byte limit; either refuses the whole call.
+    M is built in deficit form, like eval_Q: the blocks of
+    ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
+    (gradients), the symmetrized Gram plus the exact round diagonal
+    mu^2/2 - mu, finished when built; each pencil keeps the sups of its
+    two |weights|, which need no block, and the symmetries of the
+    weights decide the blocks (see ``HessianPencil``).  Fields of one
+    layout are assembled together: one pass over their weights, and each
+    block built for all of them at once, on the first read by any of
+    them; each pencil's ``block(i)`` reads its own member of the stack.
+    Before any block, an h whose weights exceed ``_gram_limit``, where a
+    Gram sum could overflow, is refused by a ValueError naming max |h|,
+    and so is a layout past the byte limit; either refuses the whole
+    call.
     """
     pencils = [None] * len(fields)
     for members, group in _grouped_pencils(basis, fields):
@@ -297,9 +303,9 @@ def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) 
 def _grouped_pencils(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]):
     """The pencils of ``assemble_pencil``, as (members, pencils) per ``gram_blocks`` group.
 
-    The call raises every refusal; a group's pencils, which share their
-    blocks, row sets and part lists, are made when the iterator reaches
-    them.
+    The call raises every refusal; a group's ring coefficients and
+    pencils, which share its block builder, row sets and part lists, are
+    made when the iterator reaches them.
     """
     for H in fields:
         _check_field(basis, H)
@@ -312,20 +318,11 @@ def _grouped_pencils(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField])
     for s_lap, s_grad in sups:
         if not max(s_lap, s_grad) <= limit:
             raise ValueError(f"h = H - 2 is too large for the Gram sums: max |h| = {s_grad:.6g} > {limit:.6g}")
-    kdiag, degrees, diag = *_read_only(basis.eigenvalues[1:] ** 2), basis.degrees[1:], round_diagonal(basis)[1:]
+    kdiag, degrees = *_read_only(basis.eigenvalues[1:] ** 2), basis.degrees[1:]
 
-    def group(members, row_sets, gram, parts):
-        blocks = _shared_blocks(gram, row_sets, diag)
+    def group(members, row_sets, blocks, parts):
         pencils = [
-            HessianPencil(
-                L=basis.L,
-                kdiag=kdiag,
-                degrees=degrees,
-                row_sets=row_sets,
-                parts=parts,
-                sups=sups[f],
-                build=functools.partial(blocks, j=j),
-            )
+            HessianPencil(basis.L, kdiag, degrees, row_sets, parts, sups[f], blocks=blocks, member=j)
             for j, f in enumerate(members)
         ]
         return members, pencils
@@ -357,37 +354,18 @@ def field_minima(
     return out
 
 
-def _shared_blocks(gram, row_sets, diag):
-    """``block(i, j)``: block i of member j of one ``gram_blocks`` group.
-
-    The first read of block i builds it for every member, adds the round
-    diagonal, and keeps it read-only.
-    """
-    built = {}
-
-    def block(i: int, j: int) -> NDArray[np.float64]:
-        if i not in built:
-            B = gram(i)
-            n = B.shape[1]
-            B.reshape(len(B), -1)[:, :: n + 1] += diag[row_sets[i][0]]
-            built[i] = _read_only(B)[0]
-        return built[i][j]
-
-    return block
-
-
 def _solve(pencils: Sequence[HessianPencil], i: int, k: int, solver):
     """``solver``, in one call, on block i from offset k of each pencil, whitened by kdiag.
 
     Returns its result, the part's rows and 1 / sqrt(kdiag[rows]).  The
-    pencils share a part list, so their parts have the same rows.
+    pencils are of one ``gram_blocks`` group, so their parts have the
+    same rows and one indexed read of the group's block stacks them.
     """
-    rows = pencils[0].row_sets[i][0][k:]
-    inv_sqrt_k = 1.0 / np.sqrt(pencils[0].kdiag[rows])
-    scale = np.outer(inv_sqrt_k, inv_sqrt_k)
-    stack = np.empty((len(pencils), *scale.shape))
-    for out, pencil in zip(stack, pencils):
-        np.multiply(pencil.block(i)[k:, k:], scale, out=out)
+    first = pencils[0]
+    rows = first.row_sets[i][0][k:]
+    inv_sqrt_k = 1.0 / np.sqrt(first.kdiag[rows])
+    stack = first.blocks(i)[[p.member for p in pencils], k:, k:]
+    stack *= np.outer(inv_sqrt_k, inv_sqrt_k)
     try:
         return solver(stack), rows, inv_sqrt_k
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path

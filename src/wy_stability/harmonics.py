@@ -53,24 +53,25 @@ of opposite parity under it.  A form whose weights are constant on
 every theta ring couples only rows of one order |m| and one trig type,
 because the discrete cos and sin factors are orthogonal on the uniform
 phi nodes; when they are also even under x3, each order splits again
-by the parity of l + |m|.  ``gram_blocks``, the builder of the Gram
-blocks of the pencil, splits the rows by the symmetries the weights
-have and computes every entry as a theta sum: the phi sum of two trig
+by the parity of l + |m|.  ``gram_blocks``, the one builder of the
+pencil's blocks, splits the rows by the symmetries the weights have
+and computes every entry as a theta sum: the phi sum of two trig
 factors against a ring's weights is read exactly off the ring's
 Fourier coefficients.  It takes the weights of a batch of fields and
-returns one group per layout: its fields, the row sets, a builder that
-computes each distinct block, for every field of the group at once,
-only when called, and the parts.  One kernel builds every block, from
-one product per (order, trig type) group in it and no padded degrees;
-a block of one group, as every ring-constant one is, reads its rows
-out of the factor tables as slices.
+yields one group per layout: its fields, the row sets, a builder that
+finishes each distinct block, the Gram plus the round diagonal, for
+every field of the group at once, on its first call, and keeps it, and
+the parts.  One kernel builds every block, from one product per
+(order, trig type) group in it and no padded degrees; a block of one
+group, as every ring-constant one is, reads its rows out of the factor
+tables as slices.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -436,11 +437,14 @@ def weighted_form(
 
 def gram_blocks(
     basis: HarmonicBasis, w_lap: NDArray[np.float64], w_grad: NDArray[np.float64]
-) -> list[tuple[tuple[int, ...], tuple, Callable[[int], NDArray[np.float64]], tuple]]:
-    """Gram matrices of ``weighted_form`` over degrees >= 1, for a batch of weights, as groups.
+) -> Iterator[tuple[tuple[int, ...], tuple, Callable[[int], NDArray[np.float64]], tuple]]:
+    """The pencil's blocks over degrees >= 1, for a batch of weights, as groups.
 
-    The weights are nodal arrays of shape (F, n_nodes), one row per
-    field.  Returns a list of groups (members, sets, build, parts):
+    Each block is the Gram matrix of ``weighted_form`` with the weights
+    given, symmetrized, plus ``round_diagonal`` on its diagonal: with the
+    deficit weights of a field, a diagonal block of its pencil's M.  The
+    weights are nodal arrays of shape (F, n_nodes), one row per field.
+    Returns an iterator over groups (members, sets, build, parts):
     ``members`` the fields of the group, ascending; ``sets[i]`` has shape
     (k, n), the k row sets that share the diagonal block ``build(i)``,
     each of n rows counted from row 1, increasing; ``build(i)`` has shape
@@ -448,9 +452,12 @@ def gram_blocks(
     have the same layout share a group: one pass over their weights (the
     symmetry checks, ring coefficients and phi sums) and one product per
     block, with a leading batch axis over as many fields as keep its
-    operands within ``_CHUNK_BYTES``.  Only the ring coefficients are
-    computed here; each call of ``build`` computes its block from them,
-    so a caller builds only the blocks it reads.
+    operands within ``_CHUNK_BYTES``.  The call checks the layouts and
+    refuses any past the byte limit; a group's ring coefficients are
+    computed when the iterator reaches it, and each block on the first
+    call of ``build`` for it, which keeps it read-only and returns the
+    same array on every later call.  So a caller builds only the blocks
+    it reads, each once, and a group's blocks go with its builder.
 
     The blocks follow the symmetries that both weight arrays of a field
     have, each to 1e-13 of the array's max.  When they are constant on
@@ -478,23 +485,24 @@ def gram_blocks(
     between blocks is computed.  ``build`` symmetrizes its blocks once
     each one's asymmetry is checked against 1e-12 of its own largest
     entry (or of 1), and raises AssertionError past that, for the
-    group.  ``parts`` are the part lists of ``_layout``.  A layout whose
-    largest block or product would pass ``GRID_BYTES_LIMIT`` is refused
-    first (``_check_pencil_size``), and a group holds no more fields
-    than the limit admits together.
+    group, keeping nothing; then it adds the round diagonal.  ``parts``
+    are the part lists of ``_layout``.  A layout whose largest block or
+    product would pass ``GRID_BYTES_LIMIT`` is refused first
+    (``_check_pencil_size``), and a group holds no more fields than the
+    limit admits together.
     """
     grid = basis.grid
     w = np.stack([w_lap, w_grad], axis=1).reshape(-1, 2, grid.n_theta, grid.n_phi)
     modes = _modes(w)
     sizes = {mode: _check_pencil_size(grid.n_theta, grid.n_phi, basis.L, mode) for mode in dict.fromkeys(modes)}
-    groups = []
+    chunks = []
     for mode, size in sizes.items():
         members = [f for f, m in enumerate(modes) if m == mode]
-        for start in range(0, len(members), size):
-            chunk = members[start : start + size]
-            group = w if len(chunk) == len(w) else w[chunk]  # no copy of a batch of one layout
-            groups.append((tuple(chunk), *_group_blocks(basis, group, mode)))
-    return groups
+        chunks += [(members[start : start + size], mode) for start in range(0, len(members), size)]
+    # no copy of a batch of one layout
+    return (
+        (tuple(chunk), *_group_blocks(basis, w if len(chunk) == len(w) else w[chunk], mode)) for chunk, mode in chunks
+    )
 
 
 def _modes(w: NDArray[np.float64]) -> list[tuple[bool, bool, bool, bool]]:
@@ -529,7 +537,11 @@ def _modes(w: NDArray[np.float64]) -> list[tuple[bool, bool, bool, bool]]:
 
 
 def _group_blocks(basis: HarmonicBasis, w: NDArray[np.float64], mode):
-    """The sets, block builder and parts of ``gram_blocks`` for the weights [field, weight, ring, node] of one layout."""
+    """The sets, block builder and parts of ``gram_blocks`` for the weights [field, weight, ring, node] of one layout.
+
+    ``build(i)`` makes block i for every field at its first call: the
+    symmetrized, checked Gram plus the round diagonal, kept read-only.
+    """
     L, grid = basis.L, basis.grid
     nt, nphi = grid.n_theta, grid.n_phi
     # ring coefficients [field, C or S, k, term, ring] of w_q w_lap, w_q
@@ -558,8 +570,11 @@ def _group_blocks(basis: HarmonicBasis, w: NDArray[np.float64], mode):
     phi += half
     phi *= 0.5
     flat = basis.legendre.reshape(2, -1, grid.n_theta)[..., :nt]
+    diag, built = round_diagonal(basis)[1:], {}
 
     def build(i: int) -> NDArray[np.float64]:
+        if i in built:
+            return built[i]
         own, g, cols, span, lap = plan[i]
         G, n = len(cols), sets[i].shape[1]
         out = np.empty((len(w), n, n))
@@ -574,6 +589,8 @@ def _group_blocks(basis: HarmonicBasis, w: NDArray[np.float64], mode):
             # a NaN or inf entry fails the test, as an asymmetry past tolerance does
             if not np.all((asym <= bound) & (bound < math.inf)):
                 raise AssertionError(f"Gram block {i} is not finite, or its asymmetry {asym.max()} exceeds tolerance")
+        out.reshape(len(w), -1)[:, :: n + 1] += diag[sets[i][0]]
+        built[i] = _read_only(out)[0]
         return out
 
     return sets, build, parts

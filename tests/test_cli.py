@@ -435,21 +435,22 @@ def test_scan_frees_each_groups_blocks_before_the_next_builds(monkeypatch):
     need, kept = harmonics_module._pencil_bytes(13, 12, (True, False, False, True))
     monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 2 * (need + kept))
     groups, overlaps = [], []  # per group, weakrefs to the blocks it built
-    real = functional_module._shared_blocks
+    real = harmonics_module._group_blocks
 
-    def tracked(gram, row_sets, diag):
+    def tracked(basis, w, mode):
+        sets, build, parts = real(basis, w, mode)
         refs = []
         groups.append(refs)
 
-        def build(i):
+        def read(i):
             overlaps.extend(n for n, other in enumerate(groups) if other is not refs and any(r() is not None for r in other))
-            B = gram(i)
+            B = build(i)
             refs.append(weakref.ref(B))
             return B
 
-        return real(build, row_sets, diag)
+        return sets, read, parts
 
-    monkeypatch.setattr(functional_module, "_shared_blocks", tracked)
+    monkeypatch.setattr(harmonics_module, "_group_blocks", tracked)
     gc.disable()
     try:
         report, _ = run(parse_args(["scan", "--grid", "13x26", "--ltrunc", "12"]))

@@ -36,6 +36,7 @@ from wy_stability.harmonics import (
     _gram_limit,
     build_basis,
     index_of,
+    round_diagonal,
     synthesize,
 )
 from wy_stability.models import h_family, negative_direction, positivity_radius
@@ -492,7 +493,8 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         for restrict in (False, True):
             assert witness_solves(pencil, restrict) == 0
             fresh = HessianPencil(
-                pencil.L, pencil.kdiag, pencil.degrees, pencil.row_sets, pencil.parts, pencil.sups, build=pencil.build
+                pencil.L, pencil.kdiag, pencil.degrees, pencil.row_sets, pencil.parts, pencil.sups,
+                blocks=pencil.blocks, member=pencil.member,
             )
             assert witness_solves(fresh, restrict) == witness_count[restrict] == len(fresh._minima)
     # where |h| is large the bound prunes nothing: every block is solved,
@@ -508,22 +510,28 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
 
 
 def counted_builds(basis, H):
-    # the pencil of H alone, and the list of the blocks its group's builder builds
-    built = []
-    real = functional_module._shared_blocks
+    # the pencil of H alone, and the list of the blocks its group's builder
+    # builds: a read that returns a block not returned before for its index
+    built, seen = [], {}
+    real = harmonics_module._group_blocks
 
-    def counted(gram, row_sets, diag):
-        def build(i):
-            built.append(i)
-            return gram(i)
+    def counted(basis, w, mode):
+        sets, build, parts = real(basis, w, mode)
 
-        return real(build, row_sets, diag)
+        def read(i):
+            B = build(i)
+            if seen.get(i) is not B:
+                built.append(i)
+                seen[i] = B
+            return B
 
-    functional_module._shared_blocks = counted
+        return sets, read, parts
+
+    harmonics_module._group_blocks = counted
     try:
         [pencil] = assemble_pencil(basis, [H])
     finally:
-        functional_module._shared_blocks = real
+        harmonics_module._group_blocks = real
     return pencil, built
 
 
@@ -858,7 +866,7 @@ def test_a_pencil_is_the_same_bits_whatever_it_is_assembled_with(shape, L, monke
     parity = 4 if shape[1] % 2 else 8
     assert [len(p.row_sets) for p in together] == [2 * L + 1] * 3 + [L + 1] + [parity] * 2 + [1]
     # one group per layout: its pencils read one shared builder
-    builders = [p.build.func for p in together]
+    builders = [p.blocks for p in together]
     assert builders[0] is builders[1] is builders[2] and builders[4] is builders[5]
     assert len(set(map(id, builders))) == 4
     alone = [assemble_pencil(basis, [H])[0] for H in fields]
@@ -890,6 +898,8 @@ def test_x3_split_blocks_match_the_dense_gram(shape, L):
         assert len(sets) == 2 * L + 1
         dense = reference.weighted_gram(basis, w_lap, w_grad, np.arange(1, basis.n_basis))
         scale = np.abs(dense).max()
+        # the blocks are the pencil's: the round diagonal is on them
+        dense[np.diag_indices_from(dense)] += round_diagonal(basis)[1:]
         inside = np.zeros(dense.shape, dtype=bool)
         for i, rows in enumerate(sets):
             assert len(set((basis.degrees[1 + rows] + np.abs(basis.orders[1 + rows])).ravel() % 2)) == 1
@@ -949,7 +959,7 @@ def test_a_batch_of_pencils_solves_each_part_once_per_group(shape, L, monkeypatc
         hexes = [tuple(v.hex() for v in w) for w in want]
         assert [tuple(v.hex() for v in got) for got in field_minima(basis, fields, (False, True))] == hexes, layout
         batch = assemble_pencil(basis, fields)
-        assert len({id(p.build.func) for p in batch}) == 1, layout
+        assert len({id(p.blocks) for p in batch}) == 1, layout
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         for restrict in (False, True):
             before = [set(p._minima) for p in batch]
@@ -972,6 +982,31 @@ def test_a_batch_of_pencils_solves_each_part_once_per_group(shape, L, monkeypatc
     # the walks drop members at different parts in some layout, and some
     # call stacks every member of a batch
     assert pruned_apart > 0 and stacked == 4
+
+
+@pytest.mark.parametrize("layout", ["x3-split", "parity"])
+def test_a_stacked_solve_is_each_pencils_solve_bit_for_bit(layout):
+    # _solve reads the parts of any members of a group, in any order, from
+    # the group's block in one indexed read; each result is that of the
+    # pencil's own part, whitened by kdiag and solved alone
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    batch = assemble_pencil(basis, layout_batches(grid)[layout])
+    first = batch[0]
+    for i, rows in enumerate(first.row_sets):
+        for k in sorted({0, int(np.sum(first.degrees[rows[0]] == 1))} - {rows.shape[1]}):
+            for chunk in (batch, [batch[3], batch[0], batch[2]]):
+                for solver in (np.linalg.eigvalsh, np.linalg.eigh):
+                    got, part, inv_sqrt_k = functional_module._solve(chunk, i, k, solver)
+                    np.testing.assert_array_equal(part, rows[0][k:])
+                    for n, pencil in enumerate(chunk):
+                        want, s = reference.whitened_min(pencil.kdiag, part, pencil.block(i)[k:, k:], solver)
+                        assert s.tobytes() == inv_sqrt_k.tobytes()
+                        if solver is np.linalg.eigh:
+                            assert got[0][n].tobytes() == want[0].tobytes()
+                            assert got[1][n].tobytes() == want[1].tobytes()
+                        else:
+                            assert got[n].tobytes() == want.tobytes()
 
 
 def test_a_layout_past_the_byte_limit_loses_only_its_own_fields(monkeypatch):

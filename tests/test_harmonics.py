@@ -22,6 +22,7 @@ from wy_stability.harmonics import (
     index_of,
     laplacian,
     project,
+    round_diagonal,
     synthesize,
     weighted_form,
 )
@@ -484,6 +485,8 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
     # classes are roundoff, and the pencil is exactly zero there
     dense = reference.weighted_gram(basis, *weights, np.arange(1, basis.n_basis))
     scale = np.abs(dense).max()
+    # the blocks are the pencil's: the round diagonal is on them
+    dense[np.diag_indices_from(dense)] += round_diagonal(basis)[1:]
     inside = np.zeros(dense.shape, dtype=bool)
     for rows, B in blocks:
         inside[np.ix_(rows, rows)] = True
@@ -527,6 +530,33 @@ def test_the_block_kernel_reads_one_legendre_table(L, monkeypatch):
             rows = rows[0][np.argsort(2 * abs(m[rows[0]]) + (m[rows[0]] < 0), kind="stable")]
             want = lap[abs(m[rows]), l[rows], : got.shape[1]]
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["order", "parity"])
+def test_a_block_is_finished_once_and_kept(layout, monkeypatch):
+    # block i of a group is built on its first read for every member, with
+    # the round diagonal added once to the symmetrized Gram, and kept: a
+    # second read returns the same read-only array, the same bits
+    grid = build_grid(13, 26)
+    basis = build_basis(grid, 12)
+    x1, _, x3 = grid.xyz.T
+    h = {"order": x3**2, "parity": x1**2 - 2.0 * x3**4}[layout]
+    weights = np.stack([0.01 * h, -0.03 * h]), np.stack([0.02 * h, 0.05 * h])
+    [(members, sets, build, _)] = gram_blocks(basis, *weights)
+    assert members == (0, 1)
+    # the bare Gram: the same builder with a zero round diagonal
+    monkeypatch.setattr(harmonics_module, "round_diagonal", lambda basis: np.zeros(basis.n_basis))
+    [(_, _, bare, _)] = gram_blocks(basis, *weights)
+    diag = round_diagonal(basis)[1:]
+    for i, rows in enumerate(sets):
+        B = build(i)
+        assert build(i) is B and not B.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            B[0, 0, 0] = 0.0
+        want = bare(i).copy()
+        n = rows.shape[1]
+        want[:, range(n), range(n)] += diag[rows[0]]
+        assert B.tobytes() == want.tobytes()
 
 
 def test_basis_arrays_are_read_only():

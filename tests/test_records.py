@@ -35,7 +35,7 @@ RECORDS = {
     ),
     "MeanCurvatureField": (H, ("grid", "samples", "h", "inf_h", "sup_h", "tag"), ()),
     "HessianPencil": (
-        assemble_pencil(BASIS, [H])[0], ("L", "kdiag", "degrees", "row_sets", "parts", "sups"), ("build",),
+        assemble_pencil(BASIS, [H])[0], ("L", "kdiag", "degrees", "row_sets", "parts", "sups"), ("blocks", "member"),
     ),
     "KernelDecomposition": (decompose_kernel(BASIS, FieldCoeffs(4, np.arange(25.0))), ("a0", "a", "eta2"), ()),
     "RicciEigs": (EIGS, ("lam",), ()),
@@ -93,6 +93,6 @@ def test_records_compare_by_their_fields():
     assert a != g_quadratic(EIGS, DIRECTION, [0.01])[0]
     pencil = RECORDS["HessianPencil"][0]
     fields = RECORDS["HessianPencil"][1]
-    # build is no field: another builder leaves the pencil equal
-    other = type(pencil)(*(getattr(pencil, k) for k in fields), build=lambda i: None)
-    assert other == pencil
+    # blocks and member are no fields: another builder and member leave the pencil equal
+    other = type(pencil)(*(getattr(pencil, k) for k in fields), blocks=lambda i: None, member=1)
+    assert other == pencil and repr(other) == repr(pencil)
