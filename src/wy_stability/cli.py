@@ -53,6 +53,7 @@ from .models import (
     CurvatureData,
     CASE_II,
     DEGENERATE,
+    _quartic_field,
     bbar_from_b,
     check_bbar,
     check_deficit_conditions,
@@ -203,13 +204,7 @@ def load_config_file(path: str) -> dict:
 def _config_dict(config: RunConfig) -> dict:
     # leaving output placement out keeps report bytes independent of
     # where the report is saved
-    d = {}
-    for f in fields(config):
-        if f.name in _PATH_KEYS:
-            continue
-        v = getattr(config, f.name)
-        d[f.name] = list(v) if isinstance(v, tuple) else v
-    return d
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(config).items() if k not in _PATH_KEYS}
 
 
 def _report(config: RunConfig, results, summary, verdict: str) -> dict:
@@ -426,12 +421,12 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, bracket: tuple, ends:
     Brent's method (Brent 1973, ch. 4) keeps f > 0 at one end and f <= 0
     at the other, and stops once the bracket is at most BRACKET_TARGET / 2
     + 4 eps |b| wide, b the best iterate: the relative term ends it where
-    adjacent floats are farther apart than the target.  ``ends``, the
-    checked samplers at ``bracket``'s lo and hi, are solved in one
-    ``field_minima`` call; lo refused, or hi refused when f(lo) > 0, exits 2.
+    adjacent floats are farther apart than the target.  ``ends`` holds
+    the ``field_minima`` outcomes at ``bracket``'s lo and hi, each its
+    minima or the ValueError that refused its pencil; lo refused, or hi
+    refused when f(lo) > 0, exits 2.  Each step assembles one field.
     """
     grid = basis.grid
-    ends = field_minima(basis, [end(grid) for end in ends], (False,))
 
     def value(end) -> float:
         if isinstance(end, ValueError):
@@ -442,10 +437,11 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, bracket: tuple, ends:
         return None
 
     def f(bbar: float) -> float:
-        # h is affine in bbar, so at every node |h|, |h / (2H)| and 1/H at
-        # a bbar between lo and hi are bounded by their values at the two
-        # ends: a step point is never refused
-        return pencil_minimum(assemble_pencil(basis, [h_family(eigs, bbar, r_b, grid)])[0])
+        # h is affine and increasing in bbar, so a bbar between the two
+        # admitted ends passes quartic's rules, and at every node |h|,
+        # |h / (2H)| and 1/H are bounded by their values at the ends: a
+        # step is never refused, and no rule runs again
+        return pencil_minimum(assemble_pencil(basis, [_quartic_field(eigs, bbar, r_b, grid)])[0])
 
     a, b = bracket
     c, fc = b, fb  # on b's side, so the first pass sets c = a
@@ -495,9 +491,10 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, bracket: tuple, ends:
 def cmd_scan(config: RunConfig) -> dict:
     """Pencil eigenvalue scan over (bbar, r) plus the threshold bracket.
 
-    The rows' two minima come from one ``field_minima`` call, which
-    skips only the rows whose pencil it refuses.  The threshold's bracket
-    (``_threshold_bracket``) solves lo and hi in one more call, then
+    The rows and the threshold bracket's lo and hi are sampled here and
+    solved in one ``field_minima`` call, which skips only the rows whose
+    pencil it refuses; the ends' restricted minima are not read.  The
+    bracket (``_threshold_bracket``) takes the ends' outcomes and
     assembles one field per step of Brent's method.
     """
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
@@ -518,8 +515,9 @@ def cmd_scan(config: RunConfig) -> dict:
             except ValueError as exc:  # r out of range, deficit or h too large, H not positive
                 H = exc
             cells.append((bbar, r, H))
-    # each assembled row's refusal or two minima, in row order
-    outcomes = iter(field_minima(basis, [H for *_, H in cells if not isinstance(H, ValueError)], (False, True)))
+    batch = [H for *_, H in cells if not isinstance(H, ValueError)] + [end(grid) for end in ends]
+    # each assembled row's refusal or two minima, in row order, then lo's and hi's
+    outcomes = iter(field_minima(basis, batch, (False, True)))
     rows = []
     for bbar, r, H in cells:
         outcome = H if isinstance(H, ValueError) else next(outcomes)
@@ -542,7 +540,7 @@ def cmd_scan(config: RunConfig) -> dict:
             }
         )
 
-    bisection = _threshold_bracket(basis, eigs, config.bisect_r, config.bracket, ends)
+    bisection = _threshold_bracket(basis, eigs, config.bisect_r, config.bracket, list(outcomes))
     ok = (
         bisection is not None
         and bisection["contains_threshold"]

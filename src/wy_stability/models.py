@@ -117,8 +117,7 @@ def quartic(eigs: RicciEigs, bbar: float, r: float, name: str = "r") -> Callable
     Its rules run here, each naming its input (``name`` names r): r in
     (0, ``positivity_radius(eigs)``], where H > 0, and r^4 above underflow;
     then a finite deficit at r = 1 (``check_bbar``) and at r.  Returns the
-    sampler grid -> H, which builds h = H - 2 exactly and refuses an h
-    that is not finite or an H that is not positive.
+    sampler grid -> H, ``_quartic_field`` on the checked inputs.
     """
     rmax = positivity_radius(eigs)
     if not 0 < r <= rmax:
@@ -128,13 +127,19 @@ def quartic(eigs: RicciEigs, bbar: float, r: float, name: str = "r") -> Callable
     check_bbar(eigs, bbar)
     if not math.isfinite(deficit_closed_form(eigs, bbar, r)):
         raise ValueError(f"bbar = {bbar} is too large at r = {r}: 4 pi r^4 (1/30 - bbar) sum lam^2 overflows")
-    tag = f"h_family(lam={tuple(eigs.lam.tolist())!r}, bbar={bbar!r}, r={r!r})"
+    return lambda grid: _quartic_field(eigs, bbar, r, grid)
 
-    def field(grid: SphereGrid) -> MeanCurvatureField:
-        h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
-        return mean_curvature_from_h(grid, h, tag=tag)
 
-    return field
+def _quartic_field(eigs: RicciEigs, bbar: float, r: float, grid: SphereGrid) -> MeanCurvatureField:
+    """``quartic``'s field without its rules: h = H - 2 built exactly.
+
+    ``mean_curvature_from_h`` refuses an h that is not finite or an H
+    that is not positive.  h is affine and increasing in bbar, also in
+    rounding, so a bbar between two ends that ``quartic`` admits at r is
+    admitted too, and its H is at least the lower end's.
+    """
+    h = r * r * phi_field(eigs, grid) - (ZERO_DEFICIT_BBAR - bbar) * r**4 * eigs.sum_sq
+    return mean_curvature_from_h(grid, h, tag=f"h_family(lam={tuple(eigs.lam.tolist())!r}, bbar={bbar!r}, r={r!r})")
 
 
 def constant(eps: float) -> Callable[[SphereGrid], MeanCurvatureField]:

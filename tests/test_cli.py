@@ -406,9 +406,10 @@ def test_directions_past_the_byte_limit_are_refused_before_the_first_draw(tmp_pa
 
 
 def test_scan_rows_assembled_in_groups_keep_their_bytes(monkeypatch):
-    # the nine rows share one layout and are assembled as one batch; below
-    # a limit that fits two of them with their blocks, they are assembled
-    # two at a time, and the report keeps its bytes
+    # the nine rows and the bracket's two ends share one layout and are
+    # assembled as one batch; below a limit that fits two of them with
+    # their blocks, they are assembled two at a time, and the report keeps
+    # its bytes
     argv = parse_args(["scan", "--grid", "13x26", "--ltrunc", "12"])
     batches = []
     real = harmonics_module._block_gram
@@ -419,7 +420,7 @@ def test_scan_rows_assembled_in_groups_keep_their_bytes(monkeypatch):
 
     monkeypatch.setattr(harmonics_module, "_block_gram", counted)
     _, text = run(argv)
-    assert max(batches) == 9
+    assert max(batches) == 11
     need, kept = harmonics_module._pencil_bytes(13, 12, (True, False, False, True))
     monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 2 * (need + kept))
     batches.clear()
@@ -539,12 +540,49 @@ def test_the_bracket_ends_show_the_sign_change_of_one_field_pencils(argv, verdic
 
 
 def test_the_default_scan_assembles_its_rows_its_ends_then_one_field_per_step(monkeypatch):
-    # the nine rows in one call, lo and hi in a second, then one field per
-    # step of Brent's method: two steps reach the stopping width
+    # the nine rows with lo and hi in one call, then one field per step of
+    # Brent's method: two steps reach the stopping width
     calls = counted_assembly(monkeypatch)
     report, _ = run(parse_args(["scan", *L24]))
     assert report["verdict"] == "PASS"
-    assert calls == [9, 2, 1, 1]
+    assert calls == [11, 1, 1]
+
+
+def test_a_default_scan_solves_its_fields_in_one_call_and_runs_each_rule_once(monkeypatch):
+    # the nine rows and the bracket's two ends are one field_minima call;
+    # the two Brent steps build their fields without quartic's rules, so
+    # the radius rule runs for the rows, the ends and the summary (12), and
+    # the deficit for the bbar_list check, each row's two rules and its
+    # report entry, and each end's two rules (3 + 27 + 4 = 34)
+    counts = {}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("field_minima", "positivity_radius", "deficit_closed_form"):
+        for module in (cli_module, functional_module, gform_module, harmonics_module, models_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    batches = counted_assembly(monkeypatch)
+    report, _ = run(parse_args(["scan", *L24]))
+    assert report["summary"]["bisection"] is not None
+    assert counts == {"field_minima": 1, "positivity_radius": 12, "deficit_closed_form": 34}
+    assert batches == [11, 1, 1]
+
+
+def test_a_lo_refused_at_the_pencil_exits_2(capsys):
+    # lo and hi pass quartic's rules at bisect_r = 1.5, but lo's h passes
+    # the Gram-sum limit: the batch of the rows and both ends is solved
+    # field by field, and lo's refusal ends the run
+    argv = ["scan", "--set", "lam=0.2,0.2,-0.4", "--set", "bracket=5e305,1e306", "--set", "bisect_r=1.5"]
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "error: h = H - 2 is too large for the Gram sums: max |h| = 6.075e+305 > 1.29254e+299\n"
+    assert printed.err == ""
 
 
 def test_a_sign_change_at_a_huge_bbar_ends_in_few_steps(monkeypatch):
@@ -556,16 +594,17 @@ def test_a_sign_change_at_a_huge_bbar_ends_in_few_steps(monkeypatch):
     report, _ = run(parse_args(argv))
     assert report["verdict"] == "FAIL"
     assert report["summary"]["bisection"]["width"] > cli_module.BRACKET_TARGET
-    assert calls[:2] == [9, 2] and set(calls[2:]) == {1}
+    assert calls[0] == 11 and set(calls[1:]) == {1}
     assert len(calls) <= 150
 
 
 def test_a_refused_hi_past_a_non_positive_lo_refuses_nothing(tmp_path, monkeypatch):
     # f(lo) <= 0 at bbar = 0.05, so there is no sign change to bracket and
     # hi = 1e305, whose pencil the Gram-sum rule refuses, is never read:
-    # that refuses the call that assembles both ends before any Gram work,
-    # each is assembled alone, and only lo reaches gram_blocks; the report
-    # is a FAIL with the rows and summary of a bracket that refuses nothing
+    # that refuses the call that assembles the rows and both ends before
+    # any Gram work, each is assembled alone, and only the rows and lo
+    # reach gram_blocks; the report is a FAIL with the rows and summary of
+    # a bracket that refuses nothing
     argv = ["scan", *L24, "--set"]
     grid = build_grid(25, 50)
     with pytest.raises(ValueError, match="h = H - 2 is too large for the Gram sums"):
@@ -573,7 +612,7 @@ def test_a_refused_hi_past_a_non_positive_lo_refuses_nothing(tmp_path, monkeypat
     calls = counted_assembly(monkeypatch)
     out = tmp_path / "r.json"
     assert main([*argv, "bracket=0.05,1e305", "--out", str(out)]) == 1
-    assert calls == [9, 1]
+    assert calls == [1] * 10
     report = read_report(out)
     assert report["summary"]["bisection"] is None
     assert not reference.unrestricted_minimum(parse_args([*argv, "bracket=0.05,1e305"]), 0.05) > 0

@@ -9,6 +9,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wy_stability.gform import (
     BORDERLINE,
@@ -25,6 +27,7 @@ from wy_stability.models import (
     DEGENERATE,
     Certificate,
     CurvatureData,
+    _quartic_field,
     bbar_from_b,
     check_deficit_conditions,
     classify_small_sphere,
@@ -78,6 +81,57 @@ def test_h_family_rejects_bad_radius():
     # the deficit at r, finite at r = 1, overflows at r = 20
     with pytest.raises(ValueError, match=r"bbar = 1e\+302 is too large at r = 20\.0"):
         h_family(RicciEigs((1e-3, 1e-3, -2e-3)), 1e302, 20.0, GRID)
+
+
+# bbar values near the family's zero-deficit point and across the float range
+BBARS = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e308, 1e308))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=st.tuples(st.floats(-3, 3), st.floats(-3, 3))
+    .map(lambda p: np.array([p[0], p[1], -(p[0] + p[1])]))
+    .filter(lambda lam: lam @ lam >= np.finfo(np.float64).tiny),
+    ends=st.lists(BBARS, min_size=2, max_size=2, unique=True).map(sorted),
+    scale=st.floats(1e-80, 1.0),
+    t=st.floats(0.0, 1.0),
+)
+def test_quartic_field_is_the_samplers_field_and_admits_every_bbar_between_admitted_ends(lam, ends, scale, t):
+    # the builder gives the sampler's field bit for bit; between two ends
+    # that quartic admits at r, every bbar passes its rules, and between
+    # two sampled ends every field samples, with H at least lo's and |h|
+    # at most the larger end's: the Brent steps of a scan rely on this
+    eigs = RicciEigs(lam)
+    r = scale * positivity_radius(eigs)
+    samples = {}
+    for x in ends:
+        try:
+            sampler = quartic(eigs, x, r)
+        except ValueError:
+            continue
+        try:
+            H = sampler(GRID)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                _quartic_field(eigs, x, r, GRID)
+            assert str(refused.value) == str(exc)
+            samples[x] = None
+            continue
+        built = _quartic_field(eigs, x, r, GRID)
+        assert built.h.tobytes() == H.h.tobytes()
+        assert built.samples.tobytes() == H.samples.tobytes()
+        assert built.tag == H.tag
+        samples[x] = H
+    if len(samples) < 2:
+        return
+    lo, hi = ends
+    bbar = min(max((1.0 - t) * lo + t * hi, lo), hi)
+    quartic(eigs, bbar, r)
+    if samples[lo] is None or samples[hi] is None:
+        return
+    H = _quartic_field(eigs, bbar, r, GRID)
+    assert (H.samples >= samples[lo].samples).all()
+    assert (np.abs(H.h) <= np.maximum(np.abs(samples[lo].h), np.abs(samples[hi].h))).all()
 
 
 def test_positivity_radius_reference_value():
