@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .functional import assemble_pencil, field_minima, pencil_minimum
+from .functional import field_minima
 from .gform import (
     THRESHOLD_BBAR,
     ZERO_DEFICIT_BBAR,
@@ -333,7 +333,8 @@ def _directions_for(config: RunConfig) -> list[Direction]:
     """The report's directions: ``a``, then ``directions - 1`` drawn from ``seed``.
 
     A count whose rows (``_GFORM_ROW_BYTES`` each, one per bbar) would
-    pass ``GRID_BYTES_LIMIT`` is refused before the first draw.
+    pass ``GRID_BYTES_LIMIT`` is refused before the first draw, and a
+    negative seed when directions are drawn.
     """
     n = config.directions
     if n < 1:
@@ -346,6 +347,8 @@ def _directions_for(config: RunConfig) -> list[Direction]:
         )
     dirs = [Direction(_unit_direction(config.a))]
     if n > 1:
+        if config.seed < 0:
+            raise ConfigError(f"seed must be >= 0 to draw directions, got {config.seed}")
         rng = np.random.default_rng(config.seed)
         for _ in range(n - 1):
             v = rng.normal(size=3)
@@ -415,6 +418,13 @@ def cmd_gform(config: RunConfig) -> dict:
     return _report(config, rows, summary, "PASS" if ok else "FAIL")
 
 
+def _minima(outcome) -> tuple[float, ...]:
+    """A ``field_minima`` outcome's minima; the ValueError that refused its pencil is raised."""
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
 def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, bracket: tuple, ends: list) -> dict | None:
     """Bracket the sign change of the unrestricted pencil minimum f in bbar at r = r_b; None without one.
 
@@ -424,16 +434,11 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, bracket: tuple, ends:
     adjacent floats are farther apart than the target.  ``ends`` holds
     the ``field_minima`` outcomes at ``bracket``'s lo and hi, each its
     minima or the ValueError that refused its pencil; lo refused, or hi
-    refused when f(lo) > 0, exits 2.  Each step assembles one field.
+    refused when f(lo) > 0, exits 2.  Each step solves one field through
+    ``field_minima``.
     """
     grid = basis.grid
-
-    def value(end) -> float:
-        if isinstance(end, ValueError):
-            raise end
-        return end[0]
-
-    if not (fa := value(ends[0])) > 0 > (fb := value(ends[1])):
+    if not (fa := _minima(ends[0])[0]) > 0 > (fb := _minima(ends[1])[0]):
         return None
 
     def f(bbar: float) -> float:
@@ -441,7 +446,7 @@ def _threshold_bracket(basis, eigs: RicciEigs, r_b: float, bracket: tuple, ends:
         # admitted ends passes quartic's rules, and at every node |h|,
         # |h / (2H)| and 1/H are bounded by their values at the ends: a
         # step is never refused, and no rule runs again
-        return pencil_minimum(assemble_pencil(basis, [_quartic_field(eigs, bbar, r_b, grid)])[0])
+        return _minima(field_minima(basis, [_quartic_field(eigs, bbar, r_b, grid)], (False,))[0])[0]
 
     a, b = bracket
     c, fc = b, fb  # on b's side, so the first pass sets c = a
@@ -495,7 +500,7 @@ def cmd_scan(config: RunConfig) -> dict:
     solved in one ``field_minima`` call, which skips only the rows whose
     pencil it refuses; the ends' restricted minima are not read.  The
     bracket (``_threshold_bracket``) takes the ends' outcomes and
-    assembles one field per step of Brent's method.
+    solves one field per step of Brent's method, through ``field_minima``.
     """
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
     if len(config.bracket) != 2:
@@ -758,7 +763,11 @@ _FAMILIES = {
 
 
 def cmd_certify(config: RunConfig) -> dict:
-    """Certificate thresholds, condition checks, and the pencil cross-check."""
+    """Certificate thresholds, condition checks, and the pencil cross-check.
+
+    The pencil's unrestricted and restricted minima come from one
+    ``field_minima`` call; a pencil it refuses exits 2.
+    """
     _require_ltrunc(config, 2, "restricts the pencil to degrees l >= 2")
     if config.family not in _FAMILIES:
         raise ConfigError(f"unknown H family {config.family!r}; use {' or '.join(_FAMILIES)}")
@@ -771,8 +780,7 @@ def cmd_certify(config: RunConfig) -> dict:
     cert_neg = negative_part_certificate(config.beta, config.lambda1, alpha, 2.0, 2.0)
     report = check_deficit_conditions(H, cert_ratio)
 
-    [pencil] = assemble_pencil(basis, [H])
-    unres, res = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
+    unres, res = _minima(field_minima(basis, [H], (False, True))[0])
 
     sound = (not report.passed) or unres > 0
     results = [

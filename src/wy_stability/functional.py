@@ -46,11 +46,11 @@ one place, the builder of its ``gram_blocks`` group: from theta sums,
 symmetrized, with the round diagonal added, the first time a solve
 reads it, and kept; the pencil holds the row sets of each distinct
 block, and each block is built at most once; the dense M is built when
-read.  ``assemble_pencil`` takes a sequence of fields: those of one
-layout share one pass over their weights, and each block is built for
-all of them at once, by the first solve of any of them that reads it;
-each pencil reads its own member of the group's stack, the bits it
-would get alone.
+read.  ``assemble_pencil`` takes a sequence of fields and yields their
+pencils one ``gram_blocks`` group at a time: fields of one layout share
+one pass over their weights, and each block is built for all of them at
+once, by the first solve of any of them that reads it; each pencil
+reads its own member of the group's stack, the bits it would get alone.
 
 Only a witness reads an eigenvector, and only a block that can hold the
 minimum is built and solved.  Whitened by K, the round form is the diagonal
@@ -60,13 +60,14 @@ two deficit weights; so, by Weyl's inequality, no eigenvalue of a block
 whose lowest degree is l0 lies below 1/2 - s_lap - (1 + s_grad) /
 (l0 (l0 + 1)).  Over l >= 2 each block is read from its offset k, the
 number of l = 1 rows that lead it: ``block(i)[k:, k:]`` over
-``row_sets[i][0][k:]``.  ``pencil_minimum`` visits these parts (i, k) by
+``row_sets[i][0][k:]``.  ``_row_minimum`` visits these parts (i, k) by
 ascending bound, as the block layout lists them, takes each minimum from
 the eigenvalues alone (``eigvalsh`` of the part whitened by K), and
 stops where the bound clears the running minimum.  The pencil records
 each part's minimum, so a part is solved at most once across both minima
 and the witness, and the bound needs only the sups, so a part it skips
-is never built.  ``field_minima`` solves a batch of fields one
+is never built.  ``field_minima`` is the one solve of the commands: it
+takes a batch of fields through ``assemble_pencil`` and solves them one
 ``gram_blocks`` group at a time: the group's pencils walk their shared
 parts together, those that need a part get it from one ``eigvalsh``
 call on their parts, read from the group's stack at once, each with
@@ -79,7 +80,7 @@ same routine and runs one ``eigh``, on that part, for its witness.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -109,7 +110,6 @@ __all__ = [
     "eval_Q",
     "kernel_closed_form",
     "assemble_pencil",
-    "pencil_minimum",
     "field_minima",
     "min_pencil_eigenvalue",
     "decompose_kernel",
@@ -196,8 +196,10 @@ class HessianPencil(Record):
     (``perfbench/tracer.py``) sizes its counts from both.
     ``_minima`` records the smallest eigenvalue of each part (i, k)
     solved so far, ``block(i)[k:, k:]`` whitened by kdiag, so each part
-    is solved at most once; it is the only record of what the pencil
-    has solved, also when its parts are solved in a batch.
+    is solved at most once, across the minima ``field_minima`` reads and
+    the witness of ``min_pencil_eigenvalue``; it is the only record of
+    what the pencil has solved, also when its parts are solved in a
+    batch.
 
     ``sups`` holds (max |h / (2H)|, max |h|) over the nodes, the sups of
     the two deficit weights.  They bound M against the round diagonal:
@@ -276,36 +278,28 @@ def kernel_closed_form(H: MeanCurvatureField, a: NDArray[np.float64]) -> float:
     return norm_term + weighted
 
 
-def assemble_pencil(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]) -> list[HessianPencil]:
+def assemble_pencil(
+    basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]
+) -> Iterator[tuple[tuple[int, ...], list[HessianPencil]]]:
     """Assemble the pencil (M, K) over degrees l >= 1 of each field, as lazily built blocks of M.
 
-    M is built in deficit form, like eval_Q: the blocks of
-    ``gram_blocks`` with weights -h / (2H) (Laplacian) and -h
-    (gradients), the symmetrized Gram plus the exact round diagonal
+    Returns an iterator of (members, pencils), one item per
+    ``gram_blocks`` group: ``pencils[j]`` is the pencil of
+    ``fields[members[j]]``.  M is built in deficit form, like eval_Q:
+    the blocks of ``gram_blocks`` with weights -h / (2H) (Laplacian) and
+    -h (gradients), the symmetrized Gram plus the exact round diagonal
     mu^2/2 - mu, finished when built; each pencil keeps the sups of its
     two |weights|, which need no block, and the symmetries of the
     weights decide the blocks (see ``HessianPencil``).  Fields of one
     layout are assembled together: one pass over their weights, and each
     block built for all of them at once, on the first read by any of
     them; each pencil's ``block(i)`` reads its own member of the stack.
-    Before any block, an h whose weights exceed ``_gram_limit``, where a
-    Gram sum could overflow, is refused by a ValueError naming max |h|,
-    and so is a layout past the byte limit; either refuses the whole
-    call.
-    """
-    pencils = [None] * len(fields)
-    for members, group in _grouped_pencils(basis, fields):
-        for f, pencil in zip(members, group):
-            pencils[f] = pencil
-    return pencils
-
-
-def _grouped_pencils(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField]):
-    """The pencils of ``assemble_pencil``, as (members, pencils) per ``gram_blocks`` group.
-
-    The call raises every refusal; a group's ring coefficients and
-    pencils, which share its block builder, row sets and part lists, are
-    made when the iterator reaches them.
+    A group's ring coefficients and pencils, which share its block
+    builder, row sets and part lists, are made when the iterator reaches
+    them.  The call itself, before any block, refuses an h whose weights
+    exceed ``_gram_limit``, where a Gram sum could overflow, by a
+    ValueError naming max |h|, and so a layout past the byte limit;
+    either refuses the whole call.
     """
     for H in fields:
         _check_field(basis, H)
@@ -333,18 +327,22 @@ def _grouped_pencils(basis: HarmonicBasis, fields: Sequence[MeanCurvatureField])
 def field_minima(
     basis: HarmonicBasis, fields: Sequence[MeanCurvatureField], restricts: tuple[bool, ...]
 ) -> list[tuple[float, ...] | ValueError]:
-    """For each field, its ``pencil_minimum`` under each entry of ``restricts``, or the ValueError that refuses its pencil.
+    """For each field, the smallest eigenvalue of its pencil M v = lambda K v
+    under each entry of ``restricts`` (over l >= 1, or with true over
+    l >= 2), or the ValueError that refuses its pencil.
 
-    The fields are assembled together and solved one ``gram_blocks``
-    group at a time: the group's pencils walk their shared parts together
-    (``_row_minimum``), and go, with their blocks, before the next group
-    builds any, as the byte limit sizes a group with its blocks kept.  A
-    refusal refuses the whole batch, so then each field is solved alone,
-    and a refused field gets the error ``assemble_pencil(basis, [H])``
-    raises.
+    The fields are assembled together by ``assemble_pencil`` and solved
+    one ``gram_blocks`` group at a time: the group's pencils walk their
+    shared parts together (``_row_minimum``), and go, with their blocks,
+    before the next group builds any, as the byte limit sizes a group
+    with its blocks kept.  Each minimum is the value and bits a pencil
+    gets solved alone, from eigenvalues alone, and a field's minima
+    share its pencil's solved parts.  A refusal refuses the whole batch,
+    so then each field is solved alone, and a refused field gets the
+    error ``assemble_pencil(basis, [H])`` raises.
     """
     try:
-        groups = _grouped_pencils(basis, fields)
+        groups = assemble_pencil(basis, fields)
     except ValueError as exc:
         return [exc] if len(fields) == 1 else [field_minima(basis, [H], restricts)[0] for H in fields]
     out = [None] * len(fields)
@@ -430,20 +428,14 @@ def _row_minimum(pencils: Sequence[HessianPencil], restrict: bool) -> list[tuple
     return best
 
 
-def pencil_minimum(pencil: HessianPencil, restrict: bool = False) -> float:
-    """Smallest generalized eigenvalue of M v = lambda K v over l >= 1, or
-    with ``restrict`` over l >= 2: the value of ``min_pencil_eigenvalue``,
-    from eigenvalues alone."""
-    return float(_row_minimum([pencil], restrict)[0][0])
-
-
 def min_pencil_eigenvalue(
     pencil: HessianPencil, restrict: bool = False
 ) -> tuple[float, FieldCoeffs]:
     """Smallest generalized eigenvalue of M v = lambda K v, with witness.
 
-    The value and its part (i, k) are those of ``pencil_minimum`` (the
-    first block on a tie); the witness is one ``eigh`` of that part.
+    The value is ``field_minima``'s for the pencil's field, and its part
+    (i, k) the first block attaining it; the witness is one ``eigh`` of
+    that part.
 
     Parameters
     ----------

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from wy_stability import cli, harmonics
-from wy_stability.functional import HessianPencil, MeanCurvatureField, assemble_pencil, pencil_minimum
+from wy_stability import cli, functional, harmonics
+from wy_stability.functional import HessianPencil, MeanCurvatureField, _row_minimum
 from wy_stability.gform import Direction, RicciEigs
 from wy_stability.harmonics import FieldCoeffs, HarmonicBasis, index_of
 from wy_stability.models import h_family
@@ -60,6 +60,20 @@ def full_analysis(basis: HarmonicBasis, q, rad, ang) -> NDArray[np.float64]:
     L, nt, nphi = basis.L, basis.grid.n_theta, basis.grid.n_phi
     g = (ang.reshape(-1, nphi) @ q.reshape(nt, nphi).T).reshape(L + 1, 2, nt)
     return np.matmul(g, rad.transpose(0, 2, 1)).ravel()[basis.slots]
+
+
+def assembled(basis: HarmonicBasis, fields) -> list[HessianPencil]:
+    """The pencils of ``functional.assemble_pencil``'s groups, one per field, in field order."""
+    pencils = [None] * len(fields)
+    for members, group in functional.assemble_pencil(basis, fields):
+        for f, pencil in zip(members, group):
+            pencils[f] = pencil
+    return pencils
+
+
+def pencil_minimum(pencil: HessianPencil, restrict: bool = False) -> float:
+    """The pencil's smallest eigenvalue over l >= 1, or with ``restrict`` l >= 2: the one solve of ``field_minima``."""
+    return float(_row_minimum([pencil], restrict)[0][0])
 
 
 def one_block_M(basis: HarmonicBasis, H: MeanCurvatureField) -> NDArray[np.float64]:
@@ -114,10 +128,9 @@ def random_direction(rng) -> Direction:
 def unrestricted_minimum(config: cli.RunConfig, bbar: float) -> float:
     """The unrestricted pencil minimum whose sign change a scan with ``config`` brackets, at ``bbar``.
 
-    Each value from its own ``assemble_pencil`` call on the one field: the
-    reference that the signs at the ends of the scan's bracket are
-    checked against.
+    Each value from its own assembly of the one field: the reference
+    that the signs at the ends of the scan's bracket are checked against.
     """
     grid, basis = cli._grid_basis(config.n_theta, config.n_phi, config.ltrunc)
-    [pencil] = assemble_pencil(basis, [h_family(RicciEigs(config.lam), bbar, config.bisect_r, grid)])
+    [pencil] = assembled(basis, [h_family(RicciEigs(config.lam), bbar, config.bisect_r, grid)])
     return pencil_minimum(pencil)

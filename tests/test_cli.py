@@ -43,12 +43,10 @@ from wy_stability.cli import (
 )
 from wy_stability.functional import (
     HessianPencil,
-    assemble_pencil,
     eval_F,
     field_minima,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
-    pencil_minimum,
 )
 from wy_stability.gform import Direction, GQuadratic, RicciEigs
 from wy_stability.harmonics import HarmonicBasis, build_basis
@@ -292,7 +290,7 @@ def test_certificate_constants_too_large_exit_two(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a bad certificate constant reached the conditions or the pencil")
 
-    for name in ("check_deficit_conditions", "assemble_pencil"):
+    for name in ("check_deficit_conditions", "field_minima"):
         monkeypatch.setattr(cli_module, name, refuse)
     named = "certificate constants too large or small for the arithmetic: Certificate(beta="
     for sets, message in (
@@ -374,6 +372,15 @@ def test_sizes_past_the_byte_limit_are_refused_before_allocation(capsys, monkeyp
         assert main(argv) == 2
         printed = capsys.readouterr()
         assert printed.out == f"error: {sizes} of arrays, over the 1 GiB limit\n" and printed.err == ""
+
+
+def test_a_negative_seed_is_refused_by_name_when_directions_are_drawn(tmp_path, capsys):
+    # the seed is refused by name before numpy's refusal, which names no
+    # key; one direction draws nothing, so its seed is never read
+    assert main(["gform", "--seed", "-1", "--set", "directions=2"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "error: seed must be >= 0 to draw directions, got -1\n" and printed.err == ""
+    assert main(["gform", "--seed", "-1", "--set", "directions=1", "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_directions_past_the_byte_limit_are_refused_before_the_first_draw(tmp_path, capsys, monkeypatch):
@@ -549,8 +556,9 @@ def test_the_default_scan_assembles_its_rows_its_ends_then_one_field_per_step(mo
 
 
 def test_a_default_scan_solves_its_fields_in_one_call_and_runs_each_rule_once(monkeypatch):
-    # the nine rows and the bracket's two ends are one field_minima call;
-    # the two Brent steps build their fields without quartic's rules, so
+    # the nine rows and the bracket's two ends are one field_minima call,
+    # and each of the two Brent steps one more; the steps build their
+    # fields without quartic's rules, so
     # the radius rule runs for the rows, the ends and the summary (12), and
     # the deficit for the bbar_list check, each row's two rules and its
     # report entry, and each end's two rules (3 + 27 + 4 = 34)
@@ -570,8 +578,30 @@ def test_a_default_scan_solves_its_fields_in_one_call_and_runs_each_rule_once(mo
     batches = counted_assembly(monkeypatch)
     report, _ = run(parse_args(["scan", *L24]))
     assert report["summary"]["bisection"] is not None
-    assert counts == {"field_minima": 1, "positivity_radius": 12, "deficit_closed_form": 34}
+    assert counts == {"field_minima": 3, "positivity_radius": 12, "deficit_closed_form": 34}
     assert batches == [11, 1, 1]
+
+
+def test_certify_and_the_scan_steps_solve_through_field_minima_alone(monkeypatch):
+    # field_minima is the one solve the commands call: certify reads both
+    # minima from one call, each Brent step solves its one field
+    # unrestricted, and cli binds no other assembler or solve
+    assert not hasattr(cli_module, "assemble_pencil") and not hasattr(cli_module, "pencil_minimum")
+    calls = []
+    real = cli_module.field_minima
+
+    def counted(basis, fields, restricts):
+        calls.append((len(fields), restricts))
+        return real(basis, fields, restricts)
+
+    monkeypatch.setattr(cli_module, "field_minima", counted)
+    report, _ = run(parse_args(["certify", "--set", "family=quartic"]))
+    assert report["results"][0]["min_eig_restricted"] is not None
+    assert calls == [(1, (False, True))]
+    calls.clear()
+    report, _ = run(parse_args(["scan", *L24]))
+    assert report["summary"]["bisection"] is not None
+    assert calls[0] == (11, (False, True)) and calls[1:] == [(1, (False,))] * 2
 
 
 def test_a_lo_refused_at_the_pencil_exits_2(capsys):
@@ -608,7 +638,7 @@ def test_a_refused_hi_past_a_non_positive_lo_refuses_nothing(tmp_path, monkeypat
     argv = ["scan", *L24, "--set"]
     grid = build_grid(25, 50)
     with pytest.raises(ValueError, match="h = H - 2 is too large for the Gram sums"):
-        assemble_pencil(build_basis(grid, 24), [h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1e305, 1e-2, grid)])
+        reference.assembled(build_basis(grid, 24), [h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1e305, 1e-2, grid)])
     calls = counted_assembly(monkeypatch)
     out = tmp_path / "r.json"
     assert main([*argv, "bracket=0.05,1e305", "--out", str(out)]) == 1
@@ -631,15 +661,15 @@ def test_a_field_refused_in_a_batch_loses_only_its_own_pencil():
     ok = [h_family(eigs, bbar, 1e-2, grid) for bbar in (0.0, 1.0 / 30.0)]
     huge = mean_curvature_from_h(grid, np.full(grid.n_nodes, 2.0 * harmonics_module._gram_limit(basis)))
     with pytest.raises(ValueError, match="too large for the Gram sums"):
-        assemble_pencil(basis, [ok[0], huge, ok[1]])
+        reference.assembled(basis, [ok[0], huge, ok[1]])
     with pytest.raises(ValueError) as alone_refused:
-        assemble_pencil(basis, [huge])
+        reference.assembled(basis, [huge])
     first, refused, last = field_minima(basis, [ok[0], huge, ok[1]], (False, True))
     assert isinstance(refused, ValueError) and str(refused) == str(alone_refused.value)
     assert str(refused).startswith("h = H - 2 is too large")
     for minima, H in ((first, ok[0]), (last, ok[1])):
-        [alone] = assemble_pencil(basis, [H])
-        assert minima == (pencil_minimum(alone), pencil_minimum(alone, True))
+        [alone] = reference.assembled(basis, [H])
+        assert minima == (reference.pencil_minimum(alone), reference.pencil_minimum(alone, True))
 
 
 def test_pencils_past_the_byte_limit_are_refused_before_any_block(capsys, monkeypatch):
@@ -993,7 +1023,7 @@ def test_pencil_stays_below_one_dense_M():
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 1e-2, grid)
     tracemalloc.start()
     try:
-        pencil = assemble_pencil(basis, [H])[0]
+        pencil = reference.assembled(basis, [H])[0]
         min_pencil_eigenvalue(pencil)
         min_pencil_eigenvalue(pencil, restrict=True)
         peak = tracemalloc.get_traced_memory()[1]
@@ -1010,14 +1040,14 @@ def test_parity_pencil_keeps_little_between_calls():
     # with the row count, not with the block entries (6.7 MB once)
     eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
     warm = build_grid(25, 50)
-    assemble_pencil(build_basis(warm, 24), [h_family(eigs, 1.0 / 30.0, 1e-2, warm)])
+    reference.assembled(build_basis(warm, 24), [h_family(eigs, 1.0 / 30.0, 1e-2, warm)])
     grid = build_grid(49, 98)
     basis = build_basis(grid, 48)
     H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
     harmonics_module._layout.cache_clear()
     tracemalloc.start()
     try:
-        pencil = assemble_pencil(basis, [H])[0]
+        pencil = reference.assembled(basis, [H])[0]
         assert len(reference.blocks(pencil)) == 8
         del pencil
         kept = tracemalloc.get_traced_memory()[0]

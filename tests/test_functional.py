@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from wy_stability.functional import (
     HessianPencil,
-    assemble_pencil,
     constant_field,
     decompose_kernel,
     eval_F,
@@ -24,7 +23,6 @@ from wy_stability.functional import (
     kernel_closed_form,
     mean_curvature_from_h,
     min_pencil_eigenvalue,
-    pencil_minimum,
 )
 from wy_stability import functional as functional_module
 from wy_stability import harmonics as harmonics_module
@@ -119,7 +117,7 @@ def test_field_on_a_different_grid_is_rejected():
     with pytest.raises(ValueError):
         eval_F(basis, H, FieldCoeffs(4, np.ones(25)))
     with pytest.raises(ValueError):
-        assemble_pencil(basis, [H])
+        reference.assembled(basis, [H])
 
 
 def test_constant_field_extrema():
@@ -169,7 +167,7 @@ def test_kernel_closed_form_matches_quadrature():
 
 
 def test_pencil_structure_round_sphere():
-    pencil = assemble_pencil(BASIS, [ROUND])[0]
+    pencil = reference.assembled(BASIS, [ROUND])[0]
     assert pencil.M.shape == (NMODES - 1, NMODES - 1)
     assert np.all(pencil.degrees >= 1)
     np.testing.assert_array_equal(
@@ -182,7 +180,7 @@ def test_pencil_structure_round_sphere():
 
 
 def test_round_sphere_eigenvalues():
-    pencil = assemble_pencil(BASIS, [ROUND])[0]
+    pencil = reference.assembled(BASIS, [ROUND])[0]
     val, witness = min_pencil_eigenvalue(pencil)
     assert abs(val) < 1e-10
     # witness lies in the degree-1 block
@@ -197,7 +195,7 @@ def test_round_sphere_eigenvalues():
 def test_witness_properties():
     rng = np.random.default_rng(29)
     H = random_positive_field(rng)
-    pencil = assemble_pencil(BASIS, [H])[0]
+    pencil = reference.assembled(BASIS, [H])[0]
     for restrict in (False, True):
         val, witness = min_pencil_eigenvalue(pencil, restrict=restrict)
         assert abs(np.linalg.norm(witness.c) - 1.0) < 1e-12
@@ -214,8 +212,8 @@ def test_restricting_needs_degree_two():
     # an L = 1 pencil has no row of degree l >= 2; both restricted entry
     # points refuse it instead of returning inf or failing to index
     grid = build_grid(4, 8)
-    pencil = assemble_pencil(build_basis(grid, 1), [constant_field(grid, -0.1)])[0]
-    for solve in (pencil_minimum, min_pencil_eigenvalue):
+    pencil = reference.assembled(build_basis(grid, 1), [constant_field(grid, -0.1)])[0]
+    for solve in (reference.pencil_minimum, min_pencil_eigenvalue):
         with pytest.raises(ValueError, match="restricting to degrees l >= 2 needs L >= 2"):
             solve(pencil, restrict=True)
 
@@ -230,7 +228,7 @@ def test_depressed_curvature_is_positive_definite():
         f = f - f.min() + 0.01
         f = f / f.max()  # 0 < f <= 1
         H = mean_curvature_from_h(GRID, -1.5 * f * rng.uniform(0.1, 1.0))
-        pencil = assemble_pencil(BASIS, [H])[0]
+        pencil = reference.assembled(BASIS, [H])[0]
         val, _ = min_pencil_eigenvalue(pencil, restrict=True)
         assert val > 0.0
 
@@ -242,8 +240,8 @@ def test_truncation_stability():
     phi = GRID.xyz**2 @ lam
     r = 0.3
     H = mean_curvature_from_h(GRID, r**2 * phi - (1.0 / 30.0) * r**4 * 6.0)
-    v8, _ = min_pencil_eigenvalue(assemble_pencil(BASIS, [H])[0], restrict=True)
-    v12, _ = min_pencil_eigenvalue(assemble_pencil(basis12, [H])[0], restrict=True)
+    v8, _ = min_pencil_eigenvalue(reference.assembled(BASIS, [H])[0], restrict=True)
+    v12, _ = min_pencil_eigenvalue(reference.assembled(basis12, [H])[0], restrict=True)
     assert abs(v8 - v12) < 0.01 * abs(v12)
 
 
@@ -280,7 +278,7 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
     eigs = RicciEigs(np.array(lam))
     for r in (0.3, 1e-2):
         H = h_family(eigs, bbar, r, grid)
-        pencil = assemble_pencil(basis, [H])[0]
+        pencil = reference.assembled(basis, [H])[0]
         dense = reference.one_block_M(basis, H)
         scale = np.abs(dense).max()
         inside = np.zeros(dense.shape, dtype=bool)
@@ -304,7 +302,7 @@ def test_blocked_pencil_matches_one_block(shape, lam, bbar):
 
 def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     # an asymmetric h has no symmetry to split by: one block of every row
-    pencil = assemble_pencil(BASIS, [random_positive_field(np.random.default_rng(61))])[0]
+    pencil = reference.assembled(BASIS, [random_positive_field(np.random.default_rng(61))])[0]
     assert len(row_sets(reference.blocks(pencil))) == 1
     np.testing.assert_array_equal(row_sets(reference.blocks(pencil))[0], np.arange(NMODES - 1))
     # three distinct lam: h depends on phi, and an odd n_phi has no node at
@@ -313,7 +311,7 @@ def test_asymmetric_field_or_odd_n_phi_gives_one_block():
     grid = build_grid(25, 51)
     basis = build_basis(grid, 8)
     H = h_family(RicciEigs(np.array([0.7, 0.5, -1.2])), 1.0 / 30.0, 0.1, grid)
-    pencil = assemble_pencil(basis, [H])[0]
+    pencil = reference.assembled(basis, [H])[0]
     m, l = basis.orders[1:], basis.degrees[1:]
     code = 2 * (m < 0) + 4 * ((l + np.abs(m)) % 2)
     assert len(row_sets(reference.blocks(pencil))) == 4
@@ -342,7 +340,7 @@ def test_axisymmetric_family_takes_order_blocks(shape):
     grid = build_grid(*shape)
     basis = build_basis(grid, 12)
     H = h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 0.3, grid)
-    pencil = assemble_pencil(basis, [H])[0]
+    pencil = reference.assembled(basis, [H])[0]
     expected = order_rows(12, 1)
     assert len(row_sets(reference.blocks(pencil))) == len(expected) == 4 * 12
     for rows, (_, want) in zip(row_sets(reference.blocks(pencil)), expected):
@@ -367,7 +365,7 @@ def test_axisymmetric_family_takes_order_blocks(shape):
         ref = reference.dense_min(dense, pencil.kdiag, keep)
         val, _ = min_pencil_eigenvalue(pencil, restrict=restrict)
         assert abs(val - ref) <= 1e-9 * abs(ref)
-        assert pencil_minimum(pencil, restrict=restrict) == val
+        assert reference.pencil_minimum(pencil, restrict=restrict) == val
 
 
 def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
@@ -378,7 +376,7 @@ def test_axisymmetric_minimum_at_small_radius_on_odd_n_phi():
 
     def min_over_r4(shape, L):
         grid = build_grid(*shape)
-        pencil = assemble_pencil(build_basis(grid, L), [h_family(eigs, 1.0 / 30.0, r, grid)])[0]
+        pencil = reference.assembled(build_basis(grid, L), [h_family(eigs, 1.0 / 30.0, r, grid)])[0]
         assert len(row_sets(reference.blocks(pencil))) == 4 * L
         return min_pencil_eigenvalue(pencil)[0] / r**4
 
@@ -396,7 +394,7 @@ def test_family_axisymmetric_about_x1_keeps_parity_or_one_block():
     for shape, count in (((25, 50), 8), ((25, 51), 4)):
         grid = build_grid(*shape)
         H = h_family(eigs, 1.0 / 30.0, 1e-2, grid)
-        assert len(row_sets(reference.blocks(assemble_pencil(build_basis(grid, 8), [H])[0]))) == count
+        assert len(row_sets(reference.blocks(reference.assembled(build_basis(grid, 8), [H])[0]))) == count
 
 
 @pytest.mark.parametrize("shape", BLOCK_GRIDS + [(25, 51)])
@@ -410,16 +408,16 @@ def test_family_takes_the_blocked_path(shape):
     eigs = RicciEigs(np.array(config.lam))
     for bbar in config.bbar_list + config.bracket:
         for r in config.r_list + (config.bisect_r,):
-            blocks = reference.blocks(assemble_pencil(basis, [h_family(eigs, bbar, r, grid)])[0])
+            blocks = reference.blocks(reference.assembled(basis, [h_family(eigs, bbar, r, grid)])[0])
             assert len(row_sets(blocks)) == 4 * 4
     # every other H the command line builds splits too: the const family,
     # and the quartic family with three distinct lam, 4 classes on odd
     # n_phi and 8 on even
-    blocks = reference.blocks(assemble_pencil(basis, [constant_field(grid, -config.eps)])[0])
+    blocks = reference.blocks(reference.assembled(basis, [constant_field(grid, -config.eps)])[0])
     assert len(row_sets(blocks)) == 4 * 4
     eigs = RicciEigs(np.array([0.7, 0.5, -1.2]))
     for bbar, r in ((config.bbar, config.r), (0.0, 1e-1), (1.0 / 90.0, 1e-3)):
-        blocks = reference.blocks(assemble_pencil(basis, [h_family(eigs, bbar, r, grid)])[0])
+        blocks = reference.blocks(reference.assembled(basis, [h_family(eigs, bbar, r, grid)])[0])
         assert len(row_sets(blocks)) == (4 if shape[1] % 2 else 8)
 
 
@@ -432,7 +430,7 @@ def test_pencil_minimum_keeps_digits_at_small_radius(L, shape, lam):
     basis = build_basis(grid, L)
     eigs = RicciEigs(np.array(lam))
     v3, v4 = (
-        min_pencil_eigenvalue(assemble_pencil(basis, [h_family(eigs, 1.0 / 30.0, r, grid)])[0])[0]
+        min_pencil_eigenvalue(reference.assembled(basis, [h_family(eigs, 1.0 / 30.0, r, grid)])[0])[0]
         / r**4
         for r in (1e-3, 1e-4)
     )
@@ -466,8 +464,8 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
     def solves(pencil):
         with_l1 = sum(np.any(pencil.degrees[rows[0]] == 1) for rows in pencil.row_sets)
         calls["eigvalsh"] = calls["eigh"] = 0
-        pencil_minimum(pencil)
-        pencil_minimum(pencil, restrict=True)
+        reference.pencil_minimum(pencil)
+        reference.pencil_minimum(pencil, restrict=True)
         assert calls["eigh"] == 0 and calls["eigvalsh"] == len(pencil._minima)
         return with_l1, calls["eigvalsh"]
 
@@ -488,7 +486,7 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         ((1.0, 1.0, -2.0), (25, 2, 5), (2, 3)),
         ((0.7, 0.5, -1.2), (8, 3, 7), (3, 4)),
     ):
-        pencil = assemble_pencil(basis, [h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid)])[0]
+        pencil = reference.assembled(basis, [h_family(RicciEigs(np.array(lam)), 1.0 / 90.0, 1e-2, grid)])[0]
         assert (len(pencil.row_sets), *solves(pencil)) == count
         for restrict in (False, True):
             assert witness_solves(pencil, restrict) == 0
@@ -504,7 +502,7 @@ def test_only_the_witness_computes_eigenvectors(monkeypatch):
         constant_field(grid, -1.5),
         h_family(eigs, 1.0 / 30.0, 0.9 * positivity_radius(eigs), grid),
     ):
-        pencil = assemble_pencil(basis, [H])[0]
+        pencil = reference.assembled(basis, [H])[0]
         with_l1, count = solves(pencil)
         assert count == len(pencil.row_sets) + with_l1
 
@@ -529,7 +527,7 @@ def counted_builds(basis, H):
 
     harmonics_module._group_blocks = counted
     try:
-        [pencil] = assemble_pencil(basis, [H])
+        [pencil] = reference.assembled(basis, [H])
     finally:
         harmonics_module._group_blocks = real
     return pencil, built
@@ -549,8 +547,8 @@ def test_pencil_builds_only_the_blocks_its_solves_read(shape, L, lam, blocks):
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
     pencil, built = counted_builds(build_basis(grid, L), H)
     assert len(pencil.row_sets) == blocks
-    pencil_minimum(pencil)
-    pencil_minimum(pencil, restrict=True)
+    reference.pencil_minimum(pencil)
+    reference.pencil_minimum(pencil, restrict=True)
     want = sorted({i for i, _ in pencil._minima})
     assert sorted(built) == want and 0 < len(built) < blocks
     for restrict in (False, True):
@@ -582,7 +580,7 @@ def test_pencil_parts_are_read_off_the_row_sets(shape, lam, blocks):
         H = mean_curvature_from_h(grid, 0.1 * np.random.default_rng(5).normal(size=grid.n_nodes))
     else:
         H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, 1e-2, grid)
-    pencil = assemble_pencil(build_basis(grid, 12), [H])[0]
+    pencil = reference.assembled(build_basis(grid, 12), [H])[0]
     assert len(pencil.row_sets) == blocks
     for least in (1, 2):
         want = []
@@ -614,9 +612,9 @@ def test_asymmetric_block_is_refused_when_built(monkeypatch, lam):
         return B + np.triu(np.full(B.shape, 1e-10 * max(np.abs(B).max(), 1.0)), 1)
 
     monkeypatch.setattr(harmonics_module, "_block_gram", skewed)
-    pencil = assemble_pencil(basis, [H])[0]
+    pencil = reference.assembled(basis, [H])[0]
     with pytest.raises(AssertionError, match="asymmetry"):
-        pencil_minimum(pencil)
+        reference.pencil_minimum(pencil)
     for i, rows in enumerate(pencil.row_sets):
         if rows.shape[1] > 1:
             with pytest.raises(AssertionError, match="asymmetry"):
@@ -642,7 +640,7 @@ def test_non_finite_block_is_refused_when_built(monkeypatch, lam, bad, both):
         return B
 
     monkeypatch.setattr(harmonics_module, "_block_gram", broken)
-    pencil = assemble_pencil(basis, [H])[0]
+    pencil = reference.assembled(basis, [H])[0]
     for i, rows in enumerate(pencil.row_sets):
         if rows.shape[1] > 1:
             with pytest.raises(AssertionError, match="not finite"):
@@ -661,13 +659,13 @@ def test_h_rule_keeps_every_block_finite(shape, L):
         h = shape_h / shape_h.max()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pencil = assemble_pencil(basis, [mean_curvature_from_h(grid, h * _gram_limit(basis))])[0]
+            pencil = reference.assembled(basis, [mean_curvature_from_h(grid, h * _gram_limit(basis))])[0]
             assert pencil.sups[1] == _gram_limit(basis)
             for i in range(len(pencil.row_sets)):
                 assert np.isfinite(pencil.block(i)).all()
-            assert math.isfinite(pencil_minimum(pencil))
+            assert math.isfinite(reference.pencil_minimum(pencil))
         with pytest.raises(ValueError, match=r"h = H - 2 is too large for the Gram sums: max \|h\| = "):
-            assemble_pencil(basis, [mean_curvature_from_h(grid, h * (1.0 + 1e-15) * _gram_limit(basis))])
+            reference.assembled(basis, [mean_curvature_from_h(grid, h * (1.0 + 1e-15) * _gram_limit(basis))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -698,7 +696,7 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
             h = 0.5 * (h + reference.mirror(h, axis))
     h = h.ravel() * (10.0**log_amp / np.abs(h).max())
     H = mean_curvature_from_h(grid, h)
-    pencil = assemble_pencil(basis, [H])[0]
+    pencil = reference.assembled(basis, [H])[0]
     assert pencil.sups == (np.abs(h / (2.0 * H.samples)).max(), np.abs(h).max())
     if symmetry == "ring":
         assert len(reference.blocks(pencil)) == L + 1
@@ -725,7 +723,7 @@ def test_block_bound_holds_and_pruning_keeps_every_result(L, extra, symmetry, he
     # row's minimum, and the blocks built are those with a recorded part,
     # once each
     fresh, built = counted_builds(basis, H)
-    assert (pencil_minimum(fresh), pencil_minimum(fresh, restrict=True)) == tuple(brute.min(axis=1))
+    assert (reference.pencil_minimum(fresh), reference.pencil_minimum(fresh, restrict=True)) == tuple(brute.min(axis=1))
     assert sorted(built) == sorted({i for i, _ in fresh._minima})
     for i, rows in enumerate(fresh.row_sets):
         for row, k in enumerate((0, int(np.sum(fresh.degrees[rows[0]] == 1)))):
@@ -774,8 +772,8 @@ def test_pencil_minimum_matches_extended_precision(lam):
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
     for bbar, r, bound in ((1.0 / 90.0, 1e-2, 1e-9), (1.0 / 90.0, 3e-2, 1e-9), (1.0 / 30.0, 1e-2, 1e-14)):
-        pencil = assemble_pencil(basis, [h_family(RicciEigs(np.array(lam)), bbar, r, grid)])[0]
-        minima = pencil_minimum(pencil), pencil_minimum(pencil, restrict=True)
+        pencil = reference.assembled(basis, [h_family(RicciEigs(np.array(lam)), bbar, r, grid)])[0]
+        minima = reference.pencil_minimum(pencil), reference.pencil_minimum(pencil, restrict=True)
         for got, ref in zip(minima, exact_minima(pencil)):
             assert abs((got - ref) / ref) < bound
 
@@ -783,7 +781,7 @@ def test_pencil_minimum_matches_extended_precision(lam):
 def pencil_min_over_r4(shape, L, lam, r):
     grid = build_grid(*shape)
     H = h_family(RicciEigs(np.array(lam)), 1.0 / 30.0, r, grid)
-    return min_pencil_eigenvalue(assemble_pencil(build_basis(grid, L), [H])[0])[0] / r**4
+    return min_pencil_eigenvalue(reference.assembled(build_basis(grid, L), [H])[0])[0] / r**4
 
 
 @pytest.mark.parametrize(
@@ -847,7 +845,7 @@ def same_bits(a, b):
     for i in range(len(a.row_sets)):
         assert a.block(i).tobytes() == b.block(i).tobytes()
     for restrict in (False, True):
-        assert pencil_minimum(a, restrict) == pencil_minimum(b, restrict)
+        assert reference.pencil_minimum(a, restrict) == reference.pencil_minimum(b, restrict)
         (va, wa), (vb, wb) = min_pencil_eigenvalue(a, restrict), min_pencil_eigenvalue(b, restrict)
         assert va == vb and wa.c.tobytes() == wb.c.tobytes()
 
@@ -861,7 +859,7 @@ def test_a_pencil_is_the_same_bits_whatever_it_is_assembled_with(shape, L, monke
     grid = build_grid(*shape)
     basis = build_basis(grid, L)
     fields = batch_fields(grid)
-    together = assemble_pencil(basis, fields)
+    together = reference.assembled(basis, fields)
     # blocks of (order, x3 parity), of order, of parity class, and one
     parity = 4 if shape[1] % 2 else 8
     assert [len(p.row_sets) for p in together] == [2 * L + 1] * 3 + [L + 1] + [parity] * 2 + [1]
@@ -869,18 +867,18 @@ def test_a_pencil_is_the_same_bits_whatever_it_is_assembled_with(shape, L, monke
     builders = [p.blocks for p in together]
     assert builders[0] is builders[1] is builders[2] and builders[4] is builders[5]
     assert len(set(map(id, builders))) == 4
-    alone = [assemble_pencil(basis, [H])[0] for H in fields]
-    by_layout = assemble_pencil(basis, fields[:3]) + assemble_pencil(basis, fields[3:4])
-    by_layout += assemble_pencil(basis, fields[4:6]) + assemble_pencil(basis, fields[6:])
+    alone = [reference.assembled(basis, [H])[0] for H in fields]
+    by_layout = reference.assembled(basis, fields[:3]) + reference.assembled(basis, fields[3:4])
+    by_layout += reference.assembled(basis, fields[4:6]) + reference.assembled(basis, fields[6:])
     monkeypatch.setattr(harmonics_module, "_CHUNK_BYTES", 1)
-    one_at_a_time = assemble_pencil(basis, fields)
+    one_at_a_time = reference.assembled(basis, fields)
     # read in an order unlike the batch's, so that blocks are built by
     # whichever pencil reads them first
     for a, b, c, d in reversed(list(zip(together, alone, by_layout, one_at_a_time))):
         same_bits(a, b)
         same_bits(c, b)
         same_bits(d, b)
-    assert assemble_pencil(basis, []) == []
+    assert reference.assembled(basis, []) == []
 
 
 @pytest.mark.parametrize("shape, L", [((13, 26), 12), ((25, 50), 24)])
@@ -954,11 +952,11 @@ def test_a_batch_of_pencils_solves_each_part_once_per_group(shape, L, monkeypatc
 
     pruned_apart = stacked = 0
     for layout, fields in layout_batches(grid).items():
-        alone = [assemble_pencil(basis, [H])[0] for H in fields]
-        want = [(pencil_minimum(p), pencil_minimum(p, restrict=True)) for p in alone]
+        alone = [reference.assembled(basis, [H])[0] for H in fields]
+        want = [(reference.pencil_minimum(p), reference.pencil_minimum(p, restrict=True)) for p in alone]
         hexes = [tuple(v.hex() for v in w) for w in want]
         assert [tuple(v.hex() for v in got) for got in field_minima(basis, fields, (False, True))] == hexes, layout
-        batch = assemble_pencil(basis, fields)
+        batch = reference.assembled(basis, fields)
         assert len({id(p.blocks) for p in batch}) == 1, layout
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         for restrict in (False, True):
@@ -991,7 +989,7 @@ def test_a_stacked_solve_is_each_pencils_solve_bit_for_bit(layout):
     # pencil's own part, whitened by kdiag and solved alone
     grid = build_grid(13, 26)
     basis = build_basis(grid, 12)
-    batch = assemble_pencil(basis, layout_batches(grid)[layout])
+    batch = reference.assembled(basis, layout_batches(grid)[layout])
     first = batch[0]
     for i, rows in enumerate(first.row_sets):
         for k in sorted({0, int(np.sum(first.degrees[rows[0]] == 1))} - {rows.shape[1]}):
@@ -1028,7 +1026,7 @@ def test_a_layout_past_the_byte_limit_loses_only_its_own_fields(monkeypatch):
     assert all(isinstance(w, tuple) for w in want)
     monkeypatch.setattr(harmonics_module, "GRID_BYTES_LIMIT", 20000)
     with pytest.raises(ValueError, match="pencil on grid 13x26 at L = 12 needs ") as refusal:
-        assemble_pencil(basis, [parity[1]])
+        reference.assembled(basis, [parity[1]])
     got = field_minima(basis, fields, (False, True))
     for n in (1, 3):
         assert isinstance(got[n], ValueError) and str(got[n]) == str(refusal.value)
@@ -1045,7 +1043,7 @@ def test_a_batch_keeps_no_block_past_its_pencils():
     gc.disable()
     try:
         for fields in layout_batches(grid).values():
-            pencils = assemble_pencil(basis, fields)
+            pencils = reference.assembled(basis, fields)
             group_minima(pencils, False)
             group_minima(pencils, True)
             views = [p.block(i) for p in pencils for i, _ in p._minima]

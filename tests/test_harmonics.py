@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wy_stability.harmonics as harmonics_module
-from wy_stability.functional import assemble_pencil, mean_curvature_from_h
+from wy_stability.functional import mean_curvature_from_h
 from wy_stability.harmonics import (
     FieldCoeffs,
     _field_samples,
@@ -420,7 +420,7 @@ def test_separable_transforms_match_tables(shape, monkeypatch):
     # reference gives
     for H in fields:
         M = reference.one_block_M(basis, H)
-        pencil = assemble_pencil(basis, [H])[0]
+        pencil = reference.assembled(basis, [H])[0]
         scale = np.abs(M).max()
         inside = np.zeros(M.shape, dtype=bool)
         for rows_b, block in ((r, B) for rows, B in reference.blocks(pencil) for r in rows):
@@ -493,7 +493,7 @@ def test_gram_blocks_split_by_the_symmetries_of_the_weights(L, extra, ring, held
         assert np.abs(B - dense[np.ix_(rows, rows)]).max() <= 1e-12 * scale
     assert np.abs(dense[~inside]).max(initial=0.0) <= 1e-13 * scale
     H = mean_curvature_from_h(grid, 0.1 * weights[1] / np.abs(weights[1]).max())
-    pencil = assemble_pencil(basis, [H])[0]
+    pencil = reference.assembled(basis, [H])[0]
     inside = np.zeros(pencil.M.shape, dtype=bool)
     row_sets = [r for rows, _ in reference.blocks(pencil) for r in rows]
     for rows in row_sets:

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from wy_stability.functional import assemble_pencil, constant_field, decompose_kernel
+from wy_stability.functional import constant_field, decompose_kernel
 from wy_stability.gform import Direction, RicciEigs, g_quadratic
 from wy_stability.harmonics import FieldCoeffs, build_basis
 from wy_stability.models import (
@@ -18,6 +18,8 @@ from wy_stability.models import (
     negative_part_certificate,
 )
 from wy_stability.quad import build_grid
+
+import reference
 
 GRID = build_grid(9, 18)
 BASIS = build_basis(GRID, 4)
@@ -35,7 +37,9 @@ RECORDS = {
     ),
     "MeanCurvatureField": (H, ("grid", "samples", "h", "inf_h", "sup_h", "tag"), ()),
     "HessianPencil": (
-        assemble_pencil(BASIS, [H])[0], ("L", "kdiag", "degrees", "row_sets", "parts", "sups"), ("blocks", "member"),
+        reference.assembled(BASIS, [H])[0],
+        ("L", "kdiag", "degrees", "row_sets", "parts", "sups"),
+        ("blocks", "member"),
     ),
     "KernelDecomposition": (decompose_kernel(BASIS, FieldCoeffs(4, np.arange(25.0))), ("a0", "a", "eta2"), ()),
     "RicciEigs": (EIGS, ("lam",), ()),

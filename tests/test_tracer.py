@@ -16,6 +16,8 @@ import wy_stability.models as models_module
 from wy_stability.cli import RunConfig
 from wy_stability.gform import RicciEigs
 
+import reference
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -44,7 +46,7 @@ def test_tracer_binds_every_traced_layer(monkeypatch, tmp_path):
             cli_module.run(replace(base, command=command, **extra))
         _, basis = cli_module._grid_basis(13, 26, 12)
         H = models_module.h_family(RicciEigs(np.array([1.0, 1.0, -2.0])), 1.0 / 30.0, 1e-2, basis.grid)
-        pencil = functional_module.assemble_pencil(basis, [H])[0]
+        pencil = reference.assembled(basis, [H])[0]
         for restrict in (False, True):
             functional_module.min_pencil_eigenvalue(pencil, restrict=restrict)
         summary = tracer.summarize()
